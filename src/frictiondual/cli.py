@@ -235,6 +235,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a solver failure, not bad input
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (MarketValidationError, ut.UtilityDomainError, ValueError,
             FileNotFoundError, json.JSONDecodeError,
             pricing.UnsupportedUtilityError) as exc:

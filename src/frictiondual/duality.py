@@ -11,7 +11,7 @@ the residuals of the optimizer identities linking them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -25,10 +25,15 @@ from .tree import MarketSpec, path_measure
 POSITIVITY_MARGIN = 1e-10
 ENGINE_TOL = 1e-9
 YHAT_RTOL = 1e-8
+FACE_POLISH_STEPS = 8
 
 
 class PrimalInfeasibleError(RuntimeError):
     """No feasible wealth profile: x at or below the endowment threshold."""
+
+
+class PrimalUnboundedError(RuntimeError):
+    """Primal iterates diverge: the prices admit an arbitrage."""
 
 
 class NoCpsError(RuntimeError):
@@ -242,7 +247,8 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     Returns the netted optimal strategy and the claim it generates.
     Raises :class:`PrimalInfeasibleError` when no wealth profile clears
     the positivity floor (half-line utilities with x at or below the
-    endowment threshold).
+    endowment threshold) and :class:`PrimalUnboundedError` when the
+    iterates diverge.
     """
     prog, internal, K, L, off, frictionless = primal_program(
         market, spec, x, include_endowment
@@ -253,6 +259,8 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         raise PrimalInfeasibleError(
             f"primal infeasible at x={x}: {exc}"
         ) from exc
+    if res.status == "unbounded":
+        raise PrimalUnboundedError(f"primal unbounded: {res.diagnostics.message}")
     if res.status != "optimal":
         raise RuntimeError(f"primal solve failed: {res.diagnostics.message}")
 
@@ -323,8 +331,7 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
 
 def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
                include_endowment: bool = True, poly: Optional[DualPolytope] = None,
-               x0: Optional[np.ndarray] = None, tol: float = ENGINE_TOL,
-               mu0: float = 1.0) -> DualSolution:
+               tol: float = ENGINE_TOL) -> DualSolution:
     """Minimize the conjugate functional at scale ``y`` over the polytope."""
     if y <= 0.0:
         raise ut.UtilityDomainError(f"dual scale must be positive, got {y}")
@@ -334,29 +341,35 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     L = tree.n_leaves
     prob = path_measure(tree).leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
-    objective, in_domain = _dual_objective(poly, spec, y, endow, prob)
+    res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
+                             "dual", tol=tol)
+    z = res.x
+    return DualSolution(value=res.diagnostics.objective, y=y, leaf_vars=z,
+                        system=poly.price_system(z),
+                        derivative=_dual_derivative(spec, y, z[:L], endow, prob),
+                        diagnostics=res.diagnostics.to_dict())
+
+
+def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
+                       tol: float = ENGINE_TOL,
+                       x0: Optional[np.ndarray] = None) -> SolveResult:
+    """Engine solve over the constraints of ``poly``; optimal or raises."""
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h,
                          in_domain=in_domain, x0=x0)
     try:
-        res = solve(prog, tol=tol, mu0=mu0)
+        res = solve(prog, tol=tol)
     except InfeasibleProgramError as exc:
         raise PolytopeInfeasibleError(f"empty dual polytope: {exc}") from exc
-    if res.status != "optimal" and (mu0 < 1.0 or x0 is not None):
-        # warm start led the path astray; redo the full schedule cold
-        cold = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
-                             b_eq=poly.b_eq, G=poly.G, h=poly.h,
-                             in_domain=in_domain)
-        res = solve(cold, tol=tol)
     if res.status != "optimal":
-        raise RuntimeError(f"dual solve failed: {res.diagnostics.message}")
-    z = res.x
-    z0 = z[:L]
-    deriv = float(prob @ (z0 * (np.array([ut.eval_v_prime(spec, y * t) for t in z0])
-                                + endow)))
-    return DualSolution(value=res.diagnostics.objective, y=y, leaf_vars=z,
-                        system=poly.price_system(z), derivative=deriv,
-                        diagnostics=res.diagnostics.to_dict())
+        raise RuntimeError(f"{what} solve failed: {res.diagnostics.message}")
+    return res
+
+
+def _dual_derivative(spec, y, z0, endow, prob) -> float:
+    """v'(y) = E[Z0 (V'(y Z0) + e)] at the minimizing density ``z0``."""
+    return float(prob @ (z0 * (np.array([ut.eval_v_prime(spec, y * t) for t in z0])
+                               + endow)))
 
 
 def value_v(market: MarketSpec, spec: ut.UtilitySpec, y: float,
@@ -412,17 +425,8 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
     L = tree.n_leaves
     prob = path_measure(tree).leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
-    nv = poly.n_vars
-    objective, in_domain = _entropy_objective(poly, gamma, endow, prob)
-    prog = ConvexProgram(n=nv, objective=objective, A_eq=poly.A_eq,
-                         b_eq=poly.b_eq, G=poly.G, h=poly.h,
-                         in_domain=in_domain, x0=x0)
-    try:
-        res = solve(prog, tol=tol)
-    except InfeasibleProgramError as exc:
-        raise PolytopeInfeasibleError(f"empty dual polytope: {exc}") from exc
-    if res.status != "optimal":
-        raise RuntimeError(f"entropy solve failed: {res.diagnostics.message}")
+    res = _solve_on_polytope(poly, *_entropy_objective(poly, gamma, endow, prob),
+                             "entropy", tol=tol, x0=x0)
     z0 = res.x[:L]
     return EntropyCore(
         leaf_vars=res.x,
@@ -437,68 +441,61 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                        poly: Optional[DualPolytope] = None):
     """Solve inf_y {v(y) + x y}; returns (yhat, value, DualSolution at yhat).
 
-    The root of v'(y) + x = 0 is bracketed by a geometric scan and closed
-    by Brent's method, warm-starting each dual solve from the previous
-    minimizer.  The residual |v'(yhat) + x| is brought below
-    1e-8 * (1 + |x|).
+    Over the cone of scaled price systems ``W = y Z`` this is one convex
+    program, min E[V(W0) + W0 (x + e)] over the polytope with its
+    normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
+    The barrier point is polished by Newton steps on its active face
+    (:func:`_polish_on_face`).  The residual |v'(yhat) + x| must end
+    below 1e-8 * (1 + |x|).
     """
-    from scipy.optimize import brentq
-
     if poly is None:
         poly = build_polytope(market)
-    cache: dict = {}
-    warm = {"z": None}
-
-    def g(y):
-        sol = solve_dual(market, spec, y, include_endowment, poly=poly,
-                         x0=warm["z"], mu0=1e-4 if warm["z"] is not None else 1.0)
-        warm["z"] = sol.leaf_vars
-        cache[y] = sol
-        return sol.derivative + x
-
-    y1 = _initial_scale(market, spec, x, include_endowment)
-    g1 = g(y1)
-    lo, hi = y1, y1
-    glo, ghi = g1, g1
-    factor = 4.0
-    for _ in range(80):
-        if glo > 0.0:
-            lo /= factor
-            glo = g(lo)
-        elif ghi < 0.0:
-            hi *= factor
-            ghi = g(hi)
-        else:
-            break
-    if not (glo <= 0.0 <= ghi):
-        raise RuntimeError(
-            f"failed to bracket the optimal scale: g({lo})={glo}, g({hi})={ghi}"
-        )
-    if glo == 0.0:
-        yhat = lo
-    elif ghi == 0.0:
-        yhat = hi
-    else:
-        yhat = brentq(g, lo, hi, xtol=1e-13 * (1.0 + hi), rtol=8.9e-16)
-    sol = cache.get(yhat) or solve_dual(market, spec, yhat, include_endowment,
-                                        poly=poly, x0=warm["z"])
+    L = market.tree.n_leaves
+    prob = path_measure(market.tree).leaf_prob
+    endow = market.endowment if include_endowment else np.zeros(L)
+    cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
+    objective, in_domain = _dual_objective(poly, spec, 1.0, x + endow, prob)
+    res = _solve_on_polytope(cone, objective, in_domain, "dual")
+    w, steps = _polish_on_face(objective, cone, res.x, L)
+    value = objective(w)[0]
+    yhat = float(prob @ w[:L])
+    z = w / yhat
+    sol = DualSolution(value=value - x * yhat, y=yhat, leaf_vars=z,
+                       system=poly.price_system(z),
+                       derivative=_dual_derivative(spec, yhat, z[:L], endow, prob),
+                       diagnostics={**res.diagnostics.to_dict(),
+                                    "face_polish_steps": steps})
     resid = abs(sol.derivative + x)
     if resid > YHAT_RTOL * (1.0 + abs(x)):
-        raise RuntimeError(
-            f"scale search stalled: |v'(y)+x| = {resid:.3e} at y={yhat}"
-        )
-    return yhat, sol.value + x * yhat, sol
+        raise RuntimeError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
+    return yhat, value, sol
 
 
-def _initial_scale(market, spec, x, include_endowment):
-    prob = path_measure(market.tree).leaf_prob
-    endow = market.endowment if include_endowment else np.zeros_like(prob)
-    w = x + float(prob @ endow)
-    if spec.wealth_domain == "positive":
-        if w <= 0.0:
-            w = max(x - compute_x0(market, include_endowment), 1e-3)
-        return ut.eval_u_prime(spec, w)
-    return ut.eval_u_prime(spec, w)
+def _polish_on_face(objective, cone: DualPolytope, w: np.ndarray, L: int):
+    """Barrier-free Newton steps on the active face of a barrier point.
+
+    On degenerate faces the barrier stop leaves the flat W0 directions
+    short of the optimum.  Rows of ``G`` with slack <= 1e-7 (1 + |G||w|)
+    join the equalities; the KKT system is singular (flat W1 block,
+    dependent active rows), so it is solved by least squares.  Stops
+    before any step that would cross an inactive row or make some W0
+    nonpositive.  Returns the point and the number of steps taken.
+    """
+    G, h = cone.G, cone.h
+    active = G @ w - h <= 1e-7 * (1.0 + np.abs(G) @ np.abs(w))
+    A = np.vstack([cone.A_eq, G[active]])
+    b = np.concatenate([cone.b_eq, h[active]])
+    for steps in range(FACE_POLISH_STEPS):
+        _, g, H = objective(w)
+        K = np.block([[H, A.T], [A, np.zeros((b.size, b.size))]])
+        dw = np.linalg.lstsq(K, np.concatenate([-g, b - A @ w]), rcond=None)[0][:w.size]
+        trial = w + dw
+        if np.any(G[~active] @ trial <= h[~active]) or np.any(trial[:L] <= 0.0):
+            return w, steps
+        w = trial
+        if np.linalg.norm(dw) <= 1e-12 * np.linalg.norm(w):
+            return w, steps + 1
+    return w, FACE_POLISH_STEPS
 
 
 def compute_x0(market: MarketSpec, include_endowment: bool = True,

@@ -143,15 +143,12 @@ def _kkt_solve(H, A, g, r_eq):
 
 
 def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
-          max_newton: int = DEFAULT_MAX_NEWTON, linear: bool = False,
-          mu0: float = 1.0) -> SolveResult:
+          max_newton: int = DEFAULT_MAX_NEWTON) -> SolveResult:
     """Barrier solve of a :class:`ConvexProgram`.
 
-    Barrier weight starts at ``mu0`` and shrinks by a factor of 10 per
-    stage until ``m * mu <= tol``.  Warm starts near the optimum may
-    pass a small ``mu0`` to skip the loose early stages.  ``linear=True``
-    marks an LP objective so a diverging iterate is reported as
-    unbounded instead of a failure.
+    Barrier weight starts at 1 and shrinks by a factor of 10 per stage
+    until ``m * mu <= tol``.  Diverging iterates are reported with
+    status ``unbounded``.
     """
     n = program.n
     A, b = _reduce_equalities(program.A_eq, program.b_eq)
@@ -170,7 +167,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     lam = np.zeros(m)
     nu = np.zeros(0 if A is None else A.shape[0])
 
-    mu = mu0
+    mu = 1.0
     stages = [mu]
     if m:
         while m * mu > tol:
@@ -180,7 +177,6 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
         stages = [0.0]
 
     x_norm0 = 1.0 + np.linalg.norm(x)
-    prev_stage_val = np.inf
     for stage_idx, mu in enumerate(stages):
         is_final = stage_idx == len(stages) - 1
         inner = 0
@@ -249,14 +245,11 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
             inner += 1
             total_iters += 1
             if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
-                diag.status = "unbounded" if linear else "numerical_failure"
+                diag.status = "unbounded"
                 diag.message = "iterates diverging"
                 lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu, tol)
                 return SolveResult(x, nu, lam, diag)
         fval, _, _ = program.objective(x)
-        # the barrier path of outer-stage objective values is nonincreasing
-        fval = min(fval, prev_stage_val + 1e-12 * (1.0 + abs(prev_stage_val)))
-        prev_stage_val = fval
         diag.barrier_path.append(float(fval))
         diag.newton_iterations.append(inner)
         if m:
@@ -406,7 +399,7 @@ def _phase_one(A, b, G, h, n, tol):
         A_eq=A1, b_eq=None if A is None else b,
         G=G1, h=h1, x0=z0,
     )
-    res = solve(prog, tol=min(tol, 1e-9), max_newton=300, linear=True)
+    res = solve(prog, tol=min(tol, 1e-9), max_newton=300)
     z = res.x
     t_star = float(z[n])
     cert = {
@@ -438,7 +431,7 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None, x0=None,
     prog = ConvexProgram(n=c.size, objective=_linear_objective(c),
                          A_eq=A_eq, b_eq=b_eq, G=G, h=h, x0=x0)
     try:
-        return solve(prog, tol=tol, max_newton=max_newton, linear=True)
+        return solve(prog, tol=tol, max_newton=max_newton)
     except InfeasibleProgramError as exc:
         diag = SolveDiagnostics(status="infeasible", message=str(exc))
         res = SolveResult(np.full(c.size, np.nan), np.zeros(0), np.zeros(0), diag)

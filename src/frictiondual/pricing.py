@@ -31,7 +31,7 @@ class UnsupportedUtilityError(RuntimeError):
 class PriceReport:
     gamma: float
     x: float
-    p_primal: float
+    p_primal: Optional[float]
     p_dual: Optional[float]
     p_shadow: Optional[float]
     lower_bound: float
@@ -126,7 +126,13 @@ def price_bounds(market: MarketSpec) -> tuple:
 
 def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0,
                        routes=("primal", "dual", "shadow")) -> PriceReport:
-    """Run the requested routes and assemble the report with residuals."""
+    """Run the requested routes and assemble the report with residuals.
+
+    Raises ``ValueError`` when ``routes`` is empty or names an unknown route.
+    """
+    if not routes or not set(routes) <= {"primal", "dual", "shadow"}:
+        raise ValueError("price routes must be a nonempty subset of "
+                         f"primal, dual, shadow; got {list(routes)}")
     p_primal = p_dual = p_shadow = None
     ent_e = ent_0 = None
     if "primal" in routes:
@@ -147,8 +153,7 @@ def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0,
     residuals["above_lower_bound"] = anchor - lo
     return PriceReport(
         gamma=gamma, x=x,
-        p_primal=p_primal if p_primal is not None else anchor,
-        p_dual=p_dual, p_shadow=p_shadow,
+        p_primal=p_primal, p_dual=p_dual, p_shadow=p_shadow,
         lower_bound=lo, upper_bound=hi,
         entropy_with=ent_e, entropy_without=ent_0,
         residuals=residuals,

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from . import utility as ut
-from .duality import DualSolution, SolveReport, solve_dual, solve_primal
+from .duality import (DualSolution, PrimalUnboundedError, SolveReport, solve_dual,
+                      solve_primal)
 from .polytope import PriceSystem, build_polytope
 from .tree import MarketSpec
 
@@ -120,12 +121,10 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
     try:
         primal = solve_primal(shadow_market, spec, x, include_endowment)
-    except RuntimeError as exc:
-        if "diverging" in str(exc) or "unbounded" in str(exc):
-            raise ShadowConstructionError(
-                "frictionless problem unbounded: the price admits arbitrage"
-            ) from exc
-        raise
+    except PrimalUnboundedError as exc:
+        raise ShadowConstructionError(
+            "frictionless problem unbounded: the price admits arbitrage"
+        ) from exc
     if y is None:
         y = ut.eval_u_prime(spec, 1.0)  # placeholder scale; dual still convex
     dual = solve_dual(shadow_market, spec, y, include_endowment)

@@ -142,6 +142,28 @@ def test_price_command(market_file, tmp_path):
     assert rec["p_primal"] <= rec["upper_bound"] + 1e-8
 
 
+def test_price_unknown_route(market_file, capsys):
+    code = main(["price", "--market", market_file, "--gamma", "0.7",
+                 "--routes", "bogus"])
+    assert code == 1
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_linalg_error_is_solver_failure(market_file, monkeypatch, capsys):
+    import numpy as np
+
+    from frictiondual import duality
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(duality, "solve_report", broken)
+    code = main(["solve", "--market", market_file, "--utility", "log",
+                 "--x", "5"])
+    assert code == 2
+    assert "solver failure" in capsys.readouterr().err
+
+
 def test_xmin_command(market_file, tmp_path):
     out = str(tmp_path / "xmin.json")
     assert main(["xmin", "--market", market_file, "--json", out]) == 0

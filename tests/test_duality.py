@@ -16,6 +16,7 @@ from frictiondual.duality import (
     value_v,
     verify_identities,
 )
+from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import build_polytope, enumerate_vertices
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec, path_measure
@@ -212,3 +213,34 @@ def test_report_serialization(martingale_binomial):
     assert d["utility"] == "exp:gamma=1"
     assert isinstance(d["claim"], list)
     assert d["relative_gap"] < 1e-6
+
+
+@pytest.mark.parametrize("index", [5, 9])
+def test_scale_cone_degenerate_face(index):
+    # many band rows are active at these optima; the barrier point alone
+    # misses the leaf identity, the face polish must recover it
+    market = InstanceGenerator(seed=11).draw_feasible(index)
+    x = max(compute_x0(market), 0.0) + 5.0
+    rep = solve_report(market, LOG, x)
+    wealth = x + rep.claim + market.endowment
+    resid = rep.leaf_identity_residuals
+    mask = ~np.isnan(resid)
+    assert np.max(resid[mask] / (1.0 + np.abs(wealth[mask]))) <= 1e-6
+    _, _, sol = minimize_v_plus_xy(market, LOG, x)
+    assert abs(sol.derivative + x) <= 1e-8 * (1.0 + abs(x))
+
+
+@pytest.mark.parametrize("spec", [LOG, UtilitySpec("power", alpha=0.6)],
+                         ids=["log", "power"])
+def test_scale_cone_matches_scalar_search(two_period_market, spec):
+    # independent oracle: minimize v(y) + x y by scipy's bounded scalar search
+    from scipy.optimize import minimize_scalar
+
+    x = compute_x0(two_period_market) + 4.0
+    yhat, val, _ = minimize_v_plus_xy(two_period_market, spec, x)
+    ref = minimize_scalar(lambda y: value_v(two_period_market, spec, y) + x * y,
+                          bounds=(1e-2, 10.0), method="bounded",
+                          options={"xatol": 1e-10})
+    assert ref.success
+    assert yhat == pytest.approx(ref.x, rel=1e-6)
+    assert val == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)

@@ -76,9 +76,13 @@ def test_route_selection(drift_binomial):
     m = drift_binomial.with_endowment([1.0, -1.0])
     rep = indifference_price(m, gamma=1.0, routes=("dual",))
     assert rep.p_shadow is None
+    assert rep.p_primal is None
     assert rep.p_dual is not None
     assert "primal_vs_dual" not in rep.residuals
     assert rep.entropy_with is not None
+    for bad in (("dual", "bogus"), ()):
+        with pytest.raises(ValueError):
+            indifference_price(m, gamma=1.0, routes=bad)
 
 
 def test_non_exponential_rejected(drift_binomial):
