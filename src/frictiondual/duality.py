@@ -26,6 +26,7 @@ POSITIVITY_MARGIN = 1e-10
 ENGINE_TOL = 1e-9
 YHAT_RTOL = 1e-8
 FACE_POLISH_STEPS = 8
+EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
 
 
 class PrimalInfeasibleError(RuntimeError):
@@ -209,6 +210,11 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         return val, grad, hess
 
     def in_domain(v):
+        if family == "exponential":
+            # np.exp overflows just past this exponent; a trial point out
+            # there fails the line search's sufficient decrease anyway, so
+            # rejecting it first changes no step
+            return bool(np.all(-gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX))
         if not positive_wealth:
             return True
         return bool(np.all(x + v[off:] + endow > 0.0))
@@ -427,13 +433,19 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
     endow = market.endowment if include_endowment else np.zeros(L)
     res = _solve_on_polytope(poly, *_entropy_objective(poly, gamma, endow, prob),
                              "entropy", tol=tol, x0=x0)
-    z0 = res.x[:L]
-    return EntropyCore(
-        leaf_vars=res.x,
-        entropy=float(prob @ (z0 * np.log(z0))),
-        endow_mean=float(prob @ (z0 * endow)),
-        diagnostics=res.diagnostics.to_dict(),
-    )
+    entropy, endow_mean = entropy_terms(market, res.x, include_endowment)
+    return EntropyCore(leaf_vars=res.x, entropy=entropy, endow_mean=endow_mean,
+                       diagnostics=res.diagnostics.to_dict())
+
+
+def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray,
+                  include_endowment: bool = True) -> tuple:
+    """``(E[z log z], E[z e])`` at the polytope point ``leaf_vars``."""
+    L = market.tree.n_leaves
+    prob = path_measure(market.tree).leaf_prob
+    z0 = leaf_vars[:L]
+    endow = market.endowment if include_endowment else np.zeros(L)
+    return float(prob @ (z0 * np.log(z0))), float(prob @ (z0 * endow))
 
 
 def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,

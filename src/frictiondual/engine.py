@@ -1,9 +1,10 @@
-"""Self-contained convex solver: log-barrier interior point with Newton steps.
+"""Convex solver: log-barrier interior point with Newton steps.
 
 Minimizes a smooth convex objective over linear equality constraints and
 affine inequality constraints (``G x - h >= 0``).  A linear objective
-turns the same machinery into an LP solver; an auxiliary max-slack LP
-provides strictly feasible starts and infeasibility certificates.
+turns the same machinery into an LP solver.  Strictly feasible starts
+and infeasibility certificates come from a max-slack LP solved once by
+HiGHS (``scipy.optimize.linprog``); the barrier itself is self-contained.
 
 Dense linear algebra throughout: problems here have at most a few
 thousand variables.  Everything is deterministic given its inputs.
@@ -23,6 +24,7 @@ RIDGE_BASE = 1e-12
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_NEWTON = 500
 DIVERGE_CAP = 1e12
+PHASE_ONE_TOL = 1e-10      # HiGHS primal and dual feasibility tolerances
 
 
 class EngineError(RuntimeError):
@@ -58,6 +60,15 @@ class ConvexProgram:
 
 @dataclass
 class SolveDiagnostics:
+    """What a solve did.
+
+    ``phase_one_slack`` is the max slack ``t*`` of the phase-one LP, or
+    ``None`` when the supplied start was strictly feasible and no LP ran.
+    ``events`` lists, in order, the exits and fallbacks that do not show
+    in the status: a stage left on a quiet decrement, a ``max_iter``
+    promoted to ``optimal``, a failed multiplier refit.
+    """
+
     status: str
     objective: float = float("nan")
     barrier_path: list = field(default_factory=list)
@@ -66,6 +77,8 @@ class SolveDiagnostics:
     kkt_feasibility: float = float("nan")
     kkt_complementarity: float = float("nan")
     message: str = ""
+    phase_one_slack: Optional[float] = None
+    events: list = field(default_factory=list)
 
     @property
     def kkt_max(self) -> float:
@@ -82,6 +95,8 @@ class SolveDiagnostics:
             "kkt_feasibility": self.kkt_feasibility,
             "kkt_complementarity": self.kkt_complementarity,
             "message": self.message,
+            "phase_one_slack": self.phase_one_slack,
+            "events": list(self.events),
         }
 
 
@@ -159,10 +174,11 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     m = 0 if G is None else G.shape[0]
     in_domain = program.in_domain or (lambda _x: True)
 
-    x = _starting_point(program, A, b, G, h, in_domain, tol)
+    x, t_star = _starting_point(program, A, b, G, h, in_domain)
 
     f0, _, _ = program.objective(x)
-    diag = SolveDiagnostics(status="max_iter", objective=float(f0))
+    diag = SolveDiagnostics(status="max_iter", objective=float(f0),
+                            phase_one_slack=t_star)
     total_iters = 0
     lam = np.zeros(m)
     nu = np.zeros(0 if A is None else A.shape[0])
@@ -189,6 +205,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
                 if diag.kkt_max <= max(tol * 100, 1e-5) * (1.0 + abs(diag.objective)):
                     # the refined multipliers certify the point anyway
                     diag.status = "optimal"
+                    diag.events.append("max_iter promoted to optimal")
                 return SolveResult(x, nu, lam, diag)
             fval, g, H = program.objective(x)
             if m:
@@ -219,6 +236,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
                 # certificate at finalize decide instead of spinning
                 quiet += 1
                 if quiet >= 30:
+                    diag.events.append(f"quiet decrement exit at stage {stage_idx}")
                     break
             t = 1.0
             if m:
@@ -277,7 +295,7 @@ def _merit(program, x, G, h, mu):
 def _finalize(diag, program, x, G, h, A, b, lam, nu, tol):
     fval, g, _ = program.objective(x)
     diag.objective = float(fval)
-    lam, nu = _refine_multipliers(g, x, G, h, A, lam, nu)
+    lam, nu = _refine_multipliers(g, x, G, h, A, lam, nu, diag.events)
     r = g.copy()
     if G is not None:
         r -= G.T @ lam
@@ -297,12 +315,13 @@ def _finalize(diag, program, x, G, h, A, b, lam, nu, tol):
     return lam, nu
 
 
-def _refine_multipliers(g, x, G, h, A, lam, nu):
+def _refine_multipliers(g, x, G, h, A, lam, nu, events):
     """Nonnegative least-squares fit of multipliers on near-active rows.
 
     Barrier multipliers mu/s do not converge to an exact certificate at
     degenerate vertices; refitting the stationarity system over the
-    active set does, and is kept whenever it lowers the residual.
+    active set does, and is kept whenever it lowers the residual.  A
+    failed fit keeps the barrier multipliers and is logged to ``events``.
     """
     if G is None:
         return lam, nu
@@ -318,7 +337,8 @@ def _refine_multipliers(g, x, G, h, A, lam, nu):
         return lam, nu
     try:
         q, _ = nnls(M, g, maxiter=10 * max(M.shape))
-    except Exception:
+    except (RuntimeError, ValueError) as exc:
+        events.append(f"multiplier refit failed: {type(exc).__name__}: {exc}")
         return lam, nu
     lam_new = np.zeros_like(lam)
     lam_new[active] = q[: active.size]
@@ -337,8 +357,9 @@ def _refine_multipliers(g, x, G, h, A, lam, nu):
     return lam, nu
 
 
-def _starting_point(program, A, b, G, h, in_domain, tol):
-    """Strictly feasible start, via the max-slack LP when needed."""
+def _starting_point(program, A, b, G, h, in_domain):
+    """Strictly feasible start and the phase-one max slack (``None`` when
+    the supplied ``x0`` already was one)."""
     n = program.n
     x = None
     if program.x0 is not None:
@@ -352,62 +373,57 @@ def _starting_point(program, A, b, G, h, in_domain, tol):
         if good and G is not None:
             good = bool(np.all(G @ x - h > 0.0))
         if good:
-            return x
+            return x, None
 
     if G is None:
         x = np.zeros(n) if A is None else np.linalg.lstsq(A, b, rcond=None)[0]
         if not in_domain(x):
             raise EngineError("no in-domain start for unconstrained program")
-        return x
+        return x, None
 
-    x, t_star, cert = _phase_one(A, b, G, h, n, tol)
+    x, t_star, cert = _phase_one(A, b, G, h, n)
     if t_star <= 1e-11:
         raise InfeasibleProgramError(
             f"no strictly feasible point (max slack {t_star:.3e})", certificate=cert
         )
+    if not np.all(G @ x - h > 0.0):
+        raise EngineError(f"phase-one point not strictly feasible (max slack {t_star:.3e})")
+    if A is not None and np.max(np.abs(A @ x - b)) > 1e-9 * (1.0 + np.abs(b).max()):
+        raise EngineError("phase-one point off the equality constraints")
     if not in_domain(x):
         raise EngineError("phase-one point outside objective domain")
-    return x
+    return x, t_star
 
 
-def _phase_one(A, b, G, h, n, tol):
-    """Max-min-slack LP over (x, t): max t s.t. G x - h >= t * scale, t <= 1."""
-    m = G.shape[0]
+def _phase_one(A, b, G, h, n):
+    """Max-min-slack LP over (x, t) by HiGHS, with x free:
+    max t s.t. G x - h >= t * (1 + |h|), t <= 1, A x = b.
+
+    Returns ``(x*, t*, certificate)``.  The certificate's multipliers
+    follow the barrier convention ``c - G^T lam + A^T nu = 0`` with
+    ``lam >= 0``; HiGHS marginals are derivatives of the optimal value in
+    the right-hand sides, the opposite sign for both blocks.
+    """
+    from scipy.optimize import linprog
+
     scale = 1.0 + np.abs(h)
-    x_p = np.zeros(n) if A is None else np.linalg.lstsq(A, b, rcond=None)[0]
-    # box the variables: flat unbounded rays would otherwise let the
-    # barrier run away instead of centering
-    box = 1e6 * (1.0 + float(np.abs(x_p).max(initial=0.0))
-                 + float(np.abs(h).max(initial=0.0)))
-    G1 = np.zeros((m + 1 + 2 * n, n + 1))
-    G1[:m, :n] = G
-    G1[:m, n] = -scale
-    G1[m, n] = -1.0  # slack of "t <= 1"
-    G1[m + 1: m + 1 + n, :n] = np.eye(n)
-    G1[m + 1 + n:, :n] = -np.eye(n)
-    h1 = np.concatenate([h, [-1.0], np.full(2 * n, -box)])
-    A1 = None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
-
-    t0 = float(np.min((G @ x_p - h) / scale)) - 1.0
-    z0 = np.concatenate([x_p, [min(t0, 0.0) - 1.0]])
-
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize t
-    prog = ConvexProgram(
-        n=n + 1,
-        objective=_linear_objective(c),
-        A_eq=A1, b_eq=None if A is None else b,
-        G=G1, h=h1, x0=z0,
-    )
-    res = solve(prog, tol=min(tol, 1e-9), max_newton=300)
-    z = res.x
-    t_star = float(z[n])
+    A1 = None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
+    res = linprog(c, A_ub=np.hstack([-G, scale[:, None]]), b_ub=-h,
+                  A_eq=A1, b_eq=b, bounds=[(None, None)] * n + [(None, 1.0)],
+                  method="highs",
+                  options={"primal_feasibility_tolerance": PHASE_ONE_TOL,
+                           "dual_feasibility_tolerance": PHASE_ONE_TOL})
+    if res.status != 0:
+        raise EngineError(f"phase-one LP failed: {res.message}")
+    t_star = float(res.x[n])
     cert = {
-        "ineq_multipliers": res.ineq_multipliers[:m].tolist(),
-        "eq_multipliers": res.eq_multipliers.tolist(),
+        "ineq_multipliers": (-res.ineqlin.marginals).tolist(),
+        "eq_multipliers": (-res.eqlin.marginals).tolist(),
         "max_slack": t_star,
     }
-    return z[:n], t_star, cert
+    return res.x[:n], t_star, cert
 
 
 def _linear_objective(c):

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import utility as ut
-from .duality import solve_entropy_core, solve_report
+from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
 from .engine import solve_lp
 from .polytope import build_polytope
 from .shadow import construct_shadow
@@ -63,6 +63,40 @@ def _require_exponential(spec: ut.UtilitySpec):
         )
 
 
+def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
+    """The two solves every route reads: with and without the endowment.
+
+    The existence check depends on the market only, so it runs once.
+    """
+    spec = ut.UtilitySpec("exponential", gamma=gamma)
+    rep_e = solve_report(market, spec, x, include_endowment=True)
+    rep_0 = solve_report(market, spec, x, include_endowment=False,
+                         check_feasibility=False)
+    return rep_e, rep_0
+
+
+def _primal_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
+    return math.log(rep_0.value / rep_e.value) / rep_e.utility.gamma
+
+
+def _dual_route(market: MarketSpec, gamma: float, z_e: np.ndarray,
+                z_0: np.ndarray) -> tuple:
+    """``(k_e - k_0, entropy_with, entropy_without)`` with
+    k = E[z log z]/gamma + E[z e] at the two entropy minimizers."""
+    ent_e, mean_e = entropy_terms(market, z_e, include_endowment=True)
+    ent_0, mean_0 = entropy_terms(market, z_0, include_endowment=False)
+    return (ent_e / gamma + mean_e) - (ent_0 / gamma + mean_0), ent_e, ent_0
+
+
+def _shadow_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
+    terms = []
+    for rep in (rep_e, rep_0):
+        shadow = construct_shadow(rep.market, rep.dual_system)
+        terms.append(solve_dual(shadow.as_market(), rep.utility, 1.0,
+                                include_endowment=rep.include_endowment).value)
+    return terms[0] - terms[1]
+
+
 def price_primal(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
     """Compensating cash amount from the two value functions.
 
@@ -70,10 +104,7 @@ def price_primal(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
     into p = log(u_without / u_with) / gamma; both values are strictly
     negative so the ratio is safe.
     """
-    spec = ut.UtilitySpec("exponential", gamma=gamma)
-    with_e = solve_report(market, spec, x, include_endowment=True)
-    without = solve_report(market, spec, x, include_endowment=False)
-    return math.log(without.value / with_e.value) / gamma
+    return _primal_route(*_reports(market, gamma, x))
 
 
 def price_dual(market: MarketSpec, gamma: float) -> tuple:
@@ -86,8 +117,7 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
     core_e = solve_entropy_core(market, gamma, include_endowment=True, poly=poly)
     core_0 = solve_entropy_core(market, gamma, include_endowment=False,
                                 poly=poly, x0=core_e.leaf_vars)
-    p = (core_e.entropy / gamma + core_e.endow_mean) - core_0.entropy / gamma
-    return p, core_e.entropy, core_0.entropy
+    return _dual_route(market, gamma, core_e.leaf_vars, core_0.leaf_vars)
 
 
 def price_shadow(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
@@ -98,16 +128,7 @@ def price_shadow(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
     price; the gamma-only constants are identical and cancel in the
     difference.
     """
-    from .duality import solve_dual
-
-    spec = ut.UtilitySpec("exponential", gamma=gamma)
-    rep_e = solve_report(market, spec, x, include_endowment=True)
-    rep_0 = solve_report(market, spec, x, include_endowment=False)
-    sh_e = construct_shadow(market, rep_e.dual_system)
-    sh_0 = construct_shadow(market, rep_0.dual_system)
-    term_e = solve_dual(sh_e.as_market(), spec, 1.0, include_endowment=True).value
-    term_0 = solve_dual(sh_0.as_market(), spec, 1.0, include_endowment=False).value
-    return term_e - term_0
+    return _shadow_route(*_reports(market, gamma, x))
 
 
 def price_bounds(market: MarketSpec) -> tuple:
@@ -128,19 +149,23 @@ def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0,
                        routes=("primal", "dual", "shadow")) -> PriceReport:
     """Run the requested routes and assemble the report with residuals.
 
-    Raises ``ValueError`` when ``routes`` is empty or names an unknown route.
+    Every route reads the same two solve reports (with and without the
+    endowment), so each program is solved once per call.  Raises
+    ``ValueError`` when ``routes`` is empty or names an unknown route.
     """
     if not routes or not set(routes) <= {"primal", "dual", "shadow"}:
         raise ValueError("price routes must be a nonempty subset of "
                          f"primal, dual, shadow; got {list(routes)}")
     p_primal = p_dual = p_shadow = None
     ent_e = ent_0 = None
+    rep_e, rep_0 = _reports(market, gamma, x)
     if "primal" in routes:
-        p_primal = price_primal(market, gamma, x)
+        p_primal = _primal_route(rep_e, rep_0)
     if "dual" in routes:
-        p_dual, ent_e, ent_0 = price_dual(market, gamma)
+        p_dual, ent_e, ent_0 = _dual_route(market, gamma, rep_e.dual_leaf_vars,
+                                           rep_0.dual_leaf_vars)
     if "shadow" in routes:
-        p_shadow = price_shadow(market, gamma, x)
+        p_shadow = _shadow_route(rep_e, rep_0)
     lo, hi = price_bounds(market)
     anchor = next(p for p in (p_primal, p_dual, p_shadow) if p is not None)
     residuals = {}

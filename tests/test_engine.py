@@ -150,3 +150,75 @@ def test_solver_is_deterministic():
     b = solve_lp(c, G=G, h=h)
     assert a.status == "optimal"
     assert a.x.tobytes() == b.x.tobytes()
+
+
+def test_phase_one_with_a_variable_no_inequality_bounds():
+    # x1 appears in no inequality, so the phase-one LP is free along it;
+    # min 0.5||x||^2 - x1 + 3 x2 s.t. x2 >= -1  ->  x = (1, -1)
+    prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), [-1.0, 3.0]),
+                         G=np.array([[0.0, 1.0]]), h=np.array([-1.0]))
+    res = solve(prog)
+    assert res.status == "optimal"
+    assert res.diagnostics.phase_one_slack > 0.0
+    assert np.allclose(res.x, [1.0, -1.0], atol=1e-8)
+
+
+def test_phase_one_certificate_convention():
+    # x1 + x2 = -1 with x >= 0: max min-slack is -1/2 at x = (-1/2, -1/2);
+    # multipliers satisfy c - G^T lam + A^T nu = 0 with c = (0, 0, -1)
+    res = solve_lp(np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.array([-1.0]),
+                   G=np.eye(2), h=np.zeros(2))
+    assert res.status == "infeasible"
+    cert = res.certificate
+    assert np.allclose(cert["ineq_multipliers"], [0.5, 0.5], atol=1e-9)
+    assert np.allclose(cert["eq_multipliers"], [0.5], atol=1e-9)
+    assert cert["max_slack"] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_phase_one_record():
+    # x >= -1 componentwise: the max-slack LP reaches its cap t = 1
+    prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+                         G=np.eye(2), h=-np.ones(2))
+    d = solve(prog).diagnostics.to_dict()
+    assert d["phase_one_slack"] == pytest.approx(1.0)
+    warm = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+                         G=np.eye(2), h=-np.ones(2), x0=np.zeros(2))
+    assert solve(warm).diagnostics.to_dict()["phase_one_slack"] is None
+
+
+def boxed_lp():
+    """A random LP over a box: (c, G, h) for ``solve_lp``."""
+    rng = np.random.default_rng(5)
+    G = np.vstack([rng.standard_normal((8, 4)), np.eye(4), -np.eye(4)])
+    h = np.concatenate([G[:8] @ rng.standard_normal(4) - 1.0, -20.0 * np.ones(8)])
+    c = rng.standard_normal(4)
+    return c, G, h
+
+
+def test_failed_multiplier_refit_is_reported(monkeypatch):
+    import scipy.optimize
+
+    c, G, h = boxed_lp()
+    ref = solve_lp(c, G=G, h=h)
+    assert ref.diagnostics.events == []
+
+    def failing_nnls(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", failing_nnls)
+    res = solve_lp(c, G=G, h=h)
+    assert res.diagnostics.events == [
+        "multiplier refit failed: RuntimeError: Maximum number of iterations reached."
+    ]
+    # the fit only touches the multipliers; the iterates are the same
+    assert res.x.tobytes() == ref.x.tobytes()
+
+
+def test_max_iter_promotion_is_reported():
+    c, G, h = boxed_lp()
+    # the Newton cap cuts the final stage short, but the refitted
+    # multipliers certify the point
+    res = solve_lp(c, G=G, h=h, max_newton=50)
+    assert res.status == "optimal"
+    assert res.diagnostics.message == "Newton iteration cap reached"
+    assert res.diagnostics.events == ["max_iter promoted to optimal"]

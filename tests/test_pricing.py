@@ -90,3 +90,27 @@ def test_non_exponential_rejected(drift_binomial):
 
     with pytest.raises(UnsupportedUtilityError):
         _require_exponential(UtilitySpec("log"))
+
+
+def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
+    from frictiondual import duality, pricing
+
+    calls = {"report": 0, "cps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pricing, "solve_report", counted("report", pricing.solve_report))
+    monkeypatch.setattr(duality, "check_cps", counted("cps", duality.check_cps))
+    gamma, x = 0.7, 1.0
+    rep = indifference_price(two_period_market, gamma, x=x,
+                             routes=("primal", "dual", "shadow"))
+    assert calls == {"report": 2, "cps": 1}
+    monkeypatch.undo()
+    # the shared reports give the standalone routes' prices
+    assert rep.p_primal == pytest.approx(price_primal(two_period_market, gamma, x), abs=1e-8)
+    assert rep.p_dual == pytest.approx(price_dual(two_period_market, gamma)[0], abs=1e-8)
+    assert rep.p_shadow == pytest.approx(price_shadow(two_period_market, gamma, x), abs=1e-8)

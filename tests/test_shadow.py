@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from frictiondual.duality import solve_report
+from frictiondual.generate import InstanceGenerator
 from frictiondual.shadow import (
     ShadowConstructionError,
     construct_shadow,
@@ -111,3 +114,16 @@ def test_shadow_rejects_foreign_dual(drift_binomial, martingale_binomial):
     wide = drift_binomial.with_lambda(0.001)
     with pytest.raises(ShadowConstructionError):
         construct_shadow(wide, rep.dual_system)
+
+
+def test_exponential_line_search_never_overflows():
+    # the frictionless line search on this market's shadow price tries
+    # steps where exp(-gamma (w - w_ref)) overflows; the primal's domain
+    # guard must reject them before the objective is evaluated
+    market = InstanceGenerator(seed=11).draw_feasible(5)
+    rep = solve_report(market, EXP1, 1.0)
+    sh = construct_shadow(market, rep.dual_system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fr = solve_frictionless(sh.as_market(), EXP1, 1.0, y=rep.yhat)
+    assert abs(fr.value - rep.value) <= 1e-6 * (1.0 + abs(rep.value))
