@@ -1,10 +1,12 @@
-"""Convex solver: log-barrier interior point with Newton steps.
+"""Convex solver: primal-dual interior point with Mehrotra's
+predictor-corrector steps.
 
 Minimizes a smooth convex objective over linear equality constraints and
 affine inequality constraints (``G x - h >= 0``).  A linear objective
 turns the same machinery into an LP solver.  Strictly feasible starts
 and infeasibility certificates come from a max-slack LP solved once by
-HiGHS (``scipy.optimize.linprog``); the barrier itself is self-contained.
+HiGHS (``scipy.optimize.linprog``); the path-following loop itself is
+self-contained.
 
 Dense linear algebra throughout: problems here have at most a few
 thousand variables.  Everything is deterministic given its inputs.
@@ -17,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-BARRIER_SHRINK = 10.0
 ARMIJO_C = 1e-4
 BACKTRACK_BETA = 0.5
 RIDGE_BASE = 1e-12
@@ -62,11 +63,13 @@ class ConvexProgram:
 class SolveDiagnostics:
     """What a solve did.
 
-    ``phase_one_slack`` is the max slack ``t*`` of the phase-one LP, or
-    ``None`` when the supplied start was strictly feasible and no LP ran.
-    ``events`` lists, in order, the exits and fallbacks that do not show
-    in the status: a stage left on a quiet decrement, a ``max_iter``
-    promoted to ``optimal``, a failed multiplier refit.
+    ``barrier_path`` holds the objective after each iteration and
+    ``newton_iterations`` the Newton steps each took (one), so its sum is
+    the steps taken.  ``phase_one_slack`` is the max slack ``t*`` of the
+    phase-one LP, or ``None`` when the supplied start was strictly
+    feasible and no LP ran.  ``events`` lists, in order, the exits and
+    fallbacks that do not show in the status: a ``max_iter`` promoted to
+    ``optimal``, a failed multiplier refit.
     """
 
     status: str
@@ -159,11 +162,19 @@ def _kkt_solve(H, A, g, r_eq):
 
 def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
           max_newton: int = DEFAULT_MAX_NEWTON) -> SolveResult:
-    """Barrier solve of a :class:`ConvexProgram`.
+    """Primal-dual path-following solve of a :class:`ConvexProgram`.
 
-    Barrier weight starts at 1 and shrinks by a factor of 10 per stage
-    until ``m * mu <= tol``.  Diverging iterates are reported with
-    status ``unbounded``.
+    Iterates on ``(x, lam, nu)`` with slacks ``s = G x - h``, starting on
+    the central path at barrier weight 1 (``lam = 1/s``).  Each iteration
+    forms ``H + G^T diag(lam/s) G`` once and takes Mehrotra's
+    predictor-corrector step from it toward the target weight
+    ``mu_t = sigma * mu``, ``sigma = (mu_aff/mu)^3``, floored at
+    ``tol / (10 m)``; the step is globalized by Armijo backtracking on the
+    barrier merit at ``mu_t``.  At the floor the steps are centering
+    Newton steps, and the solve stops when their decrement is negligible
+    and the multipliers of the full step are stationary and centered.
+    Without inequalities this is damped Newton.  Diverging iterates are
+    reported with status ``unbounded``.
     """
     n = program.n
     A, b = _reduce_equalities(program.A_eq, program.b_eq)
@@ -176,105 +187,108 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
 
     x, t_star = _starting_point(program, A, b, G, h, in_domain)
 
-    f0, _, _ = program.objective(x)
-    diag = SolveDiagnostics(status="max_iter", objective=float(f0),
-                            phase_one_slack=t_star)
+    diag = SolveDiagnostics(status="max_iter", phase_one_slack=t_star)
     total_iters = 0
-    lam = np.zeros(m)
+    lam = 1.0 / (G @ x - h) if m else np.zeros(0)
     nu = np.zeros(0 if A is None else A.shape[0])
-
-    mu = 1.0
-    stages = [mu]
-    if m:
-        while m * mu > tol:
-            mu /= BARRIER_SHRINK
-            stages.append(mu)
-    else:
-        stages = [0.0]
+    mu_floor = tol / (10.0 * m) if m else 0.0
 
     x_norm0 = 1.0 + np.linalg.norm(x)
-    for stage_idx, mu in enumerate(stages):
-        is_final = stage_idx == len(stages) - 1
-        inner = 0
-        quiet = 0
-        while True:
-            if total_iters >= max_newton:
-                diag.message = "Newton iteration cap reached"
-                diag.status = "max_iter"
-                lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu, tol)
-                if diag.kkt_max <= max(tol * 100, 1e-5) * (1.0 + abs(diag.objective)):
-                    # the refined multipliers certify the point anyway
-                    diag.status = "optimal"
-                    diag.events.append("max_iter promoted to optimal")
-                return SolveResult(x, nu, lam, diag)
-            fval, g, H = program.objective(x)
-            if m:
-                s = G @ x - h
-                g = g - mu * (G.T @ (1.0 / s))
-                H = H + mu * (G.T * (1.0 / s**2)) @ G
-            r_eq = (A @ x - b) if A is not None else np.zeros(0)
+    while True:
+        if total_iters >= max_newton:
+            diag.message = "Newton iteration cap reached"
+            diag.status = "max_iter"
+            lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu)
+            if diag.kkt_max <= max(tol * 100, 1e-5) * (1.0 + abs(diag.objective)):
+                # the refined multipliers certify the point anyway
+                diag.status = "optimal"
+                diag.events.append("max_iter promoted to optimal")
+            return SolveResult(x, nu, lam, diag)
+        fval, g, H = program.objective(x)
+        r_eq = (A @ x - b) if A is not None else np.zeros(0)
+        if m:
+            s = G @ x - h
+            mu = float(s @ lam) / m
+            M = H + (G.T * (lam / s)) @ G
+            # predictor: the affine step toward mu = 0
+            dx, _ = _kkt_solve(M, A, g, r_eq)
+            ds = G @ dx
+            dl = -lam - lam / s * ds
+            mu_aff = float((s + min(1.0, _boundary_step(s, ds)) * ds)
+                           @ (lam + min(1.0, _boundary_step(lam, dl)) * dl)) / m
+            mu_t = max((mu_aff / mu) ** 3 * mu, mu_floor)
+            grad = g - mu_t * (G.T @ (1.0 / s))     # merit gradient at mu_t
+            # comp is the step's target for s * lam: Mehrotra's corrector
+            # above the floor, plain centering at it
+            comp = mu_t - ds * dl if mu_t > mu_floor else mu_t
+            dx, w = _kkt_solve(M, A, g - G.T @ (comp / s), r_eq)
+            if mu_t > mu_floor and not float(grad @ dx) < 0.0:
+                # the corrector does not descend the merit: pure centering
+                comp = mu_t
+                dx, w = _kkt_solve(M, A, grad, r_eq)
+            if not float(grad @ dx) < 0.0:
+                # nor does centering when the multipliers are so far from
+                # mu_t/s (a warm start by the boundary) that lam/s swamps
+                # the system: restart them on the central path, where this
+                # is the Newton step of the merit
+                lam = mu_t / s
+                comp = mu_t
+                M = H + (G.T * (mu_t / s**2)) @ G
+                dx, w = _kkt_solve(M, A, grad, r_eq)
+            ds = G @ dx
+            dl = comp / s - lam - lam / s * ds
+        else:
+            mu_t, grad, M = 0.0, g, H
             dx, w = _kkt_solve(H, A, g, r_eq)
-            nu = w
-            dec2 = float(-g @ dx)
-            if dec2 < 0.0:
-                dec2 = float(dx @ (H @ dx))
-            if is_final:
-                inner_tol = 1e-13 * (1.0 + abs(fval))
-            else:
-                inner_tol = max(1e-13 * (1.0 + abs(fval)), 1e-2 * mu)
-            if dec2 / 2.0 <= inner_tol:
-                if not is_final:
-                    break
-                # the decrement can go quiet before the gradient does when
-                # the Hessian is badly scaled; insist on stationarity too
+        nu = w
+        slope = float(grad @ dx)
+        if mu_t == mu_floor:
+            # centering Newton at the floor weight.  Stop on a negligible
+            # decrement once the full step's multipliers lam + dl are
+            # stationary and move no product s * lam by more than mu_t.
+            # The decrement alone goes quiet too early when lam/s swamps
+            # the system (a warm start by the boundary); the merit
+            # gradient is no stationarity test, since its mu/s term is
+            # rounding noise once s nears the rounding level of G x - h
+            dec2 = -slope if slope <= 0.0 else float(dx @ (M @ dx))
+            if dec2 / 2.0 <= 1e-13 * (1.0 + abs(fval)):
                 r_st = g + (A.T @ w) if A is not None else g
-                if (np.linalg.norm(r_st) <= 10.0 * tol * (1.0 + np.linalg.norm(g))
+                centered = True
+                if m:
+                    r_st = r_st - G.T @ (comp / s - lam / s * ds)   # lam + dl
+                    centered = float(np.max(np.abs(lam * ds))) <= mu_t
+                if centered and (
+                        np.linalg.norm(r_st) <= 10.0 * tol * (1.0 + np.linalg.norm(g))
                         or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval))):
                     break
-                # quiet decrement with a stubborn residual: the KKT system
-                # is too ill-conditioned for the check; let the refined
-                # certificate at finalize decide instead of spinning
-                quiet += 1
-                if quiet >= 30:
-                    diag.events.append(f"quiet decrement exit at stage {stage_idx}")
+        t = min(1.0, 0.995 * _boundary_step(s, ds)) if m else 1.0
+        phi0 = fval - (mu_t * float(np.sum(np.log(s))) if m else 0.0)
+        ok = False
+        for _ in range(80):
+            xt = x + t * dx
+            if in_domain(xt) and (m == 0 or np.all(G @ xt - h > 0.0)):
+                phit, ft = _merit(program, xt, G, h, mu_t)
+                if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
+                    ok = True
                     break
-            t = 1.0
-            if m:
-                step = G @ dx
-                shrink = step < 0.0
-                if np.any(shrink):
-                    t_max = float(np.min(s[shrink] / -step[shrink]))
-                    t = min(1.0, 0.995 * t_max)
-            phi0 = _merit(program, x, G, h, mu)
-            slope = float(g @ dx)
-            ok = False
-            for _ in range(80):
-                xt = x + t * dx
-                if in_domain(xt) and (m == 0 or np.all(G @ xt - h > 0.0)):
-                    phit = _merit(program, xt, G, h, mu)
-                    if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
-                        ok = True
-                        break
-                t *= BACKTRACK_BETA
-            if not ok:
-                diag.message = "line search stalled"
-                break
-            x = x + t * dx
-            inner += 1
-            total_iters += 1
-            if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
-                diag.status = "unbounded"
-                diag.message = "iterates diverging"
-                lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu, tol)
-                return SolveResult(x, nu, lam, diag)
-        fval, _, _ = program.objective(x)
-        diag.barrier_path.append(float(fval))
-        diag.newton_iterations.append(inner)
+            t *= BACKTRACK_BETA
+        if not ok:
+            diag.message = "line search stalled"
+            break
+        x = xt
         if m:
-            lam = mu / (G @ x - h)
+            lam = lam + min(1.0, 0.995 * _boundary_step(lam, dl)) * dl
+        total_iters += 1
+        diag.barrier_path.append(float(ft))
+        diag.newton_iterations.append(1)
+        if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
+            diag.status = "unbounded"
+            diag.message = "iterates diverging"
+            lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu)
+            return SolveResult(x, nu, lam, diag)
 
     diag.status = "optimal"
-    lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu, tol)
+    lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
     # the demotion threshold stays above that floor
@@ -284,15 +298,21 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     return SolveResult(x, nu, lam, diag)
 
 
+def _boundary_step(v, dv):
+    """Largest ``t`` with ``v + t dv >= 0`` for ``v > 0`` (``inf`` if none)."""
+    neg = dv < 0.0
+    return float(np.min(v[neg] / -dv[neg])) if np.any(neg) else np.inf
+
+
 def _merit(program, x, G, h, mu):
+    """Barrier merit ``f - mu sum(log s)`` and the objective ``f`` at ``x``."""
     f, _, _ = program.objective(x)
-    if G is not None:
-        s = G @ x - h
-        f -= mu * float(np.sum(np.log(s)))
-    return f
+    if G is None:
+        return f, f
+    return f - mu * float(np.sum(np.log(G @ x - h))), f
 
 
-def _finalize(diag, program, x, G, h, A, b, lam, nu, tol):
+def _finalize(diag, program, x, G, h, A, b, lam, nu):
     fval, g, _ = program.objective(x)
     diag.objective = float(fval)
     lam, nu = _refine_multipliers(g, x, G, h, A, lam, nu, diag.events)

@@ -36,11 +36,6 @@ class Strategy:
     phi0: np.ndarray
     phi1: np.ndarray
 
-    def variation(self, node: int) -> float:
-        """Total traded volume |buys| + |sells| along the path to ``node``."""
-        path = self.market.tree.path_to_root(node)
-        return float(self.buy[path].sum() + self.sell[path].sum())
-
 
 def roll_forward(market: MarketSpec, x: float, buy, sell) -> Strategy:
     """Apply a trade plan from initial holdings (x, 0) down the tree.
@@ -72,34 +67,12 @@ def roll_forward(market: MarketSpec, x: float, buy, sell) -> Strategy:
                     phi0=phi0, phi1=phi1)
 
 
-def liquidation_value(market: MarketSpec, strategy: Strategy, node: int) -> float:
-    """Cash value of closing the stock position at the node's bid/ask."""
-    pos = strategy.phi1[node]
-    s = market.ask_price[node]
-    long_leg = max(pos, 0.0) * (1.0 - market.lam) * s
-    short_leg = max(-pos, 0.0) * s
-    return float(strategy.phi0[node] + long_leg - short_leg)
-
-
 def liquidation_values(market: MarketSpec, strategy: Strategy) -> np.ndarray:
     """Liquidation value at every node, indexed by node id."""
     pos = strategy.phi1
     s = market.ask_price
     return strategy.phi0 + np.maximum(pos, 0.0) * (1.0 - market.lam) * s \
         - np.maximum(-pos, 0.0) * s
-
-
-def check_admissible(market: MarketSpec, strategy: Strategy, bound: float):
-    """True iff the liquidation value stays above -bound at every node.
-
-    Returns ``(ok, worst_node)`` where ``worst_node`` attains the minimal
-    liquidation value.
-    """
-    if bound < 0.0:
-        raise TradeError("admissibility bound must be nonnegative")
-    vals = liquidation_values(market, strategy)
-    worst = int(np.argmin(vals))
-    return bool(vals[worst] >= -bound), worst
 
 
 def terminal_claim(market: MarketSpec, strategy: Strategy) -> np.ndarray:
@@ -122,15 +95,6 @@ def net_trades(buy, sell):
     sell = np.asarray(sell, dtype=float)
     matched = np.minimum(buy, sell)
     return buy - matched, sell - matched
-
-
-def has_simultaneous_trades(buy, sell, tol: float = 0.0) -> bool:
-    return bool(np.any(np.minimum(buy, sell) > tol))
-
-
-def default_admissibility_bound(market: MarketSpec, x: float) -> float:
-    """Loose solve-level bound: every sensible strategy stays above it."""
-    return 10.0 * (abs(x) + market.endowment_bound + float(market.ask_price.max()))
 
 
 def export_strategy_csv(market: MarketSpec, strategy: Strategy, path) -> None:

@@ -124,35 +124,3 @@ def eval_i(spec: UtilitySpec, y: float) -> float:
     if spec.family == "power":
         return y ** (1.0 / (spec.alpha - 1.0))
     return -math.log(y / spec.gamma) / spec.gamma
-
-
-def elasticity_diagnostic(spec: UtilitySpec, probe_points) -> dict:
-    """Sampled relative-risk elasticity ratios x u'(x) / u(x).
-
-    Advisory only: reports the raw ratios together with a flag saying
-    whether the sampled large-wealth ratios stay below 1 (and, for the
-    exponential family, whether the negative-wealth ratios stay above 1).
-    Never raises on odd probe points; those are skipped and listed.
-    """
-    rows = []
-    skipped = []
-    for x in probe_points:
-        try:
-            u = eval_u(spec, x)
-            up = eval_u_prime(spec, x)
-        except UtilityDomainError:
-            skipped.append(x)
-            continue
-        if not math.isfinite(u) or u == 0.0:
-            skipped.append(x)
-            continue
-        rows.append({"x": float(x), "ratio": x * up / u})
-    upper = [r["ratio"] for r in rows if r["x"] > 1.0]
-    lower = [r["ratio"] for r in rows if r["x"] < 0.0]
-    return {
-        "family": spec.family,
-        "ratios": rows,
-        "skipped": skipped,
-        "upper_tail_ok": all(r < 1.0 for r in upper) if upper else None,
-        "lower_tail_ok": all(r > 1.0 for r in lower) if lower else None,
-    }

@@ -72,6 +72,13 @@ def test_solve_json_and_csv(market_file, tmp_path):
     rec = read_json(out)
     assert rec["relative_gap"] <= 1e-6
     assert rec["identity_checks"]["marginal_mean_residual"] <= 1e-5
+    keys = {"status", "objective", "barrier_path", "newton_iterations",
+            "kkt_stationarity", "kkt_feasibility", "kkt_complementarity",
+            "message", "phase_one_slack", "events"}
+    for side in ("primal", "dual"):
+        engine_diag = rec["diagnostics"][side]
+        assert set(engine_diag) == keys
+        assert sum(engine_diag["newton_iterations"]) > 0
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
     market = load_market(market_file)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from frictiondual.duality import solve_primal
 from frictiondual.engine import (
     ConvexProgram,
     InfeasibleProgramError,
@@ -11,6 +12,7 @@ from frictiondual.engine import (
     solve,
     solve_lp,
 )
+from frictiondual.utility import UtilitySpec
 
 
 def quadratic(Q, c):
@@ -216,9 +218,33 @@ def test_failed_multiplier_refit_is_reported(monkeypatch):
 
 def test_max_iter_promotion_is_reported():
     c, G, h = boxed_lp()
-    # the Newton cap cuts the final stage short, but the refitted
-    # multipliers certify the point
-    res = solve_lp(c, G=G, h=h, max_newton=50)
+    # the Newton cap cuts the solve short of its stopping test (it needs
+    # 9 steps), but the refitted multipliers certify the point
+    res = solve_lp(c, G=G, h=h, max_newton=7)
     assert res.status == "optimal"
     assert res.diagnostics.message == "Newton iteration cap reached"
     assert res.diagnostics.events == ["max_iter promoted to optimal"]
+
+
+def test_few_newton_steps(two_period_market):
+    c, G, h = boxed_lp()
+    lp = solve_lp(c, G=G, h=h)
+    primal = solve_primal(two_period_market, UtilitySpec("log"), 5.0)
+    assert lp.status == "optimal"
+    assert sum(lp.diagnostics.newton_iterations) < 30
+    assert primal.diagnostics["status"] == "optimal"
+    assert sum(primal.diagnostics["newton_iterations"]) < 30
+
+
+def test_vanishing_gradient_is_unbounded():
+    # min exp(-x) over x >= 0: the gradient vanishes along the ray, so
+    # only an absolute stopping test keeps the solve from calling a far
+    # point optimal
+    def objective(x):
+        e = float(np.exp(-x[0]))
+        return e, np.array([-e]), np.array([[e]])
+
+    prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.zeros(1))
+    res = solve(prog)
+    assert res.status == "unbounded"
+    assert res.diagnostics.message == "iterates diverging"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from frictiondual.generate import InstanceGenerator
 from frictiondual.pricing import (
     UnsupportedUtilityError,
     indifference_price,
@@ -114,3 +115,13 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
     assert rep.p_primal == pytest.approx(price_primal(two_period_market, gamma, x), abs=1e-8)
     assert rep.p_dual == pytest.approx(price_dual(two_period_market, gamma)[0], abs=1e-8)
     assert rep.p_shadow == pytest.approx(price_shadow(two_period_market, gamma, x), abs=1e-8)
+
+
+def test_price_dual_warm_start_by_the_boundary():
+    # price_dual starts the no-endowment entropy solve at the optimum of
+    # the with-endowment one, by the polytope's boundary; the engine must
+    # not stop there on a decrement that only looks negligible
+    market = InstanceGenerator(seed=2033, max_periods=3).draw_feasible(0)
+    p, *_ = price_dual(market, 0.8)
+    cold = indifference_price(market, 0.8, routes=("dual",))
+    assert p == pytest.approx(cold.p_dual, abs=1e-8)

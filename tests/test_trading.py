@@ -5,11 +5,7 @@ import pytest
 
 from frictiondual.trading import (
     TradeError,
-    check_admissible,
-    default_admissibility_bound,
     export_strategy_csv,
-    has_simultaneous_trades,
-    liquidation_value,
     liquidation_values,
     net_trades,
     roll_forward,
@@ -28,8 +24,9 @@ def test_roll_forward_manual_binomial(martingale_binomial):
     assert st.phi0[1] == pytest.approx(-190.0)
     assert st.phi1[2] == pytest.approx(2.0)
     # liquidation hits the bid: -190 + 2 * 0.99 * S_T
-    assert liquidation_value(m, st, 1) == pytest.approx(-190.0 + 2 * 0.99 * 120.0)
-    assert liquidation_value(m, st, 2) == pytest.approx(-190.0 + 2 * 0.99 * 80.0)
+    vals = liquidation_values(m, st)
+    assert vals[1] == pytest.approx(-190.0 + 2 * 0.99 * 120.0)
+    assert vals[2] == pytest.approx(-190.0 + 2 * 0.99 * 80.0)
 
 
 def test_short_position_liquidates_at_ask(martingale_binomial):
@@ -37,8 +34,9 @@ def test_short_position_liquidates_at_ask(martingale_binomial):
     st = roll_forward(m, 0.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
     # short sale credits the bid now, buyback at the ask later
     assert st.phi0[0] == pytest.approx(99.0)
-    assert liquidation_value(m, st, 1) == pytest.approx(99.0 - 120.0)
-    assert liquidation_value(m, st, 2) == pytest.approx(99.0 - 80.0)
+    vals = liquidation_values(m, st)
+    assert vals[1] == pytest.approx(99.0 - 120.0)
+    assert vals[2] == pytest.approx(99.0 - 80.0)
 
 
 def test_terminal_claim_alignment(two_period_market):
@@ -83,37 +81,13 @@ def test_net_trades_improves_cash(martingale_binomial):
     m = martingale_binomial
     buy = np.array([3.0, 0.0, 0.0])
     sell = np.array([1.0, 0.0, 0.0])
-    assert has_simultaneous_trades(buy, sell)
+    assert np.any(np.minimum(buy, sell) > 0.0)
     nb, ns = net_trades(buy, sell)
-    assert not has_simultaneous_trades(nb, ns)
+    assert not np.any(np.minimum(nb, ns) > 0.0)
     gross = roll_forward(m, 0.0, buy, sell)
     net = roll_forward(m, 0.0, nb, ns)
     assert np.all(net.phi0 >= gross.phi0 - 1e-12)
     assert np.allclose(net.phi1, gross.phi1)
-
-
-def test_variation_accumulates_along_path(two_period_market):
-    m = two_period_market
-    buy = np.zeros(m.tree.n_nodes)
-    sell = np.zeros(m.tree.n_nodes)
-    buy[0], sell[1], buy[4] = 1.0, 0.5, 0.25
-    st = roll_forward(m, 0.0, buy, sell)
-    assert st.variation(4) == pytest.approx(1.75)
-    assert st.variation(6) == pytest.approx(1.0)
-
-
-def test_admissibility(martingale_binomial):
-    m = martingale_binomial
-    st = roll_forward(m, 1.0, np.zeros(3), np.zeros(3))
-    ok, worst = check_admissible(m, st, 0.0)
-    assert ok
-    deep = roll_forward(m, 0.0, np.array([5.0, 0.0, 0.0]), np.zeros(3))
-    ok2, worst2 = check_admissible(m, deep, 1.0)
-    assert not ok2
-    assert worst2 == 2
-    with pytest.raises(TradeError):
-        check_admissible(m, st, -1.0)
-    assert default_admissibility_bound(m, 1.0) > 0.0
 
 
 def test_csv_roundtrip(tmp_path, two_period_market):

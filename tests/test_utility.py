@@ -6,7 +6,6 @@ import pytest
 from frictiondual.utility import (
     UtilityDomainError,
     UtilitySpec,
-    elasticity_diagnostic,
     eval_i,
     eval_u,
     eval_u_prime,
@@ -96,11 +95,3 @@ def test_spec_validation():
         UtilitySpec("exponential", gamma=-1.0)
     with pytest.raises(ValueError):
         UtilitySpec("sqrt")
-
-
-def test_elasticity_diagnostic_never_raises():
-    rec = elasticity_diagnostic(UtilitySpec("log"), [0.5, 1.0, -3.0, 100.0])
-    assert isinstance(rec, dict)
-    rec2 = elasticity_diagnostic(UtilitySpec("exponential", gamma=1.0),
-                                 [-5.0, 0.0, 5.0])
-    assert isinstance(rec2, dict)
