@@ -450,12 +450,14 @@ def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray,
 
 def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                        include_endowment: bool = True,
-                       poly: Optional[DualPolytope] = None):
+                       poly: Optional[DualPolytope] = None,
+                       x0: Optional[np.ndarray] = None):
     """Solve inf_y {v(y) + x y}; returns (yhat, value, DualSolution at yhat).
 
     Over the cone of scaled price systems ``W = y Z`` this is one convex
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
+    ``x0``, a point of the polytope, starts the cone solve at ``W = x0``.
     The barrier point is polished by Newton steps on its active face
     (:func:`_polish_on_face`).  The residual |v'(yhat) + x| must end
     below 1e-8 * (1 + |x|).
@@ -467,7 +469,7 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     endow = market.endowment if include_endowment else np.zeros(L)
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
     objective, in_domain = _dual_objective(poly, spec, 1.0, x + endow, prob)
-    res = _solve_on_polytope(cone, objective, in_domain, "dual")
+    res = _solve_on_polytope(cone, objective, in_domain, "dual", x0=x0)
     w, steps = _polish_on_face(objective, cone, res.x, L)
     value = objective(w)[0]
     yhat = float(prob @ w[:L])
@@ -561,11 +563,7 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
 
     c = np.zeros(nv + 1)
     c[nv] = -1.0
-    start = np.zeros(nv + 1)
-    start[: 2 * K] = 1e-3
-    base = np.array(rows)[:, :nv] @ start[:nv] - np.array(h_vals)
-    start[nv] = min(float(base[: 2 * L].min()) - 1.0, cap - 1.0)
-    res = solve_lp(c, G=np.array(rows), h=np.array(h_vals), x0=start)
+    res = solve_lp(c, G=np.array(rows), h=np.array(h_vals))
     if res.status != "optimal":
         raise RuntimeError(f"superreplication LP failed: {res.diagnostics.message}")
     slack = float(res.x[nv])
@@ -585,13 +583,19 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
 def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  include_endowment: bool = True, tol: float = ENGINE_TOL,
                  check_feasibility: bool = True) -> SolveReport:
-    """Solve both problems, match them through yhat, and fill the report."""
+    """Solve both problems, match them through yhat, and fill the report.
+
+    The existence check's witness is strictly inside the polytope, so it
+    starts the dual solve.
+    """
+    witness = None
     if check_feasibility and market.lam > 0.0:
         verdict = check_cps(market)
         if not verdict.exists:
             raise NoCpsError(
                 f"no strictly positive price system at lambda={market.lam}"
             )
+        witness = verdict.witness_leaf_vars
     poly = build_polytope(market)
     if spec.wealth_domain == "positive":
         x0_thresh = compute_x0(market, include_endowment, poly=poly)
@@ -604,7 +608,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 
     if spec.family == "exponential":
         core = solve_entropy_core(market, spec.gamma, include_endowment,
-                                  poly=poly, tol=tol)
+                                  poly=poly, x0=witness, tol=tol)
         k = core.entropy / spec.gamma + core.endow_mean
         yhat = spec.gamma * math.exp(-spec.gamma * (x + k))
         # the whole dual value curve is closed-form in the entropy core,
@@ -621,7 +625,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         dual_total = dual.value + x * yhat
     else:
         yhat, dual_total, dual = minimize_v_plus_xy(
-            market, spec, x, include_endowment, poly=poly
+            market, spec, x, include_endowment, poly=poly, x0=witness
         )
 
     gap = abs(primal.value - dual_total)

@@ -2,11 +2,11 @@
 predictor-corrector steps.
 
 Minimizes a smooth convex objective over linear equality constraints and
-affine inequality constraints (``G x - h >= 0``).  A linear objective
-turns the same machinery into an LP solver.  Strictly feasible starts
-and infeasibility certificates come from a max-slack LP solved once by
-HiGHS (``scipy.optimize.linprog``); the path-following loop itself is
-self-contained.
+affine inequality constraints (``G x - h >= 0``).  Linear programs do not
+go through this loop: :func:`solve_lp` is one HiGHS call
+(``scipy.optimize.linprog``).  Strictly feasible starts and
+infeasibility certificates come from a max-slack LP, also solved once by
+HiGHS; the path-following loop itself is self-contained.
 
 Dense linear algebra throughout: problems here have at most a few
 thousand variables.  Everything is deterministic given its inputs.
@@ -25,7 +25,8 @@ RIDGE_BASE = 1e-12
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_NEWTON = 500
 DIVERGE_CAP = 1e12
-PHASE_ONE_TOL = 1e-10      # HiGHS primal and dual feasibility tolerances
+HIGHS_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances
+LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # by linprog status
 
 
 class EngineError(RuntimeError):
@@ -260,6 +261,8 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
                 if centered and (
                         np.linalg.norm(r_st) <= 10.0 * tol * (1.0 + np.linalg.norm(g))
                         or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval))):
+                    if m:
+                        lam = lam + dl      # the multipliers just certified
                     break
         t = min(1.0, 0.995 * _boundary_step(s, ds)) if m else 1.0
         phi0 = fval - (mu_t * float(np.sum(np.log(s))) if m else 0.0)
@@ -316,6 +319,12 @@ def _finalize(diag, program, x, G, h, A, b, lam, nu):
     fval, g, _ = program.objective(x)
     diag.objective = float(fval)
     lam, nu = _refine_multipliers(g, x, G, h, A, lam, nu, diag.events)
+    _record_kkt(diag, g, x, G, h, A, b, lam, nu)
+    return lam, nu
+
+
+def _record_kkt(diag, g, x, G, h, A, b, lam, nu):
+    """KKT residuals of ``(x, lam, nu)`` for objective gradient ``g``."""
     r = g.copy()
     if G is not None:
         r -= G.T @ lam
@@ -332,7 +341,6 @@ def _finalize(diag, program, x, G, h, A, b, lam, nu):
         )
     grad_scale = 1.0 + float(np.linalg.norm(g))
     diag.kkt_stationarity = float(np.linalg.norm(r)) / grad_scale
-    return lam, nu
 
 
 def _refine_multipliers(g, x, G, h, A, lam, nu, events):
@@ -419,60 +427,79 @@ def _phase_one(A, b, G, h, n):
     """Max-min-slack LP over (x, t) by HiGHS, with x free:
     max t s.t. G x - h >= t * (1 + |h|), t <= 1, A x = b.
 
-    Returns ``(x*, t*, certificate)``.  The certificate's multipliers
-    follow the barrier convention ``c - G^T lam + A^T nu = 0`` with
-    ``lam >= 0``; HiGHS marginals are derivatives of the optimal value in
-    the right-hand sides, the opposite sign for both blocks.
+    Returns ``(x*, t*, certificate)``; the certificate's multipliers
+    follow the barrier convention (see :func:`_highs`).
     """
-    from scipy.optimize import linprog
-
     scale = 1.0 + np.abs(h)
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize t
     A1 = None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
-    res = linprog(c, A_ub=np.hstack([-G, scale[:, None]]), b_ub=-h,
-                  A_eq=A1, b_eq=b, bounds=[(None, None)] * n + [(None, 1.0)],
-                  method="highs",
-                  options={"primal_feasibility_tolerance": PHASE_ONE_TOL,
-                           "dual_feasibility_tolerance": PHASE_ONE_TOL})
+    res, lam, nu = _highs(c, np.hstack([G, -scale[:, None]]), h, A1, b,
+                          bounds=[(None, None)] * n + [(None, 1.0)])
     if res.status != 0:
         raise EngineError(f"phase-one LP failed: {res.message}")
     t_star = float(res.x[n])
     cert = {
-        "ineq_multipliers": (-res.ineqlin.marginals).tolist(),
-        "eq_multipliers": (-res.eqlin.marginals).tolist(),
+        "ineq_multipliers": lam.tolist(),
+        "eq_multipliers": nu.tolist(),
         "max_slack": t_star,
     }
     return res.x[:n], t_star, cert
 
 
-def _linear_objective(c):
-    c = np.asarray(c, dtype=float)
-    H = np.zeros((c.size, c.size))
+def _highs(c, G, h, A, b, bounds):
+    """One HiGHS solve of ``min c x`` s.t. ``G x - h >= 0``, ``A x = b``.
 
-    def objective(x):
-        return float(c @ x), c, H
+    Returns the ``linprog`` result and its multipliers ``(lam, nu)`` in
+    the barrier convention ``c - G^T lam + A^T nu = 0`` with ``lam >= 0``
+    (``None`` unless optimal).  HiGHS marginals are derivatives of the
+    optimal value in the right-hand sides, the opposite sign for both
+    blocks.
+    """
+    from scipy.optimize import linprog
 
-    return objective
+    res = linprog(c, A_ub=None if G is None else -G, b_ub=None if G is None else -h,
+                  A_eq=A, b_eq=b, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": HIGHS_TOL,
+                           "dual_feasibility_tolerance": HIGHS_TOL})
+    if res.status != 0:
+        return res, None, None
+    return res, -res.ineqlin.marginals, -res.eqlin.marginals
 
 
-def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None, x0=None,
-             tol: float = DEFAULT_TOL, max_newton: int = 400) -> SolveResult:
+def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
     """Minimize ``c @ x`` subject to ``A_eq x = b_eq`` and ``G x - h >= 0``.
 
-    Infeasibility surfaces as status ``infeasible`` with the phase-one
-    certificate attached to the diagnostics message-free payload.
+    One HiGHS call (dual simplex), ``x`` free.  The status is
+    ``optimal``, ``infeasible``, ``unbounded`` or ``numerical_failure``;
+    multipliers follow the barrier convention and the diagnostics carry
+    the objective and the KKT residuals, with no Newton steps.  An
+    infeasible LP gets the phase-one max-slack certificate as
+    ``certificate`` (``None`` when the equalities alone are
+    inconsistent).
     """
     c = np.asarray(c, dtype=float)
-    prog = ConvexProgram(n=c.size, objective=_linear_objective(c),
-                         A_eq=A_eq, b_eq=b_eq, G=G, h=h, x0=x0)
-    try:
-        return solve(prog, tol=tol, max_newton=max_newton)
-    except InfeasibleProgramError as exc:
-        diag = SolveDiagnostics(status="infeasible", message=str(exc))
-        res = SolveResult(np.full(c.size, np.nan), np.zeros(0), np.zeros(0), diag)
-        res.certificate = exc.certificate
-        return res
+    n = c.size
+    A = None if A_eq is None or np.size(A_eq) == 0 else np.atleast_2d(np.asarray(A_eq, float))
+    b = None if A is None else np.atleast_1d(np.asarray(b_eq, float))
+    G = None if G is None or np.size(G) == 0 else np.atleast_2d(np.asarray(G, float))
+    h = None if G is None else np.atleast_1d(np.asarray(h, float))
+    res, lam, nu = _highs(c, G, h, A, b, bounds=[(None, None)] * n)
+    diag = SolveDiagnostics(status=LP_STATUS.get(res.status, "numerical_failure"),
+                            message=res.message)
+    if res.status != 0:
+        out = SolveResult(np.full(n, np.nan), np.zeros(0), np.zeros(0), diag)
+        if res.status == 2:
+            out.certificate = None
+            if G is not None:
+                try:
+                    out.certificate = _phase_one(A, b, G, h, n)[2]
+                except EngineError:
+                    pass    # inconsistent equalities: no slack to certify
+        return out
+    diag.objective = float(res.fun)
+    _record_kkt(diag, c, res.x, G, h, A, b, lam, nu)
+    return SolveResult(res.x, nu, lam, diag)
 
 
 def audit_derivatives(objective, points, rel_grad: float = 1e-6,

@@ -175,10 +175,14 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None,
     """Decide existence of a strictly positive price system at spread ``mu``.
 
     Maximizes the minimum of the scaled cone slacks and the leaf Z0
-    values over the polytope; the verdict is "exists" when the optimal
-    margin clears 1e-9.  When it does not, the LP multipliers are
-    returned as a separating certificate, and a secondary margin that
-    ignores cone slack reports whether positivity alone is achievable.
+    values over the polytope, one HiGHS LP (:func:`engine.solve_lp`);
+    the verdict is "exists" when the optimal margin ``delta`` clears
+    1e-9.  The witness is then strictly inside the polytope: every cone
+    slack is at least ``delta`` times the ask price and every leaf Z0 at
+    least ``delta``.  When the margin does not clear, the LP multipliers
+    are returned as a separating certificate, and a secondary margin
+    that ignores cone slack reports whether positivity alone is
+    achievable.
     """
     mu = market.lam if mu is None else float(mu)
     if not (0.0 < mu < 1.0):
@@ -242,10 +246,9 @@ def _max_margin(poly: DualPolytope, include_cone: bool):
     c = np.zeros(nv + 1)
     c[nv] = -1.0
 
-    x0 = _analytic_start(poly, rows, h_vals)
     res = solve_lp(c, A_eq=A1, b_eq=poly.b_eq, G=np.array(rows),
-                   h=np.array(h_vals), x0=x0)
-    if res.status not in ("optimal", "max_iter"):
+                   h=np.array(h_vals))
+    if res.status != "optimal":
         raise PolytopeInfeasibleError(
             f"existence LP ended with status {res.status}: {res.diagnostics.message}"
         )
@@ -269,26 +272,6 @@ def _max_margin(poly: DualPolytope, include_cone: bool):
     return delta, z, cert
 
 
-def _analytic_start(poly: DualPolytope, rows, h_vals):
-    """Strictly feasible (z, delta) with delta pushed low enough."""
-    market = poly.market
-    L = market.tree.n_leaves
-    z = np.concatenate([np.ones(L), market.ask_price[market.tree.leaves]
-                        * (1.0 - poly.spread / 2.0)])
-    G = np.array(rows)
-    h = np.array(h_vals)
-    base = G[:, :-1] @ z - h
-    coef = G[:, -1]
-    # pick delta strictly below b/|c| for every row carrying the margin
-    ub = np.inf
-    for bval, cval in zip(base, coef):
-        if cval < 0.0:
-            ub = min(ub, bval / (-cval))
-    delta = min(ub - 1.0, -1.0) if np.isfinite(ub) else -1.0
-    # rows without margin coefficient must already be positive; z1 rows are
-    return np.concatenate([z, [delta]])
-
-
 def sample_polytope(poly: DualPolytope, count: int, seed: int = 0,
                     tol: float = 1e-10) -> list:
     """Random points of the polytope as convex mixes of LP vertices.
@@ -304,11 +287,10 @@ def sample_polytope(poly: DualPolytope, count: int, seed: int = 0,
     vertices = []
     for _ in range(n_dirs):
         c = rng.standard_normal(nv)
-        res = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h,
-                       x0=vertices[-1] if vertices else None)
+        res = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
         if res.status == "infeasible":
             raise PolytopeInfeasibleError("cannot sample an empty polytope")
-        if res.status in ("optimal", "max_iter"):
+        if res.status == "optimal":
             vertices.append(res.x)
     if not vertices:
         raise PolytopeInfeasibleError("vertex search failed")
@@ -355,7 +337,7 @@ def enumerate_vertices(poly: DualPolytope, interior_tol: float = 1e-11):
     c = np.zeros(N.shape[1] + 1)
     c[-1] = -1.0
     res = solve_lp(c, G=G1, h=h1)
-    if res.status not in ("optimal", "max_iter") or res.x[-1] <= interior_tol:
+    if res.status != "optimal" or res.x[-1] <= interior_tol:
         return None
     t_int = res.x[:-1]
 

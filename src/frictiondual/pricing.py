@@ -115,8 +115,7 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
     """
     poly = build_polytope(market)
     core_e = solve_entropy_core(market, gamma, include_endowment=True, poly=poly)
-    core_0 = solve_entropy_core(market, gamma, include_endowment=False,
-                                poly=poly, x0=core_e.leaf_vars)
+    core_0 = solve_entropy_core(market, gamma, include_endowment=False, poly=poly)
     return _dual_route(market, gamma, core_e.leaf_vars, core_0.leaf_vars)
 
 

@@ -175,11 +175,6 @@ class MarketSpec:
     def bid_price(self) -> np.ndarray:
         return (1.0 - self.lam) * self.ask_price
 
-    @property
-    def endowment_bound(self) -> float:
-        """Sup-norm of the terminal endowment."""
-        return float(np.max(np.abs(self.endowment))) if self.endowment.size else 0.0
-
     def with_lambda(self, lam: float) -> "MarketSpec":
         return MarketSpec(self.tree, self.ask_price, lam, self.endowment)
 

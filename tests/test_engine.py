@@ -1,8 +1,8 @@
-"""Interior-point engine against closed forms and scipy.optimize oracles."""
+"""Interior-point engine against closed forms; the HiGHS LP path against
+the interior-point engine on the same LPs."""
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from frictiondual.duality import solve_primal
 from frictiondual.engine import (
@@ -23,6 +23,12 @@ def quadratic(Q, c):
         return float(0.5 * x @ Q @ x + c @ x), Q @ x + c, Q
 
     return objective
+
+
+def linear_program(c, **constraints):
+    """``min c @ x`` as a smooth program for the barrier engine."""
+    n = len(c)
+    return ConvexProgram(n=n, objective=quadratic(np.zeros((n, n)), c), **constraints)
 
 
 def test_unconstrained_quadratic():
@@ -67,10 +73,11 @@ def test_lp_matches_scipy(seed):
     c = rng.standard_normal(n)
     res = solve_lp(c, G=G_full, h=h_full)
     assert res.status == "optimal"
-    ref = linprog(c, A_ub=-G_full, b_ub=-h_full, bounds=(None, None),
-                  method="highs")
-    assert ref.status == 0
-    assert c @ res.x == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+    # the barrier engine is the independent oracle: solve_lp is HiGHS
+    ref = solve(linear_program(c, G=G_full, h=h_full))
+    assert ref.status == "optimal"
+    ref_fun = ref.diagnostics.objective
+    assert c @ res.x == pytest.approx(ref_fun, abs=1e-7 * (1 + abs(ref_fun)))
 
 
 def test_lp_with_equalities_matches_scipy():
@@ -84,9 +91,10 @@ def test_lp_with_equalities_matches_scipy():
     c = rng.standard_normal(n)
     res = solve_lp(c, A_eq=A, b_eq=b, G=G, h=h)
     assert res.status == "optimal"
-    ref = linprog(c, A_eq=A, b_eq=b, A_ub=-G, b_ub=-h, bounds=(None, None),
-                  method="highs")
-    assert c @ res.x == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+    ref = solve(linear_program(c, A_eq=A, b_eq=b, G=G, h=h))
+    assert ref.status == "optimal"
+    ref_fun = ref.diagnostics.objective
+    assert c @ res.x == pytest.approx(ref_fun, abs=1e-7 * (1 + abs(ref_fun)))
 
 
 def test_infeasible_lp_detected():
@@ -143,15 +151,25 @@ def test_diagnostics_payload():
     assert d["kkt_stationarity"] < 1e-6
 
 
-def test_solver_is_deterministic():
+def boxed_lp():
+    """A random LP over a box: (c, G, h)."""
     rng = np.random.default_rng(5)
     G = np.vstack([rng.standard_normal((8, 4)), np.eye(4), -np.eye(4)])
     h = np.concatenate([G[:8] @ rng.standard_normal(4) - 1.0, -20.0 * np.ones(8)])
     c = rng.standard_normal(4)
-    a = solve_lp(c, G=G, h=h)
-    b = solve_lp(c, G=G, h=h)
+    return c, G, h
+
+
+def test_solver_is_deterministic():
+    c, G, h = boxed_lp()
+    a = solve(linear_program(c, G=G, h=h))
+    b = solve(linear_program(c, G=G, h=h))
     assert a.status == "optimal"
     assert a.x.tobytes() == b.x.tobytes()
+    lp_a = solve_lp(c, G=G, h=h)
+    lp_b = solve_lp(c, G=G, h=h)
+    assert lp_a.status == "optimal"
+    assert lp_a.x.tobytes() == lp_b.x.tobytes()
 
 
 def test_phase_one_with_a_variable_no_inequality_bounds():
@@ -188,27 +206,18 @@ def test_phase_one_record():
     assert solve(warm).diagnostics.to_dict()["phase_one_slack"] is None
 
 
-def boxed_lp():
-    """A random LP over a box: (c, G, h) for ``solve_lp``."""
-    rng = np.random.default_rng(5)
-    G = np.vstack([rng.standard_normal((8, 4)), np.eye(4), -np.eye(4)])
-    h = np.concatenate([G[:8] @ rng.standard_normal(4) - 1.0, -20.0 * np.ones(8)])
-    c = rng.standard_normal(4)
-    return c, G, h
-
-
 def test_failed_multiplier_refit_is_reported(monkeypatch):
     import scipy.optimize
 
     c, G, h = boxed_lp()
-    ref = solve_lp(c, G=G, h=h)
+    ref = solve(linear_program(c, G=G, h=h))
     assert ref.diagnostics.events == []
 
     def failing_nnls(*args, **kwargs):
         raise RuntimeError("Maximum number of iterations reached.")
 
     monkeypatch.setattr(scipy.optimize, "nnls", failing_nnls)
-    res = solve_lp(c, G=G, h=h)
+    res = solve(linear_program(c, G=G, h=h))
     assert res.diagnostics.events == [
         "multiplier refit failed: RuntimeError: Maximum number of iterations reached."
     ]
@@ -220,7 +229,7 @@ def test_max_iter_promotion_is_reported():
     c, G, h = boxed_lp()
     # the Newton cap cuts the solve short of its stopping test (it needs
     # 9 steps), but the refitted multipliers certify the point
-    res = solve_lp(c, G=G, h=h, max_newton=7)
+    res = solve(linear_program(c, G=G, h=h), max_newton=7)
     assert res.status == "optimal"
     assert res.diagnostics.message == "Newton iteration cap reached"
     assert res.diagnostics.events == ["max_iter promoted to optimal"]
@@ -228,7 +237,7 @@ def test_max_iter_promotion_is_reported():
 
 def test_few_newton_steps(two_period_market):
     c, G, h = boxed_lp()
-    lp = solve_lp(c, G=G, h=h)
+    lp = solve(linear_program(c, G=G, h=h))
     primal = solve_primal(two_period_market, UtilitySpec("log"), 5.0)
     assert lp.status == "optimal"
     assert sum(lp.diagnostics.newton_iterations) < 30
@@ -248,3 +257,14 @@ def test_vanishing_gradient_is_unbounded():
     res = solve(prog)
     assert res.status == "unbounded"
     assert res.diagnostics.message == "iterates diverging"
+
+
+def test_start_at_the_optimum_is_certified():
+    # min 0.5 (x1 - 1)^2 over 0 <= x <= 3, started at its optimum (1, 1):
+    # the floor exit must return the multipliers it certified, not 1/s
+    prog = ConvexProgram(n=2, objective=quadratic(np.diag([1.0, 0.0]), [-1.0, 0.0]),
+                         G=np.vstack([np.eye(2), -np.eye(2)]),
+                         h=np.array([0.0, 0.0, -3.0, -3.0]), x0=np.array([1.0, 1.0]))
+    res = solve(prog)
+    assert res.status == "optimal"
+    assert np.allclose(res.x, [1.0, 1.0])

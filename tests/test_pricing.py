@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from frictiondual.duality import solve_entropy_core
 from frictiondual.generate import InstanceGenerator
+from frictiondual.polytope import build_polytope
 from frictiondual.pricing import (
     UnsupportedUtilityError,
     indifference_price,
@@ -118,10 +120,15 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
 
 
 def test_price_dual_warm_start_by_the_boundary():
-    # price_dual starts the no-endowment entropy solve at the optimum of
-    # the with-endowment one, by the polytope's boundary; the engine must
+    # the no-endowment entropy solve started at the optimum of the
+    # with-endowment one, by the polytope's boundary; the engine must
     # not stop there on a decrement that only looks negligible
     market = InstanceGenerator(seed=2033, max_periods=3).draw_feasible(0)
-    p, *_ = price_dual(market, 0.8)
+    poly = build_polytope(market)
+    core_e = solve_entropy_core(market, 0.8, include_endowment=True, poly=poly)
+    core_0 = solve_entropy_core(market, 0.8, include_endowment=False, poly=poly,
+                                x0=core_e.leaf_vars)
+    p = (core_e.entropy / 0.8 + core_e.endow_mean) - (core_0.entropy / 0.8
+                                                      + core_0.endow_mean)
     cold = indifference_price(market, 0.8, routes=("dual",))
     assert p == pytest.approx(cold.p_dual, abs=1e-8)

@@ -99,8 +99,6 @@ def test_bid_price_and_helpers(martingale_binomial):
     m2 = m.with_lambda(0.05)
     assert m2.lam == 0.05
     assert np.array_equal(m2.ask_price, m.ask_price)
-    m3 = m.with_endowment([1.0, -2.0])
-    assert m3.endowment_bound == pytest.approx(2.0)
 
 
 def test_dict_roundtrip(two_period_market):
