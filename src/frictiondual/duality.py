@@ -78,6 +78,7 @@ class SolveReport:
     leaf_identity_residuals: np.ndarray
     zero_density_leaves: list
     diagnostics: dict = field(default_factory=dict)
+    witness: Optional[np.ndarray] = None    # leaf vars the dual solve started at
 
     @property
     def relative_gap(self) -> float:
@@ -337,8 +338,13 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
 
 def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
                include_endowment: bool = True, poly: Optional[DualPolytope] = None,
+               x0: Optional[np.ndarray] = None,
                tol: float = ENGINE_TOL) -> DualSolution:
-    """Minimize the conjugate functional at scale ``y`` over the polytope."""
+    """Minimize the conjugate functional at scale ``y`` over the polytope.
+
+    ``x0``, leaf variables of a point of the polytope, starts the solve;
+    the engine falls back to a phase one when it is not strictly feasible.
+    """
     if y <= 0.0:
         raise ut.UtilityDomainError(f"dual scale must be positive, got {y}")
     if poly is None:
@@ -348,7 +354,7 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     prob = path_measure(tree).leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
-                             "dual", tol=tol)
+                             "dual", tol=tol, x0=x0)
     z = res.x
     return DualSolution(value=res.diagnostics.objective, y=y, leaf_vars=z,
                         system=poly.price_system(z),
@@ -582,14 +588,16 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
 
 def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  include_endowment: bool = True, tol: float = ENGINE_TOL,
-                 check_feasibility: bool = True) -> SolveReport:
+                 witness: Optional[np.ndarray] = None) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
     The existence check's witness is strictly inside the polytope, so it
-    starts the dual solve.
+    starts the dual solve.  A supplied ``witness``, leaf variables
+    strictly inside this market's polytope such as another report's
+    ``witness``, skips the check.  The report keeps the witness its dual
+    solve started from: ``None`` at zero spread, where no check runs.
     """
-    witness = None
-    if check_feasibility and market.lam > 0.0:
+    if witness is None and market.lam > 0.0:
         verdict = check_cps(market)
         if not verdict.exists:
             raise NoCpsError(
@@ -650,6 +658,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         dual_leaf_vars=dual.leaf_vars, gap=gap,
         leaf_identity_residuals=residuals, zero_density_leaves=zero_leaves,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
+        witness=witness,
     )
 
 

@@ -69,7 +69,8 @@ class SolveDiagnostics:
     the steps taken.  ``phase_one_slack`` is the max slack ``t*`` of the
     phase-one LP, or ``None`` when the supplied start was strictly
     feasible and no LP ran.  ``events`` lists, in order, the exits and
-    fallbacks that do not show in the status: a ``max_iter`` promoted to
+    fallbacks that do not show in the status: a supplied start rejected
+    for a phase one (or least-squares) start, a ``max_iter`` promoted to
     ``optimal``, a failed multiplier refit.
     """
 
@@ -186,9 +187,9 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     m = 0 if G is None else G.shape[0]
     in_domain = program.in_domain or (lambda _x: True)
 
-    x, t_star = _starting_point(program, A, b, G, h, in_domain)
-
-    diag = SolveDiagnostics(status="max_iter", phase_one_slack=t_star)
+    diag = SolveDiagnostics(status="max_iter")
+    x, diag.phase_one_slack = _starting_point(program, A, b, G, h, in_domain,
+                                              diag.events)
     total_iters = 0
     lam = 1.0 / (G @ x - h) if m else np.zeros(0)
     nu = np.zeros(0 if A is None else A.shape[0])
@@ -385,9 +386,10 @@ def _refine_multipliers(g, x, G, h, A, lam, nu, events):
     return lam, nu
 
 
-def _starting_point(program, A, b, G, h, in_domain):
+def _starting_point(program, A, b, G, h, in_domain, events):
     """Strictly feasible start and the phase-one max slack (``None`` when
-    the supplied ``x0`` already was one)."""
+    the supplied ``x0`` already was one).  A supplied ``x0`` that is
+    rejected is logged to ``events``."""
     n = program.n
     x = None
     if program.x0 is not None:
@@ -402,6 +404,8 @@ def _starting_point(program, A, b, G, h, in_domain):
             good = bool(np.all(G @ x - h > 0.0))
         if good:
             return x, None
+        events.append("supplied start not strictly feasible: "
+                      + ("least-squares start" if G is None else "phase one"))
 
     if G is None:
         x = np.zeros(n) if A is None else np.linalg.lstsq(A, b, rcond=None)[0]
@@ -473,10 +477,7 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
     One HiGHS call (dual simplex), ``x`` free.  The status is
     ``optimal``, ``infeasible``, ``unbounded`` or ``numerical_failure``;
     multipliers follow the barrier convention and the diagnostics carry
-    the objective and the KKT residuals, with no Newton steps.  An
-    infeasible LP gets the phase-one max-slack certificate as
-    ``certificate`` (``None`` when the equalities alone are
-    inconsistent).
+    the objective and the KKT residuals, with no Newton steps.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -488,15 +489,7 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
     diag = SolveDiagnostics(status=LP_STATUS.get(res.status, "numerical_failure"),
                             message=res.message)
     if res.status != 0:
-        out = SolveResult(np.full(n, np.nan), np.zeros(0), np.zeros(0), diag)
-        if res.status == 2:
-            out.certificate = None
-            if G is not None:
-                try:
-                    out.certificate = _phase_one(A, b, G, h, n)[2]
-                except EngineError:
-                    pass    # inconsistent equalities: no slack to certify
-        return out
+        return SolveResult(np.full(n, np.nan), np.zeros(0), np.zeros(0), diag)
     diag.objective = float(res.fun)
     _record_kkt(diag, c, res.x, G, h, A, b, lam, nu)
     return SolveResult(res.x, nu, lam, diag)

@@ -82,13 +82,20 @@ class DualPolytope:
 
 
 def conditional_expectation_matrix(market: MarketSpec) -> np.ndarray:
-    """Rows map leaf values to node values: W[n, l] = P(l)/P(n) under n."""
+    """Rows map leaf values to node values: W[n, l] = P(l)/P(n) under n.
+
+    Built by walking every leaf's ancestors one stage at a time (all
+    leaves sit at the horizon), so row ``n`` is nonzero exactly on the
+    leaves below ``n``.
+    """
     tree = market.tree
     measure = path_measure(tree)
     W = np.zeros((tree.n_nodes, tree.n_leaves))
-    for k, leaf in enumerate(tree.leaves):
-        for node in tree.path_to_root(int(leaf)):
-            W[node, k] = measure.leaf_prob[k] / measure.node_prob[node]
+    cols = np.arange(tree.n_leaves)
+    ancestor = tree.leaves
+    for _ in range(tree.horizon + 1):
+        W[ancestor, cols] = measure.leaf_prob / measure.node_prob[ancestor]
+        ancestor = tree.parent[ancestor]
     return W
 
 
@@ -106,41 +113,33 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
     n, L = tree.n_nodes, tree.n_leaves
     W = conditional_expectation_matrix(market)
     leaf_prob = path_measure(tree).leaf_prob
-    s = market.ask_price
+    s = market.ask_price[:, None]
 
-    eq_rows = [np.concatenate([leaf_prob, np.zeros(L)])]
-    eq_vals = [1.0]
-
-    g_rows, h_vals = [], []
-    lower_idx, upper_idx = np.full(n, -1), np.full(n, -1)
-    for node in range(n):
-        lower = np.concatenate([-(1.0 - lam) * s[node] * W[node], W[node]])
-        upper = np.concatenate([s[node] * W[node], -W[node]])
-        if lam == 0.0:
-            # degenerate band: Z1 = S * Z0 exactly
-            eq_rows.append(upper)
-            eq_vals.append(0.0)
-        else:
-            lower_idx[node] = len(g_rows)
-            g_rows.append(lower)
-            h_vals.append(0.0)
-            upper_idx[node] = len(g_rows)
-            g_rows.append(upper)
-            h_vals.append(0.0)
-    for k in range(2 * L):
-        row = np.zeros(2 * L)
-        row[k] = 1.0
-        g_rows.append(row)
-        h_vals.append(0.0)
+    norm = np.concatenate([leaf_prob, np.zeros(L)])[None, :]
+    upper = np.hstack([s * W, -W])
+    positivity = np.eye(2 * L)
+    if lam == 0.0:
+        # degenerate band: Z1 = S * Z0 exactly
+        A_eq = np.vstack([norm, upper])
+        G = positivity
+        lower_idx, upper_idx = np.full(n, -1), np.full(n, -1)
+    else:
+        A_eq = norm
+        cone = np.empty((2 * n, 2 * L))
+        cone[0::2] = np.hstack([-(1.0 - lam) * s * W, W])
+        cone[1::2] = upper
+        G = np.vstack([cone, positivity])
+        lower_idx = np.arange(0, 2 * n, 2)
+        upper_idx = lower_idx + 1
 
     return DualPolytope(
         market=market,
         spread=lam,
         cond_exp=W,
-        A_eq=np.array(eq_rows),
-        b_eq=np.array(eq_vals),
-        G=np.array(g_rows),
-        h=np.array(h_vals),
+        A_eq=A_eq,
+        b_eq=np.concatenate([[1.0], np.zeros(A_eq.shape[0] - 1)]),
+        G=G,
+        h=np.zeros(G.shape[0]),
         cone_lower_rows=lower_idx,
         cone_upper_rows=upper_idx,
     )

@@ -5,6 +5,13 @@ difference two entropy minimizations over the price-system polytope, or
 difference the zero-spread dual values of the two shadow markets.  The
 exponential translation property makes the price independent of initial
 wealth, which is what collapses the primal route to a closed form.
+
+The routes read two solve reports, with and without the endowment.
+Both reports' dual solves start at the one existence witness, and each
+shadow-market dual starts at the lift (:meth:`ShadowPrice.lift`) of its
+report's dual optimizer, which is optimal there; a start that is not
+strictly feasible falls back to a phase one.  ``price_dual`` alone
+solves its two entropy programs cold.
 """
 
 from __future__ import annotations
@@ -66,12 +73,13 @@ def _require_exponential(spec: ut.UtilitySpec):
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
     """The two solves every route reads: with and without the endowment.
 
-    The existence check depends on the market only, so it runs once.
+    The existence check depends on the market only, so it runs once and
+    its witness starts both dual solves.
     """
     spec = ut.UtilitySpec("exponential", gamma=gamma)
     rep_e = solve_report(market, spec, x, include_endowment=True)
     rep_0 = solve_report(market, spec, x, include_endowment=False,
-                         check_feasibility=False)
+                         witness=rep_e.witness)
     return rep_e, rep_0
 
 
@@ -89,11 +97,14 @@ def _dual_route(market: MarketSpec, gamma: float, z_e: np.ndarray,
 
 
 def _shadow_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
+    """Each zero-spread dual starts at the lift of its report's optimizer."""
     terms = []
     for rep in (rep_e, rep_0):
         shadow = construct_shadow(rep.market, rep.dual_system)
+        z0_leaf = rep.dual_leaf_vars[:rep.market.tree.n_leaves]
         terms.append(solve_dual(shadow.as_market(), rep.utility, 1.0,
-                                include_endowment=rep.include_endowment).value)
+                                include_endowment=rep.include_endowment,
+                                x0=shadow.lift(z0_leaf)).value)
     return terms[0] - terms[1]
 
 

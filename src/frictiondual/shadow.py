@@ -4,7 +4,8 @@ The ratio of the two dual-optimizer components defines a price process
 lying in the spread.  Trading it without friction achieves exactly the
 frictional value, and the frictionless dual density lifts back to a
 frictional dual optimizer.  This module builds that price, solves the
-frictionless problems on it, and verifies both directions.
+frictionless problems on it, and verifies both directions.  The solves
+here start cold: they are the independent checks of that theorem.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ class ShadowPrice:
         return MarketSpec(tree=self.market.tree, ask_price=self.value,
                           lam=0.0, endowment=endow)
 
+    def lift(self, z0_leaf: np.ndarray) -> np.ndarray:
+        """Leaf variables ``(Z0, S Z0)`` of a density paired with this price.
+
+        A martingale density of the shadow market lifts into the frictional
+        polytope; the frictional dual optimizer that built the price lifts
+        onto the shadow market's polytope, at its zero-spread optimum.
+        """
+        return np.concatenate([z0_leaf, z0_leaf * self.value[self.market.tree.leaves]])
+
 
 @dataclass
 class FrictionlessSolve:
@@ -115,7 +125,8 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
 
     ``shadow_market`` must carry zero spread; diverging primal iterates
     are reported as an unbounded problem (frictionless arbitrage in the
-    supplied price).
+    supplied price).  Both solves start cold, independent of the
+    frictional solve the price came from.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
@@ -210,17 +221,14 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
 
     Solving the zero-spread dual on the shadow price at yhat and pairing
     its density with density-times-price must land inside the original
-    polytope and reproduce the frictional dual value.
+    polytope and reproduce the frictional dual value.  The zero-spread
+    solve starts cold (a phase one), so it checks the shadow-price
+    theorem independently of the frictional optimizer.
     """
     market = report.market
-    sm = shadow.as_market()
-    dual = solve_dual(sm, report.utility, report.yhat,
+    dual = solve_dual(shadow.as_market(), report.utility, report.yhat,
                       include_endowment=report.include_endowment)
-    tree = market.tree
-    L = tree.n_leaves
-    z0_leaf = dual.leaf_vars[:L]
-    shat_leaf = shadow.value[tree.leaves]
-    lifted = np.concatenate([z0_leaf, z0_leaf * shat_leaf])
+    lifted = shadow.lift(dual.leaf_vars[:market.tree.n_leaves])
     poly = build_polytope(market)
     violation = poly.max_violation(lifted)
     value_gap = abs(dual.value - report.dual_value)

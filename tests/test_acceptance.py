@@ -78,7 +78,7 @@ def batch():
             x = max(compute_x0(market), 0.0) + 5.0
         else:
             x = 1.0
-        rep = solve_report(market, spec, x, check_feasibility=False)
+        rep = solve_report(market, spec, x)
         solved.append(Solved(market=market, spec=spec, x=x, report=rep))
     elapsed = time.perf_counter() - t0
     print(f"\n[batch] generation {gen_elapsed:.1f}s, 200 solves {elapsed:.1f}s")
@@ -455,8 +455,7 @@ def test_criterion_10_frictionless_limit():
             continue
         vals = []
         for lam in lams:
-            rep = solve_report(market.with_lambda(lam), spec, 1.0,
-                               check_feasibility=False)
+            rep = solve_report(market.with_lambda(lam), spec, 1.0)
             vals.append(rep.value)
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9 * (1.0 + abs(a))

@@ -103,7 +103,9 @@ def test_infeasible_lp_detected():
     h = np.array([1.0, 1.0])
     res = solve_lp(np.array([1.0]), G=G, h=h)
     assert res.status == "infeasible"
-    assert res.certificate is not None
+    with pytest.raises(InfeasibleProgramError) as info:
+        solve(linear_program([1.0], G=G, h=h))
+    assert info.value.certificate is not None
 
 
 def test_infeasible_raises_for_smooth_program():
@@ -186,10 +188,12 @@ def test_phase_one_with_a_variable_no_inequality_bounds():
 def test_phase_one_certificate_convention():
     # x1 + x2 = -1 with x >= 0: max min-slack is -1/2 at x = (-1/2, -1/2);
     # multipliers satisfy c - G^T lam + A^T nu = 0 with c = (0, 0, -1)
-    res = solve_lp(np.zeros(2), A_eq=np.ones((1, 2)), b_eq=np.array([-1.0]),
-                   G=np.eye(2), h=np.zeros(2))
-    assert res.status == "infeasible"
-    cert = res.certificate
+    constraints = dict(A_eq=np.ones((1, 2)), b_eq=np.array([-1.0]),
+                       G=np.eye(2), h=np.zeros(2))
+    assert solve_lp(np.zeros(2), **constraints).status == "infeasible"
+    with pytest.raises(InfeasibleProgramError) as info:
+        solve(linear_program(np.zeros(2), **constraints))
+    cert = info.value.certificate
     assert np.allclose(cert["ineq_multipliers"], [0.5, 0.5], atol=1e-9)
     assert np.allclose(cert["eq_multipliers"], [0.5], atol=1e-9)
     assert cert["max_slack"] == pytest.approx(-0.5, abs=1e-9)
@@ -204,6 +208,27 @@ def test_phase_one_record():
     warm = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
                          G=np.eye(2), h=-np.ones(2), x0=np.zeros(2))
     assert solve(warm).diagnostics.to_dict()["phase_one_slack"] is None
+
+
+def test_rejected_start_is_reported():
+    # x >= -1 componentwise: (0, 0) is strictly inside, (-2, 0) is not
+    def diagnostics(x0, **constraints):
+        prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+                             x0=np.array(x0), **constraints)
+        res = solve(prog)
+        assert res.status == "optimal"
+        assert np.allclose(res.x, 0.0, atol=1e-8)
+        return res.diagnostics
+
+    box = dict(G=np.eye(2), h=-np.ones(2))
+    bad = diagnostics([-2.0, 0.0], **box)
+    assert bad.events == ["supplied start not strictly feasible: phase one"]
+    assert bad.phase_one_slack == pytest.approx(1.0)
+    assert diagnostics([0.5, 0.5], **box).events == []
+    # without inequalities the fallback is the least-squares start
+    guarded = diagnostics([-3.0, 0.0], in_domain=lambda x: x[0] > -1.0)
+    assert guarded.events == ["supplied start not strictly feasible: "
+                              "least-squares start"]
 
 
 def test_failed_multiplier_refit_is_reported(monkeypatch):

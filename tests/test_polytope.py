@@ -9,6 +9,7 @@ from frictiondual.polytope import (
     enumerate_vertices,
     sample_polytope,
 )
+from frictiondual.generate import InstanceGenerator
 from frictiondual.tree import EventTree, MarketSpec, path_measure
 
 
@@ -31,6 +32,52 @@ def test_conditional_expectation_matrix(two_period_market):
         for k, leaf in enumerate(tree.leaves):
             if node not in tree.path_to_root(int(leaf)):
                 assert W[node, k] == 0.0
+
+
+def loop_built_polytope(market, lam):
+    """Node-by-node and leaf-by-leaf reference of the polytope build."""
+    tree = market.tree
+    n, L = tree.n_nodes, tree.n_leaves
+    measure = path_measure(tree)
+    W = np.zeros((n, L))
+    for k, leaf in enumerate(tree.leaves):
+        for node in tree.path_to_root(int(leaf)):
+            W[node, k] = measure.leaf_prob[k] / measure.node_prob[node]
+    s = market.ask_price
+    eq_rows, eq_vals = [np.concatenate([measure.leaf_prob, np.zeros(L)])], [1.0]
+    g_rows = []
+    lower_idx, upper_idx = np.full(n, -1), np.full(n, -1)
+    for node in range(n):
+        lower = np.concatenate([-(1.0 - lam) * s[node] * W[node], W[node]])
+        upper = np.concatenate([s[node] * W[node], -W[node]])
+        if lam == 0.0:
+            eq_rows.append(upper)
+            eq_vals.append(0.0)
+        else:
+            lower_idx[node] = len(g_rows)
+            g_rows.append(lower)
+            upper_idx[node] = len(g_rows)
+            g_rows.append(upper)
+    g_rows.extend(np.eye(2 * L))
+    return {"cond_exp": W, "A_eq": np.array(eq_rows), "b_eq": np.array(eq_vals),
+            "G": np.array(g_rows), "h": np.zeros(len(g_rows)),
+            "cone_lower_rows": lower_idx, "cone_upper_rows": upper_idx}
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_polytope_build_matches_loop_reference(seed):
+    gen = InstanceGenerator(seed=seed)
+    for i in range(15):
+        market = gen.draw(i)
+        for lam in (market.lam, 0.0):
+            poly = build_polytope(market, spread=lam)
+            ref = loop_built_polytope(market, lam)
+            assert np.array_equal(conditional_expectation_matrix(market),
+                                  ref["cond_exp"])
+            for name, want in ref.items():
+                got = getattr(poly, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.tobytes() == want.tobytes(), name
 
 
 def test_polytope_contains_martingale_density(martingale_binomial):

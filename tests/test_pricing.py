@@ -3,7 +3,7 @@ import pytest
 
 from frictiondual.duality import solve_entropy_core
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import build_polytope
+from frictiondual.polytope import build_polytope, sample_polytope
 from frictiondual.pricing import (
     UnsupportedUtilityError,
     indifference_price,
@@ -132,3 +132,54 @@ def test_price_dual_warm_start_by_the_boundary():
                                                       + core_0.endow_mean)
     cold = indifference_price(market, 0.8, routes=("dual",))
     assert p == pytest.approx(cold.p_dual, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def dense_market():
+    """A two-period generated market whose exponential dual density stays
+    well away from zero, so every shadow node is defined, and whose
+    shadow martingale polytope has dimension 2."""
+    return InstanceGenerator(seed=11).draw_feasible(2)
+
+
+def test_shadow_dual_same_optimum_from_any_start(dense_market):
+    from frictiondual.duality import solve_dual, solve_report
+    from frictiondual.shadow import construct_shadow
+
+    rep = solve_report(dense_market, UtilitySpec("exponential", gamma=1.0), 1.0)
+    z0 = rep.dual_leaf_vars[:dense_market.tree.n_leaves]
+    assert z0.min() > 1e-3
+    shadow = construct_shadow(dense_market, rep.dual_system)
+    sm = shadow.as_market()
+    lift = shadow.lift(z0)
+    vertex = sample_polytope(build_polytope(sm), 1, seed=3)[0]
+    perturbed = 0.7 * lift + 0.3 * np.concatenate([
+        vertex.z0[sm.tree.leaves], vertex.z1[sm.tree.leaves]])
+    assert np.abs(perturbed - lift).max() > 1e-2
+    sols = [solve_dual(sm, rep.utility, 1.0, x0=x0) for x0 in (lift, perturbed, None)]
+    starts = [s.diagnostics["phase_one_slack"] is None for s in sols]
+    assert starts == [True, True, False]
+    v = sols[2].value
+    for sol in sols[:2]:
+        assert sol.value == pytest.approx(v, abs=1e-8 * (1.0 + abs(v)))
+
+
+def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
+    from frictiondual import engine
+    from frictiondual.duality import solve_report
+    from frictiondual.shadow import construct_shadow, shadow_from_dual_roundtrip
+
+    calls = []
+    phase_one = engine._phase_one
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return phase_one(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_phase_one", counted)
+    indifference_price(dense_market, 1.0, x=1.0)
+    assert len(calls) == 0
+    rep = solve_report(dense_market, UtilitySpec("exponential", gamma=1.0), 1.0)
+    shadow = construct_shadow(dense_market, rep.dual_system)
+    shadow_from_dual_roundtrip(rep, shadow)
+    assert len(calls) == 1     # the roundtrip's check stays cold
