@@ -25,7 +25,6 @@ from .tree import MarketSpec, path_measure
 POSITIVITY_MARGIN = 1e-10
 ENGINE_TOL = 1e-9
 YHAT_RTOL = 1e-8
-FACE_POLISH_STEPS = 8
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
 
 
@@ -464,9 +463,9 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
     ``x0``, a point of the polytope, starts the cone solve at ``W = x0``.
-    The barrier point is polished by Newton steps on its active face
-    (:func:`_polish_on_face`).  The residual |v'(yhat) + x| must end
-    below 1e-8 * (1 + |x|).
+    The engine's active-face finish puts ``W`` on its optimal face, where
+    the degenerate band rows hold exactly.  The residual |v'(yhat) + x|
+    must end below 1e-8 * (1 + |x|).
     """
     if poly is None:
         poly = build_polytope(market)
@@ -476,46 +475,17 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
     objective, in_domain = _dual_objective(poly, spec, 1.0, x + endow, prob)
     res = _solve_on_polytope(cone, objective, in_domain, "dual", x0=x0)
-    w, steps = _polish_on_face(objective, cone, res.x, L)
-    value = objective(w)[0]
-    yhat = float(prob @ w[:L])
-    z = w / yhat
+    value = res.diagnostics.objective
+    yhat = float(prob @ res.x[:L])
+    z = res.x / yhat
     sol = DualSolution(value=value - x * yhat, y=yhat, leaf_vars=z,
                        system=poly.price_system(z),
                        derivative=_dual_derivative(spec, yhat, z[:L], endow, prob),
-                       diagnostics={**res.diagnostics.to_dict(),
-                                    "face_polish_steps": steps})
+                       diagnostics=res.diagnostics.to_dict())
     resid = abs(sol.derivative + x)
     if resid > YHAT_RTOL * (1.0 + abs(x)):
         raise RuntimeError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
     return yhat, value, sol
-
-
-def _polish_on_face(objective, cone: DualPolytope, w: np.ndarray, L: int):
-    """Barrier-free Newton steps on the active face of a barrier point.
-
-    On degenerate faces the barrier stop leaves the flat W0 directions
-    short of the optimum.  Rows of ``G`` with slack <= 1e-7 (1 + |G||w|)
-    join the equalities; the KKT system is singular (flat W1 block,
-    dependent active rows), so it is solved by least squares.  Stops
-    before any step that would cross an inactive row or make some W0
-    nonpositive.  Returns the point and the number of steps taken.
-    """
-    G, h = cone.G, cone.h
-    active = G @ w - h <= 1e-7 * (1.0 + np.abs(G) @ np.abs(w))
-    A = np.vstack([cone.A_eq, G[active]])
-    b = np.concatenate([cone.b_eq, h[active]])
-    for steps in range(FACE_POLISH_STEPS):
-        _, g, H = objective(w)
-        K = np.block([[H, A.T], [A, np.zeros((b.size, b.size))]])
-        dw = np.linalg.lstsq(K, np.concatenate([-g, b - A @ w]), rcond=None)[0][:w.size]
-        trial = w + dw
-        if np.any(G[~active] @ trial <= h[~active]) or np.any(trial[:L] <= 0.0):
-            return w, steps
-        w = trial
-        if np.linalg.norm(dw) <= 1e-12 * np.linalg.norm(w):
-            return w, steps + 1
-    return w, FACE_POLISH_STEPS
 
 
 def compute_x0(market: MarketSpec, include_endowment: bool = True,

@@ -6,7 +6,8 @@ affine inequality constraints (``G x - h >= 0``).  Linear programs do not
 go through this loop: :func:`solve_lp` is one HiGHS call
 (``scipy.optimize.linprog``).  Strictly feasible starts and
 infeasibility certificates come from a max-slack LP, also solved once by
-HiGHS; the path-following loop itself is self-contained.
+HiGHS; the path-following loop itself is self-contained, and so is the
+active-face finish that moves its optimal exits onto their face.
 
 Dense linear algebra throughout: problems here have at most a few
 thousand variables.  Everything is deterministic given its inputs.
@@ -68,10 +69,12 @@ class SolveDiagnostics:
     ``newton_iterations`` the Newton steps each took (one), so its sum is
     the steps taken.  ``phase_one_slack`` is the max slack ``t*`` of the
     phase-one LP, or ``None`` when the supplied start was strictly
-    feasible and no LP ran.  ``events`` lists, in order, the exits and
-    fallbacks that do not show in the status: a supplied start rejected
-    for a phase one (or least-squares) start, a ``max_iter`` promoted to
-    ``optimal``, a failed multiplier refit.
+    feasible and no LP ran.  ``face_steps`` counts the Newton steps the
+    active-face finish took on the point returned: 0 when the barrier
+    point was kept (no step taken, or the finished point's KKT residuals
+    were larger).  ``events`` lists, in order, the exits and fallbacks
+    that do not show in the status: a supplied start rejected for a phase
+    one (or least-squares) start, a ``max_iter`` promoted to ``optimal``.
     """
 
     status: str
@@ -83,6 +86,7 @@ class SolveDiagnostics:
     kkt_complementarity: float = float("nan")
     message: str = ""
     phase_one_slack: Optional[float] = None
+    face_steps: int = 0
     events: list = field(default_factory=list)
 
     @property
@@ -101,6 +105,7 @@ class SolveDiagnostics:
             "kkt_complementarity": self.kkt_complementarity,
             "message": self.message,
             "phase_one_slack": self.phase_one_slack,
+            "face_steps": self.face_steps,
             "events": list(self.events),
         }
 
@@ -117,23 +122,33 @@ class SolveResult:
         return self.diagnostics.status
 
 
+def _row_rank_qr(M, mode="r"):
+    """Column-pivoted QR of ``M^T`` and the numerical rank of ``M``.
+
+    Returns ``scipy.linalg.qr``'s output in ``mode``, whose last two
+    entries are ``R`` and the pivots, and the rank: the first ``rank``
+    pivots index a maximal set of linearly independent rows of ``M``.
+    """
+    import scipy.linalg
+
+    out = scipy.linalg.qr(M.T, mode=mode, pivoting=True)
+    diag = np.abs(np.diag(out[-2]))
+    tol = max(M.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
+    return out, int(np.sum(diag > tol))
+
+
 def _reduce_equalities(A, b):
     """Drop linearly dependent equality rows; fail on inconsistency."""
     if A is None or A.shape[0] == 0:
         return None, None
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    import scipy.linalg
-
-    q, r, piv = scipy.linalg.qr(A.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r)) if r.size else np.array([])
-    tol = max(A.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tol))
-    keep = piv[:rank]
-    x_part, res, *_ = np.linalg.lstsq(A, b, rcond=None)
+    x_part = np.linalg.lstsq(A, b, rcond=None)[0]
     if np.linalg.norm(A @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise InfeasibleProgramError("inconsistent equality constraints")
-    return A[np.sort(keep)], b[np.sort(keep)]
+    (_, piv), rank = _row_rank_qr(A)
+    keep = np.sort(piv[:rank])
+    return A[keep], b[keep]
 
 
 def _kkt_solve(H, A, g, r_eq):
@@ -177,6 +192,13 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     and the multipliers of the full step are stationary and centered.
     Without inequalities this is damped Newton.  Diverging iterates are
     reported with status ``unbounded``.
+
+    The optimal and ``max_iter`` exits end in :func:`_face_finish`,
+    barrier-free Newton steps on the guessed active face, whose point and
+    multipliers replace the barrier ones when their KKT residuals are no
+    larger.  The result is then certified: a ``max_iter`` exit within
+    ``max(100 tol, 1e-5) (1 + |f|)`` is promoted to ``optimal``, and an
+    optimal exit outside it is demoted to ``numerical_failure``.
     """
     n = program.n
     A, b = _reduce_equalities(program.A_eq, program.b_eq)
@@ -199,13 +221,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     while True:
         if total_iters >= max_newton:
             diag.message = "Newton iteration cap reached"
-            diag.status = "max_iter"
-            lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu)
-            if diag.kkt_max <= max(tol * 100, 1e-5) * (1.0 + abs(diag.objective)):
-                # the refined multipliers certify the point anyway
-                diag.status = "optimal"
-                diag.events.append("max_iter promoted to optimal")
-            return SolveResult(x, nu, lam, diag)
+            break
         fval, g, H = program.objective(x)
         r_eq = (A @ x - b) if A is not None else np.zeros(0)
         if m:
@@ -264,6 +280,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
                         or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval))):
                     if m:
                         lam = lam + dl      # the multipliers just certified
+                    diag.status = "optimal"
                     break
         t = min(1.0, 0.995 * _boundary_step(s, ds)) if m else 1.0
         phi0 = fval - (mu_t * float(np.sum(np.log(s))) if m else 0.0)
@@ -278,6 +295,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
             t *= BACKTRACK_BETA
         if not ok:
             diag.message = "line search stalled"
+            diag.status = "optimal"
             break
         x = xt
         if m:
@@ -288,15 +306,18 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
         if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
             diag.status = "unbounded"
             diag.message = "iterates diverging"
-            lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu)
+            _finalize(diag, program, x, G, h, A, b, lam, nu, None)
             return SolveResult(x, nu, lam, diag)
 
-    diag.status = "optimal"
-    lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu)
+    x, lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu, in_domain)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
-    # the demotion threshold stays above that floor
-    if diag.kkt_max > max(tol * 100, 1e-5) * (1.0 + abs(diag.objective)):
+    # the certification threshold stays above that floor
+    certified = diag.kkt_max <= max(tol * 100, 1e-5) * (1.0 + abs(diag.objective))
+    if diag.status == "max_iter" and certified:
+        diag.status = "optimal"
+        diag.events.append("max_iter promoted to optimal")
+    elif diag.status == "optimal" and not certified:
         diag.status = "numerical_failure"
         diag.message = f"KKT residual {diag.kkt_max:.3e} above tolerance"
     return SolveResult(x, nu, lam, diag)
@@ -316,74 +337,106 @@ def _merit(program, x, G, h, mu):
     return f - mu * float(np.sum(np.log(G @ x - h))), f
 
 
-def _finalize(diag, program, x, G, h, A, b, lam, nu):
-    fval, g, _ = program.objective(x)
+def _finalize(diag, program, x, G, h, A, b, lam, nu, in_domain):
+    """Record the exit point in ``diag``; with ``in_domain`` (the optimal
+    and max_iter exits) first try :func:`_face_finish` and keep its point
+    and multipliers when their KKT residuals are no larger.  Returns the
+    kept ``(x, lam, nu)``."""
+    fval, g, H = program.objective(x)
+    kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
+    face = None if in_domain is None or G is None else \
+        _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain)
+    if face is not None:
+        x_f, lam_f, nu_f, f_f, g_f, steps = face
+        kkt_f = _kkt_residuals(g_f, x_f, G, h, A, b, lam_f, nu_f)
+        if max(kkt_f) <= max(kkt):
+            x, lam, nu, fval, kkt = x_f, lam_f, nu_f, f_f, kkt_f
+            diag.face_steps = steps
     diag.objective = float(fval)
-    lam, nu = _refine_multipliers(g, x, G, h, A, lam, nu, diag.events)
-    _record_kkt(diag, g, x, G, h, A, b, lam, nu)
-    return lam, nu
+    diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
+    return x, lam, nu
 
 
-def _record_kkt(diag, g, x, G, h, A, b, lam, nu):
-    """KKT residuals of ``(x, lam, nu)`` for objective gradient ``g``."""
+def _kkt_residuals(g, x, G, h, A, b, lam, nu):
+    """Stationarity, feasibility and complementarity residuals of
+    ``(x, lam, nu)`` for objective gradient ``g``."""
     r = g.copy()
+    feas = comp = 0.0
     if G is not None:
         r -= G.T @ lam
         s = G @ x - h
-        diag.kkt_feasibility = float(max(0.0, -(s.min() if s.size else 0.0)))
-        diag.kkt_complementarity = float(np.max(lam * s)) if s.size else 0.0
-    else:
-        diag.kkt_feasibility = 0.0
-        diag.kkt_complementarity = 0.0
+        feas = float(max(0.0, -(s.min() if s.size else 0.0)))
+        comp = float(np.max(lam * s)) if s.size else 0.0
     if A is not None:
         r += A.T @ nu
-        diag.kkt_feasibility = max(
-            diag.kkt_feasibility, float(np.max(np.abs(A @ x - b)))
-        )
-    grad_scale = 1.0 + float(np.linalg.norm(g))
-    diag.kkt_stationarity = float(np.linalg.norm(r)) / grad_scale
+        feas = max(feas, float(np.max(np.abs(A @ x - b))))
+    return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(g))), feas, comp
 
 
-def _refine_multipliers(g, x, G, h, A, lam, nu, events):
-    """Nonnegative least-squares fit of multipliers on near-active rows.
+def _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain):
+    """Barrier-free Newton steps on the active face of a barrier point.
 
-    Barrier multipliers mu/s do not converge to an exact certificate at
-    degenerate vertices; refitting the stationarity system over the
-    active set does, and is kept whenever it lowers the residual.  A
-    failed fit keeps the barrier multipliers and is logged to ``events``.
+    Barrier points stop short of their optimal face, where the identities
+    hold exactly.  Rows with slack <= 1e-7 (1 + |h| + |G||x|) are guessed
+    active and held as equalities with ``A``; one pivoted QR per active
+    set drops the dependent rows and spans the face.  Each round takes the
+    Newton step of the quadratic model on the face by the null-space
+    method (least squares on the reduced Hessian, so flat directions stay
+    put).  A row the step would cross joins the face and a row with a
+    negative multiplier leaves it, in place of the step; two such rounds
+    in a row end the finish, as does a step out of the objective domain
+    or one not half its predecessor.  A step below sqrt(eps) relative to
+    the point in every component is the last: its multipliers certify the
+    point it reaches to second order.  Crossover as in Mehrotra & Ye,
+    Math. Prog. 62 (1993).
+
+    Returns ``(x, lam, nu, f, g, steps)`` at the last step taken, or
+    ``None`` when none was.
     """
-    if G is None:
-        return lam, nu
-    from scipy.optimize import nnls
+    import scipy.linalg
 
-    s = G @ x - h
-    active = np.flatnonzero(s <= 1e-5 * (1.0 + np.abs(h) + np.abs(G @ x)))
-    blocks = [G[active].T]
-    if A is not None:
-        blocks += [-A.T, A.T]
-    M = np.hstack(blocks)
-    if M.shape[1] == 0:
-        return lam, nu
-    try:
-        q, _ = nnls(M, g, maxiter=10 * max(M.shape))
-    except (RuntimeError, ValueError) as exc:
-        events.append(f"multiplier refit failed: {type(exc).__name__}: {exc}")
-        return lam, nu
-    lam_new = np.zeros_like(lam)
-    lam_new[active] = q[: active.size]
-    if A is not None:
-        p = A.shape[0]
-        nu_new = q[active.size: active.size + p] - q[active.size + p:]
-    else:
-        nu_new = nu
-    def resid(l_, n_):
-        r = g - G.T @ l_
-        if A is not None:
-            r = r + A.T @ n_
-        return float(np.linalg.norm(r))
-    if resid(lam_new, nu_new) <= resid(lam, nu):
-        return lam_new, nu_new
-    return lam, nu
+    (m, n), p = G.shape, 0 if A is None else A.shape[0]
+    scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
+    active = G @ x - h <= 1e-7 * scale
+    out, steps, idle, face, last = None, 0, 0, None, np.inf
+    while idle < 2:
+        if face is None:
+            rows = np.flatnonzero(active)
+            C = G[rows] if A is None else np.vstack([A, G[rows]])
+            d = h[rows] if A is None else np.concatenate([b, h[rows]])
+            (Q, R, piv), k = _row_rank_qr(C, "full")
+            # C[keep]^T = Y R1: Y spans the kept rows, Z the face directions
+            keep = piv[:k]
+            face = C, d, keep, R[:k, :k], Q[:, :k], Q[:, k:]
+        C, d, keep, R1, Y, Z = face
+        dx = Y @ scipy.linalg.solve_triangular(R1, d[keep] - C[keep] @ x, trans="T")
+        dx += Z @ np.linalg.lstsq(Z.T @ H @ Z, -Z.T @ (g + H @ dx), rcond=None)[0]
+        # the multipliers in hand, corrected on the kept rows to meet
+        # stationarity after the step: on a degenerate face this keeps
+        # the positive split the barrier found among dependent rows
+        w = np.concatenate([nu, -lam[rows]])
+        w[keep] += scipy.linalg.solve_triangular(R1, -Y.T @ (g + H @ dx + C.T @ w))
+        lam_t = np.zeros(m)
+        lam_t[rows] = -w[p:]
+        x_t = x + dx
+        # crossing by more than the rounding bound of G x - h
+        join = ~active & (G @ x_t - h < -n * np.finfo(float).eps * scale)
+        leave = lam_t < 0.0
+        if join.any() or leave.any():
+            active = (active | join) & ~leave
+            face = None
+            idle += 1
+            continue
+        size = float(np.linalg.norm(dx))
+        if not in_domain(x_t) or size > 0.5 * last:
+            break
+        x, lam, nu, last, idle = x_t, lam_t, w[:p], size, 0
+        steps += 1
+        fval, g, H = program.objective(x)
+        out = (x, lam, nu, fval, g, steps)
+        if np.all(np.abs(dx) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))):
+            break
+    return out
 
 
 def _starting_point(program, A, b, G, h, in_domain, events):
@@ -491,7 +544,8 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
     if res.status != 0:
         return SolveResult(np.full(n, np.nan), np.zeros(0), np.zeros(0), diag)
     diag.objective = float(res.fun)
-    _record_kkt(diag, c, res.x, G, h, A, b, lam, nu)
+    diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = \
+        _kkt_residuals(c, res.x, G, h, A, b, lam, nu)
     return SolveResult(res.x, nu, lam, diag)
 
 

@@ -187,9 +187,6 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None,
     if not (0.0 < mu < 1.0):
         raise ValueError(f"spread for the existence check must lie in (0,1), got {mu}")
     poly = build_polytope(market, spread=mu)
-    L = market.tree.n_leaves
-    n_nodes = market.tree.n_nodes
-
     delta, z, cert = _max_margin(poly, include_cone=True)
     if delta > 1e-9:
         witness = poly.price_system(z)
@@ -205,66 +202,36 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None,
 
 
 def _max_margin(poly: DualPolytope, include_cone: bool):
-    """Max-min-slack LP over (z, delta); returns (delta*, z*, certificate)."""
+    """Max-min-slack LP over (z, delta); returns (delta*, z*, certificate).
+
+    The LP keeps the rows of ``poly.G`` in their order (lower and upper
+    cone rows interleaved by node, then z0 and z1 leaf nonnegativity)
+    with a margin column: each cone row carries its node's ask price
+    (nothing without ``include_cone``), each z0 row 1 and each z1 row
+    nothing.  A cap row ``delta <= 1`` closes it.
+    """
     market = poly.market
-    L = market.tree.n_leaves
-    nv = poly.n_vars
-    s = market.ask_price
-    rows, h_vals, kinds = [], [], []
-    for node in range(market.tree.n_nodes):
-        lo, hi = poly.cone_lower_rows[node], poly.cone_upper_rows[node]
-        if lo < 0:
-            continue
-        w_lo = float(s[node]) if include_cone else 0.0
-        rows.append(np.concatenate([poly.G[lo], [-w_lo]]))
-        h_vals.append(0.0)
-        kinds.append(("cone_lower", node))
-        rows.append(np.concatenate([poly.G[hi], [-w_lo]]))
-        h_vals.append(0.0)
-        kinds.append(("cone_upper", node))
-    for k in range(L):  # z0 leaves carry the positivity margin
-        row = np.zeros(nv + 1)
-        row[k] = 1.0
-        row[nv] = -1.0
-        rows.append(row)
-        h_vals.append(0.0)
-        kinds.append(("z0_pos", k))
-    for k in range(L):  # z1 stays nonnegative but carries no margin
-        row = np.zeros(nv + 1)
-        row[L + k] = 1.0
-        rows.append(row)
-        h_vals.append(0.0)
-        kinds.append(("z1_pos", k))
+    L, nv = market.tree.n_leaves, poly.n_vars
+    w = market.ask_price if include_cone else np.zeros(market.tree.n_nodes)
+    margin = np.concatenate([-np.repeat(w, 2), np.full(L, -1.0), np.zeros(L)])
     cap = np.zeros(nv + 1)
     cap[nv] = -1.0
-    rows.append(cap)
-    h_vals.append(-1.0)
-    kinds.append(("cap", -1))
+    G1 = np.vstack([np.hstack([poly.G, margin[:, None]]), cap])
 
     A1 = np.hstack([poly.A_eq, np.zeros((poly.A_eq.shape[0], 1))])
     c = np.zeros(nv + 1)
     c[nv] = -1.0
 
-    res = solve_lp(c, A_eq=A1, b_eq=poly.b_eq, G=np.array(rows),
-                   h=np.array(h_vals))
+    res = solve_lp(c, A_eq=A1, b_eq=poly.b_eq, G=G1, h=np.append(poly.h, -1.0))
     if res.status != "optimal":
         raise PolytopeInfeasibleError(
             f"existence LP ended with status {res.status}: {res.diagnostics.message}"
         )
     z = res.x[:nv]
     delta = float(res.x[nv])
-    lam_mult = res.ineq_multipliers
-    n_nodes = market.tree.n_nodes
-    lo_m = np.zeros(n_nodes)
-    hi_m = np.zeros(n_nodes)
-    for mult, (kind, node) in zip(lam_mult, kinds):
-        if kind == "cone_lower":
-            lo_m[node] = mult
-        elif kind == "cone_upper":
-            hi_m[node] = mult
     cert = {
-        "cone_lower_multipliers": lo_m.tolist(),
-        "cone_upper_multipliers": hi_m.tolist(),
+        "cone_lower_multipliers": res.ineq_multipliers[poly.cone_lower_rows].tolist(),
+        "cone_upper_multipliers": res.ineq_multipliers[poly.cone_upper_rows].tolist(),
         "eq_multipliers": res.eq_multipliers.tolist(),
         "max_margin": delta,
     }

@@ -74,7 +74,7 @@ def test_solve_json_and_csv(market_file, tmp_path):
     assert rec["identity_checks"]["marginal_mean_residual"] <= 1e-5
     keys = {"status", "objective", "barrier_path", "newton_iterations",
             "kkt_stationarity", "kkt_feasibility", "kkt_complementarity",
-            "message", "phase_one_slack", "events"}
+            "message", "phase_one_slack", "face_steps", "events"}
     for side in ("primal", "dual"):
         engine_diag = rec["diagnostics"][side]
         assert set(engine_diag) == keys

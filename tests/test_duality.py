@@ -215,18 +215,23 @@ def test_report_serialization(martingale_binomial):
     assert d["relative_gap"] < 1e-6
 
 
-@pytest.mark.parametrize("index", [5, 9])
-def test_scale_cone_degenerate_face(index):
-    # many band rows are active at these optima; the barrier point alone
-    # misses the leaf identity, the face polish must recover it
+@pytest.mark.parametrize("index,spec", [
+    (5, LOG), (9, LOG),
+    # two leaves end at wealth ~5e-5, where U' magnifies the primal's
+    # distance from its liquidation legs about 1e6 times
+    (5, UtilitySpec("power", alpha=0.5)),
+], ids=["5", "9", "5-power"])
+def test_scale_cone_degenerate_face(index, spec):
+    # many band rows are active at these optima; the barrier points alone
+    # miss the leaf identity, the engine's active-face finish must recover it
     market = InstanceGenerator(seed=11).draw_feasible(index)
     x = max(compute_x0(market), 0.0) + 5.0
-    rep = solve_report(market, LOG, x)
+    rep = solve_report(market, spec, x)
     wealth = x + rep.claim + market.endowment
     resid = rep.leaf_identity_residuals
     mask = ~np.isnan(resid)
     assert np.max(resid[mask] / (1.0 + np.abs(wealth[mask]))) <= 1e-6
-    _, _, sol = minimize_v_plus_xy(market, LOG, x)
+    _, _, sol = minimize_v_plus_xy(market, spec, x)
     assert abs(sol.derivative + x) <= 1e-8 * (1.0 + abs(x))
 
 

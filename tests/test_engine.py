@@ -231,33 +231,35 @@ def test_rejected_start_is_reported():
                               "least-squares start"]
 
 
-def test_failed_multiplier_refit_is_reported(monkeypatch):
-    import scipy.optimize
-
-    c, G, h = boxed_lp()
-    ref = solve(linear_program(c, G=G, h=h))
-    assert ref.diagnostics.events == []
-
-    def failing_nnls(*args, **kwargs):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", failing_nnls)
-    res = solve(linear_program(c, G=G, h=h))
-    assert res.diagnostics.events == [
-        "multiplier refit failed: RuntimeError: Maximum number of iterations reached."
-    ]
-    # the fit only touches the multipliers; the iterates are the same
-    assert res.x.tobytes() == ref.x.tobytes()
-
-
 def test_max_iter_promotion_is_reported():
     c, G, h = boxed_lp()
     # the Newton cap cuts the solve short of its stopping test (it needs
-    # 9 steps), but the refitted multipliers certify the point
+    # 9 steps), but the active-face finish certifies the point
     res = solve(linear_program(c, G=G, h=h), max_newton=7)
     assert res.status == "optimal"
     assert res.diagnostics.message == "Newton iteration cap reached"
     assert res.diagnostics.events == ["max_iter promoted to optimal"]
+
+
+def test_face_finish_with_a_repeated_active_row():
+    # min 0.5 |x - (2, 2)|^2 s.t. x1 + x2 <= 2, stated twice, in a box: the
+    # optimum (1, 1) sits on a dependent pair of rows whose multipliers
+    # only need to sum to 1
+    tol = 1e-9
+    row = np.array([[-1.0, -1.0]])
+    G = np.vstack([row, row, np.eye(2), -np.eye(2)])
+    h = np.array([-2.0, -2.0, -5.0, -5.0, -5.0, -5.0])
+    res = solve(ConvexProgram(n=2, objective=quadratic(np.eye(2), [-2.0, -2.0]),
+                              G=G, h=h), tol=tol)
+    assert res.status == "optimal"
+    assert res.diagnostics.face_steps >= 1
+    # on the face to rounding, where the barrier point stays ~2e-11 inside it
+    assert np.abs(res.x - 1.0).max() <= 1e-14
+    lam = res.ineq_multipliers
+    assert np.all(lam >= 0.0)
+    assert lam[0] + lam[1] == pytest.approx(1.0, abs=10 * tol)
+    g = res.x - 2.0
+    assert np.linalg.norm(g - G.T @ lam) <= 10 * tol * (1.0 + np.linalg.norm(g))
 
 
 def test_few_newton_steps(two_period_market):

@@ -9,6 +9,7 @@ from frictiondual.polytope import (
     enumerate_vertices,
     sample_polytope,
 )
+from frictiondual.engine import solve_lp
 from frictiondual.generate import InstanceGenerator
 from frictiondual.tree import EventTree, MarketSpec, path_measure
 
@@ -62,6 +63,85 @@ def loop_built_polytope(market, lam):
     return {"cond_exp": W, "A_eq": np.array(eq_rows), "b_eq": np.array(eq_vals),
             "G": np.array(g_rows), "h": np.zeros(len(g_rows)),
             "cone_lower_rows": lower_idx, "cone_upper_rows": upper_idx}
+
+
+def loop_built_margin_lp(poly, include_cone):
+    """Node-by-node reference of the existence LP's inequality rows, with
+    the kind and node each row belongs to."""
+    market = poly.market
+    L = market.tree.n_leaves
+    nv = poly.n_vars
+    s = market.ask_price
+    rows, h_vals, kinds = [], [], []
+    for node in range(market.tree.n_nodes):
+        lo, hi = poly.cone_lower_rows[node], poly.cone_upper_rows[node]
+        w_lo = float(s[node]) if include_cone else 0.0
+        rows.append(np.concatenate([poly.G[lo], [-w_lo]]))
+        h_vals.append(0.0)
+        kinds.append(("cone_lower", node))
+        rows.append(np.concatenate([poly.G[hi], [-w_lo]]))
+        h_vals.append(0.0)
+        kinds.append(("cone_upper", node))
+    for k in range(L):
+        row = np.zeros(nv + 1)
+        row[k] = 1.0
+        row[nv] = -1.0
+        rows.append(row)
+        h_vals.append(0.0)
+        kinds.append(("z0_pos", k))
+    for k in range(L):
+        row = np.zeros(nv + 1)
+        row[L + k] = 1.0
+        rows.append(row)
+        h_vals.append(0.0)
+        kinds.append(("z1_pos", k))
+    cap = np.zeros(nv + 1)
+    cap[nv] = -1.0
+    rows.append(cap)
+    h_vals.append(-1.0)
+    kinds.append(("cap", -1))
+    return np.array(rows), np.array(h_vals), kinds
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_max_margin_matches_loop_reference(seed, monkeypatch):
+    # draw_feasible pins the benchmark populations through check_cps, so
+    # the existence LP must stay bitwise the loop-built one
+    import frictiondual.polytope as polytope
+
+    calls = []
+
+    def spy(c, **lp):
+        res = solve_lp(c, **lp)
+        calls.append((lp, res))
+        return res
+
+    monkeypatch.setattr(polytope, "solve_lp", spy)
+    gen = InstanceGenerator(seed=seed)
+    for i in range(15):
+        poly = build_polytope(gen.draw(i))
+        for include_cone in (True, False):
+            calls.clear()
+            try:
+                _, _, cert = polytope._max_margin(poly, include_cone)
+            except PolytopeInfeasibleError:
+                cert = None
+            (lp, res), = calls
+            G_ref, h_ref, kinds = loop_built_margin_lp(poly, include_cone)
+            for got, want in ((lp["G"], G_ref), (lp["h"], h_ref)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            if cert is None:
+                continue
+            n_nodes = poly.market.tree.n_nodes
+            lo_m, hi_m = np.zeros(n_nodes), np.zeros(n_nodes)
+            for mult, (kind, node) in zip(res.ineq_multipliers, kinds):
+                if kind == "cone_lower":
+                    lo_m[node] = mult
+                elif kind == "cone_upper":
+                    hi_m[node] = mult
+            assert cert["cone_lower_multipliers"] == lo_m.tolist()
+            assert cert["cone_upper_multipliers"] == hi_m.tolist()
 
 
 @pytest.mark.parametrize("seed", [11, 2033])

@@ -127,3 +127,12 @@ def test_exponential_line_search_never_overflows():
         warnings.simplefilter("error", RuntimeWarning)
         fr = solve_frictionless(sh.as_market(), EXP1, 1.0, y=rep.yhat)
     assert abs(fr.value - rep.value) <= 1e-6 * (1.0 + abs(rep.value))
+
+
+def test_tiny_density_node_trades_on_its_band_edge():
+    # generated seed-11 market 9: node 12 carries Z0 ~ 2e-6 and the primal
+    # buys there, so the dual ratio must sit exactly at the ask; a barrier
+    # point leaves it ~3e-5 below, off the face the buy requires
+    market = InstanceGenerator(seed=11).draw_feasible(9)
+    rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
+    assert verify_shadow(rep, sh, fr)["direction_violations"] == []
