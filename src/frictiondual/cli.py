@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import duality, pricing, shadow as shadow_mod, utility as ut
-from .engine import EngineError
 from .generate import InstanceGenerator, emit_instance
 from .polytope import PolytopeInfeasibleError, check_cps
 from .tree import MarketValidationError, load_market
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
             PolytopeInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (EngineError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -10,14 +10,14 @@ the residuals of the optimizer identities linking them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import utility as ut
-from .engine import ConvexProgram, InfeasibleProgramError, SolveResult, solve, solve_lp
+from .engine import (ConvexProgram, EngineError, InfeasibleProgramError, SolveResult,
+                     solve, solve_lp)
 from .polytope import DualPolytope, PolytopeInfeasibleError, PriceSystem, build_polytope, check_cps
 from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec, path_measure
@@ -180,37 +180,23 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
             h_vals.append(POSITIVITY_MARGIN - x - endow[li])
 
     gamma = spec.gamma
-    alpha = spec.alpha
-    family = spec.family
+    exponential = spec.family == "exponential"
     # center the exponential objective at the mean wealth so the solver
     # works at O(1) scale; the constant factor exp(-gamma*w_ref) drops
     # out of the argmax and the true value is recomputed from the claim
     w_ref = x + float(prob @ endow)
+    shift = w_ref if exponential else 0.0
 
     def objective(v):
-        c = v[off:]
-        w = x + c + endow
-        if family == "log":
-            val = -float(prob @ np.log(w))
-            g_c = -prob / w
-            h_c = prob / w**2
-        elif family == "power":
-            val = -float(prob @ (w**alpha)) / alpha
-            g_c = -prob * w ** (alpha - 1.0)
-            h_c = prob * (1.0 - alpha) * w ** (alpha - 2.0)
-        else:
-            e = np.exp(-gamma * (w - w_ref))
-            val = float(prob @ e)
-            g_c = -gamma * prob * e
-            h_c = gamma**2 * prob * e
+        u, u1, u2 = ut.u_derivatives(spec, x + v[off:] + endow - shift)
         grad = np.zeros(nv)
-        grad[off:] = g_c
+        grad[off:] = -prob * u1
         hess = np.zeros((nv, nv))
-        hess[off:, off:] = np.diag(h_c)
-        return val, grad, hess
+        hess[off:, off:] = np.diag(-prob * u2)
+        return -float(prob @ u), grad, hess
 
     def in_domain(v):
-        if family == "exponential":
+        if exponential:
             # np.exp overflows just past this exponent; a trial point out
             # there fails the line search's sufficient decrease anyway, so
             # rejecting it first changes no step
@@ -268,7 +254,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     if res.status == "unbounded":
         raise PrimalUnboundedError(f"primal unbounded: {res.diagnostics.message}")
     if res.status != "optimal":
-        raise RuntimeError(f"primal solve failed: {res.diagnostics.message}")
+        raise EngineError(f"primal solve failed: {res.diagnostics.message}")
 
     tree = market.tree
     buy = np.zeros(tree.n_nodes)
@@ -285,8 +271,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     claim = terminal_claim(market, strat)
     endow = market.endowment if include_endowment else np.zeros(L)
     prob = path_measure(tree).leaf_prob
-    value = float(sum(p * ut.eval_u(spec, x + c + e)
-                      for p, c, e in zip(prob, claim, endow)))
+    value = float(prob @ ut.eval_u(spec, x + claim + endow))
     return PrimalSolution(value=value, strategy=strat, claim=claim,
                           diagnostics=res.diagnostics.to_dict())
 
@@ -299,27 +284,10 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
                     endow: np.ndarray, prob: np.ndarray):
     L = prob.size
     nv = poly.n_vars
-    family = spec.family
-    gamma = spec.gamma
-    alpha = spec.alpha
 
     def objective(z):
-        z0 = z[:L]
-        t = y * z0
-        if family == "log":
-            v_vals = -np.log(t) - 1.0
-            v_g = -1.0 / t
-            v_h = 1.0 / t**2
-        elif family == "power":
-            q = alpha / (alpha - 1.0)
-            v_vals = (1.0 - alpha) / alpha * t**q
-            v_g = -(t ** (1.0 / (alpha - 1.0)))
-            v_h = (1.0 / (1.0 - alpha)) * t ** ((2.0 - alpha) / (alpha - 1.0))
-        else:
-            lt = np.log(t / gamma)
-            v_vals = t / gamma * (lt - 1.0)
-            v_g = lt / gamma
-            v_h = 1.0 / (gamma * t)
+        t = y * z[:L]
+        v_vals, v_g, v_h = ut.v_derivatives(spec, t)
         val = float(prob @ (v_vals + t * endow))
         g0 = prob * (y * v_g + y * endow)
         h0 = prob * (y * y * v_h)
@@ -373,14 +341,13 @@ def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
     except InfeasibleProgramError as exc:
         raise PolytopeInfeasibleError(f"empty dual polytope: {exc}") from exc
     if res.status != "optimal":
-        raise RuntimeError(f"{what} solve failed: {res.diagnostics.message}")
+        raise EngineError(f"{what} solve failed: {res.diagnostics.message}")
     return res
 
 
 def _dual_derivative(spec, y, z0, endow, prob) -> float:
     """v'(y) = E[Z0 (V'(y Z0) + e)] at the minimizing density ``z0``."""
-    return float(prob @ (z0 * (np.array([ut.eval_v_prime(spec, y * t) for t in z0])
-                               + endow)))
+    return float(prob @ (z0 * (ut.eval_v_prime(spec, y * z0) + endow)))
 
 
 def value_v(market: MarketSpec, spec: ut.UtilitySpec, y: float,
@@ -399,27 +366,6 @@ class EntropyCore:
     diagnostics: dict
 
 
-def _entropy_objective(poly: DualPolytope, gamma: float,
-                       endow: np.ndarray, prob: np.ndarray):
-    L = prob.size
-    nv = poly.n_vars
-
-    def objective(z):
-        z0 = z[:L]
-        lz = np.log(z0)
-        val = float(prob @ (z0 * lz / gamma + z0 * endow))
-        grad = np.zeros(nv)
-        grad[:L] = prob * ((lz + 1.0) / gamma + endow)
-        hess = np.zeros((nv, nv))
-        hess[:L, :L] = np.diag(prob / (gamma * z0))
-        return val, grad, hess
-
-    def in_domain(z):
-        return bool(np.all(z[:L] > 0.0))
-
-    return objective, in_domain
-
-
 def solve_entropy_core(market: MarketSpec, gamma: float,
                        include_endowment: bool = True,
                        poly: Optional[DualPolytope] = None,
@@ -429,6 +375,10 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
 
     For the exponential family the dual minimizer does not depend on the
     scale, so this single solve determines the whole dual value curve.
+    It is the exp(gamma) dual objective at ``y = 1``: on the polytope
+    ``E[z] = 1``, so that objective is this one less the constant
+    ``(1 + log gamma)/gamma``, and the diagnostics' ``objective`` reads
+    that much lower.
     """
     if poly is None:
         poly = build_polytope(market)
@@ -436,7 +386,8 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
     L = tree.n_leaves
     prob = path_measure(tree).leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
-    res = _solve_on_polytope(poly, *_entropy_objective(poly, gamma, endow, prob),
+    spec = ut.UtilitySpec("exponential", gamma=gamma)
+    res = _solve_on_polytope(poly, *_dual_objective(poly, spec, 1.0, endow, prob),
                              "entropy", tol=tol, x0=x0)
     entropy, endow_mean = entropy_terms(market, res.x, include_endowment)
     return EntropyCore(leaf_vars=res.x, entropy=entropy, endow_mean=endow_mean,
@@ -484,7 +435,7 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                        diagnostics=res.diagnostics.to_dict())
     resid = abs(sol.derivative + x)
     if resid > YHAT_RTOL * (1.0 + abs(x)):
-        raise RuntimeError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
+        raise EngineError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
     return yhat, value, sol
 
 
@@ -502,7 +453,7 @@ def compute_x0(market: MarketSpec, include_endowment: bool = True,
     if res.status == "infeasible":
         raise PolytopeInfeasibleError("empty polytope: threshold undefined")
     if res.status != "optimal":
-        raise RuntimeError(f"threshold LP failed: {res.diagnostics.message}")
+        raise EngineError(f"threshold LP failed: {res.diagnostics.message}")
     return -float(res.diagnostics.objective)
 
 
@@ -541,7 +492,7 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
     c[nv] = -1.0
     res = solve_lp(c, G=np.array(rows), h=np.array(h_vals))
     if res.status != "optimal":
-        raise RuntimeError(f"superreplication LP failed: {res.diagnostics.message}")
+        raise EngineError(f"superreplication LP failed: {res.diagnostics.message}")
     slack = float(res.x[nv])
     buy = np.zeros(tree.n_nodes)
     sell = np.zeros(tree.n_nodes)
@@ -560,6 +511,12 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  include_endowment: bool = True, tol: float = ENGINE_TOL,
                  witness: Optional[np.ndarray] = None) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
+
+    Half-line utilities get yhat from the scaled-cone dual
+    (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
+    form from the entropy core (:func:`solve_entropy_core`): with
+    ``k = E[z log z]/gamma + E[z e]`` the dual value curve is
+    ``V(y) + y k``, so ``yhat = u'(x + k)``.
 
     The existence check's witness is strictly inside the polytope, so it
     starts the dual solve.  A supplied ``witness``, leaf variables
@@ -587,17 +544,14 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     if spec.family == "exponential":
         core = solve_entropy_core(market, spec.gamma, include_endowment,
                                   poly=poly, x0=witness, tol=tol)
+        # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
+        # form keeps its relative accuracy even when yhat is tiny
         k = core.entropy / spec.gamma + core.endow_mean
-        yhat = spec.gamma * math.exp(-spec.gamma * (x + k))
-        # the whole dual value curve is closed-form in the entropy core,
-        # which keeps its relative accuracy even when yhat is tiny
-        g = spec.gamma
-        dual_value = (yhat / g) * (math.log(yhat / g) - 1.0) \
-            + (yhat / g) * core.entropy + yhat * core.endow_mean
+        yhat = float(ut.eval_u_prime(spec, x + k))
         dual = DualSolution(
-            value=dual_value, y=yhat, leaf_vars=core.leaf_vars,
-            system=poly.price_system(core.leaf_vars),
-            derivative=math.log(yhat / g) / g + k,
+            value=float(ut.eval_v(spec, yhat)) + yhat * k, y=yhat,
+            leaf_vars=core.leaf_vars, system=poly.price_system(core.leaf_vars),
+            derivative=float(ut.eval_v_prime(spec, yhat)) + k,
             diagnostics=core.diagnostics,
         )
         dual_total = dual.value + x * yhat
@@ -611,15 +565,11 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     endow = market.endowment if include_endowment else np.zeros(tree.n_leaves)
     wealth = x + primal.claim + endow
     z0_leaf = dual.leaf_vars[: tree.n_leaves]
-    residuals = np.zeros(tree.n_leaves)
-    zero_leaves = []
-    for k_ in range(tree.n_leaves):
-        if z0_leaf[k_] > 1e-12:
-            residuals[k_] = abs(ut.eval_u_prime(spec, wealth[k_])
-                                - yhat * z0_leaf[k_])
-        else:
-            zero_leaves.append(int(tree.leaves[k_]))
-            residuals[k_] = float("nan")
+    support = z0_leaf > 1e-12
+    residuals = np.full(tree.n_leaves, np.nan)
+    residuals[support] = np.abs(ut.eval_u_prime(spec, wealth[support])
+                                - yhat * z0_leaf[support])
+    zero_leaves = tree.leaves[~support].tolist()
 
     return SolveReport(
         market=market, utility=spec, x=x, include_endowment=include_endowment,
@@ -644,7 +594,7 @@ def verify_identities(report: SolveReport, fd_step: Optional[float] = None) -> d
     prob = path_measure(tree).leaf_prob
     endow = market.endowment if report.include_endowment else np.zeros(tree.n_leaves)
     wealth = x + report.claim + endow
-    u_prime_leaf = np.array([ut.eval_u_prime(spec, w) for w in wealth])
+    u_prime_leaf = ut.eval_u_prime(spec, wealth)
 
     h = fd_step if fd_step is not None else 1e-4 * (1.0 + abs(x))
     up = solve_primal(market, spec, x + h, report.include_endowment).value

@@ -218,11 +218,11 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
     mu_floor = tol / (10.0 * m) if m else 0.0
 
     x_norm0 = 1.0 + np.linalg.norm(x)
+    fval, g, H = program.objective(x)
     while True:
         if total_iters >= max_newton:
             diag.message = "Newton iteration cap reached"
             break
-        fval, g, H = program.objective(x)
         r_eq = (A @ x - b) if A is not None else np.zeros(0)
         if m:
             s = G @ x - h
@@ -288,7 +288,7 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
         for _ in range(80):
             xt = x + t * dx
             if in_domain(xt) and (m == 0 or np.all(G @ xt - h > 0.0)):
-                phit, ft = _merit(program, xt, G, h, mu_t)
+                phit, evaluation = _merit(program, xt, G, h, mu_t)
                 if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
                     ok = True
                     break
@@ -298,18 +298,20 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
             diag.status = "optimal"
             break
         x = xt
+        fval, g, H = evaluation
         if m:
             lam = lam + min(1.0, 0.995 * _boundary_step(lam, dl)) * dl
         total_iters += 1
-        diag.barrier_path.append(float(ft))
+        diag.barrier_path.append(float(fval))
         diag.newton_iterations.append(1)
         if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
             diag.status = "unbounded"
             diag.message = "iterates diverging"
-            _finalize(diag, program, x, G, h, A, b, lam, nu, None)
+            _finalize(diag, program, x, (fval, g, H), G, h, A, b, lam, nu, None)
             return SolveResult(x, nu, lam, diag)
 
-    x, lam, nu = _finalize(diag, program, x, G, h, A, b, lam, nu, in_domain)
+    x, lam, nu = _finalize(diag, program, x, (fval, g, H), G, h, A, b, lam, nu,
+                           in_domain)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
     # the certification threshold stays above that floor
@@ -330,19 +332,22 @@ def _boundary_step(v, dv):
 
 
 def _merit(program, x, G, h, mu):
-    """Barrier merit ``f - mu sum(log s)`` and the objective ``f`` at ``x``."""
-    f, _, _ = program.objective(x)
-    if G is None:
-        return f, f
-    return f - mu * float(np.sum(np.log(G @ x - h))), f
+    """Barrier merit ``f - mu sum(log s)`` at ``x`` and the objective's
+    ``(f, g, H)`` there, kept for the next iteration if ``x`` is taken."""
+    evaluation = program.objective(x)
+    phi = evaluation[0]
+    if G is not None:
+        phi -= mu * float(np.sum(np.log(G @ x - h)))
+    return phi, evaluation
 
 
-def _finalize(diag, program, x, G, h, A, b, lam, nu, in_domain):
-    """Record the exit point in ``diag``; with ``in_domain`` (the optimal
-    and max_iter exits) first try :func:`_face_finish` and keep its point
-    and multipliers when their KKT residuals are no larger.  Returns the
-    kept ``(x, lam, nu)``."""
-    fval, g, H = program.objective(x)
+def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
+    """Record the exit point ``x``, whose objective ``(f, g, H)`` is
+    ``evaluation``, in ``diag``; with ``in_domain`` (the optimal and
+    max_iter exits) first try :func:`_face_finish` and keep its point and
+    multipliers when their KKT residuals are no larger.  Returns the kept
+    ``(x, lam, nu)``."""
+    fval, g, H = evaluation
     kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
     face = None if in_domain is None or G is None else \
         _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain)

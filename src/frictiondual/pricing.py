@@ -24,7 +24,7 @@ import numpy as np
 
 from . import utility as ut
 from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
-from .engine import solve_lp
+from .engine import EngineError, solve_lp
 from .polytope import build_polytope
 from .shadow import construct_shadow
 from .tree import MarketSpec, path_measure
@@ -151,7 +151,7 @@ def price_bounds(market: MarketSpec) -> tuple:
     hi = solve_lp(-c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
     for res in (lo, hi):
         if res.status != "optimal":
-            raise RuntimeError(f"price-bound LP failed: {res.diagnostics.message}")
+            raise EngineError(f"price-bound LP failed: {res.diagnostics.message}")
     return float(lo.diagnostics.objective), float(-hi.diagnostics.objective)
 
 

@@ -8,14 +8,22 @@ Three closed-form families are supported:
 
 For each family the conjugate ``v(y) = sup_x {u(x) - x y}`` and the
 marginal inverse ``i = (u')^{-1} = -v'`` are available in closed form.
+
+This module is the one place the formulas are written.
+:func:`u_derivatives` and :func:`v_derivatives` return the value and
+first two derivatives of ``u`` and ``v`` elementwise on arrays, with no
+domain check: the solver's objectives call them at points its domain
+guard has already admitted.  The ``eval_*`` functions read them, work
+elementwise on scalars or arrays, and check their domain: an argument
+outside it raises :class:`UtilityDomainError`, except that ``eval_u``
+gives -inf at nonpositive wealth in the half-line families.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-NEG_INF = float("-inf")
+import numpy as np
 
 
 class UtilityDomainError(ValueError):
@@ -77,50 +85,63 @@ def utility_label(spec: UtilitySpec) -> str:
     return f"exp:gamma={spec.gamma:g}"
 
 
-def eval_u(spec: UtilitySpec, x: float) -> float:
-    """Utility value; -inf for nonpositive wealth in the half-line families."""
+def u_derivatives(spec: UtilitySpec, w):
+    """``(u, u', u'')`` at wealth ``w``, elementwise, with no domain check."""
     if spec.family == "log":
-        return math.log(x) if x > 0.0 else NEG_INF
-    if spec.family == "power":
-        return x**spec.alpha / spec.alpha if x > 0.0 else NEG_INF
-    return -math.exp(-spec.gamma * x)
-
-
-def eval_u_prime(spec: UtilitySpec, x: float) -> float:
-    if spec.family == "log":
-        if x <= 0.0:
-            raise UtilityDomainError("marginal utility needs positive wealth")
-        return 1.0 / x
-    if spec.family == "power":
-        if x <= 0.0:
-            raise UtilityDomainError("marginal utility needs positive wealth")
-        return x ** (spec.alpha - 1.0)
-    return spec.gamma * math.exp(-spec.gamma * x)
-
-
-def eval_v(spec: UtilitySpec, y: float) -> float:
-    """Convex conjugate sup_x {u(x) - x y}, defined for y > 0."""
-    if y <= 0.0:
-        raise UtilityDomainError(f"conjugate argument must be positive, got {y}")
-    if spec.family == "log":
-        return -math.log(y) - 1.0
+        return np.log(w), 1.0 / w, -(1.0 / w**2)
     if spec.family == "power":
         a = spec.alpha
-        return (1.0 - a) / a * y ** (a / (a - 1.0))
+        return w**a / a, w ** (a - 1.0), (a - 1.0) * w ** (a - 2.0)
     g = spec.gamma
-    return y / g * (math.log(y / g) - 1.0)
+    e = np.exp(-g * w)
+    return -e, g * e, -g**2 * e
 
 
-def eval_v_prime(spec: UtilitySpec, y: float) -> float:
-    return -eval_i(spec, y)
-
-
-def eval_i(spec: UtilitySpec, y: float) -> float:
-    """Inverse marginal utility (u')^{-1}(y) = -v'(y), for y > 0."""
-    if y <= 0.0:
-        raise UtilityDomainError(f"inverse marginal argument must be positive, got {y}")
+def v_derivatives(spec: UtilitySpec, y):
+    """``(V, V', V'')`` at ``y``, elementwise, with no domain check."""
     if spec.family == "log":
-        return 1.0 / y
+        return -np.log(y) - 1.0, -1.0 / y, 1.0 / y**2
     if spec.family == "power":
-        return y ** (1.0 / (spec.alpha - 1.0))
-    return -math.log(y / spec.gamma) / spec.gamma
+        a = spec.alpha
+        return ((1.0 - a) / a * y ** (a / (a - 1.0)), -(y ** (1.0 / (a - 1.0))),
+                (1.0 / (1.0 - a)) * y ** ((2.0 - a) / (a - 1.0)))
+    g = spec.gamma
+    lt = np.log(y / g)
+    return y / g * (lt - 1.0), lt / g, 1.0 / (g * y)
+
+
+def _positive(value, what: str) -> np.ndarray:
+    value = np.asarray(value, dtype=float)
+    if np.any(value <= 0.0):
+        raise UtilityDomainError(f"{what} must be positive, got {value}")
+    return value
+
+
+def eval_u(spec: UtilitySpec, x):
+    """Utility value; -inf at nonpositive wealth in the half-line families."""
+    x = np.asarray(x, dtype=float)
+    if spec.wealth_domain == "real":
+        return u_derivatives(spec, x)[0][()]
+    pos = x > 0.0
+    return np.where(pos, u_derivatives(spec, np.where(pos, x, 1.0))[0], -np.inf)[()]
+
+
+def eval_u_prime(spec: UtilitySpec, x):
+    x = np.asarray(x, dtype=float)
+    if spec.wealth_domain == "positive":
+        _positive(x, "wealth in the marginal utility")
+    return u_derivatives(spec, x)[1][()]
+
+
+def eval_v(spec: UtilitySpec, y):
+    """Convex conjugate sup_x {u(x) - x y}, defined for y > 0."""
+    return v_derivatives(spec, _positive(y, "conjugate argument"))[0][()]
+
+
+def eval_v_prime(spec: UtilitySpec, y):
+    return v_derivatives(spec, _positive(y, "conjugate argument"))[1][()]
+
+
+def eval_i(spec: UtilitySpec, y):
+    """Inverse marginal utility (u')^{-1}(y) = -v'(y), for y > 0."""
+    return -v_derivatives(spec, _positive(y, "inverse marginal argument"))[1][()]

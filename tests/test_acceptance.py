@@ -17,7 +17,6 @@ from scipy.optimize import minimize as scipy_minimize
 
 from frictiondual.duality import (
     _dual_objective,
-    _entropy_objective,
     compute_x0,
     primal_program,
     solve_report,
@@ -387,9 +386,6 @@ def test_criterion_09a_derivative_audits(two_period_market):
         obj, _ = _dual_objective(poly, spec, 0.9, endow, prob)
         gerr, herr, ok = audit_derivatives(obj, z_pts)
         assert ok, f"dual {utility_label(spec)}: grad {gerr:.2e} hess {herr:.2e}"
-    obj, _ = _entropy_objective(poly, 0.7, endow, prob)
-    gerr, herr, ok = audit_derivatives(obj, z_pts)
-    assert ok, f"entropy: grad {gerr:.2e} hess {herr:.2e}"
 
 
 def test_criterion_09b_bitwise_determinism(two_period_market):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from frictiondual import duality
 from frictiondual.duality import (
     NoCpsError,
     PrimalInfeasibleError,
@@ -16,6 +17,7 @@ from frictiondual.duality import (
     value_v,
     verify_identities,
 )
+from frictiondual.engine import EngineError, SolveDiagnostics, SolveResult
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import build_polytope, enumerate_vertices
 from frictiondual.trading import roll_forward, terminal_claim
@@ -249,3 +251,15 @@ def test_scale_cone_matches_scalar_search(two_period_market, spec):
     assert ref.success
     assert yhat == pytest.approx(ref.x, rel=1e-6)
     assert val == pytest.approx(ref.fun, rel=1e-9, abs=1e-12)
+
+
+def test_failed_engine_solves_raise_engine_error(two_period_market, monkeypatch):
+    def failing_solve(program, *args, **kwargs):
+        diag = SolveDiagnostics(status="numerical_failure", message="forced failure")
+        return SolveResult(np.zeros(program.n), np.zeros(0), np.zeros(0), diag)
+
+    monkeypatch.setattr(duality, "solve", failing_solve)
+    with pytest.raises(EngineError, match="forced failure"):
+        solve_primal(two_period_market, LOG, 6.0)
+    with pytest.raises(EngineError, match="forced failure"):
+        solve_dual(two_period_market, LOG, 0.5)

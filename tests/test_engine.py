@@ -1,10 +1,12 @@
 """Interior-point engine against closed forms; the HiGHS LP path against
 the interior-point engine on the same LPs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from frictiondual.duality import solve_primal
+from frictiondual.duality import primal_program, solve_primal
 from frictiondual.engine import (
     ConvexProgram,
     InfeasibleProgramError,
@@ -49,6 +51,31 @@ def test_equality_constrained_quadratic():
     assert np.allclose(res.x, np.ones(3), atol=1e-9)
     # the equality multiplier satisfies stationarity x + A^T nu = 0
     assert np.allclose(res.x + res.eq_multipliers[0] * np.ones(3), 0.0, atol=1e-7)
+
+
+def _evaluated_points(prog):
+    """Solve ``prog`` and return the points its objective was called at."""
+    seen = []
+
+    def recording(x):
+        seen.append(x.tobytes())
+        return prog.objective(x)
+
+    res = solve(replace(prog, objective=recording))
+    assert res.status == "optimal"
+    return seen
+
+
+def test_objective_evaluated_once_per_point(two_period_market):
+    # the accepted line-search trial and the exit point are not evaluated again
+    programs = [ConvexProgram(n=1, objective=quadratic([[2.0]], [-4.0]),
+                              G=np.array([[-1.0]]), h=np.array([-1.0]))]
+    for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
+        programs.append(primal_program(two_period_market, spec, 6.0)[0])
+    for prog in programs:
+        seen = _evaluated_points(prog)
+        assert len(seen) > 2
+        assert all(a != b for a, b in zip(seen, seen[1:]))
 
 
 def test_inequality_active_at_optimum():

@@ -12,7 +12,9 @@ from frictiondual.utility import (
     eval_v,
     eval_v_prime,
     parse_utility,
+    u_derivatives,
     utility_label,
+    v_derivatives,
 )
 
 FAMILIES = [
@@ -47,11 +49,32 @@ def test_labels_roundtrip():
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=utility_label)
 def test_u_prime_matches_fd(spec):
+    # u', u'', V' and V'' against central differences of the function below
     xs = [0.3, 1.0, 5.0] if spec.wealth_domain == "positive" else [-2.0, 0.0, 3.0]
     h = 1e-6
     for x in xs:
         fd = (eval_u(spec, x + h) - eval_u(spec, x - h)) / (2 * h)
         assert eval_u_prime(spec, x) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        fd2 = (u_derivatives(spec, x + h)[1] - u_derivatives(spec, x - h)[1]) / (2 * h)
+        assert u_derivatives(spec, x)[2] == pytest.approx(fd2, rel=1e-7, abs=1e-9)
+    for y in (0.3, 1.0, 5.0):
+        fd = (eval_v(spec, y + h) - eval_v(spec, y - h)) / (2 * h)
+        assert eval_v_prime(spec, y) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        fd2 = (v_derivatives(spec, y + h)[1] - v_derivatives(spec, y - h)[1]) / (2 * h)
+        assert v_derivatives(spec, y)[2] == pytest.approx(fd2, rel=1e-7, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", FAMILIES, ids=utility_label)
+def test_eval_on_arrays_matches_scalars(spec):
+    xs = np.array([0.3, 1.0, 5.0]) if spec.wealth_domain == "positive" \
+        else np.array([-2.0, 0.0, 3.0])
+    ys = np.array([0.1, 1.0, 7.0])
+    for fn, args in ((eval_u, xs), (eval_u_prime, xs), (eval_v, ys),
+                     (eval_v_prime, ys), (eval_i, ys)):
+        out = fn(spec, args)
+        assert out.shape == args.shape
+        for a, value in zip(args, out):
+            assert value == pytest.approx(fn(spec, float(a)), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("spec", FAMILIES, ids=utility_label)
@@ -86,6 +109,12 @@ def test_domain_guards():
         eval_v(log, -1.0)
     with pytest.raises(UtilityDomainError):
         eval_i(log, 0.0)
+    with pytest.raises(UtilityDomainError):
+        eval_u_prime(log, np.array([1.0, 0.0, 2.0]))
+    for spec in (log, UtilitySpec("power", alpha=0.5)):
+        u = eval_u(spec, np.array([-1.0, 0.5, 0.0, 2.0]))   # warnings are errors
+        assert np.all(u[[0, 2]] == -math.inf)
+        assert np.all(np.isfinite(u[[1, 3]]))
 
 
 def test_spec_validation():
