@@ -23,7 +23,6 @@ from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec, path_measure
 
 POSITIVITY_MARGIN = 1e-10
-ENGINE_TOL = 1e-9
 YHAT_RTOL = 1e-8
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
 
@@ -191,8 +190,8 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         u, u1, u2 = ut.u_derivatives(spec, x + v[off:] + endow - shift)
         grad = np.zeros(nv)
         grad[off:] = -prob * u1
-        hess = np.zeros((nv, nv))
-        hess[off:, off:] = np.diag(-prob * u2)
+        hess = np.zeros(nv)
+        hess[off:] = -prob * u2
         return -float(prob @ u), grad, hess
 
     def in_domain(v):
@@ -233,7 +232,7 @@ def _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
 
 
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 include_endowment: bool = True, tol: float = ENGINE_TOL) -> PrimalSolution:
+                 include_endowment: bool = True) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
     Returns the netted optimal strategy and the claim it generates.
@@ -246,7 +245,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         market, spec, x, include_endowment
     )
     try:
-        res = solve(prog, tol=tol)
+        res = solve(prog)
     except InfeasibleProgramError as exc:
         raise PrimalInfeasibleError(
             f"primal infeasible at x={x}: {exc}"
@@ -293,8 +292,8 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
         h0 = prob * (y * y * v_h)
         grad = np.zeros(nv)
         grad[:L] = g0
-        hess = np.zeros((nv, nv))
-        hess[:L, :L] = np.diag(h0)
+        hess = np.zeros(nv)
+        hess[:L] = h0
         return val, grad, hess
 
     def in_domain(z):
@@ -305,8 +304,7 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
 
 def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
                include_endowment: bool = True, poly: Optional[DualPolytope] = None,
-               x0: Optional[np.ndarray] = None,
-               tol: float = ENGINE_TOL) -> DualSolution:
+               x0: Optional[np.ndarray] = None) -> DualSolution:
     """Minimize the conjugate functional at scale ``y`` over the polytope.
 
     ``x0``, leaf variables of a point of the polytope, starts the solve;
@@ -321,7 +319,7 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     prob = path_measure(tree).leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
-                             "dual", tol=tol, x0=x0)
+                             "dual", x0=x0)
     z = res.x
     return DualSolution(value=res.diagnostics.objective, y=y, leaf_vars=z,
                         system=poly.price_system(z),
@@ -330,14 +328,13 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
 
 
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
-                       tol: float = ENGINE_TOL,
                        x0: Optional[np.ndarray] = None) -> SolveResult:
     """Engine solve over the constraints of ``poly``; optimal or raises."""
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h,
                          in_domain=in_domain, x0=x0)
     try:
-        res = solve(prog, tol=tol)
+        res = solve(prog)
     except InfeasibleProgramError as exc:
         raise PolytopeInfeasibleError(f"empty dual polytope: {exc}") from exc
     if res.status != "optimal":
@@ -369,8 +366,7 @@ class EntropyCore:
 def solve_entropy_core(market: MarketSpec, gamma: float,
                        include_endowment: bool = True,
                        poly: Optional[DualPolytope] = None,
-                       x0: Optional[np.ndarray] = None,
-                       tol: float = ENGINE_TOL) -> EntropyCore:
+                       x0: Optional[np.ndarray] = None) -> EntropyCore:
     """Minimize E[z log z]/gamma + E[z e] over the polytope.
 
     For the exponential family the dual minimizer does not depend on the
@@ -388,7 +384,7 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
     endow = market.endowment if include_endowment else np.zeros(L)
     spec = ut.UtilitySpec("exponential", gamma=gamma)
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, 1.0, endow, prob),
-                             "entropy", tol=tol, x0=x0)
+                             "entropy", x0=x0)
     entropy, endow_mean = entropy_terms(market, res.x, include_endowment)
     return EntropyCore(leaf_vars=res.x, entropy=entropy, endow_mean=endow_mean,
                        diagnostics=res.diagnostics.to_dict())
@@ -464,8 +460,6 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
     returns ``(shortfall, strategy)`` where shortfall = max(0, -slack*).
     A nonpositive shortfall certifies superreplication.
     """
-    from .trading import roll_forward, net_trades
-
     internal, K, L, nv, T0, T1 = _primal_layout(market)
     tree = market.tree
     claim = np.asarray(claim, dtype=float)
@@ -508,7 +502,7 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
 
 
 def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 include_endowment: bool = True, tol: float = ENGINE_TOL,
+                 include_endowment: bool = True,
                  witness: Optional[np.ndarray] = None) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
@@ -539,11 +533,11 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                 f"x={x} at or below the endowment threshold {x0_thresh}"
             )
 
-    primal = solve_primal(market, spec, x, include_endowment, tol=tol)
+    primal = solve_primal(market, spec, x, include_endowment)
 
     if spec.family == "exponential":
         core = solve_entropy_core(market, spec.gamma, include_endowment,
-                                  poly=poly, x0=witness, tol=tol)
+                                  poly=poly, x0=witness)
         # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
         # form keeps its relative accuracy even when yhat is tiny
         k = core.entropy / spec.gamma + core.endow_mean

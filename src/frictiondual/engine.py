@@ -1,13 +1,15 @@
 """Convex solver: primal-dual interior point with Mehrotra's
 predictor-corrector steps.
 
-Minimizes a smooth convex objective over linear equality constraints and
-affine inequality constraints (``G x - h >= 0``).  Linear programs do not
-go through this loop: :func:`solve_lp` is one HiGHS call
-(``scipy.optimize.linprog``).  Strictly feasible starts and
-infeasibility certificates come from a max-slack LP, also solved once by
-HiGHS; the path-following loop itself is self-contained, and so is the
-active-face finish that moves its optimal exits onto their face.
+Minimizes a smooth separable convex objective, whose Hessian is a
+diagonal, over linear equality constraints and at least one affine
+inequality constraint (``G x - h >= 0``): every program the duality
+builds is of that shape.  Linear programs do not go through this loop:
+:func:`solve_lp` is one HiGHS call (``scipy.optimize.linprog``).
+Strictly feasible starts and infeasibility certificates come from a
+max-slack LP, also solved once by HiGHS; the path-following loop itself
+is self-contained, and so is the active-face finish that moves its
+optimal exits onto their face.
 
 Dense linear algebra throughout: problems here have at most a few
 thousand variables.  Everything is deterministic given its inputs.
@@ -23,7 +25,7 @@ import numpy as np
 ARMIJO_C = 1e-4
 BACKTRACK_BETA = 0.5
 RIDGE_BASE = 1e-12
-DEFAULT_TOL = 1e-9
+TOL = 1e-9                 # stopping tolerance of the path-following loop
 DEFAULT_MAX_NEWTON = 500
 DIVERGE_CAP = 1e12
 HIGHS_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances
@@ -44,19 +46,20 @@ class InfeasibleProgramError(EngineError):
 
 @dataclass
 class ConvexProgram:
-    """Smooth convex minimization over affine constraints.
+    """Smooth separable convex minimization over affine constraints.
 
-    ``objective(x)`` returns ``(value, gradient, hessian)``; ``in_domain``
-    guards open objective domains during line search.  Inequalities read
-    ``G x - h >= 0``.
+    ``objective(x)`` returns ``(f, g, d)``: the value, the gradient and
+    the Hessian's diagonal ``d``, the Hessian being ``diag(d)``.
+    ``in_domain`` guards open objective domains during line search.
+    Inequalities read ``G x - h >= 0``; ``G`` has at least one row.
     """
 
     n: int
     objective: Callable[[np.ndarray], tuple]
+    G: np.ndarray
+    h: np.ndarray
     A_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
-    G: Optional[np.ndarray] = None
-    h: Optional[np.ndarray] = None
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
     x0: Optional[np.ndarray] = None
 
@@ -74,7 +77,7 @@ class SolveDiagnostics:
     point was kept (no step taken, or the finished point's KKT residuals
     were larger).  ``events`` lists, in order, the exits and fallbacks
     that do not show in the status: a supplied start rejected for a phase
-    one (or least-squares) start, a ``max_iter`` promoted to ``optimal``.
+    one start, a ``max_iter`` promoted to ``optimal``.
     """
 
     status: str
@@ -177,87 +180,79 @@ def _kkt_solve(H, A, g, r_eq):
     raise EngineError("KKT factorization breakdown")
 
 
-def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
-          max_newton: int = DEFAULT_MAX_NEWTON) -> SolveResult:
+def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> SolveResult:
     """Primal-dual path-following solve of a :class:`ConvexProgram`.
 
     Iterates on ``(x, lam, nu)`` with slacks ``s = G x - h``, starting on
     the central path at barrier weight 1 (``lam = 1/s``).  Each iteration
-    forms ``H + G^T diag(lam/s) G`` once and takes Mehrotra's
-    predictor-corrector step from it toward the target weight
-    ``mu_t = sigma * mu``, ``sigma = (mu_aff/mu)^3``, floored at
-    ``tol / (10 m)``; the step is globalized by Armijo backtracking on the
-    barrier merit at ``mu_t``.  At the floor the steps are centering
-    Newton steps, and the solve stops when their decrement is negligible
-    and the multipliers of the full step are stationary and centered.
-    Without inequalities this is damped Newton.  Diverging iterates are
-    reported with status ``unbounded``.
+    forms ``diag(d) + G^T diag(lam/s) G`` once (``d`` the objective's
+    Hessian diagonal) and takes Mehrotra's predictor-corrector step from
+    it toward the target weight ``mu_t = sigma * mu``,
+    ``sigma = (mu_aff/mu)^3``, floored at ``TOL / (10 m)``; the step is
+    globalized by Armijo backtracking on the barrier merit at ``mu_t``.
+    At the floor the steps are centering Newton steps, and the solve
+    stops when their decrement is negligible and the multipliers of the
+    full step are stationary and centered.
+    Diverging iterates are reported with status ``unbounded``.
 
     The optimal and ``max_iter`` exits end in :func:`_face_finish`,
     barrier-free Newton steps on the guessed active face, whose point and
     multipliers replace the barrier ones when their KKT residuals are no
     larger.  The result is then certified: a ``max_iter`` exit within
-    ``max(100 tol, 1e-5) (1 + |f|)`` is promoted to ``optimal``, and an
+    ``max(100 TOL, 1e-5) (1 + |f|)`` is promoted to ``optimal``, and an
     optimal exit outside it is demoted to ``numerical_failure``.
     """
-    n = program.n
     A, b = _reduce_equalities(program.A_eq, program.b_eq)
-    G = None if program.G is None else np.atleast_2d(np.asarray(program.G, float))
-    h = None if program.h is None else np.atleast_1d(np.asarray(program.h, float))
-    if G is not None and G.shape[0] == 0:
-        G, h = None, None
-    m = 0 if G is None else G.shape[0]
+    G = np.atleast_2d(np.asarray(program.G, float))
+    h = np.atleast_1d(np.asarray(program.h, float))
+    m = G.shape[0]
     in_domain = program.in_domain or (lambda _x: True)
 
     diag = SolveDiagnostics(status="max_iter")
     x, diag.phase_one_slack = _starting_point(program, A, b, G, h, in_domain,
                                               diag.events)
     total_iters = 0
-    lam = 1.0 / (G @ x - h) if m else np.zeros(0)
+    lam = 1.0 / (G @ x - h)
     nu = np.zeros(0 if A is None else A.shape[0])
-    mu_floor = tol / (10.0 * m) if m else 0.0
+    mu_floor = TOL / (10.0 * m)
 
     x_norm0 = 1.0 + np.linalg.norm(x)
-    fval, g, H = program.objective(x)
+    fval, g, d = program.objective(x)
     while True:
         if total_iters >= max_newton:
             diag.message = "Newton iteration cap reached"
             break
         r_eq = (A @ x - b) if A is not None else np.zeros(0)
-        if m:
-            s = G @ x - h
-            mu = float(s @ lam) / m
-            M = H + (G.T * (lam / s)) @ G
-            # predictor: the affine step toward mu = 0
-            dx, _ = _kkt_solve(M, A, g, r_eq)
-            ds = G @ dx
-            dl = -lam - lam / s * ds
-            mu_aff = float((s + min(1.0, _boundary_step(s, ds)) * ds)
-                           @ (lam + min(1.0, _boundary_step(lam, dl)) * dl)) / m
-            mu_t = max((mu_aff / mu) ** 3 * mu, mu_floor)
-            grad = g - mu_t * (G.T @ (1.0 / s))     # merit gradient at mu_t
-            # comp is the step's target for s * lam: Mehrotra's corrector
-            # above the floor, plain centering at it
-            comp = mu_t - ds * dl if mu_t > mu_floor else mu_t
-            dx, w = _kkt_solve(M, A, g - G.T @ (comp / s), r_eq)
-            if mu_t > mu_floor and not float(grad @ dx) < 0.0:
-                # the corrector does not descend the merit: pure centering
-                comp = mu_t
-                dx, w = _kkt_solve(M, A, grad, r_eq)
-            if not float(grad @ dx) < 0.0:
-                # nor does centering when the multipliers are so far from
-                # mu_t/s (a warm start by the boundary) that lam/s swamps
-                # the system: restart them on the central path, where this
-                # is the Newton step of the merit
-                lam = mu_t / s
-                comp = mu_t
-                M = H + (G.T * (mu_t / s**2)) @ G
-                dx, w = _kkt_solve(M, A, grad, r_eq)
-            ds = G @ dx
-            dl = comp / s - lam - lam / s * ds
-        else:
-            mu_t, grad, M = 0.0, g, H
-            dx, w = _kkt_solve(H, A, g, r_eq)
+        s = G @ x - h
+        mu = float(s @ lam) / m
+        M = _plus_diag((G.T * (lam / s)) @ G, d)
+        # predictor: the affine step toward mu = 0
+        dx, _ = _kkt_solve(M, A, g, r_eq)
+        ds = G @ dx
+        dl = -lam - lam / s * ds
+        mu_aff = float((s + min(1.0, _boundary_step(s, ds)) * ds)
+                       @ (lam + min(1.0, _boundary_step(lam, dl)) * dl)) / m
+        mu_t = max((mu_aff / mu) ** 3 * mu, mu_floor)
+        grad = g - mu_t * (G.T @ (1.0 / s))     # merit gradient at mu_t
+        # comp is the step's target for s * lam: Mehrotra's corrector
+        # above the floor, plain centering at it
+        comp = mu_t - ds * dl if mu_t > mu_floor else mu_t
+        dx, w = _kkt_solve(M, A, g - G.T @ (comp / s), r_eq)
+        if mu_t > mu_floor and not float(grad @ dx) < 0.0:
+            # the corrector does not descend the merit: pure centering
+            comp = mu_t
+            dx, w = _kkt_solve(M, A, grad, r_eq)
+        if not float(grad @ dx) < 0.0:
+            # nor does centering when the multipliers are so far from
+            # mu_t/s (a warm start by the boundary) that lam/s swamps
+            # the system: restart them on the central path, where this
+            # is the Newton step of the merit
+            lam = mu_t / s
+            comp = mu_t
+            M = _plus_diag((G.T * (mu_t / s**2)) @ G, d)
+            dx, w = _kkt_solve(M, A, grad, r_eq)
+        ds = G @ dx
+        dl = comp / s - lam - lam / s * ds
         nu = w
         slope = float(grad @ dx)
         if mu_t == mu_floor:
@@ -271,23 +266,20 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
             dec2 = -slope if slope <= 0.0 else float(dx @ (M @ dx))
             if dec2 / 2.0 <= 1e-13 * (1.0 + abs(fval)):
                 r_st = g + (A.T @ w) if A is not None else g
-                centered = True
-                if m:
-                    r_st = r_st - G.T @ (comp / s - lam / s * ds)   # lam + dl
-                    centered = float(np.max(np.abs(lam * ds))) <= mu_t
+                r_st = r_st - G.T @ (comp / s - lam / s * ds)   # lam + dl
+                centered = float(np.max(np.abs(lam * ds))) <= mu_t
                 if centered and (
-                        np.linalg.norm(r_st) <= 10.0 * tol * (1.0 + np.linalg.norm(g))
+                        np.linalg.norm(r_st) <= 10.0 * TOL * (1.0 + np.linalg.norm(g))
                         or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval))):
-                    if m:
-                        lam = lam + dl      # the multipliers just certified
+                    lam = lam + dl      # the multipliers just certified
                     diag.status = "optimal"
                     break
-        t = min(1.0, 0.995 * _boundary_step(s, ds)) if m else 1.0
-        phi0 = fval - (mu_t * float(np.sum(np.log(s))) if m else 0.0)
+        t = min(1.0, 0.995 * _boundary_step(s, ds))
+        phi0 = fval - mu_t * float(np.sum(np.log(s)))
         ok = False
         for _ in range(80):
             xt = x + t * dx
-            if in_domain(xt) and (m == 0 or np.all(G @ xt - h > 0.0)):
+            if in_domain(xt) and np.all(G @ xt - h > 0.0):
                 phit, evaluation = _merit(program, xt, G, h, mu_t)
                 if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
                     ok = True
@@ -298,24 +290,23 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
             diag.status = "optimal"
             break
         x = xt
-        fval, g, H = evaluation
-        if m:
-            lam = lam + min(1.0, 0.995 * _boundary_step(lam, dl)) * dl
+        fval, g, d = evaluation
+        lam = lam + min(1.0, 0.995 * _boundary_step(lam, dl)) * dl
         total_iters += 1
         diag.barrier_path.append(float(fval))
         diag.newton_iterations.append(1)
         if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
             diag.status = "unbounded"
             diag.message = "iterates diverging"
-            _finalize(diag, program, x, (fval, g, H), G, h, A, b, lam, nu, None)
+            _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam, nu, None)
             return SolveResult(x, nu, lam, diag)
 
-    x, lam, nu = _finalize(diag, program, x, (fval, g, H), G, h, A, b, lam, nu,
+    x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam, nu,
                            in_domain)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
     # the certification threshold stays above that floor
-    certified = diag.kkt_max <= max(tol * 100, 1e-5) * (1.0 + abs(diag.objective))
+    certified = diag.kkt_max <= max(TOL * 100, 1e-5) * (1.0 + abs(diag.objective))
     if diag.status == "max_iter" and certified:
         diag.status = "optimal"
         diag.events.append("max_iter promoted to optimal")
@@ -323,6 +314,12 @@ def solve(program: ConvexProgram, tol: float = DEFAULT_TOL,
         diag.status = "numerical_failure"
         diag.message = f"KKT residual {diag.kkt_max:.3e} above tolerance"
     return SolveResult(x, nu, lam, diag)
+
+
+def _plus_diag(M, d):
+    """``M + diag(d)``, formed in place."""
+    M.flat[::M.shape[0] + 1] += d
+    return M
 
 
 def _boundary_step(v, dv):
@@ -333,24 +330,21 @@ def _boundary_step(v, dv):
 
 def _merit(program, x, G, h, mu):
     """Barrier merit ``f - mu sum(log s)`` at ``x`` and the objective's
-    ``(f, g, H)`` there, kept for the next iteration if ``x`` is taken."""
+    ``(f, g, d)`` there, kept for the next iteration if ``x`` is taken."""
     evaluation = program.objective(x)
-    phi = evaluation[0]
-    if G is not None:
-        phi -= mu * float(np.sum(np.log(G @ x - h)))
-    return phi, evaluation
+    return evaluation[0] - mu * float(np.sum(np.log(G @ x - h))), evaluation
 
 
 def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
-    """Record the exit point ``x``, whose objective ``(f, g, H)`` is
+    """Record the exit point ``x``, whose objective ``(f, g, d)`` is
     ``evaluation``, in ``diag``; with ``in_domain`` (the optimal and
     max_iter exits) first try :func:`_face_finish` and keep its point and
     multipliers when their KKT residuals are no larger.  Returns the kept
     ``(x, lam, nu)``."""
-    fval, g, H = evaluation
+    fval, g, d = evaluation
     kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
-    face = None if in_domain is None or G is None else \
-        _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain)
+    face = None if in_domain is None else \
+        _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain)
     if face is not None:
         x_f, lam_f, nu_f, f_f, g_f, steps = face
         kkt_f = _kkt_residuals(g_f, x_f, G, h, A, b, lam_f, nu_f)
@@ -378,7 +372,7 @@ def _kkt_residuals(g, x, G, h, A, b, lam, nu):
     return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(g))), feas, comp
 
 
-def _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain):
+def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     """Barrier-free Newton steps on the active face of a barrier point.
 
     Barrier points stop short of their optimal face, where the identities
@@ -386,8 +380,8 @@ def _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain):
     active and held as equalities with ``A``; one pivoted QR per active
     set drops the dependent rows and spans the face.  Each round takes the
     Newton step of the quadratic model on the face by the null-space
-    method (least squares on the reduced Hessian, so flat directions stay
-    put).  A row the step would cross joins the face and a row with a
+    method (least squares on the reduced Hessian ``Z^T diag(d) Z``, so
+    flat directions stay put).  A row the step would cross joins the face and a row with a
     negative multiplier leaves it, in place of the step; two such rounds
     in a row end the finish, as does a step out of the objective domain
     or one not half its predecessor.  A step below sqrt(eps) relative to
@@ -408,19 +402,19 @@ def _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain):
         if face is None:
             rows = np.flatnonzero(active)
             C = G[rows] if A is None else np.vstack([A, G[rows]])
-            d = h[rows] if A is None else np.concatenate([b, h[rows]])
+            rhs = h[rows] if A is None else np.concatenate([b, h[rows]])
             (Q, R, piv), k = _row_rank_qr(C, "full")
             # C[keep]^T = Y R1: Y spans the kept rows, Z the face directions
             keep = piv[:k]
-            face = C, d, keep, R[:k, :k], Q[:, :k], Q[:, k:]
-        C, d, keep, R1, Y, Z = face
-        dx = Y @ scipy.linalg.solve_triangular(R1, d[keep] - C[keep] @ x, trans="T")
-        dx += Z @ np.linalg.lstsq(Z.T @ H @ Z, -Z.T @ (g + H @ dx), rcond=None)[0]
+            face = C, rhs, keep, R[:k, :k], Q[:, :k], Q[:, k:]
+        C, rhs, keep, R1, Y, Z = face
+        dx = Y @ scipy.linalg.solve_triangular(R1, rhs[keep] - C[keep] @ x, trans="T")
+        dx += Z @ np.linalg.lstsq((Z.T * d) @ Z, -Z.T @ (g + d * dx), rcond=None)[0]
         # the multipliers in hand, corrected on the kept rows to meet
         # stationarity after the step: on a degenerate face this keeps
         # the positive split the barrier found among dependent rows
         w = np.concatenate([nu, -lam[rows]])
-        w[keep] += scipy.linalg.solve_triangular(R1, -Y.T @ (g + H @ dx + C.T @ w))
+        w[keep] += scipy.linalg.solve_triangular(R1, -Y.T @ (g + d * dx + C.T @ w))
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
         x_t = x + dx
@@ -437,7 +431,7 @@ def _face_finish(program, x, g, H, G, h, A, b, lam, nu, in_domain):
             break
         x, lam, nu, last, idle = x_t, lam_t, w[:p], size, 0
         steps += 1
-        fval, g, H = program.objective(x)
+        fval, g, d = program.objective(x)
         out = (x, lam, nu, fval, g, steps)
         if np.all(np.abs(dx) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))):
             break
@@ -448,8 +442,6 @@ def _starting_point(program, A, b, G, h, in_domain, events):
     """Strictly feasible start and the phase-one max slack (``None`` when
     the supplied ``x0`` already was one).  A supplied ``x0`` that is
     rejected is logged to ``events``."""
-    n = program.n
-    x = None
     if program.x0 is not None:
         x = np.asarray(program.x0, dtype=float).copy()
         if A is not None:
@@ -457,21 +449,11 @@ def _starting_point(program, A, b, G, h, in_domain, events):
             r = A @ x - b
             if np.max(np.abs(r)) > 1e-12 * (1.0 + np.abs(b).max()):
                 x -= np.linalg.lstsq(A, r, rcond=None)[0]
-        good = in_domain(x)
-        if good and G is not None:
-            good = bool(np.all(G @ x - h > 0.0))
-        if good:
+        if in_domain(x) and np.all(G @ x - h > 0.0):
             return x, None
-        events.append("supplied start not strictly feasible: "
-                      + ("least-squares start" if G is None else "phase one"))
+        events.append("supplied start not strictly feasible: phase one")
 
-    if G is None:
-        x = np.zeros(n) if A is None else np.linalg.lstsq(A, b, rcond=None)[0]
-        if not in_domain(x):
-            raise EngineError("no in-domain start for unconstrained program")
-        return x, None
-
-    x, t_star, cert = _phase_one(A, b, G, h, n)
+    x, t_star, cert = _phase_one(A, b, G, h, program.n)
     if t_star <= 1e-11:
         raise InfeasibleProgramError(
             f"no strictly feasible point (max slack {t_star:.3e})", certificate=cert
@@ -556,7 +538,10 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
 
 def audit_derivatives(objective, points, rel_grad: float = 1e-6,
                       rel_hess: float = 1e-5, step: float = 1e-6):
-    """Central finite-difference audit of analytic gradients and Hessians.
+    """Central finite-difference audit of analytic gradients and Hessian
+    diagonals: ``objective(x)`` returns ``(f, g, d)`` as in
+    :class:`ConvexProgram`, and ``d * v`` is checked against gradient
+    differences along random directions ``v``.
 
     Returns ``(max_grad_err, max_hess_err, ok)`` over the supplied
     points; errors are relative to the analytic magnitudes.
@@ -566,7 +551,7 @@ def audit_derivatives(objective, points, rel_grad: float = 1e-6,
     rng = np.random.default_rng(0)
     for x in points:
         x = np.asarray(x, dtype=float)
-        _, g, H = objective(x)
+        _, g, d = objective(x)
         n = x.size
         hstep = step * (1.0 + np.abs(x))
         g_num = np.empty(n)
@@ -586,7 +571,7 @@ def audit_derivatives(objective, points, rel_grad: float = 1e-6,
             _, gp, _ = objective(x + t * v)
             _, gm, _ = objective(x - t * v)
             hv_num = (gp - gm) / (2.0 * t)
-            hv = H @ v
+            hv = d * v
             max_h = max(max_h, float(np.linalg.norm(hv_num - hv))
                         / (1.0 + float(np.linalg.norm(hv))))
     return max_g, max_h, bool(max_g <= rel_grad and max_h <= rel_hess)

@@ -11,7 +11,6 @@ here start cold: they are the independent checks of that theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -119,9 +118,9 @@ def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
 
 
 def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                       y: Optional[float] = None,
-                       include_endowment: bool = True) -> FrictionlessSolve:
-    """Primal and dual zero-spread solves at a given price process.
+                       y: float, include_endowment: bool = True) -> FrictionlessSolve:
+    """Primal and dual zero-spread solves at a given price process, the
+    dual at scale ``y`` (the frictional report's ``yhat``).
 
     ``shadow_market`` must carry zero spread; diverging primal iterates
     are reported as an unbounded problem (frictionless arbitrage in the
@@ -136,8 +135,6 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"
         ) from exc
-    if y is None:
-        y = ut.eval_u_prime(spec, 1.0)  # placeholder scale; dual still convex
     dual = solve_dual(shadow_market, spec, y, include_endowment)
     return FrictionlessSolve(
         position=primal.strategy.phi1.copy(),

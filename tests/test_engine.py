@@ -8,6 +8,7 @@ import pytest
 
 from frictiondual.duality import primal_program, solve_primal
 from frictiondual.engine import (
+    TOL,
     ConvexProgram,
     InfeasibleProgramError,
     audit_derivatives,
@@ -17,12 +18,13 @@ from frictiondual.engine import (
 from frictiondual.utility import UtilitySpec
 
 
-def quadratic(Q, c):
-    Q = np.asarray(Q, float)
+def quadratic(q, c):
+    """``0.5 x diag(q) x + c x``: the objective returns the diagonal ``q``."""
+    q = np.asarray(q, float)
     c = np.asarray(c, float)
 
     def objective(x):
-        return float(0.5 * x @ Q @ x + c @ x), Q @ x + c, Q
+        return float(0.5 * x @ (q * x) + c @ x), q * x + c, q
 
     return objective
 
@@ -30,22 +32,15 @@ def quadratic(Q, c):
 def linear_program(c, **constraints):
     """``min c @ x`` as a smooth program for the barrier engine."""
     n = len(c)
-    return ConvexProgram(n=n, objective=quadratic(np.zeros((n, n)), c), **constraints)
-
-
-def test_unconstrained_quadratic():
-    Q = np.array([[4.0, 1.0], [1.0, 3.0]])
-    c = np.array([-1.0, -2.0])
-    prog = ConvexProgram(n=2, objective=quadratic(Q, c))
-    res = solve(prog)
-    assert res.status == "optimal"
-    assert np.allclose(res.x, np.linalg.solve(Q, -c), atol=1e-9)
+    return ConvexProgram(n=n, objective=quadratic(np.zeros(n), c), **constraints)
 
 
 def test_equality_constrained_quadratic():
-    # min 0.5||x||^2 s.t. x1 + x2 + x3 = 3  ->  x = (1,1,1)
-    prog = ConvexProgram(n=3, objective=quadratic(np.eye(3), np.zeros(3)),
-                         A_eq=np.ones((1, 3)), b_eq=np.array([3.0]))
+    # min 0.5||x||^2 s.t. x1 + x2 + x3 = 3  ->  x = (1,1,1); the box
+    # x >= -10 is inactive
+    prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)),
+                         A_eq=np.ones((1, 3)), b_eq=np.array([3.0]),
+                         G=np.eye(3), h=np.full(3, -10.0))
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, np.ones(3), atol=1e-9)
@@ -68,7 +63,7 @@ def _evaluated_points(prog):
 
 def test_objective_evaluated_once_per_point(two_period_market):
     # the accepted line-search trial and the exit point are not evaluated again
-    programs = [ConvexProgram(n=1, objective=quadratic([[2.0]], [-4.0]),
+    programs = [ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
                               G=np.array([[-1.0]]), h=np.array([-1.0]))]
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
         programs.append(primal_program(two_period_market, spec, 6.0)[0])
@@ -80,7 +75,7 @@ def test_objective_evaluated_once_per_point(two_period_market):
 
 def test_inequality_active_at_optimum():
     # min (x-2)^2 with x <= 1  ->  x = 1
-    prog = ConvexProgram(n=1, objective=quadratic([[2.0]], [-4.0]),
+    prog = ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
                          G=np.array([[-1.0]]), h=np.array([-1.0]))
     res = solve(prog)
     assert res.status == "optimal"
@@ -136,19 +131,20 @@ def test_infeasible_lp_detected():
 
 
 def test_infeasible_raises_for_smooth_program():
-    prog = ConvexProgram(n=1, objective=quadratic([[2.0]], [0.0]),
+    prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
                          G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]))
     with pytest.raises(InfeasibleProgramError):
         solve(prog)
 
 
 def test_open_domain_guard():
-    # min -log(x) + x over x > 0  ->  x = 1
+    # min -log(x) + x over x > 0  ->  x = 1; the row x >= -10 leaves the
+    # rejecting to the domain guard
     def objective(x):
         return float(-np.log(x[0]) + x[0]), np.array([-1.0 / x[0] + 1.0]), \
-            np.array([[1.0 / x[0] ** 2]])
+            np.array([1.0 / x[0] ** 2])
 
-    prog = ConvexProgram(n=1, objective=objective,
+    prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.array([-10.0]),
                          in_domain=lambda x: x[0] > 0.0,
                          x0=np.array([5.0]))
     res = solve(prog)
@@ -157,7 +153,7 @@ def test_open_domain_guard():
 
 
 def test_audit_derivatives_flags_wrong_gradient():
-    good = quadratic(np.eye(2), np.array([1.0, -1.0]))
+    good = quadratic(np.ones(2), np.array([1.0, -1.0]))
 
     def bad(x):
         v, g, H = good(x)
@@ -170,8 +166,22 @@ def test_audit_derivatives_flags_wrong_gradient():
     assert not ok_bad and gerr > 1e-3
 
 
+def test_audit_derivatives_flags_wrong_hessian():
+    good = quadratic([1.0, 2.0, 3.0], [1.0, -1.0, 0.5])
+
+    def bad(x):
+        v, g, d = good(x)
+        return v, g, d * np.array([1.0, 1.1, 1.0])    # one entry 10% off
+
+    pts = [np.array([0.3, -0.7, 1.2]), np.array([2.0, 1.0, -0.4])]
+    _, herr_good, ok = audit_derivatives(good, pts)
+    assert ok and herr_good <= 1e-8
+    gerr, herr, ok_bad = audit_derivatives(bad, pts)
+    assert not ok_bad and gerr <= 1e-8 and herr > 1e-3
+
+
 def test_diagnostics_payload():
-    prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                          G=np.eye(2), h=-np.ones(2))
     res = solve(prog)
     d = res.diagnostics.to_dict()
@@ -204,7 +214,7 @@ def test_solver_is_deterministic():
 def test_phase_one_with_a_variable_no_inequality_bounds():
     # x1 appears in no inequality, so the phase-one LP is free along it;
     # min 0.5||x||^2 - x1 + 3 x2 s.t. x2 >= -1  ->  x = (1, -1)
-    prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), [-1.0, 3.0]),
+    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-1.0, 3.0]),
                          G=np.array([[0.0, 1.0]]), h=np.array([-1.0]))
     res = solve(prog)
     assert res.status == "optimal"
@@ -228,11 +238,11 @@ def test_phase_one_certificate_convention():
 
 def test_phase_one_record():
     # x >= -1 componentwise: the max-slack LP reaches its cap t = 1
-    prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                          G=np.eye(2), h=-np.ones(2))
     d = solve(prog).diagnostics.to_dict()
     assert d["phase_one_slack"] == pytest.approx(1.0)
-    warm = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+    warm = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                          G=np.eye(2), h=-np.ones(2), x0=np.zeros(2))
     assert solve(warm).diagnostics.to_dict()["phase_one_slack"] is None
 
@@ -240,7 +250,7 @@ def test_phase_one_record():
 def test_rejected_start_is_reported():
     # x >= -1 componentwise: (0, 0) is strictly inside, (-2, 0) is not
     def diagnostics(x0, **constraints):
-        prog = ConvexProgram(n=2, objective=quadratic(np.eye(2), np.zeros(2)),
+        prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                              x0=np.array(x0), **constraints)
         res = solve(prog)
         assert res.status == "optimal"
@@ -252,10 +262,6 @@ def test_rejected_start_is_reported():
     assert bad.events == ["supplied start not strictly feasible: phase one"]
     assert bad.phase_one_slack == pytest.approx(1.0)
     assert diagnostics([0.5, 0.5], **box).events == []
-    # without inequalities the fallback is the least-squares start
-    guarded = diagnostics([-3.0, 0.0], in_domain=lambda x: x[0] > -1.0)
-    assert guarded.events == ["supplied start not strictly feasible: "
-                              "least-squares start"]
 
 
 def test_max_iter_promotion_is_reported():
@@ -272,21 +278,20 @@ def test_face_finish_with_a_repeated_active_row():
     # min 0.5 |x - (2, 2)|^2 s.t. x1 + x2 <= 2, stated twice, in a box: the
     # optimum (1, 1) sits on a dependent pair of rows whose multipliers
     # only need to sum to 1
-    tol = 1e-9
     row = np.array([[-1.0, -1.0]])
     G = np.vstack([row, row, np.eye(2), -np.eye(2)])
     h = np.array([-2.0, -2.0, -5.0, -5.0, -5.0, -5.0])
-    res = solve(ConvexProgram(n=2, objective=quadratic(np.eye(2), [-2.0, -2.0]),
-                              G=G, h=h), tol=tol)
+    res = solve(ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
+                              G=G, h=h))
     assert res.status == "optimal"
     assert res.diagnostics.face_steps >= 1
     # on the face to rounding, where the barrier point stays ~2e-11 inside it
     assert np.abs(res.x - 1.0).max() <= 1e-14
     lam = res.ineq_multipliers
     assert np.all(lam >= 0.0)
-    assert lam[0] + lam[1] == pytest.approx(1.0, abs=10 * tol)
+    assert lam[0] + lam[1] == pytest.approx(1.0, abs=10 * TOL)
     g = res.x - 2.0
-    assert np.linalg.norm(g - G.T @ lam) <= 10 * tol * (1.0 + np.linalg.norm(g))
+    assert np.linalg.norm(g - G.T @ lam) <= 10 * TOL * (1.0 + np.linalg.norm(g))
 
 
 def test_few_newton_steps(two_period_market):
@@ -305,7 +310,7 @@ def test_vanishing_gradient_is_unbounded():
     # point optimal
     def objective(x):
         e = float(np.exp(-x[0]))
-        return e, np.array([-e]), np.array([[e]])
+        return e, np.array([-e]), np.array([e])
 
     prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.zeros(1))
     res = solve(prog)
@@ -316,7 +321,7 @@ def test_vanishing_gradient_is_unbounded():
 def test_start_at_the_optimum_is_certified():
     # min 0.5 (x1 - 1)^2 over 0 <= x <= 3, started at its optimum (1, 1):
     # the floor exit must return the multipliers it certified, not 1/s
-    prog = ConvexProgram(n=2, objective=quadratic(np.diag([1.0, 0.0]), [-1.0, 0.0]),
+    prog = ConvexProgram(n=2, objective=quadratic([1.0, 0.0], [-1.0, 0.0]),
                          G=np.vstack([np.eye(2), -np.eye(2)]),
                          h=np.array([0.0, 0.0, -3.0, -3.0]), x0=np.array([1.0, 1.0]))
     res = solve(prog)

@@ -92,7 +92,7 @@ def test_log_utility_pipeline(two_period_market):
 
 def test_frictionless_solve_requires_zero_spread(drift_binomial):
     with pytest.raises(ShadowConstructionError):
-        solve_frictionless(drift_binomial, EXP1, 0.0)
+        solve_frictionless(drift_binomial, EXP1, 0.0, y=1.0)
 
 
 def test_frictionless_arbitrage_detected():
@@ -100,7 +100,7 @@ def test_frictionless_arbitrage_detected():
     market = MarketSpec(tree=tree, ask_price=[100.0, 130.0, 110.0], lam=0.0,
                         endowment=[0.0, 0.0])
     with pytest.raises(ShadowConstructionError):
-        solve_frictionless(market, EXP1, 0.0)
+        solve_frictionless(market, EXP1, 0.0, y=1.0)
 
 
 def test_position_map_rank_binomial(drift_binomial):
