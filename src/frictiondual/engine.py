@@ -11,8 +11,13 @@ max-slack LP, also solved once by HiGHS; the path-following loop itself
 is self-contained, and so is the active-face finish that moves its
 optimal exits onto their face.
 
-Dense linear algebra throughout: problems here have at most a few
-thousand variables.  Everything is deterministic given its inputs.
+The equality rows are split once per solve, by one pivoted QR, into a
+range and a null-space basis: the start is projected onto them, and
+every Newton step lives in the null space, whose reduced matrix (size
+``n - rank(A)``) is LU-factored once per iteration and reused by the
+predictor and the corrector.  Dense linear algebra throughout: problems
+here have at most a few thousand variables.  Everything is deterministic
+given its inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
 
 ARMIJO_C = 1e-4
 BACKTRACK_BETA = 0.5
@@ -77,7 +84,14 @@ class SolveDiagnostics:
     point was kept (no step taken, or the finished point's KKT residuals
     were larger).  ``events`` lists, in order, the exits and fallbacks
     that do not show in the status: a supplied start rejected for a phase
-    one start, a ``max_iter`` promoted to ``optimal``.
+    one start, a centering restart of the multipliers, a ridge added to a
+    singular reduced matrix, a quiet floor exit (two centered floor steps
+    in a row with a negligible decrement, the second not halving the
+    stationarity residual of the first), a ``max_iter`` promoted to
+    ``optimal``.  ``factorizations`` counts the LU factorizations of the
+    reduced Newton matrix: one per iteration, the one that stops the loop
+    included, one more per centering restart and per ridge retry, and
+    none for a pinned point.
     """
 
     status: str
@@ -90,6 +104,7 @@ class SolveDiagnostics:
     message: str = ""
     phase_one_slack: Optional[float] = None
     face_steps: int = 0
+    factorizations: int = 0
     events: list = field(default_factory=list)
 
     @property
@@ -109,6 +124,7 @@ class SolveDiagnostics:
             "message": self.message,
             "phase_one_slack": self.phase_one_slack,
             "face_steps": self.face_steps,
+            "factorizations": self.factorizations,
             "events": list(self.events),
         }
 
@@ -125,75 +141,97 @@ class SolveResult:
         return self.diagnostics.status
 
 
-def _row_rank_qr(M, mode="r"):
-    """Column-pivoted QR of ``M^T`` and the numerical rank of ``M``.
-
-    Returns ``scipy.linalg.qr``'s output in ``mode``, whose last two
-    entries are ``R`` and the pivots, and the rank: the first ``rank``
-    pivots index a maximal set of linearly independent rows of ``M``.
-    """
-    import scipy.linalg
-
-    out = scipy.linalg.qr(M.T, mode=mode, pivoting=True)
-    diag = np.abs(np.diag(out[-2]))
+def _row_rank_qr(M):
+    """Full column-pivoted QR ``(Q, R, piv)`` of ``M^T`` and the numerical
+    rank of ``M``: the first ``rank`` pivots index a maximal set of
+    linearly independent rows of ``M``, and ``M[piv[:rank]]^T =
+    Q[:, :rank] R[:rank, :rank]``."""
+    out = scipy.linalg.qr(M.T, mode="full", pivoting=True)
+    diag = np.abs(np.diag(out[1]))
     tol = max(M.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     return out, int(np.sum(diag > tol))
 
 
+@dataclass
+class _Equalities:
+    """The equality rows of a program, split once per solve.
+
+    ``A`` and ``b`` are the kept rows ``keep`` of the ``rows`` given, in
+    pivot order, with ``A^T = Y R1`` (``R1`` upper triangular) and ``Z``
+    an orthonormal basis of the null space of ``A``.  With no row kept,
+    ``A`` is ``None`` and so is ``Z``: the basis is the identity.
+    """
+
+    rows: int
+    keep: np.ndarray
+    A: Optional[np.ndarray] = None
+    b: Optional[np.ndarray] = None
+    Y: Optional[np.ndarray] = None
+    R1: Optional[np.ndarray] = None
+    Z: Optional[np.ndarray] = None
+
+    def project(self, x):
+        """The nearest point to ``x`` with ``A x = b``."""
+        if self.A is None:
+            return x.copy()
+        return x + self.Y @ dtrtrs(self.R1, self.b - self.A @ x, trans=1)[0]
+
+    def multipliers(self, r):
+        """The ``nu`` minimizing ``|r + A^T nu|``."""
+        if self.A is None:
+            return np.zeros(0)
+        return -dtrtrs(self.R1, self.Y.T @ r)[0]
+
+    def per_given_row(self, nu):
+        """``nu`` spread over the given rows, 0 on the dropped ones."""
+        out = np.zeros(self.rows)
+        out[self.keep] = nu
+        return out
+
+
 def _reduce_equalities(A, b):
-    """Drop linearly dependent equality rows; fail on inconsistency."""
-    if A is None or A.shape[0] == 0:
-        return None, None
+    """Split the equality rows ``A x = b`` by one pivoted QR of ``A^T``:
+    dependent rows are dropped, and the kept ones give the range and
+    null-space bases of :class:`_Equalities`.  Rows that the kept rows'
+    particular solution ``Y R1^-T b`` misses raise
+    :class:`InfeasibleProgramError`."""
+    if A is None or np.size(A) == 0:
+        return _Equalities(0, np.zeros(0, int))
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    x_part = np.linalg.lstsq(A, b, rcond=None)[0]
-    if np.linalg.norm(A @ x_part - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+    (Q, R, piv), k = _row_rank_qr(A)
+    keep = piv[:k]
+    eq = _Equalities(A.shape[0], keep)
+    if k:
+        eq = _Equalities(A.shape[0], keep, A[keep], b[keep], Q[:, :k], R[:k, :k], Q[:, k:])
+    if np.linalg.norm(A @ eq.project(np.zeros(A.shape[1])) - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise InfeasibleProgramError("inconsistent equality constraints")
-    (_, piv), rank = _row_rank_qr(A)
-    keep = np.sort(piv[:rank])
-    return A[keep], b[keep]
-
-
-def _kkt_solve(H, A, g, r_eq):
-    """Solve [H A^T; A 0] [dx; w] = [-g; -r_eq] with ridge fallback."""
-    n = H.shape[0]
-    p = 0 if A is None else A.shape[0]
-    scale = 1.0 + float(np.trace(H)) / n if n else 1.0
-    ridge = 0.0
-    for _ in range(14):
-        K = np.zeros((n + p, n + p))
-        K[:n, :n] = H + ridge * scale * np.eye(n)
-        if p:
-            K[:n, n:] = A.T
-            K[n:, :n] = A
-        rhs = np.concatenate([-g, -r_eq]) if p else -g
-        try:
-            sol = np.linalg.solve(K, rhs)
-        except np.linalg.LinAlgError:
-            ridge = RIDGE_BASE if ridge == 0.0 else ridge * 100.0
-            continue
-        if np.all(np.isfinite(sol)):
-            dx = sol[:n]
-            w = sol[n:] if p else np.zeros(0)
-            return dx, w
-        ridge = RIDGE_BASE if ridge == 0.0 else ridge * 100.0
-    raise EngineError("KKT factorization breakdown")
+    return eq
 
 
 def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> SolveResult:
     """Primal-dual path-following solve of a :class:`ConvexProgram`.
 
-    Iterates on ``(x, lam, nu)`` with slacks ``s = G x - h``, starting on
-    the central path at barrier weight 1 (``lam = 1/s``).  Each iteration
-    forms ``diag(d) + G^T diag(lam/s) G`` once (``d`` the objective's
-    Hessian diagonal) and takes Mehrotra's predictor-corrector step from
-    it toward the target weight ``mu_t = sigma * mu``,
+    The equality rows are split once (:func:`_reduce_equalities`): the
+    start is projected onto ``A x = b`` and every step lies in the null
+    space of ``A``, spanned by ``Z``.  Iterates on ``(x, lam)`` with
+    slacks ``s = G x - h``, starting on the central path at barrier weight
+    1 (``lam = 1/s``).  Each iteration forms the reduced Newton matrix
+    ``K = (G Z)^T diag(lam/s) G Z + Z^T diag(d) Z`` (``d`` the objective's
+    Hessian diagonal), of size ``n - rank(A)``, factors it once by LU and
+    takes Mehrotra's predictor-corrector step from that factorization
+    toward the target weight ``mu_t = sigma * mu``,
     ``sigma = (mu_aff/mu)^3``, floored at ``TOL / (10 m)``; the step is
     globalized by Armijo backtracking on the barrier merit at ``mu_t``.
     At the floor the steps are centering Newton steps, and the solve
     stops when their decrement is negligible and the multipliers of the
-    full step are stationary and centered.
-    Diverging iterates are reported with status ``unbounded``.
+    full step are stationary and centered, or at the second of two such
+    quiet steps in a row that does not halve the stationarity residual of
+    the first (a quiet floor exit, logged in the events).  The equality
+    multipliers are the least-squares ones at the exit point.  Diverging
+    iterates are reported with status ``unbounded``.  A program with
+    ``n = rank(A)`` is pinned at its one feasible point, which takes no
+    factorization; one without inequality rows raises ``ValueError``.
 
     The optimal and ``max_iter`` exits end in :func:`_face_finish`,
     barrier-free Newton steps on the guessed active face, whose point and
@@ -202,18 +240,21 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     ``max(100 TOL, 1e-5) (1 + |f|)`` is promoted to ``optimal``, and an
     optimal exit outside it is demoted to ``numerical_failure``.
     """
-    A, b = _reduce_equalities(program.A_eq, program.b_eq)
     G = np.atleast_2d(np.asarray(program.G, float))
     h = np.atleast_1d(np.asarray(program.h, float))
     m = G.shape[0]
+    if m == 0:
+        raise ValueError("ConvexProgram.G needs at least one inequality row")
+    eq = _reduce_equalities(program.A_eq, program.b_eq)
+    A, b, Z = eq.A, eq.b, eq.Z
+    GZ = G if Z is None else G @ Z
     in_domain = program.in_domain or (lambda _x: True)
 
     diag = SolveDiagnostics(status="max_iter")
-    x, diag.phase_one_slack = _starting_point(program, A, b, G, h, in_domain,
-                                              diag.events)
+    x, diag.phase_one_slack = _starting_point(program, eq, G, h, in_domain, diag.events)
     total_iters = 0
+    quiet_r = np.inf    # stationarity of the last step's lam + dl, if quiet
     lam = 1.0 / (G @ x - h)
-    nu = np.zeros(0 if A is None else A.shape[0])
     mu_floor = TOL / (10.0 * m)
 
     x_norm0 = 1.0 + np.linalg.norm(x)
@@ -222,39 +263,41 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
         if total_iters >= max_newton:
             diag.message = "Newton iteration cap reached"
             break
-        r_eq = (A @ x - b) if A is not None else np.zeros(0)
         s = G @ x - h
         mu = float(s @ lam) / m
-        M = _plus_diag((G.T * (lam / s)) @ G, d)
+        gz = g if Z is None else Z.T @ g
+        lu = _factor(_reduced_matrix(GZ, lam / s, Z, d), diag)
         # predictor: the affine step toward mu = 0
-        dx, _ = _kkt_solve(M, A, g, r_eq)
-        ds = G @ dx
+        dz = _lu_solve(lu, -gz)
+        ds = GZ @ dz
         dl = -lam - lam / s * ds
         mu_aff = float((s + min(1.0, _boundary_step(s, ds)) * ds)
                        @ (lam + min(1.0, _boundary_step(lam, dl)) * dl)) / m
         mu_t = max((mu_aff / mu) ** 3 * mu, mu_floor)
-        grad = g - mu_t * (G.T @ (1.0 / s))     # merit gradient at mu_t
+        grad = gz - mu_t * (GZ.T @ (1.0 / s))     # merit gradient at mu_t, reduced
         # comp is the step's target for s * lam: Mehrotra's corrector
         # above the floor, plain centering at it
         comp = mu_t - ds * dl if mu_t > mu_floor else mu_t
-        dx, w = _kkt_solve(M, A, g - G.T @ (comp / s), r_eq)
-        if mu_t > mu_floor and not float(grad @ dx) < 0.0:
+        dz = _lu_solve(lu, GZ.T @ (comp / s) - gz)
+        if mu_t > mu_floor and not float(grad @ dz) < 0.0:
             # the corrector does not descend the merit: pure centering
             comp = mu_t
-            dx, w = _kkt_solve(M, A, grad, r_eq)
-        if not float(grad @ dx) < 0.0:
+            dz = _lu_solve(lu, -grad)
+        if dz.size and not float(grad @ dz) < 0.0:
             # nor does centering when the multipliers are so far from
             # mu_t/s (a warm start by the boundary) that lam/s swamps
             # the system: restart them on the central path, where this
             # is the Newton step of the merit
             lam = mu_t / s
             comp = mu_t
-            M = _plus_diag((G.T * (mu_t / s**2)) @ G, d)
-            dx, w = _kkt_solve(M, A, grad, r_eq)
-        ds = G @ dx
+            diag.events.append(f"centering restart at step {total_iters}")
+            lu = _factor(_reduced_matrix(GZ, mu_t / s**2, Z, d), diag)
+            dz = _lu_solve(lu, -grad)
+        dx = dz if Z is None else Z @ dz
+        ds = GZ @ dz
         dl = comp / s - lam - lam / s * ds
-        nu = w
-        slope = float(grad @ dx)
+        slope = float(grad @ dz)
+        quiet_r, r_prev = np.inf, quiet_r
         if mu_t == mu_floor:
             # centering Newton at the floor weight.  Stop on a negligible
             # decrement once the full step's multipliers lam + dl are
@@ -262,15 +305,20 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
             # The decrement alone goes quiet too early when lam/s swamps
             # the system (a warm start by the boundary); the merit
             # gradient is no stationarity test, since its mu/s term is
-            # rounding noise once s nears the rounding level of G x - h
-            dec2 = -slope if slope <= 0.0 else float(dx @ (M @ dx))
-            if dec2 / 2.0 <= 1e-13 * (1.0 + abs(fval)):
-                r_st = g + (A.T @ w) if A is not None else g
-                r_st = r_st - G.T @ (comp / s - lam / s * ds)   # lam + dl
-                centered = float(np.max(np.abs(lam * ds))) <= mu_t
-                if centered and (
-                        np.linalg.norm(r_st) <= 10.0 * TOL * (1.0 + np.linalg.norm(g))
-                        or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval))):
+            # rounding noise once s nears the rounding level of G x - h.
+            # Nor, in the end, is the stationarity of lam + dl, once lam/s
+            # amplifies the rounding of the step: a quiet step that does
+            # not halve it from the quiet step before stops the loop too
+            dec2 = -slope if slope <= 0.0 else float(dx @ (d * dx) + ds @ (lam / s * ds))
+            if (dec2 / 2.0 <= 1e-13 * (1.0 + abs(fval))
+                    and float(np.max(np.abs(lam * ds))) <= mu_t):
+                # lam + dl = comp/s - lam/s * ds; stationarity on the null space
+                quiet_r = float(np.linalg.norm(gz - GZ.T @ (comp / s - lam / s * ds)))
+                stationary = (quiet_r <= 10.0 * TOL * (1.0 + np.linalg.norm(g))
+                              or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval)))
+                if stationary or quiet_r > 0.5 * r_prev:
+                    if not stationary:
+                        diag.events.append(f"quiet floor exit at step {total_iters}")
                     lam = lam + dl      # the multipliers just certified
                     diag.status = "optimal"
                     break
@@ -298,11 +346,12 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
         if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
             diag.status = "unbounded"
             diag.message = "iterates diverging"
+            nu = eq.multipliers(g - G.T @ lam)
             _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam, nu, None)
-            return SolveResult(x, nu, lam, diag)
+            return SolveResult(x, eq.per_given_row(nu), lam, diag)
 
-    x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam, nu,
-                           in_domain)
+    x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam,
+                           eq.multipliers(g - G.T @ lam), in_domain)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
     # the certification threshold stays above that floor
@@ -313,7 +362,46 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     elif diag.status == "optimal" and not certified:
         diag.status = "numerical_failure"
         diag.message = f"KKT residual {diag.kkt_max:.3e} above tolerance"
-    return SolveResult(x, nu, lam, diag)
+    return SolveResult(x, eq.per_given_row(nu), lam, diag)
+
+
+def _reduced_matrix(GZ, w, Z, d):
+    """The reduced Newton matrix ``(G Z)^T diag(w) G Z + Z^T diag(d) Z``."""
+    K = (GZ.T * w) @ GZ
+    if Z is None:
+        return _plus_diag(K, d)
+    K += (Z.T * d) @ Z
+    return K
+
+
+def _factor(K, diag):
+    """LU factors ``(lu, piv)`` of the reduced Newton matrix ``K``, counted
+    in ``diag.factorizations``; ``None`` when ``K`` is empty (a pinned
+    point).  A singular or non-finite factorization is retried with the
+    ridge ``RIDGE_BASE (1 + tr K / size)`` on the diagonal, growing
+    100-fold up to 14 tries in all; each retry is logged in
+    ``diag.events``."""
+    size = K.shape[0]
+    if size == 0:
+        return None
+    scale = 1.0 + float(np.trace(K)) / size
+    ridge = 0.0
+    for _ in range(14):
+        if ridge:
+            diag.events.append(f"ridge {ridge * scale:.3e} at step "
+                               f"{len(diag.newton_iterations)}")
+        lu, piv, info = dgetrf(_plus_diag(K.copy(), ridge * scale) if ridge else K)
+        diag.factorizations += 1
+        if info == 0 and np.all(np.isfinite(lu)):
+            return lu, piv
+        ridge = RIDGE_BASE if ridge == 0.0 else ridge * 100.0
+    raise EngineError("reduced Newton matrix factorization breakdown")
+
+
+def _lu_solve(lu, rhs):
+    """Solve ``K dz = rhs`` from :func:`_factor`'s factors (an empty
+    step for a pinned point)."""
+    return np.zeros(0) if lu is None else dgetrs(*lu, rhs)[0]
 
 
 def _plus_diag(M, d):
@@ -392,8 +480,6 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     Returns ``(x, lam, nu, f, g, steps)`` at the last step taken, or
     ``None`` when none was.
     """
-    import scipy.linalg
-
     (m, n), p = G.shape, 0 if A is None else A.shape[0]
     scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
     active = G @ x - h <= 1e-7 * scale
@@ -403,7 +489,7 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
             rows = np.flatnonzero(active)
             C = G[rows] if A is None else np.vstack([A, G[rows]])
             rhs = h[rows] if A is None else np.concatenate([b, h[rows]])
-            (Q, R, piv), k = _row_rank_qr(C, "full")
+            (Q, R, piv), k = _row_rank_qr(C)
             # C[keep]^T = Y R1: Y spans the kept rows, Z the face directions
             keep = piv[:k]
             face = C, rhs, keep, R[:k, :k], Q[:, :k], Q[:, k:]
@@ -438,54 +524,51 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     return out
 
 
-def _starting_point(program, A, b, G, h, in_domain, events):
-    """Strictly feasible start and the phase-one max slack (``None`` when
-    the supplied ``x0`` already was one).  A supplied ``x0`` that is
-    rejected is logged to ``events``."""
+def _starting_point(program, eq, G, h, in_domain, events):
+    """Strictly feasible start on ``A x = b`` (the :class:`_Equalities`
+    ``eq``) and the phase-one max slack (``None`` when the supplied ``x0``
+    already was one).  Either start is projected onto ``A x = b`` once.  A
+    supplied ``x0`` that is rejected is logged to ``events``."""
     if program.x0 is not None:
-        x = np.asarray(program.x0, dtype=float).copy()
-        if A is not None:
-            # project back onto the equality manifold
-            r = A @ x - b
-            if np.max(np.abs(r)) > 1e-12 * (1.0 + np.abs(b).max()):
-                x -= np.linalg.lstsq(A, r, rcond=None)[0]
+        x = eq.project(np.asarray(program.x0, dtype=float))
         if in_domain(x) and np.all(G @ x - h > 0.0):
             return x, None
         events.append("supplied start not strictly feasible: phase one")
 
-    x, t_star, cert = _phase_one(A, b, G, h, program.n)
+    x, t_star, cert = _phase_one(eq, G, h, program.n)
     if t_star <= 1e-11:
         raise InfeasibleProgramError(
             f"no strictly feasible point (max slack {t_star:.3e})", certificate=cert
         )
+    x = eq.project(x)
     if not np.all(G @ x - h > 0.0):
         raise EngineError(f"phase-one point not strictly feasible (max slack {t_star:.3e})")
-    if A is not None and np.max(np.abs(A @ x - b)) > 1e-9 * (1.0 + np.abs(b).max()):
-        raise EngineError("phase-one point off the equality constraints")
     if not in_domain(x):
         raise EngineError("phase-one point outside objective domain")
     return x, t_star
 
 
-def _phase_one(A, b, G, h, n):
+def _phase_one(eq, G, h, n):
     """Max-min-slack LP over (x, t) by HiGHS, with x free:
-    max t s.t. G x - h >= t * (1 + |h|), t <= 1, A x = b.
+    max t s.t. G x - h >= t * (1 + |h|), t <= 1, A x = b on the kept rows
+    of ``eq``.
 
     Returns ``(x*, t*, certificate)``; the certificate's multipliers
-    follow the barrier convention (see :func:`_highs`).
+    follow the barrier convention (see :func:`_highs`), one per given
+    equality row.
     """
     scale = 1.0 + np.abs(h)
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize t
-    A1 = None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
-    res, lam, nu = _highs(c, np.hstack([G, -scale[:, None]]), h, A1, b,
+    A1 = None if eq.A is None else np.hstack([eq.A, np.zeros((eq.A.shape[0], 1))])
+    res, lam, nu = _highs(c, np.hstack([G, -scale[:, None]]), h, A1, eq.b,
                           bounds=[(None, None)] * n + [(None, 1.0)])
     if res.status != 0:
         raise EngineError(f"phase-one LP failed: {res.message}")
     t_star = float(res.x[n])
     cert = {
         "ineq_multipliers": lam.tolist(),
-        "eq_multipliers": nu.tolist(),
+        "eq_multipliers": eq.per_given_row(nu).tolist(),
         "max_slack": t_star,
     }
     return res.x[:n], t_star, cert

@@ -6,15 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frictiondual.duality import primal_program, solve_primal
+from frictiondual import duality, engine
+from frictiondual.duality import compute_x0, primal_program, solve_primal, solve_report
 from frictiondual.engine import (
     TOL,
     ConvexProgram,
     InfeasibleProgramError,
+    SolveDiagnostics,
     audit_derivatives,
     solve,
     solve_lp,
 )
+from frictiondual.generate import InstanceGenerator
 from frictiondual.utility import UtilitySpec
 
 
@@ -188,6 +191,8 @@ def test_diagnostics_payload():
     assert d["status"] == "optimal"
     assert len(d["barrier_path"]) >= 1
     assert d["kkt_stationarity"] < 1e-6
+    # one reduced-matrix LU per iteration, the stopping one included
+    assert d["factorizations"] >= len(d["barrier_path"]) + 1
 
 
 def boxed_lp():
@@ -327,3 +332,109 @@ def test_start_at_the_optimum_is_certified():
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, [1.0, 1.0])
+
+
+def test_program_without_inequality_rows_is_rejected():
+    prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
+                         G=np.zeros((0, 1)), h=np.zeros(0))
+    with pytest.raises(ValueError, match="inequality row"):
+        solve(prog)
+
+
+def test_inconsistent_equalities_raise():
+    # x1 + x2 = 1 and 2 x1 + 2 x2 = 3 have no common point
+    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
+                         A_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=np.array([1.0, 3.0]),
+                         G=np.eye(2), h=np.full(2, -10.0))
+    with pytest.raises(InfeasibleProgramError, match="inconsistent"):
+        solve(prog)
+
+
+def test_eq_multipliers_follow_the_given_rows():
+    # x1 + x2 + x3 = 3 stated twice and x1 - x3 = 0 once: one multiplier
+    # per given row, 0 on the row dropped as dependent
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, -1.0], [1.0, 1.0, 1.0]])
+    b = np.array([3.0, 0.0, 3.0])
+    G = np.vstack([np.eye(3), -np.eye(3)])
+    h = np.array([0.0, 0.0, 0.0, -5.0, -5.0, -5.0])
+    q, c = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, -2.0])
+    res = solve(ConvexProgram(n=3, objective=quadratic(q, c), A_eq=A, b_eq=b, G=G, h=h))
+    assert res.status == "optimal"
+    nu = res.eq_multipliers
+    assert nu.shape == (3,)
+    assert np.count_nonzero(nu[[0, 2]]) == 1
+    g = q * res.x + c
+    assert np.linalg.norm(g - G.T @ res.ineq_multipliers + A.T @ nu) <= 1e-8
+    assert np.allclose(A @ res.x, b, atol=1e-12)
+
+
+def test_reduced_step_matches_the_full_kkt_step():
+    # a separable program whose third equality row is the sum of the
+    # first two: the null-space step and the multipliers' force A^T w
+    # equal those of [M A^T; A 0] on the independent rows
+    rng = np.random.default_rng(3)
+    n, m = 7, 12
+    A = rng.standard_normal((2, n))
+    A = np.vstack([A, A[0] + A[1]])
+    G = rng.standard_normal((m, n))
+    d = rng.uniform(0.5, 2.0, n)
+    w = rng.uniform(0.1, 10.0, m)
+    g = rng.standard_normal(n)
+    eq = engine._reduce_equalities(A, A @ rng.standard_normal(n))
+    assert eq.A.shape[0] == 2
+    lu = engine._factor(engine._reduced_matrix(G @ eq.Z, w, eq.Z, d), SolveDiagnostics("x"))
+    dx = eq.Z @ engine._lu_solve(lu, -eq.Z.T @ g)
+    M = (G.T * w) @ G + np.diag(d)
+    nu = eq.multipliers(M @ dx + g)
+    full = np.linalg.solve(np.block([[M, A[:2].T], [A[:2], np.zeros((2, 2))]]),
+                           np.concatenate([-g, np.zeros(2)]))
+    assert np.linalg.norm(dx - full[:n]) <= 1e-10 * np.linalg.norm(full[:n])
+    force = A[:2].T @ full[n:]
+    assert np.linalg.norm(eq.A.T @ nu - force) <= 1e-10 * np.linalg.norm(force)
+
+
+def test_pinned_program_takes_no_step():
+    # x1 + x2 = 2 and x1 - x2 = 0 pin x = (1, 1) inside x >= 0
+    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [1.0, -3.0]),
+                         A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=np.array([2.0, 0.0]),
+                         G=np.eye(2), h=np.zeros(2), x0=np.array([3.0, 0.5]))
+    res = solve(prog)
+    assert res.status == "optimal"
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-14)
+    assert sum(res.diagnostics.newton_iterations) == 0
+    assert res.diagnostics.factorizations == 0
+    g = res.x + np.array([1.0, -3.0])
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert np.linalg.norm(g - res.ineq_multipliers + A.T @ res.eq_multipliers) <= 1e-12
+
+
+def test_one_factorization_per_iteration(two_period_market, monkeypatch):
+    # every iteration factors once, the stopping one included; a
+    # centering restart and a ridge retry factor once more each
+    results = []
+
+    def recording(program, *args, **kwargs):
+        results.append(solve(program, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(duality, "solve", recording)
+    for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
+        solve_report(two_period_market, spec, 6.0)
+    assert any(r.eq_multipliers.size for r in results)
+    for r in results:
+        d = r.diagnostics
+        stopped = d.message != "Newton iteration cap reached"
+        extra = sum(e.startswith(("centering restart", "ridge")) for e in d.events)
+        assert d.factorizations == sum(d.newton_iterations) + stopped + extra
+
+
+def test_floor_exit_does_not_stall():
+    # seed-11 market 9 under power(0.5): its floor steps once hovered
+    # on rounding noise for hundreds of steps
+    market = InstanceGenerator(seed=11).draw_feasible(9)
+    x = max(compute_x0(market), 0.0) + 5.0
+    rep = solve_report(market, UtilitySpec("power", alpha=0.5), x)
+    for side in ("primal", "dual"):
+        d = rep.diagnostics[side]
+        assert d["status"] == "optimal"
+        assert sum(d["newton_iterations"]) < 40
