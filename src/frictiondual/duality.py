@@ -23,6 +23,8 @@ from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec, path_measure
 
 POSITIVITY_MARGIN = 1e-10
+THRESHOLD_MARGIN = 10.0 * POSITIVITY_MARGIN   # x must clear the threshold by this
+WARM_PULL = 0.1           # share of the way a supplied primal start moves to the generic one
 YHAT_RTOL = 1e-8
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
 
@@ -231,8 +233,19 @@ def _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
     return v
 
 
+def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> np.ndarray:
+    """The variables of :func:`primal_program` for ``strategy`` and ``claim``:
+    the buys and sells at the internal nodes, or at zero spread their
+    difference, then the leaf claims."""
+    internal = market.tree.internal_nodes()
+    buy, sell = strategy.buy[internal], strategy.sell[internal]
+    trades = [buy - sell] if market.lam == 0.0 else [buy, sell]
+    return np.concatenate(trades + [np.asarray(claim, dtype=float)])
+
+
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 include_endowment: bool = True) -> PrimalSolution:
+                 include_endowment: bool = True, x0: Optional[np.ndarray] = None,
+                 program: Optional[tuple] = None) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
     Returns the netted optimal strategy and the claim it generates.
@@ -240,10 +253,23 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     the positivity floor (half-line utilities with x at or below the
     endowment threshold) and :class:`PrimalUnboundedError` when the
     iterates diverge.
+
+    ``x0``, a point of the program's variables such as the
+    :func:`primal_point` of a nearby solve, starts the solve after a pull
+    ``WARM_PULL`` of the way toward the program's generic start.  A
+    nearby optimum sits on the boundary of the feasible set; the pull
+    takes it strictly inside, as in Gondzio & Grothey, SIAM J. Optim. 13
+    (2003).  The engine falls back to a phase one, logged in the
+    diagnostics' events, when the pulled point is still not strictly
+    feasible.  ``program``, the :func:`primal_program` of these same
+    arguments, saves building it again.
     """
-    prog, internal, K, L, off, frictionless = primal_program(
-        market, spec, x, include_endowment
-    )
+    if program is None:
+        program = primal_program(market, spec, x, include_endowment)
+    prog, internal, K, L, off, frictionless = program
+    if x0 is not None:
+        prog = replace(prog, x0=(1.0 - WARM_PULL) * np.asarray(x0, dtype=float)
+                       + WARM_PULL * prog.x0)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:
@@ -506,6 +532,22 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  witness: Optional[np.ndarray] = None) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
+    Half-line utilities need ``x`` above the threshold
+    ``x0 = sup E[-Z0 e]`` over the price systems (:func:`compute_x0`) by
+    more than ``THRESHOLD_MARGIN``; at or below that the report raises
+    :class:`PrimalInfeasibleError` naming the threshold.  The primal
+    program is built once, and its generic start usually certifies the
+    margin with no LP: when it is strictly feasible with every leaf
+    wealth ``x + c + e`` above ``THRESHOLD_MARGIN``, its claim ``c`` lies
+    below the liquidation value of a self-financing strategy started
+    from zero cash, so ``E[Z0 c] <= 0`` for every price system ``Z`` by
+    weak duality (Schachermayer, Math. Finance 14, 2004), and
+    ``x + E[Z0 e] = E[Z0 (x + e)] > THRESHOLD_MARGIN - E[Z0 c]`` gives
+    ``x > x0 + THRESHOLD_MARGIN``.  The threshold LP runs when the start
+    does not certify, and when no witness shows the polytope nonempty:
+    at zero spread no existence check runs, and the LP is what reports
+    an empty polytope (:class:`PolytopeInfeasibleError`).
+
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
     form from the entropy core (:func:`solve_entropy_core`): with
@@ -525,15 +567,19 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                 f"no strictly positive price system at lambda={market.lam}"
             )
         witness = verdict.witness_leaf_vars
+    tree = market.tree
+    endow = market.endowment if include_endowment else np.zeros(tree.n_leaves)
     poly = build_polytope(market)
-    if spec.wealth_domain == "positive":
+    program = primal_program(market, spec, x, include_endowment)
+    if spec.wealth_domain == "positive" and (
+            witness is None or not _certifies_threshold(program, x, endow)):
         x0_thresh = compute_x0(market, include_endowment, poly=poly)
-        if x <= x0_thresh + 1e-9:
+        if x <= x0_thresh + THRESHOLD_MARGIN:
             raise PrimalInfeasibleError(
                 f"x={x} at or below the endowment threshold {x0_thresh}"
             )
 
-    primal = solve_primal(market, spec, x, include_endowment)
+    primal = solve_primal(market, spec, x, include_endowment, program=program)
 
     if spec.family == "exponential":
         core = solve_entropy_core(market, spec.gamma, include_endowment,
@@ -555,8 +601,6 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         )
 
     gap = abs(primal.value - dual_total)
-    tree = market.tree
-    endow = market.endowment if include_endowment else np.zeros(tree.n_leaves)
     wealth = x + primal.claim + endow
     z0_leaf = dual.leaf_vars[: tree.n_leaves]
     support = z0_leaf > 1e-12
@@ -576,12 +620,25 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     )
 
 
+def _certifies_threshold(program: tuple, x: float, endow: np.ndarray) -> bool:
+    """Whether the generic start of :func:`primal_program`'s ``program``
+    at cash ``x`` and endowment ``endow`` proves ``x > x0 +
+    THRESHOLD_MARGIN``: it is strictly feasible and every leaf wealth
+    exceeds the margin (see :func:`solve_report`)."""
+    prog, off = program[0], program[4]
+    v = prog.x0
+    return bool(np.all(prog.G @ v - prog.h > 0.0)
+                and np.all(x + v[off:] + endow > THRESHOLD_MARGIN))
+
+
 def verify_identities(report: SolveReport, fd_step: Optional[float] = None) -> dict:
     """Residual table for the duality and marginal-utility identities.
 
     (a) duality gap, (b) per-leaf pointwise identity on the support of
     the dual density, (c) |u'(x) - E[U'(wealth)]| with u' by central
     difference of the primal value, (d) the wealth-weighted variant.
+    Both primal solves at ``x +- h`` start at the report's primal point
+    (:func:`primal_point`), pulled inside by :func:`solve_primal`.
     """
     market, spec, x = report.market, report.utility, report.x
     tree = market.tree
@@ -591,8 +648,9 @@ def verify_identities(report: SolveReport, fd_step: Optional[float] = None) -> d
     u_prime_leaf = ut.eval_u_prime(spec, wealth)
 
     h = fd_step if fd_step is not None else 1e-4 * (1.0 + abs(x))
-    up = solve_primal(market, spec, x + h, report.include_endowment).value
-    dn = solve_primal(market, spec, x - h, report.include_endowment).value
+    start = primal_point(market, report.strategy, report.claim)
+    up = solve_primal(market, spec, x + h, report.include_endowment, x0=start).value
+    dn = solve_primal(market, spec, x - h, report.include_endowment, x0=start).value
     u_prime_fd = (up - dn) / (2.0 * h)
 
     finite = report.leaf_identity_residuals[

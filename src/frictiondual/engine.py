@@ -141,12 +141,13 @@ class SolveResult:
         return self.diagnostics.status
 
 
-def _row_rank_qr(M):
+def _row_rank_qr(M, check_finite=True):
     """Full column-pivoted QR ``(Q, R, piv)`` of ``M^T`` and the numerical
     rank of ``M``: the first ``rank`` pivots index a maximal set of
     linearly independent rows of ``M``, and ``M[piv[:rank]]^T =
-    Q[:, :rank] R[:rank, :rank]``."""
-    out = scipy.linalg.qr(M.T, mode="full", pivoting=True)
+    Q[:, :rank] R[:rank, :rank]``.  ``check_finite=False`` skips scipy's
+    scan for non-finite entries, for matrices the engine built itself."""
+    out = scipy.linalg.qr(M.T, mode="full", pivoting=True, check_finite=check_finite)
     diag = np.abs(np.diag(out[1]))
     tol = max(M.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     return out, int(np.sum(diag > tol))
@@ -254,7 +255,8 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     x, diag.phase_one_slack = _starting_point(program, eq, G, h, in_domain, diag.events)
     total_iters = 0
     quiet_r = np.inf    # stationarity of the last step's lam + dl, if quiet
-    lam = 1.0 / (G @ x - h)
+    s = G @ x - h       # slacks at x; each trial point forms its own once
+    lam = 1.0 / s
     mu_floor = TOL / (10.0 * m)
 
     x_norm0 = 1.0 + np.linalg.norm(x)
@@ -263,14 +265,14 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
         if total_iters >= max_newton:
             diag.message = "Newton iteration cap reached"
             break
-        s = G @ x - h
         mu = float(s @ lam) / m
         gz = g if Z is None else Z.T @ g
-        lu = _factor(_reduced_matrix(GZ, lam / s, Z, d), diag)
+        w = lam / s
+        lu = _factor(_reduced_matrix(GZ, w, Z, d), diag)
         # predictor: the affine step toward mu = 0
         dz = _lu_solve(lu, -gz)
         ds = GZ @ dz
-        dl = -lam - lam / s * ds
+        dl = -lam - w * ds
         mu_aff = float((s + min(1.0, _boundary_step(s, ds)) * ds)
                        @ (lam + min(1.0, _boundary_step(lam, dl)) * dl)) / m
         mu_t = max((mu_aff / mu) ** 3 * mu, mu_floor)
@@ -289,13 +291,14 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
             # the system: restart them on the central path, where this
             # is the Newton step of the merit
             lam = mu_t / s
+            w = lam / s
             comp = mu_t
             diag.events.append(f"centering restart at step {total_iters}")
             lu = _factor(_reduced_matrix(GZ, mu_t / s**2, Z, d), diag)
             dz = _lu_solve(lu, -grad)
         dx = dz if Z is None else Z @ dz
         ds = GZ @ dz
-        dl = comp / s - lam - lam / s * ds
+        dl = comp / s - lam - w * ds
         slope = float(grad @ dz)
         quiet_r, r_prev = np.inf, quiet_r
         if mu_t == mu_floor:
@@ -309,11 +312,11 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
             # Nor, in the end, is the stationarity of lam + dl, once lam/s
             # amplifies the rounding of the step: a quiet step that does
             # not halve it from the quiet step before stops the loop too
-            dec2 = -slope if slope <= 0.0 else float(dx @ (d * dx) + ds @ (lam / s * ds))
+            dec2 = -slope if slope <= 0.0 else float(dx @ (d * dx) + ds @ (w * ds))
             if (dec2 / 2.0 <= 1e-13 * (1.0 + abs(fval))
                     and float(np.max(np.abs(lam * ds))) <= mu_t):
                 # lam + dl = comp/s - lam/s * ds; stationarity on the null space
-                quiet_r = float(np.linalg.norm(gz - GZ.T @ (comp / s - lam / s * ds)))
+                quiet_r = float(np.linalg.norm(gz - GZ.T @ (comp / s - w * ds)))
                 stationary = (quiet_r <= 10.0 * TOL * (1.0 + np.linalg.norm(g))
                               or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval)))
                 if stationary or quiet_r > 0.5 * r_prev:
@@ -327,17 +330,20 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
         ok = False
         for _ in range(80):
             xt = x + t * dx
-            if in_domain(xt) and np.all(G @ xt - h > 0.0):
-                phit, evaluation = _merit(program, xt, G, h, mu_t)
-                if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
-                    ok = True
-                    break
+            if in_domain(xt):
+                st = G @ xt - h
+                if np.all(st > 0.0):
+                    evaluation = program.objective(xt)
+                    phit = evaluation[0] - mu_t * float(np.sum(np.log(st)))
+                    if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
+                        ok = True
+                        break
             t *= BACKTRACK_BETA
         if not ok:
             diag.message = "line search stalled"
             diag.status = "optimal"
             break
-        x = xt
+        x, s = xt, st
         fval, g, d = evaluation
         lam = lam + min(1.0, 0.995 * _boundary_step(lam, dl)) * dl
         total_iters += 1
@@ -412,15 +418,8 @@ def _plus_diag(M, d):
 
 def _boundary_step(v, dv):
     """Largest ``t`` with ``v + t dv >= 0`` for ``v > 0`` (``inf`` if none)."""
-    neg = dv < 0.0
-    return float(np.min(v[neg] / -dv[neg])) if np.any(neg) else np.inf
-
-
-def _merit(program, x, G, h, mu):
-    """Barrier merit ``f - mu sum(log s)`` at ``x`` and the objective's
-    ``(f, g, d)`` there, kept for the next iteration if ``x`` is taken."""
-    evaluation = program.objective(x)
-    return evaluation[0] - mu * float(np.sum(np.log(G @ x - h))), evaluation
+    ratio = np.divide(v, -dv, out=np.full(v.shape, np.inf), where=dv < 0.0)
+    return float(np.minimum.reduce(ratio, initial=np.inf))
 
 
 def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
@@ -489,18 +488,20 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
             rows = np.flatnonzero(active)
             C = G[rows] if A is None else np.vstack([A, G[rows]])
             rhs = h[rows] if A is None else np.concatenate([b, h[rows]])
-            (Q, R, piv), k = _row_rank_qr(C)
+            (Q, R, piv), k = _row_rank_qr(C, check_finite=False)
             # C[keep]^T = Y R1: Y spans the kept rows, Z the face directions
             keep = piv[:k]
             face = C, rhs, keep, R[:k, :k], Q[:, :k], Q[:, k:]
         C, rhs, keep, R1, Y, Z = face
-        dx = Y @ scipy.linalg.solve_triangular(R1, rhs[keep] - C[keep] @ x, trans="T")
+        dx = Y @ scipy.linalg.solve_triangular(R1, rhs[keep] - C[keep] @ x, trans="T",
+                                               check_finite=False)
         dx += Z @ np.linalg.lstsq((Z.T * d) @ Z, -Z.T @ (g + d * dx), rcond=None)[0]
         # the multipliers in hand, corrected on the kept rows to meet
         # stationarity after the step: on a degenerate face this keeps
         # the positive split the barrier found among dependent rows
         w = np.concatenate([nu, -lam[rows]])
-        w[keep] += scipy.linalg.solve_triangular(R1, -Y.T @ (g + d * dx + C.T @ w))
+        w[keep] += scipy.linalg.solve_triangular(R1, -Y.T @ (g + d * dx + C.T @ w),
+                                                 check_finite=False)
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
         x_t = x + dx

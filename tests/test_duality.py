@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from frictiondual import duality
+from frictiondual import duality, engine, polytope
 from frictiondual.duality import (
     NoCpsError,
     PrimalInfeasibleError,
@@ -19,7 +20,7 @@ from frictiondual.duality import (
 )
 from frictiondual.engine import EngineError, SolveDiagnostics, SolveResult
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import build_polytope, enumerate_vertices
+from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, enumerate_vertices
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec, path_measure
 from frictiondual.utility import UtilitySpec
@@ -263,3 +264,92 @@ def test_failed_engine_solves_raise_engine_error(two_period_market, monkeypatch)
         solve_primal(two_period_market, LOG, 6.0)
     with pytest.raises(EngineError, match="forced failure"):
         solve_dual(two_period_market, LOG, 0.5)
+
+
+@pytest.mark.parametrize("spec", [LOG, UtilitySpec("exponential", gamma=0.7)],
+                         ids=["log", "exp"])
+def test_warm_primal_start_matches_cold(two_period_market, spec):
+    # a neighbouring optimum, pulled inside, starts the solve at x + h
+    x, h = 6.0, 1e-3
+    near = solve_primal(two_period_market, spec, x)
+    start = duality.primal_point(two_period_market, near.strategy, near.claim)
+    cold = solve_primal(two_period_market, spec, x + h)
+    warm = solve_primal(two_period_market, spec, x + h, x0=start)
+    assert warm.diagnostics["phase_one_slack"] is None
+    assert warm.diagnostics["events"] == []
+    assert warm.value == pytest.approx(cold.value, rel=1e-12)
+    assert sum(warm.diagnostics["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
+
+
+def test_primal_point_is_net_trades_at_zero_spread(drift_binomial):
+    market = drift_binomial.with_lambda(0.0)
+    sol = solve_primal(market, LOG, 5.0)
+    v = duality.primal_point(market, sol.strategy, sol.claim)
+    internal = market.tree.internal_nodes()
+    K = internal.size
+    assert v.size == K + market.tree.n_leaves
+    assert np.array_equal(v[:K], sol.strategy.buy[internal] - sol.strategy.sell[internal])
+    assert np.array_equal(v[K:], sol.claim)
+
+
+def test_infeasible_primal_start_falls_back_to_phase_one(two_period_market):
+    # claims far below zero wealth break the positivity rows even after the pull
+    cold = solve_primal(two_period_market, LOG, 6.0)
+    start = duality.primal_point(two_period_market, cold.strategy, cold.claim - 1e6)
+    warm = solve_primal(two_period_market, LOG, 6.0, x0=start)
+    assert warm.diagnostics["events"][0] == "supplied start not strictly feasible: phase one"
+    assert warm.diagnostics["phase_one_slack"] is not None
+    assert warm.value == pytest.approx(cold.value, rel=1e-10)
+
+
+def test_threshold_certificate_is_sound():
+    # wherever the generic primal start certifies x, the threshold LP agrees
+    gen = InstanceGenerator(seed=11)
+    certified = 0
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        x0 = compute_x0(market)
+        for x in (max(x0, 0.0) + 5.0, x0 + 0.5, x0 + 1e-3, x0 + 1e-6, x0):
+            program = duality.primal_program(market, LOG, x)
+            if duality._certifies_threshold(program, x, market.endowment):
+                assert x0 < x - duality.THRESHOLD_MARGIN
+                certified += 1
+    assert certified >= 10
+
+
+def test_threshold_guard_by_the_lp(drift_binomial):
+    # no generic start certifies x this close to x0 = 2: the LP decides
+    m = drift_binomial.with_endowment([-2.0, -2.0])
+    x0 = compute_x0(m)
+    with pytest.raises(PrimalInfeasibleError, match=re.escape(f"threshold {x0}")):
+        solve_report(m, LOG, x0 - 1e-6)
+    rep = solve_report(m, LOG, x0 + 1e-6)
+    assert rep.relative_gap <= 1e-6
+
+
+def test_half_line_report_runs_one_lp(two_period_market, monkeypatch):
+    # the existence check's LP; the start certifies x above the threshold
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return engine.solve_lp(*args, **kwargs)
+
+    x = compute_x0(two_period_market) + 4.0
+    monkeypatch.setattr(polytope, "solve_lp", counting)
+    monkeypatch.setattr(duality, "solve_lp", counting)
+    solve_report(two_period_market, LOG, x)
+    assert len(calls) == 1
+
+
+def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
+    # no existence check runs at zero spread: the threshold LP finds no
+    # price system though the generic start certifies x
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 120.0, 110.0], lam=0.0,
+                        endowment=[1.0, -0.5])
+    x = 3.0
+    assert duality._certifies_threshold(duality.primal_program(market, LOG, x), x,
+                                        market.endowment)
+    with pytest.raises(PolytopeInfeasibleError):
+        solve_report(market, LOG, x)

@@ -438,3 +438,23 @@ def test_floor_exit_does_not_stall():
         d = rep.diagnostics[side]
         assert d["status"] == "optimal"
         assert sum(d["newton_iterations"]) < 40
+
+
+def _boundary_step_reference(v, dv):
+    """The masked formula ``_boundary_step`` replaced, kept as its oracle."""
+    neg = dv < 0.0
+    return float(np.min(v[neg] / -dv[neg])) if np.any(neg) else np.inf
+
+
+def test_boundary_step_matches_the_masked_formula():
+    rng = np.random.default_rng(3)
+    cases = [(np.zeros(0), np.zeros(0)), (np.ones(4), np.abs(rng.standard_normal(4)))]
+    for n in (1, 5, 40):
+        for _ in range(20):
+            v = rng.uniform(1e-9, 10.0, n)
+            dv = rng.standard_normal(n)
+            dv[rng.random(n) < 0.3] = 0.0
+            cases.append((v, dv))
+    for v, dv in cases:
+        assert engine._boundary_step(v, dv) == _boundary_step_reference(v, dv)
+    assert engine._boundary_step(np.ones(3), np.zeros(3)) == np.inf
