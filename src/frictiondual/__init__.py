@@ -13,7 +13,6 @@ from .duality import (
     solve_primal,
     solve_report,
     superreplicate,
-    value_v,
     verify_identities,
 )
 from .polytope import (
@@ -59,5 +58,5 @@ __all__ = [
     "minimize_v_plus_xy", "parse_utility", "price_bounds", "sample_polytope",
     "save_market", "shadow_from_dual_roundtrip", "solve_dual",
     "solve_frictionless", "solve_primal", "solve_report", "superreplicate",
-    "value_v", "verify_identities", "verify_shadow",
+    "verify_identities", "verify_shadow",
 ]

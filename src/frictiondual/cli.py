@@ -239,8 +239,7 @@ def main(argv=None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (MarketValidationError, ut.UtilityDomainError, ValueError,
-            FileNotFoundError, json.JSONDecodeError,
-            pricing.UnsupportedUtilityError) as exc:
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (duality.PrimalInfeasibleError, duality.NoCpsError,

@@ -20,7 +20,7 @@ from .engine import (ConvexProgram, EngineError, InfeasibleProgramError, SolveRe
                      solve, solve_lp)
 from .polytope import DualPolytope, PolytopeInfeasibleError, PriceSystem, build_polytope, check_cps
 from .trading import Strategy, net_trades, roll_forward, terminal_claim
-from .tree import MarketSpec, path_measure
+from .tree import MarketSpec
 
 POSITIVITY_MARGIN = 1e-10
 THRESHOLD_MARGIN = 10.0 * POSITIVITY_MARGIN   # x must clear the threshold by this
@@ -110,26 +110,31 @@ class SolveReport:
 
 
 def _primal_layout(market: MarketSpec):
-    """Variable layout [buys, sells, leaf claims] and the affine maps."""
+    """Variable layout [buys, sells, leaf claims] and the affine maps.
+
+    Rows ``T0``/``T1`` give each leaf's cash and position as linear maps
+    of the variables: every trade at an internal node on the leaf's path
+    enters, and the claim columns are zero.
+    """
     tree = market.tree
-    internal = tree.internal_nodes()
+    internal = tree.internal
     K, L = internal.size, tree.n_leaves
-    pos = {int(n): k for k, n in enumerate(internal)}
-    nv = 2 * K + L
-    s = market.ask_price
-    bid = market.bid_price
-    # cash and position at each leaf as affine maps of the trade variables
-    T0 = np.zeros((L, nv))
-    T1 = np.zeros((L, nv))
-    for li, leaf in enumerate(tree.leaves):
-        for node in tree.path_to_root(int(leaf)):
-            if node in pos:
-                k = pos[node]
-                T0[li, k] = -s[node]
-                T0[li, K + k] = bid[node]
-                T1[li, k] = 1.0
-                T1[li, K + k] = -1.0
-    return internal, K, L, nv, T0, T1
+    on = tree.on_path[:, internal]
+    claims = np.zeros((L, L))
+    T0 = np.hstack([np.where(on, -market.ask_price[internal], 0.0),
+                    np.where(on, market.bid_price[internal], 0.0), claims])
+    T1 = np.hstack([np.where(on, 1.0, 0.0), np.where(on, -1.0, 0.0), claims])
+    return internal, K, L, 2 * K + L, T0, T1
+
+
+def _liquidation_legs(market: MarketSpec, T0: np.ndarray, T1: np.ndarray) -> np.ndarray:
+    """Rows ``T0 + S T1`` of each leaf's two liquidation legs, at the bid
+    price then at the ask price; the liquidation value is the smaller."""
+    leaves = market.tree.leaves
+    legs = np.empty((2 * leaves.size, T0.shape[1]))
+    legs[0::2] = T0 + market.bid_price[leaves][:, None] * T1
+    legs[1::2] = T0 + market.ask_price[leaves][:, None] * T1
+    return legs
 
 
 def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
@@ -154,31 +159,24 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     else:
         off = 2 * K
     endow = market.endowment if include_endowment else np.zeros(L)
-    prob = path_measure(tree).leaf_prob
+    prob = tree.leaf_prob
     s_leaf = market.ask_price[tree.leaves]
     bid_leaf = market.bid_price[tree.leaves]
 
-    rows, h_vals = [], []
-    for li in range(L):
-        c_row = np.zeros(nv)
-        c_row[off + li] = 1.0
-        rows.append(T0[li] + bid_leaf[li] * T1[li] - c_row)
-        h_vals.append(0.0)
-        if not frictionless:
-            rows.append(T0[li] + s_leaf[li] * T1[li] - c_row)
-            h_vals.append(0.0)
-    for k in range(off if not frictionless else 0):
-        row = np.zeros(nv)
-        row[k] = 1.0
-        rows.append(row)
-        h_vals.append(0.0)
+    # rows: liquidation legs over the claim, trade nonnegativity, positivity
+    claim_cols = np.eye(L, nv, k=off)
+    legs = _liquidation_legs(market, T0, T1)
+    if frictionless:
+        legs = legs[0::2]     # bid and ask agree at zero spread
+    G = [legs - np.repeat(claim_cols, legs.shape[0] // L, axis=0)]
+    h = [np.zeros(legs.shape[0])]
+    if not frictionless:
+        G.append(np.eye(off, nv))
+        h.append(np.zeros(off))
     positive_wealth = spec.wealth_domain == "positive"
     if positive_wealth:
-        for li in range(L):
-            row = np.zeros(nv)
-            row[off + li] = 1.0
-            rows.append(row)
-            h_vals.append(POSITIVITY_MARGIN - x - endow[li])
+        G.append(claim_cols)
+        h.append(POSITIVITY_MARGIN - x - endow)
 
     gamma = spec.gamma
     exponential = spec.family == "exponential"
@@ -208,8 +206,8 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 
     x0 = _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
                        positive_wealth, frictionless)
-    prog = ConvexProgram(n=nv, objective=objective, G=np.array(rows),
-                         h=np.array(h_vals), in_domain=in_domain, x0=x0)
+    prog = ConvexProgram(n=nv, objective=objective, G=np.vstack(G),
+                         h=np.concatenate(h), in_domain=in_domain, x0=x0)
     return prog, internal, K, L, off, frictionless
 
 
@@ -237,7 +235,7 @@ def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> n
     """The variables of :func:`primal_program` for ``strategy`` and ``claim``:
     the buys and sells at the internal nodes, or at zero spread their
     difference, then the leaf claims."""
-    internal = market.tree.internal_nodes()
+    internal = market.tree.internal
     buy, sell = strategy.buy[internal], strategy.sell[internal]
     trades = [buy - sell] if market.lam == 0.0 else [buy, sell]
     return np.concatenate(trades + [np.asarray(claim, dtype=float)])
@@ -295,8 +293,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     strat = roll_forward(market, 0.0, buy, sell)
     claim = terminal_claim(market, strat)
     endow = market.endowment if include_endowment else np.zeros(L)
-    prob = path_measure(tree).leaf_prob
-    value = float(prob @ ut.eval_u(spec, x + claim + endow))
+    value = float(tree.leaf_prob @ ut.eval_u(spec, x + claim + endow))
     return PrimalSolution(value=value, strategy=strat, claim=claim,
                           diagnostics=res.diagnostics.to_dict())
 
@@ -342,7 +339,7 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
         poly = build_polytope(market)
     tree = market.tree
     L = tree.n_leaves
-    prob = path_measure(tree).leaf_prob
+    prob = tree.leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
                              "dual", x0=x0)
@@ -373,12 +370,6 @@ def _dual_derivative(spec, y, z0, endow, prob) -> float:
     return float(prob @ (z0 * (ut.eval_v_prime(spec, y * z0) + endow)))
 
 
-def value_v(market: MarketSpec, spec: ut.UtilitySpec, y: float,
-            include_endowment: bool = True) -> float:
-    """Dual value function at scale ``y``."""
-    return solve_dual(market, spec, y, include_endowment).value
-
-
 @dataclass
 class EntropyCore:
     """Exponential-utility dual data: one minimizer serves every scale."""
@@ -406,7 +397,7 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
         poly = build_polytope(market)
     tree = market.tree
     L = tree.n_leaves
-    prob = path_measure(tree).leaf_prob
+    prob = tree.leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
     spec = ut.UtilitySpec("exponential", gamma=gamma)
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, 1.0, endow, prob),
@@ -420,7 +411,7 @@ def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray,
                   include_endowment: bool = True) -> tuple:
     """``(E[z log z], E[z e])`` at the polytope point ``leaf_vars``."""
     L = market.tree.n_leaves
-    prob = path_measure(market.tree).leaf_prob
+    prob = market.tree.leaf_prob
     z0 = leaf_vars[:L]
     endow = market.endowment if include_endowment else np.zeros(L)
     return float(prob @ (z0 * np.log(z0))), float(prob @ (z0 * endow))
@@ -443,7 +434,7 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     if poly is None:
         poly = build_polytope(market)
     L = market.tree.n_leaves
-    prob = path_measure(market.tree).leaf_prob
+    prob = market.tree.leaf_prob
     endow = market.endowment if include_endowment else np.zeros(L)
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
     objective, in_domain = _dual_objective(poly, spec, 1.0, x + endow, prob)
@@ -469,8 +460,7 @@ def compute_x0(market: MarketSpec, include_endowment: bool = True,
     if poly is None:
         poly = build_polytope(market)
     L = market.tree.n_leaves
-    prob = path_measure(market.tree).leaf_prob
-    c = np.concatenate([prob * market.endowment, np.zeros(L)])
+    c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
     res = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
     if res.status == "infeasible":
         raise PolytopeInfeasibleError("empty polytope: threshold undefined")
@@ -489,28 +479,19 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
     internal, K, L, nv, T0, T1 = _primal_layout(market)
     tree = market.tree
     claim = np.asarray(claim, dtype=float)
-    s_leaf = market.ask_price[tree.leaves]
-    bid_leaf = market.bid_price[tree.leaves]
     cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
 
-    rows, h_vals = [], []
-    for li in range(L):
-        for leg in (T0[li] + bid_leaf[li] * T1[li], T0[li] + s_leaf[li] * T1[li]):
-            rows.append(np.concatenate([leg, [-1.0]]))
-            h_vals.append(claim[li] - x)
-    for k in range(2 * K):
-        row = np.zeros(nv + 1)
-        row[k] = 1.0
-        rows.append(row)
-        h_vals.append(0.0)
+    # rows: both liquidation legs against the slack, trade nonnegativity, cap
+    legs = _liquidation_legs(market, T0, T1)
     capped = np.zeros(nv + 1)
     capped[nv] = -1.0
-    rows.append(capped)
-    h_vals.append(-cap)
+    G = np.vstack([np.hstack([legs, np.full((2 * L, 1), -1.0)]),
+                   np.eye(2 * K, nv + 1), capped])
+    h = np.concatenate([np.repeat(claim - x, 2), np.zeros(2 * K), [-cap]])
 
     c = np.zeros(nv + 1)
     c[nv] = -1.0
-    res = solve_lp(c, G=np.array(rows), h=np.array(h_vals))
+    res = solve_lp(c, G=G, h=h)
     if res.status != "optimal":
         raise EngineError(f"superreplication LP failed: {res.diagnostics.message}")
     slack = float(res.x[nv])
@@ -546,7 +527,9 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     ``x > x0 + THRESHOLD_MARGIN``.  The threshold LP runs when the start
     does not certify, and when no witness shows the polytope nonempty:
     at zero spread no existence check runs, and the LP is what reports
-    an empty polytope (:class:`PolytopeInfeasibleError`).
+    an empty polytope (:class:`PolytopeInfeasibleError`).  The dual is
+    solved before the primal, so exponential utility reports an empty
+    zero-spread polytope the same way, where its primal would diverge.
 
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
@@ -579,8 +562,6 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                 f"x={x} at or below the endowment threshold {x0_thresh}"
             )
 
-    primal = solve_primal(market, spec, x, include_endowment, program=program)
-
     if spec.family == "exponential":
         core = solve_entropy_core(market, spec.gamma, include_endowment,
                                   poly=poly, x0=witness)
@@ -599,6 +580,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         yhat, dual_total, dual = minimize_v_plus_xy(
             market, spec, x, include_endowment, poly=poly, x0=witness
         )
+    primal = solve_primal(market, spec, x, include_endowment, program=program)
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -642,7 +624,7 @@ def verify_identities(report: SolveReport, fd_step: Optional[float] = None) -> d
     """
     market, spec, x = report.market, report.utility, report.x
     tree = market.tree
-    prob = path_measure(tree).leaf_prob
+    prob = tree.leaf_prob
     endow = market.endowment if report.include_endowment else np.zeros(tree.n_leaves)
     wealth = x + report.claim + endow
     u_prime_leaf = ut.eval_u_prime(spec, wealth)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import solve_lp
-from .tree import MarketSpec, path_measure
+from .tree import MarketSpec
 
 
 class PolytopeInfeasibleError(RuntimeError):
@@ -84,19 +84,11 @@ class DualPolytope:
 def conditional_expectation_matrix(market: MarketSpec) -> np.ndarray:
     """Rows map leaf values to node values: W[n, l] = P(l)/P(n) under n.
 
-    Built by walking every leaf's ancestors one stage at a time (all
-    leaves sit at the horizon), so row ``n`` is nonzero exactly on the
-    leaves below ``n``.
+    Row ``n`` is nonzero exactly on the leaves below ``n``, the leaves
+    whose path passes through it (``tree.on_path``).
     """
     tree = market.tree
-    measure = path_measure(tree)
-    W = np.zeros((tree.n_nodes, tree.n_leaves))
-    cols = np.arange(tree.n_leaves)
-    ancestor = tree.leaves
-    for _ in range(tree.horizon + 1):
-        W[ancestor, cols] = measure.leaf_prob / measure.node_prob[ancestor]
-        ancestor = tree.parent[ancestor]
-    return W
+    return np.where(tree.on_path.T, tree.leaf_prob / tree.node_prob[:, None], 0.0)
 
 
 def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPolytope:
@@ -112,10 +104,9 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
     tree = market.tree
     n, L = tree.n_nodes, tree.n_leaves
     W = conditional_expectation_matrix(market)
-    leaf_prob = path_measure(tree).leaf_prob
     s = market.ask_price[:, None]
 
-    norm = np.concatenate([leaf_prob, np.zeros(L)])[None, :]
+    norm = np.concatenate([tree.leaf_prob, np.zeros(L)])[None, :]
     upper = np.hstack([s * W, -W])
     positivity = np.eye(2 * L)
     if lam == 0.0:

@@ -27,11 +27,7 @@ from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core,
 from .engine import EngineError, solve_lp
 from .polytope import build_polytope
 from .shadow import construct_shadow
-from .tree import MarketSpec, path_measure
-
-
-class UnsupportedUtilityError(RuntimeError):
-    """Pricing is derived for exponential utility only."""
+from .tree import MarketSpec
 
 
 @dataclass
@@ -60,14 +56,6 @@ class PriceReport:
             "entropy_without": self.entropy_without,
             "residuals": self.residuals,
         }
-
-
-def _require_exponential(spec: ut.UtilitySpec):
-    if spec.family != "exponential":
-        raise UnsupportedUtilityError(
-            "indifference pricing is implemented for exponential utility only; "
-            f"got {ut.utility_label(spec)}"
-        )
 
 
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
@@ -144,9 +132,8 @@ def price_shadow(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
 def price_bounds(market: MarketSpec) -> tuple:
     """Consistent-price LP bounds: (inf, sup) of E[z * e] over the polytope."""
     poly = build_polytope(market)
-    prob = path_measure(market.tree).leaf_prob
     L = market.tree.n_leaves
-    c = np.concatenate([prob * market.endowment, np.zeros(L)])
+    c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
     lo = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
     hi = solve_lp(-c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
     for res in (lo, hi):

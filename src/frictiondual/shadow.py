@@ -152,15 +152,16 @@ def position_map_rank(shadow_market: MarketSpec):
     gates the strategy-coincidence check.
     """
     tree = shadow_market.tree
-    internal = tree.internal_nodes()
-    K, L = internal.size, tree.n_leaves
-    pos = {int(n): k for k, n in enumerate(internal)}
+    internal = tree.internal
     S = shadow_market.ask_price
-    D = np.zeros((L, K))
-    for li, leaf in enumerate(tree.leaves):
-        path = tree.path_to_root(int(leaf))
-        for child, node in zip(path[:-1], path[1:]):
-            D[li, pos[node]] = S[child] - S[node]
+    # price at each stage of each leaf's path; a position held out of an
+    # internal node earns the step to the next node on the path
+    leaf, node = np.nonzero(tree.on_path)
+    path_price = np.empty((tree.n_leaves, tree.horizon + 1))
+    path_price[leaf, tree.time[node]] = S[node]
+    D = np.where(tree.on_path[:, internal],
+                 path_price[:, tree.time[internal] + 1] - S[internal], 0.0)
+    K = internal.size
     return int(np.linalg.matrix_rank(D, tol=1e-9 * max(1.0, float(np.abs(D).max())))), K
 
 

@@ -52,19 +52,18 @@ def roll_forward(market: MarketSpec, x: float, buy, sell) -> Strategy:
     if np.any(buy < 0.0) or np.any(sell < 0.0):
         raise TradeError("trade quantities must be nonnegative")
 
-    phi0 = np.empty(n)
-    phi1 = np.empty(n)
-    order = np.argsort(tree.time, kind="stable")
+    # one extra slot, index -1 (the root's parent), holds the initial (x, 0)
+    phi0 = np.empty(n + 1)
+    phi1 = np.empty(n + 1)
+    phi0[-1], phi1[-1] = x, 0.0
     ask = market.ask_price
     bid = market.bid_price
-    for i in order:
-        p = tree.parent[i]
-        cash_prev = x if p < 0 else phi0[p]
-        pos_prev = 0.0 if p < 0 else phi1[p]
-        phi0[i] = cash_prev - ask[i] * buy[i] + bid[i] * sell[i]
-        phi1[i] = pos_prev + buy[i] - sell[i]
+    for at in tree.stages:
+        p = tree.parent[at]
+        phi0[at] = phi0[p] - ask[at] * buy[at] + bid[at] * sell[at]
+        phi1[at] = phi1[p] + buy[at] - sell[at]
     return Strategy(market=market, initial_cash=float(x), buy=buy, sell=sell,
-                    phi0=phi0, phi1=phi1)
+                    phi0=phi0[:n], phi1=phi1[:n])
 
 
 def liquidation_values(market: MarketSpec, strategy: Strategy) -> np.ndarray:

@@ -52,6 +52,14 @@ class EventTree:
     Nodes are labelled 0..N-1.  ``parent[i]`` is -1 exactly for the root;
     ``cond_prob[i]`` is the probability of reaching node ``i`` from its
     parent (1.0 at the root).  Immutable after construction.
+
+    Construction also fixes the path structure every program on the tree
+    reads: ``internal`` (nodes with a child, in id order), ``stages``
+    (the nodes of each stage ``0..horizon``, in id order), the
+    unconditional probabilities ``node_prob`` and ``leaf_prob`` (aligned
+    with ``leaves``), and the leaf-by-node incidence ``on_path``:
+    ``on_path[l, n]`` is true when node ``n`` lies on the path from the
+    root to leaf ``leaves[l]``.
     """
 
     parent: np.ndarray
@@ -60,6 +68,11 @@ class EventTree:
     children: tuple = field(init=False, repr=False)
     leaves: np.ndarray = field(init=False, repr=False)
     horizon: int = field(init=False)
+    internal: np.ndarray = field(init=False, repr=False, compare=False)
+    stages: tuple = field(init=False, repr=False, compare=False)
+    node_prob: np.ndarray = field(init=False, repr=False, compare=False)
+    leaf_prob: np.ndarray = field(init=False, repr=False, compare=False)
+    on_path: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parent = np.asarray(self.parent, dtype=int)
@@ -93,7 +106,9 @@ class EventTree:
             children[p].append(i)
         object.__setattr__(self, "children", tuple(tuple(c) for c in children))
 
-        leaves = np.array([i for i in range(n) if not children[i]], dtype=int)
+        has_child = np.zeros(n, dtype=bool)
+        has_child[parent[1:]] = True
+        leaves = np.flatnonzero(~has_child)
         horizon = int(time[leaves[0]])
         if np.any(time[leaves] != horizon):
             raise UnevenLeafDepthError("leaves sit at different stages")
@@ -113,6 +128,22 @@ class EventTree:
                         f"conditional probabilities sum to {mass:.12g} at node {i}"
                     )
 
+        stages = tuple(np.flatnonzero(time == t) for t in range(horizon + 1))
+        node_prob = np.ones(n)
+        for at in stages[1:]:
+            node_prob[at] = node_prob[parent[at]] * cond_prob[at]
+        # every leaf sits at the horizon, so horizon steps up reach the root
+        on_path = np.zeros((leaves.size, n), dtype=bool)
+        rows, ancestor = np.arange(leaves.size), leaves
+        for _ in range(horizon + 1):
+            on_path[rows, ancestor] = True
+            ancestor = parent[ancestor]
+        object.__setattr__(self, "internal", np.flatnonzero(has_child))
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "node_prob", node_prob)
+        object.__setattr__(self, "leaf_prob", node_prob[leaves])
+        object.__setattr__(self, "on_path", on_path)
+
     @property
     def n_nodes(self) -> int:
         return self.parent.size
@@ -121,24 +152,12 @@ class EventTree:
     def n_leaves(self) -> int:
         return self.leaves.size
 
-    def internal_nodes(self) -> np.ndarray:
-        """Nodes with at least one child, in id order."""
-        return np.array([i for i in range(self.n_nodes) if self.children[i]], dtype=int)
-
     def path_to_root(self, node: int) -> list[int]:
         """Node ids from ``node`` up to and including the root."""
         path = [node]
         while self.parent[path[-1]] >= 0:
             path.append(int(self.parent[path[-1]]))
         return path
-
-
-@dataclass(frozen=True)
-class PathMeasure:
-    """Unconditional node and leaf probabilities of an :class:`EventTree`."""
-
-    node_prob: np.ndarray
-    leaf_prob: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -180,26 +199,6 @@ class MarketSpec:
 
     def with_endowment(self, endowment) -> "MarketSpec":
         return MarketSpec(self.tree, self.ask_price, self.lam, endowment)
-
-
-def path_measure(tree: EventTree) -> PathMeasure:
-    """Unconditional probabilities by products of branch probabilities."""
-    n = tree.n_nodes
-    node_prob = np.empty(n)
-    # parents precede children is not guaranteed by id, walk by stage order
-    order = np.argsort(tree.time, kind="stable")
-    for i in order:
-        p = tree.parent[i]
-        node_prob[i] = 1.0 if p < 0 else node_prob[p] * tree.cond_prob[i]
-    return PathMeasure(node_prob=node_prob, leaf_prob=node_prob[tree.leaves])
-
-
-def expectation(tree: EventTree, leaf_values) -> float:
-    """Expectation of a terminal payoff, ``leaf_values`` aligned with ``tree.leaves``."""
-    vals = np.asarray(leaf_values, dtype=float)
-    if vals.size != tree.n_leaves:
-        raise SchemaError("one value per leaf required")
-    return float(path_measure(tree).leaf_prob @ vals)
 
 
 def load_market(path) -> MarketSpec:

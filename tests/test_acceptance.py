@@ -19,9 +19,9 @@ from frictiondual.duality import (
     _dual_objective,
     compute_x0,
     primal_program,
+    solve_dual,
     solve_report,
     superreplicate,
-    value_v,
     verify_identities,
 )
 from frictiondual.engine import audit_derivatives
@@ -40,7 +40,7 @@ from frictiondual.shadow import (
     verify_shadow,
 )
 from frictiondual.trading import roll_forward, terminal_claim
-from frictiondual.tree import EventTree, MarketSpec, path_measure
+from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, utility_label
 
 SEED = int(os.environ.get("FD_SEED", "2026"))
@@ -138,7 +138,7 @@ def grid_primal_value(market, spec, x, delta_max=1.0, step=1e-5):
     s0 = market.ask_price[0]
     lam = market.lam
     s_leaf = market.ask_price[market.tree.leaves]
-    prob = path_measure(market.tree).leaf_prob
+    prob = market.tree.leaf_prob
     d = np.arange(-delta_max, delta_max + step, step)
     # buy leg pays the ask and liquidates long at the bid; a short sale
     # credits the bid and is bought back at the ask
@@ -202,7 +202,7 @@ def test_criterion_04_grid_oracles():
         worst_u = max(worst_u, abs(rep.value - u_grid))
         y = 1.0 if spec.family == "log" else rep.yhat
         v_grid = grid_dual_value(market, spec, y)
-        worst_v = max(worst_v, abs(value_v(market, spec, y) - v_grid))
+        worst_v = max(worst_v, abs(solve_dual(market, spec, y).value - v_grid))
     assert worst_u <= 1e-6
     assert worst_v <= 1e-5
 
@@ -220,12 +220,12 @@ def test_criterion_05_superreplication():
         market = gen.draw_feasible(j)
         tree = market.tree
         poly = build_polytope(market)
-        prob = path_measure(tree).leaf_prob
+        prob = tree.leaf_prob
         systems = sample_polytope(poly, 200, seed=SEED + j)
         Z0 = np.array([ps.z0[tree.leaves] for ps in systems])
         xs = rng.uniform(-2.0, 2.0, size=100)
         claims = np.empty((100, tree.n_leaves))
-        internal = tree.internal_nodes()
+        internal = tree.internal
         for i in range(100):
             buy = np.zeros(tree.n_nodes)
             sell = np.zeros(tree.n_nodes)
@@ -252,8 +252,8 @@ def test_criterion_05_superreplication():
         V = enumerate_vertices(build_polytope(market))
         if V is None:
             continue
-        prob = path_measure(tree).leaf_prob
-        internal = tree.internal_nodes()
+        prob = tree.leaf_prob
+        internal = tree.internal
         for _ in range(4):
             if done >= 20:
                 break
@@ -376,7 +376,7 @@ def test_criterion_09a_derivative_audits(two_period_market):
         assert ok, f"primal {utility_label(spec)}: grad {gerr:.2e} hess {herr:.2e}"
 
     poly = build_polytope(two_period_market)
-    prob = path_measure(two_period_market.tree).leaf_prob
+    prob = two_period_market.tree.leaf_prob
     endow = two_period_market.endowment
     L = two_period_market.tree.n_leaves
     s_leaf = two_period_market.ask_price[two_period_market.tree.leaves]
@@ -409,11 +409,11 @@ def test_criterion_09b_bitwise_determinism(two_period_market):
 def frictionless_oracle_value(market, gamma, x):
     """Direct smooth maximization over node positions (scipy BFGS)."""
     tree = market.tree
-    internal = tree.internal_nodes()
+    internal = tree.internal
     pos = {int(n): k for k, n in enumerate(internal)}
     K, L = internal.size, tree.n_leaves
     S = market.ask_price
-    prob = path_measure(tree).leaf_prob
+    prob = tree.leaf_prob
     D = np.zeros((L, K))
     for li, leaf in enumerate(tree.leaves):
         path = tree.path_to_root(int(leaf))

@@ -211,3 +211,16 @@ def test_stdout_json(market_file, capsys):
 def test_table_output(market_file, capsys):
     assert main(["xmin", "--market", market_file]) == 0
     assert "x0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("utility", ["exp:gamma=1", "log"])
+def test_solve_empty_polytope_at_zero_spread(tmp_path, drift_binomial, utility, capsys):
+    # both children above the root at zero spread: an arbitrage, so no
+    # price system exists, whatever the utility family
+    from frictiondual.tree import MarketSpec
+    m = MarketSpec(tree=drift_binomial.tree, ask_price=[100.0, 120.0, 110.0],
+                   lam=0.0, endowment=[0.0, 0.0])
+    path = str(tmp_path / "arbitrage.json")
+    save_market(m, path)
+    assert main(["solve", "--market", path, "--utility", utility, "--x", "1.0"]) == 3
+    assert "infeasible" in capsys.readouterr().err

@@ -15,14 +15,13 @@ from frictiondual.duality import (
     solve_primal,
     solve_report,
     superreplicate,
-    value_v,
     verify_identities,
 )
 from frictiondual.engine import EngineError, SolveDiagnostics, SolveResult
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, enumerate_vertices
 from frictiondual.trading import roll_forward, terminal_claim
-from frictiondual.tree import EventTree, MarketSpec, path_measure
+from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec
 
 LOG = UtilitySpec("log")
@@ -45,7 +44,7 @@ def test_martingale_log_value(martingale_binomial):
     assert rep.value == pytest.approx(0.0, abs=1e-8)
     assert rep.yhat == pytest.approx(1.0, abs=1e-6)
     # v(1) = E[-log(z) - 1] at the uniform density
-    assert value_v(martingale_binomial, LOG, 1.0) == pytest.approx(-1.0, abs=1e-8)
+    assert solve_dual(martingale_binomial, LOG, 1.0).value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_constant_endowment_is_cash(drift_binomial):
@@ -78,7 +77,7 @@ def test_compute_x0_vertex_oracle(drift_binomial):
     poly = build_polytope(m)
     V = enumerate_vertices(poly)
     assert V is not None
-    prob = path_measure(m.tree).leaf_prob
+    prob = m.tree.leaf_prob
     L = m.tree.n_leaves
     oracle = max(float(-(prob * m.endowment) @ v[:L]) for v in V)
     assert compute_x0(m) == pytest.approx(oracle, abs=1e-7)
@@ -101,7 +100,7 @@ def test_no_cps_raises():
 def test_weak_duality(drift_binomial):
     rep = solve_report(drift_binomial, LOG, 2.0)
     for y in (0.2, rep.yhat, 1.0):
-        assert rep.value <= value_v(drift_binomial, LOG, y) + 2.0 * y + 1e-8
+        assert rep.value <= solve_dual(drift_binomial, LOG, y).value + 2.0 * y + 1e-8
 
 
 def test_value_monotone_in_spread(drift_binomial):
@@ -119,7 +118,7 @@ def test_primal_value_concave_in_x(drift_binomial):
 
 def test_dual_value_convex_decreasing_in_y(drift_binomial):
     ys = [0.5, 1.0, 1.5]
-    vs = [value_v(drift_binomial, LOG, y) for y in ys]
+    vs = [solve_dual(drift_binomial, LOG, y).value for y in ys]
     assert vs[0] > vs[1] > vs[2]
     assert vs[1] <= 0.5 * (vs[0] + vs[2]) + 1e-9
 
@@ -128,8 +127,8 @@ def test_dual_derivative_matches_fd(two_period_market):
     y = 0.8
     sol = solve_dual(two_period_market, EXP1, y)
     h = 1e-5
-    fd = (value_v(two_period_market, EXP1, y + h)
-          - value_v(two_period_market, EXP1, y - h)) / (2 * h)
+    fd = (solve_dual(two_period_market, EXP1, y + h).value
+          - solve_dual(two_period_market, EXP1, y - h).value) / (2 * h)
     assert sol.derivative == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -160,7 +159,7 @@ def test_entropy_core_scale_invariance(two_period_market):
     for y in (0.3, 1.0, 2.5):
         recon = (y / gamma) * (math.log(y / gamma) - 1.0) \
             + (y / gamma) * core.entropy + y * core.endow_mean
-        assert value_v(two_period_market, spec, y) == pytest.approx(
+        assert solve_dual(two_period_market, spec, y).value == pytest.approx(
             recon, rel=1e-7, abs=1e-9)
 
 
@@ -185,7 +184,7 @@ def test_superreplication_of_attainable_claim(two_period_market):
     rng = np.random.default_rng(2)
     n = m.tree.n_nodes
     buy = np.zeros(n)
-    buy[m.tree.internal_nodes()] = rng.uniform(0.0, 0.3, size=4)
+    buy[m.tree.internal] = rng.uniform(0.0, 0.3, size=4)
     st = roll_forward(m, 1.0, buy, np.zeros(n))
     claim = terminal_claim(m, st)
     short, strat = superreplicate(m, 1.0, claim)
@@ -246,7 +245,7 @@ def test_scale_cone_matches_scalar_search(two_period_market, spec):
 
     x = compute_x0(two_period_market) + 4.0
     yhat, val, _ = minimize_v_plus_xy(two_period_market, spec, x)
-    ref = minimize_scalar(lambda y: value_v(two_period_market, spec, y) + x * y,
+    ref = minimize_scalar(lambda y: solve_dual(two_period_market, spec, y).value + x * y,
                           bounds=(1e-2, 10.0), method="bounded",
                           options={"xatol": 1e-10})
     assert ref.success
@@ -285,7 +284,7 @@ def test_primal_point_is_net_trades_at_zero_spread(drift_binomial):
     market = drift_binomial.with_lambda(0.0)
     sol = solve_primal(market, LOG, 5.0)
     v = duality.primal_point(market, sol.strategy, sol.claim)
-    internal = market.tree.internal_nodes()
+    internal = market.tree.internal
     K = internal.size
     assert v.size == K + market.tree.n_leaves
     assert np.array_equal(v[:K], sol.strategy.buy[internal] - sol.strategy.sell[internal])
@@ -353,3 +352,130 @@ def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
                                         market.endowment)
     with pytest.raises(PolytopeInfeasibleError):
         solve_report(market, LOG, x)
+
+
+def loop_primal_layout(market):
+    """Leaf-by-leaf reference of :func:`duality._primal_layout`'s maps."""
+    tree = market.tree
+    internal = [i for i in range(tree.n_nodes) if tree.children[i]]
+    K, L = len(internal), tree.n_leaves
+    pos = {node: k for k, node in enumerate(internal)}
+    nv = 2 * K + L
+    s, bid = market.ask_price, market.bid_price
+    T0 = np.zeros((L, nv))
+    T1 = np.zeros((L, nv))
+    for li, leaf in enumerate(tree.leaves):
+        for node in tree.path_to_root(int(leaf)):
+            if node in pos:
+                k = pos[node]
+                T0[li, k] = -s[node]
+                T0[li, K + k] = bid[node]
+                T1[li, k] = 1.0
+                T1[li, K + k] = -1.0
+    return T0, T1
+
+
+def loop_primal_rows(market, spec, x, include_endowment):
+    """Row-by-row reference of :func:`duality.primal_program`'s ``G``/``h``."""
+    tree = market.tree
+    T0, T1 = loop_primal_layout(market)
+    L = tree.n_leaves
+    K = (T0.shape[1] - L) // 2
+    frictionless = market.lam == 0.0
+    if frictionless:
+        T0 = np.hstack([T0[:, :K], T0[:, 2 * K:]])
+        T1 = np.hstack([T1[:, :K], T1[:, 2 * K:]])
+        off = K
+    else:
+        off = 2 * K
+    nv = off + L
+    endow = market.endowment if include_endowment else np.zeros(L)
+    s_leaf = market.ask_price[tree.leaves]
+    bid_leaf = market.bid_price[tree.leaves]
+    rows, h_vals = [], []
+    for li in range(L):
+        c_row = np.zeros(nv)
+        c_row[off + li] = 1.0
+        rows.append(T0[li] + bid_leaf[li] * T1[li] - c_row)
+        h_vals.append(0.0)
+        if not frictionless:
+            rows.append(T0[li] + s_leaf[li] * T1[li] - c_row)
+            h_vals.append(0.0)
+    for k in range(off if not frictionless else 0):
+        row = np.zeros(nv)
+        row[k] = 1.0
+        rows.append(row)
+        h_vals.append(0.0)
+    if spec.wealth_domain == "positive":
+        for li in range(L):
+            row = np.zeros(nv)
+            row[off + li] = 1.0
+            rows.append(row)
+            h_vals.append(duality.POSITIVITY_MARGIN - x - endow[li])
+    return np.array(rows), np.array(h_vals)
+
+
+def loop_superreplication_rows(market, x, claim):
+    """Row-by-row reference of :func:`superreplicate`'s LP ``G``/``h``."""
+    tree = market.tree
+    T0, T1 = loop_primal_layout(market)
+    L = tree.n_leaves
+    nv = T0.shape[1]
+    K = (nv - L) // 2
+    s_leaf = market.ask_price[tree.leaves]
+    bid_leaf = market.bid_price[tree.leaves]
+    cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
+    rows, h_vals = [], []
+    for li in range(L):
+        for leg in (T0[li] + bid_leaf[li] * T1[li], T0[li] + s_leaf[li] * T1[li]):
+            rows.append(np.concatenate([leg, [-1.0]]))
+            h_vals.append(claim[li] - x)
+    for k in range(2 * K):
+        row = np.zeros(nv + 1)
+        row[k] = 1.0
+        rows.append(row)
+        h_vals.append(0.0)
+    capped = np.zeros(nv + 1)
+    capped[nv] = -1.0
+    rows.append(capped)
+    h_vals.append(-cap)
+    return np.array(rows), np.array(h_vals)
+
+
+def assert_same_bytes(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_primal_builders_match_loop_reference(seed, monkeypatch):
+    calls = []
+
+    def spy(c, **lp):
+        calls.append(lp)
+        return engine.solve_lp(c, **lp)
+
+    monkeypatch.setattr(duality, "solve_lp", spy)
+    gen = InstanceGenerator(seed=seed)
+    rng = np.random.default_rng(seed)
+    for i in range(15):
+        drawn = gen.draw(i)
+        for lam in (drawn.lam, 0.0):
+            market = drawn.with_lambda(lam)
+            *_, T0, T1 = duality._primal_layout(market)
+            T0_ref, T1_ref = loop_primal_layout(market)
+            assert_same_bytes(T0, T0_ref, "T0")
+            assert_same_bytes(T1, T1_ref, "T1")
+            for spec in (LOG, EXP1):
+                for include_endowment in (True, False):
+                    prog = duality.primal_program(market, spec, 1.5, include_endowment)[0]
+                    G_ref, h_ref = loop_primal_rows(market, spec, 1.5, include_endowment)
+                    assert_same_bytes(prog.G, G_ref, "G")
+                    assert_same_bytes(prog.h, h_ref, "h")
+            claim = rng.standard_normal(market.tree.n_leaves)
+            calls.clear()
+            superreplicate(market, 2.0, claim)
+            (lp,) = calls
+            G_ref, h_ref = loop_superreplication_rows(market, 2.0, claim)
+            assert_same_bytes(lp["G"], G_ref, "superreplication G")
+            assert_same_bytes(lp["h"], h_ref, "superreplication h")

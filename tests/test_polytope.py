@@ -11,7 +11,7 @@ from frictiondual.polytope import (
 )
 from frictiondual.engine import solve_lp
 from frictiondual.generate import InstanceGenerator
-from frictiondual.tree import EventTree, MarketSpec, path_measure
+from frictiondual.tree import EventTree, MarketSpec
 
 
 def crossing_binomial(lam=0.01):
@@ -29,7 +29,7 @@ def test_conditional_expectation_matrix(two_period_market):
     # only descendant leaves carry weight
     ones = np.ones(tree.n_leaves)
     assert np.allclose(W @ ones, np.ones(tree.n_nodes))
-    for node in tree.internal_nodes():
+    for node in tree.internal:
         for k, leaf in enumerate(tree.leaves):
             if node not in tree.path_to_root(int(leaf)):
                 assert W[node, k] == 0.0
@@ -39,13 +39,12 @@ def loop_built_polytope(market, lam):
     """Node-by-node and leaf-by-leaf reference of the polytope build."""
     tree = market.tree
     n, L = tree.n_nodes, tree.n_leaves
-    measure = path_measure(tree)
     W = np.zeros((n, L))
     for k, leaf in enumerate(tree.leaves):
         for node in tree.path_to_root(int(leaf)):
-            W[node, k] = measure.leaf_prob[k] / measure.node_prob[node]
+            W[node, k] = tree.leaf_prob[k] / tree.node_prob[node]
     s = market.ask_price
-    eq_rows, eq_vals = [np.concatenate([measure.leaf_prob, np.zeros(L)])], [1.0]
+    eq_rows, eq_vals = [np.concatenate([tree.leaf_prob, np.zeros(L)])], [1.0]
     g_rows = []
     lower_idx, upper_idx = np.full(n, -1), np.full(n, -1)
     for node in range(n):
@@ -174,10 +173,9 @@ def test_price_system_interior_values(two_period_market):
     poly = build_polytope(two_period_market)
     for ps in sample_polytope(poly, 5, seed=1):
         tree = two_period_market.tree
-        pm = path_measure(tree)
         # interior node values are the conditional expectations of the
         # leaf values: the density is a martingale in both coordinates
-        for node in tree.internal_nodes():
+        for node in tree.internal:
             kids = tree.children[node]
             z0_kids = sum(tree.cond_prob[k] * ps.z0[k] for k in kids)
             assert ps.z0[node] == pytest.approx(z0_kids, abs=1e-8)

@@ -5,7 +5,6 @@ from frictiondual.duality import solve_entropy_core
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import build_polytope, sample_polytope
 from frictiondual.pricing import (
-    UnsupportedUtilityError,
     indifference_price,
     price_bounds,
     price_dual,
@@ -86,13 +85,6 @@ def test_route_selection(drift_binomial):
     for bad in (("dual", "bogus"), ()):
         with pytest.raises(ValueError):
             indifference_price(m, gamma=1.0, routes=bad)
-
-
-def test_non_exponential_rejected(drift_binomial):
-    from frictiondual.pricing import _require_exponential
-
-    with pytest.raises(UnsupportedUtilityError):
-        _require_exponential(UtilitySpec("log"))
 
 
 def test_one_solve_per_pricing_program(two_period_market, monkeypatch):

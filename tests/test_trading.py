@@ -44,7 +44,7 @@ def test_terminal_claim_alignment(two_period_market):
     rng = np.random.default_rng(7)
     buy = np.zeros(m.tree.n_nodes)
     sell = np.zeros(m.tree.n_nodes)
-    for k in m.tree.internal_nodes():
+    for k in m.tree.internal:
         buy[k] = rng.uniform(0.0, 1.0)
     st = roll_forward(m, 5.0, buy, sell)
     claim = terminal_claim(m, st)

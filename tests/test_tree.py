@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from frictiondual.generate import InstanceGenerator
 from frictiondual.tree import (
     EventTree,
     LambdaRangeError,
@@ -12,11 +13,9 @@ from frictiondual.tree import (
     SchemaError,
     TreeStructureError,
     UnevenLeafDepthError,
-    expectation,
     load_market,
     market_from_dict,
     market_to_dict,
-    path_measure,
     save_market,
 )
 
@@ -27,7 +26,7 @@ def test_binomial_structure(martingale_binomial):
     assert tree.n_leaves == 2
     assert tree.horizon == 1
     assert list(tree.leaves) == [1, 2]
-    assert list(tree.internal_nodes()) == [0]
+    assert list(tree.internal) == [0]
     assert tree.path_to_root(2) == [2, 0]
 
 
@@ -36,22 +35,21 @@ def test_two_period_structure(two_period_market):
     assert tree.n_nodes == 10
     assert tree.n_leaves == 6
     assert tree.horizon == 2
-    assert list(tree.internal_nodes()) == [0, 1, 2, 3]
+    assert list(tree.internal) == [0, 1, 2, 3]
     assert tree.path_to_root(9) == [9, 3, 0]
 
 
 def test_path_measure_sums_to_one(two_period_market):
-    pm = path_measure(two_period_market.tree)
-    assert pm.leaf_prob.sum() == pytest.approx(1.0, abs=1e-14)
-    # the measure of each stage is also one
     tree = two_period_market.tree
+    assert tree.leaf_prob.sum() == pytest.approx(1.0, abs=1e-14)
+    # the measure of each stage is also one
     for t in range(tree.horizon + 1):
-        stage = pm.node_prob[tree.time == t].sum()
+        stage = tree.node_prob[tree.time == t].sum()
         assert stage == pytest.approx(1.0, abs=1e-14)
 
 
 def test_expectation_matches_manual(martingale_binomial):
-    val = expectation(martingale_binomial.tree, [10.0, -4.0])
+    val = martingale_binomial.tree.leaf_prob @ np.array([10.0, -4.0])
     assert val == pytest.approx(3.0, abs=1e-14)
 
 
@@ -139,3 +137,25 @@ def test_file_roundtrip(tmp_path, two_period_market):
     raw = json.loads(path.read_text())
     for key in ("lambda", "nodes", "endowment"):
         assert key in raw
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_path_structure_matches_walk(seed, two_period_market):
+    trees = [InstanceGenerator(seed=seed).draw(i).tree for i in range(15)]
+    for tree in trees + [two_period_market.tree]:
+        on_path = np.zeros((tree.n_leaves, tree.n_nodes), dtype=bool)
+        for li, leaf in enumerate(tree.leaves):
+            on_path[li, tree.path_to_root(int(leaf))] = True
+        node_prob = np.empty(tree.n_nodes)
+        for node in range(tree.n_nodes):
+            p = 1.0
+            for above in reversed(tree.path_to_root(node)[:-1]):
+                p *= tree.cond_prob[above]
+            node_prob[node] = p
+        assert np.array_equal(tree.on_path, on_path)
+        assert np.array_equal(tree.node_prob, node_prob)
+        assert np.array_equal(tree.leaf_prob, node_prob[tree.leaves])
+        assert tree.internal.tolist() == [n for n in range(tree.n_nodes) if tree.children[n]]
+        assert [list(at) for at in tree.stages] == [
+            [n for n in range(tree.n_nodes) if tree.time[n] == t]
+            for t in range(tree.horizon + 1)]
