@@ -476,13 +476,15 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
     returns ``(shortfall, strategy)`` where shortfall = max(0, -slack*).
     A nonpositive shortfall certifies superreplication.
     """
-    internal, K, L, nv, T0, T1 = _primal_layout(market)
+    internal, K, L, _, T0, T1 = _primal_layout(market)
     tree = market.tree
     claim = np.asarray(claim, dtype=float)
     cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
 
+    # variables [buys, sells, slack]: the layout's claim columns are left out
     # rows: both liquidation legs against the slack, trade nonnegativity, cap
-    legs = _liquidation_legs(market, T0, T1)
+    nv = 2 * K
+    legs = _liquidation_legs(market, T0[:, :nv], T1[:, :nv])
     capped = np.zeros(nv + 1)
     capped[nv] = -1.0
     G = np.vstack([np.hstack([legs, np.full((2 * L, 1), -1.0)]),

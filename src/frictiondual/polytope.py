@@ -136,6 +136,36 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
     )
 
 
+def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
+    """Leaf variables ``(Z0, S Z0)`` of a strictly positive martingale
+    density of the ask price, or ``None`` when a node only moves one way.
+
+    This is a strictly feasible point of the zero-spread polytope, in
+    closed form (Harrison & Pliska, Stoch. Proc. Appl. 11, 1981).  At each
+    internal node, with ``a`` and ``b`` the expected up and down moves of
+    the price, an up move's probability is reweighted by ``1/a``, a down
+    move's by ``1/b`` and a flat move's by 1; normalized, these one-step
+    weights have zero drift.  The leaf density is their product over the
+    path.  A node with ``a`` or ``b`` alone zero is an arbitrage.
+    """
+    tree = market.tree
+    S = market.ask_price
+    par, p = tree.parent[1:], tree.cond_prob[1:]
+    move = S[1:] - S[par]
+    up, down = move > 0.0, move < 0.0
+    a = np.bincount(par[up], weights=p[up] * move[up], minlength=tree.n_nodes)
+    b = np.bincount(par[down], weights=-p[down] * move[down], minlength=tree.n_nodes)
+    if np.any((a > 0.0) != (b > 0.0)):
+        return None
+    w = np.ones(par.size)
+    w[up] = 1.0 / a[par[up]]
+    w[down] = 1.0 / b[par[down]]
+    ratio = np.ones(tree.n_nodes)    # q/p along the edge into each node
+    ratio[1:] = w / np.bincount(par, weights=p * w, minlength=tree.n_nodes)[par]
+    z0 = np.prod(np.where(tree.on_path, ratio, 1.0), axis=1)
+    return np.concatenate([z0, S[tree.leaves] * z0])
+
+
 @dataclass
 class CpsVerdict:
     """Outcome of the strict price-system existence check."""

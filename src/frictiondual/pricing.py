@@ -11,7 +11,9 @@ Both reports' dual solves start at the one existence witness, and each
 shadow-market dual starts at the lift (:meth:`ShadowPrice.lift`) of its
 report's dual optimizer, which is optimal there; a start that is not
 strictly feasible falls back to a phase one.  ``price_dual`` alone
-solves its two entropy programs cold.
+solves its two entropy programs independently of the reports, each from
+a phase one.  The LP bounds take one LP for both ends
+(:func:`price_bounds`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from . import utility as ut
 from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
@@ -130,16 +133,21 @@ def price_shadow(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
 
 
 def price_bounds(market: MarketSpec) -> tuple:
-    """Consistent-price LP bounds: (inf, sup) of E[z * e] over the polytope."""
+    """Consistent-price LP bounds: (inf, sup) of E[z * e] over the polytope.
+
+    One LP over two copies of the polytope with costs ``c`` and ``-c``:
+    the objective separates, so the first copy lands on a minimizer and
+    the second on a maximizer, and each bound is ``c`` at its copy.
+    """
     poly = build_polytope(market)
     L = market.tree.n_leaves
     c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
-    lo = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
-    hi = solve_lp(-c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
-    for res in (lo, hi):
-        if res.status != "optimal":
-            raise EngineError(f"price-bound LP failed: {res.diagnostics.message}")
-    return float(lo.diagnostics.objective), float(-hi.diagnostics.objective)
+    res = solve_lp(np.concatenate([c, -c]),
+                   A_eq=block_diag(poly.A_eq, poly.A_eq), b_eq=np.tile(poly.b_eq, 2),
+                   G=block_diag(poly.G, poly.G), h=np.tile(poly.h, 2))
+    if res.status != "optimal":
+        raise EngineError(f"price-bound LP failed: {res.diagnostics.message}")
+    return float(c @ res.x[:c.size]), float(c @ res.x[c.size:])
 
 
 def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0,

@@ -4,8 +4,11 @@ The ratio of the two dual-optimizer components defines a price process
 lying in the spread.  Trading it without friction achieves exactly the
 frictional value, and the frictionless dual density lifts back to a
 frictional dual optimizer.  This module builds that price, solves the
-frictionless problems on it, and verifies both directions.  The solves
-here start cold: they are the independent checks of that theorem.
+frictionless problems on it, and verifies both directions.  No solve
+here starts from the frictional optimizer, so they are independent
+checks of that theorem: the zero-spread duals start at the closed-form
+martingale density of the shadow price (:func:`martingale_point`), and
+the primal at its program's generic start.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from . import utility as ut
 from .duality import (DualSolution, PrimalUnboundedError, SolveReport, solve_dual,
                       solve_primal)
-from .polytope import PriceSystem, build_polytope
+from .polytope import PriceSystem, build_polytope, martingale_point
 from .tree import MarketSpec
 
 Z0_SUPPORT_EPS = 1e-12
@@ -124,8 +127,11 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
 
     ``shadow_market`` must carry zero spread; diverging primal iterates
     are reported as an unbounded problem (frictionless arbitrage in the
-    supplied price).  Both solves start cold, independent of the
-    frictional solve the price came from.
+    supplied price).  Neither solve reads the frictional solve the price
+    came from: the primal starts at its program's generic start, the
+    dual at the price's closed-form martingale density
+    (:func:`martingale_point`), or from a phase one when the price moves
+    one way at some node or the engine rejects that point.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
@@ -135,7 +141,8 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"
         ) from exc
-    dual = solve_dual(shadow_market, spec, y, include_endowment)
+    dual = solve_dual(shadow_market, spec, y, include_endowment,
+                      x0=martingale_point(shadow_market))
     return FrictionlessSolve(
         position=primal.strategy.phi1.copy(),
         value=primal.value,
@@ -220,12 +227,16 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
     Solving the zero-spread dual on the shadow price at yhat and pairing
     its density with density-times-price must land inside the original
     polytope and reproduce the frictional dual value.  The zero-spread
-    solve starts cold (a phase one), so it checks the shadow-price
-    theorem independently of the frictional optimizer.
+    solve starts at the closed-form martingale density of the shadow
+    price (:func:`martingale_point`), with a phase one as the fallback,
+    never at the lift of the frictional optimizer, so it checks the
+    shadow-price theorem independently of that optimizer.
     """
     market = report.market
-    dual = solve_dual(shadow.as_market(), report.utility, report.yhat,
-                      include_endowment=report.include_endowment)
+    shadow_market = shadow.as_market()
+    dual = solve_dual(shadow_market, report.utility, report.yhat,
+                      include_endowment=report.include_endowment,
+                      x0=martingale_point(shadow_market))
     lifted = shadow.lift(dual.leaf_vars[:market.tree.n_leaves])
     poly = build_polytope(market)
     violation = poly.max_violation(lifted)

@@ -9,7 +9,7 @@ cash endowment paid at the horizon.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +45,16 @@ class UnevenLeafDepthError(MarketValidationError):
 _PROB_TOL = 1e-12
 
 
+def _equal_by_value(a, b):
+    """``a == b`` for dataclasses holding arrays: the compared fields of
+    one type agree, arrays elementwise (:func:`numpy.array_equal`)."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in ((getattr(a, f.name), getattr(b, f.name))
+                            for f in fields(a) if f.compare))
+
+
 @dataclass(frozen=True)
 class EventTree:
     """Rooted tree with one-step conditional probabilities.
@@ -73,6 +83,8 @@ class EventTree:
     node_prob: np.ndarray = field(init=False, repr=False, compare=False)
     leaf_prob: np.ndarray = field(init=False, repr=False, compare=False)
     on_path: np.ndarray = field(init=False, repr=False, compare=False)
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self):
         parent = np.asarray(self.parent, dtype=int)
@@ -172,6 +184,8 @@ class MarketSpec:
     ask_price: np.ndarray
     lam: float
     endowment: np.ndarray
+
+    __eq__ = _equal_by_value
 
     def __post_init__(self):
         ask = np.asarray(self.ask_price, dtype=float)

@@ -477,5 +477,11 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
             superreplicate(market, 2.0, claim)
             (lp,) = calls
             G_ref, h_ref = loop_superreplication_rows(market, 2.0, claim)
+            # the reference keeps the layout's leaf-claim columns; they are
+            # zero in every row, and the LP leaves them out
+            claim_cols = np.arange(G_ref.shape[1] - 1 - market.tree.n_leaves,
+                                   G_ref.shape[1] - 1)
+            assert not G_ref[:, claim_cols].any()
+            G_ref = np.delete(G_ref, claim_cols, axis=1)
             assert_same_bytes(lp["G"], G_ref, "superreplication G")
             assert_same_bytes(lp["h"], h_ref, "superreplication h")

@@ -7,6 +7,7 @@ from frictiondual.polytope import (
     check_cps,
     conditional_expectation_matrix,
     enumerate_vertices,
+    martingale_point,
     sample_polytope,
 )
 from frictiondual.engine import solve_lp
@@ -202,6 +203,38 @@ def test_check_cps_positive(martingale_binomial, two_period_market):
         assert v.certificate is None
         # the witness is strictly positive on every node
         assert np.all(v.witness.z0 > 0)
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_martingale_point_is_strictly_inside(seed, martingale_binomial):
+    from frictiondual.duality import solve_report
+    from frictiondual.shadow import construct_shadow
+    from frictiondual.utility import UtilitySpec
+
+    gen = InstanceGenerator(seed=seed)
+    markets = [martingale_binomial.with_lambda(0.0)]
+    for i in range(15):
+        m = gen.draw_feasible(i)
+        rep = solve_report(m, UtilitySpec("exponential", gamma=1.0), 1.0)
+        markets.append(construct_shadow(m, rep.dual_system).as_market())
+    for market in markets:
+        z = martingale_point(market)
+        assert z is not None and np.all(z > 0.0)
+        poly = build_polytope(market)
+        assert poly.max_violation(z) <= 1e-12
+        assert poly.price_system(z).strictly_positive
+    # p = 1/2 is already the martingale measure of 100 -> 120/80
+    assert np.array_equal(martingale_point(markets[0]), [1.0, 1.0, 120.0, 80.0])
+
+
+def test_martingale_point_none_on_a_one_way_market():
+    from frictiondual.duality import solve_dual
+    from frictiondual.utility import UtilitySpec
+
+    market = crossing_binomial(lam=0.0)
+    assert martingale_point(market) is None
+    with pytest.raises(PolytopeInfeasibleError):
+        solve_dual(market, UtilitySpec("exponential", gamma=1.0), 1.0)
 
 
 def test_check_cps_negative_with_certificate():

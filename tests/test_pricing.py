@@ -3,7 +3,7 @@ import pytest
 
 from frictiondual.duality import solve_entropy_core
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import build_polytope, sample_polytope
+from frictiondual.polytope import build_polytope, martingale_point, sample_polytope
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -148,18 +148,20 @@ def test_shadow_dual_same_optimum_from_any_start(dense_market):
     perturbed = 0.7 * lift + 0.3 * np.concatenate([
         vertex.z0[sm.tree.leaves], vertex.z1[sm.tree.leaves]])
     assert np.abs(perturbed - lift).max() > 1e-2
-    sols = [solve_dual(sm, rep.utility, 1.0, x0=x0) for x0 in (lift, perturbed, None)]
-    starts = [s.diagnostics["phase_one_slack"] is None for s in sols]
-    assert starts == [True, True, False]
+    starts = (lift, perturbed, None, martingale_point(sm))
+    sols = [solve_dual(sm, rep.utility, 1.0, x0=x0) for x0 in starts]
+    warm = [s.diagnostics["phase_one_slack"] is None for s in sols]
+    assert warm == [True, True, False, True]
     v = sols[2].value
-    for sol in sols[:2]:
+    for sol in sols[:2] + sols[3:]:
         assert sol.value == pytest.approx(v, abs=1e-8 * (1.0 + abs(v)))
 
 
 def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
-    from frictiondual import engine
+    from frictiondual import duality, engine, shadow as shadow_mod
     from frictiondual.duality import solve_report
-    from frictiondual.shadow import construct_shadow, shadow_from_dual_roundtrip
+    from frictiondual.shadow import (construct_shadow, shadow_from_dual_roundtrip,
+                                     solve_frictionless, verify_shadow)
 
     calls = []
     phase_one = engine._phase_one
@@ -168,10 +170,55 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
         calls.append(1)
         return phase_one(*args, **kwargs)
 
+    starts = []
+    original = duality.solve_dual
+
+    def spied(*args, **kwargs):
+        starts.append(kwargs.get("x0"))
+        return original(*args, **kwargs)
+
     monkeypatch.setattr(engine, "_phase_one", counted)
+    monkeypatch.setattr(shadow_mod, "solve_dual", spied)
+    # the whole shadow-and-price request of the benchmark
+    spec = UtilitySpec("exponential", gamma=1.0)
+    rep = solve_report(dense_market, spec, 1.0)
+    shadow = construct_shadow(dense_market, rep.dual_system)
+    fr = solve_frictionless(shadow.as_market(), spec, 1.0, y=rep.yhat)
+    verify_shadow(rep, shadow, fr)
+    shadow_from_dual_roundtrip(rep, shadow)
     indifference_price(dense_market, 1.0, x=1.0)
     assert len(calls) == 0
-    rep = solve_report(dense_market, UtilitySpec("exponential", gamma=1.0), 1.0)
-    shadow = construct_shadow(dense_market, rep.dual_system)
-    shadow_from_dual_roundtrip(rep, shadow)
-    assert len(calls) == 1     # the roundtrip's check stays cold
+    # both shadow checks start at the closed-form martingale density of the
+    # shadow price, not at the lift of the report's optimizer
+    start = martingale_point(shadow.as_market())
+    lift = shadow.lift(rep.dual_leaf_vars[:dense_market.tree.n_leaves])
+    assert len(starts) == 2
+    assert all(np.array_equal(s, start) for s in starts)
+    assert np.abs(start - lift).max() > 1e-2
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_price_bounds_one_lp(seed, monkeypatch):
+    from frictiondual import engine, pricing
+
+    gen = InstanceGenerator(seed=seed)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "solve_lp", counted)
+    for i in range(15):
+        market = gen.draw_feasible(i)
+        poly = build_polytope(market)
+        L = market.tree.n_leaves
+        c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
+        lo = engine.solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
+        hi = engine.solve_lp(-c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
+        want = (lo.diagnostics.objective, -hi.diagnostics.objective)
+        calls.clear()
+        got = price_bounds(market)
+        assert len(calls) == 1
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * (1.0 + abs(w))

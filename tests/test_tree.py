@@ -159,3 +159,26 @@ def test_path_structure_matches_walk(seed, two_period_market):
         assert [list(at) for at in tree.stages] == [
             [n for n in range(tree.n_nodes) if tree.time[n] == t]
             for t in range(tree.horizon + 1)]
+
+
+def test_trees_and_markets_compare_by_value(two_period_market):
+    m = two_period_market
+    raw = market_to_dict(m)
+    twin = EventTree(parent=list(m.tree.parent), time=list(m.tree.time),
+                     cond_prob=list(m.tree.cond_prob))
+    assert twin == m.tree
+    assert MarketSpec(twin, m.ask_price.copy(), m.lam, m.endowment.copy()) == m
+    assert market_from_dict(raw) == m
+    assert market_from_dict(market_to_dict(market_from_dict(raw))) == m
+
+    price = m.ask_price.copy()
+    price[4] += 1.0
+    assert m.with_lambda(0.03) != m
+    assert MarketSpec(m.tree, price, m.lam, m.endowment) != m
+    assert m.with_endowment(m.endowment + 1.0) != m
+    prob = m.tree.cond_prob.copy()
+    prob[[4, 5]] = [0.4, 0.6]
+    other = EventTree(parent=m.tree.parent, time=m.tree.time, cond_prob=prob)
+    assert other != m.tree
+    assert MarketSpec(other, m.ask_price, m.lam, m.endowment) != m
+    assert m != m.tree and m.tree != "tree"
