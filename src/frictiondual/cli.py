@@ -65,13 +65,21 @@ def cmd_check_cps(args) -> int:
     return EXIT_INFEASIBLE if any_missing else EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def _solve_market(args):
+    """The market file, its endowment set to zero under --no-endowment."""
     market = load_market(args.market)
+    if args.no_endowment:
+        market = market.with_endowment(np.zeros(market.tree.n_leaves))
+    return market
+
+
+def cmd_solve(args) -> int:
+    market = _solve_market(args)
     spec = ut.parse_utility(args.utility)
-    report = duality.solve_report(market, spec, args.x,
-                                  include_endowment=not args.no_endowment)
+    report = duality.solve_report(market, spec, args.x)
     checks = duality.verify_identities(report)
     payload = report.to_dict()
+    payload["include_endowment"] = not args.no_endowment
     payload["identity_checks"] = checks
     _emit(payload, args)
     if args.csv:
@@ -81,10 +89,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    market = load_market(args.market)
+    market = _solve_market(args)
     spec = ut.parse_utility(args.utility)
-    sol = duality.solve_dual(market, spec, args.y,
-                             include_endowment=not args.no_endowment)
+    sol = duality.solve_dual(market, spec, args.y)
     _emit({
         "value": sol.value, "y": sol.y, "derivative": sol.derivative,
         "z0": sol.system.z0.tolist(), "z1": sol.system.z1.tolist(),
@@ -94,14 +101,11 @@ def cmd_dual(args) -> int:
 
 
 def cmd_shadow(args) -> int:
-    market = load_market(args.market)
+    market = _solve_market(args)
     spec = ut.parse_utility(args.utility)
-    report = duality.solve_report(market, spec, args.x,
-                                  include_endowment=not args.no_endowment)
+    report = duality.solve_report(market, spec, args.x)
     shp = shadow_mod.construct_shadow(market, report.dual_system)
-    fr = shadow_mod.solve_frictionless(shp.as_market(), spec, args.x,
-                                       y=report.yhat,
-                                       include_endowment=not args.no_endowment)
+    fr = shadow_mod.solve_frictionless(shp.as_market(), spec, args.x, y=report.yhat)
     record = shadow_mod.verify_shadow(report, shp, fr)
     record["roundtrip"] = {
         k: v for k, v in shadow_mod.shadow_from_dual_roundtrip(report, shp).items()
@@ -148,7 +152,7 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     written = []
     for i in range(args.count):
-        market = gen.draw_feasible(i) if args.discard_infeasible else gen.draw(i)
+        market = gen.draw(i) if args.keep_infeasible else gen.draw_feasible(i)
         path = os.path.join(args.out, f"market_{gen.seed}_{i:04d}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(emit_instance(market))
@@ -169,6 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--market", required=True, help="market JSON file")
         p.add_argument("--json", help="write JSON output to this path ('-' for stdout)")
 
+    def solve_args(p, scale):
+        market_arg(p)
+        p.add_argument("--utility", required=True)
+        p.add_argument(scale, type=float, required=True)
+        p.add_argument("--no-endowment", action="store_true",
+                       help="solve the market with its endowment set to zero")
+
     p = sub.add_parser("check-cps", help="existence of a consistent price system")
     market_arg(p)
     p.add_argument("--mu", type=float, action="append",
@@ -176,25 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check_cps)
 
     p = sub.add_parser("solve", help="primal+dual solve with identity checks")
-    market_arg(p)
-    p.add_argument("--utility", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--no-endowment", action="store_true")
+    solve_args(p, "--x")
     p.add_argument("--csv", help="write the strategy table to this path")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("dual", help="dual value at a given scale")
-    market_arg(p)
-    p.add_argument("--utility", required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--no-endowment", action="store_true")
+    solve_args(p, "--y")
     p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("shadow", help="shadow price construction and checks")
-    market_arg(p)
-    p.add_argument("--utility", required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--no-endowment", action="store_true")
+    solve_args(p, "--x")
     p.add_argument("--csv", help="write the per-node shadow table to this path")
     p.set_defaults(func=cmd_shadow)
 
@@ -217,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-periods", type=int, default=4)
     p.add_argument("--min-branching", type=int, default=2)
     p.add_argument("--max-branching", type=int, default=3)
-    p.add_argument("--discard-infeasible", action="store_true", default=True)
-    p.add_argument("--keep-infeasible", dest="discard_infeasible",
-                   action="store_false")
+    p.add_argument("--keep-infeasible", action="store_true",
+                   help="keep markets that admit no strictly positive price system")
     p.add_argument("--json", help="write the manifest to this path")
     p.set_defaults(func=cmd_gen)
 

@@ -18,7 +18,8 @@ import numpy as np
 from . import utility as ut
 from .engine import (ConvexProgram, EngineError, InfeasibleProgramError, SolveResult,
                      solve, solve_lp)
-from .polytope import DualPolytope, PolytopeInfeasibleError, PriceSystem, build_polytope, check_cps
+from .polytope import (DENSITY_EPS, DualPolytope, PolytopeInfeasibleError, PriceSystem,
+                       build_polytope, check_cps)
 from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec
 
@@ -26,6 +27,7 @@ POSITIVITY_MARGIN = 1e-10
 THRESHOLD_MARGIN = 10.0 * POSITIVITY_MARGIN   # x must clear the threshold by this
 WARM_PULL = 0.1           # share of the way a supplied primal start moves to the generic one
 YHAT_RTOL = 1e-8
+FD_STEP = 1e-4            # central-difference step of u'(x), relative to 1 + |x|
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
 
 
@@ -66,7 +68,6 @@ class SolveReport:
     market: MarketSpec
     utility: ut.UtilitySpec
     x: float
-    include_endowment: bool
     value: float
     strategy: Strategy
     claim: np.ndarray
@@ -88,7 +89,6 @@ class SolveReport:
         return {
             "utility": ut.utility_label(self.utility),
             "x": self.x,
-            "include_endowment": self.include_endowment,
             "value": self.value,
             "yhat": self.yhat,
             "dual_value": self.dual_value,
@@ -137,8 +137,7 @@ def _liquidation_legs(market: MarketSpec, T0: np.ndarray, T1: np.ndarray) -> np.
     return legs
 
 
-def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                   include_endowment: bool = True):
+def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
     """Build the smooth concave maximization as an engine minimization.
 
     Claims enter through one bounded variable per leaf sitting under
@@ -158,7 +157,7 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         off = K
     else:
         off = 2 * K
-    endow = market.endowment if include_endowment else np.zeros(L)
+    endow = market.endowment
     prob = tree.leaf_prob
     s_leaf = market.ask_price[tree.leaves]
     bid_leaf = market.bid_price[tree.leaves]
@@ -242,7 +241,7 @@ def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> n
 
 
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 include_endowment: bool = True, x0: Optional[np.ndarray] = None,
+                 x0: Optional[np.ndarray] = None,
                  program: Optional[tuple] = None) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
@@ -263,7 +262,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     arguments, saves building it again.
     """
     if program is None:
-        program = primal_program(market, spec, x, include_endowment)
+        program = primal_program(market, spec, x)
     prog, internal, K, L, off, frictionless = program
     if x0 is not None:
         prog = replace(prog, x0=(1.0 - WARM_PULL) * np.asarray(x0, dtype=float)
@@ -292,8 +291,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     buy, sell = net_trades(buy, sell)
     strat = roll_forward(market, 0.0, buy, sell)
     claim = terminal_claim(market, strat)
-    endow = market.endowment if include_endowment else np.zeros(L)
-    value = float(tree.leaf_prob @ ut.eval_u(spec, x + claim + endow))
+    value = float(tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
     return PrimalSolution(value=value, strategy=strat, claim=claim,
                           diagnostics=res.diagnostics.to_dict())
 
@@ -326,7 +324,7 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
 
 
 def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
-               include_endowment: bool = True, poly: Optional[DualPolytope] = None,
+               poly: Optional[DualPolytope] = None,
                x0: Optional[np.ndarray] = None) -> DualSolution:
     """Minimize the conjugate functional at scale ``y`` over the polytope.
 
@@ -337,10 +335,9 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
         raise ut.UtilityDomainError(f"dual scale must be positive, got {y}")
     if poly is None:
         poly = build_polytope(market)
-    tree = market.tree
-    L = tree.n_leaves
-    prob = tree.leaf_prob
-    endow = market.endowment if include_endowment else np.zeros(L)
+    L = market.tree.n_leaves
+    prob = market.tree.leaf_prob
+    endow = market.endowment
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
                              "dual", x0=x0)
     z = res.x
@@ -381,7 +378,6 @@ class EntropyCore:
 
 
 def solve_entropy_core(market: MarketSpec, gamma: float,
-                       include_endowment: bool = True,
                        poly: Optional[DualPolytope] = None,
                        x0: Optional[np.ndarray] = None) -> EntropyCore:
     """Minimize E[z log z]/gamma + E[z e] over the polytope.
@@ -395,30 +391,23 @@ def solve_entropy_core(market: MarketSpec, gamma: float,
     """
     if poly is None:
         poly = build_polytope(market)
-    tree = market.tree
-    L = tree.n_leaves
-    prob = tree.leaf_prob
-    endow = market.endowment if include_endowment else np.zeros(L)
     spec = ut.UtilitySpec("exponential", gamma=gamma)
-    res = _solve_on_polytope(poly, *_dual_objective(poly, spec, 1.0, endow, prob),
+    res = _solve_on_polytope(poly, *_dual_objective(poly, spec, 1.0, market.endowment,
+                                                    market.tree.leaf_prob),
                              "entropy", x0=x0)
-    entropy, endow_mean = entropy_terms(market, res.x, include_endowment)
+    entropy, endow_mean = entropy_terms(market, res.x)
     return EntropyCore(leaf_vars=res.x, entropy=entropy, endow_mean=endow_mean,
                        diagnostics=res.diagnostics.to_dict())
 
 
-def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray,
-                  include_endowment: bool = True) -> tuple:
+def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray) -> tuple:
     """``(E[z log z], E[z e])`` at the polytope point ``leaf_vars``."""
-    L = market.tree.n_leaves
     prob = market.tree.leaf_prob
-    z0 = leaf_vars[:L]
-    endow = market.endowment if include_endowment else np.zeros(L)
-    return float(prob @ (z0 * np.log(z0))), float(prob @ (z0 * endow))
+    z0 = leaf_vars[:market.tree.n_leaves]
+    return float(prob @ (z0 * np.log(z0))), float(prob @ (z0 * market.endowment))
 
 
 def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                       include_endowment: bool = True,
                        poly: Optional[DualPolytope] = None,
                        x0: Optional[np.ndarray] = None):
     """Solve inf_y {v(y) + x y}; returns (yhat, value, DualSolution at yhat).
@@ -435,7 +424,7 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         poly = build_polytope(market)
     L = market.tree.n_leaves
     prob = market.tree.leaf_prob
-    endow = market.endowment if include_endowment else np.zeros(L)
+    endow = market.endowment
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
     objective, in_domain = _dual_objective(poly, spec, 1.0, x + endow, prob)
     res = _solve_on_polytope(cone, objective, in_domain, "dual", x0=x0)
@@ -452,11 +441,8 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     return yhat, value, sol
 
 
-def compute_x0(market: MarketSpec, include_endowment: bool = True,
-               poly: Optional[DualPolytope] = None) -> float:
+def compute_x0(market: MarketSpec, poly: Optional[DualPolytope] = None) -> float:
     """Wealth threshold sup over the polytope of E[-z0 * e_T]."""
-    if not include_endowment:
-        return 0.0
     if poly is None:
         poly = build_polytope(market)
     L = market.tree.n_leaves
@@ -466,7 +452,7 @@ def compute_x0(market: MarketSpec, include_endowment: bool = True,
         raise PolytopeInfeasibleError("empty polytope: threshold undefined")
     if res.status != "optimal":
         raise EngineError(f"threshold LP failed: {res.diagnostics.message}")
-    return -float(res.diagnostics.objective)
+    return 0.0 - float(res.diagnostics.objective)    # +0.0, not -0.0, at a zero endowment
 
 
 def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
@@ -511,7 +497,6 @@ def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
 
 
 def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 include_endowment: bool = True,
                  witness: Optional[np.ndarray] = None) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
@@ -544,6 +529,10 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     strictly inside this market's polytope such as another report's
     ``witness``, skips the check.  The report keeps the witness its dual
     solve started from: ``None`` at zero spread, where no check runs.
+
+    Every solve reads the endowment from ``market``: a report without the
+    endowment is the report of ``market.with_endowment(np.zeros(L))``.
+    Its threshold is 0, which the LP returns like any other.
     """
     if witness is None and market.lam > 0.0:
         verdict = check_cps(market)
@@ -553,20 +542,19 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
             )
         witness = verdict.witness_leaf_vars
     tree = market.tree
-    endow = market.endowment if include_endowment else np.zeros(tree.n_leaves)
+    endow = market.endowment
     poly = build_polytope(market)
-    program = primal_program(market, spec, x, include_endowment)
+    program = primal_program(market, spec, x)
     if spec.wealth_domain == "positive" and (
             witness is None or not _certifies_threshold(program, x, endow)):
-        x0_thresh = compute_x0(market, include_endowment, poly=poly)
+        x0_thresh = compute_x0(market, poly=poly)
         if x <= x0_thresh + THRESHOLD_MARGIN:
             raise PrimalInfeasibleError(
                 f"x={x} at or below the endowment threshold {x0_thresh}"
             )
 
     if spec.family == "exponential":
-        core = solve_entropy_core(market, spec.gamma, include_endowment,
-                                  poly=poly, x0=witness)
+        core = solve_entropy_core(market, spec.gamma, poly=poly, x0=witness)
         # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
         # form keeps its relative accuracy even when yhat is tiny
         k = core.entropy / spec.gamma + core.endow_mean
@@ -579,22 +567,20 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         )
         dual_total = dual.value + x * yhat
     else:
-        yhat, dual_total, dual = minimize_v_plus_xy(
-            market, spec, x, include_endowment, poly=poly, x0=witness
-        )
-    primal = solve_primal(market, spec, x, include_endowment, program=program)
+        yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=witness)
+    primal = solve_primal(market, spec, x, program=program)
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
     z0_leaf = dual.leaf_vars[: tree.n_leaves]
-    support = z0_leaf > 1e-12
+    support = z0_leaf > DENSITY_EPS
     residuals = np.full(tree.n_leaves, np.nan)
     residuals[support] = np.abs(ut.eval_u_prime(spec, wealth[support])
                                 - yhat * z0_leaf[support])
     zero_leaves = tree.leaves[~support].tolist()
 
     return SolveReport(
-        market=market, utility=spec, x=x, include_endowment=include_endowment,
+        market=market, utility=spec, x=x,
         value=primal.value, strategy=primal.strategy, claim=primal.claim,
         yhat=yhat, dual_value=dual.value, dual_system=dual.system,
         dual_leaf_vars=dual.leaf_vars, gap=gap,
@@ -615,26 +601,24 @@ def _certifies_threshold(program: tuple, x: float, endow: np.ndarray) -> bool:
                 and np.all(x + v[off:] + endow > THRESHOLD_MARGIN))
 
 
-def verify_identities(report: SolveReport, fd_step: Optional[float] = None) -> dict:
+def verify_identities(report: SolveReport) -> dict:
     """Residual table for the duality and marginal-utility identities.
 
     (a) duality gap, (b) per-leaf pointwise identity on the support of
     the dual density, (c) |u'(x) - E[U'(wealth)]| with u' by central
     difference of the primal value, (d) the wealth-weighted variant.
-    Both primal solves at ``x +- h`` start at the report's primal point
+    The step is ``h = FD_STEP * (1 + |x|)``.  Both primal solves at
+    ``x +- h`` start at the report's primal point
     (:func:`primal_point`), pulled inside by :func:`solve_primal`.
     """
     market, spec, x = report.market, report.utility, report.x
-    tree = market.tree
-    prob = tree.leaf_prob
-    endow = market.endowment if report.include_endowment else np.zeros(tree.n_leaves)
-    wealth = x + report.claim + endow
-    u_prime_leaf = ut.eval_u_prime(spec, wealth)
+    prob = market.tree.leaf_prob
+    u_prime_leaf = ut.eval_u_prime(spec, x + report.claim + market.endowment)
 
-    h = fd_step if fd_step is not None else 1e-4 * (1.0 + abs(x))
+    h = FD_STEP * (1.0 + abs(x))
     start = primal_point(market, report.strategy, report.claim)
-    up = solve_primal(market, spec, x + h, report.include_endowment, x0=start).value
-    dn = solve_primal(market, spec, x - h, report.include_endowment, x0=start).value
+    up = solve_primal(market, spec, x + h, x0=start).value
+    dn = solve_primal(market, spec, x - h, x0=start).value
     u_prime_fd = (up - dn) / (2.0 * h)
 
     finite = report.leaf_identity_residuals[

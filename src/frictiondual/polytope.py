@@ -17,6 +17,8 @@ import numpy as np
 from .engine import solve_lp
 from .tree import MarketSpec
 
+DENSITY_EPS = 1e-12       # a density at or below this counts as zero
+
 
 class PolytopeInfeasibleError(RuntimeError):
     """Operation requires a nonempty (strictly feasible) polytope."""
@@ -30,10 +32,10 @@ class PriceSystem:
     z1: np.ndarray
     strictly_positive: bool
 
-    def stilde(self, eps: float = 1e-12) -> np.ndarray:
-        """Z1/Z0 where Z0 is meaningfully positive, NaN elsewhere."""
+    def stilde(self) -> np.ndarray:
+        """Z1/Z0 where Z0 exceeds ``DENSITY_EPS``, NaN elsewhere."""
         out = np.full_like(self.z0, np.nan)
-        mask = self.z0 > eps
+        mask = self.z0 > DENSITY_EPS
         out[mask] = self.z1[mask] / self.z0[mask]
         return out
 
@@ -67,9 +69,9 @@ class DualPolytope:
         L = self.market.tree.n_leaves
         return self.cond_exp @ z[:L], self.cond_exp @ z[L:]
 
-    def price_system(self, z: np.ndarray, pos_tol: float = 1e-12) -> PriceSystem:
+    def price_system(self, z: np.ndarray) -> PriceSystem:
         z0, z1 = self.node_values(z)
-        strict = bool(np.all(z0 > pos_tol) and np.all(z1 > pos_tol))
+        strict = bool(np.all(z0 > DENSITY_EPS) and np.all(z1 > DENSITY_EPS))
         return PriceSystem(z0=z0, z1=z1, strictly_positive=strict)
 
     def max_violation(self, z: np.ndarray) -> float:
@@ -190,8 +192,7 @@ class CpsVerdict:
         return signs
 
 
-def check_cps(market: MarketSpec, mu: Optional[float] = None,
-              tol: float = 1e-9) -> CpsVerdict:
+def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
     """Decide existence of a strictly positive price system at spread ``mu``.
 
     Maximizes the minimum of the scaled cone slacks and the leaf Z0
@@ -294,7 +295,7 @@ def sample_polytope(poly: DualPolytope, count: int, seed: int = 0,
     return out
 
 
-def enumerate_vertices(poly: DualPolytope, interior_tol: float = 1e-11):
+def enumerate_vertices(poly: DualPolytope):
     """All vertices of the polytope by halfspace intersection.
 
     Equalities are eliminated first; only practical for small trees
@@ -324,7 +325,7 @@ def enumerate_vertices(poly: DualPolytope, interior_tol: float = 1e-11):
     c = np.zeros(N.shape[1] + 1)
     c[-1] = -1.0
     res = solve_lp(c, G=G1, h=h1)
-    if res.status != "optimal" or res.x[-1] <= interior_tol:
+    if res.status != "optimal" or res.x[-1] <= 1e-11:
         return None
     t_int = res.x[:-1]
 

@@ -6,13 +6,16 @@ difference the zero-spread dual values of the two shadow markets.  The
 exponential translation property makes the price independent of initial
 wealth, which is what collapses the primal route to a closed form.
 
-The routes read two solve reports, with and without the endowment.
-Both reports' dual solves start at the one existence witness, and each
-shadow-market dual starts at the lift (:meth:`ShadowPrice.lift`) of its
-report's dual optimizer, which is optimal there; a start that is not
-strictly feasible falls back to a phase one.  ``price_dual`` alone
-solves its two entropy programs independently of the reports, each from
-a phase one.  The LP bounds take one LP for both ends
+The routes read two solve reports: one of the market and one of the
+same market without its endowment, ``market.with_endowment(np.zeros(L))``,
+which is built once per price; every solver reads the endowment from the
+market it is given.  Both reports' dual solves start at the one
+existence witness, and each shadow-market dual starts at the lift
+(:meth:`ShadowPrice.lift`) of its report's dual optimizer, which is
+optimal there; a start that is not strictly feasible falls back to a
+phase one.  ``price_dual`` alone solves its two entropy programs, on the
+market and on its zero-endowment copy, independently of the reports,
+each from a phase one.  The LP bounds take one LP for both ends
 (:func:`price_bounds`).
 """
 
@@ -62,15 +65,16 @@ class PriceReport:
 
 
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
-    """The two solves every route reads: with and without the endowment.
+    """The two solves every route reads: of the market and of its
+    zero-endowment copy.
 
-    The existence check depends on the market only, so it runs once and
+    The existence check does not read the endowment, so it runs once and
     its witness starts both dual solves.
     """
     spec = ut.UtilitySpec("exponential", gamma=gamma)
-    rep_e = solve_report(market, spec, x, include_endowment=True)
-    rep_0 = solve_report(market, spec, x, include_endowment=False,
-                         witness=rep_e.witness)
+    rep_e = solve_report(market, spec, x)
+    market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
+    rep_0 = solve_report(market_0, spec, x, witness=rep_e.witness)
     return rep_e, rep_0
 
 
@@ -78,12 +82,13 @@ def _primal_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
     return math.log(rep_0.value / rep_e.value) / rep_e.utility.gamma
 
 
-def _dual_route(market: MarketSpec, gamma: float, z_e: np.ndarray,
-                z_0: np.ndarray) -> tuple:
+def _dual_route(market: MarketSpec, market_0: MarketSpec, gamma: float,
+                z_e: np.ndarray, z_0: np.ndarray) -> tuple:
     """``(k_e - k_0, entropy_with, entropy_without)`` with
-    k = E[z log z]/gamma + E[z e] at the two entropy minimizers."""
-    ent_e, mean_e = entropy_terms(market, z_e, include_endowment=True)
-    ent_0, mean_0 = entropy_terms(market, z_0, include_endowment=False)
+    k = E[z log z]/gamma + E[z e] at the entropy minimizers of ``market``
+    and of its zero-endowment copy ``market_0``."""
+    ent_e, mean_e = entropy_terms(market, z_e)
+    ent_0, mean_0 = entropy_terms(market_0, z_0)
     return (ent_e / gamma + mean_e) - (ent_0 / gamma + mean_0), ent_e, ent_0
 
 
@@ -94,7 +99,6 @@ def _shadow_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
         shadow = construct_shadow(rep.market, rep.dual_system)
         z0_leaf = rep.dual_leaf_vars[:rep.market.tree.n_leaves]
         terms.append(solve_dual(shadow.as_market(), rep.utility, 1.0,
-                                include_endowment=rep.include_endowment,
                                 x0=shadow.lift(z0_leaf)).value)
     return terms[0] - terms[1]
 
@@ -116,9 +120,10 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
     wealth cancels exactly and never enters.
     """
     poly = build_polytope(market)
-    core_e = solve_entropy_core(market, gamma, include_endowment=True, poly=poly)
-    core_0 = solve_entropy_core(market, gamma, include_endowment=False, poly=poly)
-    return _dual_route(market, gamma, core_e.leaf_vars, core_0.leaf_vars)
+    market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
+    core_e = solve_entropy_core(market, gamma, poly=poly)
+    core_0 = solve_entropy_core(market_0, gamma, poly=poly)
+    return _dual_route(market, market_0, gamma, core_e.leaf_vars, core_0.leaf_vars)
 
 
 def price_shadow(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
@@ -167,8 +172,8 @@ def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0,
     if "primal" in routes:
         p_primal = _primal_route(rep_e, rep_0)
     if "dual" in routes:
-        p_dual, ent_e, ent_0 = _dual_route(market, gamma, rep_e.dual_leaf_vars,
-                                           rep_0.dual_leaf_vars)
+        p_dual, ent_e, ent_0 = _dual_route(market, rep_0.market, gamma,
+                                           rep_e.dual_leaf_vars, rep_0.dual_leaf_vars)
     if "shadow" in routes:
         p_shadow = _shadow_route(rep_e, rep_0)
     lo, hi = price_bounds(market)

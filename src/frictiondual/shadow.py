@@ -20,10 +20,9 @@ import numpy as np
 from . import utility as ut
 from .duality import (DualSolution, PrimalUnboundedError, SolveReport, solve_dual,
                       solve_primal)
-from .polytope import PriceSystem, build_polytope, martingale_point
+from .polytope import DENSITY_EPS, PriceSystem, build_polytope, martingale_point
 from .tree import MarketSpec
 
-Z0_SUPPORT_EPS = 1e-12
 CLASS_RTOL = 1e-7
 TRADE_EPS = 1e-7
 DIRECTION_TOL = 1e-7
@@ -49,23 +48,16 @@ class ShadowPrice:
     undefined: np.ndarray
 
     def classification(self) -> list:
-        out = []
-        for k in range(self.value.size):
-            if self.undefined[k]:
-                out.append("undefined")
-            elif self.at_ask[k]:
-                out.append("at_ask")
-            elif self.at_bid[k]:
-                out.append("at_bid")
-            else:
-                out.append("interior")
-        return out
+        """Per-node class: undefined, at_ask, at_bid or interior, the
+        first flag that holds in that order."""
+        return np.select([self.undefined, self.at_ask, self.at_bid],
+                         ["undefined", "at_ask", "at_bid"], "interior").tolist()
 
-    def as_market(self, endowment=None) -> MarketSpec:
-        """Zero-spread market trading at the shadow price."""
-        endow = self.market.endowment if endowment is None else np.asarray(endowment, float)
+    def as_market(self) -> MarketSpec:
+        """Zero-spread market trading at the shadow price, with the
+        endowment of the market the price was built on."""
         return MarketSpec(tree=self.market.tree, ask_price=self.value,
-                          lam=0.0, endowment=endow)
+                          lam=0.0, endowment=self.market.endowment)
 
     def lift(self, z0_leaf: np.ndarray) -> np.ndarray:
         """Leaf variables ``(Z0, S Z0)`` of a density paired with this price.
@@ -91,26 +83,21 @@ class FrictionlessSolve:
 def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
     """Ratio of the dual-optimizer components, clipped to the spread.
 
-    Where the density exceeds ``1e-12`` the ratio is taken literally
+    Where the density exceeds ``DENSITY_EPS`` the ratio is taken literally
     (and asserted to lie in the spread up to rounding); elsewhere the
     ask price stands in and the node is flagged.
     """
     ask = market.ask_price
     bid = market.bid_price
-    n = ask.size
-    value = np.empty(n)
-    undefined = np.zeros(n, dtype=bool)
-    for k in range(n):
-        if dual_opt.z0[k] > Z0_SUPPORT_EPS:
-            ratio = dual_opt.z1[k] / dual_opt.z0[k]
-            if ratio < bid[k] - 1e-9 * ask[k] or ratio > ask[k] * (1.0 + 1e-9):
-                raise ShadowConstructionError(
-                    f"ratio {ratio} outside spread [{bid[k]}, {ask[k]}] at node {k}"
-                )
-            value[k] = min(max(ratio, bid[k]), ask[k])
-        else:
-            value[k] = ask[k]
-            undefined[k] = True
+    undefined = ~(dual_opt.z0 > DENSITY_EPS)
+    ratio = np.divide(dual_opt.z1, dual_opt.z0, out=ask.copy(), where=~undefined)
+    outside = (ratio < bid - 1e-9 * ask) | (ratio > ask * (1.0 + 1e-9))
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ShadowConstructionError(
+            f"ratio {ratio[k]} outside spread [{bid[k]}, {ask[k]}] at node {k}"
+        )
+    value = np.clip(ratio, bid, ask)
     tol = CLASS_RTOL * ask
     return ShadowPrice(
         market=market, value=value,
@@ -121,7 +108,7 @@ def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
 
 
 def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                       y: float, include_endowment: bool = True) -> FrictionlessSolve:
+                       y: float) -> FrictionlessSolve:
     """Primal and dual zero-spread solves at a given price process, the
     dual at scale ``y`` (the frictional report's ``yhat``).
 
@@ -136,13 +123,12 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
     try:
-        primal = solve_primal(shadow_market, spec, x, include_endowment)
+        primal = solve_primal(shadow_market, spec, x)
     except PrimalUnboundedError as exc:
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"
         ) from exc
-    dual = solve_dual(shadow_market, spec, y, include_endowment,
-                      x0=martingale_point(shadow_market))
+    dual = solve_dual(shadow_market, spec, y, x0=martingale_point(shadow_market))
     return FrictionlessSolve(
         position=primal.strategy.phi1.copy(),
         value=primal.value,
@@ -230,12 +216,14 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
     solve starts at the closed-form martingale density of the shadow
     price (:func:`martingale_point`), with a phase one as the fallback,
     never at the lift of the frictional optimizer, so it checks the
-    shadow-price theorem independently of that optimizer.
+    shadow-price theorem independently of that optimizer.  The shadow
+    market carries the endowment of ``report.market``
+    (:meth:`ShadowPrice.as_market`), so the report of a zero-endowment
+    market round-trips without one.
     """
     market = report.market
     shadow_market = shadow.as_market()
     dual = solve_dual(shadow_market, report.utility, report.yhat,
-                      include_endowment=report.include_endowment,
                       x0=martingale_point(shadow_market))
     lifted = shadow.lift(dual.leaf_vars[:market.tree.n_leaves])
     poly = build_polytope(market)

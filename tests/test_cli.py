@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from frictiondual.cli import main
@@ -138,6 +139,27 @@ def test_shadow_command(market_file, tmp_path):
     assert rows[0]["class"] in ("at_ask", "at_bid", "interior", "undefined")
 
 
+@pytest.mark.parametrize("utility", ["log", "exp:gamma=1"])
+@pytest.mark.parametrize("command,at", [("solve", ["--x", "8.0"]),
+                                        ("dual", ["--y", "0.7"]),
+                                        ("shadow", ["--x", "8.0"])])
+def test_no_endowment_solves_the_zero_endowment_market(
+        market_file, two_period_market, tmp_path, capsys, command, at, utility):
+    zero = tmp_path / "zero.json"
+    save_market(two_period_market.with_endowment(np.zeros(two_period_market.tree.n_leaves)),
+                zero)
+    outputs = []
+    for path, flag in ((market_file, ["--no-endowment"]), (str(zero), [])):
+        assert main([command, "--market", path, "--utility", utility, *at,
+                     *flag, "--json", "-"]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    flagged, zeroed = outputs
+    if command == "solve":
+        assert flagged.pop("include_endowment") is False
+        assert zeroed.pop("include_endowment") is True
+    assert json.dumps(flagged, sort_keys=True) == json.dumps(zeroed, sort_keys=True)
+
+
 def test_price_command(market_file, tmp_path):
     out = str(tmp_path / "price.json")
     code = main(["price", "--market", market_file, "--gamma", "0.7",
@@ -200,6 +222,18 @@ def test_gen_seed_env_override(tmp_path, monkeypatch):
                  "--max-periods", "1"]) == 0
     a = sorted(os.listdir(out_a))[0]
     assert (out_a / a).read_bytes() == (out_b / a).read_bytes()
+
+
+def test_gen_keep_infeasible(tmp_path):
+    from frictiondual.generate import InstanceGenerator, emit_instance
+    out = tmp_path / "kept"
+    assert main(["gen", "--seed", "3", "--count", "4", "--out", str(out),
+                 "--keep-infeasible"]) == 0
+    gen = InstanceGenerator(seed=3)
+    for i, name in enumerate(sorted(os.listdir(out))):
+        assert (out / name).read_text() == emit_instance(gen.draw(i))
+    # discarding is the default, with no flag of its own
+    assert main(["gen", "--out", str(out), "--discard-infeasible"]) == 1
 
 
 def test_stdout_json(market_file, capsys):

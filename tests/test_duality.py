@@ -50,8 +50,8 @@ def test_martingale_log_value(martingale_binomial):
 def test_constant_endowment_is_cash(drift_binomial):
     c = 2.5
     shifted = drift_binomial.with_endowment([c, c])
-    rep_e = solve_report(shifted, EXP1, 0.0, include_endowment=True)
-    rep_0 = solve_report(shifted, EXP1, c, include_endowment=False)
+    rep_e = solve_report(shifted, EXP1, 0.0)
+    rep_0 = solve_report(shifted.with_endowment([0.0, 0.0]), EXP1, c)
     assert rep_e.value == pytest.approx(rep_0.value, rel=1e-8)
     assert rep_e.yhat == pytest.approx(rep_0.yhat, rel=1e-7)
 
@@ -375,7 +375,7 @@ def loop_primal_layout(market):
     return T0, T1
 
 
-def loop_primal_rows(market, spec, x, include_endowment):
+def loop_primal_rows(market, spec, x):
     """Row-by-row reference of :func:`duality.primal_program`'s ``G``/``h``."""
     tree = market.tree
     T0, T1 = loop_primal_layout(market)
@@ -389,7 +389,7 @@ def loop_primal_rows(market, spec, x, include_endowment):
     else:
         off = 2 * K
     nv = off + L
-    endow = market.endowment if include_endowment else np.zeros(L)
+    endow = market.endowment
     s_leaf = market.ask_price[tree.leaves]
     bid_leaf = market.bid_price[tree.leaves]
     rows, h_vals = [], []
@@ -466,10 +466,11 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
             T0_ref, T1_ref = loop_primal_layout(market)
             assert_same_bytes(T0, T0_ref, "T0")
             assert_same_bytes(T1, T1_ref, "T1")
+            zero_endowment = market.with_endowment(np.zeros(market.tree.n_leaves))
             for spec in (LOG, EXP1):
-                for include_endowment in (True, False):
-                    prog = duality.primal_program(market, spec, 1.5, include_endowment)[0]
-                    G_ref, h_ref = loop_primal_rows(market, spec, 1.5, include_endowment)
+                for m in (market, zero_endowment):
+                    prog = duality.primal_program(m, spec, 1.5)[0]
+                    G_ref, h_ref = loop_primal_rows(m, spec, 1.5)
                     assert_same_bytes(prog.G, G_ref, "G")
                     assert_same_bytes(prog.h, h_ref, "h")
             claim = rng.standard_normal(market.tree.n_leaves)

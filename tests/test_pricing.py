@@ -117,9 +117,9 @@ def test_price_dual_warm_start_by_the_boundary():
     # not stop there on a decrement that only looks negligible
     market = InstanceGenerator(seed=2033, max_periods=3).draw_feasible(0)
     poly = build_polytope(market)
-    core_e = solve_entropy_core(market, 0.8, include_endowment=True, poly=poly)
-    core_0 = solve_entropy_core(market, 0.8, include_endowment=False, poly=poly,
-                                x0=core_e.leaf_vars)
+    core_e = solve_entropy_core(market, 0.8, poly=poly)
+    core_0 = solve_entropy_core(market.with_endowment(np.zeros(market.tree.n_leaves)),
+                                0.8, poly=poly, x0=core_e.leaf_vars)
     p = (core_e.entropy / 0.8 + core_e.endow_mean) - (core_0.entropy / 0.8
                                                       + core_0.endow_mean)
     cold = indifference_price(market, 0.8, routes=("dual",))

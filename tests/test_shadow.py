@@ -5,6 +5,7 @@ import pytest
 
 from frictiondual.duality import solve_report
 from frictiondual.generate import InstanceGenerator
+from frictiondual.polytope import PriceSystem
 from frictiondual.shadow import (
     ShadowConstructionError,
     construct_shadow,
@@ -34,6 +35,46 @@ def test_shadow_lies_in_spread(two_period_market):
     assert np.all(sh.value[ok] >= two_period_market.bid_price[ok] - 1e-12)
     classes = sh.classification()
     assert all(c in ("at_ask", "at_bid", "interior", "undefined") for c in classes)
+
+
+def loop_shadow(market, dual):
+    """Node-by-node reference of :func:`construct_shadow`'s price and classes."""
+    ask, bid = market.ask_price, market.bid_price
+    value = np.empty(ask.size)
+    classes = []
+    for k in range(ask.size):
+        if dual.z0[k] > 1e-12:
+            value[k] = min(max(dual.z1[k] / dual.z0[k], bid[k]), ask[k])
+            if abs(value[k] - ask[k]) <= 1e-7 * ask[k]:
+                classes.append("at_ask")
+            elif abs(value[k] - bid[k]) <= 1e-7 * ask[k]:
+                classes.append("at_bid")
+            else:
+                classes.append("interior")
+        else:
+            value[k] = ask[k]
+            classes.append("undefined")
+    return value, classes
+
+
+def test_construct_shadow_matches_loop_reference(drift_binomial):
+    gen = InstanceGenerator(seed=11)
+    cases = []
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        cases.append((market, solve_report(market, EXP1, 1.0).dual_system))
+    # a node with no density
+    cases.append((drift_binomial, PriceSystem(z0=np.array([1.0, 0.0, 1.0]),
+                                              z1=np.array([99.5, 1.0, 89.5]),
+                                              strictly_positive=False)))
+    seen = set()
+    for market, dual in cases:
+        sh = construct_shadow(market, dual)
+        value, classes = loop_shadow(market, dual)
+        assert sh.value.tobytes() == value.tobytes()
+        assert sh.classification() == classes
+        seen.update(classes)
+    assert seen == {"at_ask", "at_bid", "interior", "undefined"}
 
 
 def test_shadow_market_is_frictionless(two_period_market):
@@ -112,8 +153,22 @@ def test_shadow_rejects_foreign_dual(drift_binomial, martingale_binomial):
     # feeding a dual point whose ratio leaves the spread must raise
     rep = solve_report(martingale_binomial, EXP1, 0.0)
     wide = drift_binomial.with_lambda(0.001)
-    with pytest.raises(ShadowConstructionError):
+    # the martingale dual's root ratio 99.5 is below the bid 99.9
+    with pytest.raises(ShadowConstructionError, match=r"at node 0$"):
         construct_shadow(wide, rep.dual_system)
+
+
+def test_shadow_names_first_node_out_of_spread(drift_binomial):
+    # nodes 1 and 2 both leave the spread [128.7, 130] and [89.1, 90]
+    dual = PriceSystem(z0=np.ones(3), z1=np.array([99.5, 140.0, 50.0]),
+                       strictly_positive=True)
+    with pytest.raises(ShadowConstructionError, match=r"ratio 140.0 .* at node 1$"):
+        construct_shadow(drift_binomial, dual)
+    # a node with no density takes the ask and is never out of the spread
+    dual = PriceSystem(z0=np.array([1.0, 0.0, 1.0]), z1=np.array([99.5, 1.0, 50.0]),
+                       strictly_positive=False)
+    with pytest.raises(ShadowConstructionError, match=r"at node 2$"):
+        construct_shadow(drift_binomial, dual)
 
 
 def test_exponential_line_search_never_overflows():
