@@ -18,8 +18,8 @@ import numpy as np
 from . import utility as ut
 from .engine import (ConvexProgram, EngineError, InfeasibleProgramError, SolveResult,
                      solve, solve_lp)
-from .polytope import (DENSITY_EPS, DualPolytope, PolytopeInfeasibleError, PriceSystem,
-                       build_polytope, check_cps)
+from .polytope import (CPS_MARGIN, DENSITY_EPS, DualPolytope, PolytopeInfeasibleError,
+                       PriceSystem, build_polytope, check_cps, martingale_point)
 from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec
 
@@ -524,26 +524,34 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     ``k = E[z log z]/gamma + E[z e]`` the dual value curve is
     ``V(y) + y k``, so ``yhat = u'(x + k)``.
 
-    The existence check's witness is strictly inside the polytope, so it
-    starts the dual solve.  A supplied ``witness``, leaf variables
-    strictly inside this market's polytope such as another report's
-    ``witness``, skips the check.  The report keeps the witness its dual
-    solve started from: ``None`` at zero spread, where no check runs.
+    At positive spread the report needs a witness, a strictly consistent
+    price system, which also starts the dual solve.  It takes the
+    closed-form :func:`martingale_point` when that point's margin
+    (:meth:`DualPolytope.margin`) clears ``CPS_MARGIN``, so a report
+    usually runs no LP at all.  Otherwise the existence check
+    (:func:`check_cps`) decides: its LP raises :class:`NoCpsError` when
+    no strictly positive price system exists and gives its witness when
+    one does.  A supplied ``witness``, leaf variables strictly inside
+    this market's polytope such as another report's ``witness``, skips
+    both.  The report keeps the witness its dual solve started from:
+    ``None`` at zero spread, where no witness is sought.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
     Its threshold is 0, which the LP returns like any other.
     """
+    poly = build_polytope(market)
     if witness is None and market.lam > 0.0:
-        verdict = check_cps(market)
-        if not verdict.exists:
-            raise NoCpsError(
-                f"no strictly positive price system at lambda={market.lam}"
-            )
-        witness = verdict.witness_leaf_vars
+        witness = martingale_point(market)
+        if witness is None or poly.margin(witness) <= CPS_MARGIN:
+            verdict = check_cps(market)
+            if not verdict.exists:
+                raise NoCpsError(
+                    f"no strictly positive price system at lambda={market.lam}"
+                )
+            witness = verdict.witness_leaf_vars
     tree = market.tree
     endow = market.endowment
-    poly = build_polytope(market)
     program = primal_program(market, spec, x)
     if spec.wealth_domain == "positive" and (
             witness is None or not _certifies_threshold(program, x, endow)):

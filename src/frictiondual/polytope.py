@@ -5,6 +5,12 @@ under the tree measure, with Z0 normalized to 1 at the root and the
 ratio Z1/Z0 confined to the bid-ask band at every node.  On a finite
 tree the whole family is an explicit polytope over the terminal values
 (Z0_T, Z1_T); interior-node values are conditional expectations.
+
+A strictly positive member exists exactly when a price strictly inside
+the band has a strictly positive martingale density (Jouini & Kallal,
+1995).  :func:`martingale_point` builds one in closed form;
+:func:`check_cps` decides the same question by an LP and, when the
+answer is no, returns a separating certificate.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ from .engine import solve_lp
 from .tree import MarketSpec
 
 DENSITY_EPS = 1e-12       # a density at or below this counts as zero
+CPS_MARGIN = 1e-9         # a price system is strictly positive past this margin
+BAND_SHRINK = 0.1         # share of its width a band interval is shrunk by at each end
 
 
 class PolytopeInfeasibleError(RuntimeError):
@@ -26,18 +34,12 @@ class PolytopeInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class PriceSystem:
-    """Per-node (Z0, Z1) pair; ``stilde`` is the implied band price."""
+    """Per-node (Z0, Z1) pair; where Z0 is positive, Z1/Z0 is a price in
+    the band (:func:`shadow.construct_shadow` reads it)."""
 
     z0: np.ndarray
     z1: np.ndarray
     strictly_positive: bool
-
-    def stilde(self) -> np.ndarray:
-        """Z1/Z0 where Z0 exceeds ``DENSITY_EPS``, NaN elsewhere."""
-        out = np.full_like(self.z0, np.nan)
-        mask = self.z0 > DENSITY_EPS
-        out[mask] = self.z1[mask] / self.z0[mask]
-        return out
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,15 @@ class DualPolytope:
         z0, z1 = self.node_values(z)
         strict = bool(np.all(z0 > DENSITY_EPS) and np.all(z1 > DENSITY_EPS))
         return PriceSystem(z0=z0, z1=z1, strictly_positive=strict)
+
+    def margin(self, z: np.ndarray) -> float:
+        """The margin :func:`check_cps` maximizes, at the point ``z`` of a
+        positive-spread polytope: the least of the cone slacks over their
+        node's ask price and the leaf Z0 values."""
+        slack = (self.G @ z - self.h)[np.concatenate([self.cone_lower_rows,
+                                                      self.cone_upper_rows])]
+        return float(min(np.min(slack / np.tile(self.market.ask_price, 2)),
+                         np.min(z[:self.market.tree.n_leaves])))
 
     def max_violation(self, z: np.ndarray) -> float:
         """Largest constraint violation of a candidate point."""
@@ -139,19 +150,29 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
 
 
 def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
-    """Leaf variables ``(Z0, S Z0)`` of a strictly positive martingale
-    density of the ask price, or ``None`` when a node only moves one way.
+    """A strictly feasible point of ``build_polytope(market)`` in closed
+    form, or ``None``.
 
-    This is a strictly feasible point of the zero-spread polytope, in
-    closed form (Harrison & Pliska, Stoch. Proc. Appl. 11, 1981).  At each
-    internal node, with ``a`` and ``b`` the expected up and down moves of
-    the price, an up move's probability is reweighted by ``1/a``, a down
-    move's by ``1/b`` and a flat move's by 1; normalized, these one-step
-    weights have zero drift.  The leaf density is their product over the
-    path.  A node with ``a`` or ``b`` alone zero is an arbitrage.
+    The point is a strictly consistent price system (Jouini & Kallal,
+    J. Econ. Theory 66, 1995): a price ``S~`` strictly inside the
+    bid-ask band at every node and a strictly positive martingale
+    density ``Z0`` of it, with leaf variables ``(Z0, S~ Z0)``.  At zero
+    spread ``S~`` is the ask price; above it, :func:`_band_price` picks
+    one.  ``Z0`` is the one-step reweighting of Harrison & Pliska (Stoch.
+    Proc. Appl. 11, 1981): at each internal node, with ``a`` and ``b``
+    the expected up and down moves of ``S~``, an up move's probability is
+    reweighted by ``1/a``, a down move's by ``1/b`` and a flat move's by
+    1; normalized, these one-step weights have zero drift.  The leaf
+    density is their product over the path.  ``None`` means no band price
+    exists, or (at zero spread) a node moves one way: an arbitrage.
+    At positive spread the point can sit too close to the boundary to
+    count as strictly inside, so callers check its margin
+    (:meth:`DualPolytope.margin`).
     """
     tree = market.tree
-    S = market.ask_price
+    S = market.ask_price if market.lam == 0.0 else _band_price(market)
+    if S is None:
+        return None
     par, p = tree.parent[1:], tree.cond_prob[1:]
     move = S[1:] - S[par]
     up, down = move > 0.0, move < 0.0
@@ -166,6 +187,60 @@ def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
     ratio[1:] = w / np.bincount(par, weights=p * w, minlength=tree.n_nodes)[par]
     z0 = np.prod(np.where(tree.on_path, ratio, 1.0), axis=1)
     return np.concatenate([z0, S[tree.leaves] * z0])
+
+
+def _band_price(market: MarketSpec) -> Optional[np.ndarray]:
+    """A price strictly inside the open bid-ask band at every node that,
+    at every internal node, moves both up and down or not at all; or
+    ``None`` when there is none.
+
+    Backward, stage by stage: a node's price can be reached from its
+    children exactly on its open band intersected with ``(min lower,
+    max upper)`` over the children's intervals; an empty interval means
+    no such price.  Forward: the root takes its interval's midpoint and
+    each child its parent's price clipped into its own interval shrunk by
+    ``BAND_SHRINK`` of its width at each end (an only child keeps its
+    parent's price).  Where that leaves a parent's children moving only
+    up, its flat children, or else its child with the lowest lower end,
+    move to the midpoint of their lower end and the parent's price;
+    children moving only down are treated the same way, mirrored.
+    """
+    tree = market.tree
+    parent, n = tree.parent, tree.n_nodes
+    lo, hi = market.bid_price, market.ask_price.copy()
+    below, above = np.full(n, np.inf), np.full(n, -np.inf)
+    for t in range(tree.horizon, 0, -1):
+        kids = tree.stages[t]
+        np.minimum.at(below, parent[kids], lo[kids])
+        np.maximum.at(above, parent[kids], hi[kids])
+        at = tree.stages[t - 1]
+        lo[at] = np.maximum(lo[at], below[at])
+        hi[at] = np.minimum(hi[at], above[at])
+    if np.any(lo >= hi):
+        return None
+
+    only_child = np.bincount(parent[1:], minlength=n) == 1
+    pad = BAND_SHRINK * (hi - lo)
+    price = np.empty(n)
+    price[0] = 0.5 * (lo[0] + hi[0])
+    for kids in tree.stages[1:]:
+        par = parent[kids]
+        price[kids] = np.where(only_child[par], price[par],
+                               np.clip(price[par], lo[kids] + pad[kids], hi[kids] - pad[kids]))
+        move = price[kids] - price[par]
+        rises, falls, has_flat = (np.zeros(n, dtype=bool) for _ in range(3))
+        rises[par[move > 0.0]] = True
+        falls[par[move < 0.0]] = True
+        has_flat[par[move == 0.0]] = True
+        for one_way, end, key in ((rises & ~falls, lo, lo[kids]),
+                                  (falls & ~rises, hi, -hi[kids])):
+            # first child per parent by key: its lowest lower (highest upper) end
+            order = np.lexsort((key, par))
+            first = np.zeros(kids.size, dtype=bool)
+            first[order[np.r_[True, par[order][1:] != par[order][:-1]]]] = True
+            pick = one_way[par] & np.where(has_flat[par], move == 0.0, first)
+            price[kids[pick]] = 0.5 * (end[kids[pick]] + price[par[pick]])
+    return price
 
 
 @dataclass
@@ -198,19 +273,19 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
     Maximizes the minimum of the scaled cone slacks and the leaf Z0
     values over the polytope, one HiGHS LP (:func:`engine.solve_lp`);
     the verdict is "exists" when the optimal margin ``delta`` clears
-    1e-9.  The witness is then strictly inside the polytope: every cone
-    slack is at least ``delta`` times the ask price and every leaf Z0 at
-    least ``delta``.  When the margin does not clear, the LP multipliers
-    are returned as a separating certificate, and a secondary margin
-    that ignores cone slack reports whether positivity alone is
-    achievable.
+    ``CPS_MARGIN``.  The witness is then strictly inside the polytope:
+    every cone slack is at least ``delta`` times the ask price and every
+    leaf Z0 at least ``delta``.  When the margin does not clear, the LP
+    multipliers are returned as a separating certificate, and a
+    secondary margin that ignores cone slack reports whether positivity
+    alone is achievable.
     """
     mu = market.lam if mu is None else float(mu)
     if not (0.0 < mu < 1.0):
         raise ValueError(f"spread for the existence check must lie in (0,1), got {mu}")
     poly = build_polytope(market, spread=mu)
     delta, z, cert = _max_margin(poly, include_cone=True)
-    if delta > 1e-9:
+    if delta > CPS_MARGIN:
         witness = poly.price_system(z)
         return CpsVerdict(exists=True, delta=delta, witness=witness,
                           witness_leaf_vars=z, certificate=None)

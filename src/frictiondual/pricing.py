@@ -10,12 +10,14 @@ The routes read two solve reports: one of the market and one of the
 same market without its endowment, ``market.with_endowment(np.zeros(L))``,
 which is built once per price; every solver reads the endowment from the
 market it is given.  Both reports' dual solves start at the one
-existence witness, and each shadow-market dual starts at the lift
-(:meth:`ShadowPrice.lift`) of its report's dual optimizer, which is
-optimal there; a start that is not strictly feasible falls back to a
-phase one.  ``price_dual`` alone solves its two entropy programs, on the
-market and on its zero-endowment copy, independently of the reports,
-each from a phase one.  The LP bounds take one LP for both ends
+existence witness, the closed-form point :func:`martingale_point` when
+its margin clears and the existence LP's witness otherwise, and each
+shadow-market dual starts at the lift (:meth:`ShadowPrice.lift`) of its
+report's dual optimizer, which is optimal there; a start that is not
+strictly feasible falls back to a phase one.  ``price_dual`` alone
+solves its two entropy programs, on the market and on its
+zero-endowment copy, independently of the reports: both start at
+:func:`martingale_point`.  The LP bounds take one LP for both ends
 (:func:`price_bounds`).
 """
 
@@ -31,7 +33,7 @@ from scipy.linalg import block_diag
 from . import utility as ut
 from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
 from .engine import EngineError, solve_lp
-from .polytope import build_polytope
+from .polytope import build_polytope, martingale_point
 from .shadow import construct_shadow
 from .tree import MarketSpec
 
@@ -117,12 +119,15 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
     """Difference of the two entropy minimizations over the polytope.
 
     Returns ``(price, entropy_with, entropy_without)``; the initial
-    wealth cancels exactly and never enters.
+    wealth cancels exactly and never enters.  Both solves start at the
+    closed-form point :func:`martingale_point`, which does not read the
+    endowment, or from a phase one when it is ``None`` or rejected.
     """
     poly = build_polytope(market)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
-    core_e = solve_entropy_core(market, gamma, poly=poly)
-    core_0 = solve_entropy_core(market_0, gamma, poly=poly)
+    start = martingale_point(market)
+    core_e = solve_entropy_core(market, gamma, poly=poly, x0=start)
+    core_0 = solve_entropy_core(market_0, gamma, poly=poly, x0=start)
     return _dual_route(market, market_0, gamma, core_e.leaf_vars, core_0.leaf_vars)
 
 

@@ -173,22 +173,17 @@ def verify_shadow(report: SolveReport, shadow: ShadowPrice,
     market = report.market
     ask, bid = market.ask_price, market.bid_price
     buy, sell = report.strategy.buy, report.strategy.sell
-    direction_violations = []
-    for k in range(market.tree.n_nodes):
-        if shadow.undefined[k]:
-            continue
-        comp_buy = buy[k] * (ask[k] - shadow.value[k]) / (1.0 + ask[k])
-        comp_sell = sell[k] * (shadow.value[k] - bid[k]) / (1.0 + ask[k])
-        if buy[k] > TRADE_EPS and not shadow.at_ask[k] and comp_buy > DIRECTION_TOL:
-            direction_violations.append({"node": int(k), "side": "buy",
-                                         "volume": float(buy[k]),
-                                         "complementarity": float(comp_buy),
-                                         "shadow": float(shadow.value[k])})
-        if sell[k] > TRADE_EPS and not shadow.at_bid[k] and comp_sell > DIRECTION_TOL:
-            direction_violations.append({"node": int(k), "side": "sell",
-                                         "volume": float(sell[k]),
-                                         "complementarity": float(comp_sell),
-                                         "shadow": float(shadow.value[k])})
+    comp = np.column_stack([buy * (ask - shadow.value), sell * (shadow.value - bid)])
+    comp /= (1.0 + ask)[:, None]
+    volume = np.column_stack([buy, sell])
+    # node-major, a node's buy before its sell
+    bad = ((volume > TRADE_EPS) & ~np.column_stack([shadow.at_ask, shadow.at_bid])
+           & (comp > DIRECTION_TOL) & ~shadow.undefined[:, None])
+    direction_violations = [{"node": int(k), "side": ("buy", "sell")[j],
+                             "volume": float(volume[k, j]),
+                             "complementarity": float(comp[k, j]),
+                             "shadow": float(shadow.value[k])}
+                            for k, j in zip(*np.nonzero(bad))]
 
     rank, K = position_map_rank(shadow.as_market())
     unique = rank == K

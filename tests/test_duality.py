@@ -326,19 +326,24 @@ def test_threshold_guard_by_the_lp(drift_binomial):
     assert rep.relative_gap <= 1e-6
 
 
-def test_half_line_report_runs_one_lp(two_period_market, monkeypatch):
-    # the existence check's LP; the start certifies x above the threshold
+def test_half_line_report_runs_no_lp(two_period_market, monkeypatch):
+    # the closed-form witness stands in for the existence check's LP, and
+    # the start certifies x above the threshold; at x0 + 0.1 the start
+    # does not certify x, and the threshold LP still runs
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return engine.solve_lp(*args, **kwargs)
 
-    x = compute_x0(two_period_market) + 4.0
+    x0 = compute_x0(two_period_market)
     monkeypatch.setattr(polytope, "solve_lp", counting)
     monkeypatch.setattr(duality, "solve_lp", counting)
-    solve_report(two_period_market, LOG, x)
+    solve_report(two_period_market, LOG, x0 + 4.0)
+    assert len(calls) == 0
+    rep = solve_report(two_period_market, LOG, x0 + 0.1)
     assert len(calls) == 1
+    assert rep.relative_gap <= 1e-6
 
 
 def test_zero_spread_arbitrage_still_reports_an_empty_polytope():

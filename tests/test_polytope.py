@@ -12,6 +12,7 @@ from frictiondual.polytope import (
 )
 from frictiondual.engine import solve_lp
 from frictiondual.generate import InstanceGenerator
+from frictiondual.shadow import construct_shadow
 from frictiondual.tree import EventTree, MarketSpec
 
 
@@ -167,7 +168,8 @@ def test_polytope_contains_martingale_density(martingale_binomial):
     z = np.array([1.0, 1.0, 120.0, 80.0])
     assert poly.max_violation(z) <= 1e-12
     ps = poly.price_system(z)
-    assert np.allclose(ps.stilde()[[1, 2]], [120.0, 80.0])
+    shadow = construct_shadow(martingale_binomial, ps)
+    assert np.allclose(shadow.value[[1, 2]], [120.0, 80.0])
 
 
 def test_price_system_interior_values(two_period_market):
@@ -208,7 +210,6 @@ def test_check_cps_positive(martingale_binomial, two_period_market):
 @pytest.mark.parametrize("seed", [11, 2033])
 def test_martingale_point_is_strictly_inside(seed, martingale_binomial):
     from frictiondual.duality import solve_report
-    from frictiondual.shadow import construct_shadow
     from frictiondual.utility import UtilitySpec
 
     gen = InstanceGenerator(seed=seed)
@@ -235,6 +236,94 @@ def test_martingale_point_none_on_a_one_way_market():
     assert martingale_point(market) is None
     with pytest.raises(PolytopeInfeasibleError):
         solve_dual(market, UtilitySpec("exponential", gamma=1.0), 1.0)
+    # at 1% spread no band price reaches the root either; at 15% one does
+    assert martingale_point(market.with_lambda(0.01)) is None
+    wide = market.with_lambda(0.15)
+    z = martingale_point(wide)
+    assert z is not None and build_polytope(wide).margin(z) > 1e-9
+
+
+def zero_spread_martingale_point(market):
+    """The one-step reweighting of the ask price, as the zero-spread
+    closed form computes it: the bitwise reference at zero spread."""
+    tree = market.tree
+    S = market.ask_price
+    par, p = tree.parent[1:], tree.cond_prob[1:]
+    move = S[1:] - S[par]
+    up, down = move > 0.0, move < 0.0
+    a = np.bincount(par[up], weights=p[up] * move[up], minlength=tree.n_nodes)
+    b = np.bincount(par[down], weights=-p[down] * move[down], minlength=tree.n_nodes)
+    if np.any((a > 0.0) != (b > 0.0)):
+        return None
+    w = np.ones(par.size)
+    w[up] = 1.0 / a[par[up]]
+    w[down] = 1.0 / b[par[down]]
+    ratio = np.ones(tree.n_nodes)
+    ratio[1:] = w / np.bincount(par, weights=p * w, minlength=tree.n_nodes)[par]
+    z0 = np.prod(np.where(tree.on_path, ratio, 1.0), axis=1)
+    return np.concatenate([z0, S[tree.leaves] * z0])
+
+
+def test_martingale_point_at_zero_spread_is_unchanged(martingale_binomial):
+    gen = InstanceGenerator(seed=11)
+    markets = [martingale_binomial, crossing_binomial()]
+    markets += [gen.draw(i) for i in range(60)]
+    found = 0
+    for market in markets:
+        market = market.with_lambda(0.0)
+        got, want = martingale_point(market), zero_spread_martingale_point(market)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.tobytes() == want.tobytes()
+            found += 1
+    assert 0 < found < len(markets)
+
+
+@pytest.mark.parametrize("seed", [11, 2026, 3])
+def test_martingale_point_decides_existence(seed):
+    # the closed form finds a strictly consistent price system exactly when
+    # the existence LP does, and its point is then strictly inside
+    gen = InstanceGenerator(seed=seed)
+    markets = [gen.draw(i) for i in range(300)]
+    if seed == 11:
+        markets += [gen.draw_feasible(i) for i in range(10)]
+    feasible = 0
+    for market in markets:
+        z = martingale_point(market)
+        assert check_cps(market).exists == (z is not None)
+        if z is None:
+            continue
+        poly = build_polytope(market)
+        assert poly.margin(z) > 1e-9
+        assert poly.max_violation(z) <= 1e-12
+        feasible += 1
+    assert 100 <= feasible < len(markets)
+
+
+def test_thin_band_falls_back_to_the_existence_check(monkeypatch):
+    # the band prices reaching the root span 1e-9: the closed-form point
+    # exists but its margin does not clear, so the report runs the LP,
+    # which finds no strictly positive price system either
+    from frictiondual import duality
+    from frictiondual.duality import NoCpsError, solve_report
+    from frictiondual.utility import UtilitySpec
+
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    s_up = (100.0 - 1e-9) / 0.99
+    market = MarketSpec(tree=tree, ask_price=[100.0, s_up, 1.01 * s_up], lam=0.01,
+                        endowment=[0.0, 0.0])
+    z = martingale_point(market)
+    assert z is not None and 0.0 < build_polytope(market).margin(z) <= 1e-9
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check_cps(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "check_cps", counted)
+    with pytest.raises(NoCpsError):
+        solve_report(market, UtilitySpec("exponential", gamma=1.0), 1.0)
+    assert len(calls) == 1
 
 
 def test_check_cps_negative_with_certificate():

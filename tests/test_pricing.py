@@ -103,7 +103,7 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
     gamma, x = 0.7, 1.0
     rep = indifference_price(two_period_market, gamma, x=x,
                              routes=("primal", "dual", "shadow"))
-    assert calls == {"report": 2, "cps": 1}
+    assert calls == {"report": 2, "cps": 0}
     monkeypatch.undo()
     # the shared reports give the standalone routes' prices
     assert rep.p_primal == pytest.approx(price_primal(two_period_market, gamma, x), abs=1e-8)
@@ -124,6 +124,36 @@ def test_price_dual_warm_start_by_the_boundary():
                                                       + core_0.endow_mean)
     cold = indifference_price(market, 0.8, routes=("dual",))
     assert p == pytest.approx(cold.p_dual, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_price_dual_runs_no_phase_one(seed, monkeypatch):
+    # both entropy solves start at the closed-form point, and land on the
+    # optimum the phase-one starts reach
+    from frictiondual import engine
+
+    gen = InstanceGenerator(seed=seed, max_periods=3)
+    gamma = 0.8
+    calls = []
+    phase_one = engine._phase_one
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return phase_one(*args, **kwargs)
+
+    for i in range(5):
+        market = gen.draw_feasible(i)
+        poly = build_polytope(market)
+        cores = [solve_entropy_core(m, gamma, poly=poly)
+                 for m in (market, market.with_endowment(np.zeros(market.tree.n_leaves)))]
+        assert all(c.diagnostics["phase_one_slack"] is not None for c in cores)
+        want = sum(sign * (c.entropy / gamma + c.endow_mean)
+                   for sign, c in zip((1.0, -1.0), cores))
+        monkeypatch.setattr(engine, "_phase_one", counted)
+        got, *_ = price_dual(market, gamma)
+        monkeypatch.undo()
+        assert calls == []
+        assert got == pytest.approx(want, abs=1e-8)
 
 
 @pytest.fixture(scope="module")

@@ -191,3 +191,41 @@ def test_tiny_density_node_trades_on_its_band_edge():
     market = InstanceGenerator(seed=11).draw_feasible(9)
     rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
     assert verify_shadow(rep, sh, fr)["direction_violations"] == []
+
+
+def loop_direction_violations(report, shadow):
+    """Node-by-node reference of :func:`verify_shadow`'s trade-direction
+    check, in its order: node by node, a node's buy before its sell."""
+    market = report.market
+    ask, bid = market.ask_price, market.bid_price
+    buy, sell = report.strategy.buy, report.strategy.sell
+    out = []
+    for k in range(market.tree.n_nodes):
+        if shadow.undefined[k]:
+            continue
+        comp_buy = buy[k] * (ask[k] - shadow.value[k]) / (1.0 + ask[k])
+        comp_sell = sell[k] * (shadow.value[k] - bid[k]) / (1.0 + ask[k])
+        if buy[k] > 1e-7 and not shadow.at_ask[k] and comp_buy > 1e-7:
+            out.append({"node": int(k), "side": "buy", "volume": float(buy[k]),
+                        "complementarity": float(comp_buy),
+                        "shadow": float(shadow.value[k])})
+        if sell[k] > 1e-7 and not shadow.at_bid[k] and comp_sell > 1e-7:
+            out.append({"node": int(k), "side": "sell", "volume": float(sell[k]),
+                        "complementarity": float(comp_sell),
+                        "shadow": float(shadow.value[k])})
+    return out
+
+
+def test_direction_check_matches_loop_reference():
+    # generated seed-5 markets 113 and 141 under exp(1) at x = 1 have
+    # direction violations; seed-11 market 2 has none
+    cases = [(5, 113), (5, 141), (11, 2)]
+    found = []
+    for seed, index in cases:
+        market = InstanceGenerator(seed=seed).draw_feasible(index)
+        rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
+        got = verify_shadow(rep, sh, fr)["direction_violations"]
+        want = loop_direction_violations(rep, sh)
+        assert got == want
+        found.append(len(got))
+    assert found[0] > 0 and found[1] > 0 and found[2] == 0
