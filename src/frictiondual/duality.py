@@ -20,7 +20,7 @@ from .engine import (ConvexProgram, EngineError, InfeasibleProgramError, SolveRe
                      solve, solve_lp)
 from .polytope import (CPS_MARGIN, DENSITY_EPS, DualPolytope, PolytopeInfeasibleError,
                        PriceSystem, build_polytope, check_cps, martingale_point)
-from .trading import Strategy, net_trades, roll_forward, terminal_claim
+from .trading import Strategy, net_trades, replicate, roll_forward, terminal_claim
 from .tree import MarketSpec
 
 POSITIVITY_MARGIN = 1e-10
@@ -536,6 +536,19 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     both.  The report keeps the witness its dual solve started from:
     ``None`` at zero spread, where no witness is sought.
 
+    The primal starts at the dual optimum (:func:`_shadow_start`): the
+    frictionless replication of the optimal claim ``I(yhat Z0) - x - e``
+    at the shadow price ``Z1/Z0``, where the frictional optimum is that
+    replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010),
+    pulled inside by :func:`solve_primal`.  Where the dual optimizer has
+    a node with ``Z0 <= DENSITY_EPS`` the primal keeps its program's
+    generic start.  The primal diagnostics' ``start`` records which ran:
+    ``point`` is ``"shadow"`` or ``"generic"``, ``reason`` names the
+    zero-density node of a generic start, and ``rejected`` says whether
+    the engine replaced the start by a phase one.  The primal is still
+    certified by its own KKT residuals, and the threshold certificate
+    above still reads the generic start.
+
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
     Its threshold is 0, which the LP returns like any other.
@@ -576,7 +589,10 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         dual_total = dual.value + x * yhat
     else:
         yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=witness)
-    primal = solve_primal(market, spec, x, program=program)
+    start, record = _shadow_start(market, spec, x, yhat, dual.system)
+    primal = solve_primal(market, spec, x, x0=start, program=program)
+    record["rejected"] = primal.diagnostics["phase_one_slack"] is not None
+    primal.diagnostics["start"] = record
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -596,6 +612,28 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
         witness=witness,
     )
+
+
+def _shadow_start(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: float,
+                  system: PriceSystem) -> tuple:
+    """The primal start at the dual optimum ``system`` and its record.
+
+    The start is the :func:`primal_point` of the frictionless
+    replication (:func:`trading.replicate`) of the optimal claim
+    ``I(yhat Z0) - x - e`` at the shadow price ``Z1/Z0``, under ``Z0``,
+    with its claim the terminal liquidation value.  Where some node's
+    ``Z0`` is at most ``DENSITY_EPS``, ``I`` is undefined and the start
+    is ``None``, the program's generic one; the record names the node.
+    """
+    price, undefined = system.ratio(market.ask_price)
+    if undefined.any():
+        node = int(np.argmax(undefined))
+        return None, {"point": "generic", "reason": f"zero dual density at node {node}"}
+    tree = market.tree
+    claim = ut.eval_i(spec, yhat * system.z0[tree.leaves]) - x - market.endowment
+    strategy = replicate(market, price, system.z0, claim)
+    return (primal_point(market, strategy, terminal_claim(market, strategy)),
+            {"point": "shadow", "reason": None})
 
 
 def _certifies_threshold(program: tuple, x: float, endow: np.ndarray) -> bool:

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetrs, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dgetrf, dgetrs, dorgqr, dtrtrs
 
 ARMIJO_C = 1e-4
 BACKTRACK_BETA = 0.5
@@ -141,16 +140,40 @@ class SolveResult:
         return self.diagnostics.status
 
 
-def _row_rank_qr(M, check_finite=True):
+def _row_rank_qr(M):
     """Full column-pivoted QR ``(Q, R, piv)`` of ``M^T`` and the numerical
     rank of ``M``: the first ``rank`` pivots index a maximal set of
     linearly independent rows of ``M``, and ``M[piv[:rank]]^T =
-    Q[:, :rank] R[:rank, :rank]``.  ``check_finite=False`` skips scipy's
-    scan for non-finite entries, for matrices the engine built itself."""
-    out = scipy.linalg.qr(M.T, mode="full", pivoting=True, check_finite=check_finite)
-    diag = np.abs(np.diag(out[1]))
+    Q[:, :rank] R[:rank, :rank]``.  LAPACK's ``dgeqp3`` and ``dorgqr``,
+    called as ``scipy.linalg.qr(M.T, mode="full", pivoting=True)`` calls
+    them, bit for bit, without its per-call wrapper cost."""
+    a = M.T
+    rows, cols = a.shape
+    if a.size == 0:
+        Q, R, piv = np.eye(rows), np.zeros((rows, cols)), np.arange(cols)
+    else:
+        qr, piv, tau = _lapack(dgeqp3, a)
+        piv -= 1          # 1-based pivots
+        R = np.triu(qr)
+        if rows < cols:
+            Q = _lapack(dorgqr, qr[:, :rows], tau, overwrite_a=1)[0]
+        else:
+            full = np.empty((rows, rows))
+            full[:, :cols] = qr
+            Q = _lapack(dorgqr, full, tau, overwrite_a=1)[0]
+    diag = np.abs(np.diag(R))
     tol = max(M.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    return out, int(np.sum(diag > tol))
+    return (Q, R, piv), int(np.sum(diag > tol))
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs before ``work`` of a LAPACK ``routine`` run with the
+    workspace its ``lwork = -1`` query asks for."""
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    out = routine(*args, lwork=int(work[0]), **kwargs)
+    if out[-1] != 0:
+        raise EngineError(f"{routine.__name__} failed with info {out[-1]}")
+    return out[:-2]
 
 
 @dataclass
@@ -198,7 +221,7 @@ def _reduce_equalities(A, b):
     :class:`InfeasibleProgramError`."""
     if A is None or np.size(A) == 0:
         return _Equalities(0, np.zeros(0, int))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.atleast_2d(np.asarray_chkfinite(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     (Q, R, piv), k = _row_rank_qr(A)
     keep = piv[:k]
@@ -488,20 +511,18 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
             rows = np.flatnonzero(active)
             C = G[rows] if A is None else np.vstack([A, G[rows]])
             rhs = h[rows] if A is None else np.concatenate([b, h[rows]])
-            (Q, R, piv), k = _row_rank_qr(C, check_finite=False)
+            (Q, R, piv), k = _row_rank_qr(C)
             # C[keep]^T = Y R1: Y spans the kept rows, Z the face directions
             keep = piv[:k]
             face = C, rhs, keep, R[:k, :k], Q[:, :k], Q[:, k:]
         C, rhs, keep, R1, Y, Z = face
-        dx = Y @ scipy.linalg.solve_triangular(R1, rhs[keep] - C[keep] @ x, trans="T",
-                                               check_finite=False)
+        dx = Y @ _upper_solve(R1, rhs[keep] - C[keep] @ x, trans=1)
         dx += Z @ np.linalg.lstsq((Z.T * d) @ Z, -Z.T @ (g + d * dx), rcond=None)[0]
         # the multipliers in hand, corrected on the kept rows to meet
         # stationarity after the step: on a degenerate face this keeps
         # the positive split the barrier found among dependent rows
         w = np.concatenate([nu, -lam[rows]])
-        w[keep] += scipy.linalg.solve_triangular(R1, -Y.T @ (g + d * dx + C.T @ w),
-                                                 check_finite=False)
+        w[keep] += _upper_solve(R1, -Y.T @ (g + d * dx + C.T @ w))
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
         x_t = x + dx
@@ -523,6 +544,16 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
         if np.all(np.abs(dx) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))):
             break
     return out
+
+
+def _upper_solve(R1, rhs, trans=0):
+    """``v`` with ``R1 v = rhs`` (``R1^T v = rhs`` at ``trans = 1``) for the
+    upper triangular ``R1`` of :func:`_row_rank_qr`; empty at rank 0.
+    LAPACK's ``dtrtrs`` on the lower triangular ``R1^T``, as
+    ``scipy.linalg.solve_triangular`` calls it for a C-ordered ``R1``."""
+    if R1.size == 0:
+        return np.zeros(0)
+    return dtrtrs(R1.T, rhs, lower=1, trans=1 - trans)[0]
 
 
 def _starting_point(program, eq, G, h, in_domain, events):

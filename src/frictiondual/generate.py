@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .polytope import check_cps
+from .polytope import CPS_MARGIN, build_polytope, check_cps, martingale_point
 from .tree import EventTree, MarketSpec, market_to_dict
 
 
@@ -75,11 +75,19 @@ class InstanceGenerator:
 
     def draw_feasible(self, index: int, max_tries: int = 64) -> MarketSpec:
         """Like :meth:`draw` but rejects markets with no strictly positive
-        price system; resampling stays deterministic in (seed, index)."""
+        price system; resampling stays deterministic in (seed, index).
+
+        An attempt is accepted when the closed-form
+        :func:`martingale_point` clears ``CPS_MARGIN``, and otherwise when
+        the existence LP (:func:`check_cps`) finds a witness.  The LP's
+        optimal margin is at least the closed-form point's, so the LP
+        alone would accept the same attempts."""
         for attempt in range(max_tries):
             mkt = self.draw(index if attempt == 0 else (index + 1) * 100003 + attempt)
-            verdict = check_cps(mkt)
-            if verdict.exists:
+            witness = martingale_point(mkt)
+            if witness is not None and build_polytope(mkt).margin(witness) > CPS_MARGIN:
+                return mkt
+            if check_cps(mkt).exists:
                 return mkt
         raise RuntimeError(f"no feasible draw after {max_tries} tries at index {index}")
 

@@ -35,11 +35,21 @@ class PolytopeInfeasibleError(RuntimeError):
 @dataclass(frozen=True)
 class PriceSystem:
     """Per-node (Z0, Z1) pair; where Z0 is positive, Z1/Z0 is a price in
-    the band (:func:`shadow.construct_shadow` reads it)."""
+    the band (:meth:`ratio`): the shadow price of a dual optimizer
+    (:func:`shadow.construct_shadow`)."""
 
     z0: np.ndarray
     z1: np.ndarray
     strictly_positive: bool
+
+    def ratio(self, fill: np.ndarray):
+        """``(price, undefined)``: the price ``Z1/Z0`` at each node where
+        ``Z0`` exceeds ``DENSITY_EPS``, and ``fill`` at the nodes that
+        ``undefined`` flags."""
+        undefined = ~(self.z0 > DENSITY_EPS)
+        price = np.divide(self.z1, self.z0, out=np.array(fill, dtype=float),
+                          where=~undefined)
+        return price, undefined
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from . import utility as ut
 from .duality import (DualSolution, PrimalUnboundedError, SolveReport, solve_dual,
                       solve_primal)
-from .polytope import DENSITY_EPS, PriceSystem, build_polytope, martingale_point
+from .polytope import PriceSystem, build_polytope, martingale_point
 from .tree import MarketSpec
 
 CLASS_RTOL = 1e-7
@@ -89,8 +89,7 @@ def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
     """
     ask = market.ask_price
     bid = market.bid_price
-    undefined = ~(dual_opt.z0 > DENSITY_EPS)
-    ratio = np.divide(dual_opt.z1, dual_opt.z0, out=ask.copy(), where=~undefined)
+    ratio, undefined = dual_opt.ratio(ask)
     outside = (ratio < bid - 1e-9 * ask) | (ratio > ask * (1.0 + 1e-9))
     if outside.any():
         k = int(np.argmax(outside))

@@ -76,10 +76,12 @@ def test_solve_json_and_csv(market_file, tmp_path):
     keys = {"status", "objective", "barrier_path", "newton_iterations",
             "kkt_stationarity", "kkt_feasibility", "kkt_complementarity",
             "message", "phase_one_slack", "face_steps", "factorizations", "events"}
-    for side in ("primal", "dual"):
+    for side, extra in (("primal", {"start"}), ("dual", set())):
         engine_diag = rec["diagnostics"][side]
-        assert set(engine_diag) == keys
+        assert set(engine_diag) == keys | extra
         assert sum(engine_diag["newton_iterations"]) > 0
+    assert rec["diagnostics"]["primal"]["start"] == {"point": "shadow", "reason": None,
+                                                      "rejected": False}
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
     market = load_market(market_file)

@@ -491,3 +491,87 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
             G_ref = np.delete(G_ref, claim_cols, axis=1)
             assert_same_bytes(lp["G"], G_ref, "superreplication G")
             assert_same_bytes(lp["h"], h_ref, "superreplication h")
+
+
+def three_period_market(lam):
+    """Three periods, a trinomial node (node 1) among binomial ones, and
+    prices that move both ways at every node, so no arbitrage at zero
+    spread either."""
+    parent = [-1, 0, 0, 1, 1, 1, 2, 2] + [3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
+    time = [0, 1, 1, 2, 2, 2, 2, 2] + [3] * 10
+    prob = [1.0, 0.55, 0.45, 0.3, 0.4, 0.3, 0.5, 0.5,
+            0.6, 0.4, 0.5, 0.5, 0.45, 0.55, 0.5, 0.5, 0.35, 0.65]
+    price = [100.0, 112.0, 95.0, 125.0, 110.0, 100.0, 105.0, 88.0,
+             135.0, 116.0, 119.0, 102.0, 108.0, 93.0, 113.0, 98.0, 95.0, 82.0]
+    tree = EventTree(parent=parent, time=time, cond_prob=prob)
+    return MarketSpec(tree=tree, ask_price=price, lam=lam,
+                      endowment=[1.5, -0.5, 0.0, 2.0, -1.0, 0.5, -2.0, 1.0, 0.3, -0.7])
+
+
+SHADOW_FAMILIES = [LOG, UtilitySpec("power", alpha=0.5), EXP1]
+
+
+@pytest.mark.parametrize("spec", SHADOW_FAMILIES, ids=["log", "power", "exp"])
+@pytest.mark.parametrize("lam", [0.02, 0.0])
+def test_report_primal_starts_at_the_shadow_replication(spec, lam):
+    # the report's primal, started at the shadow-market replication of
+    # the dual optimum, reaches the cold solve's optimum in fewer steps
+    market = three_period_market(lam)
+    x = 1.0 if spec.wealth_domain == "real" else 10.0
+    rep = solve_report(market, spec, x)
+    cold = solve_primal(market, spec, x)
+    d = rep.diagnostics["primal"]
+    assert d["start"] == {"point": "shadow", "reason": None, "rejected": False}
+    assert rep.value == pytest.approx(cold.value, rel=1e-12)
+    assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9
+    assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
+
+
+def test_zero_density_dual_keeps_the_generic_start():
+    # an unhedgeable endowment of 200 at the middle leaf of a trinomial:
+    # the exponential dual density there is ~4e-13, I(yhat * Z0) is out
+    # of reach, and the primal runs exactly the cold solve
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
+                        endowment=[0.0, 200.0, 0.0])
+    rep = solve_report(market, EXP1, 1.0)
+    assert rep.zero_density_leaves == [2]
+    d = rep.diagnostics["primal"]
+    assert d["start"] == {"point": "generic", "reason": "zero dual density at node 2",
+                          "rejected": False}
+    cold = solve_primal(market, EXP1, 1.0)
+    assert np.array_equal(rep.claim, cold.claim)
+    assert d["newton_iterations"] == cold.diagnostics["newton_iterations"]
+
+
+def test_shadow_start_is_accepted_on_generated_markets():
+    # the pulled shadow start is strictly feasible: no phase one, no event
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        for spec in SHADOW_FAMILIES:
+            x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
+            d = solve_report(market, spec, x).diagnostics["primal"]
+            assert d["start"] == {"point": "shadow", "reason": None, "rejected": False}, (i, spec)
+            assert d["phase_one_slack"] is None
+            assert d["events"] == []
+
+
+def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
+    # a start the engine rejects for a phase one shows in the start record
+    # and in the events, and the report still reaches the optimum
+    shadow_start = duality._shadow_start
+
+    def far_below(market, spec, x, yhat, system):
+        start, record = shadow_start(market, spec, x, yhat, system)
+        start[-market.tree.n_leaves:] -= 1e6      # claims far below zero wealth
+        return start, record
+
+    cold = solve_report(two_period_market, LOG, 6.0)
+    monkeypatch.setattr(duality, "_shadow_start", far_below)
+    rep = solve_report(two_period_market, LOG, 6.0)
+    d = rep.diagnostics["primal"]
+    assert d["start"] == {"point": "shadow", "reason": None, "rejected": True}
+    assert d["events"][0] == "supplied start not strictly feasible: phase one"
+    assert d["phase_one_slack"] is not None
+    assert rep.value == pytest.approx(cold.value, rel=1e-10)

@@ -458,3 +458,26 @@ def test_boundary_step_matches_the_masked_formula():
     for v, dv in cases:
         assert engine._boundary_step(v, dv) == _boundary_step_reference(v, dv)
     assert engine._boundary_step(np.ones(3), np.zeros(3)) == np.inf
+
+
+def test_lapack_qr_and_triangular_solves_match_scipy_bitwise():
+    # the engine calls dgeqp3/dorgqr and dtrtrs directly; they must give
+    # the bits scipy.linalg.qr and solve_triangular give
+    import scipy.linalg
+    rng = np.random.default_rng(5)
+    for rows, cols in [(0, 4), (3, 0), (1, 1), (2, 6), (5, 3), (4, 4), (7, 9)]:
+        for _ in range(5):
+            M = rng.standard_normal((rows, cols))
+            if rows > 1:
+                M[-1] = 2.0 * M[0]          # a dependent row
+            (Q, R, piv), k = engine._row_rank_qr(M)
+            if M.size:
+                want = scipy.linalg.qr(M.T, mode="full", pivoting=True)
+                assert all(np.array_equal(a, b) for a, b in zip((Q, R, piv), want))
+            assert k == (np.linalg.matrix_rank(M) if M.size else 0)
+            R1 = R[:k, :k]
+            rhs = rng.standard_normal(k)
+            for trans in (0, 1):
+                got = engine._upper_solve(R1, rhs, trans=trans)
+                want = scipy.linalg.solve_triangular(R1, rhs, trans=trans)
+                assert np.array_equal(got, want)
