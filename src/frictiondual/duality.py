@@ -252,21 +252,28 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     iterates diverge.
 
     ``x0``, a point of the program's variables such as the
-    :func:`primal_point` of a nearby solve, starts the solve after a pull
-    ``WARM_PULL`` of the way toward the program's generic start.  A
-    nearby optimum sits on the boundary of the feasible set; the pull
-    takes it strictly inside, as in Gondzio & Grothey, SIAM J. Optim. 13
-    (2003).  The engine falls back to a phase one, logged in the
+    :func:`primal_point` of a nearby solve, is the engine's face start
+    (:attr:`ConvexProgram.face_start`).  A nearby optimum sits on the
+    boundary of the feasible set, on the optimal face or next to it, so
+    the engine first finishes it there with barrier-free Newton steps.
+    When that point fails the engine's test, the barrier starts at ``x0``
+    pulled ``WARM_PULL`` of the way toward the program's generic start,
+    which takes it strictly inside, as in Gondzio & Grothey, SIAM J.
+    Optim. 13 (2003); the engine falls back to a phase one, logged in the
     diagnostics' events, when the pulled point is still not strictly
-    feasible.  ``program``, the :func:`primal_program` of these same
-    arguments, saves building it again.
+    feasible.  The diagnostics' ``start`` record says whether a phase one
+    replaced the start (``rejected``) and what the face start did
+    (``face``: the engine's :attr:`SolveDiagnostics.face_start`, ``None``
+    without ``x0``).  ``program``, the :func:`primal_program` of these
+    same arguments, saves building it again.
     """
     if program is None:
         program = primal_program(market, spec, x)
     prog, internal, K, L, off, frictionless = program
     if x0 is not None:
-        prog = replace(prog, x0=(1.0 - WARM_PULL) * np.asarray(x0, dtype=float)
-                       + WARM_PULL * prog.x0)
+        x0 = np.asarray(x0, dtype=float)
+        prog = replace(prog, x0=(1.0 - WARM_PULL) * x0 + WARM_PULL * prog.x0,
+                       face_start=x0)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:
@@ -292,8 +299,10 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     strat = roll_forward(market, 0.0, buy, sell)
     claim = terminal_claim(market, strat)
     value = float(tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
-    return PrimalSolution(value=value, strategy=strat, claim=claim,
-                          diagnostics=res.diagnostics.to_dict())
+    diagnostics = res.diagnostics.to_dict()
+    diagnostics["start"] = {"rejected": res.diagnostics.phase_one_slack is not None,
+                            "face": res.diagnostics.face_start}
+    return PrimalSolution(value=value, strategy=strat, claim=claim, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +548,18 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     The primal starts at the dual optimum (:func:`_shadow_start`): the
     frictionless replication of the optimal claim ``I(yhat Z0) - x - e``
     at the shadow price ``Z1/Z0``, where the frictional optimum is that
-    replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010),
-    pulled inside by :func:`solve_primal`.  Where the dual optimizer has
-    a node with ``Z0 <= DENSITY_EPS`` the primal keeps its program's
-    generic start.  The primal diagnostics' ``start`` records which ran:
-    ``point`` is ``"shadow"`` or ``"generic"``, ``reason`` names the
-    zero-density node of a generic start, and ``rejected`` says whether
-    the engine replaced the start by a phase one.  The primal is still
-    certified by its own KKT residuals, and the threshold certificate
-    above still reads the generic start.
+    replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010).
+    That point sits on the primal's optimal face, so :func:`solve_primal`
+    hands it to the engine as its face start, and the barrier runs only
+    when the engine rejects it.  Where the dual optimizer has a node with
+    ``Z0 <= DENSITY_EPS`` the primal keeps its program's generic start.
+    The primal diagnostics' ``start`` records which ran: ``point`` is
+    ``"shadow"`` or ``"generic"``, ``reason`` names the zero-density node
+    of a generic start, ``rejected`` says whether the engine replaced the
+    start by a phase one, and ``face`` what the face start did (see
+    :func:`solve_primal`).  The primal is still certified by its own KKT
+    residuals, and the threshold certificate above still reads the
+    generic start.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -591,8 +603,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=witness)
     start, record = _shadow_start(market, spec, x, yhat, dual.system)
     primal = solve_primal(market, spec, x, x0=start, program=program)
-    record["rejected"] = primal.diagnostics["phase_one_slack"] is not None
-    primal.diagnostics["start"] = record
+    primal.diagnostics["start"] = {**record, **primal.diagnostics["start"]}
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -654,8 +665,10 @@ def verify_identities(report: SolveReport) -> dict:
     the dual density, (c) |u'(x) - E[U'(wealth)]| with u' by central
     difference of the primal value, (d) the wealth-weighted variant.
     The step is ``h = FD_STEP * (1 + |x|)``.  Both primal solves at
-    ``x +- h`` start at the report's primal point
-    (:func:`primal_point`), pulled inside by :func:`solve_primal`.
+    ``x +- h`` start at the report's primal point (:func:`primal_point`),
+    whose face is usually theirs: :func:`solve_primal` hands it to the
+    engine as the face start, and the barrier runs only when the engine
+    rejects it.
     """
     market, spec, x = report.market, report.utility, report.x
     prob = market.tree.leaf_prob

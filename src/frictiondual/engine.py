@@ -9,7 +9,10 @@ builds is of that shape.  Linear programs do not go through this loop:
 Strictly feasible starts and infeasibility certificates come from a
 max-slack LP, also solved once by HiGHS; the path-following loop itself
 is self-contained, and so is the active-face finish that moves its
-optimal exits onto their face.
+optimal exits onto their face.  A program that carries a face start, a
+point already on (or next to) its optimal face, is first finished from
+there by the same barrier-free Newton steps; the barrier runs only when
+that point fails the certification test.
 
 The equality rows are split once per solve, by one pivoted QR, into a
 range and a null-space basis: the start is projected onto them, and
@@ -35,6 +38,8 @@ TOL = 1e-9                 # stopping tolerance of the path-following loop
 DEFAULT_MAX_NEWTON = 500
 DIVERGE_CAP = 1e12
 HIGHS_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances
+FINISH_ROUNDS = 2          # face-change rounds in a row that end a barrier exit's finish
+FACE_START_ROUNDS = 6      # and a face start's: it may start a few rows off its face
 LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # by linprog status
 
 
@@ -58,6 +63,10 @@ class ConvexProgram:
     the Hessian's diagonal ``d``, the Hessian being ``diag(d)``.
     ``in_domain`` guards open objective domains during line search.
     Inequalities read ``G x - h >= 0``; ``G`` has at least one row.
+    ``x0`` is a strictly feasible start for the barrier.  ``face_start``
+    is a point on the program's optimal face, or near it, such as the
+    optimum of a nearby program: :func:`solve` first finishes it on its
+    active face and runs the barrier from ``x0`` only when that fails.
     """
 
     n: int
@@ -68,6 +77,7 @@ class ConvexProgram:
     b_eq: Optional[np.ndarray] = None
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
     x0: Optional[np.ndarray] = None
+    face_start: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -90,7 +100,12 @@ class SolveDiagnostics:
     ``optimal``.  ``factorizations`` counts the LU factorizations of the
     reduced Newton matrix: one per iteration, the one that stops the loop
     included, one more per centering restart and per ridge retry, and
-    none for a pinned point.
+    none for a pinned point.  ``face_start`` is the outcome of a face
+    start, ``None`` when the program had none: ``accepted``, the
+    ``rounds`` of the face finish taken and, for a rejected one, the
+    ``reason``.  It is also the first of the ``events``; :meth:`to_dict`
+    leaves the record itself to the caller that supplied the start.  An
+    accepted face start takes no barrier step and no factorization.
     """
 
     status: str
@@ -105,6 +120,7 @@ class SolveDiagnostics:
     face_steps: int = 0
     factorizations: int = 0
     events: list = field(default_factory=list)
+    face_start: Optional[dict] = None
 
     @property
     def kkt_max(self) -> float:
@@ -263,6 +279,13 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     larger.  The result is then certified: a ``max_iter`` exit within
     ``max(100 TOL, 1e-5) (1 + |f|)`` is promoted to ``optimal``, and an
     optimal exit outside it is demoted to ``numerical_failure``.
+
+    A program's ``face_start`` is tried first (:func:`_face_start`): the
+    face finish runs from it with least-squares multipliers, and a point
+    that passes the loop's own stopping test, far tighter than that
+    certification, is returned with no barrier step.  Otherwise the
+    barrier runs from the start as if there had been no face start, to
+    the same bits.
     """
     G = np.atleast_2d(np.asarray(program.G, float))
     h = np.atleast_1d(np.asarray(program.h, float))
@@ -275,6 +298,10 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     in_domain = program.in_domain or (lambda _x: True)
 
     diag = SolveDiagnostics(status="max_iter")
+    if program.face_start is not None:
+        face = _face_start(program, eq, G, h, in_domain, diag)
+        if face is not None:
+            return face
     x, diag.phase_one_slack = _starting_point(program, eq, G, h, in_domain, diag.events)
     total_iters = 0
     quiet_r = np.inf    # stationarity of the last step's lam + dl, if quiet
@@ -454,7 +481,7 @@ def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
     fval, g, d = evaluation
     kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
     face = None if in_domain is None else \
-        _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain)
+        _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain)[0]
     if face is not None:
         x_f, lam_f, nu_f, f_f, g_f, steps = face
         kkt_f = _kkt_residuals(g_f, x_f, G, h, A, b, lam_f, nu_f)
@@ -482,31 +509,39 @@ def _kkt_residuals(g, x, G, h, A, b, lam, nu):
     return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(g))), feas, comp
 
 
-def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
-    """Barrier-free Newton steps on the active face of a barrier point.
+def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=False):
+    """Barrier-free Newton steps on the active face of a point.
 
     Barrier points stop short of their optimal face, where the identities
-    hold exactly.  Rows with slack <= 1e-7 (1 + |h| + |G||x|) are guessed
+    hold exactly, and a face start sits on a face that is optimal or
+    nearly so.  Rows with slack <= 1e-7 (1 + |h| + |G||x|) are guessed
     active and held as equalities with ``A``; one pivoted QR per active
     set drops the dependent rows and spans the face.  Each round takes the
     Newton step of the quadratic model on the face by the null-space
     method (least squares on the reduced Hessian ``Z^T diag(d) Z``, so
-    flat directions stay put).  A row the step would cross joins the face and a row with a
-    negative multiplier leaves it, in place of the step; two such rounds
-    in a row end the finish, as does a step out of the objective domain
-    or one not half its predecessor.  A step below sqrt(eps) relative to
-    the point in every component is the last: its multipliers certify the
-    point it reaches to second order.  Crossover as in Mehrotra & Ye,
-    Math. Prog. 62 (1993).
+    flat directions stay put).  The multipliers in hand (``lam``, ``nu``;
+    zeros for a face start) are corrected to the least-squares ones on
+    the face.  A row the step would cross joins the face and a row with a
+    negative multiplier leaves it, in place of the step; such rounds end
+    the finish at ``FINISH_ROUNDS`` in a row (``FACE_START_ROUNDS`` for a
+    ``face_start``), as does a step out of the objective domain or one
+    not half its predecessor.  A face start has no multipliers to split
+    a degenerate face's dependent rows, so before a row leaves it looks
+    for a nonnegative split (:func:`_nonnegative_split`).  A step below
+    sqrt(eps) relative to the point in every component is the last: its
+    multipliers certify the point it reaches to second order.  Crossover
+    as in Mehrotra & Ye, Math. Prog. 62 (1993).
 
-    Returns ``(x, lam, nu, f, g, steps)`` at the last step taken, or
-    ``None`` when none was.
+    Returns ``(out, rounds)``: ``out`` is ``(x, lam, nu, f, g, steps)``
+    at the last step taken, or ``None`` when none was, and ``rounds``
+    counts the rounds, steps and face changes alike.
     """
     (m, n), p = G.shape, 0 if A is None else A.shape[0]
     scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
     active = G @ x - h <= 1e-7 * scale
-    out, steps, idle, face, last = None, 0, 0, None, np.inf
-    while idle < 2:
+    out, steps, idle, face, last, rounds = None, 0, 0, None, np.inf, 0
+    while idle < (FACE_START_ROUNDS if face_start else FINISH_ROUNDS):
+        rounds += 1
         if face is None:
             rows = np.flatnonzero(active)
             C = G[rows] if A is None else np.vstack([A, G[rows]])
@@ -525,6 +560,13 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
         w[keep] += _upper_solve(R1, -Y.T @ (g + d * dx + C.T @ w))
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
+        if face_start and np.any(lam_t < 0.0):
+            # a face start has no barrier split among dependent rows to
+            # keep: look for a nonnegative one before any row leaves
+            split = _nonnegative_split(C, p, g + d * dx)
+            if split is not None:
+                w = split
+                lam_t[rows] = -w[p:]
         x_t = x + dx
         # crossing by more than the rounding bound of G x - h
         join = ~active & (G @ x_t - h < -n * np.finfo(float).eps * scale)
@@ -543,7 +585,70 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
         out = (x, lam, nu, fval, g, steps)
         if np.all(np.abs(dx) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))):
             break
-    return out
+    return out, rounds
+
+
+def _nonnegative_split(C, p, r):
+    """Multipliers ``w = (nu, -lam)`` of the face rows ``C`` (its first
+    ``p`` rows equalities) with ``lam >= 0`` and ``r + C^T w = 0`` to
+    ``TOL (1 + |r|)``, or ``None`` when there are none: nonnegative least
+    squares (Lawson & Hanson), with ``nu`` split into two nonnegative
+    parts."""
+    from scipy.optimize import nnls
+
+    E, k = C[:p].T, C.shape[0] - p
+    sol, resid = nnls(np.hstack([C[p:].T, -E, E]), r)
+    if resid > TOL * (1.0 + np.linalg.norm(r)):
+        return None
+    return np.concatenate([sol[k:k + p] - sol[k + p:], -sol[:k]])
+
+
+def _face_start(program, eq, G, h, in_domain, diag):
+    """The solve from ``program.face_start`` by :func:`_face_finish`
+    alone, or ``None`` when its point is not accepted.
+
+    The finish starts from zero multipliers, so its first round takes the
+    least-squares ones on the face, and rows may join or leave the face
+    for ``FACE_START_ROUNDS`` rounds in a row.  Its last point is
+    accepted when it lies in the objective domain (the finish takes no
+    step out of it), every inequality multiplier is nonnegative, and its
+    KKT residuals pass the barrier's own stopping test: stationarity,
+    relative to ``1 + |g|``, and feasibility at most ``10 TOL``, and
+    complementarity at most the floor weight ``TOL / (10 m)``.  The
+    outcome is recorded in ``diag.face_start`` and logged as the first
+    event.
+    """
+    x = np.asarray(program.face_start, dtype=float)
+    A, b = eq.A, eq.b
+    out, rounds = None, 0
+    if in_domain(x):
+        fval, g, d = program.objective(x)
+        out, rounds = _face_finish(program, x, g, d, G, h, A, b, np.zeros(G.shape[0]),
+                                   np.zeros(0 if A is None else A.shape[0]), in_domain,
+                                   face_start=True)
+        reason = "no step on the face"
+    else:
+        reason = "start outside the objective domain"
+    if out is not None:
+        x, lam, nu, fval, g, steps = out
+        stat, feas, comp = kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
+        if max(stat, feas) > 10.0 * TOL or comp > TOL / (10.0 * G.shape[0]):
+            reason = (f"KKT residuals {stat:.1e}, {feas:.1e}, {comp:.1e} above "
+                      "the barrier's stopping test")
+        elif np.any(lam < 0.0):
+            reason = "negative multiplier"
+        else:
+            reason = None
+    diag.face_start = {"accepted": reason is None, "rounds": rounds, "reason": reason}
+    diag.events.append(f"face start accepted after {rounds} rounds" if reason is None
+                       else f"face start rejected after {rounds} rounds: {reason}")
+    if reason is not None:
+        return None
+    diag.status = "optimal"
+    diag.objective = float(fval)
+    diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
+    diag.face_steps = steps
+    return SolveResult(x, eq.per_given_row(nu), lam, diag)
 
 
 def _upper_solve(R1, rhs, trans=0):
@@ -649,44 +754,3 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
     diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = \
         _kkt_residuals(c, res.x, G, h, A, b, lam, nu)
     return SolveResult(res.x, nu, lam, diag)
-
-
-def audit_derivatives(objective, points, rel_grad: float = 1e-6,
-                      rel_hess: float = 1e-5, step: float = 1e-6):
-    """Central finite-difference audit of analytic gradients and Hessian
-    diagonals: ``objective(x)`` returns ``(f, g, d)`` as in
-    :class:`ConvexProgram`, and ``d * v`` is checked against gradient
-    differences along random directions ``v``.
-
-    Returns ``(max_grad_err, max_hess_err, ok)`` over the supplied
-    points; errors are relative to the analytic magnitudes.
-    """
-    max_g = 0.0
-    max_h = 0.0
-    rng = np.random.default_rng(0)
-    for x in points:
-        x = np.asarray(x, dtype=float)
-        _, g, d = objective(x)
-        n = x.size
-        hstep = step * (1.0 + np.abs(x))
-        g_num = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = hstep[i]
-            fp, _, _ = objective(x + e)
-            fm, _, _ = objective(x - e)
-            g_num[i] = (fp - fm) / (2.0 * hstep[i])
-        denom = 1.0 + np.linalg.norm(g)
-        max_g = max(max_g, float(np.linalg.norm(g_num - g)) / denom)
-        # Hessian-vector products against gradient differences
-        for _ in range(3):
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            t = step * (1.0 + np.linalg.norm(x))
-            _, gp, _ = objective(x + t * v)
-            _, gm, _ = objective(x - t * v)
-            hv_num = (gp - gm) / (2.0 * t)
-            hv = d * v
-            max_h = max(max_h, float(np.linalg.norm(hv_num - hv))
-                        / (1.0 + float(np.linalg.norm(hv))))
-    return max_g, max_h, bool(max_g <= rel_grad and max_h <= rel_hess)

@@ -81,13 +81,16 @@ class InstanceGenerator:
         :func:`martingale_point` clears ``CPS_MARGIN``, and otherwise when
         the existence LP (:func:`check_cps`) finds a witness.  The LP's
         optimal margin is at least the closed-form point's, so the LP
-        alone would accept the same attempts."""
+        alone would accept the same attempts.  No closed-form point at
+        all means no strictly consistent price system (no band price at
+        positive spread, an arbitrage at zero spread), so such an attempt
+        is rejected without the LP."""
         for attempt in range(max_tries):
             mkt = self.draw(index if attempt == 0 else (index + 1) * 100003 + attempt)
             witness = martingale_point(mkt)
-            if witness is not None and build_polytope(mkt).margin(witness) > CPS_MARGIN:
-                return mkt
-            if check_cps(mkt).exists:
+            if witness is None:
+                continue
+            if build_polytope(mkt).margin(witness) > CPS_MARGIN or check_cps(mkt).exists:
                 return mkt
         raise RuntimeError(f"no feasible draw after {max_tries} tries at index {index}")
 

@@ -24,7 +24,6 @@ from frictiondual.duality import (
     superreplicate,
     verify_identities,
 )
-from frictiondual.engine import audit_derivatives
 from frictiondual.generate import InstanceGenerator, emit_instance
 from frictiondual.polytope import (
     PolytopeInfeasibleError,
@@ -42,6 +41,7 @@ from frictiondual.shadow import (
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, utility_label
+from oracles import audit_derivatives
 
 SEED = int(os.environ.get("FD_SEED", "2026"))
 

@@ -77,11 +77,16 @@ def test_solve_json_and_csv(market_file, tmp_path):
             "kkt_stationarity", "kkt_feasibility", "kkt_complementarity",
             "message", "phase_one_slack", "face_steps", "factorizations", "events"}
     for side, extra in (("primal", {"start"}), ("dual", set())):
-        engine_diag = rec["diagnostics"][side]
-        assert set(engine_diag) == keys | extra
-        assert sum(engine_diag["newton_iterations"]) > 0
-    assert rec["diagnostics"]["primal"]["start"] == {"point": "shadow", "reason": None,
-                                                      "rejected": False}
+        assert set(rec["diagnostics"][side]) == keys | extra
+    # the dual runs the barrier; the primal finishes its shadow start on
+    # its face, with no barrier step
+    assert sum(rec["diagnostics"]["dual"]["newton_iterations"]) > 0
+    primal = rec["diagnostics"]["primal"]
+    face = primal["start"].pop("face")
+    assert primal["start"] == {"point": "shadow", "reason": None, "rejected": False}
+    assert face["accepted"] and face["reason"] is None
+    assert primal["events"] == [f"face start accepted after {face['rounds']} rounds"]
+    assert primal["newton_iterations"] == [] and primal["face_steps"] >= 1
     with open(table, newline="") as fh:
         rows = list(csv.DictReader(fh))
     market = load_market(market_file)

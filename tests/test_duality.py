@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,14 +269,16 @@ def test_failed_engine_solves_raise_engine_error(two_period_market, monkeypatch)
 @pytest.mark.parametrize("spec", [LOG, UtilitySpec("exponential", gamma=0.7)],
                          ids=["log", "exp"])
 def test_warm_primal_start_matches_cold(two_period_market, spec):
-    # a neighbouring optimum, pulled inside, starts the solve at x + h
+    # a neighbouring optimum, finished on its face, solves x + h
     x, h = 6.0, 1e-3
     near = solve_primal(two_period_market, spec, x)
     start = duality.primal_point(two_period_market, near.strategy, near.claim)
     cold = solve_primal(two_period_market, spec, x + h)
     warm = solve_primal(two_period_market, spec, x + h, x0=start)
     assert warm.diagnostics["phase_one_slack"] is None
-    assert warm.diagnostics["events"] == []
+    face = warm.diagnostics["start"]["face"]
+    assert face["accepted"]
+    assert warm.diagnostics["events"] == [f"face start accepted after {face['rounds']} rounds"]
     assert warm.value == pytest.approx(cold.value, rel=1e-12)
     assert sum(warm.diagnostics["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
 
@@ -296,7 +299,9 @@ def test_infeasible_primal_start_falls_back_to_phase_one(two_period_market):
     cold = solve_primal(two_period_market, LOG, 6.0)
     start = duality.primal_point(two_period_market, cold.strategy, cold.claim - 1e6)
     warm = solve_primal(two_period_market, LOG, 6.0, x0=start)
-    assert warm.diagnostics["events"][0] == "supplied start not strictly feasible: phase one"
+    assert warm.diagnostics["events"][:2] == [
+        "face start rejected after 0 rounds: start outside the objective domain",
+        "supplied start not strictly feasible: phase one"]
     assert warm.diagnostics["phase_one_slack"] is not None
     assert warm.value == pytest.approx(cold.value, rel=1e-10)
 
@@ -521,7 +526,9 @@ def test_report_primal_starts_at_the_shadow_replication(spec, lam):
     rep = solve_report(market, spec, x)
     cold = solve_primal(market, spec, x)
     d = rep.diagnostics["primal"]
-    assert d["start"] == {"point": "shadow", "reason": None, "rejected": False}
+    assert d["start"] == {"point": "shadow", "reason": None, "rejected": False,
+                          "face": {"accepted": True, "rounds": d["start"]["face"]["rounds"],
+                                   "reason": None}}
     assert rep.value == pytest.approx(cold.value, rel=1e-12)
     assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9
     assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
@@ -538,23 +545,97 @@ def test_zero_density_dual_keeps_the_generic_start():
     assert rep.zero_density_leaves == [2]
     d = rep.diagnostics["primal"]
     assert d["start"] == {"point": "generic", "reason": "zero dual density at node 2",
-                          "rejected": False}
+                          "rejected": False, "face": None}
     cold = solve_primal(market, EXP1, 1.0)
     assert np.array_equal(rep.claim, cold.claim)
     assert d["newton_iterations"] == cold.diagnostics["newton_iterations"]
 
 
-def test_shadow_start_is_accepted_on_generated_markets():
-    # the pulled shadow start is strictly feasible: no phase one, no event
+def _face_and_barrier_solves(market, spec, x, start):
+    """The engine's solves of the primal at ``x`` from the pulled
+    ``start``, with ``start`` as the face start and without one."""
+    prog = duality.primal_program(market, spec, x)[0]
+    pulled = (1.0 - duality.WARM_PULL) * start + duality.WARM_PULL * prog.x0
+    return (engine.solve(replace(prog, x0=pulled, face_start=start)),
+            engine.solve(replace(prog, x0=pulled)))
+
+
+def _assert_barrier_bits(res, barrier):
+    """``res``, from a rejected face start, is ``barrier`` bit for bit,
+    with the rejection as its one more event."""
+    face = res.diagnostics.face_start
+    assert not face["accepted"]
+    for got, want in [(res.x, barrier.x), (res.ineq_multipliers, barrier.ineq_multipliers),
+                      (res.eq_multipliers, barrier.eq_multipliers)]:
+        assert got.tobytes() == want.tobytes()
+    got, want = res.diagnostics.to_dict(), barrier.diagnostics.to_dict()
+    assert got.pop("events") == [f"face start rejected after {face['rounds']} rounds: "
+                                 f"{face['reason']}"] + want.pop("events")
+    assert got == want
+
+
+def test_face_start_is_accepted_on_generated_markets():
+    # the report's primal and verify_identities' x +- h primals finish on
+    # the face of their start, with no barrier step and no phase one, at
+    # the cold barrier solve's optimum
     gen = InstanceGenerator(seed=11)
+    rejected, short = [], []
     for i in range(10):
         market = gen.draw_feasible(i)
         for spec in SHADOW_FAMILIES:
             x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
-            d = solve_report(market, spec, x).diagnostics["primal"]
-            assert d["start"] == {"point": "shadow", "reason": None, "rejected": False}, (i, spec)
-            assert d["phase_one_slack"] is None
-            assert d["events"] == []
+            rep = solve_report(market, spec, x)
+            h = duality.FD_STEP * (1.0 + abs(x))
+            start = duality.primal_point(market, rep.strategy, rep.claim)
+            solves = [(x, rep.value, rep.claim, rep.diagnostics["primal"])]
+            for xh in (x + h, x - h):
+                warm = solve_primal(market, spec, xh, x0=start)
+                solves.append((xh, warm.value, warm.claim, warm.diagnostics))
+            for xs, value, claim, d in solves:
+                face = d["start"]["face"]
+                assert d["phase_one_slack"] is None, (i, spec, xs)
+                if not face["accepted"]:
+                    rejected.append((i, spec.family))
+                    _assert_barrier_bits(*_face_and_barrier_solves(market, spec, xs, start))
+                    continue
+                assert d["events"] == [f"face start accepted after {face['rounds']} rounds"]
+                assert d["newton_iterations"] == [] and d["factorizations"] == 0
+                assert max(d["kkt_stationarity"], d["kkt_feasibility"],
+                           d["kkt_complementarity"]) <= 10 * engine.TOL
+                cold = solve_primal(market, spec, xs)
+                if cold.diagnostics["face_steps"] == 0:
+                    # the cold solve kept its barrier point, short of the
+                    # face: the face start's value is the higher one
+                    short.append((i, spec.family))
+                    assert value > cold.value
+                    continue
+                assert value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
+                assert np.max(np.abs(claim - cold.claim)) <= 1e-9, (i, spec, xs)
+            assert solves[0][3]["start"]["point"] == "shadow"
+            if spec.family == "exponential":
+                # and it meets the dual value to rounding
+                assert rep.relative_gap <= 1e-13, (i, spec)
+    # the report's own primal is always accepted; under power(1/2) the
+    # x +- h optima of markets 5 and 9 put a leaf's wealth near zero,
+    # where the face's quadratic model overshoots (and x - h takes
+    # market 5's start out of the domain), so the barrier solves those
+    assert rejected == [(5, "power"), (5, "power"), (9, "power")]
+    assert short == [(5, "exponential")] * 3 + [(9, "exponential")] * 3
+
+
+def test_rejected_face_start_returns_the_barrier_solve(two_period_market):
+    # the log optimum at x = 60 lies off the optimal face at x = 6: the
+    # face start is rejected and logged, and the solve is the barrier's
+    # from the pulled start, bit for bit
+    far = solve_primal(two_period_market, LOG, 60.0)
+    start = duality.primal_point(two_period_market, far.strategy, far.claim)
+    for spec in (LOG, EXP1):
+        res, barrier = _face_and_barrier_solves(two_period_market, spec, 6.0, start)
+        face = res.diagnostics.face_start
+        assert face["reason"].startswith("KKT residuals")
+        _assert_barrier_bits(res, barrier)
+        warm = solve_primal(two_period_market, spec, 6.0, x0=start)
+        assert warm.diagnostics["start"] == {"rejected": False, "face": face}
 
 
 def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
@@ -571,7 +652,11 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
     monkeypatch.setattr(duality, "_shadow_start", far_below)
     rep = solve_report(two_period_market, LOG, 6.0)
     d = rep.diagnostics["primal"]
-    assert d["start"] == {"point": "shadow", "reason": None, "rejected": True}
-    assert d["events"][0] == "supplied start not strictly feasible: phase one"
+    assert d["start"] == {"point": "shadow", "reason": None, "rejected": True,
+                          "face": {"accepted": False, "rounds": 0,
+                                   "reason": "start outside the objective domain"}}
+    assert d["events"][:2] == [
+        "face start rejected after 0 rounds: start outside the objective domain",
+        "supplied start not strictly feasible: phase one"]
     assert d["phase_one_slack"] is not None
     assert rep.value == pytest.approx(cold.value, rel=1e-10)

@@ -13,12 +13,12 @@ from frictiondual.engine import (
     ConvexProgram,
     InfeasibleProgramError,
     SolveDiagnostics,
-    audit_derivatives,
     solve,
     solve_lp,
 )
 from frictiondual.generate import InstanceGenerator
 from frictiondual.utility import UtilitySpec
+from oracles import audit_derivatives
 
 
 def quadratic(q, c):
@@ -393,6 +393,27 @@ def test_reduced_step_matches_the_full_kkt_step():
     assert np.linalg.norm(eq.A.T @ nu - force) <= 1e-10 * np.linalg.norm(force)
 
 
+def test_face_start_with_an_equality_row_and_a_repeated_active_row():
+    # min 0.5 |x - (2, 2)|^2 s.t. x1 = x2 and x1 + x2 <= 2, stated twice:
+    # from (0.9, 0.9), off the face, the repeated row joins and the finish
+    # ends at (1, 1) with no barrier step
+    row = np.array([[-1.0, -1.0]])
+    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
+                         A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
+                         G=np.vstack([row, row, np.eye(2)]), h=np.array([-2.0, -2.0, -5.0, -5.0]),
+                         face_start=np.array([0.9, 0.9]))
+    res = solve(prog)
+    d = res.diagnostics
+    assert d.face_start == {"accepted": True, "rounds": d.face_start["rounds"], "reason": None}
+    assert d.events == [f"face start accepted after {d.face_start['rounds']} rounds"]
+    assert d.newton_iterations == [] and d.factorizations == 0 and d.face_steps >= 1
+    assert np.abs(res.x - 1.0).max() <= 1e-14
+    lam = res.ineq_multipliers
+    assert np.all(lam >= 0.0) and lam[0] + lam[1] == pytest.approx(1.0, abs=10 * TOL)
+    barrier = solve(replace(prog, face_start=None))
+    assert np.abs(barrier.x - res.x).max() <= 1e-9
+
+
 def test_pinned_program_takes_no_step():
     # x1 + x2 = 2 and x1 - x2 = 0 pin x = (1, 1) inside x >= 0
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [1.0, -3.0]),
@@ -410,7 +431,8 @@ def test_pinned_program_takes_no_step():
 
 def test_one_factorization_per_iteration(two_period_market, monkeypatch):
     # every iteration factors once, the stopping one included; a
-    # centering restart and a ridge retry factor once more each
+    # centering restart and a ridge retry factor once more each; an
+    # accepted face start takes no barrier step and no factorization
     results = []
 
     def recording(program, *args, **kwargs):
@@ -421,8 +443,13 @@ def test_one_factorization_per_iteration(two_period_market, monkeypatch):
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
         solve_report(two_period_market, spec, 6.0)
     assert any(r.eq_multipliers.size for r in results)
-    for r in results:
+    faces = [r.diagnostics.face_start for r in results]
+    assert any(face and face["accepted"] for face in faces)
+    for r, face in zip(results, faces):
         d = r.diagnostics
+        if face and face["accepted"]:
+            assert d.newton_iterations == [] and d.factorizations == 0
+            continue
         stopped = d.message != "Newton iteration cap reached"
         extra = sum(e.startswith(("centering restart", "ridge")) for e in d.events)
         assert d.factorizations == sum(d.newton_iterations) + stopped + extra
