@@ -12,7 +12,6 @@ from .duality import (
     solve_dual,
     solve_primal,
     solve_report,
-    superreplicate,
     verify_identities,
 )
 from .polytope import (
@@ -22,8 +21,6 @@ from .polytope import (
     PriceSystem,
     build_polytope,
     check_cps,
-    enumerate_vertices,
-    sample_polytope,
 )
 from .pricing import PriceReport, indifference_price, price_bounds
 from .shadow import (
@@ -53,10 +50,9 @@ __all__ = [
     "PolytopeInfeasibleError", "PriceReport", "PriceSystem",
     "PrimalInfeasibleError", "PrimalSolution", "ShadowPrice", "SolveReport",
     "UtilitySpec", "build_polytope", "check_cps", "compute_x0",
-    "construct_shadow", "enumerate_vertices", "indifference_price",
-    "load_market", "market_from_dict", "market_to_dict",
-    "minimize_v_plus_xy", "parse_utility", "price_bounds", "sample_polytope",
-    "save_market", "shadow_from_dual_roundtrip", "solve_dual",
-    "solve_frictionless", "solve_primal", "solve_report", "superreplicate",
-    "verify_identities", "verify_shadow",
+    "construct_shadow", "indifference_price", "load_market",
+    "market_from_dict", "market_to_dict", "minimize_v_plus_xy",
+    "parse_utility", "price_bounds", "save_market",
+    "shadow_from_dual_roundtrip", "solve_dual", "solve_frictionless",
+    "solve_primal", "solve_report", "verify_identities", "verify_shadow",
 ]

@@ -12,13 +12,14 @@ import csv
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import duality, pricing, shadow as shadow_mod, utility as ut
 from .generate import InstanceGenerator, emit_instance
 from .polytope import PolytopeInfeasibleError, check_cps
-from .tree import MarketValidationError, load_market
+from .tree import load_market
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -130,8 +131,7 @@ def cmd_shadow(args) -> int:
 
 def cmd_price(args) -> int:
     market = load_market(args.market)
-    routes = tuple(args.routes.split(","))
-    report = pricing.indifference_price(market, args.gamma, args.x, routes=routes)
+    report = pricing.indifference_price(market, args.gamma, args.x)
     _emit(report.to_dict(), args)
     return EXIT_OK
 
@@ -204,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     market_arg(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--x", type=float, default=0.0)
-    p.add_argument("--routes", default="primal,dual,shadow")
     p.set_defaults(func=cmd_price)
 
     p = sub.add_parser("xmin", help="wealth threshold for half-line utilities")
@@ -234,13 +233,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a solver failure, not bad input
-        print(f"solver failure: {exc}", file=sys.stderr)
+        # a failing solve reports by its exit code and one line; numpy's
+        # overflow warnings on the way there would only add noise
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # LinAlgError is a ValueError subclass, but a solver failure, not
+        # bad input; so is an overflow in the family formulas
+        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (MarketValidationError, ut.UtilityDomainError, ValueError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
+        # bad input, or a market or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (duality.PrimalInfeasibleError, duality.NoCpsError,

@@ -43,6 +43,11 @@ class NoCpsError(RuntimeError):
     """The market admits no strictly positive consistent price system."""
 
 
+def _check_wealth(x: float) -> None:
+    if not np.isfinite(x):
+        raise ValueError(f"initial wealth x must be finite, got {x}")
+
+
 @dataclass
 class PrimalSolution:
     value: float
@@ -142,10 +147,12 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
 
     Claims enter through one bounded variable per leaf sitting under
     both liquidation legs; maximizing utility drives it onto the exact
-    piecewise-linear liquidation value.
+    piecewise-linear liquidation value.  The variables are the buys and
+    sells at ``tree.internal`` (at zero spread one net trade each), then
+    the leaf claims, the last ``n_leaves`` of them.
     """
     tree = market.tree
-    internal, K, L, nv, T0, T1 = _primal_layout(market)
+    _, K, L, nv, T0, T1 = _primal_layout(market)
     frictionless = market.lam == 0.0
     if frictionless:
         # zero spread: matched buy/sell volume is a flat ray the barrier
@@ -205,9 +212,8 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
 
     x0 = _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
                        positive_wealth, frictionless)
-    prog = ConvexProgram(n=nv, objective=objective, G=np.vstack(G),
+    return ConvexProgram(n=nv, objective=objective, G=np.vstack(G),
                          h=np.concatenate(h), in_domain=in_domain, x0=x0)
-    return prog, internal, K, L, off, frictionless
 
 
 def _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
@@ -242,7 +248,7 @@ def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> n
 
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  x0: Optional[np.ndarray] = None,
-                 program: Optional[tuple] = None) -> PrimalSolution:
+                 program: Optional[ConvexProgram] = None) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
     Returns the netted optimal strategy and the claim it generates.
@@ -267,9 +273,8 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     without ``x0``).  ``program``, the :func:`primal_program` of these
     same arguments, saves building it again.
     """
-    if program is None:
-        program = primal_program(market, spec, x)
-    prog, internal, K, L, off, frictionless = program
+    _check_wealth(x)
+    prog = primal_program(market, spec, x) if program is None else program
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         prog = replace(prog, x0=(1.0 - WARM_PULL) * x0 + WARM_PULL * prog.x0,
@@ -286,9 +291,11 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         raise EngineError(f"primal solve failed: {res.diagnostics.message}")
 
     tree = market.tree
+    internal = tree.internal
+    K = internal.size
     buy = np.zeros(tree.n_nodes)
     sell = np.zeros(tree.n_nodes)
-    if frictionless:
+    if market.lam == 0.0:
         theta = res.x[:K]
         buy[internal] = np.maximum(theta, 0.0)
         sell[internal] = np.maximum(-theta, 0.0)
@@ -340,8 +347,8 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     ``x0``, leaf variables of a point of the polytope, starts the solve;
     the engine falls back to a phase one when it is not strictly feasible.
     """
-    if y <= 0.0:
-        raise ut.UtilityDomainError(f"dual scale must be positive, got {y}")
+    if not 0.0 < y < np.inf:
+        raise ut.UtilityDomainError(f"dual scale y must be positive and finite, got {y}")
     if poly is None:
         poly = build_polytope(market)
     L = market.tree.n_leaves
@@ -429,6 +436,7 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     the degenerate band rows hold exactly.  The residual |v'(yhat) + x|
     must end below 1e-8 * (1 + |x|).
     """
+    _check_wealth(x)
     if poly is None:
         poly = build_polytope(market)
     L = market.tree.n_leaves
@@ -462,43 +470,6 @@ def compute_x0(market: MarketSpec, poly: Optional[DualPolytope] = None) -> float
     if res.status != "optimal":
         raise EngineError(f"threshold LP failed: {res.diagnostics.message}")
     return 0.0 - float(res.diagnostics.objective)    # +0.0, not -0.0, at a zero endowment
-
-
-def superreplicate(market: MarketSpec, x: float, claim: np.ndarray):
-    """Cheapest-shortfall hedge of a terminal claim from cash ``x``.
-
-    Maximizes the worst-leaf slack of liquidation value over the claim;
-    returns ``(shortfall, strategy)`` where shortfall = max(0, -slack*).
-    A nonpositive shortfall certifies superreplication.
-    """
-    internal, K, L, _, T0, T1 = _primal_layout(market)
-    tree = market.tree
-    claim = np.asarray(claim, dtype=float)
-    cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
-
-    # variables [buys, sells, slack]: the layout's claim columns are left out
-    # rows: both liquidation legs against the slack, trade nonnegativity, cap
-    nv = 2 * K
-    legs = _liquidation_legs(market, T0[:, :nv], T1[:, :nv])
-    capped = np.zeros(nv + 1)
-    capped[nv] = -1.0
-    G = np.vstack([np.hstack([legs, np.full((2 * L, 1), -1.0)]),
-                   np.eye(2 * K, nv + 1), capped])
-    h = np.concatenate([np.repeat(claim - x, 2), np.zeros(2 * K), [-cap]])
-
-    c = np.zeros(nv + 1)
-    c[nv] = -1.0
-    res = solve_lp(c, G=G, h=h)
-    if res.status != "optimal":
-        raise EngineError(f"superreplication LP failed: {res.diagnostics.message}")
-    slack = float(res.x[nv])
-    buy = np.zeros(tree.n_nodes)
-    sell = np.zeros(tree.n_nodes)
-    buy[internal] = np.maximum(res.x[:K], 0.0)
-    sell[internal] = np.maximum(res.x[K: 2 * K], 0.0)
-    buy, sell = net_trades(buy, sell)
-    strat = roll_forward(market, float(x), buy, sell)
-    return max(0.0, -slack), strat
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +536,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
     Its threshold is 0, which the LP returns like any other.
     """
+    _check_wealth(x)
     poly = build_polytope(market)
     if witness is None and market.lam > 0.0:
         witness = martingale_point(market)
@@ -647,15 +619,15 @@ def _shadow_start(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: floa
             {"point": "shadow", "reason": None})
 
 
-def _certifies_threshold(program: tuple, x: float, endow: np.ndarray) -> bool:
-    """Whether the generic start of :func:`primal_program`'s ``program``
-    at cash ``x`` and endowment ``endow`` proves ``x > x0 +
+def _certifies_threshold(prog: ConvexProgram, x: float, endow: np.ndarray) -> bool:
+    """Whether the generic start of :func:`primal_program`'s ``prog`` at
+    cash ``x`` and endowment ``endow`` proves ``x > x0 +
     THRESHOLD_MARGIN``: it is strictly feasible and every leaf wealth
     exceeds the margin (see :func:`solve_report`)."""
-    prog, off = program[0], program[4]
     v = prog.x0
+    claim = v[v.size - endow.size:]
     return bool(np.all(prog.G @ v - prog.h > 0.0)
-                and np.all(x + v[off:] + endow > THRESHOLD_MARGIN))
+                and np.all(x + claim + endow > THRESHOLD_MARGIN))
 
 
 def verify_identities(report: SolveReport) -> dict:

@@ -249,7 +249,7 @@ def _reduce_equalities(A, b):
     return eq
 
 
-def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> SolveResult:
+def solve(program: ConvexProgram) -> SolveResult:
     """Primal-dual path-following solve of a :class:`ConvexProgram`.
 
     The equality rows are split once (:func:`_reduce_equalities`): the
@@ -273,7 +273,8 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     ``n = rank(A)`` is pinned at its one feasible point, which takes no
     factorization; one without inequality rows raises ``ValueError``.
 
-    The optimal and ``max_iter`` exits end in :func:`_face_finish`,
+    The optimal exit and the ``max_iter`` one, after ``DEFAULT_MAX_NEWTON``
+    Newton steps, end in :func:`_face_finish`,
     barrier-free Newton steps on the guessed active face, whose point and
     multipliers replace the barrier ones when their KKT residuals are no
     larger.  The result is then certified: a ``max_iter`` exit within
@@ -312,7 +313,7 @@ def solve(program: ConvexProgram, max_newton: int = DEFAULT_MAX_NEWTON) -> Solve
     x_norm0 = 1.0 + np.linalg.norm(x)
     fval, g, d = program.objective(x)
     while True:
-        if total_iters >= max_newton:
+        if total_iters >= DEFAULT_MAX_NEWTON:
             diag.message = "Newton iteration cap reached"
             break
         mu = float(s @ lam) / m

@@ -9,28 +9,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .polytope import CPS_MARGIN, build_polytope, check_cps, martingale_point
 from .tree import EventTree, MarketSpec, market_to_dict
 
+VOLATILITY = (0.05, 0.35)         # range of the per-step log-price volatility
+DRIFT = (-0.1, 0.1)               # range of the per-step log-price drift
+LAM = (0.001, 0.2)                # range of the cost level
+ENDOWMENT = (-5.0, 5.0)           # range of each leaf's endowment
+ROOT_PRICE = 100.0
+MAX_TRIES = 64                    # attempts per index before draw_feasible gives up
+
 
 @dataclass(frozen=True)
 class InstanceGenerator:
-    """Sampling ranges for random tree markets."""
+    """Tree shapes for random markets; the price, cost and endowment
+    ranges are the module constants."""
 
     seed: int = 0
     min_periods: int = 1
     max_periods: int = 4
     min_branching: int = 2
     max_branching: int = 3
-    volatility: tuple = (0.05, 0.35)
-    lam_range: tuple = (0.001, 0.2)
-    endowment_range: tuple = (-5.0, 5.0)
-    drift_range: tuple = (-0.1, 0.1)
-    root_price: float = 100.0
 
     def rng_for(self, index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, index]))
@@ -62,18 +64,18 @@ class InstanceGenerator:
             cond_prob[kids] = w / w.sum()
         tree = EventTree(parent=parent, time=time, cond_prob=cond_prob)
 
-        sigma = rng.uniform(*self.volatility)
-        drift = rng.uniform(*self.drift_range)
+        sigma = rng.uniform(*VOLATILITY)
+        drift = rng.uniform(*DRIFT)
         price = np.empty(n)
-        price[0] = self.root_price
+        price[0] = ROOT_PRICE
         for i in range(1, n):
             shock = rng.normal(drift, sigma)
             price[i] = price[parent[i]] * float(np.exp(shock))
-        lam = float(rng.uniform(*self.lam_range))
-        endow = rng.uniform(*self.endowment_range, size=tree.n_leaves)
+        lam = float(rng.uniform(*LAM))
+        endow = rng.uniform(*ENDOWMENT, size=tree.n_leaves)
         return MarketSpec(tree=tree, ask_price=price, lam=lam, endowment=endow)
 
-    def draw_feasible(self, index: int, max_tries: int = 64) -> MarketSpec:
+    def draw_feasible(self, index: int) -> MarketSpec:
         """Like :meth:`draw` but rejects markets with no strictly positive
         price system; resampling stays deterministic in (seed, index).
 
@@ -85,14 +87,14 @@ class InstanceGenerator:
         all means no strictly consistent price system (no band price at
         positive spread, an arbitrage at zero spread), so such an attempt
         is rejected without the LP."""
-        for attempt in range(max_tries):
+        for attempt in range(MAX_TRIES):
             mkt = self.draw(index if attempt == 0 else (index + 1) * 100003 + attempt)
             witness = martingale_point(mkt)
             if witness is None:
                 continue
             if build_polytope(mkt).margin(witness) > CPS_MARGIN or check_cps(mkt).exists:
                 return mkt
-        raise RuntimeError(f"no feasible draw after {max_tries} tries at index {index}")
+        raise RuntimeError(f"no feasible draw after {MAX_TRIES} tries at index {index}")
 
 
 def emit_instance(market: MarketSpec) -> str:

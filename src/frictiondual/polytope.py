@@ -40,7 +40,6 @@ class PriceSystem:
 
     z0: np.ndarray
     z1: np.ndarray
-    strictly_positive: bool
 
     def ratio(self, fill: np.ndarray):
         """``(price, undefined)``: the price ``Z1/Z0`` at each node where
@@ -63,7 +62,6 @@ class DualPolytope:
     """
 
     market: MarketSpec
-    spread: float
     cond_exp: np.ndarray
     A_eq: np.ndarray
     b_eq: np.ndarray
@@ -76,15 +74,10 @@ class DualPolytope:
     def n_vars(self) -> int:
         return 2 * self.market.tree.n_leaves
 
-    def node_values(self, z: np.ndarray):
-        """Per-node (Z0, Z1) arrays from a leaf variable vector."""
-        L = self.market.tree.n_leaves
-        return self.cond_exp @ z[:L], self.cond_exp @ z[L:]
-
     def price_system(self, z: np.ndarray) -> PriceSystem:
-        z0, z1 = self.node_values(z)
-        strict = bool(np.all(z0 > DENSITY_EPS) and np.all(z1 > DENSITY_EPS))
-        return PriceSystem(z0=z0, z1=z1, strictly_positive=strict)
+        """Per-node (Z0, Z1) from a leaf variable vector."""
+        L = self.market.tree.n_leaves
+        return PriceSystem(self.cond_exp @ z[:L], self.cond_exp @ z[L:])
 
     def margin(self, z: np.ndarray) -> float:
         """The margin :func:`check_cps` maximizes, at the point ``z`` of a
@@ -148,7 +141,6 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
 
     return DualPolytope(
         market=market,
-        spread=lam,
         cond_exp=W,
         A_eq=A_eq,
         b_eq=np.concatenate([[1.0], np.zeros(A_eq.shape[0] - 1)]),
@@ -264,18 +256,6 @@ class CpsVerdict:
     certificate: Optional[dict]
     positivity_delta: Optional[float] = None
 
-    def trade_signs(self) -> Optional[np.ndarray]:
-        """Per-node buy(+1)/sell(-1)/hold(0) pattern from the certificate."""
-        if self.certificate is None:
-            return None
-        lo = np.asarray(self.certificate["cone_lower_multipliers"])
-        hi = np.asarray(self.certificate["cone_upper_multipliers"])
-        signs = np.zeros(lo.size, dtype=int)
-        scale = max(1e-30, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-        signs[hi > lo + 1e-9 * scale] = 1
-        signs[lo > hi + 1e-9 * scale] = -1
-        return signs
-
 
 def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
     """Decide existence of a strictly positive price system at spread ``mu``.
@@ -343,78 +323,3 @@ def _max_margin(poly: DualPolytope, include_cone: bool):
         "max_margin": delta,
     }
     return delta, z, cert
-
-
-def sample_polytope(poly: DualPolytope, count: int, seed: int = 0,
-                    tol: float = 1e-10) -> list:
-    """Random points of the polytope as convex mixes of LP vertices.
-
-    Deterministic given the seed.  Every returned :class:`PriceSystem`
-    satisfies the constraint system within ``tol``.
-    """
-    if count == 0:
-        return []
-    rng = np.random.default_rng(seed)
-    nv = poly.n_vars
-    n_dirs = min(max(4, count), 12)
-    vertices = []
-    for _ in range(n_dirs):
-        c = rng.standard_normal(nv)
-        res = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
-        if res.status == "infeasible":
-            raise PolytopeInfeasibleError("cannot sample an empty polytope")
-        if res.status == "optimal":
-            vertices.append(res.x)
-    if not vertices:
-        raise PolytopeInfeasibleError("vertex search failed")
-    V = np.array(vertices)
-    out = []
-    for _ in range(count):
-        w = rng.gamma(1.0, size=V.shape[0])
-        w /= w.sum()
-        z = w @ V
-        if poly.max_violation(z) > tol:
-            # fall back to the best vertex; mixes are exact up to roundoff
-            z = V[0]
-        out.append(poly.price_system(z))
-    return out
-
-
-def enumerate_vertices(poly: DualPolytope):
-    """All vertices of the polytope by halfspace intersection.
-
-    Equalities are eliminated first; only practical for small trees
-    (reduced dimension about 8 or less).  Returns an array of leaf
-    variable vectors, or None when the polytope has no interior in its
-    affine hull (empty or degenerate).
-    """
-    from scipy.spatial import HalfspaceIntersection
-    import scipy.linalg
-
-    A, b = poly.A_eq, poly.b_eq
-    z_p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.linalg.norm(A @ z_p - b) > 1e-9:
-        return None
-    N = scipy.linalg.null_space(A)
-    if N.shape[1] == 0:
-        return z_p.reshape(1, -1) if poly.max_violation(z_p) <= 1e-9 else None
-    Gr = poly.G @ N
-    hr = poly.h - poly.G @ z_p
-
-    # interior point in reduced coordinates via the max-slack LP
-    m = Gr.shape[0]
-    scale = 1.0 + np.abs(hr)
-    G1 = np.hstack([Gr, -scale.reshape(-1, 1)])
-    G1 = np.vstack([G1, np.concatenate([np.zeros(N.shape[1]), [-1.0]])])
-    h1 = np.concatenate([hr, [-1.0]])
-    c = np.zeros(N.shape[1] + 1)
-    c[-1] = -1.0
-    res = solve_lp(c, G=G1, h=h1)
-    if res.status != "optimal" or res.x[-1] <= 1e-11:
-        return None
-    t_int = res.x[:-1]
-
-    halfspaces = np.hstack([-Gr, hr.reshape(-1, 1)])  # -Gr t + hr <= 0
-    hs = HalfspaceIntersection(halfspaces, t_int)
-    t_verts = np.unique(np.round(hs.intersections, 9), axis=0)
-    return z_p + t_verts @ N.T

@@ -24,8 +24,7 @@ zero-endowment copy, independently of the reports: both start at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -42,28 +41,17 @@ from .tree import MarketSpec
 class PriceReport:
     gamma: float
     x: float
-    p_primal: Optional[float]
-    p_dual: Optional[float]
-    p_shadow: Optional[float]
+    p_primal: float
+    p_dual: float
+    p_shadow: float
     lower_bound: float
     upper_bound: float
-    entropy_with: Optional[float] = None
-    entropy_without: Optional[float] = None
-    residuals: Optional[dict] = None
+    entropy_with: float
+    entropy_without: float
+    residuals: dict
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "x": self.x,
-            "p_primal": self.p_primal,
-            "p_dual": self.p_dual,
-            "p_shadow": self.p_shadow,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "entropy_with": self.entropy_with,
-            "entropy_without": self.entropy_without,
-            "residuals": self.residuals,
-        }
+        return asdict(self)
 
 
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
@@ -160,41 +148,29 @@ def price_bounds(market: MarketSpec) -> tuple:
     return float(c @ res.x[:c.size]), float(c @ res.x[c.size:])
 
 
-def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0,
-                       routes=("primal", "dual", "shadow")) -> PriceReport:
-    """Run the requested routes and assemble the report with residuals.
+def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0) -> PriceReport:
+    """Run the three routes and assemble the report with residuals.
 
     Every route reads the same two solve reports (with and without the
-    endowment), so each program is solved once per call.  Raises
-    ``ValueError`` when ``routes`` is empty or names an unknown route.
+    endowment), so each program is solved once per call.  The bound
+    residuals are measured at the primal route's price.
     """
-    if not routes or not set(routes) <= {"primal", "dual", "shadow"}:
-        raise ValueError("price routes must be a nonempty subset of "
-                         f"primal, dual, shadow; got {list(routes)}")
-    p_primal = p_dual = p_shadow = None
-    ent_e = ent_0 = None
     rep_e, rep_0 = _reports(market, gamma, x)
-    if "primal" in routes:
-        p_primal = _primal_route(rep_e, rep_0)
-    if "dual" in routes:
-        p_dual, ent_e, ent_0 = _dual_route(market, rep_0.market, gamma,
-                                           rep_e.dual_leaf_vars, rep_0.dual_leaf_vars)
-    if "shadow" in routes:
-        p_shadow = _shadow_route(rep_e, rep_0)
+    p_primal = _primal_route(rep_e, rep_0)
+    p_dual, ent_e, ent_0 = _dual_route(market, rep_0.market, gamma,
+                                       rep_e.dual_leaf_vars, rep_0.dual_leaf_vars)
+    p_shadow = _shadow_route(rep_e, rep_0)
     lo, hi = price_bounds(market)
-    anchor = next(p for p in (p_primal, p_dual, p_shadow) if p is not None)
-    residuals = {}
-    pairs = [("primal", p_primal), ("dual", p_dual), ("shadow", p_shadow)]
-    for i, (na, pa) in enumerate(pairs):
-        for nb, pb in pairs[i + 1:]:
-            if pa is not None and pb is not None:
-                residuals[f"{na}_vs_{nb}"] = abs(pa - pb)
-    residuals["below_upper_bound"] = hi - anchor
-    residuals["above_lower_bound"] = anchor - lo
     return PriceReport(
         gamma=gamma, x=x,
         p_primal=p_primal, p_dual=p_dual, p_shadow=p_shadow,
         lower_bound=lo, upper_bound=hi,
         entropy_with=ent_e, entropy_without=ent_0,
-        residuals=residuals,
+        residuals={
+            "primal_vs_dual": abs(p_primal - p_dual),
+            "primal_vs_shadow": abs(p_primal - p_shadow),
+            "dual_vs_shadow": abs(p_dual - p_shadow),
+            "below_upper_bound": hi - p_primal,
+            "above_lower_bound": p_primal - lo,
+        },
     )

@@ -75,7 +75,6 @@ class EventTree:
     parent: np.ndarray
     time: np.ndarray
     cond_prob: np.ndarray
-    children: tuple = field(init=False, repr=False)
     leaves: np.ndarray = field(init=False, repr=False)
     horizon: int = field(init=False)
     internal: np.ndarray = field(init=False, repr=False, compare=False)
@@ -100,23 +99,20 @@ class EventTree:
         roots = np.flatnonzero(parent < 0)
         if roots.size != 1:
             raise TreeStructureError(f"expected exactly one root, found {roots.size}")
-        root = roots[0]
-        if root != 0 or time[root] != 0:
+        if roots[0] != 0 or time[0] != 0:
             raise TreeStructureError("root must be node 0 at stage 0")
 
-        children = [[] for _ in range(n)]
-        for i in range(n):
-            if i == root:
-                continue
+        # the root is node 0 and no other parent is negative
+        bad_parent = parent[1:] >= n
+        bad_stage = time[1:] != time[np.where(bad_parent, 0, parent[1:])] + 1
+        if np.any(bad_parent | bad_stage):
+            i = 1 + int(np.argmax(bad_parent | bad_stage))
             p = parent[i]
-            if not (0 <= p < n):
+            if bad_parent[i - 1]:
                 raise TreeStructureError(f"node {i} has invalid parent {p}")
-            if time[i] != time[p] + 1:
-                raise TreeStructureError(
-                    f"node {i} at stage {time[i]} but parent {p} at stage {time[p]}"
-                )
-            children[p].append(i)
-        object.__setattr__(self, "children", tuple(tuple(c) for c in children))
+            raise TreeStructureError(
+                f"node {i} at stage {time[i]} but parent {p} at stage {time[p]}"
+            )
 
         has_child = np.zeros(n, dtype=bool)
         has_child[parent[1:]] = True
@@ -129,16 +125,17 @@ class EventTree:
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "horizon", horizon)
 
-        if np.any(cond_prob[1:] <= 0.0):
-            bad = int(np.flatnonzero(cond_prob <= 0.0)[0])
-            raise ProbabilityMassError(f"nonpositive branch probability at node {bad}")
-        for i in range(n):
-            if children[i]:
-                mass = float(cond_prob[list(children[i])].sum())
-                if abs(mass - 1.0) > _PROB_TOL * max(1.0, abs(mass)):
-                    raise ProbabilityMassError(
-                        f"conditional probabilities sum to {mass:.12g} at node {i}"
-                    )
+        positive = np.isfinite(cond_prob) & (cond_prob > 0.0)
+        if not np.all(positive[1:]):
+            raise ProbabilityMassError("nonpositive or non-finite branch probability "
+                                       f"at node {int(np.argmax(~positive))}")
+        mass = np.bincount(parent[1:], weights=cond_prob[1:], minlength=n)
+        off = has_child & (np.abs(mass - 1.0) > _PROB_TOL * np.maximum(1.0, np.abs(mass)))
+        if np.any(off):
+            i = int(np.argmax(off))
+            raise ProbabilityMassError(
+                f"conditional probabilities sum to {mass[i]:.12g} at node {i}"
+            )
 
         stages = tuple(np.flatnonzero(time == t) for t in range(horizon + 1))
         node_prob = np.ones(n)
@@ -163,13 +160,6 @@ class EventTree:
     @property
     def n_leaves(self) -> int:
         return self.leaves.size
-
-    def path_to_root(self, node: int) -> list[int]:
-        """Node ids from ``node`` up to and including the root."""
-        path = [node]
-        while self.parent[path[-1]] >= 0:
-            path.append(int(self.parent[path[-1]]))
-        return path
 
 
 @dataclass(frozen=True)

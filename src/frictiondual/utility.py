@@ -45,6 +45,9 @@ class UtilitySpec:
     def __post_init__(self):
         if self.family not in ("log", "power", "exponential"):
             raise ValueError(f"unknown utility family {self.family!r}")
+        for name in ("alpha", "gamma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.family == "power" and not (0.0 < self.alpha < 1.0):
             raise ValueError(f"power exponent must lie in (0,1), got {self.alpha}")
         if self.family == "exponential" and not self.gamma > 0.0:

@@ -2,6 +2,147 @@
 since no solver calls them."""
 
 import numpy as np
+import scipy.linalg
+from scipy.spatial import HalfspaceIntersection
+
+from frictiondual.duality import _liquidation_legs, _primal_layout
+from frictiondual.engine import EngineError, solve_lp
+from frictiondual.polytope import PolytopeInfeasibleError
+from frictiondual.trading import net_trades, roll_forward
+
+
+def path_to_root(tree, node: int) -> list:
+    """Node ids from ``node`` up to and including the root."""
+    path = [node]
+    while tree.parent[path[-1]] >= 0:
+        path.append(int(tree.parent[path[-1]]))
+    return path
+
+
+def children(tree, node: int) -> list:
+    """Child ids of ``node`` in id order."""
+    return [i for i in range(tree.n_nodes) if tree.parent[i] == node]
+
+
+def trade_signs(verdict):
+    """Per-node buy(+1)/sell(-1)/hold(0) pattern from a negative
+    :class:`CpsVerdict`'s certificate, ``None`` without one."""
+    if verdict.certificate is None:
+        return None
+    lo = np.asarray(verdict.certificate["cone_lower_multipliers"])
+    hi = np.asarray(verdict.certificate["cone_upper_multipliers"])
+    signs = np.zeros(lo.size, dtype=int)
+    scale = max(1e-30, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
+    signs[hi > lo + 1e-9 * scale] = 1
+    signs[lo > hi + 1e-9 * scale] = -1
+    return signs
+
+
+def sample_polytope(poly, count: int, seed: int = 0, tol: float = 1e-10) -> list:
+    """Random points of the polytope as convex mixes of LP vertices.
+
+    Deterministic given the seed.  Every returned :class:`PriceSystem`
+    satisfies the constraint system within ``tol``.
+    """
+    if count == 0:
+        return []
+    rng = np.random.default_rng(seed)
+    nv = poly.n_vars
+    n_dirs = min(max(4, count), 12)
+    vertices = []
+    for _ in range(n_dirs):
+        c = rng.standard_normal(nv)
+        res = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
+        if res.status == "infeasible":
+            raise PolytopeInfeasibleError("cannot sample an empty polytope")
+        if res.status == "optimal":
+            vertices.append(res.x)
+    if not vertices:
+        raise PolytopeInfeasibleError("vertex search failed")
+    V = np.array(vertices)
+    out = []
+    for _ in range(count):
+        w = rng.gamma(1.0, size=V.shape[0])
+        w /= w.sum()
+        z = w @ V
+        if poly.max_violation(z) > tol:
+            # fall back to the best vertex; mixes are exact up to roundoff
+            z = V[0]
+        out.append(poly.price_system(z))
+    return out
+
+
+def enumerate_vertices(poly):
+    """All vertices of the polytope by halfspace intersection.
+
+    Equalities are eliminated first; only practical for small trees
+    (reduced dimension about 8 or less).  Returns an array of leaf
+    variable vectors, or None when the polytope has no interior in its
+    affine hull (empty or degenerate).
+    """
+    A, b = poly.A_eq, poly.b_eq
+    z_p, *_ = np.linalg.lstsq(A, b, rcond=None)
+    if np.linalg.norm(A @ z_p - b) > 1e-9:
+        return None
+    N = scipy.linalg.null_space(A)
+    if N.shape[1] == 0:
+        return z_p.reshape(1, -1) if poly.max_violation(z_p) <= 1e-9 else None
+    Gr = poly.G @ N
+    hr = poly.h - poly.G @ z_p
+
+    # interior point in reduced coordinates via the max-slack LP
+    scale = 1.0 + np.abs(hr)
+    G1 = np.hstack([Gr, -scale.reshape(-1, 1)])
+    G1 = np.vstack([G1, np.concatenate([np.zeros(N.shape[1]), [-1.0]])])
+    h1 = np.concatenate([hr, [-1.0]])
+    c = np.zeros(N.shape[1] + 1)
+    c[-1] = -1.0
+    res = solve_lp(c, G=G1, h=h1)
+    if res.status != "optimal" or res.x[-1] <= 1e-11:
+        return None
+    t_int = res.x[:-1]
+
+    halfspaces = np.hstack([-Gr, hr.reshape(-1, 1)])  # -Gr t + hr <= 0
+    hs = HalfspaceIntersection(halfspaces, t_int)
+    t_verts = np.unique(np.round(hs.intersections, 9), axis=0)
+    return z_p + t_verts @ N.T
+
+
+def superreplicate(market, x: float, claim: np.ndarray):
+    """Cheapest-shortfall hedge of a terminal claim from cash ``x``.
+
+    Maximizes the worst-leaf slack of liquidation value over the claim;
+    returns ``(shortfall, strategy)`` where shortfall = max(0, -slack*).
+    A nonpositive shortfall certifies superreplication.
+    """
+    internal, K, L, _, T0, T1 = _primal_layout(market)
+    tree = market.tree
+    claim = np.asarray(claim, dtype=float)
+    cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
+
+    # variables [buys, sells, slack]: the layout's claim columns are left out
+    # rows: both liquidation legs against the slack, trade nonnegativity, cap
+    nv = 2 * K
+    legs = _liquidation_legs(market, T0[:, :nv], T1[:, :nv])
+    capped = np.zeros(nv + 1)
+    capped[nv] = -1.0
+    G = np.vstack([np.hstack([legs, np.full((2 * L, 1), -1.0)]),
+                   np.eye(2 * K, nv + 1), capped])
+    h = np.concatenate([np.repeat(claim - x, 2), np.zeros(2 * K), [-cap]])
+
+    c = np.zeros(nv + 1)
+    c[nv] = -1.0
+    res = solve_lp(c, G=G, h=h)
+    if res.status != "optimal":
+        raise EngineError(f"superreplication LP failed: {res.diagnostics.message}")
+    slack = float(res.x[nv])
+    buy = np.zeros(tree.n_nodes)
+    sell = np.zeros(tree.n_nodes)
+    buy[internal] = np.maximum(res.x[:K], 0.0)
+    sell[internal] = np.maximum(res.x[K: 2 * K], 0.0)
+    buy, sell = net_trades(buy, sell)
+    strat = roll_forward(market, float(x), buy, sell)
+    return max(0.0, -slack), strat
 
 
 def audit_derivatives(objective, points, rel_grad: float = 1e-6,

@@ -21,7 +21,6 @@ from frictiondual.duality import (
     primal_program,
     solve_dual,
     solve_report,
-    superreplicate,
     verify_identities,
 )
 from frictiondual.generate import InstanceGenerator, emit_instance
@@ -29,8 +28,6 @@ from frictiondual.polytope import (
     PolytopeInfeasibleError,
     build_polytope,
     check_cps,
-    enumerate_vertices,
-    sample_polytope,
 )
 from frictiondual.shadow import (
     construct_shadow,
@@ -41,7 +38,8 @@ from frictiondual.shadow import (
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, utility_label
-from oracles import audit_derivatives
+from oracles import (audit_derivatives, enumerate_vertices, path_to_root, sample_polytope,
+                     superreplicate)
 
 SEED = int(os.environ.get("FD_SEED", "2026"))
 
@@ -366,7 +364,7 @@ def test_criterion_09a_derivative_audits(two_period_market):
              UtilitySpec("exponential", gamma=0.7)]
     for spec in specs:
         x = 6.0
-        prog, internal, K, L, off, _ = primal_program(two_period_market, spec, x)
+        prog = primal_program(two_period_market, spec, x)
         pts = [prog.x0]
         for _ in range(2):
             p = prog.x0 + rng.uniform(-0.05, 0.05, size=prog.n)
@@ -416,7 +414,7 @@ def frictionless_oracle_value(market, gamma, x):
     prob = tree.leaf_prob
     D = np.zeros((L, K))
     for li, leaf in enumerate(tree.leaves):
-        path = tree.path_to_root(int(leaf))
+        path = path_to_root(tree, int(leaf))
         for child, node in zip(path[:-1], path[1:]):
             D[li, pos[node]] = S[child] - S[node]
     endow = market.endowment

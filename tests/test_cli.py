@@ -179,10 +179,60 @@ def test_price_command(market_file, tmp_path):
 
 
 def test_price_unknown_route(market_file, capsys):
+    # every price runs all three routes; there is no option to pick them
     code = main(["price", "--market", market_file, "--gamma", "0.7",
                  "--routes", "bogus"])
     assert code == 1
-    assert "bogus" in capsys.readouterr().err
+    assert "unrecognized arguments: --routes bogus" in capsys.readouterr().err
+
+
+def assert_one_line(err, head):
+    assert err.startswith(head) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_a_validation_error(market_file, tmp_path, capsys):
+    code = main(["solve", "--market", market_file, "--utility", "log", "--x", "5",
+                 "--json", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert_one_line(err, "error: ")
+    assert "Is a directory" in err
+
+
+def test_overflow_is_a_solver_failure(market_file, capsys):
+    code = main(["solve", "--market", market_file, "--utility", "exp:gamma=1e308",
+                 "--x", "1"])
+    assert code == 2
+    assert_one_line(capsys.readouterr().err, "solver failure: ")
+
+
+@pytest.mark.parametrize("args, name", [
+    (["solve", "--utility", "log", "--x", "nan"], "x"),
+    (["solve", "--utility", "exp:gamma=1", "--x", "inf"], "x"),
+    (["solve", "--utility", "exp:gamma=inf", "--x", "1"], "gamma"),
+    (["solve", "--utility", "power:alpha=nan", "--x", "1"], "alpha"),
+    (["dual", "--utility", "log", "--y", "nan"], "y"),
+    (["dual", "--utility", "log", "--y", "inf"], "y"),
+    (["shadow", "--utility", "exp:gamma=1", "--x=-inf"], "x"),
+    (["price", "--gamma", "inf"], "gamma"),
+    (["price", "--gamma", "1", "--x", "nan"], "x"),
+])
+def test_non_finite_scalars_are_validation_errors(market_file, args, name, capsys):
+    assert main(args[:1] + ["--market", market_file] + args[1:]) == 1
+    err = capsys.readouterr().err
+    assert_one_line(err, "error: ")
+    assert f"{name} must be" in err
+
+
+def test_nan_probability_is_a_validation_error(tmp_path, drift_binomial, capsys):
+    path = tmp_path / "nan.json"
+    save_market(drift_binomial, path)
+    path.write_text(path.read_text().replace('"prob": 0.5', '"prob": NaN', 1))
+    code = main(["solve", "--market", str(path), "--utility", "log", "--x", "1"])
+    assert code == 1
+    assert_one_line(capsys.readouterr().err,
+                    "error: nonpositive or non-finite branch probability at node 1")
 
 
 def test_linalg_error_is_solver_failure(market_file, monkeypatch, capsys):

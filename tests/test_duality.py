@@ -15,15 +15,16 @@ from frictiondual.duality import (
     solve_entropy_core,
     solve_primal,
     solve_report,
-    superreplicate,
     verify_identities,
 )
 from frictiondual.engine import EngineError, SolveDiagnostics, SolveResult
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, enumerate_vertices
+from frictiondual.polytope import PolytopeInfeasibleError, build_polytope
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec
+import oracles
+from oracles import children, enumerate_vertices, path_to_root, superreplicate
 
 LOG = UtilitySpec("log")
 EXP1 = UtilitySpec("exponential", gamma=1.0)
@@ -367,7 +368,7 @@ def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
 def loop_primal_layout(market):
     """Leaf-by-leaf reference of :func:`duality._primal_layout`'s maps."""
     tree = market.tree
-    internal = [i for i in range(tree.n_nodes) if tree.children[i]]
+    internal = [i for i in range(tree.n_nodes) if children(tree, i)]
     K, L = len(internal), tree.n_leaves
     pos = {node: k for k, node in enumerate(internal)}
     nv = 2 * K + L
@@ -375,7 +376,7 @@ def loop_primal_layout(market):
     T0 = np.zeros((L, nv))
     T1 = np.zeros((L, nv))
     for li, leaf in enumerate(tree.leaves):
-        for node in tree.path_to_root(int(leaf)):
+        for node in path_to_root(tree, int(leaf)):
             if node in pos:
                 k = pos[node]
                 T0[li, k] = -s[node]
@@ -465,7 +466,7 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
         calls.append(lp)
         return engine.solve_lp(c, **lp)
 
-    monkeypatch.setattr(duality, "solve_lp", spy)
+    monkeypatch.setattr(oracles, "solve_lp", spy)
     gen = InstanceGenerator(seed=seed)
     rng = np.random.default_rng(seed)
     for i in range(15):
@@ -479,7 +480,7 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
             zero_endowment = market.with_endowment(np.zeros(market.tree.n_leaves))
             for spec in (LOG, EXP1):
                 for m in (market, zero_endowment):
-                    prog = duality.primal_program(m, spec, 1.5)[0]
+                    prog = duality.primal_program(m, spec, 1.5)
                     G_ref, h_ref = loop_primal_rows(m, spec, 1.5)
                     assert_same_bytes(prog.G, G_ref, "G")
                     assert_same_bytes(prog.h, h_ref, "h")
@@ -554,7 +555,7 @@ def test_zero_density_dual_keeps_the_generic_start():
 def _face_and_barrier_solves(market, spec, x, start):
     """The engine's solves of the primal at ``x`` from the pulled
     ``start``, with ``start`` as the face start and without one."""
-    prog = duality.primal_program(market, spec, x)[0]
+    prog = duality.primal_program(market, spec, x)
     pulled = (1.0 - duality.WARM_PULL) * start + duality.WARM_PULL * prog.x0
     return (engine.solve(replace(prog, x0=pulled, face_start=start)),
             engine.solve(replace(prog, x0=pulled)))

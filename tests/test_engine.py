@@ -69,7 +69,7 @@ def test_objective_evaluated_once_per_point(two_period_market):
     programs = [ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
                               G=np.array([[-1.0]]), h=np.array([-1.0]))]
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
-        programs.append(primal_program(two_period_market, spec, 6.0)[0])
+        programs.append(primal_program(two_period_market, spec, 6.0))
     for prog in programs:
         seen = _evaluated_points(prog)
         assert len(seen) > 2
@@ -269,11 +269,12 @@ def test_rejected_start_is_reported():
     assert diagnostics([0.5, 0.5], **box).events == []
 
 
-def test_max_iter_promotion_is_reported():
+def test_max_iter_promotion_is_reported(monkeypatch):
     c, G, h = boxed_lp()
     # the Newton cap cuts the solve short of its stopping test (it needs
     # 9 steps), but the active-face finish certifies the point
-    res = solve(linear_program(c, G=G, h=h), max_newton=7)
+    monkeypatch.setattr(engine, "DEFAULT_MAX_NEWTON", 7)
+    res = solve(linear_program(c, G=G, h=h))
     assert res.status == "optimal"
     assert res.diagnostics.message == "Newton iteration cap reached"
     assert res.diagnostics.events == ["max_iter promoted to optimal"]

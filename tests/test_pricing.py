@@ -3,7 +3,7 @@ import pytest
 
 from frictiondual.duality import solve_entropy_core
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import build_polytope, martingale_point, sample_polytope
+from frictiondual.polytope import build_polytope, martingale_point
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -12,6 +12,7 @@ from frictiondual.pricing import (
     price_shadow,
 )
 from frictiondual.utility import UtilitySpec
+from oracles import sample_polytope
 
 
 def test_zero_endowment_prices_at_zero(drift_binomial):
@@ -74,19 +75,6 @@ def test_risk_aversion_pushes_toward_lower_bound(two_period_market):
     assert prices[0] <= hi + 1e-8
 
 
-def test_route_selection(drift_binomial):
-    m = drift_binomial.with_endowment([1.0, -1.0])
-    rep = indifference_price(m, gamma=1.0, routes=("dual",))
-    assert rep.p_shadow is None
-    assert rep.p_primal is None
-    assert rep.p_dual is not None
-    assert "primal_vs_dual" not in rep.residuals
-    assert rep.entropy_with is not None
-    for bad in (("dual", "bogus"), ()):
-        with pytest.raises(ValueError):
-            indifference_price(m, gamma=1.0, routes=bad)
-
-
 def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
     from frictiondual import duality, pricing
 
@@ -101,8 +89,7 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
     monkeypatch.setattr(pricing, "solve_report", counted("report", pricing.solve_report))
     monkeypatch.setattr(duality, "check_cps", counted("cps", duality.check_cps))
     gamma, x = 0.7, 1.0
-    rep = indifference_price(two_period_market, gamma, x=x,
-                             routes=("primal", "dual", "shadow"))
+    rep = indifference_price(two_period_market, gamma, x=x)
     assert calls == {"report": 2, "cps": 0}
     monkeypatch.undo()
     # the shared reports give the standalone routes' prices
@@ -122,7 +109,7 @@ def test_price_dual_warm_start_by_the_boundary():
                                 0.8, poly=poly, x0=core_e.leaf_vars)
     p = (core_e.entropy / 0.8 + core_e.endow_mean) - (core_0.entropy / 0.8
                                                       + core_0.endow_mean)
-    cold = indifference_price(market, 0.8, routes=("dual",))
+    cold = indifference_price(market, 0.8)
     assert p == pytest.approx(cold.p_dual, abs=1e-8)
 
 

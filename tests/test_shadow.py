@@ -65,8 +65,7 @@ def test_construct_shadow_matches_loop_reference(drift_binomial):
         cases.append((market, solve_report(market, EXP1, 1.0).dual_system))
     # a node with no density
     cases.append((drift_binomial, PriceSystem(z0=np.array([1.0, 0.0, 1.0]),
-                                              z1=np.array([99.5, 1.0, 89.5]),
-                                              strictly_positive=False)))
+                                              z1=np.array([99.5, 1.0, 89.5]))))
     seen = set()
     for market, dual in cases:
         sh = construct_shadow(market, dual)
@@ -160,13 +159,11 @@ def test_shadow_rejects_foreign_dual(drift_binomial, martingale_binomial):
 
 def test_shadow_names_first_node_out_of_spread(drift_binomial):
     # nodes 1 and 2 both leave the spread [128.7, 130] and [89.1, 90]
-    dual = PriceSystem(z0=np.ones(3), z1=np.array([99.5, 140.0, 50.0]),
-                       strictly_positive=True)
+    dual = PriceSystem(z0=np.ones(3), z1=np.array([99.5, 140.0, 50.0]))
     with pytest.raises(ShadowConstructionError, match=r"ratio 140.0 .* at node 1$"):
         construct_shadow(drift_binomial, dual)
     # a node with no density takes the ask and is never out of the spread
-    dual = PriceSystem(z0=np.array([1.0, 0.0, 1.0]), z1=np.array([99.5, 1.0, 50.0]),
-                       strictly_positive=False)
+    dual = PriceSystem(z0=np.array([1.0, 0.0, 1.0]), z1=np.array([99.5, 1.0, 50.0]))
     with pytest.raises(ShadowConstructionError, match=r"at node 2$"):
         construct_shadow(drift_binomial, dual)
 

@@ -8,6 +8,7 @@ from frictiondual.tree import (
     EventTree,
     LambdaRangeError,
     MarketSpec,
+    MarketValidationError,
     NonpositivePriceError,
     ProbabilityMassError,
     SchemaError,
@@ -18,6 +19,7 @@ from frictiondual.tree import (
     market_to_dict,
     save_market,
 )
+from oracles import children, path_to_root
 
 
 def test_binomial_structure(martingale_binomial):
@@ -27,7 +29,7 @@ def test_binomial_structure(martingale_binomial):
     assert tree.horizon == 1
     assert list(tree.leaves) == [1, 2]
     assert list(tree.internal) == [0]
-    assert tree.path_to_root(2) == [2, 0]
+    assert path_to_root(tree, 2) == [2, 0]
 
 
 def test_two_period_structure(two_period_market):
@@ -36,7 +38,7 @@ def test_two_period_structure(two_period_market):
     assert tree.n_leaves == 6
     assert tree.horizon == 2
     assert list(tree.internal) == [0, 1, 2, 3]
-    assert tree.path_to_root(9) == [9, 3, 0]
+    assert path_to_root(tree, 9) == [9, 3, 0]
 
 
 def test_path_measure_sums_to_one(two_period_market):
@@ -76,6 +78,83 @@ def test_probability_mass_checked():
         EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.6, 0.6])
     with pytest.raises(ProbabilityMassError):
         EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 1.2, -0.2])
+
+
+def loop_validation_error(parent, time, cond_prob):
+    """Node-by-node reference of the tree checks after the root's: the
+    first bad node's ``(error class, message)``, or ``None``."""
+    n = len(parent)
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        p = parent[i]
+        if not 0 <= p < n:
+            return TreeStructureError, f"node {i} has invalid parent {p}"
+        if time[i] != time[p] + 1:
+            return (TreeStructureError,
+                    f"node {i} at stage {time[i]} but parent {p} at stage {time[p]}")
+        kids[p].append(i)
+    leaves = [i for i in range(n) if not kids[i]]
+    if len({time[l] for l in leaves}) > 1:
+        return UnevenLeafDepthError, "leaves sit at different stages"
+    bad = [k for k in range(n) if not (np.isfinite(cond_prob[k]) and cond_prob[k] > 0.0)]
+    if any(k > 0 for k in bad):     # the root's probability is not checked
+        return (ProbabilityMassError,
+                f"nonpositive or non-finite branch probability at node {bad[0]}")
+    for i in range(n):
+        if kids[i]:
+            mass = 0.0
+            for k in kids[i]:
+                mass += cond_prob[k]
+            if abs(mass - 1.0) > 1e-12 * max(1.0, abs(mass)):
+                return (ProbabilityMassError,
+                        f"conditional probabilities sum to {mass:.12g} at node {i}")
+    return None
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_validation_matches_the_loop_reference(seed):
+    gen = InstanceGenerator(seed=seed)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for i in range(40):
+        tree = gen.draw(i).tree
+        parent, time, prob = tree.parent.copy(), tree.time.copy(), tree.cond_prob.copy()
+        n = parent.size
+        # corrupt one or two non-root nodes: parent range, stage, or probability
+        for node in rng.choice(np.arange(1, n), size=int(rng.integers(1, 3)), replace=False):
+            kind = i % 6
+            if kind == 0:
+                parent[node] = n + int(rng.integers(0, 3))
+            elif kind == 1:
+                time[node] += 1
+            elif kind == 2:
+                prob[node] = [0.0, -0.3, np.nan, np.inf][int(rng.integers(0, 4))]
+            elif kind == 3:
+                prob[node] *= 1.0 + 1e-9
+            elif kind == 4:
+                parent[node] = node
+            else:
+                prob[node] += 1e-13    # inside the mass tolerance
+        want = loop_validation_error(parent.tolist(), time.tolist(), prob.tolist())
+        if want is None:
+            EventTree(parent=parent, time=time, cond_prob=prob)
+            seen.add(None)
+            continue
+        with pytest.raises(MarketValidationError) as info:
+            EventTree(parent=parent, time=time, cond_prob=prob)
+        assert (type(info.value), str(info.value)) == want
+        seen.add(want[0])
+    assert seen == {None, TreeStructureError, ProbabilityMassError}
+
+
+def test_nan_probability_rejected_on_load(tmp_path, martingale_binomial):
+    raw = market_to_dict(martingale_binomial)
+    raw["nodes"][2]["prob"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(raw))       # writes the NaN literal json accepts
+    assert "NaN" in path.read_text()
+    with pytest.raises(ProbabilityMassError, match="at node 2"):
+        load_market(path)
 
 
 def test_market_validation(martingale_binomial):
@@ -145,17 +224,17 @@ def test_path_structure_matches_walk(seed, two_period_market):
     for tree in trees + [two_period_market.tree]:
         on_path = np.zeros((tree.n_leaves, tree.n_nodes), dtype=bool)
         for li, leaf in enumerate(tree.leaves):
-            on_path[li, tree.path_to_root(int(leaf))] = True
+            on_path[li, path_to_root(tree, int(leaf))] = True
         node_prob = np.empty(tree.n_nodes)
         for node in range(tree.n_nodes):
             p = 1.0
-            for above in reversed(tree.path_to_root(node)[:-1]):
+            for above in reversed(path_to_root(tree, node)[:-1]):
                 p *= tree.cond_prob[above]
             node_prob[node] = p
         assert np.array_equal(tree.on_path, on_path)
         assert np.array_equal(tree.node_prob, node_prob)
         assert np.array_equal(tree.leaf_prob, node_prob[tree.leaves])
-        assert tree.internal.tolist() == [n for n in range(tree.n_nodes) if tree.children[n]]
+        assert tree.internal.tolist() == [n for n in range(tree.n_nodes) if children(tree, n)]
         assert [list(at) for at in tree.stages] == [
             [n for n in range(tree.n_nodes) if tree.time[n] == t]
             for t in range(tree.horizon + 1)]
