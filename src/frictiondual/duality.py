@@ -383,37 +383,15 @@ def _dual_derivative(spec, y, z0, endow, prob) -> float:
     return float(prob @ (z0 * (ut.eval_v_prime(spec, y * z0) + endow)))
 
 
-@dataclass
-class EntropyCore:
-    """Exponential-utility dual data: one minimizer serves every scale."""
-
-    leaf_vars: np.ndarray
-    entropy: float          # E[z log z]
-    endow_mean: float       # E[z e]
-    diagnostics: dict
-
-
 def solve_entropy_core(market: MarketSpec, gamma: float,
                        poly: Optional[DualPolytope] = None,
-                       x0: Optional[np.ndarray] = None) -> EntropyCore:
-    """Minimize E[z log z]/gamma + E[z e] over the polytope.
-
-    For the exponential family the dual minimizer does not depend on the
-    scale, so this single solve determines the whole dual value curve.
-    It is the exp(gamma) dual objective at ``y = 1``: on the polytope
-    ``E[z] = 1``, so that objective is this one less the constant
-    ``(1 + log gamma)/gamma``, and the diagnostics' ``objective`` reads
-    that much lower.
-    """
-    if poly is None:
-        poly = build_polytope(market)
-    spec = ut.UtilitySpec("exponential", gamma=gamma)
-    res = _solve_on_polytope(poly, *_dual_objective(poly, spec, 1.0, market.endowment,
-                                                    market.tree.leaf_prob),
-                             "entropy", x0=x0)
-    entropy, endow_mean = entropy_terms(market, res.x)
-    return EntropyCore(leaf_vars=res.x, entropy=entropy, endow_mean=endow_mean,
-                       diagnostics=res.diagnostics.to_dict())
+                       x0: Optional[np.ndarray] = None) -> DualSolution:
+    """The exp(gamma) dual at ``y = 1`` (:func:`solve_dual`), whose
+    minimizer serves every scale.  On the polytope ``E[z] = 1``, so its
+    objective is ``E[z log z]/gamma + E[z e]`` (:func:`entropy_terms`)
+    less ``(1 + log gamma)/gamma``."""
+    return solve_dual(market, ut.UtilitySpec("exponential", gamma=gamma), 1.0,
+                      poly=poly, x0=x0)
 
 
 def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray) -> tuple:
@@ -500,9 +478,10 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
-    form from the entropy core (:func:`solve_entropy_core`): with
+    form from the unit-scale dual (:func:`solve_entropy_core`): with
     ``k = E[z log z]/gamma + E[z e]`` the dual value curve is
-    ``V(y) + y k``, so ``yhat = u'(x + k)``.
+    ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` that underflows
+    to 0, at large ``x + k``, raises :class:`EngineError`.
 
     At positive spread the report needs a witness, a strictly consistent
     price system, which also starts the dual solve.  It takes the
@@ -559,17 +538,16 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
             )
 
     if spec.family == "exponential":
-        core = solve_entropy_core(market, spec.gamma, poly=poly, x0=witness)
+        dual = solve_entropy_core(market, spec.gamma, poly=poly, x0=witness)
         # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
         # form keeps its relative accuracy even when yhat is tiny
-        k = core.entropy / spec.gamma + core.endow_mean
+        entropy, endow_mean = entropy_terms(market, dual.leaf_vars)
+        k = entropy / spec.gamma + endow_mean
         yhat = float(ut.eval_u_prime(spec, x + k))
-        dual = DualSolution(
-            value=float(ut.eval_v(spec, yhat)) + yhat * k, y=yhat,
-            leaf_vars=core.leaf_vars, system=poly.price_system(core.leaf_vars),
-            derivative=float(ut.eval_v_prime(spec, yhat)) + k,
-            diagnostics=core.diagnostics,
-        )
+        if not yhat > 0.0:
+            raise EngineError(f"dual scale u'(x + k) underflows to {yhat} at x={x}, k={k}")
+        dual = replace(dual, value=float(ut.eval_v(spec, yhat)) + yhat * k, y=yhat,
+                       derivative=float(ut.eval_v_prime(spec, yhat)) + k)
         dual_total = dual.value + x * yhat
     else:
         yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=witness)

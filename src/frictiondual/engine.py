@@ -7,7 +7,8 @@ inequality constraint (``G x - h >= 0``): every program the duality
 builds is of that shape.  Linear programs do not go through this loop:
 :func:`solve_lp` is one HiGHS call (``scipy.optimize.linprog``).
 Strictly feasible starts and infeasibility certificates come from a
-max-slack LP, also solved once by HiGHS; the path-following loop itself
+max-slack LP (:func:`max_slack`), which the existence check of a
+strictly consistent price system shares; the path-following loop itself
 is self-contained, and so is the active-face finish that moves its
 optimal exits onto their face.  A program that carries a face start, a
 point already on (or next to) its optimal face, is first finished from
@@ -15,7 +16,8 @@ there by the same barrier-free Newton steps; the barrier runs only when
 that point fails the certification test.
 
 The equality rows are split once per solve, by one pivoted QR, into a
-range and a null-space basis: the start is projected onto them, and
+range and a null-space basis (:func:`_split_rows`, which also splits the
+faces of the active-face finish): the start is projected onto them, and
 every Newton step lives in the null space, whose reduced matrix (size
 ``n - rank(A)``) is LU-factored once per iteration and reused by the
 predictor and the corrector.  Dense linear algebra throughout: problems
@@ -194,12 +196,15 @@ def _lapack(routine, *args, **kwargs):
 
 @dataclass
 class _Equalities:
-    """The equality rows of a program, split once per solve.
+    """The equality rows of a program, split once per solve, or the rows
+    of a face of the active-face finish, split once per face.
 
     ``A`` and ``b`` are the kept rows ``keep`` of the ``rows`` given, in
     pivot order, with ``A^T = Y R1`` (``R1`` upper triangular) and ``Z``
     an orthonormal basis of the null space of ``A``.  With no row kept,
-    ``A`` is ``None`` and so is ``Z``: the basis is the identity.
+    ``A`` is ``None`` and so is ``Z``: the basis is the identity.  Both
+    triangular solves are LAPACK's ``dtrtrs`` on the lower triangular
+    ``R1^T``, as ``scipy.linalg.solve_triangular`` calls it for ``R1``.
     """
 
     rows: int
@@ -210,17 +215,21 @@ class _Equalities:
     R1: Optional[np.ndarray] = None
     Z: Optional[np.ndarray] = None
 
+    def step(self, x):
+        """The least-norm ``dx`` with ``A (x + dx) = b``: ``Y R1^-T (b - A x)``."""
+        if self.A is None:
+            return np.zeros(x.size)
+        return self.Y @ dtrtrs(self.R1.T, self.b - self.A @ x, lower=1)[0]
+
     def project(self, x):
         """The nearest point to ``x`` with ``A x = b``."""
-        if self.A is None:
-            return x.copy()
-        return x + self.Y @ dtrtrs(self.R1, self.b - self.A @ x, trans=1)[0]
+        return x.copy() if self.A is None else x + self.step(x)
 
     def multipliers(self, r):
         """The ``nu`` minimizing ``|r + A^T nu|``."""
         if self.A is None:
             return np.zeros(0)
-        return -dtrtrs(self.R1, self.Y.T @ r)[0]
+        return -dtrtrs(self.R1.T, self.Y.T @ r, lower=1, trans=1)[0]
 
     def per_given_row(self, nu):
         """``nu`` spread over the given rows, 0 on the dropped ones."""
@@ -229,21 +238,26 @@ class _Equalities:
         return out
 
 
+def _split_rows(A, b):
+    """Split the rows ``A x = b`` by one pivoted QR of ``A^T``
+    (:func:`_row_rank_qr`): dependent rows are dropped, and the kept ones
+    give the range and null-space bases of :class:`_Equalities`."""
+    (Q, R, piv), k = _row_rank_qr(A)
+    keep = piv[:k]
+    if not k:
+        return _Equalities(A.shape[0], keep)
+    return _Equalities(A.shape[0], keep, A[keep], b[keep], Q[:, :k], R[:k, :k], Q[:, k:])
+
+
 def _reduce_equalities(A, b):
-    """Split the equality rows ``A x = b`` by one pivoted QR of ``A^T``:
-    dependent rows are dropped, and the kept ones give the range and
-    null-space bases of :class:`_Equalities`.  Rows that the kept rows'
-    particular solution ``Y R1^-T b`` misses raise
-    :class:`InfeasibleProgramError`."""
+    """The :func:`_split_rows` of a program's equality rows ``A x = b``.
+    Rows that the kept rows' particular solution ``Y R1^-T b`` misses
+    raise :class:`InfeasibleProgramError`."""
     if A is None or np.size(A) == 0:
         return _Equalities(0, np.zeros(0, int))
     A = np.atleast_2d(np.asarray_chkfinite(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    (Q, R, piv), k = _row_rank_qr(A)
-    keep = piv[:k]
-    eq = _Equalities(A.shape[0], keep)
-    if k:
-        eq = _Equalities(A.shape[0], keep, A[keep], b[keep], Q[:, :k], R[:k, :k], Q[:, k:])
+    eq = _split_rows(A, b)
     if np.linalg.norm(A @ eq.project(np.zeros(A.shape[1])) - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         raise InfeasibleProgramError("inconsistent equality constraints")
     return eq
@@ -546,19 +560,16 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=Fa
         if face is None:
             rows = np.flatnonzero(active)
             C = G[rows] if A is None else np.vstack([A, G[rows]])
-            rhs = h[rows] if A is None else np.concatenate([b, h[rows]])
-            (Q, R, piv), k = _row_rank_qr(C)
-            # C[keep]^T = Y R1: Y spans the kept rows, Z the face directions
-            keep = piv[:k]
-            face = C, rhs, keep, R[:k, :k], Q[:, :k], Q[:, k:]
-        C, rhs, keep, R1, Y, Z = face
-        dx = Y @ _upper_solve(R1, rhs[keep] - C[keep] @ x, trans=1)
+            face = _split_rows(C, h[rows] if A is None else np.concatenate([b, h[rows]]))
+            # Z spans the face directions, the identity on an empty face
+            Z = np.eye(n) if face.Z is None else face.Z
+        dx = face.step(x)
         dx += Z @ np.linalg.lstsq((Z.T * d) @ Z, -Z.T @ (g + d * dx), rcond=None)[0]
         # the multipliers in hand, corrected on the kept rows to meet
         # stationarity after the step: on a degenerate face this keeps
         # the positive split the barrier found among dependent rows
         w = np.concatenate([nu, -lam[rows]])
-        w[keep] += _upper_solve(R1, -Y.T @ (g + d * dx + C.T @ w))
+        w[face.keep] += face.multipliers(g + d * dx + C.T @ w)
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
         if face_start and np.any(lam_t < 0.0):
@@ -652,16 +663,6 @@ def _face_start(program, eq, G, h, in_domain, diag):
     return SolveResult(x, eq.per_given_row(nu), lam, diag)
 
 
-def _upper_solve(R1, rhs, trans=0):
-    """``v`` with ``R1 v = rhs`` (``R1^T v = rhs`` at ``trans = 1``) for the
-    upper triangular ``R1`` of :func:`_row_rank_qr`; empty at rank 0.
-    LAPACK's ``dtrtrs`` on the lower triangular ``R1^T``, as
-    ``scipy.linalg.solve_triangular`` calls it for a C-ordered ``R1``."""
-    if R1.size == 0:
-        return np.zeros(0)
-    return dtrtrs(R1.T, rhs, lower=1, trans=1 - trans)[0]
-
-
 def _starting_point(program, eq, G, h, in_domain, events):
     """Strictly feasible start on ``A x = b`` (the :class:`_Equalities`
     ``eq``) and the phase-one max slack (``None`` when the supplied ``x0``
@@ -687,49 +688,34 @@ def _starting_point(program, eq, G, h, in_domain, events):
 
 
 def _phase_one(eq, G, h, n):
-    """Max-min-slack LP over (x, t) by HiGHS, with x free:
-    max t s.t. G x - h >= t * (1 + |h|), t <= 1, A x = b on the kept rows
-    of ``eq``.
-
-    Returns ``(x*, t*, certificate)``; the certificate's multipliers
-    follow the barrier convention (see :func:`_highs`), one per given
-    equality row.
-    """
-    scale = 1.0 + np.abs(h)
-    c = np.zeros(n + 1)
-    c[n] = -1.0  # maximize t
-    A1 = None if eq.A is None else np.hstack([eq.A, np.zeros((eq.A.shape[0], 1))])
-    res, lam, nu = _highs(c, np.hstack([G, -scale[:, None]]), h, A1, eq.b,
-                          bounds=[(None, None)] * n + [(None, 1.0)])
-    if res.status != 0:
-        raise EngineError(f"phase-one LP failed: {res.message}")
+    """The :func:`max_slack` LP with weights ``1 + |h|`` on the kept rows
+    of ``eq``: ``(x*, t*, certificate)``, the certificate's multipliers
+    one per inequality row (the cap ``t <= 1`` dropped) and one per given
+    equality row, in the barrier convention (:func:`solve_lp`)."""
+    res = max_slack(G, h, 1.0 + np.abs(h), eq.A, eq.b)
+    if res.status != "optimal":
+        raise EngineError(f"phase-one LP failed: {res.diagnostics.message}")
     t_star = float(res.x[n])
     cert = {
-        "ineq_multipliers": lam.tolist(),
-        "eq_multipliers": eq.per_given_row(nu).tolist(),
+        "ineq_multipliers": res.ineq_multipliers[:-1].tolist(),
+        "eq_multipliers": eq.per_given_row(res.eq_multipliers).tolist(),
         "max_slack": t_star,
     }
     return res.x[:n], t_star, cert
 
 
-def _highs(c, G, h, A, b, bounds):
-    """One HiGHS solve of ``min c x`` s.t. ``G x - h >= 0``, ``A x = b``.
-
-    Returns the ``linprog`` result and its multipliers ``(lam, nu)`` in
-    the barrier convention ``c - G^T lam + A^T nu = 0`` with ``lam >= 0``
-    (``None`` unless optimal).  HiGHS marginals are derivatives of the
-    optimal value in the right-hand sides, the opposite sign for both
-    blocks.
-    """
-    from scipy.optimize import linprog
-
-    res = linprog(c, A_ub=None if G is None else -G, b_ub=None if G is None else -h,
-                  A_eq=A, b_eq=b, bounds=bounds, method="highs",
-                  options={"primal_feasibility_tolerance": HIGHS_TOL,
-                           "dual_feasibility_tolerance": HIGHS_TOL})
-    if res.status != 0:
-        return res, None, None
-    return res, -res.ineqlin.marginals, -res.eqlin.marginals
+def max_slack(G, h, w, A=None, b=None) -> SolveResult:
+    """Max-min-slack LP over ``(x, t)``, ``x`` free: maximize ``t`` s.t.
+    ``G x - h >= t w``, ``t <= 1`` (the last inequality row) and
+    ``A x = b``; one :func:`solve_lp`.  A row with weight 0 only has to
+    hold; the optimal ``t`` is positive exactly when some ``x`` meets
+    every row with a positive weight strictly."""
+    n = G.shape[1]
+    c = np.zeros(n + 1)
+    c[n] = -1.0     # maximize t; the same row reads -t >= -1
+    G1 = np.vstack([np.hstack([G, -w[:, None]]), c])
+    A1 = None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
+    return solve_lp(c, A_eq=A1, b_eq=b, G=G1, h=np.append(h, -1.0))
 
 
 def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
@@ -737,20 +723,29 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
 
     One HiGHS call (dual simplex), ``x`` free.  The status is
     ``optimal``, ``infeasible``, ``unbounded`` or ``numerical_failure``;
-    multipliers follow the barrier convention and the diagnostics carry
-    the objective and the KKT residuals, with no Newton steps.
+    the diagnostics carry the objective and the KKT residuals, with no
+    Newton steps.  The multipliers follow the barrier convention
+    ``c - G^T lam + A^T nu = 0`` with ``lam >= 0``: HiGHS marginals are
+    derivatives of the optimal value in the right-hand sides, the
+    opposite sign for both blocks.
     """
+    from scipy.optimize import linprog
+
     c = np.asarray(c, dtype=float)
     n = c.size
     A = None if A_eq is None or np.size(A_eq) == 0 else np.atleast_2d(np.asarray(A_eq, float))
     b = None if A is None else np.atleast_1d(np.asarray(b_eq, float))
     G = None if G is None or np.size(G) == 0 else np.atleast_2d(np.asarray(G, float))
     h = None if G is None else np.atleast_1d(np.asarray(h, float))
-    res, lam, nu = _highs(c, G, h, A, b, bounds=[(None, None)] * n)
+    res = linprog(c, A_ub=None if G is None else -G, b_ub=None if G is None else -h,
+                  A_eq=A, b_eq=b, bounds=[(None, None)] * n, method="highs",
+                  options={"primal_feasibility_tolerance": HIGHS_TOL,
+                           "dual_feasibility_tolerance": HIGHS_TOL})
     diag = SolveDiagnostics(status=LP_STATUS.get(res.status, "numerical_failure"),
                             message=res.message)
     if res.status != 0:
         return SolveResult(np.full(n, np.nan), np.zeros(0), np.zeros(0), diag)
+    lam, nu = -res.ineqlin.marginals, -res.eqlin.marginals
     diag.objective = float(res.fun)
     diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = \
         _kkt_residuals(c, res.x, G, h, A, b, lam, nu)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import solve_lp
+from . import engine
 from .tree import MarketSpec
 
 DENSITY_EPS = 1e-12       # a density at or below this counts as zero
@@ -79,14 +79,22 @@ class DualPolytope:
         L = self.market.tree.n_leaves
         return PriceSystem(self.cond_exp @ z[:L], self.cond_exp @ z[L:])
 
+    def margin_weights(self, include_cone: bool = True) -> np.ndarray:
+        """Per row of ``G`` at positive spread, the margin's weight in its
+        slack: the node's ask price on a cone row (0 without
+        ``include_cone``), 1 on a leaf Z0 row and -0.0 on a leaf Z1 row, so
+        that the existence LP's margin column ``-w`` reads +0.0 there."""
+        market, L = self.market, self.market.tree.n_leaves
+        cone = np.repeat(market.ask_price if include_cone
+                         else np.zeros(market.tree.n_nodes), 2)
+        return np.concatenate([cone, np.ones(L), np.full(L, -0.0)])
+
     def margin(self, z: np.ndarray) -> float:
         """The margin :func:`check_cps` maximizes, at the point ``z`` of a
-        positive-spread polytope: the least of the cone slacks over their
-        node's ask price and the leaf Z0 values."""
-        slack = (self.G @ z - self.h)[np.concatenate([self.cone_lower_rows,
-                                                      self.cone_upper_rows])]
-        return float(min(np.min(slack / np.tile(self.market.ask_price, 2)),
-                         np.min(z[:self.market.tree.n_leaves])))
+        positive-spread polytope: the least slack over its weight
+        (:meth:`margin_weights`) among the rows weighed."""
+        w = self.margin_weights()
+        return float(np.min((self.G @ z - self.h)[w > 0.0] / w[w > 0.0]))
 
     def max_violation(self, z: np.ndarray) -> float:
         """Largest constraint violation of a candidate point."""
@@ -261,7 +269,7 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
     """Decide existence of a strictly positive price system at spread ``mu``.
 
     Maximizes the minimum of the scaled cone slacks and the leaf Z0
-    values over the polytope, one HiGHS LP (:func:`engine.solve_lp`);
+    values over the polytope, one HiGHS LP (:func:`engine.max_slack`);
     the verdict is "exists" when the optimal margin ``delta`` clears
     ``CPS_MARGIN``.  The witness is then strictly inside the polytope:
     every cone slack is at least ``delta`` times the ask price and every
@@ -289,33 +297,16 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
 
 
 def _max_margin(poly: DualPolytope, include_cone: bool):
-    """Max-min-slack LP over (z, delta); returns (delta*, z*, certificate).
-
-    The LP keeps the rows of ``poly.G`` in their order (lower and upper
-    cone rows interleaved by node, then z0 and z1 leaf nonnegativity)
-    with a margin column: each cone row carries its node's ask price
-    (nothing without ``include_cone``), each z0 row 1 and each z1 row
-    nothing.  A cap row ``delta <= 1`` closes it.
-    """
-    market = poly.market
-    L, nv = market.tree.n_leaves, poly.n_vars
-    w = market.ask_price if include_cone else np.zeros(market.tree.n_nodes)
-    margin = np.concatenate([-np.repeat(w, 2), np.full(L, -1.0), np.zeros(L)])
-    cap = np.zeros(nv + 1)
-    cap[nv] = -1.0
-    G1 = np.vstack([np.hstack([poly.G, margin[:, None]]), cap])
-
-    A1 = np.hstack([poly.A_eq, np.zeros((poly.A_eq.shape[0], 1))])
-    c = np.zeros(nv + 1)
-    c[nv] = -1.0
-
-    res = solve_lp(c, A_eq=A1, b_eq=poly.b_eq, G=G1, h=np.append(poly.h, -1.0))
+    """Max-min-slack LP over (z, delta) (:func:`engine.max_slack`) with
+    the margin weights of ``poly`` (:meth:`DualPolytope.margin_weights`);
+    returns (delta*, z*, certificate)."""
+    res = engine.max_slack(poly.G, poly.h, poly.margin_weights(include_cone),
+                           poly.A_eq, poly.b_eq)
     if res.status != "optimal":
         raise PolytopeInfeasibleError(
             f"existence LP ended with status {res.status}: {res.diagnostics.message}"
         )
-    z = res.x[:nv]
-    delta = float(res.x[nv])
+    z, delta = res.x[:-1], float(res.x[-1])
     cert = {
         "cone_lower_multipliers": res.ineq_multipliers[poly.cone_lower_rows].tolist(),
         "cone_upper_multipliers": res.ineq_multipliers[poly.cone_upper_rows].tolist(),

@@ -198,9 +198,6 @@ class MarketSpec:
     def bid_price(self) -> np.ndarray:
         return (1.0 - self.lam) * self.ask_price
 
-    def with_lambda(self, lam: float) -> "MarketSpec":
-        return MarketSpec(self.tree, self.ask_price, lam, self.endowment)
-
     def with_endowment(self, endowment) -> "MarketSpec":
         return MarketSpec(self.tree, self.ask_price, self.lam, endowment)
 

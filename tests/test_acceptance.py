@@ -9,7 +9,7 @@ dedicated small instance sets with independent brute-force oracles
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -444,12 +444,12 @@ def test_criterion_10_frictionless_limit():
         if not check_cps(market, mu=0.001).exists:
             continue
         try:
-            sample_polytope(build_polytope(market.with_lambda(0.0)), 1)
+            sample_polytope(build_polytope(replace(market, lam=0.0)), 1)
         except PolytopeInfeasibleError:
             continue
         vals = []
         for lam in lams:
-            rep = solve_report(market.with_lambda(lam), spec, 1.0)
+            rep = solve_report(replace(market, lam=lam), spec, 1.0)
             vals.append(rep.value)
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-9 * (1.0 + abs(a))

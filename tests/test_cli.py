@@ -207,6 +207,26 @@ def test_overflow_is_a_solver_failure(market_file, capsys):
     assert_one_line(capsys.readouterr().err, "solver failure: ")
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--utility", "exp:gamma=1"],
+    ["shadow", "--utility", "exp:gamma=1"],
+    ["price", "--gamma", "1"],
+])
+def test_underflowing_dual_scale_is_a_solver_failure(tmp_path, args, capsys):
+    # market 0 of `gen --seed 7`: yhat = u'(x + k) is positive at x = 700
+    # and underflows to 0 at x = 760, where the solver has no optimum to
+    # report; valid input all the same
+    assert main(["gen", "--seed", "7", "--count", "1", "--out", str(tmp_path)]) == 0
+    (market,) = tmp_path.glob("*.json")
+    command = args[:1] + ["--market", str(market)] + args[1:]
+    assert main(command + ["--x", "700"]) == 0
+    capsys.readouterr()
+    assert main(command + ["--x", "760"]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err, "solver failure: ")
+    assert "at x=760.0, k=" in err
+
+
 @pytest.mark.parametrize("args, name", [
     (["solve", "--utility", "log", "--x", "nan"], "x"),
     (["solve", "--utility", "exp:gamma=1", "--x", "inf"], "x"),

@@ -503,9 +503,13 @@ def test_lapack_qr_and_triangular_solves_match_scipy_bitwise():
                 want = scipy.linalg.qr(M.T, mode="full", pivoting=True)
                 assert all(np.array_equal(a, b) for a, b in zip((Q, R, piv), want))
             assert k == (np.linalg.matrix_rank(M) if M.size else 0)
-            R1 = R[:k, :k]
-            rhs = rng.standard_normal(k)
-            for trans in (0, 1):
-                got = engine._upper_solve(R1, rhs, trans=trans)
-                want = scipy.linalg.solve_triangular(R1, rhs, trans=trans)
-                assert np.array_equal(got, want)
+            if not k:
+                continue
+            # _Equalities' two triangular solves: R1^T v = b - A x for its
+            # step and R1 v = Y^T r for its multipliers
+            eq = engine._split_rows(M, rng.standard_normal(rows))
+            x, r = rng.standard_normal(cols), rng.standard_normal(cols)
+            v = scipy.linalg.solve_triangular(eq.R1, eq.b - eq.A @ x, trans=1)
+            assert np.array_equal(eq.step(x), eq.Y @ v)
+            v = scipy.linalg.solve_triangular(eq.R1, eq.Y.T @ r)
+            assert np.array_equal(eq.multipliers(r), -v)

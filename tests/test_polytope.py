@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,7 @@ def loop_built_margin_lp(poly, include_cone):
 def test_max_margin_matches_loop_reference(seed, monkeypatch):
     # draw_feasible pins the benchmark populations through check_cps, so
     # the existence LP must stay bitwise the loop-built one
+    import frictiondual.engine as engine
     import frictiondual.polytope as polytope
 
     calls = []
@@ -117,7 +120,7 @@ def test_max_margin_matches_loop_reference(seed, monkeypatch):
         calls.append((lp, res))
         return res
 
-    monkeypatch.setattr(polytope, "solve_lp", spy)
+    monkeypatch.setattr(engine, "solve_lp", spy)
     gen = InstanceGenerator(seed=seed)
     for i in range(15):
         poly = build_polytope(gen.draw(i))
@@ -143,6 +146,23 @@ def test_max_margin_matches_loop_reference(seed, monkeypatch):
                     hi_m[node] = mult
             assert cert["cone_lower_multipliers"] == lo_m.tolist()
             assert cert["cone_upper_multipliers"] == hi_m.tolist()
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_margin_at_the_witness_is_the_lp_margin(seed):
+    # DualPolytope.margin and the existence LP read the same weights, so
+    # the margin at the LP's witness is the LP's optimal delta
+    gen = InstanceGenerator(seed=seed)
+    witnesses = 0
+    for i in range(15):
+        market = gen.draw(i)
+        verdict = check_cps(market)
+        if verdict.witness_leaf_vars is None:
+            continue
+        witnesses += 1
+        margin = build_polytope(market).margin(verdict.witness_leaf_vars)
+        assert abs(margin - verdict.delta) <= 1e-12 * abs(verdict.delta)
+    assert witnesses > 0
 
 
 @pytest.mark.parametrize("seed", [11, 2033])
@@ -213,7 +233,7 @@ def test_martingale_point_is_strictly_inside(seed, martingale_binomial):
     from frictiondual.utility import UtilitySpec
 
     gen = InstanceGenerator(seed=seed)
-    markets = [martingale_binomial.with_lambda(0.0)]
+    markets = [replace(martingale_binomial, lam=0.0)]
     for i in range(15):
         m = gen.draw_feasible(i)
         rep = solve_report(m, UtilitySpec("exponential", gamma=1.0), 1.0)
@@ -238,8 +258,8 @@ def test_martingale_point_none_on_a_one_way_market():
     with pytest.raises(PolytopeInfeasibleError):
         solve_dual(market, UtilitySpec("exponential", gamma=1.0), 1.0)
     # at 1% spread no band price reaches the root either; at 15% one does
-    assert martingale_point(market.with_lambda(0.01)) is None
-    wide = market.with_lambda(0.15)
+    assert martingale_point(replace(market, lam=0.01)) is None
+    wide = replace(market, lam=0.15)
     z = martingale_point(wide)
     assert z is not None and build_polytope(wide).margin(z) > 1e-9
 
@@ -271,7 +291,7 @@ def test_martingale_point_at_zero_spread_is_unchanged(martingale_binomial):
     markets += [gen.draw(i) for i in range(60)]
     found = 0
     for market in markets:
-        market = market.with_lambda(0.0)
+        market = replace(market, lam=0.0)
         got, want = martingale_point(market), zero_spread_martingale_point(market)
         assert (got is None) == (want is None)
         if want is not None:

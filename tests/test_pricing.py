@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frictiondual.duality import solve_entropy_core
+from frictiondual.duality import entropy_terms, solve_entropy_core
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import build_polytope, martingale_point
 from frictiondual.pricing import (
@@ -104,11 +104,12 @@ def test_price_dual_warm_start_by_the_boundary():
     # not stop there on a decrement that only looks negligible
     market = InstanceGenerator(seed=2033, max_periods=3).draw_feasible(0)
     poly = build_polytope(market)
+    market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
     core_e = solve_entropy_core(market, 0.8, poly=poly)
-    core_0 = solve_entropy_core(market.with_endowment(np.zeros(market.tree.n_leaves)),
-                                0.8, poly=poly, x0=core_e.leaf_vars)
-    p = (core_e.entropy / 0.8 + core_e.endow_mean) - (core_0.entropy / 0.8
-                                                      + core_0.endow_mean)
+    core_0 = solve_entropy_core(market_0, 0.8, poly=poly, x0=core_e.leaf_vars)
+    ent_e, mean_e = entropy_terms(market, core_e.leaf_vars)
+    ent_0, mean_0 = entropy_terms(market_0, core_0.leaf_vars)
+    p = (ent_e / 0.8 + mean_e) - (ent_0 / 0.8 + mean_0)
     cold = indifference_price(market, 0.8)
     assert p == pytest.approx(cold.p_dual, abs=1e-8)
 
@@ -131,11 +132,12 @@ def test_price_dual_runs_no_phase_one(seed, monkeypatch):
     for i in range(5):
         market = gen.draw_feasible(i)
         poly = build_polytope(market)
-        cores = [solve_entropy_core(m, gamma, poly=poly)
-                 for m in (market, market.with_endowment(np.zeros(market.tree.n_leaves)))]
+        markets = (market, market.with_endowment(np.zeros(market.tree.n_leaves)))
+        cores = [solve_entropy_core(m, gamma, poly=poly) for m in markets]
         assert all(c.diagnostics["phase_one_slack"] is not None for c in cores)
-        want = sum(sign * (c.entropy / gamma + c.endow_mean)
-                   for sign, c in zip((1.0, -1.0), cores))
+        terms = [entropy_terms(m, c.leaf_vars) for m, c in zip(markets, cores)]
+        want = sum(sign * (ent / gamma + mean)
+                   for sign, (ent, mean) in zip((1.0, -1.0), terms))
         monkeypatch.setattr(engine, "_phase_one", counted)
         got, *_ = price_dual(market, gamma)
         monkeypatch.undo()

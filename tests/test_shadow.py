@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def test_shadow_market_is_frictionless(two_period_market):
 
 
 def test_zero_spread_shadow_is_the_price_itself(drift_binomial):
-    m = drift_binomial.with_lambda(0.0)
+    m = replace(drift_binomial, lam=0.0)
     rep = solve_report(m, EXP1, 0.0)
     sh = construct_shadow(m, rep.dual_system)
     ok = ~sh.undefined
@@ -144,14 +145,14 @@ def test_frictionless_arbitrage_detected():
 
 
 def test_position_map_rank_binomial(drift_binomial):
-    rank, K = position_map_rank(drift_binomial.with_lambda(0.0))
+    rank, K = position_map_rank(replace(drift_binomial, lam=0.0))
     assert (rank, K) == (1, 1)
 
 
 def test_shadow_rejects_foreign_dual(drift_binomial, martingale_binomial):
     # feeding a dual point whose ratio leaves the spread must raise
     rep = solve_report(martingale_binomial, EXP1, 0.0)
-    wide = drift_binomial.with_lambda(0.001)
+    wide = replace(drift_binomial, lam=0.001)
     # the martingale dual's root ratio 99.5 is below the bid 99.9
     with pytest.raises(ShadowConstructionError, match=r"at node 0$"):
         construct_shadow(wide, rep.dual_system)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,7 +174,7 @@ def test_market_validation(martingale_binomial):
 def test_bid_price_and_helpers(martingale_binomial):
     m = martingale_binomial
     assert np.allclose(m.bid_price, 0.99 * m.ask_price)
-    m2 = m.with_lambda(0.05)
+    m2 = replace(m, lam=0.05)
     assert m2.lam == 0.05
     assert np.array_equal(m2.ask_price, m.ask_price)
 
@@ -252,7 +253,7 @@ def test_trees_and_markets_compare_by_value(two_period_market):
 
     price = m.ask_price.copy()
     price[4] += 1.0
-    assert m.with_lambda(0.03) != m
+    assert replace(m, lam=0.03) != m
     assert MarketSpec(m.tree, price, m.lam, m.endowment) != m
     assert m.with_endowment(m.endowment + 1.0) != m
     prob = m.tree.cond_prob.copy()
