@@ -16,10 +16,10 @@ from typing import Optional
 import numpy as np
 
 from . import utility as ut
-from .engine import (ConvexProgram, EngineError, InfeasibleProgramError, SolveResult,
-                     solve, solve_lp)
+from .engine import ConvexProgram, EngineError, InfeasibleProgramError, SolveResult, solve
 from .polytope import (CPS_MARGIN, DENSITY_EPS, DualPolytope, PolytopeInfeasibleError,
-                       PriceSystem, build_polytope, check_cps, martingale_point)
+                       PriceSystem, build_polytope, check_cps, martingale_point,
+                       max_expectation)
 from .trading import Strategy, net_trades, replicate, roll_forward, terminal_claim
 from .tree import MarketSpec
 
@@ -436,18 +436,11 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     return yhat, value, sol
 
 
-def compute_x0(market: MarketSpec, poly: Optional[DualPolytope] = None) -> float:
-    """Wealth threshold sup over the polytope of E[-z0 * e_T]."""
-    if poly is None:
-        poly = build_polytope(market)
-    L = market.tree.n_leaves
-    c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
-    res = solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
-    if res.status == "infeasible":
-        raise PolytopeInfeasibleError("empty polytope: threshold undefined")
-    if res.status != "optimal":
-        raise EngineError(f"threshold LP failed: {res.diagnostics.message}")
-    return 0.0 - float(res.diagnostics.objective)    # +0.0, not -0.0, at a zero endowment
+def compute_x0(market: MarketSpec) -> float:
+    """Wealth threshold sup over the polytope of E[-z0 * e_T], by backward
+    induction on the tree (:func:`max_expectation`); no LP.  An empty
+    polytope raises :class:`PolytopeInfeasibleError`."""
+    return max_expectation(market, -market.endowment) + 0.0   # +0.0, not -0.0, at e = 0
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +456,19 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     more than ``THRESHOLD_MARGIN``; at or below that the report raises
     :class:`PrimalInfeasibleError` naming the threshold.  The primal
     program is built once, and its generic start usually certifies the
-    margin with no LP: when it is strictly feasible with every leaf
-    wealth ``x + c + e`` above ``THRESHOLD_MARGIN``, its claim ``c`` lies
-    below the liquidation value of a self-financing strategy started
-    from zero cash, so ``E[Z0 c] <= 0`` for every price system ``Z`` by
-    weak duality (Schachermayer, Math. Finance 14, 2004), and
+    margin without computing ``x0``: when it is strictly feasible with
+    every leaf wealth ``x + c + e`` above ``THRESHOLD_MARGIN``, its claim
+    ``c`` lies below the liquidation value of a self-financing strategy
+    started from zero cash, so ``E[Z0 c] <= 0`` for every price system
+    ``Z`` by weak duality (Schachermayer, Math. Finance 14, 2004), and
     ``x + E[Z0 e] = E[Z0 (x + e)] > THRESHOLD_MARGIN - E[Z0 c]`` gives
-    ``x > x0 + THRESHOLD_MARGIN``.  The threshold LP runs when the start
-    does not certify, and when no witness shows the polytope nonempty:
-    at zero spread no existence check runs, and the LP is what reports
-    an empty polytope (:class:`PolytopeInfeasibleError`).  The dual is
-    solved before the primal, so exponential utility reports an empty
-    zero-spread polytope the same way, where its primal would diverge.
+    ``x > x0 + THRESHOLD_MARGIN``.  The threshold, a backward induction
+    with no LP, is computed when the start does not certify, and when no
+    witness shows the polytope nonempty: at zero spread no existence
+    check runs, and the threshold is what reports an empty polytope
+    (:class:`PolytopeInfeasibleError`).  The dual is solved before the
+    primal, so exponential utility reports an empty zero-spread polytope
+    the same way, where its primal would diverge.
 
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
@@ -513,7 +507,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
-    Its threshold is 0, which the LP returns like any other.
+    Its threshold is 0, which :func:`compute_x0` returns like any other.
     """
     _check_wealth(x)
     poly = build_polytope(market)
@@ -531,7 +525,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     program = primal_program(market, spec, x)
     if spec.wealth_domain == "positive" and (
             witness is None or not _certifies_threshold(program, x, endow)):
-        x0_thresh = compute_x0(market, poly=poly)
+        x0_thresh = compute_x0(market)
         if x <= x0_thresh + THRESHOLD_MARGIN:
             raise PrimalInfeasibleError(
                 f"x={x} at or below the endowment threshold {x0_thresh}"

@@ -253,6 +253,60 @@ def _band_price(market: MarketSpec) -> Optional[np.ndarray]:
     return price
 
 
+def max_expectation(market: MarketSpec, f) -> float:
+    """``sup E[Z0 f]`` over the closed polytope ``build_polytope(market)``
+    for leaf values ``f``: a super-replication price (Jouini & Kallal,
+    J. Econ. Theory 66, 1995), by backward induction on the tree (Roux,
+    Tokarz & Zastawniak, Acta Appl. Math. 103, 2008), with no LP.
+
+    A price system is a measure ``Q`` and a ``Q``-martingale ``S~ =
+    Z1/Z0`` in the band ``[bid, ask]`` where ``Q`` charges a node.  Each
+    node keeps the breakpoints of ``phi(s)``, the sup of ``E_Q[f | node]``
+    given ``S~ = s``: ``f`` on ``[bid, ask]`` at a leaf, and at an
+    internal node, which ``Q`` may split among its children freely, the
+    upper concave hull of theirs clipped to its band; empty (no
+    tolerance) when the band misses it.  An empty root raises
+    :class:`PolytopeInfeasibleError`.
+    """
+    tree = market.tree
+    parent, lo, hi = tree.parent.tolist(), market.bid_price.tolist(), market.ask_price.tolist()
+    points = [[] for _ in range(tree.n_nodes)]     # breakpoints of each node's children
+    for leaf, v in zip(tree.leaves.tolist(), np.asarray(f, dtype=float).tolist()):
+        points[parent[leaf]] += [(lo[leaf], v), (hi[leaf], v)]
+    for t in range(tree.horizon - 1, -1, -1):
+        for node in tree.stages[t].tolist():
+            phi = _clipped_hull(points[node], lo[node], hi[node])
+            if t > 0:
+                points[parent[node]] += phi
+            elif not phi:
+                raise PolytopeInfeasibleError("empty polytope: no price system")
+    return max(v for _, v in phi)
+
+
+def _clipped_hull(points: list, lo: float, hi: float) -> list:
+    """Breakpoints of the upper concave hull of ``points`` (pairs ``(s,
+    v)``) on ``[lo, hi]``; an empty list when the hull misses it."""
+    hull = []
+    for s, v in sorted(points):
+        if hull and hull[-1][0] == s:      # sorted: the later value is the larger
+            hull.pop()
+        while len(hull) > 1 and ((hull[-1][1] - hull[-2][1]) * (s - hull[-2][0])
+                                 <= (v - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append((s, v))
+    if not hull or lo > hull[-1][0] or hi < hull[0][0]:
+        return []
+    a, b = max(lo, hull[0][0]), min(hi, hull[-1][0])
+    return [_value_at(hull, a)] + [p for p in hull if a < p[0] < b] + [_value_at(hull, b)]
+
+
+def _value_at(hull: list, s: float) -> tuple:
+    """The point at ``s`` of the piecewise linear function ``hull``."""
+    i = next(k for k, p in enumerate(hull) if p[0] >= s)
+    (s0, v0), (s1, v1) = hull[i - 1], hull[i]
+    return s, v1 if s1 == s else v0 + (v1 - v0) * (s - s0) / (s1 - s0)
+
+
 @dataclass
 class CpsVerdict:
     """Outcome of the strict price-system existence check."""

@@ -17,8 +17,8 @@ report's dual optimizer, which is optimal there; a start that is not
 strictly feasible falls back to a phase one.  ``price_dual`` alone
 solves its two entropy programs, on the market and on its
 zero-endowment copy, independently of the reports: both start at
-:func:`martingale_point`.  The LP bounds take one LP for both ends
-(:func:`price_bounds`).
+:func:`martingale_point`.  The consistent-price bounds run no LP: each
+end is a backward induction on the tree (:func:`price_bounds`).
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from . import utility as ut
 from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
-from .engine import EngineError, solve_lp
-from .polytope import build_polytope, martingale_point
+from .polytope import build_polytope, martingale_point, max_expectation
 from .shadow import construct_shadow
 from .tree import MarketSpec
 
@@ -131,21 +129,15 @@ def price_shadow(market: MarketSpec, gamma: float, x: float = 0.0) -> float:
 
 
 def price_bounds(market: MarketSpec) -> tuple:
-    """Consistent-price LP bounds: (inf, sup) of E[z * e] over the polytope.
+    """Consistent-price bounds: (inf, sup) of E[z * e] over the polytope.
 
-    One LP over two copies of the polytope with costs ``c`` and ``-c``:
-    the objective separates, so the first copy lands on a minimizer and
-    the second on a maximizer, and each bound is ``c`` at its copy.
+    Each end is a super-replication price by backward induction on the
+    tree (:func:`max_expectation`), the lower one of ``-e`` (``0.0 -``
+    reads +0.0, not -0.0, where it is zero); no LP.  An empty polytope
+    raises :class:`PolytopeInfeasibleError`.
     """
-    poly = build_polytope(market)
-    L = market.tree.n_leaves
-    c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
-    res = solve_lp(np.concatenate([c, -c]),
-                   A_eq=block_diag(poly.A_eq, poly.A_eq), b_eq=np.tile(poly.b_eq, 2),
-                   G=block_diag(poly.G, poly.G), h=np.tile(poly.h, 2))
-    if res.status != "optimal":
-        raise EngineError(f"price-bound LP failed: {res.diagnostics.message}")
-    return float(c @ res.x[:c.size]), float(c @ res.x[c.size:])
+    e = market.endowment
+    return 0.0 - max_expectation(market, -e), max_expectation(market, e)
 
 
 def indifference_price(market: MarketSpec, gamma: float, x: float = 0.0) -> PriceReport:

@@ -337,21 +337,25 @@ def test_threshold_guard_by_the_lp(drift_binomial):
 def test_half_line_report_runs_no_lp(two_period_market, monkeypatch):
     # the closed-form witness stands in for the existence check's LP, and
     # the start certifies x above the threshold; at x0 + 0.1 the start
-    # does not certify x, and the threshold LP still runs
-    calls = []
-    solve_lp = engine.solve_lp
+    # does not certify x, and the threshold is computed once, with no LP
+    calls, thresholds = [], []
+    solve_lp, threshold = engine.solve_lp, duality.compute_x0
 
     def counting(*args, **kwargs):
         calls.append(1)
         return solve_lp(*args, **kwargs)
 
+    def spied(*args, **kwargs):
+        thresholds.append(1)
+        return threshold(*args, **kwargs)
+
     x0 = compute_x0(two_period_market)
     monkeypatch.setattr(engine, "solve_lp", counting)
-    monkeypatch.setattr(duality, "solve_lp", counting)
+    monkeypatch.setattr(duality, "compute_x0", spied)
     solve_report(two_period_market, LOG, x0 + 4.0)
-    assert len(calls) == 0
+    assert len(calls) == 0 and len(thresholds) == 0
     rep = solve_report(two_period_market, LOG, x0 + 0.1)
-    assert len(calls) == 1
+    assert len(calls) == 0 and len(thresholds) == 1
     assert rep.relative_gap <= 1e-6
 
 

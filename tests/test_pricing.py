@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from frictiondual.duality import entropy_terms, solve_entropy_core
+from frictiondual.duality import compute_x0, entropy_terms, solve_entropy_core, solve_report
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import build_polytope, martingale_point
+from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, martingale_point
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -11,7 +13,8 @@ from frictiondual.pricing import (
     price_primal,
     price_shadow,
 )
-from frictiondual.utility import UtilitySpec
+from frictiondual.tree import EventTree, MarketSpec
+from frictiondual.utility import UtilitySpec, utility_label
 from oracles import sample_polytope
 
 
@@ -216,28 +219,135 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
     assert np.abs(start - lift).max() > 1e-2
 
 
-@pytest.mark.parametrize("seed", [11, 2033])
-def test_price_bounds_one_lp(seed, monkeypatch):
-    from frictiondual import engine, pricing
+def lp_bounds(market):
+    """The two LPs over the polytope, (min, max) of E[z * e]; ``None``
+    when the polytope is empty."""
+    from frictiondual import engine
 
-    gen = InstanceGenerator(seed=seed)
+    poly = build_polytope(market)
+    L = market.tree.n_leaves
+    c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
+    lo = engine.solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
+    hi = engine.solve_lp(-c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
+    if lo.status == "infeasible":
+        return None
+    assert lo.status == hi.status == "optimal"
+    return lo.diagnostics.objective, -hi.diagnostics.objective
+
+
+def assert_bounds_match_lps(market, monkeypatch):
+    from frictiondual import engine
+
+    want = lp_bounds(market)
     calls = []
+    solve_lp = engine.solve_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return engine.solve_lp(*args, **kwargs)
+        return solve_lp(*args, **kwargs)
 
-    monkeypatch.setattr(pricing, "solve_lp", counted)
-    for i in range(15):
-        market = gen.draw_feasible(i)
-        poly = build_polytope(market)
-        L = market.tree.n_leaves
-        c = np.concatenate([market.tree.leaf_prob * market.endowment, np.zeros(L)])
-        lo = engine.solve_lp(c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
-        hi = engine.solve_lp(-c, A_eq=poly.A_eq, b_eq=poly.b_eq, G=poly.G, h=poly.h)
-        want = (lo.diagnostics.objective, -hi.diagnostics.objective)
-        calls.clear()
-        got = price_bounds(market)
-        assert len(calls) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "solve_lp", counted)
+        if want is None:
+            with pytest.raises(PolytopeInfeasibleError):
+                price_bounds(market)
+            with pytest.raises(PolytopeInfeasibleError):
+                compute_x0(market)
+        else:
+            got = price_bounds(market)
+            x0 = compute_x0(market)
+    assert len(calls) == 0
+    if want is not None:
         for g, w in zip(got, want):
             assert abs(g - w) <= 1e-12 * (1.0 + abs(w))
+        assert abs(x0 + want[0]) <= 1e-12 * (1.0 + abs(want[0]))
+    return want
+
+
+@pytest.mark.parametrize("seed", [11, 2033])
+def test_price_bounds_match_two_lps(seed, monkeypatch):
+    # the backward induction against the two LPs over the polytope, on
+    # generated markets and on their zero-spread copies, some of which
+    # admit an arbitrage and so have an empty polytope
+    gen = InstanceGenerator(seed=seed)
+    empty = 0
+    for i in range(15):
+        market = gen.draw_feasible(i)
+        assert assert_bounds_match_lps(market, monkeypatch) is not None
+        frictionless = MarketSpec(market.tree, market.ask_price, 0.0, market.endowment)
+        empty += assert_bounds_match_lps(frictionless, monkeypatch) is None
+    assert 0 < empty < 15
+
+
+def binomial_call(T, u=1.1, d=0.92, lam=0.01, strike=100.0):
+    """A T-period binomial tree from 100 with p = 1/2, one node per path,
+    and the call payoff ``max(S_T - strike, 0)`` as its endowment."""
+    parent, time, price = [-1], [0], [100.0]
+    stage = [0]
+    for t in range(1, T + 1):
+        below = []
+        for node in stage:
+            for move in (u, d):
+                below.append(len(parent))
+                parent.append(node)
+                time.append(t)
+                price.append(price[node] * move)
+        stage = below
+    tree = EventTree(parent=parent, time=time, cond_prob=[1.0] + [0.5] * (len(parent) - 1))
+    payoff = np.maximum(np.array(price)[tree.leaves] - strike, 0.0)
+    return MarketSpec(tree, price, lam, payoff)
+
+
+def test_price_bounds_one_period_closed_form():
+    # 100 -> 110/105 at lambda = 0.06, endowment (1, 0): the sup mixes the
+    # up leaf at its bid with the down leaf at its bid so that the mix
+    # sits at the root's ask; the inf puts all mass on the down leaf
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree, [100.0, 110.0, 105.0], 0.06, [1.0, 0.0])
+    bid = market.bid_price
+    lo, hi = price_bounds(market)
+    assert lo == 0.0 and math.copysign(1.0, lo) == 1.0
+    assert abs(hi - (100.0 - bid[2]) / (bid[1] - bid[2])) <= 1e-15
+    assert abs(hi - 1.3 / 4.7) <= 1e-14
+
+
+def test_price_bounds_flat_zero_spread_market(monkeypatch):
+    # both children at the root's price and no spread: every leaf's band
+    # is the one point 100, and the bounds are the endowment's extremes
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree, [100.0, 100.0, 100.0], 0.0, [1.0, 0.0])
+    assert assert_bounds_match_lps(market, monkeypatch) == (0.0, 1.0)
+
+
+def test_empty_polytope_is_infeasible_not_a_solver_failure():
+    # at lambda = 0.01 both bids of 100 -> 110/105 lie above the root's ask
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree, [100.0, 110.0, 105.0], 0.01, [1.0, 0.0])
+    with pytest.raises(PolytopeInfeasibleError):
+        price_bounds(market)
+    with pytest.raises(PolytopeInfeasibleError):
+        compute_x0(market)
+
+
+def test_price_bounds_binomial_call(monkeypatch):
+    market = binomial_call(6)
+    assert market.tree.n_nodes == 127
+    lo, hi = assert_bounds_match_lps(market, monkeypatch)
+    assert 0.0 < lo < hi
+
+
+@pytest.mark.parametrize("spec", [UtilitySpec("log"), UtilitySpec("power", alpha=0.5),
+                                  UtilitySpec("exponential", gamma=1.0)],
+                         ids=utility_label)
+def test_dual_price_of_the_endowment_within_bounds(spec):
+    # E[Z0 e] at each report's dual optimizer is a price system's price
+    # of the endowment, so it lies within the bounds
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
+        rep = solve_report(market, spec, x)
+        L = market.tree.n_leaves
+        price = float(market.tree.leaf_prob @ (rep.dual_leaf_vars[:L] * market.endowment))
+        lo, hi = price_bounds(market)
+        assert lo - 1e-8 <= price <= hi + 1e-8
