@@ -19,13 +19,13 @@ from . import utility as ut
 from .engine import ConvexProgram, EngineError, InfeasibleProgramError, SolveResult, solve
 from .polytope import (CPS_MARGIN, DENSITY_EPS, DualPolytope, PolytopeInfeasibleError,
                        PriceSystem, build_polytope, check_cps, martingale_point,
-                       max_expectation)
+                       max_expectation, super_hedge)
 from .trading import Strategy, net_trades, replicate, roll_forward, terminal_claim
 from .tree import MarketSpec
 
 POSITIVITY_MARGIN = 1e-10
 THRESHOLD_MARGIN = 10.0 * POSITIVITY_MARGIN   # x must clear the threshold by this
-WARM_PULL = 0.1           # share of the way a supplied primal start moves to the generic one
+WARM_PULL = 0.1           # share of the way a supplied primal start moves to the closed-form one
 YHAT_RTOL = 1e-8
 FD_STEP = 1e-4            # central-difference step of u'(x), relative to 1 + |x|
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
@@ -36,7 +36,7 @@ class PrimalInfeasibleError(RuntimeError):
 
 
 class PrimalUnboundedError(RuntimeError):
-    """Primal iterates diverge: the prices admit an arbitrage."""
+    """The prices admit an arbitrage: the primal is unbounded."""
 
 
 class NoCpsError(RuntimeError):
@@ -84,7 +84,7 @@ class SolveReport:
     leaf_identity_residuals: np.ndarray
     zero_density_leaves: list
     diagnostics: dict = field(default_factory=dict)
-    witness: Optional[np.ndarray] = None    # leaf vars the dual solve started at
+    witness: Optional[np.ndarray] = None    # leaf vars the dual solve started at, at any spread
 
     @property
     def relative_gap(self) -> float:
@@ -150,6 +150,16 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
     piecewise-linear liquidation value.  The variables are the buys and
     sells at ``tree.internal`` (at zero spread one net trade each), then
     the leaf claims, the last ``n_leaves`` of them.
+
+    The start is in closed form.  Half-line utilities need ``x`` above
+    the threshold ``x0 = sup E[-Z0 e]`` by more than ``THRESHOLD_MARGIN``
+    (else :class:`PrimalInfeasibleError`) and start at its
+    super-replicating hedge (:func:`super_hedge`), plus an equal buy and
+    sell at each node whose spread costs at most a third of ``x - x0`` on
+    any path, with the claims another third below the liquidation legs;
+    a market with no hedge admits an arbitrage
+    (:class:`PrimalUnboundedError`).  Exponential utility trades 1e-3
+    each way at each node, with the claims 1 below the legs.
     """
     tree = market.tree
     _, K, L, nv, T0, T1 = _primal_layout(market)
@@ -166,8 +176,6 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
         off = 2 * K
     endow = market.endowment
     prob = tree.leaf_prob
-    s_leaf = market.ask_price[tree.leaves]
-    bid_leaf = market.bid_price[tree.leaves]
 
     # rows: liquidation legs over the claim, trade nonnegativity, positivity
     claim_cols = np.eye(L, nv, k=off)
@@ -210,30 +218,30 @@ def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
             return True
         return bool(np.all(x + v[off:] + endow > 0.0))
 
-    x0 = _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
-                       positive_wealth, frictionless)
-    return ConvexProgram(n=nv, objective=objective, G=np.vstack(G),
-                         h=np.concatenate(h), in_domain=in_domain, x0=x0)
-
-
-def _primal_start(x, endow, off, nv, T0, T1, s_leaf, bid_leaf,
-                  positive_wealth, frictionless):
-    v = np.zeros(nv)
-    if not frictionless:
-        v[:off] = 1e-3
-    phi0 = T0 @ v
-    phi1 = T1 @ v
-    legs = phi0 + bid_leaf * phi1
-    if not frictionless:
-        legs = np.minimum(legs, phi0 + s_leaf * phi1)
-    c = legs - 1.0
     if positive_wealth:
-        floor = POSITIVITY_MARGIN * 10.0 - x - endow
-        mid = np.where(floor < legs, 0.5 * (np.maximum(floor, legs - 2.0) + legs), c)
-        c = np.where(floor < legs, np.minimum(mid, legs - 1e-9), c)
-        # if floor >= legs anywhere this start is infeasible; phase one takes over
-    v[off:] = c
-    return v
+        try:
+            x_min, hedge = super_hedge(market, -endow)
+        except PolytopeInfeasibleError as exc:
+            raise PrimalUnboundedError(f"primal unbounded: {exc}") from exc
+        if x <= x_min + THRESHOLD_MARGIN:
+            raise PrimalInfeasibleError(f"x={x} at or below the endowment threshold {x_min}")
+        v = primal_point(market, hedge, np.zeros(L))
+        spare = (x - x_min) / 3.0
+        if not frictionless:
+            # a matched buy and sell costs the spread, lam * ask, at each node
+            v[:off] += spare / float(np.max(-T0[:, :off].sum(axis=1)))
+    else:
+        v = np.zeros(nv)
+        if not frictionless:
+            v[:off] = 1e-3
+        spare = 1.0
+    phi0, phi1 = T0 @ v, T1 @ v
+    liquidation = phi0 + market.bid_price[tree.leaves] * phi1
+    if not frictionless:
+        liquidation = np.minimum(liquidation, phi0 + market.ask_price[tree.leaves] * phi1)
+    v[off:] = liquidation - spare
+    return ConvexProgram(n=nv, objective=objective, G=np.vstack(G),
+                         h=np.concatenate(h), in_domain=in_domain, x0=v)
 
 
 def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> np.ndarray:
@@ -255,7 +263,9 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     Raises :class:`PrimalInfeasibleError` when no wealth profile clears
     the positivity floor (half-line utilities with x at or below the
     endowment threshold) and :class:`PrimalUnboundedError` when the
-    iterates diverge.
+    prices admit an arbitrage or the iterates diverge.  With no ``x0``
+    the barrier runs from the program's closed-form start
+    (:func:`primal_program`).
 
     ``x0``, a point of the program's variables such as the
     :func:`primal_point` of a nearby solve, is the engine's face start
@@ -263,28 +273,24 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     boundary of the feasible set, on the optimal face or next to it, so
     the engine first finishes it there with barrier-free Newton steps.
     When that point fails the engine's test, the barrier starts at ``x0``
-    pulled ``WARM_PULL`` of the way toward the program's generic start,
-    which takes it strictly inside, as in Gondzio & Grothey, SIAM J.
-    Optim. 13 (2003); the engine falls back to a phase one, logged in the
-    diagnostics' events, when the pulled point is still not strictly
-    feasible.  The diagnostics' ``start`` record says whether a phase one
-    replaced the start (``rejected``) and what the face start did
-    (``face``: the engine's :attr:`SolveDiagnostics.face_start`, ``None``
-    without ``x0``).  ``program``, the :func:`primal_program` of these
-    same arguments, saves building it again.
+    pulled ``WARM_PULL`` of the way toward the closed-form start (Gondzio
+    & Grothey, SIAM J. Optim. 13, 2003), or at the closed-form start when
+    the pulled point is not strictly feasible, logged in the events.  The
+    diagnostics' ``start`` record says whether that fallback ran
+    (``rejected``) and what the face start did (``face``: the engine's
+    :attr:`SolveDiagnostics.face_start`, ``None`` without ``x0``).
+    ``program``, the :func:`primal_program` of these same arguments,
+    saves building it again.
     """
     _check_wealth(x)
     prog = primal_program(market, spec, x) if program is None else program
+    rejected = False
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
-        prog = replace(prog, x0=(1.0 - WARM_PULL) * x0 + WARM_PULL * prog.x0,
-                       face_start=x0)
-    try:
-        res = solve(prog)
-    except InfeasibleProgramError as exc:
-        raise PrimalInfeasibleError(
-            f"primal infeasible at x={x}: {exc}"
-        ) from exc
+        pulled = (1.0 - WARM_PULL) * x0 + WARM_PULL * prog.x0
+        rejected = not (prog.in_domain(pulled) and np.all(prog.G @ pulled - prog.h > 0.0))
+        prog = replace(prog, x0=prog.x0 if rejected else pulled, face_start=x0)
+    res = solve(prog)
     if res.status == "unbounded":
         raise PrimalUnboundedError(f"primal unbounded: {res.diagnostics.message}")
     if res.status != "optimal":
@@ -307,8 +313,12 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     claim = terminal_claim(market, strat)
     value = float(tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
     diagnostics = res.diagnostics.to_dict()
-    diagnostics["start"] = {"rejected": res.diagnostics.phase_one_slack is not None,
-                            "face": res.diagnostics.face_start}
+    face = res.diagnostics.face_start
+    rejected = rejected and not face["accepted"]
+    if rejected:    # after the face start's event, which is the first
+        diagnostics["events"].insert(1, "pulled start not strictly feasible: "
+                                        "closed-form start")
+    diagnostics["start"] = {"rejected": rejected, "face": face}
     return PrimalSolution(value=value, strategy=strat, claim=claim, diagnostics=diagnostics)
 
 
@@ -344,8 +354,8 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
                x0: Optional[np.ndarray] = None) -> DualSolution:
     """Minimize the conjugate functional at scale ``y`` over the polytope.
 
-    ``x0``, leaf variables of a point of the polytope, starts the solve;
-    the engine falls back to a phase one when it is not strictly feasible.
+    ``x0``, leaf variables of a strictly feasible point of the polytope,
+    starts the solve; it defaults to :func:`dual_start`.
     """
     if not 0.0 < y < np.inf:
         raise ut.UtilityDomainError(f"dual scale y must be positive and finite, got {y}")
@@ -364,11 +374,12 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
 
 
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
-                       x0: Optional[np.ndarray] = None) -> SolveResult:
-    """Engine solve over the constraints of ``poly``; optimal or raises."""
+                       x0: Optional[np.ndarray]) -> SolveResult:
+    """Engine solve over the constraints of ``poly`` from ``x0``, by
+    default :func:`dual_start`; optimal or raises."""
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
-                         b_eq=poly.b_eq, G=poly.G, h=poly.h,
-                         in_domain=in_domain, x0=x0)
+                         b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
+                         x0=dual_start(poly.market, poly) if x0 is None else x0)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:
@@ -409,7 +420,8 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     Over the cone of scaled price systems ``W = y Z`` this is one convex
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
-    ``x0``, a point of the polytope, starts the cone solve at ``W = x0``.
+    ``x0``, a strictly feasible point of the polytope (by default
+    :func:`dual_start`), starts the cone solve at ``W = x0``.
     The engine's active-face finish puts ``W`` on its optimal face, where
     the degenerate band rows hold exactly.  The residual |v'(yhat) + x|
     must end below 1e-8 * (1 + |x|).
@@ -436,6 +448,29 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     return yhat, value, sol
 
 
+def dual_start(market: MarketSpec, poly: DualPolytope) -> np.ndarray:
+    """Leaf variables strictly inside ``poly``, the polytope of
+    ``market``: a strictly consistent price system (Jouini & Kallal,
+    1995), the default start of every dual solve.  At positive spread it
+    is :func:`martingale_point` when its margin clears ``CPS_MARGIN``,
+    with no LP, else the existence check's witness (:func:`check_cps`),
+    whose LP raises :class:`NoCpsError` when there is none.  At zero
+    spread it is :func:`martingale_point`; ``None`` raises
+    :class:`PolytopeInfeasibleError`."""
+    z = martingale_point(market)
+    if market.lam == 0.0:
+        if z is None:
+            raise PolytopeInfeasibleError("no strictly positive martingale density at "
+                                          "zero spread")
+        return z
+    if z is not None and poly.margin(z) > CPS_MARGIN:
+        return z
+    verdict = check_cps(market)
+    if not verdict.exists:
+        raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
+    return verdict.witness_leaf_vars
+
+
 def compute_x0(market: MarketSpec) -> float:
     """Wealth threshold sup over the polytope of E[-z0 * e_T], by backward
     induction on the tree (:func:`max_expectation`); no LP.  An empty
@@ -451,24 +486,18 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  witness: Optional[np.ndarray] = None) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
-    Half-line utilities need ``x`` above the threshold
-    ``x0 = sup E[-Z0 e]`` over the price systems (:func:`compute_x0`) by
-    more than ``THRESHOLD_MARGIN``; at or below that the report raises
-    :class:`PrimalInfeasibleError` naming the threshold.  The primal
-    program is built once, and its generic start usually certifies the
-    margin without computing ``x0``: when it is strictly feasible with
-    every leaf wealth ``x + c + e`` above ``THRESHOLD_MARGIN``, its claim
-    ``c`` lies below the liquidation value of a self-financing strategy
-    started from zero cash, so ``E[Z0 c] <= 0`` for every price system
-    ``Z`` by weak duality (Schachermayer, Math. Finance 14, 2004), and
-    ``x + E[Z0 e] = E[Z0 (x + e)] > THRESHOLD_MARGIN - E[Z0 c]`` gives
-    ``x > x0 + THRESHOLD_MARGIN``.  The threshold, a backward induction
-    with no LP, is computed when the start does not certify, and when no
-    witness shows the polytope nonempty: at zero spread no existence
-    check runs, and the threshold is what reports an empty polytope
-    (:class:`PolytopeInfeasibleError`).  The dual is solved before the
-    primal, so exponential utility reports an empty zero-spread polytope
-    the same way, where its primal would diverge.
+    Every start is in closed form.  The dual starts at the witness, a
+    strictly consistent price system: :func:`dual_start`, which usually
+    runs no LP and raises :class:`NoCpsError` (or, at zero spread,
+    :class:`PolytopeInfeasibleError`) when there is none, or a supplied
+    ``witness``, leaf variables strictly inside this market's polytope
+    such as another report's.  The report keeps it.  The witness comes
+    first, so exponential utility reports an empty zero-spread polytope
+    the same way, where its primal would diverge.  Half-line utilities
+    need ``x`` above the threshold ``x0 = sup E[-Z0 e]`` by more than
+    ``THRESHOLD_MARGIN``: the primal program (:func:`primal_program`),
+    built once, raises :class:`PrimalInfeasibleError` naming it, before
+    any solve.
 
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
@@ -477,18 +506,6 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` that underflows
     to 0, at large ``x + k``, raises :class:`EngineError`.
 
-    At positive spread the report needs a witness, a strictly consistent
-    price system, which also starts the dual solve.  It takes the
-    closed-form :func:`martingale_point` when that point's margin
-    (:meth:`DualPolytope.margin`) clears ``CPS_MARGIN``, so a report
-    usually runs no LP at all.  Otherwise the existence check
-    (:func:`check_cps`) decides: its LP raises :class:`NoCpsError` when
-    no strictly positive price system exists and gives its witness when
-    one does.  A supplied ``witness``, leaf variables strictly inside
-    this market's polytope such as another report's ``witness``, skips
-    both.  The report keeps the witness its dual solve started from:
-    ``None`` at zero spread, where no witness is sought.
-
     The primal starts at the dual optimum (:func:`_shadow_start`): the
     frictionless replication of the optimal claim ``I(yhat Z0) - x - e``
     at the shadow price ``Z1/Z0``, where the frictional optimum is that
@@ -496,14 +513,12 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     That point sits on the primal's optimal face, so :func:`solve_primal`
     hands it to the engine as its face start, and the barrier runs only
     when the engine rejects it.  Where the dual optimizer has a node with
-    ``Z0 <= DENSITY_EPS`` the primal keeps its program's generic start.
-    The primal diagnostics' ``start`` records which ran: ``point`` is
-    ``"shadow"`` or ``"generic"``, ``reason`` names the zero-density node
-    of a generic start, ``rejected`` says whether the engine replaced the
-    start by a phase one, and ``face`` what the face start did (see
-    :func:`solve_primal`).  The primal is still certified by its own KKT
-    residuals, and the threshold certificate above still reads the
-    generic start.
+    ``Z0 <= DENSITY_EPS`` the primal keeps its program's closed-form
+    start.  The primal diagnostics' ``start`` records which ran:
+    ``point`` is ``"shadow"`` or ``"generic"``, ``reason`` names the
+    zero-density node of a generic start, and ``rejected`` and ``face``
+    are :func:`solve_primal`'s.  The primal is still certified by its
+    own KKT residuals.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -511,25 +526,11 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     """
     _check_wealth(x)
     poly = build_polytope(market)
-    if witness is None and market.lam > 0.0:
-        witness = martingale_point(market)
-        if witness is None or poly.margin(witness) <= CPS_MARGIN:
-            verdict = check_cps(market)
-            if not verdict.exists:
-                raise NoCpsError(
-                    f"no strictly positive price system at lambda={market.lam}"
-                )
-            witness = verdict.witness_leaf_vars
+    if witness is None:
+        witness = dual_start(market, poly)
     tree = market.tree
     endow = market.endowment
     program = primal_program(market, spec, x)
-    if spec.wealth_domain == "positive" and (
-            witness is None or not _certifies_threshold(program, x, endow)):
-        x0_thresh = compute_x0(market)
-        if x <= x0_thresh + THRESHOLD_MARGIN:
-            raise PrimalInfeasibleError(
-                f"x={x} at or below the endowment threshold {x0_thresh}"
-            )
 
     if spec.family == "exponential":
         dual = solve_entropy_core(market, spec.gamma, poly=poly, x0=witness)
@@ -589,17 +590,6 @@ def _shadow_start(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: floa
     strategy = replicate(market, price, system.z0, claim)
     return (primal_point(market, strategy, terminal_claim(market, strategy)),
             {"point": "shadow", "reason": None})
-
-
-def _certifies_threshold(prog: ConvexProgram, x: float, endow: np.ndarray) -> bool:
-    """Whether the generic start of :func:`primal_program`'s ``prog`` at
-    cash ``x`` and endowment ``endow`` proves ``x > x0 +
-    THRESHOLD_MARGIN``: it is strictly feasible and every leaf wealth
-    exceeds the margin (see :func:`solve_report`)."""
-    v = prog.x0
-    claim = v[v.size - endow.size:]
-    return bool(np.all(prog.G @ v - prog.h > 0.0)
-                and np.all(x + claim + endow > THRESHOLD_MARGIN))
 
 
 def verify_identities(report: SolveReport) -> dict:

@@ -4,16 +4,15 @@ predictor-corrector steps.
 Minimizes a smooth separable convex objective, whose Hessian is a
 diagonal, over linear equality constraints and at least one affine
 inequality constraint (``G x - h >= 0``): every program the duality
-builds is of that shape.  Linear programs do not go through this loop:
-:func:`solve_lp` is one HiGHS call (``scipy.optimize.linprog``).
-Strictly feasible starts and infeasibility certificates come from a
-max-slack LP (:func:`max_slack`), which the existence check of a
-strictly consistent price system shares; the path-following loop itself
-is self-contained, and so is the active-face finish that moves its
-optimal exits onto their face.  A program that carries a face start, a
-point already on (or next to) its optimal face, is first finished from
-there by the same barrier-free Newton steps; the barrier runs only when
-that point fails the certification test.
+builds is of that shape, with a strictly feasible start in closed form:
+the engine never searches for one.  The path-following loop is
+self-contained, and so is the active-face finish that moves its optimal
+exits onto their face.  A program that carries a face start, a point
+already on (or next to) its optimal face, is first finished from there
+by the same barrier-free Newton steps; the barrier runs only when that
+point fails the certification test.  Linear programs do not go through
+this loop: :func:`solve_lp` is one HiGHS call (``scipy.optimize.linprog``),
+and :func:`max_slack` is the existence check's LP.
 
 The equality rows are split once per solve, by one pivoted QR, into a
 range and a null-space basis (:func:`_split_rows`, which also splits the
@@ -50,11 +49,7 @@ class EngineError(RuntimeError):
 
 
 class InfeasibleProgramError(EngineError):
-    """No strictly feasible point exists (phase-one slack nonpositive)."""
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
+    """The equality constraints are inconsistent."""
 
 
 @dataclass
@@ -65,20 +60,21 @@ class ConvexProgram:
     the Hessian's diagonal ``d``, the Hessian being ``diag(d)``.
     ``in_domain`` guards open objective domains during line search.
     Inequalities read ``G x - h >= 0``; ``G`` has at least one row.
-    ``x0`` is a strictly feasible start for the barrier.  ``face_start``
-    is a point on the program's optimal face, or near it, such as the
-    optimum of a nearby program: :func:`solve` first finishes it on its
-    active face and runs the barrier from ``x0`` only when that fails.
+    ``x0`` is the barrier's start, strictly feasible once projected onto
+    ``A x = b``.  ``face_start`` is a point on the program's optimal
+    face, or near it, such as the optimum of a nearby program:
+    :func:`solve` first finishes it on its active face and runs the
+    barrier from ``x0`` only when that fails.
     """
 
     n: int
     objective: Callable[[np.ndarray], tuple]
     G: np.ndarray
     h: np.ndarray
+    x0: np.ndarray
     A_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
-    x0: Optional[np.ndarray] = None
     face_start: Optional[np.ndarray] = None
 
 
@@ -88,18 +84,15 @@ class SolveDiagnostics:
 
     ``barrier_path`` holds the objective after each iteration and
     ``newton_iterations`` the Newton steps each took (one), so its sum is
-    the steps taken.  ``phase_one_slack`` is the max slack ``t*`` of the
-    phase-one LP, or ``None`` when the supplied start was strictly
-    feasible and no LP ran.  ``face_steps`` counts the Newton steps the
+    the steps taken.  ``face_steps`` counts the Newton steps the
     active-face finish took on the point returned: 0 when the barrier
     point was kept (no step taken, or the finished point's KKT residuals
     were larger).  ``events`` lists, in order, the exits and fallbacks
-    that do not show in the status: a supplied start rejected for a phase
-    one start, a centering restart of the multipliers, a ridge added to a
-    singular reduced matrix, a quiet floor exit (two centered floor steps
-    in a row with a negligible decrement, the second not halving the
-    stationarity residual of the first), a ``max_iter`` promoted to
-    ``optimal``.  ``factorizations`` counts the LU factorizations of the
+    that do not show in the status: a centering restart of the
+    multipliers, a ridge added to a singular reduced matrix, a quiet
+    floor exit (two centered floor steps in a row with a negligible
+    decrement, the second not halving the stationarity residual of the
+    first), a ``max_iter`` promoted to ``optimal``.  ``factorizations`` counts the LU factorizations of the
     reduced Newton matrix: one per iteration, the one that stops the loop
     included, one more per centering restart and per ridge retry, and
     none for a pinned point.  ``face_start`` is the outcome of a face
@@ -118,7 +111,6 @@ class SolveDiagnostics:
     kkt_feasibility: float = float("nan")
     kkt_complementarity: float = float("nan")
     message: str = ""
-    phase_one_slack: Optional[float] = None
     face_steps: int = 0
     factorizations: int = 0
     events: list = field(default_factory=list)
@@ -139,7 +131,6 @@ class SolveDiagnostics:
             "kkt_feasibility": self.kkt_feasibility,
             "kkt_complementarity": self.kkt_complementarity,
             "message": self.message,
-            "phase_one_slack": self.phase_one_slack,
             "face_steps": self.face_steps,
             "factorizations": self.factorizations,
             "events": list(self.events),
@@ -285,7 +276,9 @@ def solve(program: ConvexProgram) -> SolveResult:
     multipliers are the least-squares ones at the exit point.  Diverging
     iterates are reported with status ``unbounded``.  A program with
     ``n = rank(A)`` is pinned at its one feasible point, which takes no
-    factorization; one without inequality rows raises ``ValueError``.
+    factorization; one without inequality rows raises ``ValueError``, and
+    one whose projected ``x0`` is not strictly feasible, or outside the
+    objective domain, :class:`EngineError`.
 
     The optimal exit and the ``max_iter`` one, after ``DEFAULT_MAX_NEWTON``
     Newton steps, end in :func:`_face_finish`,
@@ -317,7 +310,9 @@ def solve(program: ConvexProgram) -> SolveResult:
         face = _face_start(program, eq, G, h, in_domain, diag)
         if face is not None:
             return face
-    x, diag.phase_one_slack = _starting_point(program, eq, G, h, in_domain, diag.events)
+    x = eq.project(np.asarray(program.x0, dtype=float))
+    if not (in_domain(x) and np.all(G @ x - h > 0.0)):
+        raise EngineError("start not strictly feasible")
     total_iters = 0
     quiet_r = np.inf    # stationarity of the last step's lam + dl, if quiet
     s = G @ x - h       # slacks at x; each trial point forms its own once
@@ -661,47 +656,6 @@ def _face_start(program, eq, G, h, in_domain, diag):
     diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
     diag.face_steps = steps
     return SolveResult(x, eq.per_given_row(nu), lam, diag)
-
-
-def _starting_point(program, eq, G, h, in_domain, events):
-    """Strictly feasible start on ``A x = b`` (the :class:`_Equalities`
-    ``eq``) and the phase-one max slack (``None`` when the supplied ``x0``
-    already was one).  Either start is projected onto ``A x = b`` once.  A
-    supplied ``x0`` that is rejected is logged to ``events``."""
-    if program.x0 is not None:
-        x = eq.project(np.asarray(program.x0, dtype=float))
-        if in_domain(x) and np.all(G @ x - h > 0.0):
-            return x, None
-        events.append("supplied start not strictly feasible: phase one")
-
-    x, t_star, cert = _phase_one(eq, G, h, program.n)
-    if t_star <= 1e-11:
-        raise InfeasibleProgramError(
-            f"no strictly feasible point (max slack {t_star:.3e})", certificate=cert
-        )
-    x = eq.project(x)
-    if not np.all(G @ x - h > 0.0):
-        raise EngineError(f"phase-one point not strictly feasible (max slack {t_star:.3e})")
-    if not in_domain(x):
-        raise EngineError("phase-one point outside objective domain")
-    return x, t_star
-
-
-def _phase_one(eq, G, h, n):
-    """The :func:`max_slack` LP with weights ``1 + |h|`` on the kept rows
-    of ``eq``: ``(x*, t*, certificate)``, the certificate's multipliers
-    one per inequality row (the cap ``t <= 1`` dropped) and one per given
-    equality row, in the barrier convention (:func:`solve_lp`)."""
-    res = max_slack(G, h, 1.0 + np.abs(h), eq.A, eq.b)
-    if res.status != "optimal":
-        raise EngineError(f"phase-one LP failed: {res.diagnostics.message}")
-    t_star = float(res.x[n])
-    cert = {
-        "ineq_multipliers": res.ineq_multipliers[:-1].tolist(),
-        "eq_multipliers": eq.per_given_row(res.eq_multipliers).tolist(),
-        "max_slack": t_star,
-    }
-    return res.x[:n], t_star, cert
 
 
 def max_slack(G, h, w, A=None, b=None) -> SolveResult:

@@ -15,12 +15,14 @@ answer is no, returns a separating certificate.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import engine
+from .trading import roll_forward
 from .tree import MarketSpec
 
 DENSITY_EPS = 1e-12       # a density at or below this counts as zero
@@ -268,24 +270,60 @@ def max_expectation(market: MarketSpec, f) -> float:
     tolerance) when the band misses it.  An empty root raises
     :class:`PolytopeInfeasibleError`.
     """
+    return _backward(market, f)[0]
+
+
+def super_hedge(market: MarketSpec, f) -> tuple:
+    """``(max_expectation(market, f), hedge)``: the hedge, a strategy from
+    zero cash, liquidates from cash ``sup E[Z0 f]`` to at least ``f`` at
+    every leaf (Roux, Tokarz & Zastawniak, 2008; the proof is the
+    supergradient inequality).  One forward pass by stage: the position
+    at node ``n`` is ``clip(theta_parent, H'+(ask_n), H'-(bid_n))``, 0
+    above the root, with ``H`` the node's unclipped hull of its
+    children's breakpoints; a band end beyond the hull gives -inf or
+    +inf.  A node whose band misses its hull, which a price system may
+    skip but a hedge cannot (an arbitrage), raises
+    :class:`PolytopeInfeasibleError`.
+    """
+    value, (buy_to, sell_to) = _backward(market, f)
+    tree = market.tree
+    if np.isnan(buy_to[tree.internal]).any():
+        raise PolytopeInfeasibleError("a node's band misses its children's prices: "
+                                      "no hedge")
+    theta = np.zeros(tree.n_nodes + 1)     # slot -1, the root's parent, holds nothing
+    for at in tree.stages[:-1]:
+        theta[at] = np.minimum(np.maximum(theta[tree.parent[at]], buy_to[at]), sell_to[at])
+    change = theta[:-1] - theta[tree.parent]
+    change[tree.leaves] = 0.0
+    return value, roll_forward(market, 0.0, np.maximum(change, 0.0), np.maximum(-change, 0.0))
+
+
+def _backward(market: MarketSpec, f) -> tuple:
+    """The backward induction of :func:`max_expectation`: its value and
+    the arrays of the slopes ``H'+(ask)`` and ``H'-(bid)`` of each node's
+    unclipped hull ``H`` (NaN where the band misses ``H``, and at the
+    leaves)."""
     tree = market.tree
     parent, lo, hi = tree.parent.tolist(), market.bid_price.tolist(), market.ask_price.tolist()
     points = [[] for _ in range(tree.n_nodes)]     # breakpoints of each node's children
+    slopes = [(np.nan, np.nan)] * tree.n_nodes
     for leaf, v in zip(tree.leaves.tolist(), np.asarray(f, dtype=float).tolist()):
         points[parent[leaf]] += [(lo[leaf], v), (hi[leaf], v)]
     for t in range(tree.horizon - 1, -1, -1):
         for node in tree.stages[t].tolist():
-            phi = _clipped_hull(points[node], lo[node], hi[node])
+            hull = _hull(points[node])
+            phi = _clip(hull, lo[node], hi[node])
+            if phi:
+                slopes[node] = _slopes(hull, lo[node], hi[node])
             if t > 0:
                 points[parent[node]] += phi
             elif not phi:
                 raise PolytopeInfeasibleError("empty polytope: no price system")
-    return max(v for _, v in phi)
+    return max(v for _, v in phi), np.array(slopes).T
 
 
-def _clipped_hull(points: list, lo: float, hi: float) -> list:
-    """Breakpoints of the upper concave hull of ``points`` (pairs ``(s,
-    v)``) on ``[lo, hi]``; an empty list when the hull misses it."""
+def _hull(points: list) -> list:
+    """Breakpoints of the upper concave hull of ``points``, pairs ``(s, v)``."""
     hull = []
     for s, v in sorted(points):
         if hull and hull[-1][0] == s:      # sorted: the later value is the larger
@@ -294,10 +332,25 @@ def _clipped_hull(points: list, lo: float, hi: float) -> list:
                                  <= (v - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
             hull.pop()
         hull.append((s, v))
+    return hull
+
+
+def _clip(hull: list, lo: float, hi: float) -> list:
+    """The breakpoints of ``hull`` on ``[lo, hi]``; an empty list when the
+    hull misses it."""
     if not hull or lo > hull[-1][0] or hi < hull[0][0]:
         return []
     a, b = max(lo, hull[0][0]), min(hi, hull[-1][0])
     return [_value_at(hull, a)] + [p for p in hull if a < p[0] < b] + [_value_at(hull, b)]
+
+
+def _slopes(hull: list, lo: float, hi: float) -> tuple:
+    """``(H'+(hi), H'-(lo))`` of the hull ``H`` that ``[lo, hi]`` meets:
+    -inf at or past its right end, +inf at or before its left end."""
+    s = [p[0] for p in hull]
+    i, j = bisect.bisect_right(s, hi), bisect.bisect_left(s, lo)
+    slope = [(q[1] - p[1]) / (q[0] - p[0]) for p, q in zip(hull, hull[1:])]
+    return slope[i - 1] if i < len(s) else -np.inf, slope[j - 1] if j else np.inf
 
 
 def _value_at(hull: list, s: float) -> tuple:

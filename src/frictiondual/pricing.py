@@ -10,15 +10,13 @@ The routes read two solve reports: one of the market and one of the
 same market without its endowment, ``market.with_endowment(np.zeros(L))``,
 which is built once per price; every solver reads the endowment from the
 market it is given.  Both reports' dual solves start at the one
-existence witness, the closed-form point :func:`martingale_point` when
-its margin clears and the existence LP's witness otherwise, and each
-shadow-market dual starts at the lift (:meth:`ShadowPrice.lift`) of its
-report's dual optimizer, which is optimal there; a start that is not
-strictly feasible falls back to a phase one.  ``price_dual`` alone
-solves its two entropy programs, on the market and on its
-zero-endowment copy, independently of the reports: both start at
-:func:`martingale_point`.  The consistent-price bounds run no LP: each
-end is a backward induction on the tree (:func:`price_bounds`).
+existence witness (:func:`dual_start`), and each shadow-market dual
+starts at the lift (:meth:`ShadowPrice.lift`) of its report's dual
+optimizer, which is optimal there.  ``price_dual`` alone solves its two
+entropy programs, on the market and on its zero-endowment copy,
+independently of the reports: both start at the market's
+:func:`dual_start`.  The consistent-price bounds run no LP: each end is
+a backward induction on the tree (:func:`price_bounds`).
 """
 
 from __future__ import annotations
@@ -29,8 +27,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import utility as ut
-from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
-from .polytope import build_polytope, martingale_point, max_expectation
+from .duality import (SolveReport, dual_start, entropy_terms, solve_dual, solve_entropy_core,
+                      solve_report)
+from .polytope import build_polytope, max_expectation
 from .shadow import construct_shadow
 from .tree import MarketSpec
 
@@ -106,12 +105,11 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
 
     Returns ``(price, entropy_with, entropy_without)``; the initial
     wealth cancels exactly and never enters.  Both solves start at the
-    closed-form point :func:`martingale_point`, which does not read the
-    endowment, or from a phase one when it is ``None`` or rejected.
+    market's :func:`dual_start`, which does not read the endowment.
     """
     poly = build_polytope(market)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
-    start = martingale_point(market)
+    start = dual_start(market, poly)
     core_e = solve_entropy_core(market, gamma, poly=poly, x0=start)
     core_0 = solve_entropy_core(market_0, gamma, poly=poly, x0=start)
     return _dual_route(market, market_0, gamma, core_e.leaf_vars, core_0.leaf_vars)

@@ -7,8 +7,8 @@ frictional dual optimizer.  This module builds that price, solves the
 frictionless problems on it, and verifies both directions.  No solve
 here starts from the frictional optimizer, so they are independent
 checks of that theorem: the zero-spread duals start at the closed-form
-martingale density of the shadow price (:func:`martingale_point`), and
-the primal at its program's generic start.
+martingale density of the shadow price (:func:`dual_start`), and the
+primal at its program's closed-form start.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import utility as ut
 from .duality import (DualSolution, PrimalUnboundedError, SolveReport, solve_dual,
                       solve_primal)
-from .polytope import PriceSystem, build_polytope, martingale_point
+from .polytope import PriceSystem, build_polytope
 from .tree import MarketSpec
 
 CLASS_RTOL = 1e-7
@@ -114,10 +114,10 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     ``shadow_market`` must carry zero spread; diverging primal iterates
     are reported as an unbounded problem (frictionless arbitrage in the
     supplied price).  Neither solve reads the frictional solve the price
-    came from: the primal starts at its program's generic start, the
-    dual at the price's closed-form martingale density
-    (:func:`martingale_point`), or from a phase one when the price moves
-    one way at some node or the engine rejects that point.
+    came from: both start at their closed-form starts, the dual at the
+    price's martingale density (:func:`dual_start`), which raises
+    :class:`PolytopeInfeasibleError` when the price moves one way at
+    some node.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
@@ -127,7 +127,7 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"
         ) from exc
-    dual = solve_dual(shadow_market, spec, y, x0=martingale_point(shadow_market))
+    dual = solve_dual(shadow_market, spec, y)
     return FrictionlessSolve(
         position=primal.strategy.phi1.copy(),
         value=primal.value,
@@ -208,17 +208,15 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
     its density with density-times-price must land inside the original
     polytope and reproduce the frictional dual value.  The zero-spread
     solve starts at the closed-form martingale density of the shadow
-    price (:func:`martingale_point`), with a phase one as the fallback,
-    never at the lift of the frictional optimizer, so it checks the
-    shadow-price theorem independently of that optimizer.  The shadow
-    market carries the endowment of ``report.market``
-    (:meth:`ShadowPrice.as_market`), so the report of a zero-endowment
-    market round-trips without one.
+    price (:func:`dual_start`), never at the lift of the frictional
+    optimizer, so it checks the shadow-price theorem independently of
+    that optimizer.  The shadow market carries the endowment of
+    ``report.market`` (:meth:`ShadowPrice.as_market`), so the report of a
+    zero-endowment market round-trips without one.
     """
     market = report.market
     shadow_market = shadow.as_market()
-    dual = solve_dual(shadow_market, report.utility, report.yhat,
-                      x0=martingale_point(shadow_market))
+    dual = solve_dual(shadow_market, report.utility, report.yhat)
     lifted = shadow.lift(dual.leaf_vars[:market.tree.n_leaves])
     poly = build_polytope(market)
     violation = poly.max_violation(lifted)

@@ -75,7 +75,7 @@ def test_solve_json_and_csv(market_file, tmp_path):
     assert rec["identity_checks"]["marginal_mean_residual"] <= 1e-5
     keys = {"status", "objective", "barrier_path", "newton_iterations",
             "kkt_stationarity", "kkt_feasibility", "kkt_complementarity",
-            "message", "phase_one_slack", "face_steps", "factorizations", "events"}
+            "message", "face_steps", "factorizations", "events"}
     for side, extra in (("primal", {"start"}), ("dual", set())):
         assert set(rec["diagnostics"][side]) == keys | extra
     # the dual runs the barrier; the primal finishes its shadow start on
@@ -128,6 +128,26 @@ def test_dual_command(binomial_file, tmp_path):
     rec = read_json(out)
     assert rec["y"] == 0.5
     assert len(rec["z0"]) == 3
+
+
+def test_dual_command_runs_no_lp(market_file, tmp_path, monkeypatch):
+    # the dual starts at the closed-form witness: no LP, no phase one
+    from frictiondual import engine
+
+    calls, solve_lp = [], engine.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_lp", counting)
+    out = str(tmp_path / "dual.json")
+    assert main(["dual", "--market", market_file, "--utility", "log", "--y", "1",
+                 "--json", out]) == 0
+    assert calls == []
+    diagnostics = read_json(out)["diagnostics"]
+    assert "phase_one_slack" not in diagnostics
+    assert not any("phase one" in event for event in diagnostics["events"])
 
 
 def test_shadow_command(market_file, tmp_path):

@@ -9,6 +9,7 @@ from frictiondual import duality, engine
 from frictiondual.duality import (
     NoCpsError,
     PrimalInfeasibleError,
+    PrimalUnboundedError,
     compute_x0,
     entropy_terms,
     minimize_v_plus_xy,
@@ -20,7 +21,7 @@ from frictiondual.duality import (
 )
 from frictiondual.engine import EngineError, SolveDiagnostics, SolveResult
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import PolytopeInfeasibleError, build_polytope
+from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, martingale_point
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec
@@ -278,7 +279,7 @@ def test_warm_primal_start_matches_cold(two_period_market, spec):
     start = duality.primal_point(two_period_market, near.strategy, near.claim)
     cold = solve_primal(two_period_market, spec, x + h)
     warm = solve_primal(two_period_market, spec, x + h, x0=start)
-    assert warm.diagnostics["phase_one_slack"] is None
+    assert not warm.diagnostics["start"]["rejected"]
     face = warm.diagnostics["start"]["face"]
     assert face["accepted"]
     assert warm.diagnostics["events"] == [f"face start accepted after {face['rounds']} rounds"]
@@ -297,31 +298,35 @@ def test_primal_point_is_net_trades_at_zero_spread(drift_binomial):
     assert np.array_equal(v[K:], sol.claim)
 
 
-def test_infeasible_primal_start_falls_back_to_phase_one(two_period_market):
-    # claims far below zero wealth break the positivity rows even after the pull
+def test_infeasible_primal_start_falls_back_to_the_closed_form_start(two_period_market):
+    # claims far below zero wealth break the positivity rows even after
+    # the pull: the barrier runs from the closed-form start, bit for bit
     cold = solve_primal(two_period_market, LOG, 6.0)
     start = duality.primal_point(two_period_market, cold.strategy, cold.claim - 1e6)
     warm = solve_primal(two_period_market, LOG, 6.0, x0=start)
-    assert warm.diagnostics["events"][:2] == [
+    assert warm.diagnostics["start"]["rejected"]
+    assert warm.diagnostics["events"] == [
         "face start rejected after 0 rounds: start outside the objective domain",
-        "supplied start not strictly feasible: phase one"]
-    assert warm.diagnostics["phase_one_slack"] is not None
-    assert warm.value == pytest.approx(cold.value, rel=1e-10)
+        "pulled start not strictly feasible: closed-form start"] + cold.diagnostics["events"]
+    assert warm.value == cold.value
+    assert warm.claim.tobytes() == cold.claim.tobytes()
 
 
-def test_threshold_certificate_is_sound():
-    # wherever the generic primal start certifies x, the threshold LP agrees
+def test_primal_program_raises_exactly_at_the_threshold():
+    # the program's start exists exactly above x0 + THRESHOLD_MARGIN, and
+    # is strictly feasible there, down to x0 + 1e-6
     gen = InstanceGenerator(seed=11)
-    certified = 0
     for i in range(10):
         market = gen.draw_feasible(i)
         x0 = compute_x0(market)
-        for x in (max(x0, 0.0) + 5.0, x0 + 0.5, x0 + 1e-3, x0 + 1e-6, x0):
-            program = duality.primal_program(market, LOG, x)
-            if duality._certifies_threshold(program, x, market.endowment):
-                assert x0 < x - duality.THRESHOLD_MARGIN
-                certified += 1
-    assert certified >= 10
+        for spec in (LOG, UtilitySpec("power", alpha=0.5)):
+            for x in (max(x0, 0.0) + 5.0, x0 + 0.5, x0 + 1e-3, x0 + 1e-6):
+                prog = duality.primal_program(market, spec, x)
+                assert np.all(prog.G @ prog.x0 - prog.h > 0.0), (i, x)
+                assert prog.in_domain(prog.x0)
+            for x in (x0 + duality.THRESHOLD_MARGIN, x0, x0 - 1.0):
+                with pytest.raises(PrimalInfeasibleError, match=re.escape(f"threshold {x0}")):
+                    duality.primal_program(market, spec, x)
 
 
 def test_threshold_guard_by_the_lp(drift_binomial):
@@ -336,10 +341,10 @@ def test_threshold_guard_by_the_lp(drift_binomial):
 
 def test_half_line_report_runs_no_lp(two_period_market, monkeypatch):
     # the closed-form witness stands in for the existence check's LP, and
-    # the start certifies x above the threshold; at x0 + 0.1 the start
-    # does not certify x, and the threshold is computed once, with no LP
+    # the threshold comes with the primal start's hedge, once per report
+    # and with no LP, at x0 + 4 and x0 + 0.1 alike
     calls, thresholds = [], []
-    solve_lp, threshold = engine.solve_lp, duality.compute_x0
+    solve_lp, threshold = engine.solve_lp, duality.super_hedge
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -351,23 +356,63 @@ def test_half_line_report_runs_no_lp(two_period_market, monkeypatch):
 
     x0 = compute_x0(two_period_market)
     monkeypatch.setattr(engine, "solve_lp", counting)
-    monkeypatch.setattr(duality, "compute_x0", spied)
+    monkeypatch.setattr(duality, "super_hedge", spied)
     solve_report(two_period_market, LOG, x0 + 4.0)
-    assert len(calls) == 0 and len(thresholds) == 0
-    rep = solve_report(two_period_market, LOG, x0 + 0.1)
     assert len(calls) == 0 and len(thresholds) == 1
+    rep = solve_report(two_period_market, LOG, x0 + 0.1)
+    assert len(calls) == 0 and len(thresholds) == 2
+    assert rep.relative_gap <= 1e-6
+
+
+def spy_lps(monkeypatch):
+    """The list that records each ``engine.solve_lp`` call from now on."""
+    calls, solve_lp = [], engine.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_lp", counting)
+    return calls
+
+
+@pytest.mark.parametrize("endowment", [(3.0, -2.0), (1.0, -1.0), (-1.0, 0.5), (-2.0, -2.0)])
+@pytest.mark.parametrize("spec", [LOG, UtilitySpec("power", alpha=0.5)], ids=["log", "power"])
+def test_cold_primal_by_the_threshold_runs_no_lp(drift_binomial, spec, endowment, monkeypatch):
+    # the closed-form start is strictly feasible 1e-3 above the threshold,
+    # and below it the program raises before any solve
+    market = drift_binomial.with_endowment(list(endowment))
+    x0 = compute_x0(market)
+    calls = spy_lps(monkeypatch)
+    sol = solve_primal(market, spec, x0 + 1e-3)
+    assert sol.diagnostics["status"] == "optimal"
+    assert sol.diagnostics["start"] == {"rejected": False, "face": None}
+    with pytest.raises(PrimalInfeasibleError, match=re.escape(f"threshold {x0}")):
+        solve_primal(market, spec, x0 - 1e-6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
+def test_zero_spread_report_runs_no_lp(drift_binomial, spec, monkeypatch):
+    # at zero spread the dual starts at the closed-form martingale density
+    market = replace(drift_binomial, lam=0.0).with_endowment([1.0, -0.5])
+    calls = spy_lps(monkeypatch)
+    rep = solve_report(market, spec, 5.0)
+    assert calls == []
+    assert np.array_equal(rep.witness, martingale_point(market))
     assert rep.relative_gap <= 1e-6
 
 
 def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
-    # no existence check runs at zero spread: the threshold LP finds no
-    # price system though the generic start certifies x
+    # no existence check runs at zero spread: the price has no martingale
+    # density, so the dual has no start, before the primal finds it
+    # unbounded
     tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
     market = MarketSpec(tree=tree, ask_price=[100.0, 120.0, 110.0], lam=0.0,
                         endowment=[1.0, -0.5])
     x = 3.0
-    assert duality._certifies_threshold(duality.primal_program(market, LOG, x), x,
-                                        market.endowment)
+    with pytest.raises(PrimalUnboundedError):
+        duality.primal_program(market, LOG, x)
     with pytest.raises(PolytopeInfeasibleError):
         solve_report(market, LOG, x)
 
@@ -487,8 +532,18 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
             zero_endowment = market.with_endowment(np.zeros(market.tree.n_leaves))
             for spec in (LOG, EXP1):
                 for m in (market, zero_endowment):
-                    prog = duality.primal_program(m, spec, 1.5)
-                    G_ref, h_ref = loop_primal_rows(m, spec, 1.5)
+                    # a half-line program has a start only above its
+                    # threshold, and only where a price system charges
+                    # every node (no arbitrage)
+                    x = 1.5
+                    if spec is LOG and martingale_point(m) is not None:
+                        x += compute_x0(m)
+                    elif spec is LOG:
+                        with pytest.raises(PrimalUnboundedError):
+                            duality.primal_program(m, spec, x)
+                        continue
+                    prog = duality.primal_program(m, spec, x)
+                    G_ref, h_ref = loop_primal_rows(m, spec, x)
                     assert_same_bytes(prog.G, G_ref, "G")
                     assert_same_bytes(prog.h, h_ref, "h")
             claim = rng.standard_normal(market.tree.n_leaves)
@@ -584,7 +639,7 @@ def _assert_barrier_bits(res, barrier):
 
 def test_face_start_is_accepted_on_generated_markets():
     # the report's primal and verify_identities' x +- h primals finish on
-    # the face of their start, with no barrier step and no phase one, at
+    # the face of their start, with no barrier step, at
     # the cold barrier solve's optimum
     gen = InstanceGenerator(seed=11)
     rejected, short = [], []
@@ -601,7 +656,7 @@ def test_face_start_is_accepted_on_generated_markets():
                 solves.append((xh, warm.value, warm.claim, warm.diagnostics))
             for xs, value, claim, d in solves:
                 face = d["start"]["face"]
-                assert d["phase_one_slack"] is None, (i, spec, xs)
+                assert not d["start"]["rejected"], (i, spec, xs)
                 if not face["accepted"]:
                     rejected.append((i, spec.family))
                     _assert_barrier_bits(*_face_and_barrier_solves(market, spec, xs, start))
@@ -647,8 +702,9 @@ def test_rejected_face_start_returns_the_barrier_solve(two_period_market):
 
 
 def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
-    # a start the engine rejects for a phase one shows in the start record
-    # and in the events, and the report still reaches the optimum
+    # a start whose pull is not strictly feasible shows in the start
+    # record and in the events, and the report still reaches the optimum
+    # from the closed-form start
     shadow_start = duality._shadow_start
 
     def far_below(market, spec, x, yhat, system):
@@ -665,6 +721,6 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
                                    "reason": "start outside the objective domain"}}
     assert d["events"][:2] == [
         "face start rejected after 0 rounds: start outside the objective domain",
-        "supplied start not strictly feasible: phase one"]
-    assert d["phase_one_slack"] is not None
+        "pulled start not strictly feasible: closed-form start"]
+    assert "phase_one_slack" not in d
     assert rep.value == pytest.approx(cold.value, rel=1e-10)

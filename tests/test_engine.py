@@ -11,6 +11,7 @@ from frictiondual.duality import compute_x0, primal_program, solve_primal, solve
 from frictiondual.engine import (
     TOL,
     ConvexProgram,
+    EngineError,
     InfeasibleProgramError,
     SolveDiagnostics,
     solve,
@@ -32,10 +33,11 @@ def quadratic(q, c):
     return objective
 
 
-def linear_program(c, **constraints):
-    """``min c @ x`` as a smooth program for the barrier engine."""
+def linear_program(c, x0, **constraints):
+    """``min c @ x`` as a smooth program for the barrier engine, started at ``x0``."""
     n = len(c)
-    return ConvexProgram(n=n, objective=quadratic(np.zeros(n), c), **constraints)
+    return ConvexProgram(n=n, objective=quadratic(np.zeros(n), c), x0=np.asarray(x0, float),
+                         **constraints)
 
 
 def test_equality_constrained_quadratic():
@@ -43,7 +45,7 @@ def test_equality_constrained_quadratic():
     # x >= -10 is inactive
     prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)),
                          A_eq=np.ones((1, 3)), b_eq=np.array([3.0]),
-                         G=np.eye(3), h=np.full(3, -10.0))
+                         G=np.eye(3), h=np.full(3, -10.0), x0=np.array([3.0, 0.0, 0.0]))
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, np.ones(3), atol=1e-9)
@@ -67,7 +69,7 @@ def _evaluated_points(prog):
 def test_objective_evaluated_once_per_point(two_period_market):
     # the accepted line-search trial and the exit point are not evaluated again
     programs = [ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
-                              G=np.array([[-1.0]]), h=np.array([-1.0]))]
+                              G=np.array([[-1.0]]), h=np.array([-1.0]), x0=np.zeros(1))]
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
         programs.append(primal_program(two_period_market, spec, 6.0))
     for prog in programs:
@@ -79,7 +81,7 @@ def test_objective_evaluated_once_per_point(two_period_market):
 def test_inequality_active_at_optimum():
     # min (x-2)^2 with x <= 1  ->  x = 1
     prog = ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
-                         G=np.array([[-1.0]]), h=np.array([-1.0]))
+                         G=np.array([[-1.0]]), h=np.array([-1.0]), x0=np.zeros(1))
     res = solve(prog)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-8)
@@ -99,7 +101,7 @@ def test_lp_matches_scipy(seed):
     res = solve_lp(c, G=G_full, h=h_full)
     assert res.status == "optimal"
     # the barrier engine is the independent oracle: solve_lp is HiGHS
-    ref = solve(linear_program(c, G=G_full, h=h_full))
+    ref = solve(linear_program(c, x_feas, G=G_full, h=h_full))
     assert ref.status == "optimal"
     ref_fun = ref.diagnostics.objective
     assert c @ res.x == pytest.approx(ref_fun, abs=1e-7 * (1 + abs(ref_fun)))
@@ -116,7 +118,7 @@ def test_lp_with_equalities_matches_scipy():
     c = rng.standard_normal(n)
     res = solve_lp(c, A_eq=A, b_eq=b, G=G, h=h)
     assert res.status == "optimal"
-    ref = solve(linear_program(c, A_eq=A, b_eq=b, G=G, h=h))
+    ref = solve(linear_program(c, x_feas, A_eq=A, b_eq=b, G=G, h=h))
     assert ref.status == "optimal"
     ref_fun = ref.diagnostics.objective
     assert c @ res.x == pytest.approx(ref_fun, abs=1e-7 * (1 + abs(ref_fun)))
@@ -128,16 +130,19 @@ def test_infeasible_lp_detected():
     h = np.array([1.0, 1.0])
     res = solve_lp(np.array([1.0]), G=G, h=h)
     assert res.status == "infeasible"
-    with pytest.raises(InfeasibleProgramError) as info:
-        solve(linear_program([1.0], G=G, h=h))
-    assert info.value.certificate is not None
+    # the barrier has no strictly feasible start to run from
+    with pytest.raises(EngineError, match="start not strictly feasible"):
+        solve(linear_program([1.0], [1.0], G=G, h=h))
 
 
 def test_infeasible_raises_for_smooth_program():
-    prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
-                         G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]))
-    with pytest.raises(InfeasibleProgramError):
-        solve(prog)
+    # no start is strictly feasible; the engine does not search for one
+    for x0 in ([-1.0], [0.0], [1.0]):
+        prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
+                             G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]),
+                             x0=np.array(x0))
+        with pytest.raises(EngineError, match="start not strictly feasible"):
+            solve(prog)
 
 
 def test_open_domain_guard():
@@ -185,7 +190,7 @@ def test_audit_derivatives_flags_wrong_hessian():
 
 def test_diagnostics_payload():
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
-                         G=np.eye(2), h=-np.ones(2))
+                         G=np.eye(2), h=-np.ones(2), x0=np.full(2, 0.5))
     res = solve(prog)
     d = res.diagnostics.to_dict()
     assert d["status"] == "optimal"
@@ -196,18 +201,19 @@ def test_diagnostics_payload():
 
 
 def boxed_lp():
-    """A random LP over a box: (c, G, h)."""
+    """A random LP over a box: ``(c, x0, G, h)``, ``x0`` strictly inside."""
     rng = np.random.default_rng(5)
     G = np.vstack([rng.standard_normal((8, 4)), np.eye(4), -np.eye(4)])
-    h = np.concatenate([G[:8] @ rng.standard_normal(4) - 1.0, -20.0 * np.ones(8)])
+    x0 = rng.standard_normal(4)
+    h = np.concatenate([G[:8] @ x0 - 1.0, -20.0 * np.ones(8)])
     c = rng.standard_normal(4)
-    return c, G, h
+    return c, x0, G, h
 
 
 def test_solver_is_deterministic():
-    c, G, h = boxed_lp()
-    a = solve(linear_program(c, G=G, h=h))
-    b = solve(linear_program(c, G=G, h=h))
+    c, x0, G, h = boxed_lp()
+    a = solve(linear_program(c, x0, G=G, h=h))
+    b = solve(linear_program(c, x0, G=G, h=h))
     assert a.status == "optimal"
     assert a.x.tobytes() == b.x.tobytes()
     lp_a = solve_lp(c, G=G, h=h)
@@ -216,65 +222,41 @@ def test_solver_is_deterministic():
     assert lp_a.x.tobytes() == lp_b.x.tobytes()
 
 
-def test_phase_one_with_a_variable_no_inequality_bounds():
-    # x1 appears in no inequality, so the phase-one LP is free along it;
+def test_variable_in_no_inequality_row():
+    # x1 appears in no inequality, so the barrier is free along it;
     # min 0.5||x||^2 - x1 + 3 x2 s.t. x2 >= -1  ->  x = (1, -1)
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-1.0, 3.0]),
-                         G=np.array([[0.0, 1.0]]), h=np.array([-1.0]))
+                         G=np.array([[0.0, 1.0]]), h=np.array([-1.0]), x0=np.zeros(2))
     res = solve(prog)
     assert res.status == "optimal"
-    assert res.diagnostics.phase_one_slack > 0.0
     assert np.allclose(res.x, [1.0, -1.0], atol=1e-8)
 
 
-def test_phase_one_certificate_convention():
-    # x1 + x2 = -1 with x >= 0: max min-slack is -1/2 at x = (-1/2, -1/2);
-    # multipliers satisfy c - G^T lam + A^T nu = 0 with c = (0, 0, -1)
-    constraints = dict(A_eq=np.ones((1, 2)), b_eq=np.array([-1.0]),
-                       G=np.eye(2), h=np.zeros(2))
-    assert solve_lp(np.zeros(2), **constraints).status == "infeasible"
-    with pytest.raises(InfeasibleProgramError) as info:
-        solve(linear_program(np.zeros(2), **constraints))
-    cert = info.value.certificate
-    assert np.allclose(cert["ineq_multipliers"], [0.5, 0.5], atol=1e-9)
-    assert np.allclose(cert["eq_multipliers"], [0.5], atol=1e-9)
-    assert cert["max_slack"] == pytest.approx(-0.5, abs=1e-9)
-
-
-def test_phase_one_record():
-    # x >= -1 componentwise: the max-slack LP reaches its cap t = 1
-    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
-                         G=np.eye(2), h=-np.ones(2))
-    d = solve(prog).diagnostics.to_dict()
-    assert d["phase_one_slack"] == pytest.approx(1.0)
-    warm = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
-                         G=np.eye(2), h=-np.ones(2), x0=np.zeros(2))
-    assert solve(warm).diagnostics.to_dict()["phase_one_slack"] is None
-
-
 def test_rejected_start_is_reported():
-    # x >= -1 componentwise: (0, 0) is strictly inside, (-2, 0) is not
-    def diagnostics(x0, **constraints):
-        prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
-                             x0=np.array(x0), **constraints)
-        res = solve(prog)
-        assert res.status == "optimal"
-        assert np.allclose(res.x, 0.0, atol=1e-8)
-        return res.diagnostics
+    # x >= -1 componentwise, and x1 + x2 = 1: (0.5, 0.5) is strictly
+    # inside; (-2, 3), (-1, 2) and, once projected, (-3, 1) are not, nor
+    # is a start outside the objective domain
+    def program(x0, **extra):
+        return ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
+                             G=np.eye(2), h=-np.ones(2), A_eq=np.ones((1, 2)),
+                             b_eq=np.ones(1), x0=np.array(x0), **extra)
 
-    box = dict(G=np.eye(2), h=-np.ones(2))
-    bad = diagnostics([-2.0, 0.0], **box)
-    assert bad.events == ["supplied start not strictly feasible: phase one"]
-    assert bad.phase_one_slack == pytest.approx(1.0)
-    assert diagnostics([0.5, 0.5], **box).events == []
+    res = solve(program([0.5, 0.5]))
+    assert res.status == "optimal" and res.diagnostics.events == []
+    assert np.allclose(res.x, 0.5, atol=1e-8)
+    for x0 in ([-2.0, 3.0], [-1.0, 2.0], [-3.0, 1.0]):
+        with pytest.raises(EngineError, match="start not strictly feasible"):
+            solve(program(x0))
+    with pytest.raises(EngineError, match="start not strictly feasible"):
+        solve(program([0.5, 0.5], in_domain=lambda x: x[0] > 0.6))
 
 
 def test_max_iter_promotion_is_reported(monkeypatch):
-    c, G, h = boxed_lp()
+    c, x0, G, h = boxed_lp()
     # the Newton cap cuts the solve short of its stopping test (it needs
     # 9 steps), but the active-face finish certifies the point
     monkeypatch.setattr(engine, "DEFAULT_MAX_NEWTON", 7)
-    res = solve(linear_program(c, G=G, h=h))
+    res = solve(linear_program(c, x0, G=G, h=h))
     assert res.status == "optimal"
     assert res.diagnostics.message == "Newton iteration cap reached"
     assert res.diagnostics.events == ["max_iter promoted to optimal"]
@@ -288,7 +270,7 @@ def test_face_finish_with_a_repeated_active_row():
     G = np.vstack([row, row, np.eye(2), -np.eye(2)])
     h = np.array([-2.0, -2.0, -5.0, -5.0, -5.0, -5.0])
     res = solve(ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
-                              G=G, h=h))
+                              G=G, h=h, x0=np.zeros(2)))
     assert res.status == "optimal"
     assert res.diagnostics.face_steps >= 1
     # on the face to rounding, where the barrier point stays ~2e-11 inside it
@@ -301,8 +283,8 @@ def test_face_finish_with_a_repeated_active_row():
 
 
 def test_few_newton_steps(two_period_market):
-    c, G, h = boxed_lp()
-    lp = solve(linear_program(c, G=G, h=h))
+    c, x0, G, h = boxed_lp()
+    lp = solve(linear_program(c, x0, G=G, h=h))
     primal = solve_primal(two_period_market, UtilitySpec("log"), 5.0)
     assert lp.status == "optimal"
     assert sum(lp.diagnostics.newton_iterations) < 30
@@ -318,7 +300,8 @@ def test_vanishing_gradient_is_unbounded():
         e = float(np.exp(-x[0]))
         return e, np.array([-e]), np.array([e])
 
-    prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.zeros(1))
+    prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.zeros(1),
+                         x0=np.ones(1))
     res = solve(prog)
     assert res.status == "unbounded"
     assert res.diagnostics.message == "iterates diverging"
@@ -337,7 +320,7 @@ def test_start_at_the_optimum_is_certified():
 
 def test_program_without_inequality_rows_is_rejected():
     prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
-                         G=np.zeros((0, 1)), h=np.zeros(0))
+                         G=np.zeros((0, 1)), h=np.zeros(0), x0=np.zeros(1))
     with pytest.raises(ValueError, match="inequality row"):
         solve(prog)
 
@@ -346,7 +329,7 @@ def test_inconsistent_equalities_raise():
     # x1 + x2 = 1 and 2 x1 + 2 x2 = 3 have no common point
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                          A_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=np.array([1.0, 3.0]),
-                         G=np.eye(2), h=np.full(2, -10.0))
+                         G=np.eye(2), h=np.full(2, -10.0), x0=np.zeros(2))
     with pytest.raises(InfeasibleProgramError, match="inconsistent"):
         solve(prog)
 
@@ -359,7 +342,8 @@ def test_eq_multipliers_follow_the_given_rows():
     G = np.vstack([np.eye(3), -np.eye(3)])
     h = np.array([0.0, 0.0, 0.0, -5.0, -5.0, -5.0])
     q, c = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, -2.0])
-    res = solve(ConvexProgram(n=3, objective=quadratic(q, c), A_eq=A, b_eq=b, G=G, h=h))
+    res = solve(ConvexProgram(n=3, objective=quadratic(q, c), A_eq=A, b_eq=b, G=G, h=h,
+                              x0=np.ones(3)))
     assert res.status == "optimal"
     nu = res.eq_multipliers
     assert nu.shape == (3,)
@@ -402,7 +386,7 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
                          A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
                          G=np.vstack([row, row, np.eye(2)]), h=np.array([-2.0, -2.0, -5.0, -5.0]),
-                         face_start=np.array([0.9, 0.9]))
+                         x0=np.zeros(2), face_start=np.array([0.9, 0.9]))
     res = solve(prog)
     d = res.diagnostics
     assert d.face_start == {"accepted": True, "rounds": d.face_start["rounds"], "reason": None}

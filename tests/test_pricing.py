@@ -1,11 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from frictiondual.duality import compute_x0, entropy_terms, solve_entropy_core, solve_report
+from frictiondual.duality import (PrimalUnboundedError, compute_x0, dual_start, entropy_terms,
+                                 primal_program, solve_entropy_core, solve_report)
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, martingale_point
+from frictiondual.polytope import (PolytopeInfeasibleError, build_polytope, check_cps,
+                                   martingale_point, max_expectation, super_hedge)
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -13,6 +16,7 @@ from frictiondual.pricing import (
     price_primal,
     price_shadow,
 )
+from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, utility_label
 from oracles import sample_polytope
@@ -102,14 +106,18 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
 
 
 def test_price_dual_warm_start_by_the_boundary():
-    # the no-endowment entropy solve started at the optimum of the
-    # with-endowment one, by the polytope's boundary; the engine must
-    # not stop there on a decrement that only looks negligible
+    # the no-endowment entropy solve started by the optimum of the
+    # with-endowment one, which sits on the polytope's boundary: a
+    # millionth of the way to the strictly feasible witness; the engine
+    # must not stop there on a decrement that only looks negligible
     market = InstanceGenerator(seed=2033, max_periods=3).draw_feasible(0)
     poly = build_polytope(market)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
     core_e = solve_entropy_core(market, 0.8, poly=poly)
-    core_0 = solve_entropy_core(market_0, 0.8, poly=poly, x0=core_e.leaf_vars)
+    assert np.min(poly.G @ core_e.leaf_vars - poly.h) <= 0.0
+    start = (1.0 - 1e-6) * core_e.leaf_vars + 1e-6 * dual_start(market, poly)
+    assert 0.0 < np.min(poly.G @ start - poly.h) < 1e-5
+    core_0 = solve_entropy_core(market_0, 0.8, poly=poly, x0=start)
     ent_e, mean_e = entropy_terms(market, core_e.leaf_vars)
     ent_0, mean_0 = entropy_terms(market_0, core_0.leaf_vars)
     p = (ent_e / 0.8 + mean_e) - (ent_0 / 0.8 + mean_0)
@@ -119,29 +127,30 @@ def test_price_dual_warm_start_by_the_boundary():
 
 @pytest.mark.parametrize("seed", [11, 2033])
 def test_price_dual_runs_no_phase_one(seed, monkeypatch):
-    # both entropy solves start at the closed-form point, and land on the
-    # optimum the phase-one starts reach
+    # both entropy solves start at the closed-form point, with no LP, and
+    # land on the optimum the existence LP's witness starts reach
     from frictiondual import engine
 
     gen = InstanceGenerator(seed=seed, max_periods=3)
     gamma = 0.8
     calls = []
-    phase_one = engine._phase_one
+    solve_lp = engine.solve_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return phase_one(*args, **kwargs)
+        return solve_lp(*args, **kwargs)
 
     for i in range(5):
         market = gen.draw_feasible(i)
         poly = build_polytope(market)
         markets = (market, market.with_endowment(np.zeros(market.tree.n_leaves)))
-        cores = [solve_entropy_core(m, gamma, poly=poly) for m in markets]
-        assert all(c.diagnostics["phase_one_slack"] is not None for c in cores)
+        witness = check_cps(market).witness_leaf_vars
+        assert np.abs(witness - martingale_point(market)).max() > 1e-3
+        cores = [solve_entropy_core(m, gamma, poly=poly, x0=witness) for m in markets]
         terms = [entropy_terms(m, c.leaf_vars) for m, c in zip(markets, cores)]
         want = sum(sign * (ent / gamma + mean)
                    for sign, (ent, mean) in zip((1.0, -1.0), terms))
-        monkeypatch.setattr(engine, "_phase_one", counted)
+        monkeypatch.setattr(engine, "solve_lp", counted)
         got, *_ = price_dual(market, gamma)
         monkeypatch.undo()
         assert calls == []
@@ -172,8 +181,8 @@ def test_shadow_dual_same_optimum_from_any_start(dense_market):
     assert np.abs(perturbed - lift).max() > 1e-2
     starts = (lift, perturbed, None, martingale_point(sm))
     sols = [solve_dual(sm, rep.utility, 1.0, x0=x0) for x0 in starts]
-    warm = [s.diagnostics["phase_one_slack"] is None for s in sols]
-    assert warm == [True, True, False, True]
+    # the default start is the shadow price's closed-form martingale density
+    assert sols[2].leaf_vars.tobytes() == sols[3].leaf_vars.tobytes()
     v = sols[2].value
     for sol in sols[:2] + sols[3:]:
         assert sol.value == pytest.approx(v, abs=1e-8 * (1.0 + abs(v)))
@@ -186,11 +195,11 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
                                      solve_frictionless, verify_shadow)
 
     calls = []
-    phase_one = engine._phase_one
+    solve_lp = engine.solve_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return phase_one(*args, **kwargs)
+        return solve_lp(*args, **kwargs)
 
     starts = []
     original = duality.solve_dual
@@ -199,7 +208,7 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
         starts.append(kwargs.get("x0"))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_phase_one", counted)
+    monkeypatch.setattr(engine, "solve_lp", counted)
     monkeypatch.setattr(shadow_mod, "solve_dual", spied)
     # the whole shadow-and-price request of the benchmark
     spec = UtilitySpec("exponential", gamma=1.0)
@@ -211,11 +220,12 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
     indifference_price(dense_market, 1.0, x=1.0)
     assert len(calls) == 0
     # both shadow checks start at the closed-form martingale density of the
-    # shadow price, not at the lift of the report's optimizer
-    start = martingale_point(shadow.as_market())
+    # shadow price (the default start), not at the lift of the report's
+    # optimizer
+    assert starts == [None, None]
+    start = duality.dual_start(shadow.as_market(), build_polytope(shadow.as_market()))
+    assert np.array_equal(start, martingale_point(shadow.as_market()))
     lift = shadow.lift(rep.dual_leaf_vars[:dense_market.tree.n_leaves])
-    assert len(starts) == 2
-    assert all(np.array_equal(s, start) for s in starts)
     assert np.abs(start - lift).max() > 1e-2
 
 
@@ -334,6 +344,81 @@ def test_price_bounds_binomial_call(monkeypatch):
     assert market.tree.n_nodes == 127
     lo, hi = assert_bounds_match_lps(market, monkeypatch)
     assert 0.0 < lo < hi
+
+
+def hedged_markets():
+    """The first 150 draws of generator seeds 11 and 2026 that a price
+    system charges at every node (no arbitrage), then the T = 6 call."""
+    for seed in (11, 2026):
+        gen = InstanceGenerator(seed=seed)
+        for i in range(150):
+            market = gen.draw(i)
+            try:
+                max_expectation(market, market.endowment)
+            except PolytopeInfeasibleError:
+                continue    # an empty polytope
+            yield market
+    yield binomial_call(6)
+
+
+def test_super_hedge_dominates_the_claim():
+    # from cash sup E[Z0 f], the hedge liquidates to at least f at every
+    # leaf, for f = e and f = -e; a market with no hedge has a node whose
+    # band misses its children's prices, so no strictly consistent price
+    # system either
+    hedged = skipped = 0
+    for market in hedged_markets():
+        for f in (market.endowment, -market.endowment):
+            try:
+                value, hedge = super_hedge(market, f)
+            except PolytopeInfeasibleError:
+                assert martingale_point(market) is None
+                skipped += 1
+                continue
+            assert value == max_expectation(market, f)
+            assert hedge.initial_cash == 0.0
+            strategy = roll_forward(market, value, hedge.buy, hedge.sell)
+            liquidation = terminal_claim(market, strategy)
+            assert np.all(liquidation >= f - 1e-12 * (1.0 + np.abs(f).max()))
+            hedged += 1
+    assert hedged == 258 and skipped == 122
+
+
+def test_bounds_and_threshold_keep_their_bits():
+    # compute_x0 and price_bounds read the same backward induction as the
+    # hedge: the digest of their float bits on every non-empty market of
+    # the first 150 draws of seeds 11 and 2026, as before the hedge
+    digest, count = hashlib.sha256(), 0
+    for seed in (11, 2026):
+        gen = InstanceGenerator(seed=seed)
+        for i in range(150):
+            market = gen.draw(i)
+            try:
+                values = (compute_x0(market), *price_bounds(market))
+            except PolytopeInfeasibleError:
+                continue
+            count += 1
+            for v in values:
+                digest.update(float(v).hex().encode())
+    assert count == 189
+    assert digest.hexdigest() == \
+        "7e78aa70eb44e87ebd1711fbeca88db894dfb8c9b573a12829f778386cbb9845"
+
+
+def test_band_missing_its_hull_has_no_hedge():
+    # node 1 at 100 -> 120/110 is an arbitrage that a price system skips
+    # (Q charges node 1 nothing), so the polytope is not empty; no hedge
+    # of the clip form exists there, and the half-line primal is unbounded
+    tree = EventTree(parent=[-1, 0, 0, 0, 1, 1, 2, 2, 3, 3],
+                     time=[0, 1, 1, 1, 2, 2, 2, 2, 2, 2], cond_prob=[1.0] + [1 / 3] * 3 + [0.5] * 6)
+    market = MarketSpec(tree, [100.0, 100.0, 110.0, 90.0, 120.0, 110.0, 115.0, 105.0, 95.0, 85.0],
+                        0.01, [1.0, -1.0, 0.5, 0.0, -2.0, 2.0])
+    assert max_expectation(market, market.endowment) > 0.0
+    assert compute_x0(market) > 0.0
+    with pytest.raises(PolytopeInfeasibleError, match="band misses"):
+        super_hedge(market, market.endowment)
+    with pytest.raises(PrimalUnboundedError):
+        primal_program(market, UtilitySpec("log"), 10.0)
 
 
 @pytest.mark.parametrize("spec", [UtilitySpec("log"), UtilitySpec("power", alpha=0.5),
