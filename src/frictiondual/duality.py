@@ -254,8 +254,34 @@ def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> n
     return np.concatenate(trades + [np.asarray(claim, dtype=float)])
 
 
+def primal_multipliers(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: float,
+                       system: PriceSystem) -> np.ndarray:
+    """Row multipliers of :func:`primal_program` at ``x`` from the dual
+    optimum ``(yhat, system)``, by the KKT correspondence.  With ``Y =
+    yhat`` (times ``exp(gamma w_ref)`` for the shifted exponential
+    objective), leaf ``l``'s legs split ``Y p_l Z0_l`` so that they price
+    ``Y p_l Z1_l`` (at zero spread its one leg takes it all), node ``n``'s
+    buy and sell rows carry the band slacks ``Y P(n) (ask_n Z0_n - Z1_n)``
+    and ``Y P(n) (Z1_n - bid_n Z0_n)``, and positivity rows 0."""
+    tree = market.tree
+    log_y = np.log(yhat)
+    if spec.family == "exponential":
+        log_y += spec.gamma * (x + float(tree.leaf_prob @ market.endowment))
+    w0, w1 = (np.exp(log_y) * tree.node_prob * z for z in (system.z0, system.z1))
+    if market.lam == 0.0:
+        rows = [w0[tree.leaves]]
+    else:
+        above, below = market.ask_price * w0 - w1, w1 - market.bid_price * w0
+        spread = (market.ask_price - market.bid_price)[tree.leaves, None]
+        legs = np.column_stack([above, below])[tree.leaves] / spread   # bid leg, ask leg
+        rows = [legs.ravel(), above[tree.internal], below[tree.internal]]
+    if spec.wealth_domain == "positive":
+        rows.append(np.zeros(tree.n_leaves))
+    return np.maximum(np.concatenate(rows), 0.0)     # not below 0 by rounding
+
+
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 x0: Optional[np.ndarray] = None,
+                 x0: Optional[tuple] = None,
                  program: Optional[ConvexProgram] = None) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
@@ -267,18 +293,19 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     the barrier runs from the program's closed-form start
     (:func:`primal_program`).
 
-    ``x0``, a point of the program's variables such as the
-    :func:`primal_point` of a nearby solve, is the engine's face start
-    (:attr:`ConvexProgram.face_start`).  A nearby optimum sits on the
-    boundary of the feasible set, on the optimal face or next to it, so
-    the engine first finishes it there with barrier-free Newton steps.
-    When that point fails the engine's test, the barrier starts at ``x0``
-    pulled ``WARM_PULL`` of the way toward the closed-form start (Gondzio
-    & Grothey, SIAM J. Optim. 13, 2003), or at the closed-form start when
-    the pulled point is not strictly feasible, logged in the events.  The
-    diagnostics' ``start`` record says whether that fallback ran
-    (``rejected``) and what the face start did (``face``: the engine's
-    :attr:`SolveDiagnostics.face_start`, ``None`` without ``x0``).
+    ``x0``, a point such as the :func:`primal_point` of a nearby solve
+    paired with row multipliers (:func:`primal_multipliers`, or zeros),
+    is the engine's face start (:attr:`ConvexProgram.face_start`).  A
+    nearby optimum sits on the boundary of the feasible set, on the
+    optimal face or next to it, so the engine first finishes it there
+    with barrier-free Newton steps.  When that fails, the barrier starts
+    at the point pulled ``WARM_PULL`` of the way toward the closed-form
+    start (Gondzio & Grothey, SIAM J. Optim. 13, 2003), or at the
+    closed-form start when the pulled point is not strictly feasible,
+    logged in the events.  The diagnostics' ``start`` record says whether
+    that fallback ran (``rejected``) and what the face start did
+    (``face``: the engine's :attr:`SolveDiagnostics.face_start`, ``None``
+    without ``x0``).
     ``program``, the :func:`primal_program` of these same arguments,
     saves building it again.
     """
@@ -286,8 +313,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     prog = primal_program(market, spec, x) if program is None else program
     rejected = False
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        pulled = (1.0 - WARM_PULL) * x0 + WARM_PULL * prog.x0
+        pulled = (1.0 - WARM_PULL) * np.asarray(x0[0], float) + WARM_PULL * prog.x0
         rejected = not (prog.in_domain(pulled) and np.all(prog.G @ pulled - prog.h > 0.0))
         prog = replace(prog, x0=prog.x0 if rejected else pulled, face_start=x0)
     res = solve(prog)
@@ -509,16 +535,16 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     The primal starts at the dual optimum (:func:`_shadow_start`): the
     frictionless replication of the optimal claim ``I(yhat Z0) - x - e``
     at the shadow price ``Z1/Z0``, where the frictional optimum is that
-    replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010).
-    That point sits on the primal's optimal face, so :func:`solve_primal`
-    hands it to the engine as its face start, and the barrier runs only
-    when the engine rejects it.  Where the dual optimizer has a node with
-    ``Z0 <= DENSITY_EPS`` the primal keeps its program's closed-form
-    start.  The primal diagnostics' ``start`` records which ran:
-    ``point`` is ``"shadow"`` or ``"generic"``, ``reason`` names the
-    zero-density node of a generic start, and ``rejected`` and ``face``
-    are :func:`solve_primal`'s.  The primal is still certified by its
-    own KKT residuals.
+    replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010).  That
+    point sits on the primal's optimal face, so :func:`solve_primal` hands
+    it, with the dual's :func:`primal_multipliers`, to the engine as its
+    face start; the barrier runs only when the engine rejects it.  Where
+    the dual optimizer has a node with ``Z0 <= DENSITY_EPS`` the primal
+    keeps its program's closed-form start.  The primal diagnostics'
+    ``start`` records which ran: ``point`` is ``"shadow"`` or
+    ``"generic"``, ``reason`` names the zero-density node of a generic
+    start, and ``rejected`` and ``face`` are :func:`solve_primal`'s.  The
+    primal is still certified by its own KKT residuals.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -574,12 +600,13 @@ def _shadow_start(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: floa
                   system: PriceSystem) -> tuple:
     """The primal start at the dual optimum ``system`` and its record.
 
-    The start is the :func:`primal_point` of the frictionless
-    replication (:func:`trading.replicate`) of the optimal claim
-    ``I(yhat Z0) - x - e`` at the shadow price ``Z1/Z0``, under ``Z0``,
-    with its claim the terminal liquidation value.  Where some node's
-    ``Z0`` is at most ``DENSITY_EPS``, ``I`` is undefined and the start
-    is ``None``, the program's generic one; the record names the node.
+    The start pairs the :func:`primal_multipliers` of the dual optimum
+    with the :func:`primal_point` of the frictionless replication
+    (:func:`trading.replicate`) of the optimal claim ``I(yhat Z0) - x -
+    e`` at the shadow price ``Z1/Z0``, under ``Z0``, its claim the
+    terminal liquidation value.  Where some node's ``Z0`` is at most
+    ``DENSITY_EPS``, ``I`` is undefined and the start is ``None``, the
+    program's generic one; the record names the node.
     """
     price, undefined = system.ratio(market.ask_price)
     if undefined.any():
@@ -588,7 +615,8 @@ def _shadow_start(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: floa
     tree = market.tree
     claim = ut.eval_i(spec, yhat * system.z0[tree.leaves]) - x - market.endowment
     strategy = replicate(market, price, system.z0, claim)
-    return (primal_point(market, strategy, terminal_claim(market, strategy)),
+    return ((primal_point(market, strategy, terminal_claim(market, strategy)),
+             primal_multipliers(market, spec, x, yhat, system)),
             {"point": "shadow", "reason": None})
 
 
@@ -600,19 +628,22 @@ def verify_identities(report: SolveReport) -> dict:
     difference of the primal value, (d) the wealth-weighted variant.
     The step is ``h = FD_STEP * (1 + |x|)``.  Both primal solves at
     ``x +- h`` start at the report's primal point (:func:`primal_point`),
-    whose face is usually theirs: :func:`solve_primal` hands it to the
-    engine as the face start, and the barrier runs only when the engine
-    rejects it.
+    whose face is usually theirs, and the dual's :func:`primal_multipliers`
+    at their own ``x``: :func:`solve_primal` hands the pair to the engine
+    as the face start, and the barrier runs only when it is rejected.
     """
     market, spec, x = report.market, report.utility, report.x
     prob = market.tree.leaf_prob
     u_prime_leaf = ut.eval_u_prime(spec, x + report.claim + market.endowment)
 
     h = FD_STEP * (1.0 + abs(x))
-    start = primal_point(market, report.strategy, report.claim)
-    up = solve_primal(market, spec, x + h, x0=start).value
-    dn = solve_primal(market, spec, x - h, x0=start).value
-    u_prime_fd = (up - dn) / (2.0 * h)
+    point = primal_point(market, report.strategy, report.claim)
+
+    def value(xh):
+        lam = primal_multipliers(market, spec, xh, report.yhat, report.dual_system)
+        return solve_primal(market, spec, xh, x0=(point, lam)).value
+
+    u_prime_fd = (value(x + h) - value(x - h)) / (2.0 * h)
 
     finite = report.leaf_identity_residuals[
         ~np.isnan(report.leaf_identity_residuals)

@@ -8,9 +8,9 @@ builds is of that shape, with a strictly feasible start in closed form:
 the engine never searches for one.  The path-following loop is
 self-contained, and so is the active-face finish that moves its optimal
 exits onto their face.  A program that carries a face start, a point
-already on (or next to) its optimal face, is first finished from there
-by the same barrier-free Newton steps; the barrier runs only when that
-point fails the certification test.  Linear programs do not go through
+already on (or next to) its optimal face and multipliers for its rows,
+is first finished from there by the same barrier-free Newton steps; the
+barrier runs only when that fails.  Linear programs do not go through
 this loop: :func:`solve_lp` is one HiGHS call (``scipy.optimize.linprog``),
 and :func:`max_slack` is the existence check's LP.
 
@@ -39,8 +39,7 @@ TOL = 1e-9                 # stopping tolerance of the path-following loop
 DEFAULT_MAX_NEWTON = 500
 DIVERGE_CAP = 1e12
 HIGHS_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances
-FINISH_ROUNDS = 2          # face-change rounds in a row that end a barrier exit's finish
-FACE_START_ROUNDS = 6      # and a face start's: it may start a few rows off its face
+FINISH_ROUNDS = 6          # face-change rounds in a row that end a face finish
 LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # by linprog status
 
 
@@ -61,10 +60,10 @@ class ConvexProgram:
     ``in_domain`` guards open objective domains during line search.
     Inequalities read ``G x - h >= 0``; ``G`` has at least one row.
     ``x0`` is the barrier's start, strictly feasible once projected onto
-    ``A x = b``.  ``face_start`` is a point on the program's optimal
-    face, or near it, such as the optimum of a nearby program:
-    :func:`solve` first finishes it on its active face and runs the
-    barrier from ``x0`` only when that fails.
+    ``A x = b``.  ``face_start`` pairs a point on or near the program's
+    optimal face, such as a nearby optimum, with one multiplier per row
+    of ``G`` (a dual optimum's, or zeros): :func:`solve` first finishes
+    it on its active face and runs the barrier only if that fails.
     """
 
     n: int
@@ -75,7 +74,7 @@ class ConvexProgram:
     A_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
-    face_start: Optional[np.ndarray] = None
+    face_start: Optional[tuple] = None
 
 
 @dataclass
@@ -289,11 +288,10 @@ def solve(program: ConvexProgram) -> SolveResult:
     optimal exit outside it is demoted to ``numerical_failure``.
 
     A program's ``face_start`` is tried first (:func:`_face_start`): the
-    face finish runs from it with least-squares multipliers, and a point
-    that passes the loop's own stopping test, far tighter than that
+    face finish runs from its point and multipliers, and a point that
+    passes the loop's own stopping test, far tighter than that
     certification, is returned with no barrier step.  Otherwise the
-    barrier runs from the start as if there had been no face start, to
-    the same bits.
+    barrier runs as if there had been no face start, to the same bits.
     """
     G = np.atleast_2d(np.asarray(program.G, float))
     h = np.atleast_1d(np.asarray(program.h, float))
@@ -519,7 +517,7 @@ def _kkt_residuals(g, x, G, h, A, b, lam, nu):
     return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(g))), feas, comp
 
 
-def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=False):
+def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     """Barrier-free Newton steps on the active face of a point.
 
     Barrier points stop short of their optimal face, where the identities
@@ -529,15 +527,14 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=Fa
     set drops the dependent rows and spans the face.  Each round takes the
     Newton step of the quadratic model on the face by the null-space
     method (least squares on the reduced Hessian ``Z^T diag(d) Z``, so
-    flat directions stay put).  The multipliers in hand (``lam``, ``nu``;
-    zeros for a face start) are corrected to the least-squares ones on
-    the face.  A row the step would cross joins the face and a row with a
-    negative multiplier leaves it, in place of the step; such rounds end
-    the finish at ``FINISH_ROUNDS`` in a row (``FACE_START_ROUNDS`` for a
-    ``face_start``), as does a step out of the objective domain or one
-    not half its predecessor.  A face start has no multipliers to split
-    a degenerate face's dependent rows, so before a row leaves it looks
-    for a nonnegative split (:func:`_nonnegative_split`).  A step below
+    flat directions stay put).  The multipliers in hand (``lam``, ``nu``:
+    the barrier's, or a face start's) are corrected to the least-squares
+    ones on the face's kept rows, so dependent rows keep their split.
+    Rows the step would cross join the face and the row with the most
+    negative multiplier leaves it, one row per face change (Goldfarb &
+    Idnani, Math. Prog. 27, 1983), in place of the step; ``FINISH_ROUNDS``
+    such rounds in a row end the finish, as does a step out of the
+    objective domain or one not half its predecessor.  A step below
     sqrt(eps) relative to the point in every component is the last: its
     multipliers certify the point it reaches to second order.  Crossover
     as in Mehrotra & Ye, Math. Prog. 62 (1993).
@@ -550,7 +547,7 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=Fa
     scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
     active = G @ x - h <= 1e-7 * scale
     out, steps, idle, face, last, rounds = None, 0, 0, None, np.inf, 0
-    while idle < (FACE_START_ROUNDS if face_start else FINISH_ROUNDS):
+    while idle < FINISH_ROUNDS:
         rounds += 1
         if face is None:
             rows = np.flatnonzero(active)
@@ -567,19 +564,13 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=Fa
         w[face.keep] += face.multipliers(g + d * dx + C.T @ w)
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
-        if face_start and np.any(lam_t < 0.0):
-            # a face start has no barrier split among dependent rows to
-            # keep: look for a nonnegative one before any row leaves
-            split = _nonnegative_split(C, p, g + d * dx)
-            if split is not None:
-                w = split
-                lam_t[rows] = -w[p:]
         x_t = x + dx
         # crossing by more than the rounding bound of G x - h
         join = ~active & (G @ x_t - h < -n * np.finfo(float).eps * scale)
-        leave = lam_t < 0.0
-        if join.any() or leave.any():
-            active = (active | join) & ~leave
+        leave = int(np.argmin(lam_t))
+        if join.any() or lam_t[leave] < 0.0:
+            active |= join
+            active[leave] &= lam_t[leave] >= 0.0
             face = None
             idle += 1
             continue
@@ -595,44 +586,24 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain, face_start=Fa
     return out, rounds
 
 
-def _nonnegative_split(C, p, r):
-    """Multipliers ``w = (nu, -lam)`` of the face rows ``C`` (its first
-    ``p`` rows equalities) with ``lam >= 0`` and ``r + C^T w = 0`` to
-    ``TOL (1 + |r|)``, or ``None`` when there are none: nonnegative least
-    squares (Lawson & Hanson), with ``nu`` split into two nonnegative
-    parts."""
-    from scipy.optimize import nnls
-
-    E, k = C[:p].T, C.shape[0] - p
-    sol, resid = nnls(np.hstack([C[p:].T, -E, E]), r)
-    if resid > TOL * (1.0 + np.linalg.norm(r)):
-        return None
-    return np.concatenate([sol[k:k + p] - sol[k + p:], -sol[:k]])
-
-
 def _face_start(program, eq, G, h, in_domain, diag):
     """The solve from ``program.face_start`` by :func:`_face_finish`
-    alone, or ``None`` when its point is not accepted.
-
-    The finish starts from zero multipliers, so its first round takes the
-    least-squares ones on the face, and rows may join or leave the face
-    for ``FACE_START_ROUNDS`` rounds in a row.  Its last point is
-    accepted when it lies in the objective domain (the finish takes no
-    step out of it), every inequality multiplier is nonnegative, and its
-    KKT residuals pass the barrier's own stopping test: stationarity,
-    relative to ``1 + |g|``, and feasibility at most ``10 TOL``, and
-    complementarity at most the floor weight ``TOL / (10 m)``.  The
-    outcome is recorded in ``diag.face_start`` and logged as the first
-    event.
+    alone, from the pair's multipliers and zero equality ones, or ``None``
+    when its point is not accepted.  The finish steps only inside the
+    objective domain and with every multiplier nonnegative, and its last
+    point is accepted when its KKT residuals pass the barrier's own
+    stopping test: stationarity, relative to ``1 + |g|``, and feasibility
+    at most ``10 TOL``, and complementarity at most the floor weight
+    ``TOL / (10 m)``.  The outcome is recorded in ``diag.face_start`` and
+    logged as the first event.
     """
-    x = np.asarray(program.face_start, dtype=float)
+    x, lam = (np.asarray(v, dtype=float) for v in program.face_start)
     A, b = eq.A, eq.b
     out, rounds = None, 0
     if in_domain(x):
         fval, g, d = program.objective(x)
-        out, rounds = _face_finish(program, x, g, d, G, h, A, b, np.zeros(G.shape[0]),
-                                   np.zeros(0 if A is None else A.shape[0]), in_domain,
-                                   face_start=True)
+        out, rounds = _face_finish(program, x, g, d, G, h, A, b, lam,
+                                   np.zeros(0 if A is None else A.shape[0]), in_domain)
         reason = "no step on the face"
     else:
         reason = "start outside the objective domain"
@@ -642,8 +613,6 @@ def _face_start(program, eq, G, h, in_domain, diag):
         if max(stat, feas) > 10.0 * TOL or comp > TOL / (10.0 * G.shape[0]):
             reason = (f"KKT residuals {stat:.1e}, {feas:.1e}, {comp:.1e} above "
                       "the barrier's stopping test")
-        elif np.any(lam < 0.0):
-            reason = "negative multiplier"
         else:
             reason = None
     diag.face_start = {"accepted": reason is None, "rounds": rounds, "reason": reason}

@@ -275,6 +275,32 @@ def test_nan_probability_is_a_validation_error(tmp_path, drift_binomial, capsys)
                     "error: nonpositive or non-finite branch probability at node 1")
 
 
+_ROOT = {"id": 0, "parent": None, "price": 100.0}
+_UP = {"id": 1, "parent": 0, "prob": 0.5, "price": 110.0}
+_DOWN = {"id": 2, "parent": 0, "prob": 0.5, "price": 90.0}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([_ROOT, _UP, _DOWN], "top-level JSON object expected"),
+    ({"lambda": 0.01, "nodes": []}, "'nodes' must be a nonempty list"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {"parent": 0, "prob": 0.5, "price": 110.0}, _DOWN]},
+     "each node needs 'id' and 'price'"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {"id": 1, "parent": 0, "prob": 0.5}, _DOWN]},
+     "each node needs 'id' and 'price'"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _UP]},
+     "node ids must be 0..2 without repeats, got 1"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "parent": 0.5}, _DOWN]},
+     "parent of node 1 must be an integer or null"),
+    ({"lambda": 0.01, "nodes": [_ROOT]}, "tree must have at least one period"),
+], ids=["not-an-object", "empty-nodes", "no-id", "no-price", "repeated-id",
+        "non-integer-parent", "single-node"])
+def test_malformed_market_file_is_a_validation_error(tmp_path, raw, message, capsys):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(raw))
+    assert main(["solve", "--market", str(path), "--utility", "log", "--x", "1"]) == 1
+    assert_one_line(capsys.readouterr().err, f"error: {message}")
+
+
 def test_linalg_error_is_solver_failure(market_file, monkeypatch, capsys):
     import numpy as np
 

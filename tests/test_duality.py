@@ -32,6 +32,12 @@ LOG = UtilitySpec("log")
 EXP1 = UtilitySpec("exponential", gamma=1.0)
 
 
+def _with_zero_multipliers(market, spec, x, point):
+    """A face start for the primal at ``x`` with no dual at hand:
+    ``point`` paired with zero inequality multipliers."""
+    return point, np.zeros(duality.primal_program(market, spec, x).G.shape[0])
+
+
 def test_martingale_no_trade_exponential(martingale_binomial):
     # the ask process is already a martingale: trading only burns spread,
     # so the optimum is no trade and u(0) = -exp(0) = -1
@@ -278,7 +284,8 @@ def test_warm_primal_start_matches_cold(two_period_market, spec):
     near = solve_primal(two_period_market, spec, x)
     start = duality.primal_point(two_period_market, near.strategy, near.claim)
     cold = solve_primal(two_period_market, spec, x + h)
-    warm = solve_primal(two_period_market, spec, x + h, x0=start)
+    warm = solve_primal(two_period_market, spec, x + h,
+                        x0=_with_zero_multipliers(two_period_market, spec, x + h, start))
     assert not warm.diagnostics["start"]["rejected"]
     face = warm.diagnostics["start"]["face"]
     assert face["accepted"]
@@ -303,7 +310,8 @@ def test_infeasible_primal_start_falls_back_to_the_closed_form_start(two_period_
     # the pull: the barrier runs from the closed-form start, bit for bit
     cold = solve_primal(two_period_market, LOG, 6.0)
     start = duality.primal_point(two_period_market, cold.strategy, cold.claim - 1e6)
-    warm = solve_primal(two_period_market, LOG, 6.0, x0=start)
+    warm = solve_primal(two_period_market, LOG, 6.0,
+                        x0=_with_zero_multipliers(two_period_market, LOG, 6.0, start))
     assert warm.diagnostics["start"]["rejected"]
     assert warm.diagnostics["events"] == [
         "face start rejected after 0 rounds: start outside the objective domain",
@@ -597,6 +605,33 @@ def test_report_primal_starts_at_the_shadow_replication(spec, lam):
     assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
 
 
+def test_dual_optimum_gives_the_primal_multipliers():
+    # scaled by yhat, the dual optimum is the primal's Lagrange
+    # multiplier: mapped onto primal_program's rows it is nonnegative and
+    # meets stationarity at the shadow start, at the generated spreads
+    # and at zero spread where that polytope is not empty
+    gen = InstanceGenerator(seed=11)
+    checked = 0
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        for m in (market, replace(market, lam=0.0)):
+            if martingale_point(m) is None:
+                continue
+            for spec in SHADOW_FAMILIES:
+                x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(m), 0.0) + 5.0
+                rep = solve_report(m, spec, x)
+                start, record = duality._shadow_start(m, spec, x, rep.yhat, rep.dual_system)
+                assert record["point"] == "shadow"
+                point, lam = start
+                prog = duality.primal_program(m, spec, x)
+                _, g, _ = prog.objective(point)
+                assert lam.shape == prog.h.shape and np.all(lam >= 0.0), (i, m.lam, spec)
+                stationarity = np.linalg.norm(g - prog.G.T @ lam) / (1.0 + np.linalg.norm(g))
+                assert stationarity <= 1e-9, (i, m.lam, spec)
+                checked += 1
+    assert checked == 48      # 10 markets at their spread, 6 at zero spread
+
+
 def test_zero_density_dual_keeps_the_generic_start():
     # an unhedgeable endowment of 200 at the middle leaf of a trinomial:
     # the exponential dual density there is ~4e-13, I(yhat * Z0) is out
@@ -615,10 +650,11 @@ def test_zero_density_dual_keeps_the_generic_start():
 
 
 def _face_and_barrier_solves(market, spec, x, start):
-    """The engine's solves of the primal at ``x`` from the pulled
-    ``start``, with ``start`` as the face start and without one."""
+    """The engine's solves of the primal at ``x`` from the pulled point
+    of ``start``, with the pair ``start`` as the face start and without
+    one."""
     prog = duality.primal_program(market, spec, x)
-    pulled = (1.0 - duality.WARM_PULL) * start + duality.WARM_PULL * prog.x0
+    pulled = (1.0 - duality.WARM_PULL) * start[0] + duality.WARM_PULL * prog.x0
     return (engine.solve(replace(prog, x0=pulled, face_start=start)),
             engine.solve(replace(prog, x0=pulled)))
 
@@ -649,12 +685,15 @@ def test_face_start_is_accepted_on_generated_markets():
             x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
             rep = solve_report(market, spec, x)
             h = duality.FD_STEP * (1.0 + abs(x))
-            start = duality.primal_point(market, rep.strategy, rep.claim)
-            solves = [(x, rep.value, rep.claim, rep.diagnostics["primal"])]
+            point = duality.primal_point(market, rep.strategy, rep.claim)
+            solves = [(x, None, rep.value, rep.claim, rep.diagnostics["primal"])]
             for xh in (x + h, x - h):
+                # paired with the dual's multipliers at xh, as verify_identities does
+                start = (point, duality.primal_multipliers(market, spec, xh, rep.yhat,
+                                                           rep.dual_system))
                 warm = solve_primal(market, spec, xh, x0=start)
-                solves.append((xh, warm.value, warm.claim, warm.diagnostics))
-            for xs, value, claim, d in solves:
+                solves.append((xh, start, warm.value, warm.claim, warm.diagnostics))
+            for xs, start, value, claim, d in solves:
                 face = d["start"]["face"]
                 assert not d["start"]["rejected"], (i, spec, xs)
                 if not face["accepted"]:
@@ -674,7 +713,7 @@ def test_face_start_is_accepted_on_generated_markets():
                     continue
                 assert value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
                 assert np.max(np.abs(claim - cold.claim)) <= 1e-9, (i, spec, xs)
-            assert solves[0][3]["start"]["point"] == "shadow"
+            assert solves[0][4]["start"]["point"] == "shadow"
             if spec.family == "exponential":
                 # and it meets the dual value to rounding
                 assert rep.relative_gap <= 1e-13, (i, spec)
@@ -683,19 +722,22 @@ def test_face_start_is_accepted_on_generated_markets():
     # where the face's quadratic model overshoots (and x - h takes
     # market 5's start out of the domain), so the barrier solves those
     assert rejected == [(5, "power"), (5, "power"), (9, "power")]
-    assert short == [(5, "exponential")] * 3 + [(9, "exponential")] * 3
+    assert short == [(5, "exponential")] * 3
 
 
 def test_rejected_face_start_returns_the_barrier_solve(two_period_market):
     # the log optimum at x = 60 lies off the optimal face at x = 6: the
     # face start is rejected and logged, and the solve is the barrier's
-    # from the pulled start, bit for bit
+    # from the pulled start, bit for bit.  Under exp(1) a row leaves the
+    # face in each of the finish's rounds; under log five rows leave,
+    # one step is taken and the next is not half of it
     far = solve_primal(two_period_market, LOG, 60.0)
-    start = duality.primal_point(two_period_market, far.strategy, far.claim)
-    for spec in (LOG, EXP1):
+    point = duality.primal_point(two_period_market, far.strategy, far.claim)
+    for spec, reason in ((LOG, "KKT residuals"), (EXP1, "no step on the face")):
+        start = _with_zero_multipliers(two_period_market, spec, 6.0, point)
         res, barrier = _face_and_barrier_solves(two_period_market, spec, 6.0, start)
         face = res.diagnostics.face_start
-        assert face["reason"].startswith("KKT residuals")
+        assert face["reason"].startswith(reason)
         _assert_barrier_bits(res, barrier)
         warm = solve_primal(two_period_market, spec, 6.0, x0=start)
         assert warm.diagnostics["start"] == {"rejected": False, "face": face}
@@ -709,7 +751,7 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
 
     def far_below(market, spec, x, yhat, system):
         start, record = shadow_start(market, spec, x, yhat, system)
-        start[-market.tree.n_leaves:] -= 1e6      # claims far below zero wealth
+        start[0][-market.tree.n_leaves:] -= 1e6      # claims far below zero wealth
         return start, record
 
     cold = solve_report(two_period_market, LOG, 6.0)

@@ -386,7 +386,7 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
                          A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
                          G=np.vstack([row, row, np.eye(2)]), h=np.array([-2.0, -2.0, -5.0, -5.0]),
-                         x0=np.zeros(2), face_start=np.array([0.9, 0.9]))
+                         x0=np.zeros(2), face_start=(np.array([0.9, 0.9]), np.zeros(4)))
     res = solve(prog)
     d = res.diagnostics
     assert d.face_start == {"accepted": True, "rounds": d.face_start["rounds"], "reason": None}

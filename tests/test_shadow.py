@@ -191,6 +191,22 @@ def test_tiny_density_node_trades_on_its_band_edge():
     assert verify_shadow(rep, sh, fr)["direction_violations"] == []
 
 
+def test_degenerate_exponential_face_starts_are_accepted():
+    # generated seed-5 markets 113 and 141 under exp(1) at x = 1: from its
+    # face start, with the dual's multipliers in hand, each report's
+    # primal is accepted with no barrier step, and #141 trades in the
+    # shadow price's direction (#113's 1.9e-7 buy-side violation at node
+    # 22 comes from its dual, whose ratio sits just below the ask)
+    gen = InstanceGenerator(seed=5)
+    for i in (113, 141):
+        rep, sh, fr = shadow_pipeline(gen.draw_feasible(i), EXP1, 1.0)
+        d = rep.diagnostics["primal"]
+        assert d["start"]["face"]["accepted"], i
+        assert d["newton_iterations"] == [] and d["factorizations"] == 0
+        if i == 141:
+            assert verify_shadow(rep, sh, fr)["direction_violations"] == []
+
+
 def loop_direction_violations(report, shadow):
     """Node-by-node reference of :func:`verify_shadow`'s trade-direction
     check, in its order: node by node, a node's buy before its sell."""
