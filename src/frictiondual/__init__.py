@@ -3,7 +3,6 @@ on finite event trees: solvers, shadow prices, and indifference pricing."""
 
 from .duality import (
     DualSolution,
-    NoCpsError,
     PrimalInfeasibleError,
     PrimalSolution,
     SolveReport,
@@ -17,6 +16,7 @@ from .duality import (
 from .polytope import (
     CpsVerdict,
     DualPolytope,
+    NoCpsError,
     PolytopeInfeasibleError,
     PriceSystem,
     build_polytope,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import duality, pricing, shadow as shadow_mod, utility as ut
 from .generate import InstanceGenerator, emit_instance
-from .polytope import PolytopeInfeasibleError, check_cps
+from .polytope import NoCpsError, PolytopeInfeasibleError, check_cps
 from .tree import load_market
 
 EXIT_OK = 0
@@ -247,8 +247,7 @@ def main(argv=None) -> int:
         # bad input, or a market or output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (duality.PrimalInfeasibleError, duality.NoCpsError,
-            PolytopeInfeasibleError) as exc:
+    except (duality.PrimalInfeasibleError, NoCpsError, PolytopeInfeasibleError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except RuntimeError as exc:

@@ -5,7 +5,10 @@ self-financing trading under proportional costs; the dual side minimizes
 the conjugate functional over the consistent-price-system polytope.  On
 a finite tree both optima are attained and the duality gap is zero; this
 module computes both sides, the optimal scaling ``yhat = u'(x)``, and
-the residuals of the optimizer identities linking them.
+the residuals of the optimizer identities linking them.  A dual solve
+given no start begins at its polytope's strictly consistent price system
+(:meth:`DualPolytope.strict_point`), which raises :class:`NoCpsError`
+when the market has none.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ import numpy as np
 
 from . import utility as ut
 from .engine import ConvexProgram, EngineError, InfeasibleProgramError, SolveResult, solve
-from .polytope import (CPS_MARGIN, DENSITY_EPS, DualPolytope, PolytopeInfeasibleError,
-                       PriceSystem, build_polytope, check_cps, martingale_point,
-                       max_expectation, super_hedge)
+from .polytope import (DENSITY_EPS, DualPolytope, PolytopeInfeasibleError, PriceSystem,
+                       build_polytope, max_expectation, super_hedge)
 from .trading import Strategy, net_trades, replicate, roll_forward, terminal_claim
 from .tree import MarketSpec
 
@@ -37,10 +39,6 @@ class PrimalInfeasibleError(RuntimeError):
 
 class PrimalUnboundedError(RuntimeError):
     """The prices admit an arbitrage: the primal is unbounded."""
-
-
-class NoCpsError(RuntimeError):
-    """The market admits no strictly positive consistent price system."""
 
 
 def _check_wealth(x: float) -> None:
@@ -84,7 +82,6 @@ class SolveReport:
     leaf_identity_residuals: np.ndarray
     zero_density_leaves: list
     diagnostics: dict = field(default_factory=dict)
-    witness: Optional[np.ndarray] = None    # leaf vars the dual solve started at, at any spread
 
     @property
     def relative_gap(self) -> float:
@@ -381,7 +378,7 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     """Minimize the conjugate functional at scale ``y`` over the polytope.
 
     ``x0``, leaf variables of a strictly feasible point of the polytope,
-    starts the solve; it defaults to :func:`dual_start`.
+    starts the solve; it defaults to :meth:`DualPolytope.strict_point`.
     """
     if not 0.0 < y < np.inf:
         raise ut.UtilityDomainError(f"dual scale y must be positive and finite, got {y}")
@@ -402,10 +399,10 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
                        x0: Optional[np.ndarray]) -> SolveResult:
     """Engine solve over the constraints of ``poly`` from ``x0``, by
-    default :func:`dual_start`; optimal or raises."""
+    default :meth:`DualPolytope.strict_point`; optimal or raises."""
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
-                         x0=dual_start(poly.market, poly) if x0 is None else x0)
+                         x0=poly.strict_point() if x0 is None else x0)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:
@@ -447,7 +444,7 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
     ``x0``, a strictly feasible point of the polytope (by default
-    :func:`dual_start`), starts the cone solve at ``W = x0``.
+    :meth:`DualPolytope.strict_point`), starts the cone solve at ``W = x0``.
     The engine's active-face finish puts ``W`` on its optimal face, where
     the degenerate band rows hold exactly.  The residual |v'(yhat) + x|
     must end below 1e-8 * (1 + |x|).
@@ -474,29 +471,6 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     return yhat, value, sol
 
 
-def dual_start(market: MarketSpec, poly: DualPolytope) -> np.ndarray:
-    """Leaf variables strictly inside ``poly``, the polytope of
-    ``market``: a strictly consistent price system (Jouini & Kallal,
-    1995), the default start of every dual solve.  At positive spread it
-    is :func:`martingale_point` when its margin clears ``CPS_MARGIN``,
-    with no LP, else the existence check's witness (:func:`check_cps`),
-    whose LP raises :class:`NoCpsError` when there is none.  At zero
-    spread it is :func:`martingale_point`; ``None`` raises
-    :class:`PolytopeInfeasibleError`."""
-    z = martingale_point(market)
-    if market.lam == 0.0:
-        if z is None:
-            raise PolytopeInfeasibleError("no strictly positive martingale density at "
-                                          "zero spread")
-        return z
-    if z is not None and poly.margin(z) > CPS_MARGIN:
-        return z
-    verdict = check_cps(market)
-    if not verdict.exists:
-        raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
-    return verdict.witness_leaf_vars
-
-
 def compute_x0(market: MarketSpec) -> float:
     """Wealth threshold sup over the polytope of E[-z0 * e_T], by backward
     induction on the tree (:func:`max_expectation`); no LP.  An empty
@@ -508,22 +482,19 @@ def compute_x0(market: MarketSpec) -> float:
 # combined report and identity checks
 
 
-def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 witness: Optional[np.ndarray] = None) -> SolveReport:
+def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
-    Every start is in closed form.  The dual starts at the witness, a
-    strictly consistent price system: :func:`dual_start`, which usually
-    runs no LP and raises :class:`NoCpsError` (or, at zero spread,
-    :class:`PolytopeInfeasibleError`) when there is none, or a supplied
-    ``witness``, leaf variables strictly inside this market's polytope
-    such as another report's.  The report keeps it.  The witness comes
-    first, so exponential utility reports an empty zero-spread polytope
-    the same way, where its primal would diverge.  Half-line utilities
-    need ``x`` above the threshold ``x0 = sup E[-Z0 e]`` by more than
-    ``THRESHOLD_MARGIN``: the primal program (:func:`primal_program`),
-    built once, raises :class:`PrimalInfeasibleError` naming it, before
-    any solve.
+    Every start is in closed form.  The dual starts at a strictly
+    consistent price system (:meth:`DualPolytope.strict_point`), which
+    usually runs no LP and, when there is none, raises
+    :class:`NoCpsError` (at zero spread, :class:`PolytopeInfeasibleError`)
+    with none.  It comes first, so exponential utility reports an empty
+    zero-spread polytope the same way, where its primal would diverge.
+    Half-line utilities need ``x`` above the threshold
+    ``x0 = sup E[-Z0 e]`` by more than ``THRESHOLD_MARGIN``: the primal
+    program (:func:`primal_program`), built once, raises
+    :class:`PrimalInfeasibleError` naming it, before any solve.
 
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
@@ -552,14 +523,13 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     """
     _check_wealth(x)
     poly = build_polytope(market)
-    if witness is None:
-        witness = dual_start(market, poly)
+    start = poly.strict_point()
     tree = market.tree
     endow = market.endowment
     program = primal_program(market, spec, x)
 
     if spec.family == "exponential":
-        dual = solve_entropy_core(market, spec.gamma, poly=poly, x0=witness)
+        dual = solve_entropy_core(market, spec.gamma, poly=poly, x0=start)
         # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
         # form keeps its relative accuracy even when yhat is tiny
         entropy, endow_mean = entropy_terms(market, dual.leaf_vars)
@@ -571,7 +541,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                        derivative=float(ut.eval_v_prime(spec, yhat)) + k)
         dual_total = dual.value + x * yhat
     else:
-        yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=witness)
+        yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=start)
     start, record = _shadow_start(market, spec, x, yhat, dual.system)
     primal = solve_primal(market, spec, x, x0=start, program=program)
     primal.diagnostics["start"] = {**record, **primal.diagnostics["start"]}
@@ -592,7 +562,6 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         dual_leaf_vars=dual.leaf_vars, gap=gap,
         leaf_identity_residuals=residuals, zero_density_leaves=zero_leaves,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
-        witness=witness,
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import CPS_MARGIN, build_polytope, check_cps, martingale_point
+from .polytope import NoCpsError, build_polytope
 from .tree import EventTree, MarketSpec, market_to_dict
 
 VOLATILITY = (0.05, 0.35)         # range of the per-step log-price volatility
@@ -79,23 +79,18 @@ class InstanceGenerator:
         """Like :meth:`draw` but rejects markets with no strictly positive
         price system; resampling stays deterministic in (seed, index).
 
-        An attempt is accepted when the closed-form
-        :func:`martingale_point` clears ``CPS_MARGIN``, and otherwise when
-        the existence LP (:func:`check_cps`) finds a witness.  The LP's
-        optimal margin is at least the closed-form point's, so the LP
-        alone would accept the same attempts.  No closed-form point at
-        all means no strictly consistent price system (no band price at
-        positive spread, an arbitrage at zero spread), so such an attempt
-        is rejected without the LP."""
+        An attempt is accepted when its polytope has a strictly
+        consistent price system (:meth:`DualPolytope.strict_point`): in
+        closed form, with no LP, unless the closed-form point misses the
+        margin."""
         for attempt in range(MAX_TRIES):
             mkt = self.draw(index if attempt == 0 else (index + 1) * 100003 + attempt)
-            witness = martingale_point(mkt)
-            if witness is None:
+            try:
+                build_polytope(mkt).strict_point()
+            except NoCpsError:
                 continue
-            if build_polytope(mkt).margin(witness) > CPS_MARGIN or check_cps(mkt).exists:
-                return mkt
+            return mkt
         raise RuntimeError(f"no feasible draw after {MAX_TRIES} tries at index {index}")
-
 
 def emit_instance(market: MarketSpec) -> str:
     """Canonical JSON text of a market, byte-stable across runs."""

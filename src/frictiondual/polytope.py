@@ -8,15 +8,17 @@ tree the whole family is an explicit polytope over the terminal values
 
 A strictly positive member exists exactly when a price strictly inside
 the band has a strictly positive martingale density (Jouini & Kallal,
-1995).  :func:`martingale_point` builds one in closed form;
-:func:`check_cps` decides the same question by an LP and, when the
-answer is no, returns a separating certificate.
+1995).  :func:`martingale_point` builds one in closed form, and
+:meth:`DualPolytope.strict_point` is the one rule that turns it into a
+start or a :class:`NoCpsError`; :func:`check_cps` decides the same
+question by an LP and, when the answer is no, returns a separating
+certificate.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -32,6 +34,10 @@ BAND_SHRINK = 0.1         # share of its width a band interval is shrunk by at e
 
 class PolytopeInfeasibleError(RuntimeError):
     """Operation requires a nonempty (strictly feasible) polytope."""
+
+
+class NoCpsError(RuntimeError):
+    """The market admits no strictly positive consistent price system."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +65,9 @@ class DualPolytope:
 
     Variables are ``[z0_leaves, z1_leaves]`` in leaf order.  ``cond_exp``
     maps leaf values to per-node conditional expectations.  Inequalities
-    read ``G z - h >= 0``; at zero spread the band collapses and the cone
-    rows move into the equality block.
+    read ``G z - h >= 0``; at positive spread node ``n``'s lower and upper
+    cone rows are rows ``2n`` and ``2n + 1`` of ``G``.  At zero spread the
+    band collapses and the cone rows move into the equality block.
     """
 
     market: MarketSpec
@@ -69,8 +76,6 @@ class DualPolytope:
     b_eq: np.ndarray
     G: np.ndarray
     h: np.ndarray
-    cone_lower_rows: np.ndarray = field(repr=False)
-    cone_upper_rows: np.ndarray = field(repr=False)
 
     @property
     def n_vars(self) -> int:
@@ -97,6 +102,30 @@ class DualPolytope:
         (:meth:`margin_weights`) among the rows weighed."""
         w = self.margin_weights()
         return float(np.min((self.G @ z - self.h)[w > 0.0] / w[w > 0.0]))
+
+    def strict_point(self) -> np.ndarray:
+        """Leaf variables strictly inside this polytope, at its market's
+        spread: a strictly consistent price system (Jouini & Kallal, 1995),
+        the start of every dual solve not given one.
+
+        It is :func:`martingale_point` when its margin clears
+        ``CPS_MARGIN``.  The closed form finds a point exactly when one
+        exists, so ``None`` raises :class:`NoCpsError` (at zero spread, an
+        arbitrage: :class:`PolytopeInfeasibleError`) with no LP.  Only a
+        point inside the margin runs one: the existence LP on this
+        polytope (:func:`_max_margin`), whose witness must clear it.
+        """
+        market = self.market
+        z = martingale_point(market)
+        if z is None and market.lam == 0.0:
+            raise PolytopeInfeasibleError("no strictly positive martingale density at "
+                                          "zero spread")
+        if z is not None and market.lam > 0.0 and not self.margin(z) > CPS_MARGIN:
+            delta, z, _ = _max_margin(self, include_cone=True)
+            z = z if delta > CPS_MARGIN else None
+        if z is None:
+            raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
+        return z
 
     def max_violation(self, z: np.ndarray) -> float:
         """Largest constraint violation of a candidate point."""
@@ -139,15 +168,12 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
         # degenerate band: Z1 = S * Z0 exactly
         A_eq = np.vstack([norm, upper])
         G = positivity
-        lower_idx, upper_idx = np.full(n, -1), np.full(n, -1)
     else:
         A_eq = norm
         cone = np.empty((2 * n, 2 * L))
         cone[0::2] = np.hstack([-(1.0 - lam) * s * W, W])
         cone[1::2] = upper
         G = np.vstack([cone, positivity])
-        lower_idx = np.arange(0, 2 * n, 2)
-        upper_idx = lower_idx + 1
 
     return DualPolytope(
         market=market,
@@ -156,8 +182,6 @@ def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPo
         b_eq=np.concatenate([[1.0], np.zeros(A_eq.shape[0] - 1)]),
         G=G,
         h=np.zeros(G.shape[0]),
-        cone_lower_rows=lower_idx,
-        cone_upper_rows=upper_idx,
     )
 
 
@@ -178,8 +202,8 @@ def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
     density is their product over the path.  ``None`` means no band price
     exists, or (at zero spread) a node moves one way: an arbitrage.
     At positive spread the point can sit too close to the boundary to
-    count as strictly inside, so callers check its margin
-    (:meth:`DualPolytope.margin`).
+    count as strictly inside, so :meth:`DualPolytope.strict_point` checks
+    its margin.
     """
     tree = market.tree
     S = market.ask_price if market.lam == 0.0 else _band_price(market)
@@ -366,7 +390,6 @@ class CpsVerdict:
 
     exists: bool
     delta: float
-    witness: Optional[PriceSystem]
     witness_leaf_vars: Optional[np.ndarray]
     certificate: Optional[dict]
     positivity_delta: Optional[float] = None
@@ -391,16 +414,13 @@ def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
     poly = build_polytope(market, spread=mu)
     delta, z, cert = _max_margin(poly, include_cone=True)
     if delta > CPS_MARGIN:
-        witness = poly.price_system(z)
-        return CpsVerdict(exists=True, delta=delta, witness=witness,
-                          witness_leaf_vars=z, certificate=None)
+        return CpsVerdict(exists=True, delta=delta, witness_leaf_vars=z, certificate=None)
     try:
         pos_delta, _, _ = _max_margin(poly, include_cone=False)
     except PolytopeInfeasibleError:
         pos_delta = float("-inf")  # the cone itself admits no point at all
-    return CpsVerdict(exists=False, delta=delta, witness=None,
-                      witness_leaf_vars=None, certificate=cert,
-                      positivity_delta=pos_delta)
+    return CpsVerdict(exists=False, delta=delta, witness_leaf_vars=None,
+                      certificate=cert, positivity_delta=pos_delta)
 
 
 def _max_margin(poly: DualPolytope, include_cone: bool):
@@ -414,9 +434,10 @@ def _max_margin(poly: DualPolytope, include_cone: bool):
             f"existence LP ended with status {res.status}: {res.diagnostics.message}"
         )
     z, delta = res.x[:-1], float(res.x[-1])
+    cone = res.ineq_multipliers[:2 * poly.market.tree.n_nodes]
     cert = {
-        "cone_lower_multipliers": res.ineq_multipliers[poly.cone_lower_rows].tolist(),
-        "cone_upper_multipliers": res.ineq_multipliers[poly.cone_upper_rows].tolist(),
+        "cone_lower_multipliers": cone[0::2].tolist(),
+        "cone_upper_multipliers": cone[1::2].tolist(),
         "eq_multipliers": res.eq_multipliers.tolist(),
         "max_margin": delta,
     }

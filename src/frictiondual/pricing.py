@@ -9,14 +9,17 @@ wealth, which is what collapses the primal route to a closed form.
 The routes read two solve reports: one of the market and one of the
 same market without its endowment, ``market.with_endowment(np.zeros(L))``,
 which is built once per price; every solver reads the endowment from the
-market it is given.  Both reports' dual solves start at the one
-existence witness (:func:`dual_start`), and each shadow-market dual
-starts at the lift (:meth:`ShadowPrice.lift`) of its report's dual
-optimizer, which is optimal there.  ``price_dual`` alone solves its two
-entropy programs, on the market and on its zero-endowment copy,
-independently of the reports: both start at the market's
-:func:`dual_start`.  The consistent-price bounds run no LP: each end is
-a backward induction on the tree (:func:`price_bounds`).
+market it is given.  Each report's dual solve starts at its own
+polytope's strictly consistent price system
+(:meth:`DualPolytope.strict_point`), and each shadow-market dual starts
+at the lift (:meth:`ShadowPrice.lift`) of its report's dual optimizer,
+which is optimal there.  ``price_dual`` alone solves its two entropy
+programs, on the market and on its zero-endowment copy, independently
+of the reports: both start at the market's polytope's
+:meth:`DualPolytope.strict_point`, which does not read the endowment.
+A market with no band price raises :class:`NoCpsError` from that
+closed form, with no LP.  The consistent-price bounds run no LP either:
+each end is a backward induction on the tree (:func:`price_bounds`).
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import utility as ut
-from .duality import (SolveReport, dual_start, entropy_terms, solve_dual, solve_entropy_core,
-                      solve_report)
+from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
 from .polytope import build_polytope, max_expectation
 from .shadow import construct_shadow
 from .tree import MarketSpec
@@ -53,16 +55,10 @@ class PriceReport:
 
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
     """The two solves every route reads: of the market and of its
-    zero-endowment copy.
-
-    The existence check does not read the endowment, so it runs once and
-    its witness starts both dual solves.
-    """
+    zero-endowment copy."""
     spec = ut.UtilitySpec("exponential", gamma=gamma)
-    rep_e = solve_report(market, spec, x)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
-    rep_0 = solve_report(market_0, spec, x, witness=rep_e.witness)
-    return rep_e, rep_0
+    return solve_report(market, spec, x), solve_report(market_0, spec, x)
 
 
 def _primal_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
@@ -105,11 +101,12 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
 
     Returns ``(price, entropy_with, entropy_without)``; the initial
     wealth cancels exactly and never enters.  Both solves start at the
-    market's :func:`dual_start`, which does not read the endowment.
+    market's :meth:`DualPolytope.strict_point`, which does not read the
+    endowment.
     """
     poly = build_polytope(market)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
-    start = dual_start(market, poly)
+    start = poly.strict_point()
     core_e = solve_entropy_core(market, gamma, poly=poly, x0=start)
     core_0 = solve_entropy_core(market_0, gamma, poly=poly, x0=start)
     return _dual_route(market, market_0, gamma, core_e.leaf_vars, core_0.leaf_vars)

@@ -7,8 +7,9 @@ frictional dual optimizer.  This module builds that price, solves the
 frictionless problems on it, and verifies both directions.  No solve
 here starts from the frictional optimizer, so they are independent
 checks of that theorem: the zero-spread duals start at the closed-form
-martingale density of the shadow price (:func:`dual_start`), and the
-primal at its program's closed-form start.
+martingale density of the shadow price (its polytope's
+:meth:`DualPolytope.strict_point`), and the primal at its program's
+closed-form start.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as ut
-from .duality import (DualSolution, PrimalUnboundedError, SolveReport, solve_dual,
-                      solve_primal)
+from .duality import PrimalUnboundedError, SolveReport, solve_dual, solve_primal
 from .polytope import PriceSystem, build_polytope
 from .tree import MarketSpec
 
@@ -76,7 +76,6 @@ class FrictionlessSolve:
     position: np.ndarray        # per node, holding carried out of the node
     value: float                # u(x; shadow)
     dual_value: float           # v(y; shadow)
-    dual: DualSolution
     diagnostics: dict
 
 
@@ -115,9 +114,9 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     are reported as an unbounded problem (frictionless arbitrage in the
     supplied price).  Neither solve reads the frictional solve the price
     came from: both start at their closed-form starts, the dual at the
-    price's martingale density (:func:`dual_start`), which raises
-    :class:`PolytopeInfeasibleError` when the price moves one way at
-    some node.
+    price's martingale density (:meth:`DualPolytope.strict_point`), which
+    raises :class:`PolytopeInfeasibleError` when the price moves one way
+    at some node.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
@@ -132,7 +131,6 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
         position=primal.strategy.phi1.copy(),
         value=primal.value,
         dual_value=dual.value,
-        dual=dual,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
     )
 
@@ -208,11 +206,11 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
     its density with density-times-price must land inside the original
     polytope and reproduce the frictional dual value.  The zero-spread
     solve starts at the closed-form martingale density of the shadow
-    price (:func:`dual_start`), never at the lift of the frictional
-    optimizer, so it checks the shadow-price theorem independently of
-    that optimizer.  The shadow market carries the endowment of
-    ``report.market`` (:meth:`ShadowPrice.as_market`), so the report of a
-    zero-endowment market round-trips without one.
+    price (:meth:`DualPolytope.strict_point`), never at the lift of the
+    frictional optimizer, so it checks the shadow-price theorem
+    independently of that optimizer.  The shadow market carries the
+    endowment of ``report.market`` (:meth:`ShadowPrice.as_market`), so the
+    report of a zero-endowment market round-trips without one.
     """
     market = report.market
     shadow_market = shadow.as_market()

@@ -7,7 +7,6 @@ import pytest
 
 from frictiondual import duality, engine
 from frictiondual.duality import (
-    NoCpsError,
     PrimalInfeasibleError,
     PrimalUnboundedError,
     compute_x0,
@@ -21,7 +20,9 @@ from frictiondual.duality import (
 )
 from frictiondual.engine import EngineError, SolveDiagnostics, SolveResult
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import PolytopeInfeasibleError, build_polytope, martingale_point
+from frictiondual.polytope import (NoCpsError, PolytopeInfeasibleError, build_polytope,
+                                   martingale_point)
+from frictiondual.pricing import indifference_price
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec
@@ -99,12 +100,31 @@ def test_infeasible_below_threshold(drift_binomial):
         solve_report(m, LOG, 1.5)      # x0 = 2 here
 
 
-def test_no_cps_raises():
+def no_cps_market():
+    """Both children strictly above the root's ask, at 1% spread: no band
+    price reaches the root."""
     tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
-    market = MarketSpec(tree=tree, ask_price=[100.0, 120.0, 110.0], lam=0.01,
-                        endowment=[0.0, 0.0])
+    return MarketSpec(tree=tree, ask_price=[100.0, 120.0, 110.0], lam=0.01,
+                      endowment=[0.0, 0.0])
+
+
+def test_no_cps_raises():
     with pytest.raises(NoCpsError):
-        solve_report(market, EXP1, 0.0)
+        solve_report(no_cps_market(), EXP1, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: solve_report(m, EXP1, 0.0),
+    lambda m: solve_dual(m, LOG, 1.0),
+    lambda m: indifference_price(m, 1.0),
+], ids=["solve_report", "solve_dual", "indifference_price"])
+def test_no_cps_is_decided_with_no_lp(call, monkeypatch):
+    # the closed form finds no band price, and that alone proves there is
+    # no strictly consistent price system: no existence LP confirms it
+    calls = spy_lps(monkeypatch)
+    with pytest.raises(NoCpsError):
+        call(no_cps_market())
+    assert calls == []
 
 
 def test_weak_duality(drift_binomial):
@@ -405,9 +425,17 @@ def test_zero_spread_report_runs_no_lp(drift_binomial, spec, monkeypatch):
     # at zero spread the dual starts at the closed-form martingale density
     market = replace(drift_binomial, lam=0.0).with_endowment([1.0, -0.5])
     calls = spy_lps(monkeypatch)
+    starts, solve = [], duality.solve
+
+    def spied(prog):
+        starts.append(prog.x0)
+        return solve(prog)
+
+    monkeypatch.setattr(duality, "solve", spied)
     rep = solve_report(market, spec, 5.0)
     assert calls == []
-    assert np.array_equal(rep.witness, martingale_point(market))
+    # the dual, solved first, starts at the closed-form martingale density
+    assert np.array_equal(starts[0], martingale_point(market))
     assert rep.relative_gap <= 1e-6
 
 
@@ -766,3 +794,45 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
         "pulled start not strictly feasible: closed-form start"]
     assert "phase_one_slack" not in d
     assert rep.value == pytest.approx(cold.value, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# known solver defects, pinned: each fails today, and the change that mends
+# it (a scaled dual start, or a dual finish that reaches its face) must
+# turn the pin into a plain test
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="entropy dual ends with KKT residual 1.25e-4")
+def test_unhedgeable_trinomial_endowment_reports():
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
+                        endowment=[0.0, 50.0, 0.0])
+    assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="entropy dual ends on a quiet floor exit, KKT residual 1.3e-4")
+def test_generated_market_2026_126_reports():
+    market = InstanceGenerator(seed=2026).draw_feasible(126)
+    assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="cone dual stays at its start, E[W0] = 1, where yhat ~ 1e-12")
+def test_log_report_at_large_wealth():
+    market = InstanceGenerator(seed=7).draw_feasible(0)
+    assert solve_report(market, LOG, 1e12).relative_gap <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="entropy dual keeps its barrier point: node 22's buy-side "
+                          "complementarity is 1.91e-7")
+def test_generated_market_5_113_trades_on_the_attained_side():
+    from frictiondual.shadow import construct_shadow, solve_frictionless, verify_shadow
+
+    market = InstanceGenerator(seed=5).draw_feasible(113)
+    rep = solve_report(market, EXP1, 1.0)
+    shadow = construct_shadow(market, rep.dual_system)
+    fr = solve_frictionless(shadow.as_market(), EXP1, 1.0, y=rep.yhat)
+    assert verify_shadow(rep, shadow, fr)["direction_violations"] == []

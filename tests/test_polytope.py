@@ -5,6 +5,7 @@ import pytest
 
 from frictiondual.polytope import (
     DENSITY_EPS,
+    NoCpsError,
     PolytopeInfeasibleError,
     build_polytope,
     check_cps,
@@ -50,7 +51,6 @@ def loop_built_polytope(market, lam):
     s = market.ask_price
     eq_rows, eq_vals = [np.concatenate([tree.leaf_prob, np.zeros(L)])], [1.0]
     g_rows = []
-    lower_idx, upper_idx = np.full(n, -1), np.full(n, -1)
     for node in range(n):
         lower = np.concatenate([-(1.0 - lam) * s[node] * W[node], W[node]])
         upper = np.concatenate([s[node] * W[node], -W[node]])
@@ -58,26 +58,23 @@ def loop_built_polytope(market, lam):
             eq_rows.append(upper)
             eq_vals.append(0.0)
         else:
-            lower_idx[node] = len(g_rows)
-            g_rows.append(lower)
-            upper_idx[node] = len(g_rows)
-            g_rows.append(upper)
+            g_rows.extend([lower, upper])
     g_rows.extend(np.eye(2 * L))
     return {"cond_exp": W, "A_eq": np.array(eq_rows), "b_eq": np.array(eq_vals),
-            "G": np.array(g_rows), "h": np.zeros(len(g_rows)),
-            "cone_lower_rows": lower_idx, "cone_upper_rows": upper_idx}
+            "G": np.array(g_rows), "h": np.zeros(len(g_rows))}
 
 
 def loop_built_margin_lp(poly, include_cone):
     """Node-by-node reference of the existence LP's inequality rows, with
-    the kind and node each row belongs to."""
+    the kind and node each row belongs to; node ``n``'s lower and upper
+    cone rows are rows ``2n`` and ``2n + 1`` of ``G``."""
     market = poly.market
     L = market.tree.n_leaves
     nv = poly.n_vars
     s = market.ask_price
     rows, h_vals, kinds = [], [], []
     for node in range(market.tree.n_nodes):
-        lo, hi = poly.cone_lower_rows[node], poly.cone_upper_rows[node]
+        lo, hi = 2 * node, 2 * node + 1
         w_lo = float(s[node]) if include_cone else 0.0
         rows.append(np.concatenate([poly.G[lo], [-w_lo]]))
         h_vals.append(0.0)
@@ -221,10 +218,10 @@ def test_check_cps_positive(martingale_binomial, two_period_market):
         v = check_cps(market)
         assert v.exists
         assert v.delta > 1e-9
-        assert v.witness is not None
+        assert v.witness_leaf_vars is not None
         assert v.certificate is None
         # the witness is strictly positive on every node
-        assert np.all(v.witness.z0 > 0)
+        assert np.all(build_polytope(market).price_system(v.witness_leaf_vars).z0 > 0)
 
 
 @pytest.mark.parametrize("seed", [11, 2033])
@@ -323,10 +320,10 @@ def test_martingale_point_decides_existence(seed):
 
 def test_thin_band_falls_back_to_the_existence_check(monkeypatch):
     # the band prices reaching the root span 1e-9: the closed-form point
-    # exists but its margin does not clear, so the report runs the LP,
-    # which finds no strictly positive price system either
-    from frictiondual import duality
-    from frictiondual.duality import NoCpsError, solve_report
+    # exists but its margin does not clear, so the report runs one LP on
+    # its polytope, which finds no strictly positive price system either
+    from frictiondual import engine
+    from frictiondual.duality import solve_report
     from frictiondual.utility import UtilitySpec
 
     tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
@@ -335,13 +332,13 @@ def test_thin_band_falls_back_to_the_existence_check(monkeypatch):
                         endowment=[0.0, 0.0])
     z = martingale_point(market)
     assert z is not None and 0.0 < build_polytope(market).margin(z) <= 1e-9
-    calls = []
+    calls, solve_lp = [], engine.solve_lp
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return check_cps(*args, **kwargs)
+        return solve_lp(*args, **kwargs)
 
-    monkeypatch.setattr(duality, "check_cps", counted)
+    monkeypatch.setattr(engine, "solve_lp", counted)
     with pytest.raises(NoCpsError):
         solve_report(market, UtilitySpec("exponential", gamma=1.0), 1.0)
     assert len(calls) == 1
@@ -351,7 +348,7 @@ def test_check_cps_negative_with_certificate():
     market = crossing_binomial(lam=0.01)
     v = check_cps(market)
     assert not v.exists
-    assert v.witness is None
+    assert v.witness_leaf_vars is None
     assert v.certificate is not None
     signs = trade_signs(v)
     assert signs is not None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from frictiondual.duality import (PrimalUnboundedError, compute_x0, dual_start, entropy_terms,
+from frictiondual.duality import (PrimalUnboundedError, compute_x0, entropy_terms,
                                  primal_program, solve_entropy_core, solve_report)
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import (PolytopeInfeasibleError, build_polytope, check_cps,
@@ -83,9 +83,9 @@ def test_risk_aversion_pushes_toward_lower_bound(two_period_market):
 
 
 def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
-    from frictiondual import duality, pricing
+    from frictiondual import engine, pricing
 
-    calls = {"report": 0, "cps": 0}
+    calls = {"report": 0, "lp": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -94,10 +94,10 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pricing, "solve_report", counted("report", pricing.solve_report))
-    monkeypatch.setattr(duality, "check_cps", counted("cps", duality.check_cps))
+    monkeypatch.setattr(engine, "solve_lp", counted("lp", engine.solve_lp))
     gamma, x = 0.7, 1.0
     rep = indifference_price(two_period_market, gamma, x=x)
-    assert calls == {"report": 2, "cps": 0}
+    assert calls == {"report": 2, "lp": 0}
     monkeypatch.undo()
     # the shared reports give the standalone routes' prices
     assert rep.p_primal == pytest.approx(price_primal(two_period_market, gamma, x), abs=1e-8)
@@ -115,7 +115,7 @@ def test_price_dual_warm_start_by_the_boundary():
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
     core_e = solve_entropy_core(market, 0.8, poly=poly)
     assert np.min(poly.G @ core_e.leaf_vars - poly.h) <= 0.0
-    start = (1.0 - 1e-6) * core_e.leaf_vars + 1e-6 * dual_start(market, poly)
+    start = (1.0 - 1e-6) * core_e.leaf_vars + 1e-6 * poly.strict_point()
     assert 0.0 < np.min(poly.G @ start - poly.h) < 1e-5
     core_0 = solve_entropy_core(market_0, 0.8, poly=poly, x0=start)
     ent_e, mean_e = entropy_terms(market, core_e.leaf_vars)
@@ -223,7 +223,7 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
     # shadow price (the default start), not at the lift of the report's
     # optimizer
     assert starts == [None, None]
-    start = duality.dual_start(shadow.as_market(), build_polytope(shadow.as_market()))
+    start = build_polytope(shadow.as_market()).strict_point()
     assert np.array_equal(start, martingale_point(shadow.as_market()))
     lift = shadow.lift(rep.dual_leaf_vars[:dense_market.tree.n_leaves])
     assert np.abs(start - lift).max() > 1e-2
