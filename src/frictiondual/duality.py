@@ -5,10 +5,11 @@ self-financing trading under proportional costs; the dual side minimizes
 the conjugate functional over the consistent-price-system polytope.  On
 a finite tree both optima are attained and the duality gap is zero; this
 module computes both sides, the optimal scaling ``yhat = u'(x)``, and
-the residuals of the optimizer identities linking them.  A dual solve
-given no start begins at its polytope's strictly consistent price system
-(:meth:`DualPolytope.strict_point`), which raises :class:`NoCpsError`
-when the market has none.
+the residuals of the optimizer identities linking them.  One object,
+:class:`PrimalProgram`, owns the primal of a market and utility.  A dual
+solve given no start begins at its polytope's strictly consistent price
+system (:meth:`DualPolytope.strict_point`), which raises
+:class:`NoCpsError` when the market has none.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ class DualSolution:
 
 @dataclass
 class SolveReport:
-    """Both halves of a solve plus the identity residuals."""
+    """Both halves of a solve plus the identity residuals; ``primal``, the
+    :class:`PrimalProgram` solved, is neither compared nor in :meth:`to_dict`."""
 
     market: MarketSpec
     utility: ut.UtilitySpec
@@ -81,6 +83,7 @@ class SolveReport:
     gap: float
     leaf_identity_residuals: np.ndarray
     zero_density_leaves: list
+    primal: PrimalProgram = field(compare=False, repr=False)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -111,190 +114,187 @@ class SolveReport:
 # primal side
 
 
-def _primal_layout(market: MarketSpec):
-    """Variable layout [buys, sells, leaf claims] and the affine maps.
+@dataclass(frozen=True)
+class PrimalProgram:
+    """The primal of one market and utility: all of it that does not read
+    the wealth ``x``, laid out once.  The variables are the buys and sells
+    at ``tree.internal`` (at zero spread, ``frictionless``, one free net
+    trade each: matched volume is a flat ray the barrier would wander
+    along), ``n_trades`` in all, then one claim per leaf; ``T0``/``T1``
+    map them to each leaf's cash and position.  The rows of ``G`` put each
+    claim under its liquidation legs (bid then ask; one at zero spread),
+    so that maximizing utility drives it onto the liquidation value, keep
+    the trades nonnegative (not at zero spread) and, for half-line
+    utilities, the wealth positive.  Those have a ``threshold`` ``x0 =
+    sup E[-Z0 e]`` and its super-replicating ``hedge`` from one backward
+    induction (:func:`super_hedge`); a market with no hedge admits an
+    arbitrage (:class:`PrimalUnboundedError`)."""
 
-    Rows ``T0``/``T1`` give each leaf's cash and position as linear maps
-    of the variables: every trade at an internal node on the leaf's path
-    enters, and the claim columns are zero.
-    """
-    tree = market.tree
-    internal = tree.internal
-    K, L = internal.size, tree.n_leaves
-    on = tree.on_path[:, internal]
-    claims = np.zeros((L, L))
-    T0 = np.hstack([np.where(on, -market.ask_price[internal], 0.0),
-                    np.where(on, market.bid_price[internal], 0.0), claims])
-    T1 = np.hstack([np.where(on, 1.0, 0.0), np.where(on, -1.0, 0.0), claims])
-    return internal, K, L, 2 * K + L, T0, T1
+    market: MarketSpec
+    spec: ut.UtilitySpec
+    frictionless: bool
+    n_trades: int
+    T0: np.ndarray
+    T1: np.ndarray
+    G: np.ndarray
+    mean_endowment: float
+    threshold: Optional[float]
+    hedge: Optional[Strategy]
 
-
-def _liquidation_legs(market: MarketSpec, T0: np.ndarray, T1: np.ndarray) -> np.ndarray:
-    """Rows ``T0 + S T1`` of each leaf's two liquidation legs, at the bid
-    price then at the ask price; the liquidation value is the smaller."""
-    leaves = market.tree.leaves
-    legs = np.empty((2 * leaves.size, T0.shape[1]))
-    legs[0::2] = T0 + market.bid_price[leaves][:, None] * T1
-    legs[1::2] = T0 + market.ask_price[leaves][:, None] * T1
-    return legs
-
-
-def primal_program(market: MarketSpec, spec: ut.UtilitySpec, x: float):
-    """Build the smooth concave maximization as an engine minimization.
-
-    Claims enter through one bounded variable per leaf sitting under
-    both liquidation legs; maximizing utility drives it onto the exact
-    piecewise-linear liquidation value.  The variables are the buys and
-    sells at ``tree.internal`` (at zero spread one net trade each), then
-    the leaf claims, the last ``n_leaves`` of them.
-
-    The start is in closed form.  Half-line utilities need ``x`` above
-    the threshold ``x0 = sup E[-Z0 e]`` by more than ``THRESHOLD_MARGIN``
-    (else :class:`PrimalInfeasibleError`) and start at its
-    super-replicating hedge (:func:`super_hedge`), plus an equal buy and
-    sell at each node whose spread costs at most a third of ``x - x0`` on
-    any path, with the claims another third below the liquidation legs;
-    a market with no hedge admits an arbitrage
-    (:class:`PrimalUnboundedError`).  Exponential utility trades 1e-3
-    each way at each node, with the claims 1 below the legs.
-    """
-    tree = market.tree
-    _, K, L, nv, T0, T1 = _primal_layout(market)
-    frictionless = market.lam == 0.0
-    if frictionless:
-        # zero spread: matched buy/sell volume is a flat ray the barrier
-        # would wander along, so use one free net trade per node instead
-        # (the buy columns already carry the net-trade map at lam = 0)
-        T0 = np.hstack([T0[:, :K], T0[:, 2 * K:]])
-        T1 = np.hstack([T1[:, :K], T1[:, 2 * K:]])
-        nv = K + L
-        off = K
-    else:
-        off = 2 * K
-    endow = market.endowment
-    prob = tree.leaf_prob
-
-    # rows: liquidation legs over the claim, trade nonnegativity, positivity
-    claim_cols = np.eye(L, nv, k=off)
-    legs = _liquidation_legs(market, T0, T1)
-    if frictionless:
-        legs = legs[0::2]     # bid and ask agree at zero spread
-    G = [legs - np.repeat(claim_cols, legs.shape[0] // L, axis=0)]
-    h = [np.zeros(legs.shape[0])]
-    if not frictionless:
-        G.append(np.eye(off, nv))
-        h.append(np.zeros(off))
-    positive_wealth = spec.wealth_domain == "positive"
-    if positive_wealth:
-        G.append(claim_cols)
-        h.append(POSITIVITY_MARGIN - x - endow)
-
-    gamma = spec.gamma
-    exponential = spec.family == "exponential"
-    # center the exponential objective at the mean wealth so the solver
-    # works at O(1) scale; the constant factor exp(-gamma*w_ref) drops
-    # out of the argmax and the true value is recomputed from the claim
-    w_ref = x + float(prob @ endow)
-    shift = w_ref if exponential else 0.0
-
-    def objective(v):
-        u, u1, u2 = ut.u_derivatives(spec, x + v[off:] + endow - shift)
-        grad = np.zeros(nv)
-        grad[off:] = -prob * u1
-        hess = np.zeros(nv)
-        hess[off:] = -prob * u2
-        return -float(prob @ u), grad, hess
-
-    def in_domain(v):
-        if exponential:
-            # np.exp overflows just past this exponent; a trial point out
-            # there fails the line search's sufficient decrease anyway, so
-            # rejecting it first changes no step
-            return bool(np.all(-gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX))
-        if not positive_wealth:
-            return True
-        return bool(np.all(x + v[off:] + endow > 0.0))
-
-    if positive_wealth:
-        try:
-            x_min, hedge = super_hedge(market, -endow)
-        except PolytopeInfeasibleError as exc:
-            raise PrimalUnboundedError(f"primal unbounded: {exc}") from exc
-        if x <= x_min + THRESHOLD_MARGIN:
-            raise PrimalInfeasibleError(f"x={x} at or below the endowment threshold {x_min}")
-        v = primal_point(market, hedge, np.zeros(L))
-        spare = (x - x_min) / 3.0
+    @classmethod
+    def build(cls, market: MarketSpec, spec: ut.UtilitySpec) -> PrimalProgram:
+        tree = market.tree
+        internal, L = tree.internal, tree.n_leaves
+        frictionless = market.lam == 0.0
+        n = 1 if frictionless else 2      # trades per node, legs per leaf
+        on = tree.on_path[:, internal]
+        claims = np.zeros((L, L))
+        T0 = np.hstack([np.where(on, -market.ask_price[internal], 0.0),
+                        np.where(on, market.bid_price[internal], 0.0)][:n] + [claims])
+        T1 = np.hstack([np.where(on, 1.0, 0.0), np.where(on, -1.0, 0.0)][:n] + [claims])
+        off = n * internal.size
+        claim_cols = np.eye(L, off + L, k=off)
+        legs = np.empty((n * L, off + L))
+        for i, price in enumerate((market.bid_price, market.ask_price)[:n]):
+            legs[i::n] = T0 + price[tree.leaves][:, None] * T1
+        G = [legs - np.repeat(claim_cols, n, axis=0)]
         if not frictionless:
-            # a matched buy and sell costs the spread, lam * ask, at each node
-            v[:off] += spare / float(np.max(-T0[:, :off].sum(axis=1)))
-    else:
-        v = np.zeros(nv)
-        if not frictionless:
-            v[:off] = 1e-3
-        spare = 1.0
-    phi0, phi1 = T0 @ v, T1 @ v
-    liquidation = phi0 + market.bid_price[tree.leaves] * phi1
-    if not frictionless:
-        liquidation = np.minimum(liquidation, phi0 + market.ask_price[tree.leaves] * phi1)
-    v[off:] = liquidation - spare
-    return ConvexProgram(n=nv, objective=objective, G=np.vstack(G),
-                         h=np.concatenate(h), in_domain=in_domain, x0=v)
+            G.append(np.eye(off, off + L))
+        threshold = hedge = None
+        if spec.wealth_domain == "positive":
+            G.append(claim_cols)
+            try:
+                threshold, hedge = super_hedge(market, -market.endowment)
+            except PolytopeInfeasibleError as exc:
+                raise PrimalUnboundedError(f"primal unbounded: {exc}") from exc
+        return cls(market, spec, frictionless, off, T0, T1, np.vstack(G),
+                   float(tree.leaf_prob @ market.endowment), threshold, hedge)
 
+    def w_ref(self, x: float) -> float:
+        """The mean wealth ``x + E[e]``, the exponential objective's center."""
+        return x + self.mean_endowment
 
-def primal_point(market: MarketSpec, strategy: Strategy, claim: np.ndarray) -> np.ndarray:
-    """The variables of :func:`primal_program` for ``strategy`` and ``claim``:
-    the buys and sells at the internal nodes, or at zero spread their
-    difference, then the leaf claims."""
-    internal = market.tree.internal
-    buy, sell = strategy.buy[internal], strategy.sell[internal]
-    trades = [buy - sell] if market.lam == 0.0 else [buy, sell]
-    return np.concatenate(trades + [np.asarray(claim, dtype=float)])
+    def check(self, x: float) -> None:
+        """Raise :class:`PrimalInfeasibleError` unless ``x`` clears the
+        threshold by more than ``THRESHOLD_MARGIN``."""
+        if self.threshold is not None and x <= self.threshold + THRESHOLD_MARGIN:
+            raise PrimalInfeasibleError(
+                f"x={x} at or below the endowment threshold {self.threshold}")
 
+    def at(self, x: float) -> ConvexProgram:
+        """The engine's minimization at wealth ``x`` (:meth:`check` first),
+        the exponential objective centered at :meth:`w_ref` to work at O(1)
+        scale.  The start is in closed form: for a half-line utility the
+        hedge, plus an equal buy and sell at each node whose spread costs at
+        most a third of ``x - x0`` on any path, with the claims another
+        third below the legs; for exponential utility 1e-3 traded each way
+        at each node, with the claims 1 below the legs."""
+        self.check(x)
+        spec, off = self.spec, self.n_trades
+        tree, endow = self.market.tree, self.market.endowment
+        prob, nv = tree.leaf_prob, self.G.shape[1]
+        positive_wealth = self.threshold is not None
+        exponential = spec.family == "exponential"
+        h = np.zeros(self.G.shape[0])
+        if positive_wealth:
+            h[-tree.n_leaves:] = POSITIVITY_MARGIN - x - endow
+        w_ref = self.w_ref(x)
+        shift = w_ref if exponential else 0.0
 
-def primal_multipliers(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: float,
-                       system: PriceSystem) -> np.ndarray:
-    """Row multipliers of :func:`primal_program` at ``x`` from the dual
-    optimum ``(yhat, system)``, by the KKT correspondence.  With ``Y =
-    yhat`` (times ``exp(gamma w_ref)`` for the shifted exponential
-    objective), leaf ``l``'s legs split ``Y p_l Z0_l`` so that they price
-    ``Y p_l Z1_l`` (at zero spread its one leg takes it all), node ``n``'s
-    buy and sell rows carry the band slacks ``Y P(n) (ask_n Z0_n - Z1_n)``
-    and ``Y P(n) (Z1_n - bid_n Z0_n)``, and positivity rows 0."""
-    tree = market.tree
-    log_y = np.log(yhat)
-    if spec.family == "exponential":
-        log_y += spec.gamma * (x + float(tree.leaf_prob @ market.endowment))
-    w0, w1 = (np.exp(log_y) * tree.node_prob * z for z in (system.z0, system.z1))
-    if market.lam == 0.0:
-        rows = [w0[tree.leaves]]
-    else:
-        above, below = market.ask_price * w0 - w1, w1 - market.bid_price * w0
-        spread = (market.ask_price - market.bid_price)[tree.leaves, None]
-        legs = np.column_stack([above, below])[tree.leaves] / spread   # bid leg, ask leg
-        rows = [legs.ravel(), above[tree.internal], below[tree.internal]]
-    if spec.wealth_domain == "positive":
-        rows.append(np.zeros(tree.n_leaves))
-    return np.maximum(np.concatenate(rows), 0.0)     # not below 0 by rounding
+        def objective(v):
+            u, u1, u2 = ut.u_derivatives(spec, x + v[off:] + endow - shift)
+            grad, hess = np.zeros(nv), np.zeros(nv)
+            grad[off:], hess[off:] = -prob * u1, -prob * u2
+            return -float(prob @ u), grad, hess
+
+        def in_domain(v):
+            if exponential:
+                # np.exp overflows just past this exponent; a trial point out
+                # there fails the line search's sufficient decrease anyway, so
+                # rejecting it first changes no step
+                return bool(np.all(-spec.gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX))
+            return not positive_wealth or bool(np.all(x + v[off:] + endow > 0.0))
+
+        if positive_wealth:
+            v = self.point(self.hedge, np.zeros(tree.n_leaves))
+            spare = (x - self.threshold) / 3.0
+            if not self.frictionless:
+                # a matched buy and sell costs the spread, lam * ask, at each node
+                v[:off] += spare / float(np.max(-self.T0[:, :off].sum(axis=1)))
+        else:
+            v = np.zeros(nv)
+            if not self.frictionless:
+                v[:off] = 1e-3
+            spare = 1.0
+        phi0, phi1 = self.T0 @ v, self.T1 @ v
+        # bid and ask agree at zero spread
+        v[off:] = np.minimum(phi0 + self.market.bid_price[tree.leaves] * phi1,
+                             phi0 + self.market.ask_price[tree.leaves] * phi1) - spare
+        return ConvexProgram(n=nv, objective=objective, G=self.G, h=h,
+                             in_domain=in_domain, x0=v)
+
+    def point(self, strategy: Strategy, claim: np.ndarray) -> np.ndarray:
+        """The variables of ``strategy`` and ``claim``."""
+        internal = self.market.tree.internal
+        buy, sell = strategy.buy[internal], strategy.sell[internal]
+        trades = [buy - sell] if self.frictionless else [buy, sell]
+        return np.concatenate(trades + [np.asarray(claim, dtype=float)])
+
+    def multipliers(self, x: float, yhat: float, system: PriceSystem) -> np.ndarray:
+        """Row multipliers at ``x`` from the dual optimum ``(yhat,
+        system)``, by the KKT correspondence.  With ``Y = yhat`` (times
+        ``exp(gamma w_ref)`` for the centered exponential objective), leaf
+        ``l``'s legs split ``Y p_l Z0_l`` so that they price ``Y p_l
+        Z1_l`` (at zero spread its one leg takes it all), node ``n``'s buy
+        and sell rows carry the band slacks ``Y P(n) (ask_n Z0_n - Z1_n)``
+        and ``Y P(n) (Z1_n - bid_n Z0_n)``, and positivity rows 0."""
+        market, tree = self.market, self.market.tree
+        log_y = np.log(yhat)
+        if self.spec.family == "exponential":
+            log_y += self.spec.gamma * self.w_ref(x)
+        w0, w1 = (np.exp(log_y) * tree.node_prob * z for z in (system.z0, system.z1))
+        if self.frictionless:
+            rows = [w0[tree.leaves]]
+        else:
+            above, below = market.ask_price * w0 - w1, w1 - market.bid_price * w0
+            spread = (market.ask_price - market.bid_price)[tree.leaves, None]
+            legs = np.column_stack([above, below])[tree.leaves] / spread   # bid leg, ask leg
+            rows = [legs.ravel(), above[tree.internal], below[tree.internal]]
+        if self.threshold is not None:
+            rows.append(np.zeros(tree.n_leaves))
+        return np.maximum(np.concatenate(rows), 0.0)     # not below 0 by rounding
+
+    def solution(self, v: np.ndarray) -> tuple:
+        """``(strategy, claim)`` at the engine's point ``v``: the netted
+        strategy of its trades, from zero cash, and its claim."""
+        market, tree = self.market, self.market.tree
+        K = tree.internal.size
+        buy, sell = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
+        buy[tree.internal] = np.maximum(v[:K], 0.0)
+        sell[tree.internal] = np.maximum(-v[:K] if self.frictionless else v[K: 2 * K], 0.0)
+        strat = roll_forward(market, 0.0, *net_trades(buy, sell))
+        return strat, terminal_claim(market, strat)
 
 
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                  x0: Optional[tuple] = None,
-                 program: Optional[ConvexProgram] = None) -> PrimalSolution:
+                 program: Optional[PrimalProgram] = None) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
     Returns the netted optimal strategy and the claim it generates.
     Raises :class:`PrimalInfeasibleError` when no wealth profile clears
     the positivity floor (half-line utilities with x at or below the
     endowment threshold) and :class:`PrimalUnboundedError` when the
-    prices admit an arbitrage or the iterates diverge.  With no ``x0``
-    the barrier runs from the program's closed-form start
-    (:func:`primal_program`).
+    prices admit an arbitrage or the iterates diverge.  ``program``, the
+    :class:`PrimalProgram` of ``market`` and ``spec``, saves laying the
+    primal out (and finding a threshold) again.  With no ``x0`` the
+    barrier runs from the closed-form start (:meth:`PrimalProgram.at`).
 
-    ``x0``, a point such as the :func:`primal_point` of a nearby solve
-    paired with row multipliers (:func:`primal_multipliers`, or zeros),
-    is the engine's face start (:attr:`ConvexProgram.face_start`).  A
-    nearby optimum sits on the boundary of the feasible set, on the
-    optimal face or next to it, so the engine first finishes it there
+    ``x0`` pairs a point, such as a nearby optimum's
+    :meth:`PrimalProgram.point`, with row multipliers
+    (:meth:`PrimalProgram.multipliers`, or zeros): the engine's face
+    start (:attr:`ConvexProgram.face_start`).  A nearby optimum sits on
+    the optimal face or next to it, so the engine first finishes it there
     with barrier-free Newton steps.  When that fails, the barrier starts
     at the point pulled ``WARM_PULL`` of the way toward the closed-form
     start (Gondzio & Grothey, SIAM J. Optim. 13, 2003), or at the
@@ -303,11 +303,10 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     that fallback ran (``rejected``) and what the face start did
     (``face``: the engine's :attr:`SolveDiagnostics.face_start`, ``None``
     without ``x0``).
-    ``program``, the :func:`primal_program` of these same arguments,
-    saves building it again.
     """
     _check_wealth(x)
-    prog = primal_program(market, spec, x) if program is None else program
+    primal = PrimalProgram.build(market, spec) if program is None else program
+    prog = primal.at(x)
     rejected = False
     if x0 is not None:
         pulled = (1.0 - WARM_PULL) * np.asarray(x0[0], float) + WARM_PULL * prog.x0
@@ -319,22 +318,8 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     if res.status != "optimal":
         raise EngineError(f"primal solve failed: {res.diagnostics.message}")
 
-    tree = market.tree
-    internal = tree.internal
-    K = internal.size
-    buy = np.zeros(tree.n_nodes)
-    sell = np.zeros(tree.n_nodes)
-    if market.lam == 0.0:
-        theta = res.x[:K]
-        buy[internal] = np.maximum(theta, 0.0)
-        sell[internal] = np.maximum(-theta, 0.0)
-    else:
-        buy[internal] = np.maximum(res.x[:K], 0.0)
-        sell[internal] = np.maximum(res.x[K: 2 * K], 0.0)
-    buy, sell = net_trades(buy, sell)
-    strat = roll_forward(market, 0.0, buy, sell)
-    claim = terminal_claim(market, strat)
-    value = float(tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
+    strat, claim = primal.solution(res.x)
+    value = float(market.tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
     diagnostics = res.diagnostics.to_dict()
     face = res.diagnostics.face_start
     rejected = rejected and not face["accepted"]
@@ -491,10 +476,10 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     :class:`NoCpsError` (at zero spread, :class:`PolytopeInfeasibleError`)
     with none.  It comes first, so exponential utility reports an empty
     zero-spread polytope the same way, where its primal would diverge.
-    Half-line utilities need ``x`` above the threshold
-    ``x0 = sup E[-Z0 e]`` by more than ``THRESHOLD_MARGIN``: the primal
-    program (:func:`primal_program`), built once, raises
-    :class:`PrimalInfeasibleError` naming it, before any solve.
+    The primal (:class:`PrimalProgram`) is built once, before any solve,
+    and kept in the report for :func:`verify_identities`; a half-line
+    ``x`` within ``THRESHOLD_MARGIN`` of its threshold ``x0 = sup
+    E[-Z0 e]`` raises :class:`PrimalInfeasibleError` naming it.
 
     Half-line utilities get yhat from the scaled-cone dual
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
@@ -508,8 +493,8 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     at the shadow price ``Z1/Z0``, where the frictional optimum is that
     replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010).  That
     point sits on the primal's optimal face, so :func:`solve_primal` hands
-    it, with the dual's :func:`primal_multipliers`, to the engine as its
-    face start; the barrier runs only when the engine rejects it.  Where
+    it, with the dual's :meth:`PrimalProgram.multipliers`, to the engine
+    as its face start; the barrier runs only when it is rejected.  Where
     the dual optimizer has a node with ``Z0 <= DENSITY_EPS`` the primal
     keeps its program's closed-form start.  The primal diagnostics'
     ``start`` records which ran: ``point`` is ``"shadow"`` or
@@ -526,7 +511,8 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     start = poly.strict_point()
     tree = market.tree
     endow = market.endowment
-    program = primal_program(market, spec, x)
+    program = PrimalProgram.build(market, spec)
+    program.check(x)
 
     if spec.family == "exponential":
         dual = solve_entropy_core(market, spec.gamma, poly=poly, x0=start)
@@ -542,7 +528,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
         dual_total = dual.value + x * yhat
     else:
         yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=start)
-    start, record = _shadow_start(market, spec, x, yhat, dual.system)
+    start, record = _shadow_start(program, x, yhat, dual.system)
     primal = solve_primal(market, spec, x, x0=start, program=program)
     primal.diagnostics["start"] = {**record, **primal.diagnostics["start"]}
 
@@ -561,31 +547,32 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
         yhat=yhat, dual_value=dual.value, dual_system=dual.system,
         dual_leaf_vars=dual.leaf_vars, gap=gap,
         leaf_identity_residuals=residuals, zero_density_leaves=zero_leaves,
+        primal=program,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
     )
 
 
-def _shadow_start(market: MarketSpec, spec: ut.UtilitySpec, x: float, yhat: float,
+def _shadow_start(program: PrimalProgram, x: float, yhat: float,
                   system: PriceSystem) -> tuple:
-    """The primal start at the dual optimum ``system`` and its record.
+    """The start of ``program`` at the dual optimum ``system``, and its record.
 
-    The start pairs the :func:`primal_multipliers` of the dual optimum
-    with the :func:`primal_point` of the frictionless replication
-    (:func:`trading.replicate`) of the optimal claim ``I(yhat Z0) - x -
-    e`` at the shadow price ``Z1/Z0``, under ``Z0``, its claim the
-    terminal liquidation value.  Where some node's ``Z0`` is at most
+    The start pairs the dual optimum's multipliers with the point of the
+    frictionless replication (:func:`trading.replicate`) of the optimal
+    claim ``I(yhat Z0) - x - e`` at the shadow price ``Z1/Z0``, under
+    ``Z0``, its claim the terminal liquidation value.  Where some node's ``Z0`` is at most
     ``DENSITY_EPS``, ``I`` is undefined and the start is ``None``, the
     program's generic one; the record names the node.
     """
+    market = program.market
     price, undefined = system.ratio(market.ask_price)
     if undefined.any():
         node = int(np.argmax(undefined))
         return None, {"point": "generic", "reason": f"zero dual density at node {node}"}
     tree = market.tree
-    claim = ut.eval_i(spec, yhat * system.z0[tree.leaves]) - x - market.endowment
+    claim = ut.eval_i(program.spec, yhat * system.z0[tree.leaves]) - x - market.endowment
     strategy = replicate(market, price, system.z0, claim)
-    return ((primal_point(market, strategy, terminal_claim(market, strategy)),
-             primal_multipliers(market, spec, x, yhat, system)),
+    return ((program.point(strategy, terminal_claim(market, strategy)),
+             program.multipliers(x, yhat, system)),
             {"point": "shadow", "reason": None})
 
 
@@ -596,21 +583,22 @@ def verify_identities(report: SolveReport) -> dict:
     the dual density, (c) |u'(x) - E[U'(wealth)]| with u' by central
     difference of the primal value, (d) the wealth-weighted variant.
     The step is ``h = FD_STEP * (1 + |x|)``.  Both primal solves at
-    ``x +- h`` start at the report's primal point (:func:`primal_point`),
-    whose face is usually theirs, and the dual's :func:`primal_multipliers`
-    at their own ``x``: :func:`solve_primal` hands the pair to the engine
-    as the face start, and the barrier runs only when it is rejected.
+    ``x +- h`` run on the report's :class:`PrimalProgram`, from the
+    report's primal point, whose face is usually theirs, paired with the
+    dual's multipliers at their own ``x``: :func:`solve_primal` hands the
+    pair to the engine as the face start, and the barrier runs only when
+    it is rejected.
     """
     market, spec, x = report.market, report.utility, report.x
     prob = market.tree.leaf_prob
     u_prime_leaf = ut.eval_u_prime(spec, x + report.claim + market.endowment)
 
     h = FD_STEP * (1.0 + abs(x))
-    point = primal_point(market, report.strategy, report.claim)
+    point = report.primal.point(report.strategy, report.claim)
 
     def value(xh):
-        lam = primal_multipliers(market, spec, xh, report.yhat, report.dual_system)
-        return solve_primal(market, spec, xh, x0=(point, lam)).value
+        lam = report.primal.multipliers(xh, report.yhat, report.dual_system)
+        return solve_primal(market, spec, xh, x0=(point, lam), program=report.primal).value
 
     u_prime_fd = (value(x + h) - value(x - h)) / (2.0 * h)
 

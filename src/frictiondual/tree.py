@@ -212,6 +212,13 @@ def load_market(path) -> MarketSpec:
     return market_from_dict(raw)
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, or :class:`SchemaError` if it is no JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def market_from_dict(raw: dict) -> MarketSpec:
     """Build a :class:`MarketSpec` from the JSON object layout."""
     if not isinstance(raw, dict):
@@ -244,8 +251,8 @@ def market_from_dict(raw: dict) -> MarketSpec:
             if "prob" not in rec:
                 raise SchemaError(f"non-root node {i} needs 'prob'")
             parent[i] = par
-            prob[i] = float(rec["prob"])
-        price[i] = float(rec["price"])
+            prob[i] = _number(rec["prob"], f"'prob' of node {i}")
+        price[i] = _number(rec["price"], f"'price' of node {i}")
 
     # stage indices are derived by walking parent links to the root
     time = np.zeros(n, dtype=int)
@@ -264,18 +271,19 @@ def market_from_dict(raw: dict) -> MarketSpec:
 
     endow = np.zeros(tree.n_leaves)
     leaf_pos = {int(l): k for k, l in enumerate(tree.leaves)}
-    for rec in raw.get("endowment", []):
+    entries = raw.get("endowment", [])
+    if not isinstance(entries, list):
+        raise SchemaError("'endowment' must be a list")
+    for rec in entries:
         if not isinstance(rec, dict) or "leaf" not in rec or "value" not in rec:
             raise SchemaError("each endowment entry needs 'leaf' and 'value'")
         leaf = rec["leaf"]
-        if leaf not in leaf_pos:
-            raise SchemaError(f"endowment entry for non-leaf node {leaf}")
-        endow[leaf_pos[leaf]] = float(rec["value"])
+        if not isinstance(leaf, int) or leaf not in leaf_pos:
+            raise SchemaError(f"endowment entry for non-leaf node {leaf!r}")
+        endow[leaf_pos[leaf]] = _number(rec["value"], f"endowment 'value' at leaf {leaf}")
 
-    lam = raw["lambda"]
-    if not isinstance(lam, (int, float)):
-        raise SchemaError("'lambda' must be a number")
-    return MarketSpec(tree=tree, ask_price=price, lam=float(lam), endowment=endow)
+    lam = _number(raw["lambda"], "'lambda'")
+    return MarketSpec(tree=tree, ask_price=price, lam=lam, endowment=endow)
 
 
 def market_to_dict(market: MarketSpec) -> dict:

@@ -60,24 +60,26 @@ class UtilitySpec:
 
 
 def parse_utility(text: str) -> UtilitySpec:
-    """Parse the CLI grammar: 'log', 'power:alpha=0.5', 'exp:gamma=1.0'."""
+    """Parse the CLI grammar: 'log', 'power:alpha=0.5', 'exp:gamma=1.0';
+    a parameter of another family, or one given twice, is an error."""
     head, _, tail = text.strip().partition(":")
+    family = "exponential" if head == "exp" else head
+    own = {"log": (), "power": ("alpha",), "exponential": ("gamma",)}.get(family)
+    if own is None:
+        raise ValueError(f"unknown utility family {head!r}")
     params = {}
     if tail:
         for piece in tail.split(","):
             key, _, val = piece.partition("=")
+            key = key.strip()
             if not val:
                 raise ValueError(f"malformed utility parameter {piece!r}")
-            params[key.strip()] = float(val)
-    if head == "log":
-        if params:
-            raise ValueError("log takes no parameters")
-        return UtilitySpec("log")
-    if head == "power":
-        return UtilitySpec("power", alpha=params.pop("alpha", 0.5), **params)
-    if head in ("exp", "exponential"):
-        return UtilitySpec("exponential", gamma=params.pop("gamma", 1.0), **params)
-    raise ValueError(f"unknown utility family {head!r}")
+            if key not in own:
+                raise ValueError(f"{head} takes no parameter {key!r}")
+            if key in params:
+                raise ValueError(f"utility parameter {key!r} given twice")
+            params[key] = float(val)
+    return UtilitySpec(family, **params)
 
 
 def utility_label(spec: UtilitySpec) -> str:

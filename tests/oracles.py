@@ -5,10 +5,11 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial import HalfspaceIntersection
 
-from frictiondual.duality import _liquidation_legs, _primal_layout
+from frictiondual.duality import PrimalProgram
 from frictiondual.engine import EngineError, solve_lp
 from frictiondual.polytope import PolytopeInfeasibleError
-from frictiondual.trading import net_trades, roll_forward
+from frictiondual.trading import roll_forward
+from frictiondual.utility import UtilitySpec
 
 
 def path_to_root(tree, node: int) -> list:
@@ -113,22 +114,29 @@ def superreplicate(market, x: float, claim: np.ndarray):
 
     Maximizes the worst-leaf slack of liquidation value over the claim;
     returns ``(shortfall, strategy)`` where shortfall = max(0, -slack*).
-    A nonpositive shortfall certifies superreplication.
+    A nonpositive shortfall certifies superreplication.  The trades are
+    those of the market's :class:`PrimalProgram` (at zero spread, one
+    free net trade per node); its layout of them does not read the
+    utility, and a real-line one has no threshold to find.
     """
-    internal, K, L, _, T0, T1 = _primal_layout(market)
+    primal = PrimalProgram.build(market, UtilitySpec("exponential"))
     tree = market.tree
+    L = tree.n_leaves
     claim = np.asarray(claim, dtype=float)
     cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
 
-    # variables [buys, sells, slack]: the layout's claim columns are left out
+    # variables [trades, slack]: the layout's claim columns are left out
     # rows: both liquidation legs against the slack, trade nonnegativity, cap
-    nv = 2 * K
-    legs = _liquidation_legs(market, T0[:, :nv], T1[:, :nv])
+    nv = primal.n_trades
+    T0, T1 = primal.T0[:, :nv], primal.T1[:, :nv]
+    legs = np.empty((2 * L, nv))
+    legs[0::2] = T0 + market.bid_price[tree.leaves][:, None] * T1
+    legs[1::2] = T0 + market.ask_price[tree.leaves][:, None] * T1
+    nonnegative = np.eye(0 if primal.frictionless else nv, nv + 1)   # net trades are free
     capped = np.zeros(nv + 1)
     capped[nv] = -1.0
-    G = np.vstack([np.hstack([legs, np.full((2 * L, 1), -1.0)]),
-                   np.eye(2 * K, nv + 1), capped])
-    h = np.concatenate([np.repeat(claim - x, 2), np.zeros(2 * K), [-cap]])
+    G = np.vstack([np.hstack([legs, np.full((2 * L, 1), -1.0)]), nonnegative, capped])
+    h = np.concatenate([np.repeat(claim - x, 2), np.zeros(nonnegative.shape[0]), [-cap]])
 
     c = np.zeros(nv + 1)
     c[nv] = -1.0
@@ -136,13 +144,8 @@ def superreplicate(market, x: float, claim: np.ndarray):
     if res.status != "optimal":
         raise EngineError(f"superreplication LP failed: {res.diagnostics.message}")
     slack = float(res.x[nv])
-    buy = np.zeros(tree.n_nodes)
-    sell = np.zeros(tree.n_nodes)
-    buy[internal] = np.maximum(res.x[:K], 0.0)
-    sell[internal] = np.maximum(res.x[K: 2 * K], 0.0)
-    buy, sell = net_trades(buy, sell)
-    strat = roll_forward(market, float(x), buy, sell)
-    return max(0.0, -slack), strat
+    hedge, _ = primal.solution(np.concatenate([res.x[:nv], np.zeros(L)]))
+    return max(0.0, -slack), roll_forward(market, float(x), hedge.buy, hedge.sell)
 
 
 def audit_derivatives(objective, points, rel_grad: float = 1e-6,

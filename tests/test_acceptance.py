@@ -16,9 +16,9 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from frictiondual.duality import (
+    PrimalProgram,
     _dual_objective,
     compute_x0,
-    primal_program,
     solve_dual,
     solve_report,
     verify_identities,
@@ -364,7 +364,7 @@ def test_criterion_09a_derivative_audits(two_period_market):
              UtilitySpec("exponential", gamma=0.7)]
     for spec in specs:
         x = 6.0
-        prog = primal_program(two_period_market, spec, x)
+        prog = PrimalProgram.build(two_period_market, spec).at(x)
         pts = [prog.x0]
         for _ in range(2):
             p = prog.x0 + rng.uniform(-0.05, 0.05, size=prog.n)

@@ -292,8 +292,20 @@ _DOWN = {"id": 2, "parent": 0, "prob": 0.5, "price": 90.0}
     ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "parent": 0.5}, _DOWN]},
      "parent of node 1 must be an integer or null"),
     ({"lambda": 0.01, "nodes": [_ROOT]}, "tree must have at least one period"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "prob": None}, _DOWN]},
+     "'prob' of node 1 must be a number, got None"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "price": {"a": 1}}, _DOWN]},
+     "'price' of node 1 must be a number, got {'a': 1}"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": 5},
+     "'endowment' must be a list"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"leaf": [1], "value": 1.0}]},
+     "endowment entry for non-leaf node [1]"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"leaf": 1, "value": "1"}]},
+     "endowment 'value' at leaf 1 must be a number, got '1'"),
+    ({"lambda": "0.01", "nodes": [_ROOT, _UP, _DOWN]}, "'lambda' must be a number, got '0.01'"),
 ], ids=["not-an-object", "empty-nodes", "no-id", "no-price", "repeated-id",
-        "non-integer-parent", "single-node"])
+        "non-integer-parent", "single-node", "null-prob", "object-price",
+        "endowment-not-a-list", "list-leaf", "string-endowment-value", "string-lambda"])
 def test_malformed_market_file_is_a_validation_error(tmp_path, raw, message, capsys):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(raw))

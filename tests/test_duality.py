@@ -8,6 +8,7 @@ import pytest
 from frictiondual import duality, engine
 from frictiondual.duality import (
     PrimalInfeasibleError,
+    PrimalProgram,
     PrimalUnboundedError,
     compute_x0,
     entropy_terms,
@@ -36,7 +37,7 @@ EXP1 = UtilitySpec("exponential", gamma=1.0)
 def _with_zero_multipliers(market, spec, x, point):
     """A face start for the primal at ``x`` with no dual at hand:
     ``point`` paired with zero inequality multipliers."""
-    return point, np.zeros(duality.primal_program(market, spec, x).G.shape[0])
+    return point, np.zeros(PrimalProgram.build(market, spec).G.shape[0])
 
 
 def test_martingale_no_trade_exponential(martingale_binomial):
@@ -302,7 +303,7 @@ def test_warm_primal_start_matches_cold(two_period_market, spec):
     # a neighbouring optimum, finished on its face, solves x + h
     x, h = 6.0, 1e-3
     near = solve_primal(two_period_market, spec, x)
-    start = duality.primal_point(two_period_market, near.strategy, near.claim)
+    start = PrimalProgram.build(two_period_market, spec).point(near.strategy, near.claim)
     cold = solve_primal(two_period_market, spec, x + h)
     warm = solve_primal(two_period_market, spec, x + h,
                         x0=_with_zero_multipliers(two_period_market, spec, x + h, start))
@@ -317,7 +318,7 @@ def test_warm_primal_start_matches_cold(two_period_market, spec):
 def test_primal_point_is_net_trades_at_zero_spread(drift_binomial):
     market = replace(drift_binomial, lam=0.0)
     sol = solve_primal(market, LOG, 5.0)
-    v = duality.primal_point(market, sol.strategy, sol.claim)
+    v = PrimalProgram.build(market, LOG).point(sol.strategy, sol.claim)
     internal = market.tree.internal
     K = internal.size
     assert v.size == K + market.tree.n_leaves
@@ -329,7 +330,7 @@ def test_infeasible_primal_start_falls_back_to_the_closed_form_start(two_period_
     # claims far below zero wealth break the positivity rows even after
     # the pull: the barrier runs from the closed-form start, bit for bit
     cold = solve_primal(two_period_market, LOG, 6.0)
-    start = duality.primal_point(two_period_market, cold.strategy, cold.claim - 1e6)
+    start = PrimalProgram.build(two_period_market, LOG).point(cold.strategy, cold.claim - 1e6)
     warm = solve_primal(two_period_market, LOG, 6.0,
                         x0=_with_zero_multipliers(two_period_market, LOG, 6.0, start))
     assert warm.diagnostics["start"]["rejected"]
@@ -348,13 +349,14 @@ def test_primal_program_raises_exactly_at_the_threshold():
         market = gen.draw_feasible(i)
         x0 = compute_x0(market)
         for spec in (LOG, UtilitySpec("power", alpha=0.5)):
+            primal = PrimalProgram.build(market, spec)
             for x in (max(x0, 0.0) + 5.0, x0 + 0.5, x0 + 1e-3, x0 + 1e-6):
-                prog = duality.primal_program(market, spec, x)
+                prog = primal.at(x)
                 assert np.all(prog.G @ prog.x0 - prog.h > 0.0), (i, x)
                 assert prog.in_domain(prog.x0)
             for x in (x0 + duality.THRESHOLD_MARGIN, x0, x0 - 1.0):
                 with pytest.raises(PrimalInfeasibleError, match=re.escape(f"threshold {x0}")):
-                    duality.primal_program(market, spec, x)
+                    primal.at(x)
 
 
 def test_threshold_guard_by_the_lp(drift_binomial):
@@ -390,6 +392,50 @@ def test_half_line_report_runs_no_lp(two_period_market, monkeypatch):
     rep = solve_report(two_period_market, LOG, x0 + 0.1)
     assert len(calls) == 0 and len(thresholds) == 2
     assert rep.relative_gap <= 1e-6
+
+
+@pytest.mark.parametrize("spec", [LOG, UtilitySpec("power", alpha=0.5)], ids=["log", "power"])
+def test_report_lays_out_the_primal_once(spec, monkeypatch):
+    # the report builds its PrimalProgram once, and verify_identities
+    # solves x +- h on it: one layout and one threshold induction per
+    # report and its checks, and the bits of solves on a fresh program
+    builds, thresholds, solves = [], [], []
+    build, threshold, solve_primal_ = (PrimalProgram.build.__func__, duality.super_hedge,
+                                       duality.solve_primal)
+
+    def built(cls, *args):
+        builds.append(1)
+        return build(cls, *args)
+
+    def spied(*args):
+        thresholds.append(1)
+        return threshold(*args)
+
+    def solved(market, spec, x, x0=None, program=None):
+        sol = solve_primal_(market, spec, x, x0=x0, program=program)
+        solves.append((x, x0, program, sol))
+        return sol
+
+    monkeypatch.setattr(PrimalProgram, "build", classmethod(built))
+    monkeypatch.setattr(duality, "super_hedge", spied)
+    monkeypatch.setattr(duality, "solve_primal", solved)
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        x = max(compute_x0(market), 0.0) + 5.0
+        for seen in (builds, thresholds, solves):
+            seen.clear()
+        rep = solve_report(market, spec, x)
+        verify_identities(rep)
+        assert (len(builds), len(thresholds)) == (1, 1), i
+        (_, _, report_program, _), *checks = solves
+        assert report_program is rep.primal and len(checks) == 2
+        fresh = build(PrimalProgram, market, spec)
+        for xh, start, program, sol in checks:
+            assert program is rep.primal
+            again = solve_primal_(market, spec, xh, x0=start, program=fresh)
+            assert sol.value.hex() == again.value.hex(), (i, xh)
+            assert sol.claim.tobytes() == again.claim.tobytes(), (i, xh)
 
 
 def spy_lps(monkeypatch):
@@ -448,13 +494,14 @@ def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
                         endowment=[1.0, -0.5])
     x = 3.0
     with pytest.raises(PrimalUnboundedError):
-        duality.primal_program(market, LOG, x)
+        PrimalProgram.build(market, LOG)
     with pytest.raises(PolytopeInfeasibleError):
         solve_report(market, LOG, x)
 
 
 def loop_primal_layout(market):
-    """Leaf-by-leaf reference of :func:`duality._primal_layout`'s maps."""
+    """Leaf-by-leaf reference of :class:`PrimalProgram`'s maps ``T0``/``T1``:
+    buys, sells and claims, at zero spread net trades and claims."""
     tree = market.tree
     internal = [i for i in range(tree.n_nodes) if children(tree, i)]
     K, L = len(internal), tree.n_leaves
@@ -471,23 +518,20 @@ def loop_primal_layout(market):
                 T0[li, K + k] = bid[node]
                 T1[li, k] = 1.0
                 T1[li, K + k] = -1.0
+    if market.lam == 0.0:
+        T0 = np.hstack([T0[:, :K], T0[:, 2 * K:]])
+        T1 = np.hstack([T1[:, :K], T1[:, 2 * K:]])
     return T0, T1
 
 
 def loop_primal_rows(market, spec, x):
-    """Row-by-row reference of :func:`duality.primal_program`'s ``G``/``h``."""
+    """Row-by-row reference of :meth:`PrimalProgram.at`'s ``G``/``h``."""
     tree = market.tree
     T0, T1 = loop_primal_layout(market)
     L = tree.n_leaves
-    K = (T0.shape[1] - L) // 2
     frictionless = market.lam == 0.0
-    if frictionless:
-        T0 = np.hstack([T0[:, :K], T0[:, 2 * K:]])
-        T1 = np.hstack([T1[:, :K], T1[:, 2 * K:]])
-        off = K
-    else:
-        off = 2 * K
-    nv = off + L
+    nv = T0.shape[1]
+    off = nv - L
     endow = market.endowment
     s_leaf = market.ask_price[tree.leaves]
     bid_leaf = market.bid_price[tree.leaves]
@@ -520,7 +564,7 @@ def loop_superreplication_rows(market, x, claim):
     T0, T1 = loop_primal_layout(market)
     L = tree.n_leaves
     nv = T0.shape[1]
-    K = (nv - L) // 2
+    off = nv - L
     s_leaf = market.ask_price[tree.leaves]
     bid_leaf = market.bid_price[tree.leaves]
     cap = abs(x) + float(np.abs(claim).max(initial=0.0)) + 1.0
@@ -529,7 +573,7 @@ def loop_superreplication_rows(market, x, claim):
         for leg in (T0[li] + bid_leaf[li] * T1[li], T0[li] + s_leaf[li] * T1[li]):
             rows.append(np.concatenate([leg, [-1.0]]))
             h_vals.append(claim[li] - x)
-    for k in range(2 * K):
+    for k in range(0 if market.lam == 0.0 else off):
         row = np.zeros(nv + 1)
         row[k] = 1.0
         rows.append(row)
@@ -561,10 +605,10 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
         drawn = gen.draw(i)
         for lam in (drawn.lam, 0.0):
             market = replace(drawn, lam=lam)
-            *_, T0, T1 = duality._primal_layout(market)
             T0_ref, T1_ref = loop_primal_layout(market)
-            assert_same_bytes(T0, T0_ref, "T0")
-            assert_same_bytes(T1, T1_ref, "T1")
+            layout = PrimalProgram.build(market, EXP1)
+            assert_same_bytes(layout.T0, T0_ref, "T0")
+            assert_same_bytes(layout.T1, T1_ref, "T1")
             zero_endowment = market.with_endowment(np.zeros(market.tree.n_leaves))
             for spec in (LOG, EXP1):
                 for m in (market, zero_endowment):
@@ -576,9 +620,9 @@ def test_primal_builders_match_loop_reference(seed, monkeypatch):
                         x += compute_x0(m)
                     elif spec is LOG:
                         with pytest.raises(PrimalUnboundedError):
-                            duality.primal_program(m, spec, x)
+                            PrimalProgram.build(m, spec)
                         continue
-                    prog = duality.primal_program(m, spec, x)
+                    prog = PrimalProgram.build(m, spec).at(x)
                     G_ref, h_ref = loop_primal_rows(m, spec, x)
                     assert_same_bytes(prog.G, G_ref, "G")
                     assert_same_bytes(prog.h, h_ref, "h")
@@ -635,7 +679,7 @@ def test_report_primal_starts_at_the_shadow_replication(spec, lam):
 
 def test_dual_optimum_gives_the_primal_multipliers():
     # scaled by yhat, the dual optimum is the primal's Lagrange
-    # multiplier: mapped onto primal_program's rows it is nonnegative and
+    # multiplier: mapped onto the PrimalProgram's rows it is nonnegative and
     # meets stationarity at the shadow start, at the generated spreads
     # and at zero spread where that polytope is not empty
     gen = InstanceGenerator(seed=11)
@@ -648,10 +692,10 @@ def test_dual_optimum_gives_the_primal_multipliers():
             for spec in SHADOW_FAMILIES:
                 x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(m), 0.0) + 5.0
                 rep = solve_report(m, spec, x)
-                start, record = duality._shadow_start(m, spec, x, rep.yhat, rep.dual_system)
+                start, record = duality._shadow_start(rep.primal, x, rep.yhat, rep.dual_system)
                 assert record["point"] == "shadow"
                 point, lam = start
-                prog = duality.primal_program(m, spec, x)
+                prog = rep.primal.at(x)
                 _, g, _ = prog.objective(point)
                 assert lam.shape == prog.h.shape and np.all(lam >= 0.0), (i, m.lam, spec)
                 stationarity = np.linalg.norm(g - prog.G.T @ lam) / (1.0 + np.linalg.norm(g))
@@ -681,7 +725,7 @@ def _face_and_barrier_solves(market, spec, x, start):
     """The engine's solves of the primal at ``x`` from the pulled point
     of ``start``, with the pair ``start`` as the face start and without
     one."""
-    prog = duality.primal_program(market, spec, x)
+    prog = PrimalProgram.build(market, spec).at(x)
     pulled = (1.0 - duality.WARM_PULL) * start[0] + duality.WARM_PULL * prog.x0
     return (engine.solve(replace(prog, x0=pulled, face_start=start)),
             engine.solve(replace(prog, x0=pulled)))
@@ -713,12 +757,11 @@ def test_face_start_is_accepted_on_generated_markets():
             x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
             rep = solve_report(market, spec, x)
             h = duality.FD_STEP * (1.0 + abs(x))
-            point = duality.primal_point(market, rep.strategy, rep.claim)
+            point = rep.primal.point(rep.strategy, rep.claim)
             solves = [(x, None, rep.value, rep.claim, rep.diagnostics["primal"])]
             for xh in (x + h, x - h):
                 # paired with the dual's multipliers at xh, as verify_identities does
-                start = (point, duality.primal_multipliers(market, spec, xh, rep.yhat,
-                                                           rep.dual_system))
+                start = (point, rep.primal.multipliers(xh, rep.yhat, rep.dual_system))
                 warm = solve_primal(market, spec, xh, x0=start)
                 solves.append((xh, start, warm.value, warm.claim, warm.diagnostics))
             for xs, start, value, claim, d in solves:
@@ -760,7 +803,7 @@ def test_rejected_face_start_returns_the_barrier_solve(two_period_market):
     # face in each of the finish's rounds; under log five rows leave,
     # one step is taken and the next is not half of it
     far = solve_primal(two_period_market, LOG, 60.0)
-    point = duality.primal_point(two_period_market, far.strategy, far.claim)
+    point = PrimalProgram.build(two_period_market, LOG).point(far.strategy, far.claim)
     for spec, reason in ((LOG, "KKT residuals"), (EXP1, "no step on the face")):
         start = _with_zero_multipliers(two_period_market, spec, 6.0, point)
         res, barrier = _face_and_barrier_solves(two_period_market, spec, 6.0, start)
@@ -777,9 +820,9 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
     # from the closed-form start
     shadow_start = duality._shadow_start
 
-    def far_below(market, spec, x, yhat, system):
-        start, record = shadow_start(market, spec, x, yhat, system)
-        start[0][-market.tree.n_leaves:] -= 1e6      # claims far below zero wealth
+    def far_below(program, x, yhat, system):
+        start, record = shadow_start(program, x, yhat, system)
+        start[0][-program.market.tree.n_leaves:] -= 1e6      # claims far below zero wealth
         return start, record
 
     cold = solve_report(two_period_market, LOG, 6.0)

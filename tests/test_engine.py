@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from frictiondual import duality, engine
-from frictiondual.duality import compute_x0, primal_program, solve_primal, solve_report
+from frictiondual.duality import PrimalProgram, compute_x0, solve_primal, solve_report
 from frictiondual.engine import (
     TOL,
     ConvexProgram,
@@ -71,7 +71,7 @@ def test_objective_evaluated_once_per_point(two_period_market):
     programs = [ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
                               G=np.array([[-1.0]]), h=np.array([-1.0]), x0=np.zeros(1))]
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
-        programs.append(primal_program(two_period_market, spec, 6.0))
+        programs.append(PrimalProgram.build(two_period_market, spec).at(6.0))
     for prog in programs:
         seen = _evaluated_points(prog)
         assert len(seen) > 2

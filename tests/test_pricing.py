@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from frictiondual.duality import (PrimalUnboundedError, compute_x0, entropy_terms,
-                                 primal_program, solve_entropy_core, solve_report)
+from frictiondual.duality import (PrimalProgram, PrimalUnboundedError, compute_x0,
+                                 entropy_terms, solve_entropy_core, solve_report)
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import (PolytopeInfeasibleError, build_polytope, check_cps,
                                    martingale_point, max_expectation, super_hedge)
@@ -418,7 +418,7 @@ def test_band_missing_its_hull_has_no_hedge():
     with pytest.raises(PolytopeInfeasibleError, match="band misses"):
         super_hedge(market, market.endowment)
     with pytest.raises(PrimalUnboundedError):
-        primal_program(market, UtilitySpec("log"), 10.0)
+        PrimalProgram.build(market, UtilitySpec("log"))
 
 
 @pytest.mark.parametrize("spec", [UtilitySpec("log"), UtilitySpec("power", alpha=0.5),

@@ -37,7 +37,8 @@ def test_parse_grammar():
 
 def test_parse_rejects_malformed():
     for text in ("quadratic", "log:alpha=1", "power:alpha",
-                 "exp:gamma=0", "power:alpha=1.0", "power:alpha=-1"):
+                 "exp:gamma=0", "power:alpha=1.0", "power:alpha=-1",
+                 "power:beta=1", "exp:alpha=0.3", "power:alpha=0.5,alpha=0.7"):
         with pytest.raises(ValueError):
             parse_utility(text)
 
