@@ -359,11 +359,17 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
 
 def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
                poly: Optional[DualPolytope] = None,
-               x0: Optional[np.ndarray] = None) -> DualSolution:
+               x0=None) -> DualSolution:
     """Minimize the conjugate functional at scale ``y`` over the polytope.
 
     ``x0``, leaf variables of a strictly feasible point of the polytope,
-    starts the solve; it defaults to :meth:`DualPolytope.strict_point`.
+    starts the barrier; it defaults to :meth:`DualPolytope.strict_point`.
+    A ``(point, multipliers)`` pair, as :func:`solve_primal` takes it, is
+    the engine's face start instead: a known optimum, such as the lift of
+    a frictional optimizer onto its shadow market, is finished on its
+    face with no barrier step, and its point starts the barrier only
+    when that is rejected.  The diagnostics then carry the ``start``
+    record ``{"face": ...}`` (:attr:`SolveDiagnostics.face_start`).
     """
     if not 0.0 < y < np.inf:
         raise ut.UtilityDomainError(f"dual scale y must be positive and finite, got {y}")
@@ -375,19 +381,28 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
                              "dual", x0=x0)
     z = res.x
+    diagnostics = res.diagnostics.to_dict()
+    if res.diagnostics.face_start is not None:
+        diagnostics["start"] = {"face": res.diagnostics.face_start}
     return DualSolution(value=res.diagnostics.objective, y=y, leaf_vars=z,
                         system=poly.price_system(z),
                         derivative=_dual_derivative(spec, y, z[:L], endow, prob),
-                        diagnostics=res.diagnostics.to_dict())
+                        diagnostics=diagnostics)
 
 
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
-                       x0: Optional[np.ndarray]) -> SolveResult:
-    """Engine solve over the constraints of ``poly`` from ``x0``, by
-    default :meth:`DualPolytope.strict_point`; optimal or raises."""
+                       x0) -> SolveResult:
+    """Engine solve over the constraints of ``poly`` from ``x0``: a
+    point, by default :meth:`DualPolytope.strict_point`, or a ``(point,
+    multipliers)`` face start whose point starts the barrier should the
+    engine reject it; optimal or raises."""
+    face_start = x0 if isinstance(x0, tuple) else None
+    if face_start is not None:
+        x0 = face_start[0]
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
-                         x0=poly.strict_point() if x0 is None else x0)
+                         x0=poly.strict_point() if x0 is None else x0,
+                         face_start=face_start)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:
@@ -488,19 +503,8 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` that underflows
     to 0, at large ``x + k``, raises :class:`EngineError`.
 
-    The primal starts at the dual optimum (:func:`_shadow_start`): the
-    frictionless replication of the optimal claim ``I(yhat Z0) - x - e``
-    at the shadow price ``Z1/Z0``, where the frictional optimum is that
-    replication (Kallsen & Muhle-Karbe, Ann. Appl. Probab. 20, 2010).  That
-    point sits on the primal's optimal face, so :func:`solve_primal` hands
-    it, with the dual's :meth:`PrimalProgram.multipliers`, to the engine
-    as its face start; the barrier runs only when it is rejected.  Where
-    the dual optimizer has a node with ``Z0 <= DENSITY_EPS`` the primal
-    keeps its program's closed-form start.  The primal diagnostics'
-    ``start`` records which ran: ``point`` is ``"shadow"`` or
-    ``"generic"``, ``reason`` names the zero-density node of a generic
-    start, and ``rejected`` and ``face`` are :func:`solve_primal`'s.  The
-    primal is still certified by its own KKT residuals.
+    The primal starts at the dual optimum (:func:`solve_primal_from_dual`)
+    and is still certified by its own KKT residuals.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -508,7 +512,15 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     """
     _check_wealth(x)
     poly = build_polytope(market)
-    start = poly.strict_point()
+    return _solve_report(market, spec, x, poly, poly.strict_point())
+
+
+def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
+                  poly: DualPolytope, start: np.ndarray) -> SolveReport:
+    """:func:`solve_report` at a checked ``x``, on the dual polytope
+    ``poly`` of ``market`` from its strict point ``start``; the polytope
+    does not read the endowment, so one serves a market and its
+    zero-endowment copy."""
     tree = market.tree
     endow = market.endowment
     program = PrimalProgram.build(market, spec)
@@ -528,9 +540,7 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
         dual_total = dual.value + x * yhat
     else:
         yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=start)
-    start, record = _shadow_start(program, x, yhat, dual.system)
-    primal = solve_primal(market, spec, x, x0=start, program=program)
-    primal.diagnostics["start"] = {**record, **primal.diagnostics["start"]}
+    primal = solve_primal_from_dual(program, x, yhat, dual.system)
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -550,6 +560,29 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
         primal=program,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
     )
+
+
+def solve_primal_from_dual(program: PrimalProgram, x: float, yhat: float,
+                           system: PriceSystem) -> PrimalSolution:
+    """:func:`solve_primal` of ``program`` at ``x``, started at the dual
+    optimum ``(yhat, system)`` (:func:`_shadow_start`).
+
+    The frictional optimum is the frictionless replication of the optimal
+    claim at the shadow price (Kallsen & Muhle-Karbe, Ann. Appl. Probab.
+    20, 2010), and on a frictionless market it is the optimum itself.
+    That point sits on the primal's optimal face, so it goes to the
+    engine, with the dual's :meth:`PrimalProgram.multipliers`, as its face
+    start; the barrier runs only when it is rejected.  Where the dual
+    optimizer has a node with ``Z0 <= DENSITY_EPS`` the primal keeps its
+    program's closed-form start.  The diagnostics' ``start`` records
+    which ran: ``point`` is ``"shadow"`` or ``"generic"``, ``reason``
+    names the zero-density node of a generic start, and ``rejected`` and
+    ``face`` are :func:`solve_primal`'s.
+    """
+    start, record = _shadow_start(program, x, yhat, system)
+    primal = solve_primal(program.market, program.spec, x, x0=start, program=program)
+    primal.diagnostics["start"] = {**record, **primal.diagnostics["start"]}
+    return primal
 
 
 def _shadow_start(program: PrimalProgram, x: float, yhat: float,

@@ -9,13 +9,16 @@ wealth, which is what collapses the primal route to a closed form.
 The routes read two solve reports: one of the market and one of the
 same market without its endowment, ``market.with_endowment(np.zeros(L))``,
 which is built once per price; every solver reads the endowment from the
-market it is given.  Each report's dual solve starts at its own
-polytope's strictly consistent price system
-(:meth:`DualPolytope.strict_point`), and each shadow-market dual starts
-at the lift (:meth:`ShadowPrice.lift`) of its report's dual optimizer,
-which is optimal there.  ``price_dual`` alone solves its two entropy
-programs, on the market and on its zero-endowment copy, independently
-of the reports: both start at the market's polytope's
+market it is given.  Both reports run on the market's one polytope,
+which does not read the endowment, and their dual solves start at its
+strictly consistent price system (:meth:`DualPolytope.strict_point`).
+Each shadow-market dual is handed the lift (:meth:`ShadowPrice.lift`)
+of its report's dual optimizer, which is optimal there, with zero
+multipliers as the engine's face start (:func:`solve_dual`): it is
+finished on its face with no barrier step, and the barrier runs from
+the lift only when that is rejected.  ``price_dual`` alone solves its
+two entropy programs, on the market and on its zero-endowment copy,
+independently of the reports: both start at the market's polytope's
 :meth:`DualPolytope.strict_point`, which does not read the endowment.
 A market with no band price raises :class:`NoCpsError` from that
 closed form, with no LP.  The consistent-price bounds run no LP either:
@@ -30,7 +33,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import utility as ut
-from .duality import SolveReport, entropy_terms, solve_dual, solve_entropy_core, solve_report
+from .duality import (SolveReport, _check_wealth, _solve_report, entropy_terms,
+                      solve_dual, solve_entropy_core)
 from .polytope import build_polytope, max_expectation
 from .shadow import construct_shadow
 from .tree import MarketSpec
@@ -55,10 +59,14 @@ class PriceReport:
 
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
     """The two solves every route reads: of the market and of its
-    zero-endowment copy."""
+    zero-endowment copy, on one polytope from one strict point."""
+    _check_wealth(x)
     spec = ut.UtilitySpec("exponential", gamma=gamma)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
-    return solve_report(market, spec, x), solve_report(market_0, spec, x)
+    poly = build_polytope(market)
+    start = poly.strict_point()
+    return (_solve_report(market, spec, x, poly, start),
+            _solve_report(market_0, spec, x, poly, start))
 
 
 def _primal_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
@@ -76,13 +84,14 @@ def _dual_route(market: MarketSpec, market_0: MarketSpec, gamma: float,
 
 
 def _shadow_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
-    """Each zero-spread dual starts at the lift of its report's optimizer."""
+    """Each zero-spread dual is face-started at the lift of its report's
+    optimizer, with zero multipliers: its positivity rows are slack."""
     terms = []
     for rep in (rep_e, rep_0):
         shadow = construct_shadow(rep.market, rep.dual_system)
-        z0_leaf = rep.dual_leaf_vars[:rep.market.tree.n_leaves]
+        lift = shadow.lift(rep.dual_leaf_vars[:rep.market.tree.n_leaves])
         terms.append(solve_dual(shadow.as_market(), rep.utility, 1.0,
-                                x0=shadow.lift(z0_leaf)).value)
+                                x0=(lift, np.zeros(lift.size))).value)
     return terms[0] - terms[1]
 
 

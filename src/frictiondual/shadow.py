@@ -5,11 +5,12 @@ lying in the spread.  Trading it without friction achieves exactly the
 frictional value, and the frictionless dual density lifts back to a
 frictional dual optimizer.  This module builds that price, solves the
 frictionless problems on it, and verifies both directions.  No solve
-here starts from the frictional optimizer, so they are independent
-checks of that theorem: the zero-spread duals start at the closed-form
+here reads the frictional optimizer, so they are independent checks of
+that theorem: the zero-spread duals start cold, at the closed-form
 martingale density of the shadow price (its polytope's
-:meth:`DualPolytope.strict_point`), and the primal at its program's
-closed-form start.
+:meth:`DualPolytope.strict_point`), and the zero-spread primal starts
+at the optimum of the shadow market's own dual
+(:func:`solve_primal_from_dual`), not at its program's closed form.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utility as ut
-from .duality import PrimalUnboundedError, SolveReport, solve_dual, solve_primal
-from .polytope import PriceSystem, build_polytope
+from .duality import (PrimalProgram, PrimalUnboundedError, SolveReport, solve_dual,
+                      solve_primal_from_dual)
+from .polytope import PolytopeInfeasibleError, PriceSystem, build_polytope
 from .tree import MarketSpec
 
 CLASS_RTOL = 1e-7
@@ -107,26 +109,31 @@ def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
 
 def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float,
                        y: float) -> FrictionlessSolve:
-    """Primal and dual zero-spread solves at a given price process, the
+    """Dual and primal zero-spread solves at a given price process, the
     dual at scale ``y`` (the frictional report's ``yhat``).
 
-    ``shadow_market`` must carry zero spread; diverging primal iterates
-    are reported as an unbounded problem (frictionless arbitrage in the
-    supplied price).  Neither solve reads the frictional solve the price
-    came from: both start at their closed-form starts, the dual at the
-    price's martingale density (:meth:`DualPolytope.strict_point`), which
-    raises :class:`PolytopeInfeasibleError` when the price moves one way
-    at some node.
+    ``shadow_market`` must carry zero spread.  Neither solve reads the
+    frictional solve the price came from.  The dual comes first, cold
+    from the price's martingale density (:meth:`DualPolytope.strict_point`).
+    The primal then starts at that dual's optimum
+    (:func:`solve_primal_from_dual`): at zero spread the replication of
+    ``I(y Z0)`` is the primal optimum, and the engine accepts it only
+    when it passes the barrier's own stopping test; otherwise the barrier
+    runs from the closed-form start.  A price with arbitrage, one that
+    moves one way at some node, has an empty zero-spread polytope
+    (:class:`PolytopeInfeasibleError`) or an unbounded primal, and raises
+    :class:`ShadowConstructionError`.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
     try:
-        primal = solve_primal(shadow_market, spec, x)
-    except PrimalUnboundedError as exc:
+        dual = solve_dual(shadow_market, spec, y)
+        primal = solve_primal_from_dual(PrimalProgram.build(shadow_market, spec), x, y,
+                                        dual.system)
+    except (PolytopeInfeasibleError, PrimalUnboundedError) as exc:
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"
         ) from exc
-    dual = solve_dual(shadow_market, spec, y)
     return FrictionlessSolve(
         position=primal.strategy.phi1.copy(),
         value=primal.value,

@@ -219,6 +219,11 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _is_index(value) -> bool:
+    """Whether ``value`` is a JSON integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def market_from_dict(raw: dict) -> MarketSpec:
     """Build a :class:`MarketSpec` from the JSON object layout."""
     if not isinstance(raw, dict):
@@ -234,19 +239,20 @@ def market_from_dict(raw: dict) -> MarketSpec:
     parent = np.full(n, -2, dtype=int)
     prob = np.zeros(n)
     price = np.zeros(n)
-    for rec in nodes:
+    for k, rec in enumerate(nodes):
         if not isinstance(rec, dict) or "id" not in rec or "price" not in rec:
             raise SchemaError("each node needs 'id' and 'price'")
         i = rec["id"]
-        if not isinstance(i, int) or not (0 <= i < n) or i in seen:
-            raise SchemaError(f"node ids must be 0..{n - 1} without repeats, got {i!r}")
+        if not _is_index(i) or not (0 <= i < n) or i in seen:
+            raise SchemaError(f"node ids must be 0..{n - 1} without repeats, "
+                              f"got {i!r} in node record {k}")
         seen.add(i)
         par = rec.get("parent", None)
         if par is None:
             parent[i] = -1
             prob[i] = 1.0
         else:
-            if not isinstance(par, int):
+            if not _is_index(par):
                 raise SchemaError(f"parent of node {i} must be an integer or null")
             if "prob" not in rec:
                 raise SchemaError(f"non-root node {i} needs 'prob'")
@@ -278,7 +284,7 @@ def market_from_dict(raw: dict) -> MarketSpec:
         if not isinstance(rec, dict) or "leaf" not in rec or "value" not in rec:
             raise SchemaError("each endowment entry needs 'leaf' and 'value'")
         leaf = rec["leaf"]
-        if not isinstance(leaf, int) or leaf not in leaf_pos:
+        if not _is_index(leaf) or leaf not in leaf_pos:
             raise SchemaError(f"endowment entry for non-leaf node {leaf!r}")
         endow[leaf_pos[leaf]] = _number(rec["value"], f"endowment 'value' at leaf {leaf}")
 

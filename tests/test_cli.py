@@ -303,9 +303,17 @@ _DOWN = {"id": 2, "parent": 0, "prob": 0.5, "price": 90.0}
     ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"leaf": 1, "value": "1"}]},
      "endowment 'value' at leaf 1 must be a number, got '1'"),
     ({"lambda": "0.01", "nodes": [_ROOT, _UP, _DOWN]}, "'lambda' must be a number, got '0.01'"),
+    # JSON booleans are no integers, though Python's bool is an int
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "id": True}, _DOWN]},
+     "node ids must be 0..2 without repeats, got True in node record 1"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "parent": False}, _DOWN]},
+     "parent of node 1 must be an integer or null"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"leaf": True, "value": 1.0}]},
+     "endowment entry for non-leaf node True"),
 ], ids=["not-an-object", "empty-nodes", "no-id", "no-price", "repeated-id",
         "non-integer-parent", "single-node", "null-prob", "object-price",
-        "endowment-not-a-list", "list-leaf", "string-endowment-value", "string-lambda"])
+        "endowment-not-a-list", "list-leaf", "string-endowment-value", "string-lambda",
+        "boolean-id", "boolean-parent", "boolean-leaf"])
 def test_malformed_market_file_is_a_validation_error(tmp_path, raw, message, capsys):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(raw))

@@ -7,8 +7,9 @@ import pytest
 from frictiondual.duality import (PrimalProgram, PrimalUnboundedError, compute_x0,
                                  entropy_terms, solve_entropy_core, solve_report)
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import (PolytopeInfeasibleError, build_polytope, check_cps,
-                                   martingale_point, max_expectation, super_hedge)
+from frictiondual.polytope import (DualPolytope, PolytopeInfeasibleError, build_polytope,
+                                   check_cps, martingale_point, max_expectation,
+                                   super_hedge)
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -85,7 +86,7 @@ def test_risk_aversion_pushes_toward_lower_bound(two_period_market):
 def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
     from frictiondual import engine, pricing
 
-    calls = {"report": 0, "lp": 0}
+    calls = {"report": 0, "lp": 0, "polytope": 0, "strict_point": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -93,11 +94,15 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(pricing, "solve_report", counted("report", pricing.solve_report))
+    # both reports run on one polytope from one strict point
+    monkeypatch.setattr(pricing, "_solve_report", counted("report", pricing._solve_report))
+    monkeypatch.setattr(pricing, "build_polytope", counted("polytope", pricing.build_polytope))
+    monkeypatch.setattr(DualPolytope, "strict_point",
+                        counted("strict_point", DualPolytope.strict_point))
     monkeypatch.setattr(engine, "solve_lp", counted("lp", engine.solve_lp))
     gamma, x = 0.7, 1.0
     rep = indifference_price(two_period_market, gamma, x=x)
-    assert calls == {"report": 2, "lp": 0}
+    assert calls == {"report": 2, "lp": 0, "polytope": 1, "strict_point": 1}
     monkeypatch.undo()
     # the shared reports give the standalone routes' prices
     assert rep.p_primal == pytest.approx(price_primal(two_period_market, gamma, x), abs=1e-8)
@@ -186,6 +191,33 @@ def test_shadow_dual_same_optimum_from_any_start(dense_market):
     v = sols[2].value
     for sol in sols[:2] + sols[3:]:
         assert sol.value == pytest.approx(v, abs=1e-8 * (1.0 + abs(v)))
+
+
+def test_shadow_route_duals_are_face_started_at_the_lift(dense_market, monkeypatch):
+    # each shadow-market dual of the route is handed the lift of its
+    # report's optimizer with zero multipliers as its face start, and is
+    # accepted from it with no barrier step, at the cold route's price
+    from frictiondual import pricing
+    from frictiondual.duality import solve_dual
+    from frictiondual.shadow import construct_shadow
+
+    sols = []
+
+    def spied(*args, **kwargs):
+        sols.append(solve_dual(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(pricing, "solve_dual", spied)
+    rep_e, rep_0 = pricing._reports(dense_market, 1.0, 1.0)
+    p = pricing._shadow_route(rep_e, rep_0)
+    assert len(sols) == 2
+    for sol in sols:
+        assert sol.diagnostics["start"]["face"]["accepted"], sol.diagnostics["start"]
+        assert sum(sol.diagnostics["newton_iterations"]) == 0
+        assert sol.diagnostics["factorizations"] == 0
+    cold = [solve_dual(construct_shadow(rep.market, rep.dual_system).as_market(),
+                       rep.utility, 1.0).value for rep in (rep_e, rep_0)]
+    assert abs(p - (cold[0] - cold[1])) <= 1e-9 * (1.0 + abs(p))
 
 
 def test_pricing_runs_no_phase_one(dense_market, monkeypatch):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frictiondual.duality import solve_report
+from frictiondual.duality import (EXP_ARG_MAX, PrimalProgram, compute_x0, solve_primal,
+                                 solve_report)
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import PriceSystem
 from frictiondual.shadow import (
@@ -19,6 +20,7 @@ from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec
 
 EXP1 = UtilitySpec("exponential", gamma=1.0)
+LOG = UtilitySpec("log")
 
 
 def shadow_pipeline(market, spec, x):
@@ -170,16 +172,61 @@ def test_shadow_names_first_node_out_of_spread(drift_binomial):
 
 
 def test_exponential_line_search_never_overflows():
-    # the frictionless line search on this market's shadow price tries
-    # steps where exp(-gamma (w - w_ref)) overflows; the primal's domain
-    # guard must reject them before the objective is evaluated
+    # a cold primal on this market's shadow price runs its line search
+    # with overflow warnings as errors and still reaches the report's
+    # value; the primal's domain guard rejects a point whose exponent
+    # -gamma (w - w_ref) passes EXP_ARG_MAX before the objective sees it
     market = InstanceGenerator(seed=11).draw_feasible(5)
     rep = solve_report(market, EXP1, 1.0)
     sh = construct_shadow(market, rep.dual_system)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        fr = solve_frictionless(sh.as_market(), EXP1, 1.0, y=rep.yhat)
-    assert abs(fr.value - rep.value) <= 1e-6 * (1.0 + abs(rep.value))
+        cold = solve_primal(sh.as_market(), EXP1, 1.0)
+    assert sum(cold.diagnostics["newton_iterations"]) > 0
+    assert abs(cold.value - rep.value) <= 1e-6 * (1.0 + abs(rep.value))
+    # the guard itself, which this line search does not reach
+    prog = PrimalProgram.build(sh.as_market(), EXP1).at(1.0)
+    far = prog.x0.copy()
+    far[-market.tree.n_leaves:] -= 2.0 * EXP_ARG_MAX
+    assert prog.in_domain(prog.x0) and not prog.in_domain(far)
+
+
+@pytest.mark.parametrize("spec, indices", [(EXP1, range(10)), (LOG, (0, 5, 9))],
+                         ids=["exp", "log"])
+def test_frictionless_primal_starts_at_its_own_dual(spec, indices):
+    # the shadow market's primal is face-started at the optimum of the
+    # shadow market's own cold dual, which on a frictionless market is
+    # its optimum: accepted with no barrier step, at the cold value
+    gen = InstanceGenerator(seed=11)
+    for i in indices:
+        market = gen.draw_feasible(i)
+        x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
+        _, sh, fr = shadow_pipeline(market, spec, x)
+        d = fr.diagnostics["primal"]
+        start = d["start"]
+        assert start["point"] == "shadow" and start["face"]["accepted"], (i, start)
+        assert sum(d["newton_iterations"]) == 0 and d["factorizations"] == 0
+        cold = solve_primal(sh.as_market(), spec, x)
+        assert sum(cold.diagnostics["newton_iterations"]) > 0
+        assert abs(fr.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value)), i
+
+
+def test_zero_density_shadow_dual_keeps_the_generic_start():
+    # an unhedgeable endowment of 500 at the middle leaf of a trinomial:
+    # the shadow price is undefined there, the shadow market's own dual
+    # density vanishes there too, and its primal runs exactly the cold solve
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
+                        endowment=[0.0, 500.0, 0.0])
+    rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
+    assert sh.undefined.tolist() == [False, False, True, False]
+    d = fr.diagnostics["primal"]
+    assert d["start"] == {"point": "generic", "reason": "zero dual density at node 2",
+                          "rejected": False, "face": None}
+    cold = solve_primal(sh.as_market(), EXP1, 1.0)
+    assert np.array_equal(fr.position, cold.strategy.phi1)
+    assert d["newton_iterations"] == cold.diagnostics["newton_iterations"]
+    assert abs(fr.value - rep.value) <= 1e-9 * (1.0 + abs(rep.value))
 
 
 def test_tiny_density_node_trades_on_its_band_edge():
