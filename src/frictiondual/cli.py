@@ -144,6 +144,8 @@ def cmd_xmin(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     gen = InstanceGenerator(
         seed=_seed_value(args),
         min_periods=args.min_periods, max_periods=args.max_periods,

@@ -212,8 +212,8 @@ class PrimalProgram:
                 # np.exp overflows just past this exponent; a trial point out
                 # there fails the line search's sufficient decrease anyway, so
                 # rejecting it first changes no step
-                return bool(np.all(-spec.gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX))
-            return not positive_wealth or bool(np.all(x + v[off:] + endow > 0.0))
+                return bool((-spec.gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX).all())
+            return not positive_wealth or bool((x + v[off:] + endow > 0.0).all())
 
         if positive_wealth:
             v = self.point(self.hedge, np.zeros(tree.n_leaves))
@@ -352,7 +352,7 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
         return val, grad, hess
 
     def in_domain(z):
-        return bool(np.all(z[:L] > 0.0))
+        return bool((z[:L] > 0.0).all())
 
     return objective, in_domain
 

@@ -22,15 +22,30 @@ every Newton step lives in the null space, whose reduced matrix (size
 predictor and the corrector.  Dense linear algebra throughout: problems
 here have at most a few thousand variables.  Everything is deterministic
 given its inputs.
+
+Each factorization and solve is one call of a LAPACK routine through
+scipy's low-level wrappers, never through ``scipy.linalg`` or
+``np.linalg``, whose argument checks and workspace queries cost more
+than the arithmetic on programs this small: ``dgeqp3`` and ``dorgqr``
+for the pivoted QR, ``dgetrf`` and ``dgetrs`` for the LU, ``dtrtrs`` for
+the triangular solves and ``dgelsd`` for the face finish's least
+squares.  The routines that take a workspace go through one layer,
+:func:`_lapack`, which asks for each routine's workspace once per shape
+of its arguments and caches the answer.  Every call gives the bits of
+the ``scipy.linalg`` or ``np.linalg`` function it replaces, since both
+run the same routine with the same workspace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3, dgetrf, dgetrs, dorgqr, dtrtrs
+from scipy.linalg.lapack import (dgelsd, dgelsd_lwork, dgeqp3, dgetrf, dgetrs,
+                                 dorgqr, dtrtrs)
 
 ARMIJO_C = 1e-4
 BACKTRACK_BETA = 0.5
@@ -41,6 +56,8 @@ DIVERGE_CAP = 1e12
 HIGHS_TOL = 1e-10          # HiGHS primal and dual feasibility tolerances
 FINISH_ROUNDS = 6          # face-change rounds in a row that end a face finish
 LP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}   # by linprog status
+EPS = float(np.finfo(float).eps)
+SQRT_EPS = math.sqrt(EPS)
 
 
 class EngineError(RuntimeError):
@@ -160,7 +177,7 @@ def _row_rank_qr(M):
     if a.size == 0:
         Q, R, piv = np.eye(rows), np.zeros((rows, cols)), np.arange(cols)
     else:
-        qr, piv, tau = _lapack(dgeqp3, a)
+        qr, piv, tau, _ = _lapack(dgeqp3, a)
         piv -= 1          # 1-based pivots
         R = np.triu(qr)
         if rows < cols:
@@ -169,19 +186,50 @@ def _row_rank_qr(M):
             full = np.empty((rows, rows))
             full[:, :cols] = qr
             Q = _lapack(dorgqr, full, tau, overwrite_a=1)[0]
-    diag = np.abs(np.diag(R))
-    tol = max(M.shape) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    return (Q, R, piv), int(np.sum(diag > tol))
+    diag = np.abs(R.diagonal())
+    tol = max(M.shape) * EPS * (diag.max() if diag.size else 0.0)
+    return (Q, R, piv), int((diag > tol).sum())
+
+
+def _least_squares(M, r):
+    """The least-norm ``x`` minimizing ``|M x - r|`` for a square ``M``:
+    LAPACK's ``dgelsd`` with singular values below ``eps k |M|`` taken as
+    zero, ``k`` the size of ``M``, as ``np.linalg.lstsq(M, r, rcond=None)``
+    calls it, bit for bit."""
+    k = r.size
+    if k == 0:
+        return np.zeros(0)
+    return _lapack(dgelsd, M, r[:, None], cond=EPS * k)[0][:, 0]
 
 
 def _lapack(routine, *args, **kwargs):
-    """The outputs before ``work`` of a LAPACK ``routine`` run with the
-    workspace its ``lwork = -1`` query asks for."""
-    work = routine(*args, lwork=-1, **kwargs)[-2]
-    out = routine(*args, lwork=int(work[0]), **kwargs)
+    """The outputs of a LAPACK ``routine`` but ``info``, which must be 0,
+    run with the workspace that :func:`_workspace` holds for the shapes
+    of its array arguments.
+
+    This is the engine's one LAPACK layer for the routines that take a
+    workspace: ``dgeqp3`` and ``dorgqr`` for the pivoted QR, ``dgelsd``
+    for the face finish's least squares.  The same shapes get the same
+    ``lwork``, so LAPACK takes the same blocked path, and the bits are
+    those of a call that queried its workspace first, as scipy and
+    numpy do."""
+    out = routine(*args, **_workspace(routine, tuple(a.shape for a in args)), **kwargs)
     if out[-1] != 0:
         raise EngineError(f"{routine.__name__} failed with info {out[-1]}")
-    return out[:-2]
+    return out[:-1]
+
+
+@lru_cache(maxsize=1024)
+def _workspace(routine, shapes):
+    """The workspace keywords of a LAPACK ``routine`` for arguments of
+    these ``shapes``, from its workspace query, which reads the shapes
+    alone: ``dgelsd``'s is ``dgelsd_lwork``, and the others answer an
+    ``lwork = -1`` call in their ``work`` output."""
+    if routine is dgelsd:
+        (m, n), (_, nrhs) = shapes
+        work, iwork, _ = dgelsd_lwork(m, n, nrhs)
+        return {"lwork": int(work), "size_iwork": int(iwork)}
+    return {"lwork": int(routine(*map(np.zeros, shapes), lwork=-1)[-2][0])}
 
 
 @dataclass
@@ -248,7 +296,8 @@ def _reduce_equalities(A, b):
     A = np.atleast_2d(np.asarray_chkfinite(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     eq = _split_rows(A, b)
-    if np.linalg.norm(A @ eq.project(np.zeros(A.shape[1])) - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+    r = A @ eq.project(np.zeros(A.shape[1])) - b
+    if math.sqrt(r @ r) > 1e-8 * (1.0 + math.sqrt(b @ b)):
         raise InfeasibleProgramError("inconsistent equality constraints")
     return eq
 
@@ -275,9 +324,10 @@ def solve(program: ConvexProgram) -> SolveResult:
     multipliers are the least-squares ones at the exit point.  Diverging
     iterates are reported with status ``unbounded``.  A program with
     ``n = rank(A)`` is pinned at its one feasible point, which takes no
-    factorization; one without inequality rows raises ``ValueError``, and
-    one whose projected ``x0`` is not strictly feasible, or outside the
-    objective domain, :class:`EngineError`.
+    factorization; one without inequality rows, or with a face start of
+    the wrong shape, raises ``ValueError``, and one whose projected
+    ``x0`` is not strictly feasible, or outside the objective domain,
+    :class:`EngineError`.
 
     The optimal exit and the ``max_iter`` one, after ``DEFAULT_MAX_NEWTON``
     Newton steps, end in :func:`_face_finish`,
@@ -309,7 +359,7 @@ def solve(program: ConvexProgram) -> SolveResult:
         if face is not None:
             return face
     x = eq.project(np.asarray(program.x0, dtype=float))
-    if not (in_domain(x) and np.all(G @ x - h > 0.0)):
+    if not (in_domain(x) and (G @ x - h > 0.0).all()):
         raise EngineError("start not strictly feasible")
     total_iters = 0
     quiet_r = np.inf    # stationarity of the last step's lam + dl, if quiet
@@ -317,7 +367,7 @@ def solve(program: ConvexProgram) -> SolveResult:
     lam = 1.0 / s
     mu_floor = TOL / (10.0 * m)
 
-    x_norm0 = 1.0 + np.linalg.norm(x)
+    x_norm0 = 1.0 + math.sqrt(x @ x)
     fval, g, d = program.objective(x)
     while True:
         if total_iters >= DEFAULT_MAX_NEWTON:
@@ -372,10 +422,11 @@ def solve(program: ConvexProgram) -> SolveResult:
             # not halve it from the quiet step before stops the loop too
             dec2 = -slope if slope <= 0.0 else float(dx @ (d * dx) + ds @ (w * ds))
             if (dec2 / 2.0 <= 1e-13 * (1.0 + abs(fval))
-                    and float(np.max(np.abs(lam * ds))) <= mu_t):
+                    and float(np.abs(lam * ds).max()) <= mu_t):
                 # lam + dl = comp/s - lam/s * ds; stationarity on the null space
-                quiet_r = float(np.linalg.norm(gz - GZ.T @ (comp / s - w * ds)))
-                stationary = (quiet_r <= 10.0 * TOL * (1.0 + np.linalg.norm(g))
+                r = gz - GZ.T @ (comp / s - w * ds)
+                quiet_r = math.sqrt(r @ r)
+                stationary = (quiet_r <= 10.0 * TOL * (1.0 + math.sqrt(g @ g))
                               or dec2 / 2.0 <= 1e-17 * (1.0 + abs(fval)))
                 if stationary or quiet_r > 0.5 * r_prev:
                     if not stationary:
@@ -384,15 +435,15 @@ def solve(program: ConvexProgram) -> SolveResult:
                     diag.status = "optimal"
                     break
         t = min(1.0, 0.995 * _boundary_step(s, ds))
-        phi0 = fval - mu_t * float(np.sum(np.log(s)))
+        phi0 = fval - mu_t * float(np.log(s).sum())
         ok = False
         for _ in range(80):
             xt = x + t * dx
             if in_domain(xt):
                 st = G @ xt - h
-                if np.all(st > 0.0):
+                if (st > 0.0).all():
                     evaluation = program.objective(xt)
-                    phit = evaluation[0] - mu_t * float(np.sum(np.log(st)))
+                    phit = evaluation[0] - mu_t * float(np.log(st).sum())
                     if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
                         ok = True
                         break
@@ -407,7 +458,7 @@ def solve(program: ConvexProgram) -> SolveResult:
         total_iters += 1
         diag.barrier_path.append(float(fval))
         diag.newton_iterations.append(1)
-        if np.linalg.norm(x) > DIVERGE_CAP * x_norm0:
+        if math.sqrt(x @ x) > DIVERGE_CAP * x_norm0:
             diag.status = "unbounded"
             diag.message = "iterates diverging"
             nu = eq.multipliers(g - G.T @ lam)
@@ -448,7 +499,6 @@ def _factor(K, diag):
     size = K.shape[0]
     if size == 0:
         return None
-    scale = 1.0 + float(np.trace(K)) / size
     ridge = 0.0
     for _ in range(14):
         if ridge:
@@ -456,9 +506,13 @@ def _factor(K, diag):
                                f"{len(diag.newton_iterations)}")
         lu, piv, info = dgetrf(_plus_diag(K.copy(), ridge * scale) if ridge else K)
         diag.factorizations += 1
-        if info == 0 and np.all(np.isfinite(lu)):
+        if info == 0 and np.isfinite(lu).all():
             return lu, piv
-        ridge = RIDGE_BASE if ridge == 0.0 else ridge * 100.0
+        if ridge == 0.0:
+            scale = 1.0 + float(K.trace()) / size
+            ridge = RIDGE_BASE
+        else:
+            ridge *= 100.0
     raise EngineError("reduced Newton matrix factorization breakdown")
 
 
@@ -510,11 +564,11 @@ def _kkt_residuals(g, x, G, h, A, b, lam, nu):
         r -= G.T @ lam
         s = G @ x - h
         feas = float(max(0.0, -(s.min() if s.size else 0.0)))
-        comp = float(np.max(lam * s)) if s.size else 0.0
+        comp = float((lam * s).max()) if s.size else 0.0
     if A is not None:
         r += A.T @ nu
-        feas = max(feas, float(np.max(np.abs(A @ x - b))))
-    return float(np.linalg.norm(r)) / (1.0 + float(np.linalg.norm(g))), feas, comp
+        feas = max(feas, float(np.abs(A @ x - b).max()))
+    return math.sqrt(r @ r) / (1.0 + math.sqrt(g @ g)), feas, comp
 
 
 def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
@@ -546,6 +600,8 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     (m, n), p = G.shape, 0 if A is None else A.shape[0]
     scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
     active = G @ x - h <= 1e-7 * scale
+    # crossing by more than the rounding bound of G x - h
+    crossing = -n * EPS * scale
     out, steps, idle, face, last, rounds = None, 0, 0, None, np.inf, 0
     while idle < FINISH_ROUNDS:
         rounds += 1
@@ -556,7 +612,7 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
             # Z spans the face directions, the identity on an empty face
             Z = np.eye(n) if face.Z is None else face.Z
         dx = face.step(x)
-        dx += Z @ np.linalg.lstsq((Z.T * d) @ Z, -Z.T @ (g + d * dx), rcond=None)[0]
+        dx += Z @ _least_squares((Z.T * d) @ Z, -Z.T @ (g + d * dx))
         # the multipliers in hand, corrected on the kept rows to meet
         # stationarity after the step: on a degenerate face this keeps
         # the positive split the barrier found among dependent rows
@@ -565,8 +621,7 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
         x_t = x + dx
-        # crossing by more than the rounding bound of G x - h
-        join = ~active & (G @ x_t - h < -n * np.finfo(float).eps * scale)
+        join = ~active & (G @ x_t - h < crossing)
         leave = int(np.argmin(lam_t))
         if join.any() or lam_t[leave] < 0.0:
             active |= join
@@ -574,14 +629,14 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
             face = None
             idle += 1
             continue
-        size = float(np.linalg.norm(dx))
+        size = math.sqrt(dx @ dx)
         if not in_domain(x_t) or size > 0.5 * last:
             break
         x, lam, nu, last, idle = x_t, lam_t, w[:p], size, 0
         steps += 1
         fval, g, d = program.objective(x)
         out = (x, lam, nu, fval, g, steps)
-        if np.all(np.abs(dx) <= np.sqrt(np.finfo(float).eps) * (1.0 + np.abs(x))):
+        if (np.abs(dx) <= SQRT_EPS * (1.0 + np.abs(x))).all():
             break
     return out, rounds
 
@@ -595,9 +650,13 @@ def _face_start(program, eq, G, h, in_domain, diag):
     stopping test: stationarity, relative to ``1 + |g|``, and feasibility
     at most ``10 TOL``, and complementarity at most the floor weight
     ``TOL / (10 m)``.  The outcome is recorded in ``diag.face_start`` and
-    logged as the first event.
+    logged as the first event.  A point without ``n`` entries, or
+    multipliers not one per row of ``G``, raise ``ValueError``.
     """
     x, lam = (np.asarray(v, dtype=float) for v in program.face_start)
+    if x.shape != (program.n,) or lam.shape != (G.shape[0],):
+        raise ValueError(f"face start needs a point of {program.n} entries and "
+                         f"{G.shape[0]} multipliers, got shapes {x.shape} and {lam.shape}")
     A, b = eq.A, eq.b
     out, rounds = None, 0
     if in_domain(x):

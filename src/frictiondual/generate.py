@@ -8,6 +8,7 @@ parallel without changing a single byte of output.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +27,29 @@ MAX_TRIES = 64                    # attempts per index before draw_feasible give
 @dataclass(frozen=True)
 class InstanceGenerator:
     """Tree shapes for random markets; the price, cost and endowment
-    ranges are the module constants."""
+    ranges are the module constants.  The shape fields are integers with
+    ``1 <= min_periods <= max_periods`` and ``1 <= min_branching <=
+    max_branching``; anything else raises ``ValueError`` naming the
+    field."""
 
     seed: int = 0
     min_periods: int = 1
     max_periods: int = 4
     min_branching: int = 2
     max_branching: int = 3
+
+    def __post_init__(self):
+        for low, high in (("min_periods", "max_periods"),
+                          ("min_branching", "max_branching")):
+            for name in (low, high):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            lo, hi = getattr(self, low), getattr(self, high)
+            if lo < 1:
+                raise ValueError(f"{low} must be at least 1, got {lo}")
+            if hi < lo:
+                raise ValueError(f"{high} must be at least {low} ({lo}), got {hi}")
 
     def rng_for(self, index: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence([self.seed, index]))

@@ -379,6 +379,18 @@ def test_gen_keep_infeasible(tmp_path):
     assert main(["gen", "--out", str(out), "--discard-infeasible"]) == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--count", "-1"], "--count must be at least 0"),
+    (["--min-periods", "3", "--max-periods", "1"], "max_periods must be at least min_periods"),
+    (["--min-branching", "0"], "min_branching must be at least 1"),
+])
+def test_gen_rejects_invalid_shapes_and_counts(tmp_path, capsys, args, message):
+    out = tmp_path / "markets"
+    assert main(["gen", "--seed", "1", "--out", str(out), *args]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stdout_json(market_file, capsys):
     assert main(["xmin", "--market", market_file, "--json", "-"]) == 0
     rec = json.loads(capsys.readouterr().out)

@@ -399,6 +399,21 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     assert np.abs(barrier.x - res.x).max() <= 1e-9
 
 
+@pytest.mark.parametrize("point, multipliers", [
+    (np.zeros(3), np.zeros(2)),     # a multiplier short
+    (np.zeros(3), np.zeros(4)),     # a multiplier too many
+    (np.zeros(2), np.zeros(3)),     # a short point
+    (np.zeros(4), np.zeros(3)),     # a long point
+], ids=["short-multipliers", "long-multipliers", "short-point", "long-point"])
+def test_face_start_of_the_wrong_shape_is_rejected(point, multipliers):
+    # three variables and three rows x >= -1: the pair needs 3 and 3 entries
+    prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)), G=np.eye(3),
+                         h=-np.ones(3), x0=np.zeros(3), face_start=(point, multipliers))
+    with pytest.raises(ValueError, match="face start needs a point of 3 entries and 3 multipliers"):
+        solve(prog)
+    assert solve(replace(prog, face_start=(np.zeros(3), np.zeros(3)))).status == "optimal"
+
+
 def test_pinned_program_takes_no_step():
     # x1 + x2 = 2 and x1 - x2 = 0 pin x = (1, 1) inside x >= 0
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [1.0, -3.0]),
@@ -497,3 +512,54 @@ def test_lapack_qr_and_triangular_solves_match_scipy_bitwise():
             assert np.array_equal(eq.step(x), eq.Y @ v)
             v = scipy.linalg.solve_triangular(eq.R1, eq.Y.T @ r)
             assert np.array_equal(eq.multipliers(r), -v)
+
+
+def test_cached_qr_workspace_matches_scipy_on_repeated_and_interleaved_shapes():
+    # _lapack queries the workspace once per routine and argument shapes;
+    # a shape called again, or after another, still gets scipy.linalg.qr's
+    # bits.  The 150 x 200 matrix is past LAPACK's crossover to blocked
+    # code (128 columns), where the workspace decides the path taken
+    import scipy.linalg
+    rng = np.random.default_rng(11)
+    shapes = [(3, 8), (8, 3), (6, 6), (150, 200)]
+    engine._workspace.cache_clear()
+    for rows, cols in [(5, 9)] * 4 + shapes * 3 + shapes[::-1]:
+        M = rng.standard_normal((rows, cols))
+        (Q, R, piv), k = engine._row_rank_qr(M)
+        want = scipy.linalg.qr(M.T, mode="full", pivoting=True)
+        assert all(np.array_equal(a, b) for a, b in zip((Q, R, piv), want))
+        assert k == min(rows, cols)
+    # one dgeqp3 and one dorgqr query per shape, each made once
+    assert engine._workspace.cache_info().misses == 2 * (len(shapes) + 1)
+
+
+def _reduced_hessian(rng, n, k, zeros):
+    """``Z^T diag(d) Z`` for an orthonormal ``n x k`` basis ``Z`` and a
+    nonnegative ``d`` whose first ``zeros`` entries are 0."""
+    Z = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    d = rng.uniform(0.5, 2.0, n)
+    d[:zeros] = 0.0
+    return (Z.T * d) @ Z
+
+
+@pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "zero", "1x1", "0x0"])
+def test_least_squares_matches_numpy_lstsq_bitwise(case):
+    # the face finish solves its reduced Hessian by dgelsd through _lapack;
+    # it must give np.linalg.lstsq(M, r, rcond=None)'s bits, on shapes
+    # called in turn and again (k = 60 is past dgelsd's divide-and-conquer
+    # crossover of 25)
+    rng = np.random.default_rng(13)
+    sizes = {"full-rank": [(9, 5), (80, 60), (9, 5)], "rank-deficient": [(9, 6), (80, 60)],
+             "zero": [(4, 3), (70, 60)], "1x1": [(3, 1), (1, 1)], "0x0": [(3, 0), (0, 0)]}[case]
+    for n, k in sizes * 3:
+        if case == "rank-deficient":
+            # n - k + 2 zeros in d leave M rank k - 2
+            M = _reduced_hessian(rng, n, k, n - k + 2)
+            assert np.linalg.matrix_rank(M) == k - 2
+        elif case == "zero":
+            M = np.zeros((k, k))
+        else:
+            M = _reduced_hessian(rng, n, k, 0)
+        r = rng.standard_normal(k)
+        assert np.array_equal(engine._least_squares(M, r),
+                              np.linalg.lstsq(M, r, rcond=None)[0])

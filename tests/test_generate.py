@@ -18,3 +18,24 @@ def test_generated_populations_are_pinned(seed):
     gen = InstanceGenerator(seed=seed)
     text = "".join(emit_instance(gen.draw_feasible(i)) for i in range(200))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == POPULATIONS[seed]
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"min_periods": 0}, "min_periods"),
+    ({"min_periods": 3, "max_periods": 1}, "max_periods"),
+    ({"min_branching": 0, "max_branching": 0}, "min_branching"),
+    ({"max_branching": 1}, "max_branching"),
+    ({"max_periods": 2.0}, "max_periods"),
+    ({"min_branching": True}, "min_branching"),
+    ({"max_branching": "3"}, "max_branching"),
+])
+def test_invalid_shape_fields_raise_naming_the_field(fields, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        InstanceGenerator(**fields)
+
+
+def test_single_period_and_branch_bounds_are_valid():
+    # the least tree the fields allow: one period of one branch
+    market = InstanceGenerator(seed=1, max_periods=1, min_branching=1,
+                               max_branching=1).draw(0)
+    assert market.tree.horizon == 1 and market.tree.n_leaves == 1
