@@ -58,7 +58,6 @@ def cmd_check_cps(args) -> int:
     for mu in mus:
         v = check_cps(market, mu=mu)
         verdicts.append({"mu": mu, "exists": v.exists, "margin": v.delta,
-                         "positivity_margin": v.positivity_delta,
                          "certificate": v.certificate})
         if not v.exists:
             any_missing = True

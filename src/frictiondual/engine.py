@@ -10,9 +10,11 @@ self-contained, and so is the active-face finish that moves its optimal
 exits onto their face.  A program that carries a face start, a point
 already on (or next to) its optimal face and multipliers for its rows,
 is first finished from there by the same barrier-free Newton steps; the
-barrier runs only when that fails.  Linear programs do not go through
-this loop: :func:`solve_lp` is one HiGHS call (``scipy.optimize.linprog``),
-and :func:`max_slack` is the existence check's LP.
+barrier runs only when that fails.  No library path solves a linear
+program: the existence of a price system is decided on the tree
+(:func:`polytope.strictly_consistent`).  :func:`solve_lp`, one HiGHS call
+(``scipy.optimize.linprog``) outside this loop, is kept for the tests'
+LP oracles.
 
 The equality rows are split once per solve, by one pivoted QR, into a
 range and a null-space basis (:func:`_split_rows`, which also splits the
@@ -684,20 +686,6 @@ def _face_start(program, eq, G, h, in_domain, diag):
     diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
     diag.face_steps = steps
     return SolveResult(x, eq.per_given_row(nu), lam, diag)
-
-
-def max_slack(G, h, w, A=None, b=None) -> SolveResult:
-    """Max-min-slack LP over ``(x, t)``, ``x`` free: maximize ``t`` s.t.
-    ``G x - h >= t w``, ``t <= 1`` (the last inequality row) and
-    ``A x = b``; one :func:`solve_lp`.  A row with weight 0 only has to
-    hold; the optimal ``t`` is positive exactly when some ``x`` meets
-    every row with a positive weight strictly."""
-    n = G.shape[1]
-    c = np.zeros(n + 1)
-    c[n] = -1.0     # maximize t; the same row reads -t >= -1
-    G1 = np.vstack([np.hstack([G, -w[:, None]]), c])
-    A1 = None if A is None else np.hstack([A, np.zeros((A.shape[0], 1))])
-    return solve_lp(c, A_eq=A1, b_eq=b, G=G1, h=np.append(h, -1.0))
 
 
 def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import NoCpsError, build_polytope
+from .polytope import strictly_consistent
 from .tree import EventTree, MarketSpec, market_to_dict
 
 VOLATILITY = (0.05, 0.35)         # range of the per-step log-price volatility
@@ -96,17 +96,14 @@ class InstanceGenerator:
         """Like :meth:`draw` but rejects markets with no strictly positive
         price system; resampling stays deterministic in (seed, index).
 
-        An attempt is accepted when its polytope has a strictly
-        consistent price system (:meth:`DualPolytope.strict_point`): in
-        closed form, with no LP, unless the closed-form point misses the
-        margin."""
+        An attempt is accepted when the market passes the existence rule
+        that :meth:`DualPolytope.strict_point` applies
+        (:func:`polytope.strictly_consistent`): one backward pass over its
+        bands, with no LP and no polytope."""
         for attempt in range(MAX_TRIES):
             mkt = self.draw(index if attempt == 0 else (index + 1) * 100003 + attempt)
-            try:
-                build_polytope(mkt).strict_point()
-            except NoCpsError:
-                continue
-            return mkt
+            if strictly_consistent(mkt):
+                return mkt
         raise RuntimeError(f"no feasible draw after {MAX_TRIES} tries at index {index}")
 
 def emit_instance(market: MarketSpec) -> str:

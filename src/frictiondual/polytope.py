@@ -8,23 +8,22 @@ tree the whole family is an explicit polytope over the terminal values
 
 A strictly positive member exists exactly when a price strictly inside
 the band has a strictly positive martingale density (Jouini & Kallal,
-1995).  :func:`martingale_point` builds one in closed form, and
-:meth:`DualPolytope.strict_point` is the one rule that turns it into a
-start or a :class:`NoCpsError`; :func:`check_cps` decides the same
-question by an LP and, when the answer is no, returns a separating
-certificate.
+1995), which the tree decides with no LP (:func:`strictly_consistent`).
+:func:`martingale_point` builds one in closed form, and
+:meth:`DualPolytope.strict_point` turns it into a start or a
+:class:`NoCpsError` by that rule; :func:`check_cps` applies it too and,
+when the answer is no, returns an arbitrage strategy.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import engine
-from .trading import roll_forward
+from .trading import roll_forward, terminal_claim
 from .tree import MarketSpec
 
 DENSITY_EPS = 1e-12       # a density at or below this counts as zero
@@ -86,43 +85,22 @@ class DualPolytope:
         L = self.market.tree.n_leaves
         return PriceSystem(self.cond_exp @ z[:L], self.cond_exp @ z[L:])
 
-    def margin_weights(self, include_cone: bool = True) -> np.ndarray:
-        """Per row of ``G`` at positive spread, the margin's weight in its
-        slack: the node's ask price on a cone row (0 without
-        ``include_cone``), 1 on a leaf Z0 row and -0.0 on a leaf Z1 row, so
-        that the existence LP's margin column ``-w`` reads +0.0 there."""
-        market, L = self.market, self.market.tree.n_leaves
-        cone = np.repeat(market.ask_price if include_cone
-                         else np.zeros(market.tree.n_nodes), 2)
-        return np.concatenate([cone, np.ones(L), np.full(L, -0.0)])
-
-    def margin(self, z: np.ndarray) -> float:
-        """The margin :func:`check_cps` maximizes, at the point ``z`` of a
-        positive-spread polytope: the least slack over its weight
-        (:meth:`margin_weights`) among the rows weighed."""
-        w = self.margin_weights()
-        return float(np.min((self.G @ z - self.h)[w > 0.0] / w[w > 0.0]))
-
     def strict_point(self) -> np.ndarray:
         """Leaf variables strictly inside this polytope, at its market's
         spread: a strictly consistent price system (Jouini & Kallal, 1995),
         the start of every dual solve not given one.
 
-        It is :func:`martingale_point` when its margin clears
-        ``CPS_MARGIN``.  The closed form finds a point exactly when one
-        exists, so ``None`` raises :class:`NoCpsError` (at zero spread, an
-        arbitrage: :class:`PolytopeInfeasibleError`) with no LP.  Only a
-        point inside the margin runs one: the existence LP on this
-        polytope (:func:`_max_margin`), whose witness must clear it.
+        It is :func:`martingale_point` when the market passes the
+        existence rule (:func:`strictly_consistent`), else
+        :class:`NoCpsError`; at zero spread, where ``None`` is an
+        arbitrage, :class:`PolytopeInfeasibleError`.  No LP either way.
         """
         market = self.market
-        z = martingale_point(market)
+        z = (martingale_point(market) if market.lam == 0.0 or strictly_consistent(market)
+             else None)
         if z is None and market.lam == 0.0:
             raise PolytopeInfeasibleError("no strictly positive martingale density at "
                                           "zero spread")
-        if z is not None and market.lam > 0.0 and not self.margin(z) > CPS_MARGIN:
-            delta, z, _ = _max_margin(self, include_cone=True)
-            z = z if delta > CPS_MARGIN else None
         if z is None:
             raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
         return z
@@ -146,17 +124,13 @@ def conditional_expectation_matrix(market: MarketSpec) -> np.ndarray:
     return np.where(tree.on_path.T, tree.leaf_prob / tree.node_prob[:, None], 0.0)
 
 
-def build_polytope(market: MarketSpec, spread: Optional[float] = None) -> DualPolytope:
-    """Constraint system of the price-system family at the given spread.
+def build_polytope(market: MarketSpec) -> DualPolytope:
+    """Constraint system of the price-system family at the market's spread.
 
-    ``spread`` defaults to the market's cost level.  Constraint order is
-    deterministic: cone rows (lower then upper) in node order, then leaf
-    nonnegativity for z0 and z1.
+    Constraint order is deterministic: cone rows (lower then upper) in
+    node order, then leaf nonnegativity for z0 and z1.
     """
-    lam = market.lam if spread is None else float(spread)
-    if not (0.0 <= lam < 1.0):
-        raise ValueError(f"spread {lam} outside [0, 1)")
-    tree = market.tree
+    lam, tree = market.lam, market.tree
     n, L = tree.n_nodes, tree.n_leaves
     W = conditional_expectation_matrix(market)
     s = market.ask_price[:, None]
@@ -201,9 +175,6 @@ def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
     1; normalized, these one-step weights have zero drift.  The leaf
     density is their product over the path.  ``None`` means no band price
     exists, or (at zero spread) a node moves one way: an arbitrage.
-    At positive spread the point can sit too close to the boundary to
-    count as strictly inside, so :meth:`DualPolytope.strict_point` checks
-    its margin.
     """
     tree = market.tree
     S = market.ask_price if market.lam == 0.0 else _band_price(market)
@@ -225,25 +196,25 @@ def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
     return np.concatenate([z0, S[tree.leaves] * z0])
 
 
-def _band_price(market: MarketSpec) -> Optional[np.ndarray]:
-    """A price strictly inside the open bid-ask band at every node that,
-    at every internal node, moves both up and down or not at all; or
-    ``None`` when there is none.
+def strictly_consistent(market: MarketSpec) -> bool:
+    """The existence rule at positive spread: a strictly consistent price
+    system exists (past the margin) when every node's backward interval
+    stays open with every band shrunk by ``CPS_MARGIN`` times its ask at
+    each end (:func:`_band_intervals`; Jouini & Kallal, 1995)."""
+    lo, hi = _band_intervals(market, CPS_MARGIN)
+    return bool(np.all(lo < hi))
 
-    Backward, stage by stage: a node's price can be reached from its
-    children exactly on its open band intersected with ``(min lower,
-    max upper)`` over the children's intervals; an empty interval means
-    no such price.  Forward: the root takes its interval's midpoint and
-    each child its parent's price clipped into its own interval shrunk by
-    ``BAND_SHRINK`` of its width at each end (an only child keeps its
-    parent's price).  Where that leaves a parent's children moving only
-    up, its flat children, or else its child with the lowest lower end,
-    move to the midpoint of their lower end and the parent's price;
-    children moving only down are treated the same way, mirrored.
-    """
+
+def _band_intervals(market: MarketSpec, shrink: float) -> tuple:
+    """``(lo, hi)``: the open interval of prices each node can take with
+    every band ``(bid, ask)`` shrunk by ``shrink`` times its ask at each
+    end.  Backward, stage by stage: a leaf's is its shrunk band, and an
+    internal node's its shrunk band intersected with ``(min lower, max
+    upper)`` over its children's intervals.  Empty where ``lo >= hi``."""
     tree = market.tree
     parent, n = tree.parent, tree.n_nodes
-    lo, hi = market.bid_price, market.ask_price.copy()
+    ask = market.ask_price
+    lo, hi = market.bid_price + shrink * ask, ask - shrink * ask
     below, above = np.full(n, np.inf), np.full(n, -np.inf)
     for t in range(tree.horizon, 0, -1):
         kids = tree.stages[t]
@@ -252,6 +223,26 @@ def _band_price(market: MarketSpec) -> Optional[np.ndarray]:
         at = tree.stages[t - 1]
         lo[at] = np.maximum(lo[at], below[at])
         hi[at] = np.minimum(hi[at], above[at])
+    return lo, hi
+
+
+def _band_price(market: MarketSpec) -> Optional[np.ndarray]:
+    """A price strictly inside the open bid-ask band at every node that,
+    at every internal node, moves both up and down or not at all; or
+    ``None`` when there is none.
+
+    Backward: the nodes' intervals (:func:`_band_intervals`, unshrunk); an
+    empty one means no such price.  Forward: the root takes its interval's
+    midpoint and each child its parent's price clipped into its own
+    interval shrunk by ``BAND_SHRINK`` of its width at each end (an only
+    child keeps its parent's price).  Where that leaves a parent's children moving only
+    up, its flat children, or else its child with the lowest lower end,
+    move to the midpoint of their lower end and the parent's price;
+    children moving only down are treated the same way, mirrored.
+    """
+    tree = market.tree
+    parent, n = tree.parent, tree.n_nodes
+    lo, hi = _band_intervals(market, 0.0)
     if np.any(lo >= hi):
         return None
 
@@ -392,53 +383,69 @@ class CpsVerdict:
     delta: float
     witness_leaf_vars: Optional[np.ndarray]
     certificate: Optional[dict]
-    positivity_delta: Optional[float] = None
 
 
 def check_cps(market: MarketSpec, mu: Optional[float] = None) -> CpsVerdict:
-    """Decide existence of a strictly positive price system at spread ``mu``.
-
-    Maximizes the minimum of the scaled cone slacks and the leaf Z0
-    values over the polytope, one HiGHS LP (:func:`engine.max_slack`);
-    the verdict is "exists" when the optimal margin ``delta`` clears
-    ``CPS_MARGIN``.  The witness is then strictly inside the polytope:
-    every cone slack is at least ``delta`` times the ask price and every
-    leaf Z0 at least ``delta``.  When the margin does not clear, the LP
-    multipliers are returned as a separating certificate, and a
-    secondary margin that ignores cone slack reports whether positivity
-    alone is achievable.
+    """Decide existence of a strictly positive price system at spread
+    ``mu`` (default: the market's) by :func:`strictly_consistent`, with no
+    LP.  ``delta`` is the band margin (:func:`_band_margin`); a "yes"
+    carries :func:`martingale_point` as its witness and a "no" an
+    arbitrage (:func:`_arbitrage`) as its certificate.
     """
     mu = market.lam if mu is None else float(mu)
     if not (0.0 < mu < 1.0):
         raise ValueError(f"spread for the existence check must lie in (0,1), got {mu}")
-    poly = build_polytope(market, spread=mu)
-    delta, z, cert = _max_margin(poly, include_cone=True)
-    if delta > CPS_MARGIN:
-        return CpsVerdict(exists=True, delta=delta, witness_leaf_vars=z, certificate=None)
-    try:
-        pos_delta, _, _ = _max_margin(poly, include_cone=False)
-    except PolytopeInfeasibleError:
-        pos_delta = float("-inf")  # the cone itself admits no point at all
+    market = replace(market, lam=mu)
+    delta = _band_margin(market)
+    if strictly_consistent(market):
+        return CpsVerdict(exists=True, delta=delta, witness_leaf_vars=martingale_point(market),
+                          certificate=None)
     return CpsVerdict(exists=False, delta=delta, witness_leaf_vars=None,
-                      certificate=cert, positivity_delta=pos_delta)
+                      certificate=_arbitrage(market))
 
 
-def _max_margin(poly: DualPolytope, include_cone: bool):
-    """Max-min-slack LP over (z, delta) (:func:`engine.max_slack`) with
-    the margin weights of ``poly`` (:meth:`DualPolytope.margin_weights`);
-    returns (delta*, z*, certificate)."""
-    res = engine.max_slack(poly.G, poly.h, poly.margin_weights(include_cone),
-                           poly.A_eq, poly.b_eq)
-    if res.status != "optimal":
-        raise PolytopeInfeasibleError(
-            f"existence LP ended with status {res.status}: {res.diagnostics.message}"
-        )
-    z, delta = res.x[:-1], float(res.x[-1])
-    cone = res.ineq_multipliers[:2 * poly.market.tree.n_nodes]
-    cert = {
-        "cone_lower_multipliers": cone[0::2].tolist(),
-        "cone_upper_multipliers": cone[1::2].tolist(),
-        "eq_multipliers": res.eq_multipliers.tolist(),
-        "max_margin": delta,
-    }
-    return delta, z, cert
+def _band_margin(market: MarketSpec) -> float:
+    """The largest shrink (in units of each ask) that keeps every interval
+    of :func:`_band_intervals` open, negative when the bands themselves
+    cross.  The intervals narrow as it grows, are all open at -1 and close
+    by ``lam / 2``, so bisection finds it, here to ``2**-64``."""
+    low, high = -1.0, 0.5 * market.lam
+    for _ in range(64):
+        mid = 0.5 * (low + high)
+        lo, hi = _band_intervals(market, mid)
+        low, high = (mid, high) if np.all(lo < hi) else (low, mid)
+    return low
+
+
+def _arbitrage(market: MarketSpec) -> Optional[dict]:
+    """An arbitrage from zero cash below the deepest node whose interval
+    (:func:`_band_intervals`) is empty: on the unshrunk bands where one is
+    empty there, else on the bands shrunk by ``CPS_MARGIN`` (Roux, Tokarz
+    & Zastawniak, 2008).  If its children's lower ends all clear its ask
+    it buys one unit, else their upper ends all fall below its bid and it
+    sells one; each node below unwinds the position where its own bid
+    (ask) binds its interval, at the latest a leaf.  On unshrunk bands the
+    liquidation is then at least 0 at every leaf.  ``{node, side, buy,
+    sell, liquidation}``, or ``None`` where that node's own shrunk band is
+    empty: thinner than ``2 CPS_MARGIN`` times its ask."""
+    tree, ask = market.tree, market.ask_price
+    for shrink in (0.0, CPS_MARGIN):
+        lo, hi = _band_intervals(market, shrink)
+        empty = np.flatnonzero(lo >= hi)
+        if empty.size:
+            break
+    own_lo, own_hi = market.bid_price + shrink * ask, ask - shrink * ask
+    node = int(empty[np.argmax(tree.time[empty])])
+    if own_lo[node] >= own_hi[node]:
+        return None
+    long = lo[tree.parent == node].min() >= own_hi[node]
+    binds = lo == own_lo if long else hi == own_hi
+    held = np.arange(tree.n_nodes) == node
+    opened, unwound = held.astype(float), np.zeros(tree.n_nodes)
+    for at in tree.stages[tree.time[node] + 1:]:
+        unwound[at] = held[tree.parent[at]] & binds[at]
+        held[at] = held[tree.parent[at]] & ~binds[at]
+    buy, sell = (opened, unwound) if long else (unwound, opened)
+    return {"node": node, "side": "buy" if long else "sell", "buy": buy.tolist(),
+            "sell": sell.tolist(),
+            "liquidation": terminal_claim(market, roll_forward(market, 0.0, buy, sell)).tolist()}

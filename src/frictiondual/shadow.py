@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from . import utility as ut
 from .duality import (PrimalProgram, PrimalUnboundedError, SolveReport, solve_dual,
@@ -146,7 +147,10 @@ def position_map_rank(shadow_market: MarketSpec):
     """Rank of the map from positions to terminal wealth increments.
 
     Full column rank means the frictionless optimizer is unique, which
-    gates the strategy-coincidence check.
+    gates the strategy-coincidence check.  The singular values come from
+    LAPACK's ``dgesdd`` through scipy, as every factorization of the
+    engine does, with ``np.linalg.matrix_rank``'s rule: those above
+    ``1e-9`` times the largest entry (at least 1) count.
     """
     tree = shadow_market.tree
     internal = tree.internal
@@ -158,8 +162,10 @@ def position_map_rank(shadow_market: MarketSpec):
     path_price[leaf, tree.time[node]] = S[node]
     D = np.where(tree.on_path[:, internal],
                  path_price[:, tree.time[internal] + 1] - S[internal], 0.0)
-    K = internal.size
-    return int(np.linalg.matrix_rank(D, tol=1e-9 * max(1.0, float(np.abs(D).max())))), K
+    _, sv, _, info = dgesdd(D, compute_uv=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgesdd failed with info={info}")
+    return int(np.count_nonzero(sv > 1e-9 * max(1.0, float(np.abs(D).max())))), internal.size
 
 
 def verify_shadow(report: SolveReport, shadow: ShadowPrice,

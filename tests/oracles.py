@@ -26,17 +26,45 @@ def children(tree, node: int) -> list:
 
 
 def trade_signs(verdict):
-    """Per-node buy(+1)/sell(-1)/hold(0) pattern from a negative
-    :class:`CpsVerdict`'s certificate, ``None`` without one."""
+    """Per-node buy(+1)/sell(-1)/hold(0) pattern of a negative
+    :class:`CpsVerdict`'s arbitrage strategy, ``None`` without one."""
     if verdict.certificate is None:
         return None
-    lo = np.asarray(verdict.certificate["cone_lower_multipliers"])
-    hi = np.asarray(verdict.certificate["cone_upper_multipliers"])
-    signs = np.zeros(lo.size, dtype=int)
-    scale = max(1e-30, float(np.max(np.abs(lo))), float(np.max(np.abs(hi))))
-    signs[hi > lo + 1e-9 * scale] = 1
-    signs[lo > hi + 1e-9 * scale] = -1
-    return signs
+    net = np.subtract(verdict.certificate["buy"], verdict.certificate["sell"])
+    return np.sign(net).astype(int)
+
+
+def margin_weights(poly) -> np.ndarray:
+    """Per row of ``G`` at positive spread, the margin's weight in its
+    slack: the node's ask price on a cone row, 1 on a leaf Z0 row and 0 on
+    a leaf Z1 row, which only has to hold."""
+    market, L = poly.market, poly.market.tree.n_leaves
+    return np.concatenate([np.repeat(market.ask_price, 2), np.ones(L), np.zeros(L)])
+
+
+def margin(poly, z) -> float:
+    """The margin the existence LP maximizes (:func:`max_margin`), at the
+    point ``z`` of a positive-spread polytope: the least slack over its
+    weight (:func:`margin_weights`) among the rows weighed."""
+    w = margin_weights(poly)
+    return float(np.min((poly.G @ z - poly.h)[w > 0.0] / w[w > 0.0]))
+
+
+def max_margin(poly):
+    """``(delta, z)``: the existence LP of a positive-spread polytope,
+    maximize ``delta`` s.t. ``G z - h >= delta w`` (:func:`margin_weights`),
+    ``delta <= 1`` and ``A z = b``.  A strictly positive price system
+    exists past ``CPS_MARGIN`` when ``delta`` clears it."""
+    G, w = poly.G, margin_weights(poly)
+    n = G.shape[1]
+    c = np.zeros(n + 1)
+    c[n] = -1.0     # maximize delta; the same row reads -delta >= -1
+    G1 = np.vstack([np.hstack([G, -w[:, None]]), c])
+    A1 = np.hstack([poly.A_eq, np.zeros((poly.A_eq.shape[0], 1))])
+    res = solve_lp(c, A_eq=A1, b_eq=poly.b_eq, G=G1, h=np.append(poly.h, -1.0))
+    if res.status != "optimal":
+        raise PolytopeInfeasibleError(f"existence LP ended with status {res.status}")
+    return float(res.x[-1]), res.x[:-1]
 
 
 def sample_polytope(poly, count: int, seed: int = 0, tol: float = 1e-10) -> list:

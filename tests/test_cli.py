@@ -50,9 +50,14 @@ def test_check_cps_infeasible_exit_code(infeasible_file, tmp_path):
     out = str(tmp_path / "v.json")
     code = main(["check-cps", "--market", infeasible_file, "--json", out])
     assert code == 3
-    rec = read_json(out)
-    assert rec["verdicts"][0]["exists"] is False
-    assert rec["verdicts"][0]["certificate"] is not None
+    verdict = read_json(out)["verdicts"][0]
+    assert verdict["exists"] is False and verdict["margin"] < 0.0
+    assert "positivity_margin" not in verdict
+    # 120/110 over a root ask of 100: buy at the root, sell at both leaves
+    cert = verdict["certificate"]
+    assert set(cert) == {"node", "side", "buy", "sell", "liquidation"}
+    assert (cert["node"], cert["side"], cert["buy"][0]) == (0, "buy", 1.0)
+    assert min(cert["liquidation"]) > 0.0
 
 
 def test_check_cps_mu_grid(market_file, tmp_path):

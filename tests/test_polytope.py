@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frictiondual.polytope import (
+    CPS_MARGIN,
     DENSITY_EPS,
     NoCpsError,
     PolytopeInfeasibleError,
@@ -12,11 +13,21 @@ from frictiondual.polytope import (
     conditional_expectation_matrix,
     martingale_point,
 )
-from frictiondual.engine import solve_lp
 from frictiondual.generate import InstanceGenerator
 from frictiondual.shadow import construct_shadow
+from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
-from oracles import children, enumerate_vertices, path_to_root, sample_polytope, trade_signs
+from oracles import (children, enumerate_vertices, margin, max_margin, path_to_root,
+                     sample_polytope, trade_signs)
+
+
+def thin_band_market():
+    """Both children's bids sit 1e-9 below the root ask: a strictly
+    consistent price system exists, but only inside the margin."""
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    s_up = (100.0 - 1e-9) / 0.99
+    return MarketSpec(tree=tree, ask_price=[100.0, s_up, 1.01 * s_up], lam=0.01,
+                      endowment=[0.0, 0.0])
 
 
 def crossing_binomial(lam=0.01):
@@ -64,101 +75,27 @@ def loop_built_polytope(market, lam):
             "G": np.array(g_rows), "h": np.zeros(len(g_rows))}
 
 
-def loop_built_margin_lp(poly, include_cone):
-    """Node-by-node reference of the existence LP's inequality rows, with
-    the kind and node each row belongs to; node ``n``'s lower and upper
-    cone rows are rows ``2n`` and ``2n + 1`` of ``G``."""
-    market = poly.market
-    L = market.tree.n_leaves
-    nv = poly.n_vars
-    s = market.ask_price
-    rows, h_vals, kinds = [], [], []
-    for node in range(market.tree.n_nodes):
-        lo, hi = 2 * node, 2 * node + 1
-        w_lo = float(s[node]) if include_cone else 0.0
-        rows.append(np.concatenate([poly.G[lo], [-w_lo]]))
-        h_vals.append(0.0)
-        kinds.append(("cone_lower", node))
-        rows.append(np.concatenate([poly.G[hi], [-w_lo]]))
-        h_vals.append(0.0)
-        kinds.append(("cone_upper", node))
-    for k in range(L):
-        row = np.zeros(nv + 1)
-        row[k] = 1.0
-        row[nv] = -1.0
-        rows.append(row)
-        h_vals.append(0.0)
-        kinds.append(("z0_pos", k))
-    for k in range(L):
-        row = np.zeros(nv + 1)
-        row[L + k] = 1.0
-        rows.append(row)
-        h_vals.append(0.0)
-        kinds.append(("z1_pos", k))
-    cap = np.zeros(nv + 1)
-    cap[nv] = -1.0
-    rows.append(cap)
-    h_vals.append(-1.0)
-    kinds.append(("cap", -1))
-    return np.array(rows), np.array(h_vals), kinds
-
-
-@pytest.mark.parametrize("seed", [11, 2033])
-def test_max_margin_matches_loop_reference(seed, monkeypatch):
-    # draw_feasible pins the benchmark populations through check_cps, so
-    # the existence LP must stay bitwise the loop-built one
-    import frictiondual.engine as engine
-    import frictiondual.polytope as polytope
-
-    calls = []
-
-    def spy(c, **lp):
-        res = solve_lp(c, **lp)
-        calls.append((lp, res))
-        return res
-
-    monkeypatch.setattr(engine, "solve_lp", spy)
-    gen = InstanceGenerator(seed=seed)
-    for i in range(15):
-        poly = build_polytope(gen.draw(i))
-        for include_cone in (True, False):
-            calls.clear()
-            try:
-                _, _, cert = polytope._max_margin(poly, include_cone)
-            except PolytopeInfeasibleError:
-                cert = None
-            (lp, res), = calls
-            G_ref, h_ref, kinds = loop_built_margin_lp(poly, include_cone)
-            for got, want in ((lp["G"], G_ref), (lp["h"], h_ref)):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-            if cert is None:
-                continue
-            n_nodes = poly.market.tree.n_nodes
-            lo_m, hi_m = np.zeros(n_nodes), np.zeros(n_nodes)
-            for mult, (kind, node) in zip(res.ineq_multipliers, kinds):
-                if kind == "cone_lower":
-                    lo_m[node] = mult
-                elif kind == "cone_upper":
-                    hi_m[node] = mult
-            assert cert["cone_lower_multipliers"] == lo_m.tolist()
-            assert cert["cone_upper_multipliers"] == hi_m.tolist()
-
-
 @pytest.mark.parametrize("seed", [11, 2033])
 def test_margin_at_the_witness_is_the_lp_margin(seed):
-    # DualPolytope.margin and the existence LP read the same weights, so
-    # the margin at the LP's witness is the LP's optimal delta
+    # the band margin is the LP's margin on the binomial, where both are
+    # lambda / 2; elsewhere they are different scales of the same
+    # question, and the start strict_point returns sits inside the LP's
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    binomial = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 90.0], lam=0.01,
+                          endowment=[0.0, 0.0])
+    delta, _ = max_margin(build_polytope(binomial))
+    assert abs(check_cps(binomial).delta - delta) <= 1e-12 * delta
     gen = InstanceGenerator(seed=seed)
     witnesses = 0
     for i in range(15):
-        market = gen.draw(i)
-        verdict = check_cps(market)
-        if verdict.witness_leaf_vars is None:
+        poly = build_polytope(gen.draw(i))
+        delta, z = max_margin(poly)
+        if not delta > CPS_MARGIN:
             continue
         witnesses += 1
-        margin = build_polytope(market).margin(verdict.witness_leaf_vars)
-        assert abs(margin - verdict.delta) <= 1e-12 * abs(verdict.delta)
+        # the oracle's margin at its own witness is its optimal delta
+        assert abs(margin(poly, z) - delta) <= 1e-12 * delta
+        assert margin(poly, poly.strict_point()) <= delta
     assert witnesses > 0
 
 
@@ -168,7 +105,7 @@ def test_polytope_build_matches_loop_reference(seed):
     for i in range(15):
         market = gen.draw(i)
         for lam in (market.lam, 0.0):
-            poly = build_polytope(market, spread=lam)
+            poly = build_polytope(replace(market, lam=lam))
             ref = loop_built_polytope(market, lam)
             assert np.array_equal(conditional_expectation_matrix(market),
                                   ref["cond_exp"])
@@ -258,7 +195,7 @@ def test_martingale_point_none_on_a_one_way_market():
     assert martingale_point(replace(market, lam=0.01)) is None
     wide = replace(market, lam=0.15)
     z = martingale_point(wide)
-    assert z is not None and build_polytope(wide).margin(z) > 1e-9
+    assert z is not None and margin(build_polytope(wide), z) > 1e-9
 
 
 def zero_spread_martingale_point(market):
@@ -300,7 +237,8 @@ def test_martingale_point_at_zero_spread_is_unchanged(martingale_binomial):
 @pytest.mark.parametrize("seed", [11, 2026, 3])
 def test_martingale_point_decides_existence(seed):
     # the closed form finds a strictly consistent price system exactly when
-    # the existence LP does, and its point is then strictly inside
+    # the band rule does, and its point is then strictly inside by the
+    # existence LP's margin
     gen = InstanceGenerator(seed=seed)
     markets = [gen.draw(i) for i in range(300)]
     if seed == 11:
@@ -312,7 +250,7 @@ def test_martingale_point_decides_existence(seed):
         if z is None:
             continue
         poly = build_polytope(market)
-        assert poly.margin(z) > 1e-9
+        assert margin(poly, z) > 1e-9
         assert poly.max_violation(z) <= 1e-12
         feasible += 1
     assert 100 <= feasible < len(markets)
@@ -320,18 +258,15 @@ def test_martingale_point_decides_existence(seed):
 
 def test_thin_band_falls_back_to_the_existence_check(monkeypatch):
     # the band prices reaching the root span 1e-9: the closed-form point
-    # exists but its margin does not clear, so the report runs one LP on
-    # its polytope, which finds no strictly positive price system either
+    # exists, but the band margin is 5e-12, below CPS_MARGIN, so the
+    # report raises NoCpsError from the band rule with no LP
     from frictiondual import engine
     from frictiondual.duality import solve_report
     from frictiondual.utility import UtilitySpec
 
-    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
-    s_up = (100.0 - 1e-9) / 0.99
-    market = MarketSpec(tree=tree, ask_price=[100.0, s_up, 1.01 * s_up], lam=0.01,
-                        endowment=[0.0, 0.0])
+    market = thin_band_market()
     z = martingale_point(market)
-    assert z is not None and 0.0 < build_polytope(market).margin(z) <= 1e-9
+    assert z is not None and 0.0 < margin(build_polytope(market), z) <= 1e-9
     calls, solve_lp = [], engine.solve_lp
 
     def counted(*args, **kwargs):
@@ -341,19 +276,105 @@ def test_thin_band_falls_back_to_the_existence_check(monkeypatch):
     monkeypatch.setattr(engine, "solve_lp", counted)
     with pytest.raises(NoCpsError):
         solve_report(market, UtilitySpec("exponential", gamma=1.0), 1.0)
-    assert len(calls) == 1
+    verdict = check_cps(market)
+    assert not verdict.exists and 0.0 < verdict.delta <= CPS_MARGIN
+    assert calls == []
+
+
+def assert_arbitrage(market, certificate):
+    """The certificate's strategy, traded from zero cash, liquidates to at
+    least 0 at every leaf and to more than 0 at one or more, as it says."""
+    strategy = roll_forward(market, 0.0, certificate["buy"], certificate["sell"])
+    liquidation = terminal_claim(market, strategy)
+    assert liquidation.tolist() == certificate["liquidation"]
+    assert liquidation.min() >= 0.0 and liquidation.max() > 0.0
 
 
 def test_check_cps_negative_with_certificate():
     market = crossing_binomial(lam=0.01)
     v = check_cps(market)
-    assert not v.exists
+    assert not v.exists and v.delta < 0.0
     assert v.witness_leaf_vars is None
-    assert v.certificate is not None
-    signs = trade_signs(v)
-    assert signs is not None
-    # the certificate describes a buy-at-root arbitrage
-    assert signs[0] == 1
+    # both children's bids clear the root ask: buy at the root, sell at
+    # each child
+    assert (v.certificate["node"], v.certificate["side"]) == (0, "buy")
+    assert trade_signs(v).tolist() == [1, -1, -1]
+    assert_arbitrage(market, v.certificate)
+    # mirrored, both children's asks fall below the root bid
+    falling = replace(market, ask_price=np.array([100.0, 90.0, 95.0]))
+    v = check_cps(falling)
+    assert (v.certificate["node"], v.certificate["side"]) == (0, "sell")
+    assert trade_signs(v).tolist() == [-1, 1, 1]
+    assert_arbitrage(falling, v.certificate)
+
+
+def test_check_cps_certificate_unwinds_where_a_band_binds(two_period_market):
+    # every stage-1 interval lies above the root's ask.  Node 1's own bid
+    # sits below its children's, so the unit bought at the root rides
+    # through node 1 and is sold at its leaves; nodes 2 and 3, whose own
+    # bids bind their lower ends, sell it at once
+    ask = np.array([100, 107, 110, 105, 110, 108, 108, 115, 104, 112], float)
+    market = replace(two_period_market, ask_price=ask)
+    v = check_cps(market)
+    assert (v.certificate["node"], v.certificate["side"]) == (0, "buy")
+    assert trade_signs(v).tolist() == [1, 0, -1, -1, -1, -1, 0, 0, 0, 0]
+    assert_arbitrage(market, v.certificate)
+
+
+def test_check_cps_thin_bands_carry_no_certificate(martingale_binomial):
+    # a band thinner than 2 CPS_MARGIN closes under the rule's own shrink,
+    # with no arbitrage behind it
+    v = check_cps(martingale_binomial, mu=CPS_MARGIN)
+    assert not v.exists and 0.0 < v.delta <= CPS_MARGIN / 2.0
+    assert v.certificate is None and trade_signs(v) is None
+
+
+@pytest.mark.parametrize("seed", [11, 2026, 1, 2, 3, 4, 5])
+def test_check_cps_agrees_with_the_existence_lp(seed):
+    # the band rule's verdict is the existence LP's on every draw, and
+    # every "no" is backed by an arbitrage
+    gen = InstanceGenerator(seed=seed)
+    missing = 0
+    for i in range(200):
+        market = gen.draw(i)
+        verdict = check_cps(market)
+        delta, _ = max_margin(build_polytope(market))
+        assert verdict.exists == (delta > CPS_MARGIN), i
+        if not verdict.exists:
+            missing += 1
+            assert_arbitrage(market, verdict.certificate)
+    assert 0 < missing < 200
+
+
+def test_no_library_path_runs_an_lp(monkeypatch):
+    import scipy.optimize
+
+    from frictiondual import engine
+    from frictiondual.duality import compute_x0, solve_report, verify_identities
+    from frictiondual.pricing import indifference_price
+    from frictiondual.shadow import (shadow_from_dual_roundtrip, solve_frictionless,
+                                     verify_shadow)
+    from frictiondual.utility import UtilitySpec
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("a library path ran an LP")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    monkeypatch.setattr(engine, "solve_lp", no_lp)
+    assert not check_cps(crossing_binomial()).exists
+    assert not check_cps(thin_band_market()).exists
+    gen = InstanceGenerator(seed=11)
+    assert 0 < sum(check_cps(gen.draw(i)).exists for i in range(50)) < 50
+    market = gen.draw_feasible(0)
+    exp1 = UtilitySpec("exponential", gamma=1.0)
+    for spec, x in ((UtilitySpec("log"), max(compute_x0(market), 0.0) + 5.0), (exp1, 1.0)):
+        verify_identities(solve_report(market, spec, x))
+    report = solve_report(market, exp1, 1.0)
+    shadow = construct_shadow(market, report.dual_system)
+    frictionless = solve_frictionless(shadow.as_market(), exp1, 1.0, y=report.yhat)
+    verify_shadow(report, shadow, frictionless)
+    shadow_from_dual_roundtrip(report, shadow)
+    indifference_price(market, 1.0)
 
 
 def test_check_cps_widening_spread_restores_existence():

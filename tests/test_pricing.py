@@ -8,8 +8,7 @@ from frictiondual.duality import (PrimalProgram, PrimalUnboundedError, compute_x
                                  entropy_terms, solve_entropy_core, solve_report)
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import (DualPolytope, PolytopeInfeasibleError, build_polytope,
-                                   check_cps, martingale_point, max_expectation,
-                                   super_hedge)
+                                   martingale_point, max_expectation, super_hedge)
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -20,7 +19,7 @@ from frictiondual.pricing import (
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, utility_label
-from oracles import sample_polytope
+from oracles import max_margin, sample_polytope
 
 
 def test_zero_endowment_prices_at_zero(drift_binomial):
@@ -149,7 +148,7 @@ def test_price_dual_runs_no_phase_one(seed, monkeypatch):
         market = gen.draw_feasible(i)
         poly = build_polytope(market)
         markets = (market, market.with_endowment(np.zeros(market.tree.n_leaves)))
-        witness = check_cps(market).witness_leaf_vars
+        _, witness = max_margin(poly)
         assert np.abs(witness - martingale_point(market)).max() > 1e-3
         cores = [solve_entropy_core(m, gamma, poly=poly, x0=witness) for m in markets]
         terms = [entropy_terms(m, c.leaf_vars) for m, c in zip(markets, cores)]

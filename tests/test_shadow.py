@@ -151,6 +151,43 @@ def test_position_map_rank_binomial(drift_binomial):
     assert (rank, K) == (1, 1)
 
 
+def position_map(shadow_market):
+    """Leaf-by-node reference of the map ``position_map_rank`` reads: the
+    price step out of each internal node along each leaf's path."""
+    tree = shadow_market.tree
+    S = shadow_market.ask_price
+    D = np.zeros((tree.n_leaves, tree.internal.size))
+    for k, leaf in enumerate(tree.leaves):
+        path = [int(leaf)]
+        while tree.parent[path[-1]] >= 0:
+            path.append(int(tree.parent[path[-1]]))
+        for child, node in zip(path, path[1:]):
+            D[k, list(tree.internal).index(node)] = S[child] - S[node]
+    return D
+
+
+def test_position_map_rank_is_numpy_rank():
+    # scipy's dgesdd under np.linalg.matrix_rank's tolerance, on the
+    # shadow markets of the benchmark's generated markets and on a tree
+    # whose node 1 does not move, so its position earns nothing
+    gen = InstanceGenerator(seed=11)
+    markets = []
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        markets.append(construct_shadow(market, solve_report(market, EXP1, 1.0).dual_system)
+                       .as_market())
+    tree = EventTree(parent=[-1, 0, 0, 1, 1, 2, 2], time=[0, 1, 1, 2, 2, 2, 2],
+                     cond_prob=[1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
+    markets.append(MarketSpec(tree=tree, ask_price=[100.0, 110.0, 90.0, 110.0, 110.0,
+                                                    95.0, 85.0],
+                              lam=0.0, endowment=np.zeros(4)))
+    for market in markets:
+        D = position_map(market)
+        want = np.linalg.matrix_rank(D, tol=1e-9 * max(1.0, float(np.abs(D).max())))
+        assert position_map_rank(market) == (want, D.shape[1])
+    assert position_map_rank(markets[-1]) == (2, 3)
+
+
 def test_shadow_rejects_foreign_dual(drift_binomial, martingale_binomial):
     # feeding a dual point whose ratio leaves the spread must raise
     rep = solve_report(martingale_binomial, EXP1, 0.0)
