@@ -239,9 +239,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        # LinAlgError is a ValueError subclass, but a solver failure, not
-        # bad input; so is an overflow in the family formulas
+    except ArithmeticError as exc:
+        # an overflow in the family formulas is a solver failure
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:

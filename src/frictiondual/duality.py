@@ -500,8 +500,9 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
     form from the unit-scale dual (:func:`solve_entropy_core`): with
     ``k = E[z log z]/gamma + E[z e]`` the dual value curve is
-    ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` that underflows
-    to 0, at large ``x + k``, raises :class:`EngineError`.
+    ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` so small, at large
+    ``x + k``, that ``yhat Z0`` underflows to 0 at a leaf with ``Z0 >
+    DENSITY_EPS`` (where ``I`` is undefined) raises :class:`EngineError`.
 
     The primal starts at the dual optimum (:func:`solve_primal_from_dual`)
     and is still certified by its own KKT residuals.
@@ -533,8 +534,10 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         entropy, endow_mean = entropy_terms(market, dual.leaf_vars)
         k = entropy / spec.gamma + endow_mean
         yhat = float(ut.eval_u_prime(spec, x + k))
-        if not yhat > 0.0:
-            raise EngineError(f"dual scale u'(x + k) underflows to {yhat} at x={x}, k={k}")
+        z0 = dual.leaf_vars[: tree.n_leaves]
+        if not np.all(yhat * z0[z0 > DENSITY_EPS] > 0.0):
+            raise EngineError(f"dual scale u'(x + k) = {yhat} underflows yhat*Z0 to 0 "
+                              f"at x={x}, k={k}")
         dual = replace(dual, value=float(ut.eval_v(spec, yhat)) + yhat * k, y=yhat,
                        derivative=float(ut.eval_v_prime(spec, yhat)) + k)
         dual_total = dual.value + x * yhat

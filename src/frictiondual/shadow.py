@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
 
 from . import utility as ut
 from .duality import (PrimalProgram, PrimalUnboundedError, SolveReport, solve_dual,
@@ -55,6 +54,25 @@ class ShadowPrice:
         first flag that holds in that order."""
         return np.select([self.undefined, self.at_ask, self.at_bid],
                          ["undefined", "at_ask", "at_bid"], "interior").tolist()
+
+    def unique_positions(self) -> bool:
+        """Whether the frictionless positions on this price are unique:
+        every internal node's price moves to some child by more than
+        ``1e-9`` times the largest one-step move (at least 1).
+
+        They are unique when the leaf-by-node map of the price steps they
+        earn, whose largest entry is the largest one-step move, has full
+        column rank at that cutoff (Kallsen & Muhle-Karbe, Ann. Appl.
+        Probab. 20, 2010).  A flat node's column is zero.  At zero spread
+        with no arbitrage, the only prices :func:`solve_frictionless`
+        accepts, a node moves both ways or not at all; so, backward from
+        the leaves, a node whose children's moves differ forces both its
+        position and the gain into it to 0 when positions earn 0 at every leaf.
+        """
+        tree = self.market.tree
+        move = np.abs(self.value[1:] - self.value[tree.parent[1:]])
+        moving = tree.parent[1:][move > 1e-9 * max(1.0, float(move.max()))]
+        return np.unique(moving).size == tree.internal.size
 
     def as_market(self) -> MarketSpec:
         """Zero-spread market trading at the shadow price, with the
@@ -143,31 +161,6 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     )
 
 
-def position_map_rank(shadow_market: MarketSpec):
-    """Rank of the map from positions to terminal wealth increments.
-
-    Full column rank means the frictionless optimizer is unique, which
-    gates the strategy-coincidence check.  The singular values come from
-    LAPACK's ``dgesdd`` through scipy, as every factorization of the
-    engine does, with ``np.linalg.matrix_rank``'s rule: those above
-    ``1e-9`` times the largest entry (at least 1) count.
-    """
-    tree = shadow_market.tree
-    internal = tree.internal
-    S = shadow_market.ask_price
-    # price at each stage of each leaf's path; a position held out of an
-    # internal node earns the step to the next node on the path
-    leaf, node = np.nonzero(tree.on_path)
-    path_price = np.empty((tree.n_leaves, tree.horizon + 1))
-    path_price[leaf, tree.time[node]] = S[node]
-    D = np.where(tree.on_path[:, internal],
-                 path_price[:, tree.time[internal] + 1] - S[internal], 0.0)
-    _, sv, _, info = dgesdd(D, compute_uv=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dgesdd failed with info={info}")
-    return int(np.count_nonzero(sv > 1e-9 * max(1.0, float(np.abs(D).max())))), internal.size
-
-
 def verify_shadow(report: SolveReport, shadow: ShadowPrice,
                   frictionless: FrictionlessSolve) -> dict:
     """Verification record for the shadow-price properties.
@@ -178,7 +171,9 @@ def verify_shadow(report: SolveReport, shadow: ShadowPrice,
     buy * (ask - shadow) and sell * (shadow - bid) normalized by the ask
     -- the statement that stays well posed at nodes where the optimizer
     is flat and micro-trades below solver resolution are meaningless;
-    (d) position coincidence where applicable.
+    (d) position coincidence where no direction is violated and the
+    positions are unique: each internal node's shadow price moves to a child
+    by over 1e-9 times the largest one-step move (:meth:`ShadowPrice.unique_positions`).
     """
     market = report.market
     ask, bid = market.ask_price, market.bid_price
@@ -195,12 +190,10 @@ def verify_shadow(report: SolveReport, shadow: ShadowPrice,
                              "shadow": float(shadow.value[k])}
                             for k, j in zip(*np.nonzero(bad))]
 
-    rank, K = position_map_rank(shadow.as_market())
-    unique = rank == K
+    unique = shadow.unique_positions()
     position_gap = None
     if unique and not direction_violations:
-        diff = np.abs(frictionless.position - report.strategy.phi1)
-        position_gap = float(diff.max()) if diff.size else 0.0
+        position_gap = float(np.abs(frictionless.position - report.strategy.phi1).max())
 
     return {
         "value_gap": abs(frictionless.value - report.value),

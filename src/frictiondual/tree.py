@@ -277,6 +277,7 @@ def market_from_dict(raw: dict) -> MarketSpec:
 
     endow = np.zeros(tree.n_leaves)
     leaf_pos = {int(l): k for k, l in enumerate(tree.leaves)}
+    filled = set()
     entries = raw.get("endowment", [])
     if not isinstance(entries, list):
         raise SchemaError("'endowment' must be a list")
@@ -286,6 +287,9 @@ def market_from_dict(raw: dict) -> MarketSpec:
         leaf = rec["leaf"]
         if not _is_index(leaf) or leaf not in leaf_pos:
             raise SchemaError(f"endowment entry for non-leaf node {leaf!r}")
+        if leaf in filled:
+            raise SchemaError(f"more than one endowment entry for leaf {leaf}")
+        filled.add(leaf)
         endow[leaf_pos[leaf]] = _number(rec["value"], f"endowment 'value' at leaf {leaf}")
 
     lam = _number(raw["lambda"], "'lambda'")

@@ -252,6 +252,26 @@ def test_underflowing_dual_scale_is_a_solver_failure(tmp_path, args, capsys):
     assert "at x=760.0, k=" in err
 
 
+@pytest.mark.parametrize("args, x", [
+    (["solve", "--utility", "exp:gamma=1"], "745"),
+    (["shadow", "--utility", "exp:gamma=1"], "745"),
+    (["price", "--gamma", "1"], "745"),
+    (["solve", "--utility", "exp:gamma=2"], "373"),
+    (["shadow", "--utility", "exp:gamma=2"], "373"),
+    (["price", "--gamma", "2"], "373"),
+])
+def test_subnormal_dual_scale_is_a_solver_failure(tmp_path, args, x, capsys):
+    # the same market just below the scale's underflow: yhat = u'(x + k)
+    # is subnormal, so yhat * Z0 underflows to 0 at a leaf of the dual's
+    # support, where the optimal claim I(yhat Z0) is undefined
+    assert main(["gen", "--seed", "7", "--count", "1", "--out", str(tmp_path)]) == 0
+    (market,) = tmp_path.glob("*.json")
+    assert main(args[:1] + ["--market", str(market)] + args[1:] + ["--x", x]) == 2
+    err = capsys.readouterr().err
+    assert_one_line(err, "solver failure: dual scale u'(x + k) = ")
+    assert "underflows yhat*Z0 to 0" in err
+
+
 @pytest.mark.parametrize("args, name", [
     (["solve", "--utility", "log", "--x", "nan"], "x"),
     (["solve", "--utility", "exp:gamma=1", "--x", "inf"], "x"),
@@ -315,30 +335,32 @@ _DOWN = {"id": 2, "parent": 0, "prob": 0.5, "price": 90.0}
      "parent of node 1 must be an integer or null"),
     ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"leaf": True, "value": 1.0}]},
      "endowment entry for non-leaf node True"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN],
+      "endowment": [{"leaf": 1, "value": 3}, {"leaf": 1, "value": -7}]},
+     "more than one endowment entry for leaf 1"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"leaf": 1}]},
+     "each endowment entry needs 'leaf' and 'value'"),
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN], "endowment": [{"value": 1.0}]},
+     "each endowment entry needs 'leaf' and 'value'"),
+    # json.dumps writes the NaN literal that json.load reads back
+    ({"lambda": 0.01, "nodes": [_ROOT, _UP, _DOWN],
+      "endowment": [{"leaf": 2, "value": float("nan")}]},
+     "endowment must be finite at every leaf"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "parent": 3}, _DOWN]},
+     "node 1 has invalid parent 3"),
+    ({"lambda": 0.01, "nodes": [_ROOT, {**_UP, "parent": 2}, {**_DOWN, "parent": 1}]},
+     "parent cycle reached from node 1"),
 ], ids=["not-an-object", "empty-nodes", "no-id", "no-price", "repeated-id",
         "non-integer-parent", "single-node", "null-prob", "object-price",
         "endowment-not-a-list", "list-leaf", "string-endowment-value", "string-lambda",
-        "boolean-id", "boolean-parent", "boolean-leaf"])
+        "boolean-id", "boolean-parent", "boolean-leaf", "repeated-leaf",
+        "endowment-without-value", "endowment-without-leaf", "nan-endowment",
+        "parent-out-of-range", "parent-cycle"])
 def test_malformed_market_file_is_a_validation_error(tmp_path, raw, message, capsys):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(raw))
     assert main(["solve", "--market", str(path), "--utility", "log", "--x", "1"]) == 1
     assert_one_line(capsys.readouterr().err, f"error: {message}")
-
-
-def test_linalg_error_is_solver_failure(market_file, monkeypatch, capsys):
-    import numpy as np
-
-    from frictiondual import duality
-
-    def broken(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(duality, "solve_report", broken)
-    code = main(["solve", "--market", market_file, "--utility", "log",
-                 "--x", "5"])
-    assert code == 2
-    assert "solver failure" in capsys.readouterr().err
 
 
 def test_xmin_command(market_file, tmp_path):

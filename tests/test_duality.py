@@ -499,6 +499,19 @@ def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
         solve_report(market, LOG, x)
 
 
+@pytest.mark.parametrize("lam", [0.01, 0.0])
+def test_exponential_primal_on_an_arbitrage_diverges(lam):
+    # buying at the root gains at both leaves, with or without the spread:
+    # exponential utility has no wealth floor to stop the barrier, so its
+    # iterates run off, and the engine's unbounded status is the primal's
+    # PrimalUnboundedError
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 120.0, 110.0], lam=lam,
+                        endowment=[0.0, 0.0])
+    with pytest.raises(PrimalUnboundedError, match="^primal unbounded: iterates diverging$"):
+        solve_primal(market, EXP1, 1.0)
+
+
 def loop_primal_layout(market):
     """Leaf-by-leaf reference of :class:`PrimalProgram`'s maps ``T0``/``T1``:
     buys, sells and claims, at zero spread net trades and claims."""

@@ -10,8 +10,8 @@ from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import PriceSystem
 from frictiondual.shadow import (
     ShadowConstructionError,
+    ShadowPrice,
     construct_shadow,
-    position_map_rank,
     shadow_from_dual_roundtrip,
     solve_frictionless,
     verify_shadow,
@@ -21,6 +21,7 @@ from frictiondual.utility import UtilitySpec
 
 EXP1 = UtilitySpec("exponential", gamma=1.0)
 LOG = UtilitySpec("log")
+POWER = UtilitySpec("power", alpha=0.5)
 
 
 def shadow_pipeline(market, spec, x):
@@ -146,13 +147,8 @@ def test_frictionless_arbitrage_detected():
         solve_frictionless(market, EXP1, 0.0, y=1.0)
 
 
-def test_position_map_rank_binomial(drift_binomial):
-    rank, K = position_map_rank(replace(drift_binomial, lam=0.0))
-    assert (rank, K) == (1, 1)
-
-
 def position_map(shadow_market):
-    """Leaf-by-node reference of the map ``position_map_rank`` reads: the
+    """Leaf-by-node map from frictionless positions to terminal gains: the
     price step out of each internal node along each leaf's path."""
     tree = shadow_market.tree
     S = shadow_market.ask_price
@@ -166,26 +162,44 @@ def position_map(shadow_market):
     return D
 
 
-def test_position_map_rank_is_numpy_rank():
-    # scipy's dgesdd under np.linalg.matrix_rank's tolerance, on the
-    # shadow markets of the benchmark's generated markets and on a tree
-    # whose node 1 does not move, so its position earns nothing
-    gen = InstanceGenerator(seed=11)
-    markets = []
-    for i in range(10):
-        market = gen.draw_feasible(i)
-        markets.append(construct_shadow(market, solve_report(market, EXP1, 1.0).dual_system)
-                       .as_market())
+def full_column_rank(shadow_market):
+    """The numpy oracle of unique positions: the map has full column rank,
+    counting singular values above 1e-9 times its largest entry (at least 1)."""
+    D = position_map(shadow_market)
+    tol = 1e-9 * max(1.0, float(np.abs(D).max()))
+    return bool(np.linalg.matrix_rank(D, tol=tol) == D.shape[1])
+
+
+def test_unique_positions_hand_built(drift_binomial):
+    # a zero-spread market as the shadow price of itself: the binomial
+    # moves, and the second tree's node 1 does not, so its position earns
+    # nothing and is free; in the third, node 1 moves by 1e-12 either way,
+    # below the cutoff of 2e-8 (1e-9 times the largest move, 20)
     tree = EventTree(parent=[-1, 0, 0, 1, 1, 2, 2], time=[0, 1, 1, 2, 2, 2, 2],
                      cond_prob=[1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5])
-    markets.append(MarketSpec(tree=tree, ask_price=[100.0, 110.0, 90.0, 110.0, 110.0,
-                                                    95.0, 85.0],
-                              lam=0.0, endowment=np.zeros(4)))
-    for market in markets:
-        D = position_map(market)
-        want = np.linalg.matrix_rank(D, tol=1e-9 * max(1.0, float(np.abs(D).max())))
-        assert position_map_rank(market) == (want, D.shape[1])
-    assert position_map_rank(markets[-1]) == (2, 3)
+    flat = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 90.0, 110.0, 110.0, 95.0, 85.0],
+                      lam=0.0, endowment=np.zeros(4))
+    nearly_flat = replace(flat, ask_price=flat.ask_price + [0.0, 0.0, 0.0, 1e-12, -1e-12,
+                                                             0.0, 0.0])
+    for market, unique in ((replace(drift_binomial, lam=0.0), True), (flat, False),
+                           (nearly_flat, False)):
+        none = np.zeros(market.tree.n_nodes, dtype=bool)
+        shadow = ShadowPrice(market=market, value=market.ask_price, at_ask=none,
+                             at_bid=none, undefined=none)
+        assert shadow.unique_positions() is unique
+        assert full_column_rank(shadow.as_market()) is unique
+
+
+def test_unique_positions_is_numpy_rank():
+    # the shadow markets of the benchmark's 30 reports: seed 11's markets
+    # 0-9 under log and power(1/2) at x0 + 5 and under exp(1) at x = 1
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        x = max(compute_x0(market), 0.0) + 5.0
+        for spec, at in ((LOG, x), (POWER, x), (EXP1, 1.0)):
+            shadow = construct_shadow(market, solve_report(market, spec, at).dual_system)
+            assert shadow.unique_positions() is full_column_rank(shadow.as_market())
 
 
 def test_shadow_rejects_foreign_dual(drift_binomial, martingale_binomial):

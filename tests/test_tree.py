@@ -171,6 +171,20 @@ def test_market_validation(martingale_binomial):
                    endowment=[0.0, 0.0])
 
 
+def test_sizes_must_match(martingale_binomial):
+    # checks no market file reaches: the loader builds every array to size
+    with pytest.raises(TreeStructureError, match="^parent/time/cond_prob length mismatch$"):
+        EventTree(parent=[-1, 0, 0], time=[0, 1], cond_prob=[1.0, 0.5, 0.5])
+    with pytest.raises(TreeStructureError, match="^parent/time/cond_prob length mismatch$"):
+        EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 1.0])
+    tree = martingale_binomial.tree
+    with pytest.raises(SchemaError, match="^one ask price per node required$"):
+        MarketSpec(tree=tree, ask_price=[100.0, 120.0], lam=0.01, endowment=[0.0, 0.0])
+    with pytest.raises(SchemaError, match="^one endowment value per leaf required$"):
+        MarketSpec(tree=tree, ask_price=[100.0, 120.0, 80.0], lam=0.01,
+                   endowment=[0.0, 0.0, 0.0])
+
+
 def test_bid_price_and_helpers(martingale_binomial):
     m = martingale_binomial
     assert np.allclose(m.bid_price, 0.99 * m.ask_price)
