@@ -370,35 +370,29 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     face with no barrier step, and its point starts the barrier only
     when that is rejected.  The diagnostics then carry the ``start``
     record ``{"face": ...}`` (:attr:`SolveDiagnostics.face_start`).
+
+    The exponential dual is solved at unit scale, with its diagnostics,
+    and read at ``y`` (:func:`_exponential_at`): its minimizer does not
+    depend on ``y``, and its objective scales with ``y``, so that a solve
+    at small ``y`` would pass the engine's tests, relative to ``1 + |f|``.
     """
     if not 0.0 < y < np.inf:
         raise ut.UtilityDomainError(f"dual scale y must be positive and finite, got {y}")
     if poly is None:
         poly = build_polytope(market)
-    L = market.tree.n_leaves
-    prob = market.tree.leaf_prob
-    endow = market.endowment
-    res = _solve_on_polytope(poly, *_dual_objective(poly, spec, y, endow, prob),
-                             "dual", x0=x0)
-    z = res.x
-    diagnostics = res.diagnostics.to_dict()
-    if res.diagnostics.face_start is not None:
-        diagnostics["start"] = {"face": res.diagnostics.face_start}
-    return DualSolution(value=res.diagnostics.objective, y=y, leaf_vars=z,
-                        system=poly.price_system(z),
-                        derivative=_dual_derivative(spec, y, z[:L], endow, prob),
-                        diagnostics=diagnostics)
+    scale = 1.0 if spec.family == "exponential" else y
+    objective = _dual_objective(poly, spec, scale, market.endowment, market.tree.leaf_prob)
+    res = _solve_on_polytope(poly, *objective, x0)
+    dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res)
+    return dual if scale == y else _exponential_at(market, spec, dual, y)
 
 
-def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
-                       x0) -> SolveResult:
+def _solve_on_polytope(poly: DualPolytope, objective, in_domain, x0) -> SolveResult:
     """Engine solve over the constraints of ``poly`` from ``x0``: a
     point, by default :meth:`DualPolytope.strict_point`, or a ``(point,
     multipliers)`` face start whose point starts the barrier should the
     engine reject it; optimal or raises."""
-    face_start = x0 if isinstance(x0, tuple) else None
-    if face_start is not None:
-        x0 = face_start[0]
+    face_start, x0 = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
                          x0=poly.strict_point() if x0 is None else x0,
@@ -408,24 +402,43 @@ def _solve_on_polytope(poly: DualPolytope, objective, in_domain, what: str,
     except InfeasibleProgramError as exc:
         raise PolytopeInfeasibleError(f"empty dual polytope: {exc}") from exc
     if res.status != "optimal":
-        raise EngineError(f"{what} solve failed: {res.diagnostics.message}")
+        raise EngineError(f"dual solve failed: {res.diagnostics.message}")
     return res
 
 
-def _dual_derivative(spec, y, z0, endow, prob) -> float:
-    """v'(y) = E[Z0 (V'(y Z0) + e)] at the minimizing density ``z0``."""
-    return float(prob @ (z0 * (ut.eval_v_prime(spec, y * z0) + endow)))
+def _dual_solution(market: MarketSpec, poly: DualPolytope, spec: ut.UtilitySpec, y: float,
+                   z: np.ndarray, value: float, res: SolveResult) -> DualSolution:
+    """The dual read-out at scale ``y`` and polytope point ``z`` of the
+    engine's solve ``res``: the price system, ``v'(y) = E[Z0 (V'(y Z0) +
+    e)]`` and the diagnostics, with the ``start`` record of a face start."""
+    z0, prob = z[:market.tree.n_leaves], market.tree.leaf_prob
+    derivative = float(prob @ (z0 * (ut.eval_v_prime(spec, y * z0) + market.endowment)))
+    diagnostics = res.diagnostics.to_dict()
+    if res.diagnostics.face_start is not None:
+        diagnostics["start"] = {"face": res.diagnostics.face_start}
+    return DualSolution(value=value, y=y, leaf_vars=z, system=poly.price_system(z),
+                        derivative=derivative, diagnostics=diagnostics)
+
+
+def _exponential_at(market: MarketSpec, spec: ut.UtilitySpec, unit: DualSolution,
+                    y: float) -> DualSolution:
+    """The exp(gamma) dual of ``market`` at scale ``y`` read off its
+    unit-scale solution ``unit``, whose minimizer it shares: the value
+    ``V(y) + y k`` and the derivative ``V'(y) + k``, ``k = E[z log z]/gamma + E[z e]``."""
+    entropy, endow_mean = entropy_terms(market, unit.leaf_vars)
+    k = entropy / spec.gamma + endow_mean
+    return replace(unit, value=float(ut.eval_v(spec, y)) + y * k, y=y,
+                   derivative=float(ut.eval_v_prime(spec, y)) + k)
 
 
 def solve_entropy_core(market: MarketSpec, gamma: float,
-                       poly: Optional[DualPolytope] = None,
-                       x0: Optional[np.ndarray] = None) -> DualSolution:
-    """The exp(gamma) dual at ``y = 1`` (:func:`solve_dual`), whose
-    minimizer serves every scale.  On the polytope ``E[z] = 1``, so its
-    objective is ``E[z log z]/gamma + E[z e]`` (:func:`entropy_terms`)
-    less ``(1 + log gamma)/gamma``."""
-    return solve_dual(market, ut.UtilitySpec("exponential", gamma=gamma), 1.0,
-                      poly=poly, x0=x0)
+                       poly: Optional[DualPolytope] = None) -> DualSolution:
+    """The exp(gamma) dual at ``y = 1`` (:func:`solve_dual`), from the
+    polytope's :meth:`DualPolytope.strict_point` (for another start, call
+    :func:`solve_dual`).  On the polytope ``E[z] = 1``, so its objective
+    is ``E[z log z]/gamma + E[z e]`` (:func:`entropy_terms`) less ``(1 +
+    log gamma)/gamma``; its minimizer serves every scale."""
+    return solve_dual(market, ut.UtilitySpec("exponential", gamma=gamma), 1.0, poly=poly)
 
 
 def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray) -> tuple:
@@ -436,35 +449,28 @@ def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray) -> tuple:
 
 
 def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                       poly: Optional[DualPolytope] = None,
-                       x0: Optional[np.ndarray] = None):
+                       poly: Optional[DualPolytope] = None):
     """Solve inf_y {v(y) + x y}; returns (yhat, value, DualSolution at yhat).
 
     Over the cone of scaled price systems ``W = y Z`` this is one convex
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
-    ``x0``, a strictly feasible point of the polytope (by default
-    :meth:`DualPolytope.strict_point`), starts the cone solve at ``W = x0``.
-    The engine's active-face finish puts ``W`` on its optimal face, where
-    the degenerate band rows hold exactly.  The residual |v'(yhat) + x|
-    must end below 1e-8 * (1 + |x|).
+    The cone solve starts at ``W`` equal to the polytope's
+    :meth:`DualPolytope.strict_point`.  The engine's active-face finish
+    puts ``W`` on its optimal face, where the degenerate band rows hold
+    exactly.  The residual |v'(yhat) + x| must end below 1e-8 * (1 + |x|).
     """
     _check_wealth(x)
     if poly is None:
         poly = build_polytope(market)
-    L = market.tree.n_leaves
     prob = market.tree.leaf_prob
-    endow = market.endowment
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
-    objective, in_domain = _dual_objective(poly, spec, 1.0, x + endow, prob)
-    res = _solve_on_polytope(cone, objective, in_domain, "dual", x0=x0)
+    objective, in_domain = _dual_objective(poly, spec, 1.0, x + market.endowment, prob)
+    # the cone keeps no strict point of its own: start at the polytope's
+    res = _solve_on_polytope(cone, objective, in_domain, poly.strict_point())
     value = res.diagnostics.objective
-    yhat = float(prob @ res.x[:L])
-    z = res.x / yhat
-    sol = DualSolution(value=value - x * yhat, y=yhat, leaf_vars=z,
-                       system=poly.price_system(z),
-                       derivative=_dual_derivative(spec, yhat, z[:L], endow, prob),
-                       diagnostics=res.diagnostics.to_dict())
+    yhat = float(prob @ res.x[:market.tree.n_leaves])
+    sol = _dual_solution(market, poly, spec, yhat, res.x / yhat, value - x * yhat, res)
     resid = abs(sol.derivative + x)
     if resid > YHAT_RTOL * (1.0 + abs(x)):
         raise EngineError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
@@ -486,11 +492,11 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     """Solve both problems, match them through yhat, and fill the report.
 
     Every start is in closed form.  The dual starts at a strictly
-    consistent price system (:meth:`DualPolytope.strict_point`), which
-    usually runs no LP and, when there is none, raises
+    consistent price system (:meth:`DualPolytope.strict_point`), or raises
     :class:`NoCpsError` (at zero spread, :class:`PolytopeInfeasibleError`)
-    with none.  It comes first, so exponential utility reports an empty
-    zero-spread polytope the same way, where its primal would diverge.
+    where there is none, with no LP.  That point is asked for first, so
+    exponential utility reports an empty zero-spread polytope the same
+    way, where its primal would diverge.
     The primal (:class:`PrimalProgram`) is built once, before any solve,
     and kept in the report for :func:`verify_identities`; a half-line
     ``x`` within ``THRESHOLD_MARGIN`` of its threshold ``x0 = sup
@@ -512,23 +518,23 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     Its threshold is 0, which :func:`compute_x0` returns like any other.
     """
     _check_wealth(x)
-    poly = build_polytope(market)
-    return _solve_report(market, spec, x, poly, poly.strict_point())
+    return _solve_report(market, spec, x, build_polytope(market))
 
 
 def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                  poly: DualPolytope, start: np.ndarray) -> SolveReport:
+                  poly: DualPolytope) -> SolveReport:
     """:func:`solve_report` at a checked ``x``, on the dual polytope
-    ``poly`` of ``market`` from its strict point ``start``; the polytope
-    does not read the endowment, so one serves a market and its
-    zero-endowment copy."""
+    ``poly`` of ``market``; the polytope does not read the endowment, so
+    one, and its one strict point, serves a market and its zero-endowment
+    copy."""
     tree = market.tree
     endow = market.endowment
+    poly.strict_point()      # first: an empty zero-spread polytope is the verdict
     program = PrimalProgram.build(market, spec)
     program.check(x)
 
     if spec.family == "exponential":
-        dual = solve_entropy_core(market, spec.gamma, poly=poly, x0=start)
+        dual = solve_entropy_core(market, spec.gamma, poly=poly)
         # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
         # form keeps its relative accuracy even when yhat is tiny
         entropy, endow_mean = entropy_terms(market, dual.leaf_vars)
@@ -538,11 +544,10 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         if not np.all(yhat * z0[z0 > DENSITY_EPS] > 0.0):
             raise EngineError(f"dual scale u'(x + k) = {yhat} underflows yhat*Z0 to 0 "
                               f"at x={x}, k={k}")
-        dual = replace(dual, value=float(ut.eval_v(spec, yhat)) + yhat * k, y=yhat,
-                       derivative=float(ut.eval_v_prime(spec, yhat)) + k)
+        dual = _exponential_at(market, spec, dual, yhat)
         dual_total = dual.value + x * yhat
     else:
-        yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly, x0=start)
+        yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly)
     primal = solve_primal_from_dual(program, x, yhat, dual.system)
 
     gap = abs(primal.value - dual_total)

@@ -41,7 +41,7 @@ run the same routine with the same workspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -140,19 +140,9 @@ class SolveDiagnostics:
                    self.kkt_complementarity)
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "barrier_path": list(self.barrier_path),
-            "newton_iterations": list(self.newton_iterations),
-            "kkt_stationarity": self.kkt_stationarity,
-            "kkt_feasibility": self.kkt_feasibility,
-            "kkt_complementarity": self.kkt_complementarity,
-            "message": self.message,
-            "face_steps": self.face_steps,
-            "factorizations": self.factorizations,
-            "events": list(self.events),
-        }
+        """Every field but ``face_start``, in field order, lists copied."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "face_start"}
+        return {k: list(v) if isinstance(v, list) else v for k, v in out.items()}
 
 
 @dataclass
@@ -463,12 +453,11 @@ def solve(program: ConvexProgram) -> SolveResult:
         if math.sqrt(x @ x) > DIVERGE_CAP * x_norm0:
             diag.status = "unbounded"
             diag.message = "iterates diverging"
-            nu = eq.multipliers(g - G.T @ lam)
-            _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam, nu, None)
-            return SolveResult(x, eq.per_given_row(nu), lam, diag)
+            break
 
     x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam,
-                           eq.multipliers(g - G.T @ lam), in_domain)
+                           eq.multipliers(g - G.T @ lam),
+                           None if diag.status == "unbounded" else in_domain)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
     # the certification threshold stays above that floor
@@ -560,13 +549,10 @@ def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
 def _kkt_residuals(g, x, G, h, A, b, lam, nu):
     """Stationarity, feasibility and complementarity residuals of
     ``(x, lam, nu)`` for objective gradient ``g``."""
-    r = g.copy()
-    feas = comp = 0.0
-    if G is not None:
-        r -= G.T @ lam
-        s = G @ x - h
-        feas = float(max(0.0, -(s.min() if s.size else 0.0)))
-        comp = float((lam * s).max()) if s.size else 0.0
+    r = g - G.T @ lam
+    s = G @ x - h
+    feas = float(max(0.0, -(s.min() if s.size else 0.0)))
+    comp = float((lam * s).max()) if s.size else 0.0
     if A is not None:
         r += A.T @ nu
         feas = max(feas, float(np.abs(A @ x - b).max()))
@@ -705,12 +691,12 @@ def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:
     n = c.size
     A = None if A_eq is None or np.size(A_eq) == 0 else np.atleast_2d(np.asarray(A_eq, float))
     b = None if A is None else np.atleast_1d(np.asarray(b_eq, float))
-    G = None if G is None or np.size(G) == 0 else np.atleast_2d(np.asarray(G, float))
-    h = None if G is None else np.atleast_1d(np.asarray(h, float))
-    res = linprog(c, A_ub=None if G is None else -G, b_ub=None if G is None else -h,
-                  A_eq=A, b_eq=b, bounds=[(None, None)] * n, method="highs",
-                  options={"primal_feasibility_tolerance": HIGHS_TOL,
-                           "dual_feasibility_tolerance": HIGHS_TOL})
+    # no inequality rows: a zero-row block
+    G = np.zeros((0, n)) if G is None or np.size(G) == 0 else np.atleast_2d(np.asarray(G, float))
+    h = np.atleast_1d(np.asarray(h, float)) if G.shape[0] else np.zeros(0)
+    res = linprog(c, A_ub=-G, b_ub=-h, A_eq=A, b_eq=b, bounds=[(None, None)] * n,
+                  method="highs", options={"primal_feasibility_tolerance": HIGHS_TOL,
+                                           "dual_feasibility_tolerance": HIGHS_TOL})
     diag = SolveDiagnostics(status=LP_STATUS.get(res.status, "numerical_failure"),
                             message=res.message)
     if res.status != 0:

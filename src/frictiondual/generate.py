@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polytope import strictly_consistent
+from .polytope import NoCpsError, strictly_consistent
 from .tree import EventTree, MarketSpec, market_to_dict
 
 VOLATILITY = (0.05, 0.35)         # range of the per-step log-price volatility
@@ -99,12 +99,13 @@ class InstanceGenerator:
         An attempt is accepted when the market passes the existence rule
         that :meth:`DualPolytope.strict_point` applies
         (:func:`polytope.strictly_consistent`): one backward pass over its
-        bands, with no LP and no polytope."""
+        bands, with no LP and no polytope.  After ``MAX_TRIES`` rejected
+        attempts it raises :class:`NoCpsError` naming the index."""
         for attempt in range(MAX_TRIES):
             mkt = self.draw(index if attempt == 0 else (index + 1) * 100003 + attempt)
             if strictly_consistent(mkt):
                 return mkt
-        raise RuntimeError(f"no feasible draw after {MAX_TRIES} tries at index {index}")
+        raise NoCpsError(f"no feasible draw after {MAX_TRIES} tries at index {index}")
 
 def emit_instance(market: MarketSpec) -> str:
     """Canonical JSON text of a market, byte-stable across runs."""

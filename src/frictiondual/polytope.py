@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -94,15 +95,21 @@ class DualPolytope:
         existence rule (:func:`strictly_consistent`), else
         :class:`NoCpsError`; at zero spread, where ``None`` is an
         arbitrage, :class:`PolytopeInfeasibleError`.  No LP either way.
+        The polytope is immutable, so the point is computed once and is
+        read-only; a :func:`dataclasses.replace` copy computes its own.
         """
+        return self._strict_point
+
+    @cached_property
+    def _strict_point(self) -> np.ndarray:
         market = self.market
-        z = (martingale_point(market) if market.lam == 0.0 or strictly_consistent(market)
-             else None)
-        if z is None and market.lam == 0.0:
+        if market.lam > 0.0 and not strictly_consistent(market):
+            raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
+        z = martingale_point(market)
+        if z is None:
             raise PolytopeInfeasibleError("no strictly positive martingale density at "
                                           "zero spread")
-        if z is None:
-            raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
+        z.flags.writeable = False
         return z
 
     def max_violation(self, z: np.ndarray) -> float:

@@ -59,14 +59,12 @@ class PriceReport:
 
 def _reports(market: MarketSpec, gamma: float, x: float) -> tuple:
     """The two solves every route reads: of the market and of its
-    zero-endowment copy, on one polytope from one strict point."""
+    zero-endowment copy, on one polytope and its one strict point."""
     _check_wealth(x)
     spec = ut.UtilitySpec("exponential", gamma=gamma)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
     poly = build_polytope(market)
-    start = poly.strict_point()
-    return (_solve_report(market, spec, x, poly, start),
-            _solve_report(market_0, spec, x, poly, start))
+    return _solve_report(market, spec, x, poly), _solve_report(market_0, spec, x, poly)
 
 
 def _primal_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
@@ -115,9 +113,8 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
     """
     poly = build_polytope(market)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))
-    start = poly.strict_point()
-    core_e = solve_entropy_core(market, gamma, poly=poly, x0=start)
-    core_0 = solve_entropy_core(market_0, gamma, poly=poly, x0=start)
+    core_e = solve_entropy_core(market, gamma, poly=poly)
+    core_0 = solve_entropy_core(market_0, gamma, poly=poly)
     return _dual_route(market, market_0, gamma, core_e.leaf_vars, core_0.leaf_vars)
 
 

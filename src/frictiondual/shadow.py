@@ -105,12 +105,14 @@ def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
 
     Where the density exceeds ``DENSITY_EPS`` the ratio is taken literally
     (and asserted to lie in the spread up to rounding); elsewhere the
-    ask price stands in and the node is flagged.
+    ask price stands in and the node is flagged.  A node with no spread
+    gets its one price from the clip, unasserted: there a density just
+    above ``DENSITY_EPS`` carries the rounding of ``Z1 = S Z0`` into the ratio.
     """
     ask = market.ask_price
     bid = market.bid_price
     ratio, undefined = dual_opt.ratio(ask)
-    outside = (ratio < bid - 1e-9 * ask) | (ratio > ask * (1.0 + 1e-9))
+    outside = (bid < ask) & ((ratio < bid - 1e-9 * ask) | (ratio > ask * (1.0 + 1e-9)))
     if outside.any():
         k = int(np.argmax(outside))
         raise ShadowConstructionError(

@@ -272,6 +272,21 @@ def test_subnormal_dual_scale_is_a_solver_failure(tmp_path, args, x, capsys):
     assert "underflows yhat*Z0 to 0" in err
 
 
+@pytest.mark.parametrize("gamma, x", [("1", "720"), ("2", "371.5")])
+def test_shadow_exits_0_wherever_solve_does_at_large_x(tmp_path, gamma, x):
+    # the same market just above where the shadow market's zero-spread
+    # dual, a solve at the tiny scale yhat itself, broke down; it is now
+    # read at yhat off its unit-scale solve
+    assert main(["gen", "--seed", "7", "--count", "1", "--out", str(tmp_path)]) == 0
+    (market,) = tmp_path.glob("*.json")
+    out = str(tmp_path / "shadow.json")
+    args = ["--market", str(market), "--utility", f"exp:gamma={gamma}", "--x", x]
+    assert main(["solve"] + args) == 0
+    assert main(["shadow"] + args + ["--json", out]) == 0
+    rec = read_json(out)
+    assert rec["direction_violations"] == [] and rec["roundtrip"]["member"] is True
+
+
 @pytest.mark.parametrize("args, name", [
     (["solve", "--utility", "log", "--x", "nan"], "x"),
     (["solve", "--utility", "exp:gamma=1", "--x", "inf"], "x"),

@@ -195,6 +195,26 @@ def test_entropy_core_scale_invariance(two_period_market):
             recon, rel=1e-7, abs=1e-9)
 
 
+@pytest.mark.parametrize("y", [1e-10, 1e-300])
+def test_exponential_dual_at_small_scale_matches_the_unit_scale_solve(y):
+    # market 0 of `gen --seed 7`: the objective scales with y, so a barrier
+    # run at y itself passes the engine's tests, relative to 1 + |f|, away
+    # from its minimizer (at 1e-300, at its start)
+    market = InstanceGenerator(seed=7).draw_feasible(0)
+    unit = solve_dual(market, EXP1, 1.0)
+    dual = solve_dual(market, EXP1, y)
+    np.testing.assert_allclose(dual.leaf_vars, unit.leaf_vars, rtol=0.0, atol=1e-9)
+    # v(y) = V(y) + y k, and at y = 1, V(1) + k is the unit-scale value
+    v1 = -1.0
+    v = y * (math.log(y) - 1.0)
+    assert dual.value == pytest.approx(v + y * (unit.value - v1), rel=1e-9)
+    z0 = unit.leaf_vars[:market.tree.n_leaves]
+    prob = market.tree.leaf_prob
+    assert dual.derivative == pytest.approx(
+        float(prob @ (z0 * (np.log(y * z0) + market.endowment))), rel=1e-9)
+    assert dual.y == y
+
+
 def test_zero_spread_routing(drift_binomial):
     # lam = 0 uses the frictionless formulation; the one-period binomial
     # has the closed form Delta* = log(3) / (40 gamma) here
@@ -497,6 +517,18 @@ def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
         PrimalProgram.build(market, LOG)
     with pytest.raises(PolytopeInfeasibleError):
         solve_report(market, LOG, x)
+
+
+def test_dual_from_a_supplied_start_on_an_empty_zero_spread_polytope():
+    # 100 -> 110/110 at zero spread: the rows Z1 = S Z0 and E[Z0] = 1 are
+    # inconsistent, which a supplied start reaches past the strict point
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 110.0], lam=0.0,
+                        endowment=[0.0, 0.0])
+    start = np.array([1.0, 1.0, 110.0, 110.0])
+    with pytest.raises(PolytopeInfeasibleError,
+                       match="^empty dual polytope: inconsistent equality constraints$"):
+        solve_dual(market, LOG, 1.0, x0=start)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.0])

@@ -334,6 +334,25 @@ def test_inconsistent_equalities_raise():
         solve(prog)
 
 
+def test_singular_reduced_matrix_takes_one_ridge():
+    # a zero matrix fails its LU, and the first ridge, 1e-12 (1 + tr/size),
+    # makes it nonsingular
+    diag = SolveDiagnostics(status="max_iter")
+    lu, piv = engine._factor(np.zeros((2, 2)), diag)
+    assert np.array_equal(lu, np.diag([1e-12, 1e-12]))
+    assert diag.factorizations == 2
+    assert diag.events == ["ridge 1.000e-12 at step 0"]
+
+
+def test_non_finite_reduced_matrix_breaks_down_after_14_factorizations():
+    diag = SolveDiagnostics(status="max_iter")
+    with pytest.raises(EngineError, match="factorization breakdown"):
+        engine._factor(np.full((2, 2), np.nan), diag)
+    assert diag.factorizations == 14
+    assert len(diag.events) == 13
+    assert all(e.startswith("ridge ") for e in diag.events)
+
+
 def test_eq_multipliers_follow_the_given_rows():
     # x1 + x2 + x3 = 3 stated twice and x1 - x3 = 0 once: one multiplier
     # per given row, 0 on the row dropped as dependent

@@ -39,3 +39,14 @@ def test_single_period_and_branch_bounds_are_valid():
     market = InstanceGenerator(seed=1, max_periods=1, min_branching=1,
                                max_branching=1).draw(0)
     assert market.tree.horizon == 1 and market.tree.n_leaves == 1
+
+
+def test_draw_feasible_gives_up_naming_the_index(monkeypatch):
+    from frictiondual import generate
+    from frictiondual.polytope import NoCpsError
+
+    tries = []
+    monkeypatch.setattr(generate, "strictly_consistent", lambda market: tries.append(1))
+    with pytest.raises(NoCpsError, match=r"after 64 tries at index 3$"):
+        InstanceGenerator(seed=1).draw_feasible(3)
+    assert len(tries) == generate.MAX_TRIES == 64

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from frictiondual.duality import (PrimalProgram, PrimalUnboundedError, compute_x0,
-                                 entropy_terms, solve_entropy_core, solve_report)
+                                 entropy_terms, solve_dual, solve_entropy_core,
+                                 solve_report)
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import (DualPolytope, PolytopeInfeasibleError, build_polytope,
+from frictiondual.polytope import (PolytopeInfeasibleError, build_polytope,
                                    martingale_point, max_expectation, super_hedge)
 from frictiondual.pricing import (
     indifference_price,
@@ -83,9 +84,9 @@ def test_risk_aversion_pushes_toward_lower_bound(two_period_market):
 
 
 def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
-    from frictiondual import engine, pricing
+    from frictiondual import engine, polytope, pricing
 
-    calls = {"report": 0, "lp": 0, "polytope": 0, "strict_point": 0}
+    calls = {"report": 0, "lp": 0, "polytope": 0, "martingale_point": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -93,15 +94,15 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # both reports run on one polytope from one strict point
+    # both reports run on one polytope, whose strict point is computed once
     monkeypatch.setattr(pricing, "_solve_report", counted("report", pricing._solve_report))
     monkeypatch.setattr(pricing, "build_polytope", counted("polytope", pricing.build_polytope))
-    monkeypatch.setattr(DualPolytope, "strict_point",
-                        counted("strict_point", DualPolytope.strict_point))
+    monkeypatch.setattr(polytope, "martingale_point",
+                        counted("martingale_point", polytope.martingale_point))
     monkeypatch.setattr(engine, "solve_lp", counted("lp", engine.solve_lp))
     gamma, x = 0.7, 1.0
     rep = indifference_price(two_period_market, gamma, x=x)
-    assert calls == {"report": 2, "lp": 0, "polytope": 1, "strict_point": 1}
+    assert calls == {"report": 2, "lp": 0, "polytope": 1, "martingale_point": 1}
     monkeypatch.undo()
     # the shared reports give the standalone routes' prices
     assert rep.p_primal == pytest.approx(price_primal(two_period_market, gamma, x), abs=1e-8)
@@ -121,7 +122,8 @@ def test_price_dual_warm_start_by_the_boundary():
     assert np.min(poly.G @ core_e.leaf_vars - poly.h) <= 0.0
     start = (1.0 - 1e-6) * core_e.leaf_vars + 1e-6 * poly.strict_point()
     assert 0.0 < np.min(poly.G @ start - poly.h) < 1e-5
-    core_0 = solve_entropy_core(market_0, 0.8, poly=poly, x0=start)
+    core_0 = solve_dual(market_0, UtilitySpec("exponential", gamma=0.8), 1.0, poly=poly,
+                        x0=start)
     ent_e, mean_e = entropy_terms(market, core_e.leaf_vars)
     ent_0, mean_0 = entropy_terms(market_0, core_0.leaf_vars)
     p = (ent_e / 0.8 + mean_e) - (ent_0 / 0.8 + mean_0)
@@ -150,7 +152,8 @@ def test_price_dual_runs_no_phase_one(seed, monkeypatch):
         markets = (market, market.with_endowment(np.zeros(market.tree.n_leaves)))
         _, witness = max_margin(poly)
         assert np.abs(witness - martingale_point(market)).max() > 1e-3
-        cores = [solve_entropy_core(m, gamma, poly=poly, x0=witness) for m in markets]
+        spec = UtilitySpec("exponential", gamma=gamma)
+        cores = [solve_dual(m, spec, 1.0, poly=poly, x0=witness) for m in markets]
         terms = [entropy_terms(m, c.leaf_vars) for m, c in zip(markets, cores)]
         want = sum(sign * (ent / gamma + mean)
                    for sign, (ent, mean) in zip((1.0, -1.0), terms))
@@ -358,6 +361,24 @@ def test_price_bounds_flat_zero_spread_market(monkeypatch):
     tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
     market = MarketSpec(tree, [100.0, 100.0, 100.0], 0.0, [1.0, 0.0])
     assert assert_bounds_match_lps(market, monkeypatch) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("e", [20.0, 50.0, 110.0])
+def test_zero_spread_trinomial_with_a_small_density_prices(e):
+    # 100 -> 110/100/90 at zero spread, with an unhedgeable endowment at the
+    # middle leaf: its dual density, 3.5e-9 to 1e-12, lies just above
+    # DENSITY_EPS, so Z1/Z0 there carries the rounding of the rows Z1 = S Z0
+    from frictiondual.shadow import construct_shadow
+
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree, [100.0, 110.0, 100.0, 90.0], 0.0, [0.0, e, 0.0])
+    rep = solve_report(market, UtilitySpec("exponential", gamma=1.0), 1.0)
+    assert np.array_equal(construct_shadow(market, rep.dual_system).value, market.ask_price)
+    price = indifference_price(market, 1.0, x=1.0)
+    routes = (price.p_primal, price.p_dual, price.p_shadow)
+    assert max(routes) - min(routes) <= 1e-5 * (1.0 + abs(price.p_primal))
+    assert price.lower_bound - 1e-8 <= min(routes)
+    assert max(routes) <= price.upper_bound + 1e-8
 
 
 def test_empty_polytope_is_infeasible_not_a_solver_failure():
