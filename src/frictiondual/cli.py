@@ -108,7 +108,7 @@ def cmd_shadow(args) -> int:
     fr = shadow_mod.solve_frictionless(shp.as_market(), spec, args.x, y=report.yhat)
     record = shadow_mod.verify_shadow(report, shp, fr)
     record["roundtrip"] = {
-        k: v for k, v in shadow_mod.shadow_from_dual_roundtrip(report, shp).items()
+        k: v for k, v in shadow_mod.shadow_from_dual_roundtrip(report, shp, fr).items()
         if k != "lifted_leaf_vars"
     }
     if args.csv:

@@ -184,11 +184,8 @@ class PrimalProgram:
     def at(self, x: float) -> ConvexProgram:
         """The engine's minimization at wealth ``x`` (:meth:`check` first),
         the exponential objective centered at :meth:`w_ref` to work at O(1)
-        scale.  The start is in closed form: for a half-line utility the
-        hedge, plus an equal buy and sell at each node whose spread costs at
-        most a third of ``x - x0`` on any path, with the claims another
-        third below the legs; for exponential utility 1e-3 traded each way
-        at each node, with the claims 1 below the legs."""
+        scale.  Its start, :meth:`start` at ``x``, is built only when the
+        barrier runs (:attr:`ConvexProgram.x0`)."""
         self.check(x)
         spec, off = self.spec, self.n_trades
         tree, endow = self.market.tree, self.market.endowment
@@ -215,14 +212,25 @@ class PrimalProgram:
                 return bool((-spec.gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX).all())
             return not positive_wealth or bool((x + v[off:] + endow > 0.0).all())
 
-        if positive_wealth:
+        return ConvexProgram(n=nv, objective=objective, G=self.G, h=h,
+                             in_domain=in_domain, x0=lambda: self.start(x))
+
+    def start(self, x: float) -> np.ndarray:
+        """The barrier's closed-form start at a wealth ``x`` that passes
+        :meth:`check`: for a half-line utility the hedge, plus an equal buy
+        and sell at each node whose spread costs at most a third of ``x -
+        x0`` on any path, with the claims another third below the legs; for
+        exponential utility 1e-3 traded each way at each node, with the
+        claims 1 below the legs."""
+        off, tree = self.n_trades, self.market.tree
+        if self.threshold is not None:
             v = self.point(self.hedge, np.zeros(tree.n_leaves))
             spare = (x - self.threshold) / 3.0
             if not self.frictionless:
                 # a matched buy and sell costs the spread, lam * ask, at each node
                 v[:off] += spare / float(np.max(-self.T0[:, :off].sum(axis=1)))
         else:
-            v = np.zeros(nv)
+            v = np.zeros(self.G.shape[1])
             if not self.frictionless:
                 v[:off] = 1e-3
             spare = 1.0
@@ -230,8 +238,7 @@ class PrimalProgram:
         # bid and ask agree at zero spread
         v[off:] = np.minimum(phi0 + self.market.bid_price[tree.leaves] * phi1,
                              phi0 + self.market.ask_price[tree.leaves] * phi1) - spare
-        return ConvexProgram(n=nv, objective=objective, G=self.G, h=h,
-                             in_domain=in_domain, x0=v)
+        return v
 
     def point(self, strategy: Strategy, claim: np.ndarray) -> np.ndarray:
         """The variables of ``strategy`` and ``claim``."""
@@ -288,7 +295,7 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     prices admit an arbitrage or the iterates diverge.  ``program``, the
     :class:`PrimalProgram` of ``market`` and ``spec``, saves laying the
     primal out (and finding a threshold) again.  With no ``x0`` the
-    barrier runs from the closed-form start (:meth:`PrimalProgram.at`).
+    barrier runs from the closed-form start (:meth:`PrimalProgram.start`).
 
     ``x0`` pairs a point, such as a nearby optimum's
     :meth:`PrimalProgram.point`, with row multipliers
@@ -299,19 +306,26 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     at the point pulled ``WARM_PULL`` of the way toward the closed-form
     start (Gondzio & Grothey, SIAM J. Optim. 13, 2003), or at the
     closed-form start when the pulled point is not strictly feasible,
-    logged in the events.  The diagnostics' ``start`` record says whether
-    that fallback ran (``rejected``) and what the face start did
-    (``face``: the engine's :attr:`SolveDiagnostics.face_start`, ``None``
-    without ``x0``).
+    logged in the events.  Neither start is built when the face start is
+    accepted.  The diagnostics' ``start`` record says whether that
+    fallback ran (``rejected``) and what the face start did (``face``: the
+    engine's :attr:`SolveDiagnostics.face_start`, ``None`` without ``x0``).
     """
     _check_wealth(x)
     primal = PrimalProgram.build(market, spec) if program is None else program
     prog = primal.at(x)
     rejected = False
     if x0 is not None:
-        pulled = (1.0 - WARM_PULL) * np.asarray(x0[0], float) + WARM_PULL * prog.x0
-        rejected = not (prog.in_domain(pulled) and np.all(prog.G @ pulled - prog.h > 0.0))
-        prog = replace(prog, x0=prog.x0 if rejected else pulled, face_start=x0)
+        point = np.asarray(x0[0], float)
+
+        def pulled_start():
+            nonlocal rejected
+            closed = primal.start(x)
+            pulled = (1.0 - WARM_PULL) * point + WARM_PULL * closed
+            rejected = not (prog.in_domain(pulled) and np.all(prog.G @ pulled - prog.h > 0.0))
+            return closed if rejected else pulled
+
+        prog = replace(prog, x0=pulled_start, face_start=x0)
     res = solve(prog)
     if res.status == "unbounded":
         raise PrimalUnboundedError(f"primal unbounded: {res.diagnostics.message}")
@@ -321,12 +335,10 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     strat, claim = primal.solution(res.x)
     value = float(market.tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
     diagnostics = res.diagnostics.to_dict()
-    face = res.diagnostics.face_start
-    rejected = rejected and not face["accepted"]
     if rejected:    # after the face start's event, which is the first
         diagnostics["events"].insert(1, "pulled start not strictly feasible: "
                                         "closed-form start")
-    diagnostics["start"] = {"rejected": rejected, "face": face}
+    diagnostics["start"] = {"rejected": rejected, "face": res.diagnostics.face_start}
     return PrimalSolution(value=value, strategy=strat, claim=claim, diagnostics=diagnostics)
 
 
@@ -342,14 +354,10 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
     def objective(z):
         t = y * z[:L]
         v_vals, v_g, v_h = ut.v_derivatives(spec, t)
-        val = float(prob @ (v_vals + t * endow))
-        g0 = prob * (y * v_g + y * endow)
-        h0 = prob * (y * y * v_h)
-        grad = np.zeros(nv)
-        grad[:L] = g0
-        hess = np.zeros(nv)
-        hess[:L] = h0
-        return val, grad, hess
+        grad, hess = np.zeros(nv), np.zeros(nv)     # the z1 half is 0
+        np.multiply(prob, y * v_g + y * endow, out=grad[:L])
+        np.multiply(prob, y * y * v_h, out=hess[:L])
+        return float(prob @ (v_vals + t * endow)), grad, hess
 
     def in_domain(z):
         return bool((z[:L] > 0.0).all())
@@ -392,11 +400,12 @@ def _solve_on_polytope(poly: DualPolytope, objective, in_domain, x0) -> SolveRes
     point, by default :meth:`DualPolytope.strict_point`, or a ``(point,
     multipliers)`` face start whose point starts the barrier should the
     engine reject it; optimal or raises."""
-    face_start, x0 = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
+    face_start, start = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
+    if start is None:
+        start = poly.strict_point()
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
-                         x0=poly.strict_point() if x0 is None else x0,
-                         face_start=face_start)
+                         x0=lambda: start, face_start=face_start)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:

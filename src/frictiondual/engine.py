@@ -18,12 +18,15 @@ LP oracles.
 
 The equality rows are split once per solve, by one pivoted QR, into a
 range and a null-space basis (:func:`_split_rows`, which also splits the
-faces of the active-face finish): the start is projected onto them, and
+faces of the active-face finish; a face with no active inequality row
+reuses the solve's own split): the start is projected onto them, and
 every Newton step lives in the null space, whose reduced matrix (size
 ``n - rank(A)``) is LU-factored once per iteration and reused by the
-predictor and the corrector.  Dense linear algebra throughout: problems
-here have at most a few thousand variables.  Everything is deterministic
-given its inputs.
+predictor and the corrector.  The ratio test that keeps slacks and
+multipliers positive (:func:`_boundary_step`) takes the step at the most
+negative ``dv/v``, the masked ratio's bits with one division per entry.
+Dense linear algebra throughout: problems here have at most a few
+thousand variables.  Everything is deterministic given its inputs.
 
 Each factorization and solve is one call of a LAPACK routine through
 scipy's low-level wrappers, never through ``scipy.linalg`` or
@@ -31,9 +34,12 @@ scipy's low-level wrappers, never through ``scipy.linalg`` or
 than the arithmetic on programs this small: ``dgeqp3`` and ``dorgqr``
 for the pivoted QR, ``dgetrf`` and ``dgetrs`` for the LU, ``dtrtrs`` for
 the triangular solves and ``dgelsd`` for the face finish's least
-squares.  The routines that take a workspace go through one layer,
-:func:`_lapack`, which asks for each routine's workspace once per shape
-of its arguments and caches the answer.  Every call gives the bits of
+squares.  The QR's ``R`` is ``dgeqp3``'s output as it stands: the
+triangular solves read its upper triangle and the rank test its
+diagonal, so its strict lower triangle, the Householder vectors, is
+never read or cleared.  The routines that take a workspace go through
+one layer, :func:`_lapack`, which asks for each routine's workspace once
+per shape of its arguments and caches the answer.  Every call gives the bits of
 the ``scipy.linalg`` or ``np.linalg`` function it replaces, since both
 run the same routine with the same workspace.
 """
@@ -41,7 +47,7 @@ run the same routine with the same workspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -78,18 +84,21 @@ class ConvexProgram:
     the Hessian's diagonal ``d``, the Hessian being ``diag(d)``.
     ``in_domain`` guards open objective domains during line search.
     Inequalities read ``G x - h >= 0``; ``G`` has at least one row.
-    ``x0`` is the barrier's start, strictly feasible once projected onto
-    ``A x = b``.  ``face_start`` pairs a point on or near the program's
-    optimal face, such as a nearby optimum, with one multiplier per row
-    of ``G`` (a dual optimum's, or zeros): :func:`solve` first finishes
-    it on its active face and runs the barrier only if that fails.
+    ``x0`` is a function of no arguments that returns the barrier's start,
+    strictly feasible once projected onto ``A x = b``: :func:`solve` calls
+    it only when the barrier runs, so a program whose face start is
+    accepted never builds its start.  ``face_start`` pairs a
+    point on or near the program's optimal face, such as a nearby optimum,
+    with one multiplier per row of ``G`` (a dual optimum's, or zeros):
+    :func:`solve` first finishes it on its active face and runs the
+    barrier only if that fails.
     """
 
     n: int
     objective: Callable[[np.ndarray], tuple]
     G: np.ndarray
     h: np.ndarray
-    x0: np.ndarray
+    x0: Callable[[], np.ndarray]
     A_eq: Optional[np.ndarray] = None
     b_eq: Optional[np.ndarray] = None
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
@@ -136,13 +145,17 @@ class SolveDiagnostics:
 
     @property
     def kkt_max(self) -> float:
-        return max(self.kkt_stationarity, self.kkt_feasibility,
-                   self.kkt_complementarity)
+        """The largest KKT residual, NaN when any is NaN."""
+        return _worst(self.kkt_stationarity, self.kkt_feasibility,
+                      self.kkt_complementarity)
 
     def to_dict(self) -> dict:
         """Every field but ``face_start``, in field order, lists copied."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "face_start"}
+        out = {k: getattr(self, k) for k in _DICT_KEYS}
         return {k: list(v) if isinstance(v, list) else v for k, v in out.items()}
+
+
+_DICT_KEYS = tuple(f.name for f in fields(SolveDiagnostics) if f.name != "face_start")
 
 
 @dataclass
@@ -163,20 +176,22 @@ def _row_rank_qr(M):
     linearly independent rows of ``M``, and ``M[piv[:rank]]^T =
     Q[:, :rank] R[:rank, :rank]``.  LAPACK's ``dgeqp3`` and ``dorgqr``,
     called as ``scipy.linalg.qr(M.T, mode="full", pivoting=True)`` calls
-    them, bit for bit, without its per-call wrapper cost."""
+    them, bit for bit, without its per-call wrapper cost.  ``R`` is
+    ``dgeqp3``'s output as it stands: its upper triangle is scipy's ``R``,
+    and its strict lower triangle, the Householder vectors, is read by no
+    caller."""
     a = M.T
     rows, cols = a.shape
     if a.size == 0:
         Q, R, piv = np.eye(rows), np.zeros((rows, cols)), np.arange(cols)
     else:
-        qr, piv, tau, _ = _lapack(dgeqp3, a)
+        R, piv, tau, _ = _lapack(dgeqp3, a)
         piv -= 1          # 1-based pivots
-        R = np.triu(qr)
         if rows < cols:
-            Q = _lapack(dorgqr, qr[:, :rows], tau, overwrite_a=1)[0]
+            Q = _lapack(dorgqr, R[:, :rows].copy(order="F"), tau, overwrite_a=1)[0]
         else:
-            full = np.empty((rows, rows))
-            full[:, :cols] = qr
+            full = np.empty((rows, rows), order="F")
+            full[:, :cols] = R
             Q = _lapack(dorgqr, full, tau, overwrite_a=1)[0]
     diag = np.abs(R.diagonal())
     tol = max(M.shape) * EPS * (diag.max() if diag.size else 0.0)
@@ -261,6 +276,11 @@ class _Equalities:
             return np.zeros(0)
         return -dtrtrs(self.R1.T, self.Y.T @ r, lower=1, trans=1)[0]
 
+    def as_face(self):
+        """This split as a face of :func:`_face_finish` with no inequality
+        row: its kept rows, in their order, are the rows given."""
+        return replace(self, rows=self.keep.size, keep=np.arange(self.keep.size))
+
     def per_given_row(self, nu):
         """``nu`` spread over the given rows, 0 on the dropped ones."""
         out = np.zeros(self.rows)
@@ -341,7 +361,7 @@ def solve(program: ConvexProgram) -> SolveResult:
     if m == 0:
         raise ValueError("ConvexProgram.G needs at least one inequality row")
     eq = _reduce_equalities(program.A_eq, program.b_eq)
-    A, b, Z = eq.A, eq.b, eq.Z
+    Z = eq.Z
     GZ = G if Z is None else G @ Z
     in_domain = program.in_domain or (lambda _x: True)
 
@@ -350,7 +370,7 @@ def solve(program: ConvexProgram) -> SolveResult:
         face = _face_start(program, eq, G, h, in_domain, diag)
         if face is not None:
             return face
-    x = eq.project(np.asarray(program.x0, dtype=float))
+    x = eq.project(np.asarray(program.x0(), dtype=float))
     if not (in_domain(x) and (G @ x - h > 0.0).all()):
         raise EngineError("start not strictly feasible")
     total_iters = 0
@@ -361,6 +381,7 @@ def solve(program: ConvexProgram) -> SolveResult:
 
     x_norm0 = 1.0 + math.sqrt(x @ x)
     fval, g, d = program.objective(x)
+    log_s = float(np.log(s).sum())     # the barrier term at x, carried with s
     while True:
         if total_iters >= DEFAULT_MAX_NEWTON:
             diag.message = "Newton iteration cap reached"
@@ -427,7 +448,7 @@ def solve(program: ConvexProgram) -> SolveResult:
                     diag.status = "optimal"
                     break
         t = min(1.0, 0.995 * _boundary_step(s, ds))
-        phi0 = fval - mu_t * float(np.log(s).sum())
+        phi0 = fval - mu_t * log_s
         ok = False
         for _ in range(80):
             xt = x + t * dx
@@ -435,7 +456,8 @@ def solve(program: ConvexProgram) -> SolveResult:
                 st = G @ xt - h
                 if (st > 0.0).all():
                     evaluation = program.objective(xt)
-                    phit = evaluation[0] - mu_t * float(np.log(st).sum())
+                    log_st = float(np.log(st).sum())
+                    phit = evaluation[0] - mu_t * log_st
                     if phit <= phi0 + ARMIJO_C * t * slope + 1e-14 * abs(phi0):
                         ok = True
                         break
@@ -444,7 +466,7 @@ def solve(program: ConvexProgram) -> SolveResult:
             diag.message = "line search stalled"
             diag.status = "optimal"
             break
-        x, s = xt, st
+        x, s, log_s = xt, st, log_st
         fval, g, d = evaluation
         lam = lam + min(1.0, 0.995 * _boundary_step(lam, dl)) * dl
         total_iters += 1
@@ -455,7 +477,7 @@ def solve(program: ConvexProgram) -> SolveResult:
             diag.message = "iterates diverging"
             break
 
-    x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, A, b, lam,
+    x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, eq, lam,
                            eq.multipliers(g - G.T @ lam),
                            None if diag.status == "unbounded" else in_domain)
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
@@ -520,25 +542,41 @@ def _plus_diag(M, d):
 
 
 def _boundary_step(v, dv):
-    """Largest ``t`` with ``v + t dv >= 0`` for ``v > 0`` (``inf`` if none)."""
-    ratio = np.divide(v, -dv, out=np.full(v.shape, np.inf), where=dv < 0.0)
-    return float(np.minimum.reduce(ratio, initial=np.inf))
+    """Largest ``t`` with ``v + t dv >= 0`` for ``v > 0`` (``inf`` if
+    none): ``min v_i / -dv_i`` over ``dv_i < 0``.
+
+    Rounding is monotone, so that ratio is the one at the most negative
+    ``dv_i / v_i`` when that minimum is not tied.  A minimum at or above
+    -0 leaves no ratio but those whose ``dv_i / v_i`` underflowed, which
+    overflow to ``inf``.  A tied or NaN minimum takes the masked formula
+    over every ``dv_i < 0``.  Either way the bits are the masked formula's."""
+    r = dv / v
+    if r.size:
+        i = r.argmin()
+        if r[i] >= 0.0:
+            return math.inf
+        if r[i] < 0.0 and np.count_nonzero(r == r[i]) == 1:
+            return float(v[i] / -dv[i])
+    neg = dv < 0.0
+    return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
 
 
-def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
+def _finalize(diag, program, x, evaluation, G, h, eq, lam, nu, in_domain):
     """Record the exit point ``x``, whose objective ``(f, g, d)`` is
     ``evaluation``, in ``diag``; with ``in_domain`` (the optimal and
     max_iter exits) first try :func:`_face_finish` and keep its point and
-    multipliers when their KKT residuals are no larger.  Returns the kept
-    ``(x, lam, nu)``."""
+    multipliers when their KKT residuals are no larger (a NaN residual
+    never is).  ``eq`` is the program's :class:`_Equalities`.  Returns the
+    kept ``(x, lam, nu)``."""
     fval, g, d = evaluation
+    A, b = eq.A, eq.b
     kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
     face = None if in_domain is None else \
-        _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain)[0]
+        _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain)[0]
     if face is not None:
         x_f, lam_f, nu_f, f_f, g_f, steps = face
         kkt_f = _kkt_residuals(g_f, x_f, G, h, A, b, lam_f, nu_f)
-        if max(kkt_f) <= max(kkt):
+        if _worst(*kkt_f) <= _worst(*kkt):
             x, lam, nu, fval, kkt = x_f, lam_f, nu_f, f_f, kkt_f
             diag.face_steps = steps
     diag.objective = float(fval)
@@ -548,25 +586,33 @@ def _finalize(diag, program, x, evaluation, G, h, A, b, lam, nu, in_domain):
 
 def _kkt_residuals(g, x, G, h, A, b, lam, nu):
     """Stationarity, feasibility and complementarity residuals of
-    ``(x, lam, nu)`` for objective gradient ``g``."""
+    ``(x, lam, nu)`` for objective gradient ``g``; NaN where a NaN enters."""
     r = g - G.T @ lam
     s = G @ x - h
-    feas = float(max(0.0, -(s.min() if s.size else 0.0)))
+    feas = _worst(0.0, float(-s.min())) if s.size else 0.0
     comp = float((lam * s).max()) if s.size else 0.0
     if A is not None:
         r += A.T @ nu
-        feas = max(feas, float(np.abs(A @ x - b).max()))
+        feas = _worst(feas, float(np.abs(A @ x - b).max()))
     return math.sqrt(r @ r) / (1.0 + math.sqrt(g @ g)), feas, comp
 
 
-def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
+def _worst(*values):
+    """The largest of ``values``, or NaN when one is NaN: ``max`` alone
+    keeps any NaN that is not its first argument out of its answer."""
+    return math.nan if any(v != v for v in values) else max(values)
+
+
+def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     """Barrier-free Newton steps on the active face of a point.
 
     Barrier points stop short of their optimal face, where the identities
     hold exactly, and a face start sits on a face that is optimal or
     nearly so.  Rows with slack <= 1e-7 (1 + |h| + |G||x|) are guessed
-    active and held as equalities with ``A``; one pivoted QR per active
-    set drops the dependent rows and spans the face.  Each round takes the
+    active and held as equalities with the rows of ``eq``, the program's
+    :class:`_Equalities`; one pivoted QR per active set drops the
+    dependent rows and spans the face, except that a face with no active
+    row is the program's own split, ``eq``.  Each round takes the
     Newton step of the quadratic model on the face by the null-space
     method (least squares on the reduced Hessian ``Z^T diag(d) Z``, so
     flat directions stay put).  The multipliers in hand (``lam``, ``nu``:
@@ -576,7 +622,8 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     negative multiplier leaves it, one row per face change (Goldfarb &
     Idnani, Math. Prog. 27, 1983), in place of the step; ``FINISH_ROUNDS``
     such rounds in a row end the finish, as does a step out of the
-    objective domain or one not half its predecessor.  A step below
+    objective domain, one not half its predecessor or one that is not
+    finite (a NaN step is the last, so it cannot loop).  A step below
     sqrt(eps) relative to the point in every component is the last: its
     multipliers certify the point it reaches to second order.  Crossover
     as in Mehrotra & Ye, Math. Prog. 62 (1993).
@@ -585,6 +632,7 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
     at the last step taken, or ``None`` when none was, and ``rounds``
     counts the rounds, steps and face changes alike.
     """
+    A, b = eq.A, eq.b
     (m, n), p = G.shape, 0 if A is None else A.shape[0]
     scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
     active = G @ x - h <= 1e-7 * scale
@@ -595,8 +643,12 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
         rounds += 1
         if face is None:
             rows = np.flatnonzero(active)
-            C = G[rows] if A is None else np.vstack([A, G[rows]])
-            face = _split_rows(C, h[rows] if A is None else np.concatenate([b, h[rows]]))
+            if not rows.size:
+                # the program's rows alone, all kept: no second split
+                C, face = (G[rows] if A is None else A), eq.as_face()
+            else:
+                C = G[rows] if A is None else np.vstack([A, G[rows]])
+                face = _split_rows(C, h[rows] if A is None else np.concatenate([b, h[rows]]))
             # Z spans the face directions, the identity on an empty face
             Z = np.eye(n) if face.Z is None else face.Z
         dx = face.step(x)
@@ -618,7 +670,7 @@ def _face_finish(program, x, g, d, G, h, A, b, lam, nu, in_domain):
             idle += 1
             continue
         size = math.sqrt(dx @ dx)
-        if not in_domain(x_t) or size > 0.5 * last:
+        if not (math.isfinite(size) and size <= 0.5 * last) or not in_domain(x_t):
             break
         x, lam, nu, last, idle = x_t, lam_t, w[:p], size, 0
         steps += 1
@@ -637,9 +689,10 @@ def _face_start(program, eq, G, h, in_domain, diag):
     point is accepted when its KKT residuals pass the barrier's own
     stopping test: stationarity, relative to ``1 + |g|``, and feasibility
     at most ``10 TOL``, and complementarity at most the floor weight
-    ``TOL / (10 m)``.  The outcome is recorded in ``diag.face_start`` and
-    logged as the first event.  A point without ``n`` entries, or
-    multipliers not one per row of ``G``, raise ``ValueError``.
+    ``TOL / (10 m)``; a NaN residual fails it.  The outcome is recorded
+    in ``diag.face_start`` and logged as the first event.  A point without
+    ``n`` entries, or multipliers not one per row of ``G``, raise
+    ``ValueError``.
     """
     x, lam = (np.asarray(v, dtype=float) for v in program.face_start)
     if x.shape != (program.n,) or lam.shape != (G.shape[0],):
@@ -649,7 +702,7 @@ def _face_start(program, eq, G, h, in_domain, diag):
     out, rounds = None, 0
     if in_domain(x):
         fval, g, d = program.objective(x)
-        out, rounds = _face_finish(program, x, g, d, G, h, A, b, lam,
+        out, rounds = _face_finish(program, x, g, d, G, h, eq, lam,
                                    np.zeros(0 if A is None else A.shape[0]), in_domain)
         reason = "no step on the face"
     else:
@@ -657,7 +710,8 @@ def _face_start(program, eq, G, h, in_domain, diag):
     if out is not None:
         x, lam, nu, fval, g, steps = out
         stat, feas, comp = kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
-        if max(stat, feas) > 10.0 * TOL or comp > TOL / (10.0 * G.shape[0]):
+        if not (stat <= 10.0 * TOL and feas <= 10.0 * TOL
+                and comp <= TOL / (10.0 * G.shape[0])):
             reason = (f"KKT residuals {stat:.1e}, {feas:.1e}, {comp:.1e} above "
                       "the barrier's stopping test")
         else:

@@ -255,25 +255,32 @@ def _band_price(market: MarketSpec) -> Optional[np.ndarray]:
 
     only_child = np.bincount(parent[1:], minlength=n) == 1
     pad = BAND_SHRINK * (hi - lo)
+    inner_lo, inner_hi = lo + pad, hi - pad
     price = np.empty(n)
     price[0] = 0.5 * (lo[0] + hi[0])
     for kids in tree.stages[1:]:
         par = parent[kids]
-        price[kids] = np.where(only_child[par], price[par],
-                               np.clip(price[par], lo[kids] + pad[kids], hi[kids] - pad[kids]))
-        move = price[kids] - price[par]
+        at_parent = price[par]
+        price[kids] = np.where(only_child[par], at_parent,
+                               np.minimum(np.maximum(at_parent, inner_lo[kids]), inner_hi[kids]))
+        move = price[kids] - at_parent
+        flat = move == 0.0
         rises, falls, has_flat = (np.zeros(n, dtype=bool) for _ in range(3))
         rises[par[move > 0.0]] = True
         falls[par[move < 0.0]] = True
-        has_flat[par[move == 0.0]] = True
-        for one_way, end, key in ((rises & ~falls, lo, lo[kids]),
-                                  (falls & ~rises, hi, -hi[kids])):
-            # first child per parent by key: its lowest lower (highest upper) end
-            order = np.lexsort((key, par))
+        has_flat[par[flat]] = True
+        for one_way, end, lower in ((rises & ~falls, lo, True), (falls & ~rises, hi, False)):
+            moving = one_way[par]
+            if not moving.any():
+                continue
+            # first child per parent by its lowest lower (highest upper) end
+            order = np.lexsort((end[kids] if lower else -end[kids], par))
+            head = np.ones(kids.size, dtype=bool)
+            head[1:] = par[order][1:] != par[order][:-1]
             first = np.zeros(kids.size, dtype=bool)
-            first[order[np.r_[True, par[order][1:] != par[order][:-1]]]] = True
-            pick = one_way[par] & np.where(has_flat[par], move == 0.0, first)
-            price[kids[pick]] = 0.5 * (end[kids[pick]] + price[par[pick]])
+            first[order[head]] = True
+            pick = moving & np.where(has_flat[par], flat, first)
+            price[kids[pick]] = 0.5 * (end[kids[pick]] + at_parent[pick])
     return price
 
 

@@ -16,6 +16,7 @@ at the optimum of the shadow market's own dual
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -92,12 +93,18 @@ class ShadowPrice:
 
 @dataclass
 class FrictionlessSolve:
-    """Optimal position and both values of the zero-spread problem."""
+    """Optimal position and both values of the zero-spread problem, the
+    dual's optimal leaf variables, and the market, utility and dual scale
+    they were solved at."""
 
     position: np.ndarray        # per node, holding carried out of the node
     value: float                # u(x; shadow)
     dual_value: float           # v(y; shadow)
+    dual_leaf_vars: np.ndarray  # the zero-spread dual's minimizer
     diagnostics: dict
+    market: MarketSpec          # the zero-spread market solved
+    utility: ut.UtilitySpec
+    y: float
 
 
 def construct_shadow(market: MarketSpec, dual_opt: PriceSystem) -> ShadowPrice:
@@ -159,7 +166,9 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
         position=primal.strategy.phi1.copy(),
         value=primal.value,
         dual_value=dual.value,
+        dual_leaf_vars=dual.leaf_vars,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
+        market=shadow_market, utility=spec, y=y,
     )
 
 
@@ -207,7 +216,8 @@ def verify_shadow(report: SolveReport, shadow: ShadowPrice,
     }
 
 
-def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict:
+def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice,
+                               frictionless: Optional[FrictionlessSolve] = None) -> dict:
     """Lift the frictionless dual minimizer back into the frictional cone.
 
     Solving the zero-spread dual on the shadow price at yhat and pairing
@@ -219,14 +229,26 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
     independently of that optimizer.  The shadow market carries the
     endowment of ``report.market`` (:meth:`ShadowPrice.as_market`), so the
     report of a zero-endowment market round-trips without one.
+
+    ``frictionless``, the :func:`solve_frictionless` of
+    ``shadow.as_market()`` under ``report.utility`` at ``y =
+    report.yhat``, has solved that very dual: its minimizer and value
+    are read from it, to the same bits, instead of solving it again.  A
+    solve of another price, endowment, utility or scale raises
+    ``ValueError``.
     """
     market = report.market
-    shadow_market = shadow.as_market()
-    dual = solve_dual(shadow_market, report.utility, report.yhat)
-    lifted = shadow.lift(dual.leaf_vars[:market.tree.n_leaves])
+    if frictionless is not None and not _solves_roundtrip_dual(frictionless, report, shadow):
+        raise ValueError("frictionless solve is not the roundtrip's zero-spread dual")
+    if frictionless is None:
+        dual = solve_dual(shadow.as_market(), report.utility, report.yhat)
+        leaf_vars, dual_value = dual.leaf_vars, dual.value
+    else:
+        leaf_vars, dual_value = frictionless.dual_leaf_vars, frictionless.dual_value
+    lifted = shadow.lift(leaf_vars[:market.tree.n_leaves])
     poly = build_polytope(market)
     violation = poly.max_violation(lifted)
-    value_gap = abs(dual.value - report.dual_value)
+    value_gap = abs(dual_value - report.dual_value)
     return {
         "polytope_violation": violation,
         "dual_value_gap": value_gap,
@@ -234,3 +256,14 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice) -> dict
         "member": bool(violation <= 1e-8),
         "matches_dual_value": bool(value_gap <= 1e-6 * (1.0 + abs(report.dual_value))),
     }
+
+
+def _solves_roundtrip_dual(frictionless: FrictionlessSolve, report: SolveReport,
+                           shadow: ShadowPrice) -> bool:
+    """Whether ``frictionless`` solved the zero-spread dual of
+    ``shadow.as_market()`` under ``report.utility`` at ``report.yhat``."""
+    solved = frictionless.market
+    return (frictionless.y == report.yhat and frictionless.utility == report.utility
+            and solved.lam == 0.0 and solved.tree is shadow.market.tree
+            and np.array_equal(solved.ask_price, shadow.value)
+            and np.array_equal(solved.endowment, shadow.market.endowment))

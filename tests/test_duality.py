@@ -372,8 +372,9 @@ def test_primal_program_raises_exactly_at_the_threshold():
             primal = PrimalProgram.build(market, spec)
             for x in (max(x0, 0.0) + 5.0, x0 + 0.5, x0 + 1e-3, x0 + 1e-6):
                 prog = primal.at(x)
-                assert np.all(prog.G @ prog.x0 - prog.h > 0.0), (i, x)
-                assert prog.in_domain(prog.x0)
+                start = prog.x0()
+                assert np.all(prog.G @ start - prog.h > 0.0), (i, x)
+                assert prog.in_domain(start)
             for x in (x0 + duality.THRESHOLD_MARGIN, x0, x0 - 1.0):
                 with pytest.raises(PrimalInfeasibleError, match=re.escape(f"threshold {x0}")):
                     primal.at(x)
@@ -494,7 +495,7 @@ def test_zero_spread_report_runs_no_lp(drift_binomial, spec, monkeypatch):
     starts, solve = [], duality.solve
 
     def spied(prog):
-        starts.append(prog.x0)
+        starts.append(prog.x0())
         return solve(prog)
 
     monkeypatch.setattr(duality, "solve", spied)
@@ -771,9 +772,9 @@ def _face_and_barrier_solves(market, spec, x, start):
     of ``start``, with the pair ``start`` as the face start and without
     one."""
     prog = PrimalProgram.build(market, spec).at(x)
-    pulled = (1.0 - duality.WARM_PULL) * start[0] + duality.WARM_PULL * prog.x0
-    return (engine.solve(replace(prog, x0=pulled, face_start=start)),
-            engine.solve(replace(prog, x0=pulled)))
+    pulled = (1.0 - duality.WARM_PULL) * start[0] + duality.WARM_PULL * prog.x0()
+    return (engine.solve(replace(prog, x0=lambda: pulled, face_start=start)),
+            engine.solve(replace(prog, x0=lambda: pulled)))
 
 
 def _assert_barrier_bits(res, barrier):
@@ -882,6 +883,56 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
         "pulled start not strictly feasible: closed-form start"]
     assert "phase_one_slack" not in d
     assert rep.value == pytest.approx(cold.value, rel=1e-10)
+
+
+def _count_starts(monkeypatch):
+    """The wealths at which :meth:`PrimalProgram.start` is built, in order."""
+    built, start = [], PrimalProgram.start
+
+    def counted(self, x):
+        built.append(x)
+        return start(self, x)
+
+    monkeypatch.setattr(PrimalProgram, "start", counted)
+    return built
+
+
+@pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
+def test_accepted_face_start_builds_no_start(spec, monkeypatch):
+    # the report's primal and verify_identities' two are face-started and
+    # accepted on seed 11's market 0: neither the closed-form start nor the
+    # pulled one is built; a cold solve builds the closed-form one once
+    market = InstanceGenerator(seed=11).draw_feasible(0)
+    x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
+    built = _count_starts(monkeypatch)
+    rep = solve_report(market, spec, x)
+    verify_identities(rep)
+    assert rep.diagnostics["primal"]["start"]["face"]["accepted"]
+    assert built == []
+    solve_primal(market, spec, x, program=rep.primal)
+    assert built == [x]
+
+
+def test_rejected_face_start_builds_its_start_once(monkeypatch):
+    # seed 11's market 5 under power(1/2): verify_identities' x - h primal
+    # starts outside the objective domain, so the barrier runs from the
+    # pulled start, built once, with the record and bits of the barrier
+    # solve from that point
+    market = InstanceGenerator(seed=11).draw_feasible(5)
+    spec = UtilitySpec("power", alpha=0.5)
+    x = max(compute_x0(market), 0.0) + 5.0
+    rep = solve_report(market, spec, x)
+    xh = x - duality.FD_STEP * (1.0 + abs(x))
+    start = (rep.primal.point(rep.strategy, rep.claim),
+             rep.primal.multipliers(xh, rep.yhat, rep.dual_system))
+    built = _count_starts(monkeypatch)
+    warm = solve_primal(market, spec, xh, x0=start, program=rep.primal)
+    assert built == [xh]
+    face = {"accepted": False, "rounds": 0, "reason": "start outside the objective domain"}
+    assert warm.diagnostics["start"] == {"rejected": False, "face": face}
+    res, barrier = _face_and_barrier_solves(market, spec, xh, start)
+    _assert_barrier_bits(res, barrier)
+    assert warm.claim.tobytes() == rep.primal.solution(res.x)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from frictiondual import duality, engine
-from frictiondual.duality import PrimalProgram, compute_x0, solve_primal, solve_report
+from frictiondual.duality import (PrimalProgram, compute_x0, solve_dual, solve_primal,
+                                  solve_report)
 from frictiondual.engine import (
     TOL,
     ConvexProgram,
@@ -18,6 +19,7 @@ from frictiondual.engine import (
     solve_lp,
 )
 from frictiondual.generate import InstanceGenerator
+from frictiondual.shadow import construct_shadow
 from frictiondual.utility import UtilitySpec
 from oracles import audit_derivatives
 
@@ -36,8 +38,8 @@ def quadratic(q, c):
 def linear_program(c, x0, **constraints):
     """``min c @ x`` as a smooth program for the barrier engine, started at ``x0``."""
     n = len(c)
-    return ConvexProgram(n=n, objective=quadratic(np.zeros(n), c), x0=np.asarray(x0, float),
-                         **constraints)
+    return ConvexProgram(n=n, objective=quadratic(np.zeros(n), c),
+                         x0=lambda: np.asarray(x0, float), **constraints)
 
 
 def test_equality_constrained_quadratic():
@@ -45,7 +47,7 @@ def test_equality_constrained_quadratic():
     # x >= -10 is inactive
     prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)),
                          A_eq=np.ones((1, 3)), b_eq=np.array([3.0]),
-                         G=np.eye(3), h=np.full(3, -10.0), x0=np.array([3.0, 0.0, 0.0]))
+                         G=np.eye(3), h=np.full(3, -10.0), x0=lambda: np.array([3.0, 0.0, 0.0]))
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, np.ones(3), atol=1e-9)
@@ -69,7 +71,7 @@ def _evaluated_points(prog):
 def test_objective_evaluated_once_per_point(two_period_market):
     # the accepted line-search trial and the exit point are not evaluated again
     programs = [ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
-                              G=np.array([[-1.0]]), h=np.array([-1.0]), x0=np.zeros(1))]
+                              G=np.array([[-1.0]]), h=np.array([-1.0]), x0=lambda: np.zeros(1))]
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
         programs.append(PrimalProgram.build(two_period_market, spec).at(6.0))
     for prog in programs:
@@ -81,7 +83,7 @@ def test_objective_evaluated_once_per_point(two_period_market):
 def test_inequality_active_at_optimum():
     # min (x-2)^2 with x <= 1  ->  x = 1
     prog = ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
-                         G=np.array([[-1.0]]), h=np.array([-1.0]), x0=np.zeros(1))
+                         G=np.array([[-1.0]]), h=np.array([-1.0]), x0=lambda: np.zeros(1))
     res = solve(prog)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-8)
@@ -140,7 +142,7 @@ def test_infeasible_raises_for_smooth_program():
     for x0 in ([-1.0], [0.0], [1.0]):
         prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
                              G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]),
-                             x0=np.array(x0))
+                             x0=lambda: np.array(x0))
         with pytest.raises(EngineError, match="start not strictly feasible"):
             solve(prog)
 
@@ -154,7 +156,7 @@ def test_open_domain_guard():
 
     prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.array([-10.0]),
                          in_domain=lambda x: x[0] > 0.0,
-                         x0=np.array([5.0]))
+                         x0=lambda: np.array([5.0]))
     res = solve(prog)
     assert res.status == "optimal"
     assert res.x[0] == pytest.approx(1.0, abs=1e-9)
@@ -190,7 +192,7 @@ def test_audit_derivatives_flags_wrong_hessian():
 
 def test_diagnostics_payload():
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
-                         G=np.eye(2), h=-np.ones(2), x0=np.full(2, 0.5))
+                         G=np.eye(2), h=-np.ones(2), x0=lambda: np.full(2, 0.5))
     res = solve(prog)
     d = res.diagnostics.to_dict()
     assert d["status"] == "optimal"
@@ -226,7 +228,7 @@ def test_variable_in_no_inequality_row():
     # x1 appears in no inequality, so the barrier is free along it;
     # min 0.5||x||^2 - x1 + 3 x2 s.t. x2 >= -1  ->  x = (1, -1)
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-1.0, 3.0]),
-                         G=np.array([[0.0, 1.0]]), h=np.array([-1.0]), x0=np.zeros(2))
+                         G=np.array([[0.0, 1.0]]), h=np.array([-1.0]), x0=lambda: np.zeros(2))
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, [1.0, -1.0], atol=1e-8)
@@ -239,7 +241,7 @@ def test_rejected_start_is_reported():
     def program(x0, **extra):
         return ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                              G=np.eye(2), h=-np.ones(2), A_eq=np.ones((1, 2)),
-                             b_eq=np.ones(1), x0=np.array(x0), **extra)
+                             b_eq=np.ones(1), x0=lambda: np.array(x0), **extra)
 
     res = solve(program([0.5, 0.5]))
     assert res.status == "optimal" and res.diagnostics.events == []
@@ -270,7 +272,7 @@ def test_face_finish_with_a_repeated_active_row():
     G = np.vstack([row, row, np.eye(2), -np.eye(2)])
     h = np.array([-2.0, -2.0, -5.0, -5.0, -5.0, -5.0])
     res = solve(ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
-                              G=G, h=h, x0=np.zeros(2)))
+                              G=G, h=h, x0=lambda: np.zeros(2)))
     assert res.status == "optimal"
     assert res.diagnostics.face_steps >= 1
     # on the face to rounding, where the barrier point stays ~2e-11 inside it
@@ -301,7 +303,7 @@ def test_vanishing_gradient_is_unbounded():
         return e, np.array([-e]), np.array([e])
 
     prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.zeros(1),
-                         x0=np.ones(1))
+                         x0=lambda: np.ones(1))
     res = solve(prog)
     assert res.status == "unbounded"
     assert res.diagnostics.message == "iterates diverging"
@@ -312,7 +314,7 @@ def test_start_at_the_optimum_is_certified():
     # the floor exit must return the multipliers it certified, not 1/s
     prog = ConvexProgram(n=2, objective=quadratic([1.0, 0.0], [-1.0, 0.0]),
                          G=np.vstack([np.eye(2), -np.eye(2)]),
-                         h=np.array([0.0, 0.0, -3.0, -3.0]), x0=np.array([1.0, 1.0]))
+                         h=np.array([0.0, 0.0, -3.0, -3.0]), x0=lambda: np.array([1.0, 1.0]))
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, [1.0, 1.0])
@@ -320,7 +322,7 @@ def test_start_at_the_optimum_is_certified():
 
 def test_program_without_inequality_rows_is_rejected():
     prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
-                         G=np.zeros((0, 1)), h=np.zeros(0), x0=np.zeros(1))
+                         G=np.zeros((0, 1)), h=np.zeros(0), x0=lambda: np.zeros(1))
     with pytest.raises(ValueError, match="inequality row"):
         solve(prog)
 
@@ -329,7 +331,7 @@ def test_inconsistent_equalities_raise():
     # x1 + x2 = 1 and 2 x1 + 2 x2 = 3 have no common point
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
                          A_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=np.array([1.0, 3.0]),
-                         G=np.eye(2), h=np.full(2, -10.0), x0=np.zeros(2))
+                         G=np.eye(2), h=np.full(2, -10.0), x0=lambda: np.zeros(2))
     with pytest.raises(InfeasibleProgramError, match="inconsistent"):
         solve(prog)
 
@@ -362,7 +364,7 @@ def test_eq_multipliers_follow_the_given_rows():
     h = np.array([0.0, 0.0, 0.0, -5.0, -5.0, -5.0])
     q, c = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, -2.0])
     res = solve(ConvexProgram(n=3, objective=quadratic(q, c), A_eq=A, b_eq=b, G=G, h=h,
-                              x0=np.ones(3)))
+                              x0=lambda: np.ones(3)))
     assert res.status == "optimal"
     nu = res.eq_multipliers
     assert nu.shape == (3,)
@@ -405,7 +407,7 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
                          A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
                          G=np.vstack([row, row, np.eye(2)]), h=np.array([-2.0, -2.0, -5.0, -5.0]),
-                         x0=np.zeros(2), face_start=(np.array([0.9, 0.9]), np.zeros(4)))
+                         x0=lambda: np.zeros(2), face_start=(np.array([0.9, 0.9]), np.zeros(4)))
     res = solve(prog)
     d = res.diagnostics
     assert d.face_start == {"accepted": True, "rounds": d.face_start["rounds"], "reason": None}
@@ -427,7 +429,7 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
 def test_face_start_of_the_wrong_shape_is_rejected(point, multipliers):
     # three variables and three rows x >= -1: the pair needs 3 and 3 entries
     prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)), G=np.eye(3),
-                         h=-np.ones(3), x0=np.zeros(3), face_start=(point, multipliers))
+                         h=-np.ones(3), x0=lambda: np.zeros(3), face_start=(point, multipliers))
     with pytest.raises(ValueError, match="face start needs a point of 3 entries and 3 multipliers"):
         solve(prog)
     assert solve(replace(prog, face_start=(np.zeros(3), np.zeros(3)))).status == "optimal"
@@ -437,7 +439,7 @@ def test_pinned_program_takes_no_step():
     # x1 + x2 = 2 and x1 - x2 = 0 pin x = (1, 1) inside x >= 0
     prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [1.0, -3.0]),
                          A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=np.array([2.0, 0.0]),
-                         G=np.eye(2), h=np.zeros(2), x0=np.array([3.0, 0.5]))
+                         G=np.eye(2), h=np.zeros(2), x0=lambda: np.array([3.0, 0.5]))
     res = solve(prog)
     assert res.status == "optimal"
     assert np.allclose(res.x, [1.0, 1.0], atol=1e-14)
@@ -506,6 +508,44 @@ def test_boundary_step_matches_the_masked_formula():
     assert engine._boundary_step(np.ones(3), np.zeros(3)) == np.inf
 
 
+def _tied_pair(rng):
+    """Two entries whose ``dv/v`` round to the same value but whose
+    ``v/-dv`` do not: the second ``v`` a few ulps above the first."""
+    while True:
+        v, dv = rng.uniform(0.1, 10.0), -rng.uniform(0.1, 10.0)
+        w = v
+        for _ in range(4):
+            w = np.nextafter(w, np.inf)
+            if dv / w == dv / v and w / -dv != v / -dv:
+                return np.array([v, w]), np.array([dv, dv])
+
+
+def test_boundary_step_on_ties_of_the_ratio():
+    # the step is read at the argmin of dv/v; where that minimum is tied,
+    # by rounding or exactly, or NaN, it must still be the masked formula's
+    rng = np.random.default_rng(17)
+    cases = []
+    for _ in range(20):
+        # the tied pair's dv/v, at most -0.01, is the minimum
+        (v1, v2), (dv1, dv2) = _tied_pair(rng)
+        noise_v, noise_dv = rng.uniform(1.0, 10.0, 4), rng.uniform(-1e-3, 1.0, 4)
+        for order in ([v1, v2], [v2, v1]):
+            cases.append((np.r_[noise_v[:2], order, noise_v[2:]],
+                          np.r_[noise_dv[:2], dv1, dv2, noise_dv[2:]]))
+    # exact ties, equal ratios; ties at -inf (dv/v overflows) with
+    # different ratios; ties at -0 (dv/v underflows, the ratio overflows);
+    # a NaN step ignored, and one in v that the ratio keeps
+    cases += [(np.array([1.0, 2.0, 3.0]), np.array([-1.0, -2.0, 0.5])),
+              (np.array([1e-300, 2e-300, 1.0]), np.array([-1e10, -1e10, -1.0])),
+              (np.array([1e300, 2e300]), np.array([-1e-300, -1e-300])),
+              (np.array([1.0, 2.0]), np.array([np.nan, -1.0])),
+              (np.array([np.nan, 2.0]), np.array([-1.0, -1.0]))]
+    with np.errstate(over="ignore"):
+        for v, dv in cases:
+            got, want = engine._boundary_step(v, dv), _boundary_step_reference(v, dv)
+            assert got == want or (np.isnan(got) and np.isnan(want)), (v, dv)
+
+
 def test_lapack_qr_and_triangular_solves_match_scipy_bitwise():
     # the engine calls dgeqp3/dorgqr and dtrtrs directly; they must give
     # the bits scipy.linalg.qr and solve_triangular give
@@ -518,8 +558,9 @@ def test_lapack_qr_and_triangular_solves_match_scipy_bitwise():
                 M[-1] = 2.0 * M[0]          # a dependent row
             (Q, R, piv), k = engine._row_rank_qr(M)
             if M.size:
+                # R's strict lower triangle, which no caller reads, is not cleared
                 want = scipy.linalg.qr(M.T, mode="full", pivoting=True)
-                assert all(np.array_equal(a, b) for a, b in zip((Q, R, piv), want))
+                assert all(np.array_equal(a, b) for a, b in zip((Q, np.triu(R), piv), want))
             assert k == (np.linalg.matrix_rank(M) if M.size else 0)
             if not k:
                 continue
@@ -527,9 +568,10 @@ def test_lapack_qr_and_triangular_solves_match_scipy_bitwise():
             # step and R1 v = Y^T r for its multipliers
             eq = engine._split_rows(M, rng.standard_normal(rows))
             x, r = rng.standard_normal(cols), rng.standard_normal(cols)
-            v = scipy.linalg.solve_triangular(eq.R1, eq.b - eq.A @ x, trans=1)
+            R1 = np.triu(eq.R1)             # as scipy.linalg.qr gives it
+            v = scipy.linalg.solve_triangular(R1, eq.b - eq.A @ x, trans=1)
             assert np.array_equal(eq.step(x), eq.Y @ v)
-            v = scipy.linalg.solve_triangular(eq.R1, eq.Y.T @ r)
+            v = scipy.linalg.solve_triangular(R1, eq.Y.T @ r)
             assert np.array_equal(eq.multipliers(r), -v)
 
 
@@ -546,7 +588,7 @@ def test_cached_qr_workspace_matches_scipy_on_repeated_and_interleaved_shapes():
         M = rng.standard_normal((rows, cols))
         (Q, R, piv), k = engine._row_rank_qr(M)
         want = scipy.linalg.qr(M.T, mode="full", pivoting=True)
-        assert all(np.array_equal(a, b) for a, b in zip((Q, R, piv), want))
+        assert all(np.array_equal(a, b) for a, b in zip((Q, np.triu(R), piv), want))
         assert k == min(rows, cols)
     # one dgeqp3 and one dorgqr query per shape, each made once
     assert engine._workspace.cache_info().misses == 2 * (len(shapes) + 1)
@@ -582,3 +624,81 @@ def test_least_squares_matches_numpy_lstsq_bitwise(case):
         r = rng.standard_normal(k)
         assert np.array_equal(engine._least_squares(M, r),
                               np.linalg.lstsq(M, r, rcond=None)[0])
+
+
+def test_zero_spread_finish_reuses_the_solve_split(monkeypatch):
+    # on the zero-spread shadow duals no positivity row is active at the
+    # optimum, so the face finish steps on the solve's own split of the
+    # equality rows; a fresh pivoted QR of those rows, as it took before,
+    # gives the same point to rounding
+    exp1 = UtilitySpec("exponential", gamma=1.0)
+    as_face = engine._Equalities.as_face
+    for i in (4, 5, 9):
+        market = InstanceGenerator(seed=11).draw_feasible(i)
+        rep = solve_report(market, exp1, 1.0)
+        shadow_market = construct_shadow(market, rep.dual_system).as_market()
+        faces = []
+        monkeypatch.setattr(engine._Equalities, "as_face",
+                            lambda self: faces.append(self) or as_face(self))
+        reused = solve_dual(shadow_market, exp1, rep.yhat)
+        assert faces and faces[0].A is not None
+        monkeypatch.setattr(engine._Equalities, "as_face",
+                            lambda self: engine._split_rows(self.A, self.b))
+        fresh = solve_dual(shadow_market, exp1, rep.yhat)
+        assert reused.diagnostics["newton_iterations"] == fresh.diagnostics["newton_iterations"]
+        assert reused.diagnostics["face_steps"] == fresh.diagnostics["face_steps"] > 0
+        scale = np.abs(fresh.leaf_vars).max()
+        assert np.abs(reused.leaf_vars - fresh.leaf_vars).max() <= 5e-14 * scale, i
+        assert abs(reused.value - fresh.value) <= 1e-14 * (1.0 + abs(fresh.value)), i
+
+
+def test_face_start_with_a_nan_gradient_is_rejected():
+    # min |x - 1|^2 over x >= 0, face-started at its optimum (1, 1), where
+    # the gradient is NaN: the finish's first step is NaN, which ends it
+    # (it looped forever: no exit test holds for NaN), the start is
+    # rejected and the barrier, from (2, 2), is optimal.  The objective
+    # raises past 1000 calls, so a hang fails fast
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("face finish did not stop")
+        r = x - 1.0
+        g = np.full(2, np.nan) if np.array_equal(x, np.ones(2)) else 2.0 * r
+        return float(r @ r), g, np.full(2, 2.0)
+
+    prog = ConvexProgram(n=2, objective=objective, G=np.eye(2), h=np.zeros(2),
+                         x0=lambda: np.full(2, 2.0), face_start=(np.ones(2), np.zeros(2)))
+    res = solve(prog)
+    assert res.diagnostics.face_start == {"accepted": False, "rounds": 1,
+                                          "reason": "no step on the face"}
+    assert res.status == "optimal"
+    assert np.all(np.abs(res.x - 1.0) <= 1e-6)
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("slot", ["kkt_stationarity", "kkt_feasibility",
+                                  "kkt_complementarity"])
+def test_a_nan_residual_is_the_largest(slot):
+    # max() keeps a NaN only as its first argument; kkt_max, and so the
+    # certification and the face start's acceptance, must see it anywhere
+    diag = SolveDiagnostics(status="optimal", kkt_stationarity=0.0, kkt_feasibility=0.0,
+                            kkt_complementarity=0.0)
+    assert diag.kkt_max == 0.0
+    setattr(diag, slot, float("nan"))
+    assert np.isnan(diag.kkt_max)
+
+
+def test_kkt_residuals_at_nan_slacks_and_rows():
+    # feasibility is NaN, not 0, where a slack or an equality row is NaN
+    G, h, lam = np.eye(2), np.zeros(2), np.ones(2)
+    A, b, nu = np.array([[1.0, 1.0]]), np.array([2.0]), np.zeros(1)
+    g = np.ones(2)
+    assert engine._kkt_residuals(g, np.ones(2), G, h, A, b, lam, nu)[1] == 0.0
+    assert engine._kkt_residuals(g, np.array([-0.5, 2.5]), G, h, A, b, lam, nu)[1] == 0.5
+    feas = engine._kkt_residuals(g, np.array([np.nan, 1.0]), G, h, None, None, lam, nu)[1]
+    assert np.isnan(feas)
+    # a finite slack with a NaN equality row, via a NaN right-hand side
+    feas = engine._kkt_residuals(g, np.ones(2), G, h, A, np.array([np.nan]), lam, nu)[1]
+    assert np.isnan(feas)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frictiondual import polytope
 from frictiondual.polytope import (
     CPS_MARGIN,
     DENSITY_EPS,
@@ -232,6 +233,61 @@ def test_martingale_point_at_zero_spread_is_unchanged(martingale_binomial):
             assert got.tobytes() == want.tobytes()
             found += 1
     assert 0 < found < len(markets)
+
+
+def band_price_reference(market):
+    """The band price as first written, with ``np.clip``, ``np.r_`` and
+    a first-child search at every stage: the bitwise reference of
+    ``polytope._band_price``."""
+    tree = market.tree
+    parent, n = tree.parent, tree.n_nodes
+    lo, hi = polytope._band_intervals(market, 0.0)
+    if np.any(lo >= hi):
+        return None
+    only_child = np.bincount(parent[1:], minlength=n) == 1
+    pad = polytope.BAND_SHRINK * (hi - lo)
+    price = np.empty(n)
+    price[0] = 0.5 * (lo[0] + hi[0])
+    for kids in tree.stages[1:]:
+        par = parent[kids]
+        price[kids] = np.where(only_child[par], price[par],
+                               np.clip(price[par], lo[kids] + pad[kids], hi[kids] - pad[kids]))
+        move = price[kids] - price[par]
+        rises, falls, has_flat = (np.zeros(n, dtype=bool) for _ in range(3))
+        rises[par[move > 0.0]] = True
+        falls[par[move < 0.0]] = True
+        has_flat[par[move == 0.0]] = True
+        for one_way, end, key in ((rises & ~falls, lo, lo[kids]),
+                                  (falls & ~rises, hi, -hi[kids])):
+            order = np.lexsort((key, par))
+            first = np.zeros(kids.size, dtype=bool)
+            first[order[np.r_[True, par[order][1:] != par[order][:-1]]]] = True
+            pick = one_way[par] & np.where(has_flat[par], move == 0.0, first)
+            price[kids[pick]] = 0.5 * (end[kids[pick]] + price[par[pick]])
+    return price
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+def test_band_price_is_unchanged(seed, monkeypatch):
+    # the band price skips the first-child search at stages where no
+    # parent's children all move one way; every price keeps its bits,
+    # with the search run on some markets and skipped on others
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda *args: sorts.append(1) or lexsort(*args))
+    gen = InstanceGenerator(seed=seed)
+    markets = [gen.draw(i) for i in range(300)] + [gen.draw_feasible(i) for i in range(20)]
+    searched = found = 0
+    for market in markets:
+        before = len(sorts)
+        got = polytope._band_price(market)
+        searched += len(sorts) > before
+        want = band_price_reference(market)
+        assert (got is None) == (want is None)
+        if want is None:
+            continue
+        assert got.tobytes() == want.tobytes()
+        found += 1
+    assert found >= 100 and 0 < searched < found
 
 
 @pytest.mark.parametrize("seed", [11, 2026, 3])

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from frictiondual import shadow as shadow_mod
+from frictiondual.cli import main
 from frictiondual.duality import (EXP_ARG_MAX, PrimalProgram, compute_x0, solve_primal,
                                  solve_report)
 from frictiondual.generate import InstanceGenerator
@@ -16,7 +18,7 @@ from frictiondual.shadow import (
     solve_frictionless,
     verify_shadow,
 )
-from frictiondual.tree import EventTree, MarketSpec
+from frictiondual.tree import EventTree, MarketSpec, save_market
 from frictiondual.utility import UtilitySpec
 
 EXP1 = UtilitySpec("exponential", gamma=1.0)
@@ -124,6 +126,54 @@ def test_roundtrip_back_into_cone(two_period_market):
     assert rec["matches_dual_value"]
     assert rec["polytope_violation"] <= 1e-8
     assert rec["dual_value_gap"] <= 1e-6 * (1 + abs(rep.dual_value))
+
+
+@pytest.mark.parametrize("spec", [EXP1, LOG], ids=["exp", "log"])
+def test_roundtrip_reads_the_frictionless_dual(spec, monkeypatch):
+    # handed the frictionless solve of the same shadow market, the
+    # roundtrip reads its zero-spread dual instead of solving it again:
+    # the record is bit for bit the one it solves for itself
+    calls, solve_dual = [], shadow_mod.solve_dual
+    monkeypatch.setattr(shadow_mod, "solve_dual",
+                        lambda *args, **kw: calls.append(1) or solve_dual(*args, **kw))
+    gen = InstanceGenerator(seed=11)
+    for i in range(4):
+        market = gen.draw_feasible(i)
+        x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
+        rep = solve_report(market, spec, x)
+        sh = construct_shadow(market, rep.dual_system)
+        fr = solve_frictionless(sh.as_market(), spec, x, y=rep.yhat)
+        want = shadow_from_dual_roundtrip(rep, sh)
+        calls.clear()
+        got = shadow_from_dual_roundtrip(rep, sh, fr)
+        assert calls == []
+        assert got["lifted_leaf_vars"].tobytes() == want["lifted_leaf_vars"].tobytes()
+        for key in ("polytope_violation", "dual_value_gap"):
+            assert got[key].hex() == want[key].hex(), (i, key)
+        assert got == {**want, "lifted_leaf_vars": got["lifted_leaf_vars"]}
+
+
+def test_roundtrip_refuses_the_frictionless_solve_of_another_dual(two_period_market):
+    # the record read from a frictionless solve holds only for the dual
+    # the roundtrip would solve: the same shadow price, utility and yhat
+    rep, sh, fr = shadow_pipeline(two_period_market, EXP1, 1.0)
+    other = solve_frictionless(sh.as_market(), EXP1, 1.0, y=2.0 * rep.yhat)
+    moved = replace(sh, value=sh.value * (1.0 + 1e-3))
+    for args in ((rep, sh, other), (rep, moved, fr),
+                 (replace(rep, utility=UtilitySpec("exponential", gamma=2.0)), sh, fr)):
+        with pytest.raises(ValueError, match="not the roundtrip's zero-spread dual"):
+            shadow_from_dual_roundtrip(*args)
+
+
+def test_shadow_command_solves_one_zero_spread_dual(two_period_market, tmp_path, monkeypatch):
+    # the CLI hands its frictionless solve to the roundtrip
+    path = str(tmp_path / "market.json")
+    save_market(two_period_market, path)
+    calls, solve_dual = [], shadow_mod.solve_dual
+    monkeypatch.setattr(shadow_mod, "solve_dual",
+                        lambda *args, **kw: calls.append(args[0].lam) or solve_dual(*args, **kw))
+    assert main(["shadow", "--market", path, "--utility", "exp:gamma=1", "--x", "1"]) == 0
+    assert calls == [0.0]
 
 
 def test_log_utility_pipeline(two_period_market):
@@ -237,9 +287,10 @@ def test_exponential_line_search_never_overflows():
     assert abs(cold.value - rep.value) <= 1e-6 * (1.0 + abs(rep.value))
     # the guard itself, which this line search does not reach
     prog = PrimalProgram.build(sh.as_market(), EXP1).at(1.0)
-    far = prog.x0.copy()
+    start = prog.x0()
+    far = start.copy()
     far[-market.tree.n_leaves:] -= 2.0 * EXP_ARG_MAX
-    assert prog.in_domain(prog.x0) and not prog.in_domain(far)
+    assert prog.in_domain(start) and not prog.in_domain(far)
 
 
 @pytest.mark.parametrize("spec, indices", [(EXP1, range(10)), (LOG, (0, 5, 9))],
