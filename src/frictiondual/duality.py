@@ -10,6 +10,15 @@ the residuals of the optimizer identities linking them.  One object,
 solve given no start begins at its polytope's strictly consistent price
 system (:meth:`DualPolytope.strict_point`), which raises
 :class:`NoCpsError` when the market has none.
+
+A report (:func:`solve_report`) runs one barrier and starts the other
+side at its optimum, through the KKT map between the dual optimizer
+``yhat Z0`` and the primal's multipliers.  For exponential utility the
+barrier runs on the unit-scale dual and the primal starts at the dual
+optimum (:func:`solve_primal_from_dual`).  For log and power it runs on
+the primal, whose closed-form start is at the problem's scale ``x -
+x0``, and the scaled-cone dual starts at the primal optimum
+(:meth:`PrimalProgram.dual_start`).
 """
 
 from __future__ import annotations
@@ -49,9 +58,14 @@ def _check_wealth(x: float) -> None:
 
 @dataclass
 class PrimalSolution:
+    """The optimum: its value, netted strategy and claim, and the engine's
+    row multipliers there (one per row of :attr:`PrimalProgram.G`), from
+    which :meth:`PrimalProgram.dual_start` reads the dual optimum."""
+
     value: float
     strategy: Strategy
     claim: np.ndarray
+    multipliers: np.ndarray
     diagnostics: dict
 
 
@@ -271,6 +285,34 @@ class PrimalProgram:
             rows.append(np.zeros(tree.n_leaves))
         return np.maximum(np.concatenate(rows), 0.0)     # not below 0 by rounding
 
+    def dual_start(self, strategy: Strategy, lam: np.ndarray) -> tuple:
+        """The face start of the scaled-cone dual (:func:`minimize_v_plus_xy`)
+        read off a primal optimum: its netted ``strategy`` and row
+        multipliers ``lam``, by the KKT correspondence of :meth:`multipliers`
+        read the other way.  The point: leaf ``l``'s legs, bid ``b_l`` and
+        ask ``a_l``, give ``W0_l = (b_l + a_l)/p_l`` and ``W1_l = (bid_l
+        b_l + ask_l a_l)/p_l`` (at zero spread its one leg, and ``W1 = S
+        W0``).  The multipliers: ``P(n) sell_n`` on node ``n``'s lower band
+        row and ``P(n) buy_n`` on its upper one, a leaf trading its
+        liquidation, and 0 on the positivity rows (all of them at zero
+        spread, where the band rows are equalities)."""
+        market, tree = self.market, self.market.tree
+        L, prob = tree.n_leaves, tree.leaf_prob
+        if self.frictionless:
+            w0 = lam[:L] / prob
+            return np.concatenate([w0, market.ask_price[tree.leaves] * w0]), np.zeros(2 * L)
+        bid_leg, ask_leg = lam[0:2 * L:2], lam[1:2 * L:2]
+        w0 = (bid_leg + ask_leg) / prob
+        w1 = (market.bid_price[tree.leaves] * bid_leg
+              + market.ask_price[tree.leaves] * ask_leg) / prob
+        buy, sell = strategy.buy.copy(), strategy.sell.copy()
+        held = strategy.phi1[tree.leaves]
+        buy[tree.leaves], sell[tree.leaves] = np.maximum(-held, 0.0), np.maximum(held, 0.0)
+        rows = np.zeros(2 * (tree.n_nodes + L))
+        rows[0:2 * tree.n_nodes:2] = tree.node_prob * sell
+        rows[1:2 * tree.n_nodes:2] = tree.node_prob * buy
+        return np.concatenate([w0, w1]), rows
+
     def solution(self, v: np.ndarray) -> tuple:
         """``(strategy, claim)`` at the engine's point ``v``: the netted
         strategy of its trades, from zero cash, and its claim."""
@@ -339,7 +381,8 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         diagnostics["events"].insert(1, "pulled start not strictly feasible: "
                                         "closed-form start")
     diagnostics["start"] = {"rejected": rejected, "face": res.diagnostics.face_start}
-    return PrimalSolution(value=value, strategy=strat, claim=claim, diagnostics=diagnostics)
+    return PrimalSolution(value=value, strategy=strat, claim=claim,
+                          multipliers=res.ineq_multipliers, diagnostics=diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +433,18 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
         poly = build_polytope(market)
     scale = 1.0 if spec.family == "exponential" else y
     objective = _dual_objective(poly, spec, scale, market.endowment, market.tree.leaf_prob)
-    res = _solve_on_polytope(poly, *objective, x0)
+    face_start, start = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
+    res = _solve_on_polytope(poly, *objective, start, face_start)
     dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res)
     return dual if scale == y else _exponential_at(market, spec, dual, y)
 
 
-def _solve_on_polytope(poly: DualPolytope, objective, in_domain, x0) -> SolveResult:
-    """Engine solve over the constraints of ``poly`` from ``x0``: a
-    point, by default :meth:`DualPolytope.strict_point`, or a ``(point,
-    multipliers)`` face start whose point starts the barrier should the
-    engine reject it; optimal or raises."""
-    face_start, start = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
+def _solve_on_polytope(poly: DualPolytope, objective, in_domain, start,
+                       face_start=None) -> SolveResult:
+    """Engine solve over the constraints of ``poly``, its barrier from
+    ``start``, by default :meth:`DualPolytope.strict_point`, and first
+    from the ``(point, multipliers)`` pair ``face_start`` if one is given
+    (:attr:`ConvexProgram.face_start`); optimal or raises."""
     if start is None:
         start = poly.strict_point()
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
@@ -458,16 +502,23 @@ def entropy_terms(market: MarketSpec, leaf_vars: np.ndarray) -> tuple:
 
 
 def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                       poly: Optional[DualPolytope] = None):
+                       poly: Optional[DualPolytope] = None, face_start=None):
     """Solve inf_y {v(y) + x y}; returns (yhat, value, DualSolution at yhat).
 
     Over the cone of scaled price systems ``W = y Z`` this is one convex
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
-    The cone solve starts at ``W`` equal to the polytope's
+    The cone solve's barrier starts at ``W`` equal to the polytope's
     :meth:`DualPolytope.strict_point`.  The engine's active-face finish
     puts ``W`` on its optimal face, where the degenerate band rows hold
     exactly.  The residual |v'(yhat) + x| must end below 1e-8 * (1 + |x|).
+
+    ``face_start``, a ``(W, multipliers)`` pair such as a primal optimum's
+    :meth:`PrimalProgram.dual_start`, is the engine's face start: finished
+    on its face, it takes no barrier step.  When the engine rejects it,
+    the barrier runs from the strict point as if it had not been given.
+    The diagnostics' ``start`` record then holds the engine's ``face``
+    record and the ``fallback``, ``"cold cone solve"`` or ``None``.
     """
     _check_wealth(x)
     if poly is None:
@@ -476,10 +527,13 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
     objective, in_domain = _dual_objective(poly, spec, 1.0, x + market.endowment, prob)
     # the cone keeps no strict point of its own: start at the polytope's
-    res = _solve_on_polytope(cone, objective, in_domain, poly.strict_point())
+    res = _solve_on_polytope(cone, objective, in_domain, poly.strict_point(), face_start)
     value = res.diagnostics.objective
     yhat = float(prob @ res.x[:market.tree.n_leaves])
     sol = _dual_solution(market, poly, spec, yhat, res.x / yhat, value - x * yhat, res)
+    if face_start is not None:
+        face = res.diagnostics.face_start
+        sol.diagnostics["start"]["fallback"] = None if face["accepted"] else "cold cone solve"
     resid = abs(sol.derivative + x)
     if resid > YHAT_RTOL * (1.0 + abs(x)):
         raise EngineError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
@@ -500,27 +554,33 @@ def compute_x0(market: MarketSpec) -> float:
 def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
-    Every start is in closed form.  The dual starts at a strictly
-    consistent price system (:meth:`DualPolytope.strict_point`), or raises
+    Every cold start is in closed form.  The dual polytope's strictly
+    consistent price system (:meth:`DualPolytope.strict_point`) is asked
+    for first, with no LP, so a market with none raises
     :class:`NoCpsError` (at zero spread, :class:`PolytopeInfeasibleError`)
-    where there is none, with no LP.  That point is asked for first, so
-    exponential utility reports an empty zero-spread polytope the same
-    way, where its primal would diverge.
-    The primal (:class:`PrimalProgram`) is built once, before any solve,
-    and kept in the report for :func:`verify_identities`; a half-line
-    ``x`` within ``THRESHOLD_MARGIN`` of its threshold ``x0 = sup
-    E[-Z0 e]`` raises :class:`PrimalInfeasibleError` naming it.
+    before any solve, also where an exponential primal would diverge.
+    The primal (:class:`PrimalProgram`) is built next, once, and kept in
+    the report for :func:`verify_identities`; a half-line ``x`` within
+    ``THRESHOLD_MARGIN`` of its threshold ``x0 = sup E[-Z0 e]`` raises
+    :class:`PrimalInfeasibleError` naming it.
 
-    Half-line utilities get yhat from the scaled-cone dual
-    (:func:`minimize_v_plus_xy`).  Exponential utility gets it in closed
-    form from the unit-scale dual (:func:`solve_entropy_core`): with
-    ``k = E[z log z]/gamma + E[z e]`` the dual value curve is
-    ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` so small, at large
-    ``x + k``, that ``yhat Z0`` underflows to 0 at a leaf with ``Z0 >
-    DENSITY_EPS`` (where ``I`` is undefined) raises :class:`EngineError`.
-
-    The primal starts at the dual optimum (:func:`solve_primal_from_dual`)
-    and is still certified by its own KKT residuals.
+    One side runs the barrier and the other starts at its optimum; each
+    is still certified by its own KKT residuals.  Exponential utility
+    runs it on the unit-scale dual (:func:`solve_entropy_core`), from
+    the strict point, and gets yhat in closed form: with ``k = E[z log
+    z]/gamma + E[z e]`` the dual value curve is ``V(y) + y k``, so ``yhat
+    = u'(x + k)``.  A ``yhat`` so small, at large ``x + k``, that ``yhat
+    Z0`` underflows to 0 at a leaf with ``Z0 > DENSITY_EPS`` (where ``I``
+    is undefined) raises :class:`EngineError`.  Its primal starts at the
+    dual optimum (:func:`solve_primal_from_dual`).  Half-line utilities
+    run it on the primal, from its closed-form start
+    (:meth:`PrimalProgram.start`), built from ``x - x0`` at the problem's
+    scale, and get yhat from the scaled-cone dual
+    (:func:`minimize_v_plus_xy`), started at the primal optimum
+    (:meth:`PrimalProgram.dual_start`); the cone's own start, the strict
+    point, has ``E[W0] = 1`` whatever the scale of yhat.  The primal
+    diagnostics' ``start`` record reads ``generic``, ``"solved before the
+    dual"``, and the dual's ``point`` is ``"primal"``.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -535,7 +595,9 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     """:func:`solve_report` at a checked ``x``, on the dual polytope
     ``poly`` of ``market``; the polytope does not read the endowment, so
     one, and its one strict point, serves a market and its zero-endowment
-    copy."""
+    copy.  The barrier runs on the dual for exponential utility and on
+    the primal for log and power; the other side is face-started at its
+    optimum and, if the engine rejects that, solved cold."""
     tree = market.tree
     endow = market.endowment
     poly.strict_point()      # first: an empty zero-spread polytope is the verdict
@@ -555,9 +617,15 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                               f"at x={x}, k={k}")
         dual = _exponential_at(market, spec, dual, yhat)
         dual_total = dual.value + x * yhat
+        primal = solve_primal_from_dual(program, x, yhat, dual.system)
     else:
-        yhat, dual_total, dual = minimize_v_plus_xy(market, spec, x, poly=poly)
-    primal = solve_primal_from_dual(program, x, yhat, dual.system)
+        primal = solve_primal(market, spec, x, program=program)
+        primal.diagnostics["start"] = {"point": "generic", "reason": "solved before the dual",
+                                       **primal.diagnostics["start"]}
+        yhat, dual_total, dual = minimize_v_plus_xy(
+            market, spec, x, poly=poly,
+            face_start=program.dual_start(primal.strategy, primal.multipliers))
+        dual.diagnostics["start"] = {"point": "primal", **dual.diagnostics["start"]}
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -582,7 +650,11 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 def solve_primal_from_dual(program: PrimalProgram, x: float, yhat: float,
                            system: PriceSystem) -> PrimalSolution:
     """:func:`solve_primal` of ``program`` at ``x``, started at the dual
-    optimum ``(yhat, system)`` (:func:`_shadow_start`).
+    optimum ``(yhat, system)`` (:func:`_shadow_start`): the primal of an
+    exponential report, whose barrier runs on the dual, and of
+    :func:`shadow.solve_frictionless`.  A half-line report runs its
+    barrier on the primal instead and starts its dual at the primal
+    optimum (:meth:`PrimalProgram.dual_start`).
 
     The frictional optimum is the frictionless replication of the optimal
     claim at the shadow price (Kallsen & Muhle-Karbe, Ann. Appl. Probab.
@@ -609,9 +681,12 @@ def _shadow_start(program: PrimalProgram, x: float, yhat: float,
     The start pairs the dual optimum's multipliers with the point of the
     frictionless replication (:func:`trading.replicate`) of the optimal
     claim ``I(yhat Z0) - x - e`` at the shadow price ``Z1/Z0``, under
-    ``Z0``, its claim the terminal liquidation value.  Where some node's ``Z0`` is at most
-    ``DENSITY_EPS``, ``I`` is undefined and the start is ``None``, the
-    program's generic one; the record names the node.
+    ``Z0``.  Its claim is the terminal liquidation value for exponential
+    utility; for a half-line utility it is the smaller of that value and
+    the target claim, which keeps it under the legs and, where the legs
+    allow, free of the liquidation's rounding.  Where some node's ``Z0``
+    is at most ``DENSITY_EPS``, ``I`` is undefined and the start is
+    ``None``, the program's generic one; the record names the node.
     """
     market = program.market
     price, undefined = system.ratio(market.ask_price)
@@ -621,8 +696,13 @@ def _shadow_start(program: PrimalProgram, x: float, yhat: float,
     tree = market.tree
     claim = ut.eval_i(program.spec, yhat * system.z0[tree.leaves]) - x - market.endowment
     strategy = replicate(market, price, system.z0, claim)
-    return ((program.point(strategy, terminal_claim(market, strategy)),
-             program.multipliers(x, yhat, system)),
+    start_claim = terminal_claim(market, strategy)
+    if program.threshold is not None:
+        # the target where the legs allow it: at a leaf of small optimal
+        # wealth the liquidation's rounding, relative to that wealth,
+        # shows in u' there
+        start_claim = np.minimum(claim, start_claim)
+    return ((program.point(strategy, start_claim), program.multipliers(x, yhat, system)),
             {"point": "shadow", "reason": None})
 
 

@@ -99,6 +99,25 @@ def test_solve_json_and_csv(market_file, tmp_path):
     assert set(rows[0]) == {"node_id", "buy", "sell", "phi0", "phi1", "vliq"}
 
 
+def test_solve_json_records_both_half_line_starts(market_file, tmp_path):
+    # a log report runs its barrier on the primal, from the closed-form
+    # start, and face-starts its dual at the primal optimum: --json
+    # carries both start records
+    out = str(tmp_path / "solve.json")
+    assert main(["solve", "--market", market_file, "--utility", "log", "--x", "10",
+                 "--json", out]) == 0
+    diagnostics = read_json(out)["diagnostics"]
+    assert diagnostics["primal"]["start"] == {"point": "generic",
+                                              "reason": "solved before the dual",
+                                              "rejected": False, "face": None}
+    assert sum(diagnostics["primal"]["newton_iterations"]) > 0
+    start = diagnostics["dual"]["start"]
+    assert start == {"point": "primal", "fallback": None,
+                     "face": {"accepted": True, "rounds": start["face"]["rounds"],
+                              "reason": None}}
+    assert diagnostics["dual"]["newton_iterations"] == []
+
+
 def test_solve_infeasible_wealth(market_file, capsys):
     code = main(["solve", "--market", market_file, "--utility", "log",
                  "--x", "-1000.0"])

@@ -26,7 +26,7 @@ from frictiondual.polytope import (NoCpsError, PolytopeInfeasibleError, build_po
 from frictiondual.pricing import indifference_price
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
-from frictiondual.utility import UtilitySpec
+from frictiondual.utility import UtilitySpec, eval_u_prime
 import oracles
 from oracles import children, enumerate_vertices, path_to_root, superreplicate
 
@@ -417,9 +417,10 @@ def test_half_line_report_runs_no_lp(two_period_market, monkeypatch):
 
 @pytest.mark.parametrize("spec", [LOG, UtilitySpec("power", alpha=0.5)], ids=["log", "power"])
 def test_report_lays_out_the_primal_once(spec, monkeypatch):
-    # the report builds its PrimalProgram once, and verify_identities
-    # solves x +- h on it: one layout and one threshold induction per
-    # report and its checks, and the bits of solves on a fresh program
+    # the report builds its PrimalProgram once and runs its barrier first,
+    # cold, and verify_identities solves x +- h on it: one layout and one
+    # threshold induction per report and its checks, and the bits of
+    # solves on a fresh program
     builds, thresholds, solves = [], [], []
     build, threshold, solve_primal_ = (PrimalProgram.build.__func__, duality.super_hedge,
                                        duality.solve_primal)
@@ -449,10 +450,11 @@ def test_report_lays_out_the_primal_once(spec, monkeypatch):
         rep = solve_report(market, spec, x)
         verify_identities(rep)
         assert (len(builds), len(thresholds)) == (1, 1), i
-        (_, _, report_program, _), *checks = solves
+        (x_report, start, report_program, sol), *checks = solves
         assert report_program is rep.primal and len(checks) == 2
+        assert (x_report, start) == (x, None) and sol.claim is rep.claim
         fresh = build(PrimalProgram, market, spec)
-        for xh, start, program, sol in checks:
+        for xh, start, program, sol in solves:
             assert program is rep.primal
             again = solve_primal_(market, spec, xh, x0=start, program=fresh)
             assert sol.value.hex() == again.value.hex(), (i, xh)
@@ -487,6 +489,42 @@ def test_cold_primal_by_the_threshold_runs_no_lp(drift_binomial, spec, endowment
     assert calls == []
 
 
+def _near_threshold_cells():
+    """The report cells of the one-period binomial near its threshold:
+    each endowment under log at ``x0 + 1e-6`` and ``x0 + 1e-3`` and
+    under power(1/2) at ``x0 + 1e-6``."""
+    power = UtilitySpec("power", alpha=0.5)
+    for endowment in [(3.0, -2.0), (1.0, -1.0), (-1.0, 0.5), (-2.0, -2.0)]:
+        for spec, above in [(LOG, 1e-6), (LOG, 1e-3), (power, 1e-6)]:
+            marks = ()
+            if spec is LOG and above == 1e-6 and endowment in [(3.0, -2.0), (1.0, -1.0)]:
+                marks = pytest.mark.xfail(
+                    strict=True, raises=EngineError,
+                    reason="the dual face start is rejected, and the cold cone solve "
+                           "hits the Newton cap")
+            yield pytest.param(endowment, spec, above, marks=marks,
+                               id=f"{spec.family}-{above:g}-{endowment[0]:g},{endowment[1]:g}")
+
+
+@pytest.mark.parametrize("endowment, spec, above", list(_near_threshold_cells()))
+def test_half_line_report_near_the_threshold(drift_binomial, endowment, spec, above):
+    # the primal's closed-form start works at the scale x - x0, and the
+    # cone dual starts at the primal optimum's multipliers, not at its
+    # unscaled witness, E[W0] = 1
+    market = drift_binomial.with_endowment(list(endowment))
+    x0 = compute_x0(market)
+    x = x0 + above
+    rep = solve_report(market, spec, x)
+    assert rep.relative_gap <= 1e-6
+    assert rep.diagnostics["dual"]["start"]["face"]["accepted"]
+    # u'(wealth) reaches 1e6 here: the leaf identity relative to it
+    wealth = x + rep.claim + market.endowment
+    assert np.nanmax(rep.leaf_identity_residuals / eval_u_prime(spec, wealth)) <= 1e-6
+    # the central difference needs x - h above the threshold
+    if x - duality.FD_STEP * (1.0 + abs(x)) > x0:
+        verify_identities(rep)
+
+
 @pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
 def test_zero_spread_report_runs_no_lp(drift_binomial, spec, monkeypatch):
     # at zero spread the dual starts at the closed-form martingale density
@@ -501,8 +539,15 @@ def test_zero_spread_report_runs_no_lp(drift_binomial, spec, monkeypatch):
     monkeypatch.setattr(duality, "solve", spied)
     rep = solve_report(market, spec, 5.0)
     assert calls == []
-    # the dual, solved first, starts at the closed-form martingale density
-    assert np.array_equal(starts[0], martingale_point(market))
+    if spec is EXP1:
+        # the dual, solved first, starts at the closed-form martingale density
+        assert np.array_equal(starts[0], martingale_point(market))
+    else:
+        # the primal, solved first, starts at its closed-form start, and
+        # the cone dual's barrier at the closed-form martingale density
+        assert len(starts) == 2
+        assert np.array_equal(starts[0], PrimalProgram.build(market, spec).start(5.0))
+        assert np.array_equal(starts[1], martingale_point(market))
     assert rep.relative_gap <= 1e-6
 
 
@@ -708,19 +753,44 @@ SHADOW_FAMILIES = [LOG, UtilitySpec("power", alpha=0.5), EXP1]
 @pytest.mark.parametrize("spec", SHADOW_FAMILIES, ids=["log", "power", "exp"])
 @pytest.mark.parametrize("lam", [0.02, 0.0])
 def test_report_primal_starts_at_the_shadow_replication(spec, lam):
-    # the report's primal, started at the shadow-market replication of
-    # the dual optimum, reaches the cold solve's optimum in fewer steps
+    # the side a report solves second starts at the optimum of the side
+    # it solves first and reaches its own cold solve's optimum in fewer
+    # steps.  The exponential primal starts at the shadow-market
+    # replication of the dual optimum.  A half-line report runs its
+    # barrier on the primal, cold, and its cone dual starts at the point
+    # and multipliers read off the primal optimum
     market = three_period_market(lam)
     x = 1.0 if spec.wealth_domain == "real" else 10.0
     rep = solve_report(market, spec, x)
     cold = solve_primal(market, spec, x)
     d = rep.diagnostics["primal"]
-    assert d["start"] == {"point": "shadow", "reason": None, "rejected": False,
-                          "face": {"accepted": True, "rounds": d["start"]["face"]["rounds"],
-                                   "reason": None}}
-    assert rep.value == pytest.approx(cold.value, rel=1e-12)
-    assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9
-    assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
+    if spec is EXP1:
+        assert d["start"] == {"point": "shadow", "reason": None, "rejected": False,
+                              "face": accepted_face(d)}
+        assert rep.value == pytest.approx(cold.value, rel=1e-12)
+        assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9
+        assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
+        return
+    assert d["start"] == {"point": "generic", "reason": "solved before the dual",
+                          "rejected": False, "face": None}
+    # the report's primal is the cold solve, bit for bit
+    assert {**d, "start": None} == {**cold.diagnostics, "start": None}
+    assert rep.claim.tobytes() == cold.claim.tobytes()
+    d = rep.diagnostics["dual"]
+    assert d["start"] == {"point": "primal", "face": accepted_face(d), "fallback": None}
+    yhat, value, sol = minimize_v_plus_xy(market, spec, x)
+    assert rep.yhat == pytest.approx(yhat, rel=1e-12)
+    assert rep.dual_value + x * rep.yhat == pytest.approx(value, rel=1e-12)
+    # Z0 is unique, I(yhat Z0) being the optimal wealth; Z1 need not be
+    L = market.tree.n_leaves
+    assert np.max(np.abs(rep.dual_leaf_vars[:L] - sol.leaf_vars[:L])) <= 1e-9
+    assert sum(d["newton_iterations"]) < sum(sol.diagnostics["newton_iterations"])
+
+
+def accepted_face(d):
+    """The engine's record of an accepted face start, with the rounds of
+    the record in the diagnostics ``d``."""
+    return {"accepted": True, "rounds": d["start"]["face"]["rounds"], "reason": None}
 
 
 def test_dual_optimum_gives_the_primal_multipliers():
@@ -792,9 +862,11 @@ def _assert_barrier_bits(res, barrier):
 
 
 def test_face_start_is_accepted_on_generated_markets():
-    # the report's primal and verify_identities' x +- h primals finish on
-    # the face of their start, with no barrier step, at
-    # the cold barrier solve's optimum
+    # the exponential report's primal and verify_identities' x +- h
+    # primals finish on the face of their start, with no barrier step, at
+    # the cold barrier solve's optimum.  A half-line report's primal is
+    # the cold solve, and its dual is face-started instead
+    # (test_dual_face_start_is_accepted_on_generated_markets)
     gen = InstanceGenerator(seed=11)
     rejected, short = [], []
     for i in range(10):
@@ -804,7 +876,12 @@ def test_face_start_is_accepted_on_generated_markets():
             rep = solve_report(market, spec, x)
             h = duality.FD_STEP * (1.0 + abs(x))
             point = rep.primal.point(rep.strategy, rep.claim)
-            solves = [(x, None, rep.value, rep.claim, rep.diagnostics["primal"])]
+            solves = []
+            if spec is EXP1:
+                solves.append((x, None, rep.value, rep.claim, rep.diagnostics["primal"]))
+            else:
+                assert rep.diagnostics["primal"]["start"]["point"] == "generic", (i, spec)
+                assert rep.diagnostics["primal"]["start"]["face"] is None, (i, spec)
             for xh in (x + h, x - h):
                 # paired with the dual's multipliers at xh, as verify_identities does
                 start = (point, rep.primal.multipliers(xh, rep.yhat, rep.dual_system))
@@ -830,11 +907,11 @@ def test_face_start_is_accepted_on_generated_markets():
                     continue
                 assert value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
                 assert np.max(np.abs(claim - cold.claim)) <= 1e-9, (i, spec, xs)
-            assert solves[0][4]["start"]["point"] == "shadow"
-            if spec.family == "exponential":
+            if spec is EXP1:
+                assert solves[0][4]["start"]["point"] == "shadow"
                 # and it meets the dual value to rounding
                 assert rep.relative_gap <= 1e-13, (i, spec)
-    # the report's own primal is always accepted; under power(1/2) the
+    # the exponential report's own primal is always accepted; under power(1/2) the
     # x +- h optima of markets 5 and 9 put a leaf's wealth near zero,
     # where the face's quadratic model overshoots (and x - h takes
     # market 5's start out of the domain), so the barrier solves those
@@ -863,17 +940,19 @@ def test_rejected_face_start_returns_the_barrier_solve(two_period_market):
 def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
     # a start whose pull is not strictly feasible shows in the start
     # record and in the events, and the report still reaches the optimum
-    # from the closed-form start
+    # from the closed-form start.  The exponential report's primal is the
+    # one that starts at the shadow replication
     shadow_start = duality._shadow_start
 
     def far_below(program, x, yhat, system):
         start, record = shadow_start(program, x, yhat, system)
-        start[0][-program.market.tree.n_leaves:] -= 1e6      # claims far below zero wealth
+        # claims so far below the legs that the objective overflows
+        start[0][-program.market.tree.n_leaves:] -= 1e6
         return start, record
 
-    cold = solve_report(two_period_market, LOG, 6.0)
+    cold = solve_report(two_period_market, EXP1, 6.0)
     monkeypatch.setattr(duality, "_shadow_start", far_below)
-    rep = solve_report(two_period_market, LOG, 6.0)
+    rep = solve_report(two_period_market, EXP1, 6.0)
     d = rep.diagnostics["primal"]
     assert d["start"] == {"point": "shadow", "reason": None, "rejected": True,
                           "face": {"accepted": False, "rounds": 0,
@@ -899,18 +978,68 @@ def _count_starts(monkeypatch):
 
 @pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
 def test_accepted_face_start_builds_no_start(spec, monkeypatch):
-    # the report's primal and verify_identities' two are face-started and
-    # accepted on seed 11's market 0: neither the closed-form start nor the
-    # pulled one is built; a cold solve builds the closed-form one once
+    # verify_identities' two primals, and the exponential report's, are
+    # face-started and accepted on seed 11's market 0: neither the
+    # closed-form start nor the pulled one is built; a cold solve, the log
+    # report's own primal among them, builds the closed-form one once
     market = InstanceGenerator(seed=11).draw_feasible(0)
     x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
     built = _count_starts(monkeypatch)
     rep = solve_report(market, spec, x)
     verify_identities(rep)
-    assert rep.diagnostics["primal"]["start"]["face"]["accepted"]
-    assert built == []
+    cold = [] if spec is EXP1 else [x]
+    side = "primal" if spec is EXP1 else "dual"
+    assert rep.diagnostics[side]["start"]["face"]["accepted"]
+    assert built == cold
     solve_primal(market, spec, x, program=rep.primal)
-    assert built == [x]
+    assert built == cold + [x]
+
+
+def test_dual_face_start_is_accepted_on_generated_markets():
+    # on seed 11's ten markets the cone dual, started at the point and
+    # multipliers read off the primal optimum, finishes on its face with
+    # no barrier step, at the value of the cold cone solve
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        market = gen.draw_feasible(i)
+        poly = build_polytope(market)
+        x = max(compute_x0(market), 0.0) + 5.0
+        for spec in SHADOW_FAMILIES[:2]:
+            rep = solve_report(market, spec, x)
+            d = rep.diagnostics["dual"]
+            face = accepted_face(d)
+            assert d["start"] == {"point": "primal", "face": face, "fallback": None}, (i, spec)
+            assert d["events"] == [f"face start accepted after {face['rounds']} rounds"]
+            assert d["newton_iterations"] == [] and d["factorizations"] == 0
+            yhat, value, _ = minimize_v_plus_xy(market, spec, x, poly=poly)
+            assert rep.dual_value + x * rep.yhat == pytest.approx(value, rel=1e-12), (i, spec)
+            assert rep.yhat == pytest.approx(yhat, rel=1e-12), (i, spec)
+
+
+def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, monkeypatch):
+    # a dual face start outside the objective domain (W0 < 0) is rejected
+    # and recorded with its fallback, and the cone dual is then the cold
+    # solve from the strict point, bit for bit
+    x = compute_x0(two_period_market) + 4.0
+    dual_start = PrimalProgram.dual_start
+
+    def negated(self, strategy, lam):
+        point, rows = dual_start(self, strategy, lam)
+        return -point, rows
+
+    monkeypatch.setattr(PrimalProgram, "dual_start", negated)
+    rep = solve_report(two_period_market, LOG, x)
+    d = rep.diagnostics["dual"]
+    face = {"accepted": False, "rounds": 0, "reason": "start outside the objective domain"}
+    assert d["start"] == {"point": "primal", "face": face, "fallback": "cold cone solve"}
+    yhat, _, cold = minimize_v_plus_xy(two_period_market, LOG, x)
+    assert rep.yhat.hex() == yhat.hex()
+    assert rep.dual_leaf_vars.tobytes() == cold.leaf_vars.tobytes()
+    assert d["events"] == ["face start rejected after 0 rounds: start outside the "
+                           "objective domain"] + cold.diagnostics["events"]
+    assert {**d, "events": None, "start": None} == {**cold.diagnostics, "events": None,
+                                                    "start": None}
+    assert rep.relative_gap <= 1e-6
 
 
 def test_rejected_face_start_builds_its_start_once(monkeypatch):
