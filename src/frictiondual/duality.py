@@ -12,12 +12,14 @@ system (:meth:`DualPolytope.strict_point`), which raises
 :class:`NoCpsError` when the market has none.
 
 A report (:func:`solve_report`) runs one barrier and starts the other
-side at its optimum, through the KKT map between the dual optimizer
-``yhat Z0`` and the primal's multipliers.  For exponential utility the
-barrier runs on the unit-scale dual and the primal starts at the dual
-optimum (:func:`solve_primal_from_dual`).  For log and power it runs on
-the primal, whose closed-form start is at the problem's scale ``x -
-x0``, and the scaled-cone dual starts at the primal optimum
+side at its optimum, through the KKT map between the two: the dual
+optimizer ``yhat Z0`` prices the primal's rows, and the multipliers of
+the dual's band rows are the optimal trades.  For exponential utility
+the barrier runs on the unit-scale dual, and the primal starts at the
+point and multipliers read off the dual optimum
+(:meth:`PrimalProgram.primal_start`).  For log and power it runs on the
+primal, whose closed-form start is at the problem's scale ``x - x0``,
+and the scaled-cone dual starts at the pair read off the primal optimum
 (:meth:`PrimalProgram.dual_start`).
 """
 
@@ -32,7 +34,7 @@ from . import utility as ut
 from .engine import ConvexProgram, EngineError, InfeasibleProgramError, SolveResult, solve
 from .polytope import (DENSITY_EPS, DualPolytope, PolytopeInfeasibleError, PriceSystem,
                        build_polytope, max_expectation, super_hedge)
-from .trading import Strategy, net_trades, replicate, roll_forward, terminal_claim
+from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec
 
 POSITIVITY_MARGIN = 1e-10
@@ -71,12 +73,19 @@ class PrimalSolution:
 
 @dataclass
 class DualSolution:
+    """The optimum at scale ``y``: its value, leaf variables and price
+    system, ``v'(y)``, and the netted ``buy`` and ``sell`` per node read
+    off the engine's band-row multipliers (:func:`_dual_solution`), the
+    optimal trades of the primal at ``x = -v'(y)``; 0 at the leaves."""
+
     value: float
     y: float
     leaf_vars: np.ndarray
     system: PriceSystem
     derivative: float
     diagnostics: dict
+    buy: np.ndarray
+    sell: np.ndarray
 
 
 @dataclass
@@ -142,7 +151,12 @@ class PrimalProgram:
     utilities, the wealth positive.  Those have a ``threshold`` ``x0 =
     sup E[-Z0 e]`` and its super-replicating ``hedge`` from one backward
     induction (:func:`super_hedge`); a market with no hedge admits an
-    arbitrage (:class:`PrimalUnboundedError`)."""
+    arbitrage (:class:`PrimalUnboundedError`).
+
+    The KKT map between this program and its dual is read both ways: a
+    dual optimum gives the primal's face start (:meth:`primal_start`,
+    with :meth:`multipliers`), and a primal optimum gives the scaled-cone
+    dual's (:meth:`dual_start`)."""
 
     market: MarketSpec
     spec: ut.UtilitySpec
@@ -285,6 +299,27 @@ class PrimalProgram:
             rows.append(np.zeros(tree.n_leaves))
         return np.maximum(np.concatenate(rows), 0.0)     # not below 0 by rounding
 
+    def primal_start(self, x: float, dual: DualSolution) -> tuple:
+        """The face start at ``x`` read off a dual optimum ``dual``: the
+        point of its netted trades (:attr:`DualSolution.buy` and ``sell``),
+        paired with :meth:`multipliers` at ``(dual.y, dual.system)``.  Its
+        claim is the trades' liquidation value for exponential utility; for
+        a half-line utility it is the smaller of that value and ``I(y Z0)
+        - x - e`` at the leaves where ``Z0 > DENSITY_EPS``, which keeps it
+        under the legs and, where the legs allow, free of the liquidation's
+        rounding: at a leaf of small optimal wealth that rounding, relative
+        to the wealth, shows in ``u'`` there."""
+        market, leaves = self.market, self.market.tree.leaves
+        strategy = roll_forward(market, 0.0, dual.buy, dual.sell)
+        claim = terminal_claim(market, strategy)
+        if self.threshold is not None:
+            z0 = dual.system.z0[leaves]
+            support = z0 > DENSITY_EPS
+            target = (ut.eval_i(self.spec, dual.y * z0[support]) - x
+                      - market.endowment[support])
+            claim[support] = np.minimum(claim[support], target)
+        return self.point(strategy, claim), self.multipliers(x, dual.y, dual.system)
+
     def dual_start(self, strategy: Strategy, lam: np.ndarray) -> tuple:
         """The face start of the scaled-cone dual (:func:`minimize_v_plus_xy`)
         read off a primal optimum: its netted ``strategy`` and row
@@ -341,8 +376,9 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 
     ``x0`` pairs a point, such as a nearby optimum's
     :meth:`PrimalProgram.point`, with row multipliers
-    (:meth:`PrimalProgram.multipliers`, or zeros): the engine's face
-    start (:attr:`ConvexProgram.face_start`).  A nearby optimum sits on
+    (:meth:`PrimalProgram.multipliers`, or zeros), or is the pair read
+    off a dual optimum (:meth:`PrimalProgram.primal_start`): the engine's
+    face start (:attr:`ConvexProgram.face_start`).  A nearby optimum sits on
     the optimal face or next to it, so the engine first finishes it there
     with barrier-free Newton steps.  When that fails, the barrier starts
     at the point pulled ``WARM_PULL`` of the way toward the closed-form
@@ -435,8 +471,11 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     objective = _dual_objective(poly, spec, scale, market.endowment, market.tree.leaf_prob)
     face_start, start = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
     res = _solve_on_polytope(poly, *objective, start, face_start)
-    dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res)
-    return dual if scale == y else _exponential_at(market, spec, dual, y)
+    dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res,
+                          scale)
+    if scale == y:
+        return dual
+    return _exponential_at(spec, dual, y, _exponential_shift(market, spec, dual))
 
 
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, start,
@@ -460,26 +499,49 @@ def _solve_on_polytope(poly: DualPolytope, objective, in_domain, start,
 
 
 def _dual_solution(market: MarketSpec, poly: DualPolytope, spec: ut.UtilitySpec, y: float,
-                   z: np.ndarray, value: float, res: SolveResult) -> DualSolution:
+                   z: np.ndarray, value: float, res: SolveResult,
+                   kappa: float) -> DualSolution:
     """The dual read-out at scale ``y`` and polytope point ``z`` of the
     engine's solve ``res``: the price system, ``v'(y) = E[Z0 (V'(y Z0) +
-    e)]`` and the diagnostics, with the ``start`` record of a face start."""
-    z0, prob = z[:market.tree.n_leaves], market.tree.leaf_prob
+    e)]`` and the diagnostics, with the ``start`` record of a face start.
+
+    The trades are the band rows' multipliers over ``kappa P(n)``, with
+    ``kappa`` the scale the engine's objective was built at.  At positive
+    spread node ``n``'s upper row gives its buy and its lower row its
+    sell, netted; at zero spread its one equality row, among the last
+    ``n_nodes`` of the block, gives the net trade ``-nu_n/(kappa P(n))``.
+    A leaf's rows carry its liquidation, so leaves trade nothing."""
+    tree = market.tree
+    z0, prob = z[:tree.n_leaves], tree.leaf_prob
     derivative = float(prob @ (z0 * (ut.eval_v_prime(spec, y * z0) + market.endowment)))
+    weight = kappa * tree.node_prob
+    if market.lam == 0.0:
+        trade = -res.eq_multipliers[-tree.n_nodes:] / weight
+        buy, sell = np.maximum(trade, 0.0), np.maximum(-trade, 0.0)
+    else:
+        band = res.ineq_multipliers[:2 * tree.n_nodes]
+        buy, sell = net_trades(band[1::2] / weight, band[0::2] / weight)
+    buy[tree.leaves] = sell[tree.leaves] = 0.0
     diagnostics = res.diagnostics.to_dict()
     if res.diagnostics.face_start is not None:
         diagnostics["start"] = {"face": res.diagnostics.face_start}
     return DualSolution(value=value, y=y, leaf_vars=z, system=poly.price_system(z),
-                        derivative=derivative, diagnostics=diagnostics)
+                        derivative=derivative, diagnostics=diagnostics, buy=buy, sell=sell)
 
 
-def _exponential_at(market: MarketSpec, spec: ut.UtilitySpec, unit: DualSolution,
-                    y: float) -> DualSolution:
-    """The exp(gamma) dual of ``market`` at scale ``y`` read off its
-    unit-scale solution ``unit``, whose minimizer it shares: the value
-    ``V(y) + y k`` and the derivative ``V'(y) + k``, ``k = E[z log z]/gamma + E[z e]``."""
+def _exponential_shift(market: MarketSpec, spec: ut.UtilitySpec, unit: DualSolution) -> float:
+    """``k = E[z log z]/gamma + E[z e]`` at the exp(gamma) dual's unit-scale
+    minimizer ``unit``: its dual value curve is ``V(y) + y k``."""
     entropy, endow_mean = entropy_terms(market, unit.leaf_vars)
-    k = entropy / spec.gamma + endow_mean
+    return entropy / spec.gamma + endow_mean
+
+
+def _exponential_at(spec: ut.UtilitySpec, unit: DualSolution, y: float,
+                    k: float) -> DualSolution:
+    """The exp(gamma) dual at scale ``y`` read off its unit-scale solution
+    ``unit``, whose minimizer and trades it shares: the value ``V(y) + y
+    k`` and the derivative ``V'(y) + k``, with ``k`` the
+    :func:`_exponential_shift` of ``unit``."""
     return replace(unit, value=float(ut.eval_v(spec, y)) + y * k, y=y,
                    derivative=float(ut.eval_v_prime(spec, y)) + k)
 
@@ -530,7 +592,8 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     res = _solve_on_polytope(cone, objective, in_domain, poly.strict_point(), face_start)
     value = res.diagnostics.objective
     yhat = float(prob @ res.x[:market.tree.n_leaves])
-    sol = _dual_solution(market, poly, spec, yhat, res.x / yhat, value - x * yhat, res)
+    # the cone's variables are W = yhat Z: its objective is at scale 1
+    sol = _dual_solution(market, poly, spec, yhat, res.x / yhat, value - x * yhat, res, 1.0)
     if face_start is not None:
         face = res.diagnostics.face_start
         sol.diagnostics["start"]["fallback"] = None if face["accepted"] else "cold cone solve"
@@ -564,23 +627,25 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     ``THRESHOLD_MARGIN`` of its threshold ``x0 = sup E[-Z0 e]`` raises
     :class:`PrimalInfeasibleError` naming it.
 
-    One side runs the barrier and the other starts at its optimum; each
-    is still certified by its own KKT residuals.  Exponential utility
-    runs it on the unit-scale dual (:func:`solve_entropy_core`), from
-    the strict point, and gets yhat in closed form: with ``k = E[z log
-    z]/gamma + E[z e]`` the dual value curve is ``V(y) + y k``, so ``yhat
-    = u'(x + k)``.  A ``yhat`` so small, at large ``x + k``, that ``yhat
-    Z0`` underflows to 0 at a leaf with ``Z0 > DENSITY_EPS`` (where ``I``
-    is undefined) raises :class:`EngineError`.  Its primal starts at the
-    dual optimum (:func:`solve_primal_from_dual`).  Half-line utilities
-    run it on the primal, from its closed-form start
-    (:meth:`PrimalProgram.start`), built from ``x - x0`` at the problem's
-    scale, and get yhat from the scaled-cone dual
-    (:func:`minimize_v_plus_xy`), started at the primal optimum
-    (:meth:`PrimalProgram.dual_start`); the cone's own start, the strict
-    point, has ``E[W0] = 1`` whatever the scale of yhat.  The primal
-    diagnostics' ``start`` record reads ``generic``, ``"solved before the
-    dual"``, and the dual's ``point`` is ``"primal"``.
+    One side runs the barrier and the other starts at its optimum, read
+    off through the KKT map; each is still certified by its own KKT
+    residuals.  Exponential utility runs it on the unit-scale dual
+    (:func:`solve_entropy_core`), from the strict point, and gets yhat in
+    closed form: with ``k = E[z log z]/gamma + E[z e]`` the dual value
+    curve is ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` so
+    small, at large ``x + k``, that ``yhat Z0`` underflows to 0 at a leaf
+    with ``Z0 > DENSITY_EPS`` (where ``I`` is undefined) raises
+    :class:`EngineError`.  Its primal is face-started at the trades and
+    multipliers read off the dual optimum
+    (:meth:`PrimalProgram.primal_start`); its diagnostics' ``start``
+    record is :func:`solve_primal`'s.  Half-line utilities run it on the
+    primal, from its closed-form start (:meth:`PrimalProgram.start`),
+    built from ``x - x0`` at the problem's scale, and get yhat from the
+    scaled-cone dual (:func:`minimize_v_plus_xy`), started at the pair
+    read off the primal optimum (:meth:`PrimalProgram.dual_start`); the
+    cone's own start, the strict point, has ``E[W0] = 1`` whatever the
+    scale of yhat.  The primal's ``start`` record then has no ``face``,
+    and the dual's is :func:`minimize_v_plus_xy`'s.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -596,8 +661,10 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     ``poly`` of ``market``; the polytope does not read the endowment, so
     one, and its one strict point, serves a market and its zero-endowment
     copy.  The barrier runs on the dual for exponential utility and on
-    the primal for log and power; the other side is face-started at its
-    optimum and, if the engine rejects that, solved cold."""
+    the primal for log and power; the other side is face-started at the
+    pair read off its optimum (:meth:`PrimalProgram.primal_start`,
+    :meth:`PrimalProgram.dual_start`).  If the engine rejects that, the
+    primal's barrier runs from its pulled start and the cone dual's cold."""
     tree = market.tree
     endow = market.endowment
     poly.strict_point()      # first: an empty zero-spread polytope is the verdict
@@ -605,27 +672,24 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     program.check(x)
 
     if spec.family == "exponential":
-        dual = solve_entropy_core(market, spec.gamma, poly=poly)
+        unit = solve_entropy_core(market, spec.gamma, poly=poly)
         # v(y) = V(y) + y k is minimized where V'(y) = -(x + k); the closed
         # form keeps its relative accuracy even when yhat is tiny
-        entropy, endow_mean = entropy_terms(market, dual.leaf_vars)
-        k = entropy / spec.gamma + endow_mean
+        k = _exponential_shift(market, spec, unit)
         yhat = float(ut.eval_u_prime(spec, x + k))
-        z0 = dual.leaf_vars[: tree.n_leaves]
+        z0 = unit.leaf_vars[: tree.n_leaves]
         if not np.all(yhat * z0[z0 > DENSITY_EPS] > 0.0):
             raise EngineError(f"dual scale u'(x + k) = {yhat} underflows yhat*Z0 to 0 "
                               f"at x={x}, k={k}")
-        dual = _exponential_at(market, spec, dual, yhat)
+        dual = _exponential_at(spec, unit, yhat, k)
         dual_total = dual.value + x * yhat
-        primal = solve_primal_from_dual(program, x, yhat, dual.system)
+        primal = solve_primal(market, spec, x, x0=program.primal_start(x, dual),
+                              program=program)
     else:
         primal = solve_primal(market, spec, x, program=program)
-        primal.diagnostics["start"] = {"point": "generic", "reason": "solved before the dual",
-                                       **primal.diagnostics["start"]}
         yhat, dual_total, dual = minimize_v_plus_xy(
             market, spec, x, poly=poly,
             face_start=program.dual_start(primal.strategy, primal.multipliers))
-        dual.diagnostics["start"] = {"point": "primal", **dual.diagnostics["start"]}
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -645,65 +709,6 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         primal=program,
         diagnostics={"primal": primal.diagnostics, "dual": dual.diagnostics},
     )
-
-
-def solve_primal_from_dual(program: PrimalProgram, x: float, yhat: float,
-                           system: PriceSystem) -> PrimalSolution:
-    """:func:`solve_primal` of ``program`` at ``x``, started at the dual
-    optimum ``(yhat, system)`` (:func:`_shadow_start`): the primal of an
-    exponential report, whose barrier runs on the dual, and of
-    :func:`shadow.solve_frictionless`.  A half-line report runs its
-    barrier on the primal instead and starts its dual at the primal
-    optimum (:meth:`PrimalProgram.dual_start`).
-
-    The frictional optimum is the frictionless replication of the optimal
-    claim at the shadow price (Kallsen & Muhle-Karbe, Ann. Appl. Probab.
-    20, 2010), and on a frictionless market it is the optimum itself.
-    That point sits on the primal's optimal face, so it goes to the
-    engine, with the dual's :meth:`PrimalProgram.multipliers`, as its face
-    start; the barrier runs only when it is rejected.  Where the dual
-    optimizer has a node with ``Z0 <= DENSITY_EPS`` the primal keeps its
-    program's closed-form start.  The diagnostics' ``start`` records
-    which ran: ``point`` is ``"shadow"`` or ``"generic"``, ``reason``
-    names the zero-density node of a generic start, and ``rejected`` and
-    ``face`` are :func:`solve_primal`'s.
-    """
-    start, record = _shadow_start(program, x, yhat, system)
-    primal = solve_primal(program.market, program.spec, x, x0=start, program=program)
-    primal.diagnostics["start"] = {**record, **primal.diagnostics["start"]}
-    return primal
-
-
-def _shadow_start(program: PrimalProgram, x: float, yhat: float,
-                  system: PriceSystem) -> tuple:
-    """The start of ``program`` at the dual optimum ``system``, and its record.
-
-    The start pairs the dual optimum's multipliers with the point of the
-    frictionless replication (:func:`trading.replicate`) of the optimal
-    claim ``I(yhat Z0) - x - e`` at the shadow price ``Z1/Z0``, under
-    ``Z0``.  Its claim is the terminal liquidation value for exponential
-    utility; for a half-line utility it is the smaller of that value and
-    the target claim, which keeps it under the legs and, where the legs
-    allow, free of the liquidation's rounding.  Where some node's ``Z0``
-    is at most ``DENSITY_EPS``, ``I`` is undefined and the start is
-    ``None``, the program's generic one; the record names the node.
-    """
-    market = program.market
-    price, undefined = system.ratio(market.ask_price)
-    if undefined.any():
-        node = int(np.argmax(undefined))
-        return None, {"point": "generic", "reason": f"zero dual density at node {node}"}
-    tree = market.tree
-    claim = ut.eval_i(program.spec, yhat * system.z0[tree.leaves]) - x - market.endowment
-    strategy = replicate(market, price, system.z0, claim)
-    start_claim = terminal_claim(market, strategy)
-    if program.threshold is not None:
-        # the target where the legs allow it: at a leaf of small optimal
-        # wealth the liquidation's rounding, relative to that wealth,
-        # shows in u' there
-        start_claim = np.minimum(claim, start_claim)
-    return ((program.point(strategy, start_claim), program.multipliers(x, yhat, system)),
-            {"point": "shadow", "reason": None})
 
 
 def verify_identities(report: SolveReport) -> dict:

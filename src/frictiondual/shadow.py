@@ -9,8 +9,9 @@ here reads the frictional optimizer, so they are independent checks of
 that theorem: the zero-spread duals start cold, at the closed-form
 martingale density of the shadow price (its polytope's
 :meth:`DualPolytope.strict_point`), and the zero-spread primal starts
-at the optimum of the shadow market's own dual
-(:func:`solve_primal_from_dual`), not at its program's closed form.
+at the trades and multipliers read off the shadow market's own dual
+optimum (:meth:`PrimalProgram.primal_start`), not at its program's
+closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import utility as ut
 from .duality import (PrimalProgram, PrimalUnboundedError, SolveReport, solve_dual,
-                      solve_primal_from_dual)
+                      solve_primal)
 from .polytope import PolytopeInfeasibleError, PriceSystem, build_polytope
 from .tree import MarketSpec
 
@@ -143,21 +144,22 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     ``shadow_market`` must carry zero spread.  Neither solve reads the
     frictional solve the price came from.  The dual comes first, cold
     from the price's martingale density (:meth:`DualPolytope.strict_point`).
-    The primal then starts at that dual's optimum
-    (:func:`solve_primal_from_dual`): at zero spread the replication of
-    ``I(y Z0)`` is the primal optimum, and the engine accepts it only
+    The primal is then face-started at the net trades read off that
+    dual's equality-row multipliers (:meth:`PrimalProgram.primal_start`),
+    the primal optimum by the KKT map, and the engine accepts it only
     when it passes the barrier's own stopping test; otherwise the barrier
-    runs from the closed-form start.  A price with arbitrage, one that
-    moves one way at some node, has an empty zero-spread polytope
-    (:class:`PolytopeInfeasibleError`) or an unbounded primal, and raises
-    :class:`ShadowConstructionError`.
+    runs from the pulled start (:func:`solve_primal`).  A price with
+    arbitrage, one that moves one way at some node, has an empty
+    zero-spread polytope (:class:`PolytopeInfeasibleError`) or an
+    unbounded primal, and raises :class:`ShadowConstructionError`.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
     try:
         dual = solve_dual(shadow_market, spec, y)
-        primal = solve_primal_from_dual(PrimalProgram.build(shadow_market, spec), x, y,
-                                        dual.system)
+        program = PrimalProgram.build(shadow_market, spec)
+        primal = solve_primal(shadow_market, spec, x, x0=program.primal_start(x, dual),
+                              program=program)
     except (PolytopeInfeasibleError, PrimalUnboundedError) as exc:
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"

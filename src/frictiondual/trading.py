@@ -66,45 +66,6 @@ def roll_forward(market: MarketSpec, x: float, buy, sell) -> Strategy:
                     phi0=phi0[:n], phi1=phi1[:n])
 
 
-def replicate(market: MarketSpec, price: np.ndarray, density: np.ndarray,
-              claim: np.ndarray) -> Strategy:
-    """The frictionless hedge of ``claim`` (aligned with ``tree.leaves``)
-    at ``price``, traded in ``market`` from zero cash.
-
-    Backward, stage by stage, under the one-step weights ``q = p
-    density[child] / density[parent]`` (a martingale measure of ``price``
-    when ``density`` is a martingale density of it): a node's value is
-    the q-mean of its children's values, and its position the q-weighted
-    least-squares slope of those values on the children's price moves,
-    which replicates exactly at a binomial node and is 0 where the price
-    does not move.  The position changes at the internal nodes are the
-    trades, bought at the ask and sold at the bid of ``market``
-    (:func:`roll_forward`).
-    """
-    tree = market.tree
-    n = tree.n_nodes
-    value = np.zeros(n)
-    value[tree.leaves] = claim
-    position = np.zeros(n + 1)     # slot -1, the root's parent, holds nothing
-    for t in range(tree.horizon, 0, -1):
-        kids = tree.stages[t]
-        par = tree.parent[kids]
-        q = tree.cond_prob[kids] * density[kids] / density[par]
-        move = price[kids] - price[par]
-        # per parent: sum q v, sum q dS v, sum q dS^2, in one pass
-        sums = np.bincount(np.concatenate([par, par + n, par + 2 * n]),
-                           weights=np.concatenate([q * value[kids], q * move * value[kids],
-                                                   q * move * move]),
-                           minlength=3 * n).reshape(3, n)
-        at = tree.stages[t - 1]
-        value[at] = sums[0, at]
-        position[at] = np.divide(sums[1, at], sums[2, at], out=np.zeros(at.size),
-                                 where=sums[2, at] > 0.0)
-    change = position[:n] - position[tree.parent]
-    change[tree.leaves] = 0.0
-    return roll_forward(market, 0.0, np.maximum(change, 0.0), np.maximum(-change, 0.0))
-
-
 def liquidation_values(market: MarketSpec, strategy: Strategy) -> np.ndarray:
     """Liquidation value at every node, indexed by node id."""
     pos = strategy.phi1

@@ -83,12 +83,12 @@ def test_solve_json_and_csv(market_file, tmp_path):
             "message", "face_steps", "factorizations", "events"}
     for side, extra in (("primal", {"start"}), ("dual", set())):
         assert set(rec["diagnostics"][side]) == keys | extra
-    # the dual runs the barrier; the primal finishes its shadow start on
-    # its face, with no barrier step
+    # the dual runs the barrier; the primal finishes the start read off
+    # the dual optimum on its face, with no barrier step
     assert sum(rec["diagnostics"]["dual"]["newton_iterations"]) > 0
     primal = rec["diagnostics"]["primal"]
     face = primal["start"].pop("face")
-    assert primal["start"] == {"point": "shadow", "reason": None, "rejected": False}
+    assert primal["start"] == {"rejected": False}
     assert face["accepted"] and face["reason"] is None
     assert primal["events"] == [f"face start accepted after {face['rounds']} rounds"]
     assert primal["newton_iterations"] == [] and primal["face_steps"] >= 1
@@ -107,12 +107,10 @@ def test_solve_json_records_both_half_line_starts(market_file, tmp_path):
     assert main(["solve", "--market", market_file, "--utility", "log", "--x", "10",
                  "--json", out]) == 0
     diagnostics = read_json(out)["diagnostics"]
-    assert diagnostics["primal"]["start"] == {"point": "generic",
-                                              "reason": "solved before the dual",
-                                              "rejected": False, "face": None}
+    assert diagnostics["primal"]["start"] == {"rejected": False, "face": None}
     assert sum(diagnostics["primal"]["newton_iterations"]) > 0
     start = diagnostics["dual"]["start"]
-    assert start == {"point": "primal", "fallback": None,
+    assert start == {"fallback": None,
                      "face": {"accepted": True, "rounds": start["face"]["rounds"],
                               "reason": None}}
     assert diagnostics["dual"]["newton_iterations"] == []

@@ -24,6 +24,7 @@ from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import (NoCpsError, PolytopeInfeasibleError, build_polytope,
                                    martingale_point)
 from frictiondual.pricing import indifference_price
+from frictiondual.shadow import construct_shadow
 from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, eval_u_prime
@@ -755,29 +756,28 @@ SHADOW_FAMILIES = [LOG, UtilitySpec("power", alpha=0.5), EXP1]
 def test_report_primal_starts_at_the_shadow_replication(spec, lam):
     # the side a report solves second starts at the optimum of the side
     # it solves first and reaches its own cold solve's optimum in fewer
-    # steps.  The exponential primal starts at the shadow-market
-    # replication of the dual optimum.  A half-line report runs its
-    # barrier on the primal, cold, and its cone dual starts at the point
-    # and multipliers read off the primal optimum
+    # steps.  The exponential primal starts at the trades read off the
+    # dual's band-row multipliers, the replication of the optimal claim
+    # at the shadow price.  A half-line report runs its barrier on the
+    # primal, cold, and its cone dual starts at the point and multipliers
+    # read off the primal optimum
     market = three_period_market(lam)
     x = 1.0 if spec.wealth_domain == "real" else 10.0
     rep = solve_report(market, spec, x)
     cold = solve_primal(market, spec, x)
     d = rep.diagnostics["primal"]
     if spec is EXP1:
-        assert d["start"] == {"point": "shadow", "reason": None, "rejected": False,
-                              "face": accepted_face(d)}
+        assert d["start"] == {"rejected": False, "face": accepted_face(d)}
         assert rep.value == pytest.approx(cold.value, rel=1e-12)
         assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9
         assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
         return
-    assert d["start"] == {"point": "generic", "reason": "solved before the dual",
-                          "rejected": False, "face": None}
+    assert d["start"] == {"rejected": False, "face": None}
     # the report's primal is the cold solve, bit for bit
     assert {**d, "start": None} == {**cold.diagnostics, "start": None}
     assert rep.claim.tobytes() == cold.claim.tobytes()
     d = rep.diagnostics["dual"]
-    assert d["start"] == {"point": "primal", "face": accepted_face(d), "fallback": None}
+    assert d["start"] == {"face": accepted_face(d), "fallback": None}
     yhat, value, sol = minimize_v_plus_xy(market, spec, x)
     assert rep.yhat == pytest.approx(yhat, rel=1e-12)
     assert rep.dual_value + x * rep.yhat == pytest.approx(value, rel=1e-12)
@@ -793,13 +793,11 @@ def accepted_face(d):
     return {"accepted": True, "rounds": d["start"]["face"]["rounds"], "reason": None}
 
 
-def test_dual_optimum_gives_the_primal_multipliers():
-    # scaled by yhat, the dual optimum is the primal's Lagrange
-    # multiplier: mapped onto the PrimalProgram's rows it is nonnegative and
-    # meets stationarity at the shadow start, at the generated spreads
-    # and at zero spread where that polytope is not empty
+def _seed_11_cases():
+    """Seed 11's ten markets at their spread and at zero spread where
+    that polytope is not empty, under log, power(1/2) and exp(1), with the
+    wealth and report of each: 48 cases."""
     gen = InstanceGenerator(seed=11)
-    checked = 0
     for i in range(10):
         market = gen.draw_feasible(i)
         for m in (market, replace(market, lam=0.0)):
@@ -807,34 +805,67 @@ def test_dual_optimum_gives_the_primal_multipliers():
                 continue
             for spec in SHADOW_FAMILIES:
                 x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(m), 0.0) + 5.0
-                rep = solve_report(m, spec, x)
-                start, record = duality._shadow_start(rep.primal, x, rep.yhat, rep.dual_system)
-                assert record["point"] == "shadow"
-                point, lam = start
-                prog = rep.primal.at(x)
-                _, g, _ = prog.objective(point)
-                assert lam.shape == prog.h.shape and np.all(lam >= 0.0), (i, m.lam, spec)
-                stationarity = np.linalg.norm(g - prog.G.T @ lam) / (1.0 + np.linalg.norm(g))
-                assert stationarity <= 1e-9, (i, m.lam, spec)
-                checked += 1
+                yield i, m, spec, x, solve_report(m, spec, x)
+
+
+def test_dual_optimum_gives_the_primal_multipliers():
+    # scaled by yhat, the dual optimum is the primal's Lagrange
+    # multiplier: mapped onto the PrimalProgram's rows it is nonnegative and
+    # meets stationarity at the start read off the same dual optimum, at
+    # the generated spreads and at zero spread
+    checked = 0
+    for i, m, spec, x, rep in _seed_11_cases():
+        point, lam = rep.primal.primal_start(x, solve_dual(m, spec, rep.yhat))
+        prog = rep.primal.at(x)
+        _, g, _ = prog.objective(point)
+        assert lam.shape == prog.h.shape and np.all(lam >= 0.0), (i, m.lam, spec)
+        stationarity = np.linalg.norm(g - prog.G.T @ lam) / (1.0 + np.linalg.norm(g))
+        assert stationarity <= 1e-9, (i, m.lam, spec)
+        checked += 1
     assert checked == 48      # 10 markets at their spread, 6 at zero spread
 
 
-def test_zero_density_dual_keeps_the_generic_start():
+def test_dual_band_multipliers_are_the_primal_trades():
+    # the other half of the KKT map: the band-row multipliers of a cold
+    # dual solve at the report's yhat, over yhat P(n) (P(n) at the
+    # exponential dual's unit scale), are the cold primal's netted optimal
+    # trades, on cases whose optimal positions are unique
+    checked = 0
+    for i, m, spec, x, rep in _seed_11_cases():
+        assert construct_shadow(m, rep.dual_system).unique_positions(), (i, m.lam, spec)
+        dual = solve_dual(m, spec, rep.yhat)
+        cold = solve_primal(m, spec, x).strategy
+        assert not (dual.buy[m.tree.leaves].any() or dual.sell[m.tree.leaves].any())
+        assert not np.any(np.minimum(dual.buy, dual.sell)), (i, m.lam, spec)
+        miss = max(np.abs(dual.buy - cold.buy).max(), np.abs(dual.sell - cold.sell).max())
+        assert miss <= 1e-6 * (1.0 + max(cold.buy.max(), cold.sell.max())), (i, m.lam, spec)
+        checked += 1
+    assert checked == 48
+
+
+def test_zero_density_report_primal_is_face_started():
     # an unhedgeable endowment of 200 at the middle leaf of a trinomial:
-    # the exponential dual density there is ~4e-13, I(yhat * Z0) is out
-    # of reach, and the primal runs exactly the cold solve
+    # the exponential dual density there is ~4e-13, so I(yhat * Z0) is out
+    # of reach, but the trades read off the dual's multipliers are defined
+    # at every node, and the primal is face-started there.  At lambda =
+    # 0.01 the face start is rejected and the barrier reaches the cold
+    # solve's optimum; at zero spread it is accepted with no Newton step,
+    # where the cold barrier takes 500
     tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
-    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
-                        endowment=[0.0, 200.0, 0.0])
-    rep = solve_report(market, EXP1, 1.0)
-    assert rep.zero_density_leaves == [2]
-    d = rep.diagnostics["primal"]
-    assert d["start"] == {"point": "generic", "reason": "zero dual density at node 2",
-                          "rejected": False, "face": None}
-    cold = solve_primal(market, EXP1, 1.0)
-    assert np.array_equal(rep.claim, cold.claim)
-    assert d["newton_iterations"] == cold.diagnostics["newton_iterations"]
+    for lam, accepted in ((0.01, False), (0.0, True)):
+        market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=lam,
+                            endowment=[0.0, 200.0, 0.0])
+        rep = solve_report(market, EXP1, 1.0)
+        assert rep.zero_density_leaves == [2]
+        d = rep.diagnostics["primal"]
+        assert set(d["start"]) == {"rejected", "face"} and not d["start"]["rejected"]
+        assert d["start"]["face"]["accepted"] is accepted, lam
+        cold = solve_primal(market, EXP1, 1.0)
+        assert rep.value == pytest.approx(cold.value, rel=1e-12), lam
+        assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9, lam
+        steps = sum(d["newton_iterations"])
+        assert (steps == 0 and d["factorizations"] == 0) if accepted else steps > 0, lam
+        assert sum(cold.diagnostics["newton_iterations"]) == (500 if accepted else 22)
 
 
 def _face_and_barrier_solves(market, spec, x, start):
@@ -880,8 +911,8 @@ def test_face_start_is_accepted_on_generated_markets():
             if spec is EXP1:
                 solves.append((x, None, rep.value, rep.claim, rep.diagnostics["primal"]))
             else:
-                assert rep.diagnostics["primal"]["start"]["point"] == "generic", (i, spec)
-                assert rep.diagnostics["primal"]["start"]["face"] is None, (i, spec)
+                assert rep.diagnostics["primal"]["start"] == {"rejected": False,
+                                                              "face": None}, (i, spec)
             for xh in (x + h, x - h):
                 # paired with the dual's multipliers at xh, as verify_identities does
                 start = (point, rep.primal.multipliers(xh, rep.yhat, rep.dual_system))
@@ -908,7 +939,7 @@ def test_face_start_is_accepted_on_generated_markets():
                 assert value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
                 assert np.max(np.abs(claim - cold.claim)) <= 1e-9, (i, spec, xs)
             if spec is EXP1:
-                assert solves[0][4]["start"]["point"] == "shadow"
+                assert set(solves[0][4]["start"]) == {"rejected", "face"}
                 # and it meets the dual value to rounding
                 assert rep.relative_gap <= 1e-13, (i, spec)
     # the exponential report's own primal is always accepted; under power(1/2) the
@@ -941,20 +972,20 @@ def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
     # a start whose pull is not strictly feasible shows in the start
     # record and in the events, and the report still reaches the optimum
     # from the closed-form start.  The exponential report's primal is the
-    # one that starts at the shadow replication
-    shadow_start = duality._shadow_start
+    # one that starts at the trades read off the dual optimum
+    primal_start = PrimalProgram.primal_start
 
-    def far_below(program, x, yhat, system):
-        start, record = shadow_start(program, x, yhat, system)
+    def far_below(self, x, dual):
+        point, lam = primal_start(self, x, dual)
         # claims so far below the legs that the objective overflows
-        start[0][-program.market.tree.n_leaves:] -= 1e6
-        return start, record
+        point[-self.market.tree.n_leaves:] -= 1e6
+        return point, lam
 
     cold = solve_report(two_period_market, EXP1, 6.0)
-    monkeypatch.setattr(duality, "_shadow_start", far_below)
+    monkeypatch.setattr(PrimalProgram, "primal_start", far_below)
     rep = solve_report(two_period_market, EXP1, 6.0)
     d = rep.diagnostics["primal"]
-    assert d["start"] == {"point": "shadow", "reason": None, "rejected": True,
+    assert d["start"] == {"rejected": True,
                           "face": {"accepted": False, "rounds": 0,
                                    "reason": "start outside the objective domain"}}
     assert d["events"][:2] == [
@@ -1008,7 +1039,7 @@ def test_dual_face_start_is_accepted_on_generated_markets():
             rep = solve_report(market, spec, x)
             d = rep.diagnostics["dual"]
             face = accepted_face(d)
-            assert d["start"] == {"point": "primal", "face": face, "fallback": None}, (i, spec)
+            assert d["start"] == {"face": face, "fallback": None}, (i, spec)
             assert d["events"] == [f"face start accepted after {face['rounds']} rounds"]
             assert d["newton_iterations"] == [] and d["factorizations"] == 0
             yhat, value, _ = minimize_v_plus_xy(market, spec, x, poly=poly)
@@ -1031,7 +1062,7 @@ def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, mo
     rep = solve_report(two_period_market, LOG, x)
     d = rep.diagnostics["dual"]
     face = {"accepted": False, "rounds": 0, "reason": "start outside the objective domain"}
-    assert d["start"] == {"point": "primal", "face": face, "fallback": "cold cone solve"}
+    assert d["start"] == {"face": face, "fallback": "cold cone solve"}
     yhat, _, cold = minimize_v_plus_xy(two_period_market, LOG, x)
     assert rep.yhat.hex() == yhat.hex()
     assert rep.dual_leaf_vars.tobytes() == cold.leaf_vars.tobytes()
@@ -1083,6 +1114,15 @@ def test_unhedgeable_trinomial_endowment_reports():
                    reason="entropy dual ends on a quiet floor exit, KKT residual 1.3e-4")
 def test_generated_market_2026_126_reports():
     market = InstanceGenerator(seed=2026).draw_feasible(126)
+    assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="entropy dual ends on a quiet floor exit at step 14, KKT "
+                          "residual 2.85e-5")
+def test_generated_market_5_43_reports():
+    # 11 nodes, lambda = 0.176; the exp primal alone solves in 40 steps
+    market = InstanceGenerator(seed=5).draw_feasible(43)
     assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6
 
 

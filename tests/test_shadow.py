@@ -296,9 +296,9 @@ def test_exponential_line_search_never_overflows():
 @pytest.mark.parametrize("spec, indices", [(EXP1, range(10)), (LOG, (0, 5, 9))],
                          ids=["exp", "log"])
 def test_frictionless_primal_starts_at_its_own_dual(spec, indices):
-    # the shadow market's primal is face-started at the optimum of the
-    # shadow market's own cold dual, which on a frictionless market is
-    # its optimum: accepted with no barrier step, at the cold value
+    # the shadow market's primal is face-started at the net trades read
+    # off the shadow market's own cold dual, which on a frictionless
+    # market are its optimum: accepted with no barrier step, at the cold value
     gen = InstanceGenerator(seed=11)
     for i in indices:
         market = gen.draw_feasible(i)
@@ -306,28 +306,35 @@ def test_frictionless_primal_starts_at_its_own_dual(spec, indices):
         _, sh, fr = shadow_pipeline(market, spec, x)
         d = fr.diagnostics["primal"]
         start = d["start"]
-        assert start["point"] == "shadow" and start["face"]["accepted"], (i, start)
+        assert start == {"rejected": False, "face": {"accepted": True,
+                                                     "rounds": start["face"]["rounds"],
+                                                     "reason": None}}, (i, start)
         assert sum(d["newton_iterations"]) == 0 and d["factorizations"] == 0
         cold = solve_primal(sh.as_market(), spec, x)
         assert sum(cold.diagnostics["newton_iterations"]) > 0
         assert abs(fr.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value)), i
 
 
-def test_zero_density_shadow_dual_keeps_the_generic_start():
+def test_zero_density_shadow_primal_is_face_started():
     # an unhedgeable endowment of 500 at the middle leaf of a trinomial:
-    # the shadow price is undefined there, the shadow market's own dual
-    # density vanishes there too, and its primal runs exactly the cold solve
+    # the shadow price is undefined there and the shadow market's own
+    # dual density vanishes there too, but the net trades read off that
+    # dual are defined at every node.  The primal is face-started there;
+    # the start is rejected, and the barrier from the pulled start reaches
+    # the cold solve's optimum in a few steps, where the cold one takes 500
     tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
     market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
                         endowment=[0.0, 500.0, 0.0])
     rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
     assert sh.undefined.tolist() == [False, False, True, False]
     d = fr.diagnostics["primal"]
-    assert d["start"] == {"point": "generic", "reason": "zero dual density at node 2",
-                          "rejected": False, "face": None}
+    face = d["start"]["face"]
+    assert d["start"] == {"rejected": False, "face": face}
+    assert not face["accepted"] and face["reason"].startswith("KKT residuals")
     cold = solve_primal(sh.as_market(), EXP1, 1.0)
-    assert np.array_equal(fr.position, cold.strategy.phi1)
-    assert d["newton_iterations"] == cold.diagnostics["newton_iterations"]
+    assert np.max(np.abs(fr.position - cold.strategy.phi1)) <= 1e-9
+    assert fr.value == pytest.approx(cold.value, rel=1e-12)
+    assert 0 < sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
     assert abs(fr.value - rep.value) <= 1e-9 * (1.0 + abs(rep.value))
 
 

@@ -106,24 +106,3 @@ def test_csv_roundtrip(tmp_path, two_period_market):
         assert float(rec["phi1"]) == st.phi1[i]
     vals = liquidation_values(m, st)
     assert float(rows[-1]["vliq"]) == vals[n - 1]
-
-
-def test_replicate_hedges_a_complete_market_exactly():
-    # a two-period binomial at zero spread is complete: the hedge of any
-    # claim under the martingale density, from zero cash, ends at the
-    # claim less its price E_Q[claim]
-    from frictiondual.polytope import conditional_expectation_matrix, martingale_point
-    from frictiondual.trading import replicate
-    from frictiondual.tree import EventTree, MarketSpec
-
-    tree = EventTree(parent=[-1, 0, 0, 1, 1, 2, 2], time=[0, 1, 1, 2, 2, 2, 2],
-                     cond_prob=[1.0, 0.6, 0.4, 0.5, 0.5, 0.3, 0.7])
-    m = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 92.0, 125.0, 101.0, 97.0, 85.0],
-                   lam=0.0, endowment=np.zeros(4))
-    z0_leaf = martingale_point(m)[:4]
-    z0 = conditional_expectation_matrix(m) @ z0_leaf
-    claim = np.array([3.0, -1.0, 0.5, 2.0])
-    st = replicate(m, m.ask_price, z0, claim)
-    price = float(tree.leaf_prob @ (z0_leaf * claim))
-    assert np.allclose(terminal_claim(m, st), claim - price, rtol=0.0, atol=1e-12)
-    assert np.all(st.buy[tree.leaves] == 0.0) and np.all(st.sell[tree.leaves] == 0.0)
