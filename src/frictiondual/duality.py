@@ -41,7 +41,7 @@ POSITIVITY_MARGIN = 1e-10
 THRESHOLD_MARGIN = 10.0 * POSITIVITY_MARGIN   # x must clear the threshold by this
 WARM_PULL = 0.1           # share of the way a supplied primal start moves to the closed-form one
 YHAT_RTOL = 1e-8
-FD_STEP = 1e-4            # central-difference step of u'(x), relative to 1 + |x|
+FD_STEP = 1e-4            # central-difference step of u'(x), relative to 1 + |x| or x - x0
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
 
 
@@ -717,25 +717,48 @@ def verify_identities(report: SolveReport) -> dict:
     (a) duality gap, (b) per-leaf pointwise identity on the support of
     the dual density, (c) |u'(x) - E[U'(wealth)]| with u' by central
     difference of the primal value, (d) the wealth-weighted variant.
-    The step is ``h = FD_STEP * (1 + |x|)``.  Both primal solves at
-    ``x +- h`` run on the report's :class:`PrimalProgram`, from the
-    report's primal point, whose face is usually theirs, paired with the
-    dual's multipliers at their own ``x``: :func:`solve_primal` hands the
-    pair to the engine as the face start, and the barrier runs only when
-    it is rejected.
+    The step is ``h = FD_STEP * (1 + |x|)``, and for a half-line utility
+    ``FD_STEP * min(1 + |x|, x - x0 - THRESHOLD_MARGIN)``, with ``x0`` its
+    threshold, so that ``x - h`` clears the margin :func:`solve_primal`
+    asks of it.  Near that margin ``h`` is a share of a tiny clearance,
+    and the quotient carries the solves' tolerance divided by ``h``; once
+    ``h`` is below the rounding of ``x``, ``x +- h`` round to ``x`` and
+    ``u_prime_fd`` (and the checks built on it) is NaN.  Both primal solves run on the report's
+    :class:`PrimalProgram`, each from a point whose face is usually
+    theirs, paired with the dual's multipliers at their own ``x``:
+    :func:`solve_primal` hands the pair to the engine as the face start,
+    and the barrier runs only when it is rejected (a start outside the
+    objective domain included).  ``x + h`` starts at the report's primal
+    point ``p``, and ``x - h`` at its reflection ``2 p - p(x + h)``
+    through the ``x + h`` optimum, exact to first order and inside the
+    objective's domain where ``p`` may not be (a leaf's wealth that is
+    small against ``h``).  ``fd_starts`` holds, per side, its ``x`` and
+    the solve's ``start`` record (``rejected``, ``face``).
     """
     market, spec, x = report.market, report.utility, report.x
     prob = market.tree.leaf_prob
     u_prime_leaf = ut.eval_u_prime(spec, x + report.claim + market.endowment)
 
-    h = FD_STEP * (1.0 + abs(x))
-    point = report.primal.point(report.strategy, report.claim)
+    primal = report.primal
+    scale = 1.0 + abs(x)
+    if primal.threshold is not None:
+        scale = min(scale, x - (primal.threshold + THRESHOLD_MARGIN))
+    h = FD_STEP * scale
+    point = primal.point(report.strategy, report.claim)
 
-    def value(xh):
-        lam = report.primal.multipliers(xh, report.yhat, report.dual_system)
-        return solve_primal(market, spec, xh, x0=(point, lam), program=report.primal).value
+    def solve_at(xh, start):
+        lam = primal.multipliers(xh, report.yhat, report.dual_system)
+        return solve_primal(market, spec, xh, x0=(start, lam), program=primal)
 
-    u_prime_fd = (value(x + h) - value(x - h)) / (2.0 * h)
+    x_up, x_down = x + h, x - h
+    up = solve_at(x_up, point)
+    down = solve_at(x_down, 2.0 * point - primal.point(up.strategy, up.claim))
+    # the steps as rounded, not 2 h: they differ where x dwarfs h, and
+    # are 0, leaving no quotient, where h is below the rounding of x
+    step = x_up - x_down
+    u_prime_fd = (up.value - down.value) / step if step > 0.0 else np.nan
+    fd_starts = [{"x": xs, **sol.diagnostics["start"]}
+                 for xs, sol in ((x_up, up), (x_down, down))]
 
     finite = report.leaf_identity_residuals[
         ~np.isnan(report.leaf_identity_residuals)
@@ -753,4 +776,5 @@ def verify_identities(report: SolveReport) -> dict:
             x * u_prime_fd - float(prob @ ((x + report.claim) * u_prime_leaf))
         ),
         "yhat_vs_fd": abs(report.yhat - u_prime_fd),
+        "fd_starts": fd_starts,
     }

@@ -10,8 +10,9 @@ self-contained, and so is the active-face finish that moves its optimal
 exits onto their face.  A program that carries a face start, a point
 already on (or next to) its optimal face and multipliers for its rows,
 is first finished from there by the same barrier-free Newton steps; the
-barrier runs only when that fails.  No library path solves a linear
-program: the existence of a price system is decided on the tree
+barrier runs only when that fails.  A finish step that would leave the
+objective's domain is damped into it on the same face.  No library path
+solves a linear program: the existence of a price system is decided on the tree
 (:func:`polytope.strictly_consistent`).  :func:`solve_lp`, one HiGHS call
 (``scipy.optimize.linprog``) outside this loop, is kept for the tests'
 LP oracles.
@@ -119,7 +120,8 @@ class SolveDiagnostics:
     multipliers, a ridge added to a singular reduced matrix, a quiet
     floor exit (two centered floor steps in a row with a negligible
     decrement, the second not halving the stationarity residual of the
-    first), a ``max_iter`` promoted to ``optimal``.  ``factorizations`` counts the LU factorizations of the
+    first), a ``max_iter`` promoted to ``optimal``, a face finish step
+    damped into the objective's domain.  ``factorizations`` counts the LU factorizations of the
     reduced Newton matrix: one per iteration, the one that stops the loop
     included, one more per centering restart and per ridge retry, and
     none for a pinned point.  ``face_start`` is the outcome of a face
@@ -566,13 +568,15 @@ def _finalize(diag, program, x, evaluation, G, h, eq, lam, nu, in_domain):
     ``evaluation``, in ``diag``; with ``in_domain`` (the optimal and
     max_iter exits) first try :func:`_face_finish` and keep its point and
     multipliers when their KKT residuals are no larger (a NaN residual
-    never is).  ``eq`` is the program's :class:`_Equalities`.  Returns the
-    kept ``(x, lam, nu)``."""
+    never is), and log the finish's damped steps.  ``eq`` is the
+    program's :class:`_Equalities`.  Returns the kept ``(x, lam, nu)``."""
     fval, g, d = evaluation
     A, b = eq.A, eq.b
     kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
-    face = None if in_domain is None else \
-        _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain)[0]
+    face = None
+    if in_domain is not None:
+        face, _, damped = _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain)
+        diag.events.extend(damped)
     if face is not None:
         x_f, lam_f, nu_f, f_f, g_f, steps = face
         kkt_f = _kkt_residuals(g_f, x_f, G, h, A, b, lam_f, nu_f)
@@ -620,17 +624,24 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     ones on the face's kept rows, so dependent rows keep their split.
     Rows the step would cross join the face and the row with the most
     negative multiplier leaves it, one row per face change (Goldfarb &
-    Idnani, Math. Prog. 27, 1983), in place of the step; ``FINISH_ROUNDS``
-    such rounds in a row end the finish, as does a step out of the
-    objective domain, one not half its predecessor or one that is not
-    finite (a NaN step is the last, so it cannot loop).  A step below
-    sqrt(eps) relative to the point in every component is the last: its
-    multipliers certify the point it reaches to second order.  Crossover
-    as in Mehrotra & Ye, Math. Prog. 62 (1993).
+    Idnani, Math. Prog. 27, 1983), in place of the step.  A step with no
+    negative multiplier that would leave the objective domain, where the
+    model of a steep objective overshoots, is damped instead: halved on
+    the same face until it stays in the domain (:func:`_damp`).  A damped
+    step that crosses rows is a face change like a full one; otherwise it
+    is taken, counts as a face change, and the next full step is not
+    compared with it.  ``FINISH_ROUNDS`` face changes in a row end the
+    finish, as do ``FINISH_ROUNDS`` damped steps, a full step not half
+    the last full one, one that is not finite (a NaN step is the last, so
+    it cannot loop) or one that no halving keeps in the domain.  A step
+    below sqrt(eps) relative to the point in every component is the
+    last: its multipliers certify the point it reaches to second order.
+    Crossover as in Mehrotra & Ye, Math. Prog. 62 (1993).
 
-    Returns ``(out, rounds)``: ``out`` is ``(x, lam, nu, f, g, steps)``
-    at the last step taken, or ``None`` when none was, and ``rounds``
-    counts the rounds, steps and face changes alike.
+    Returns ``(out, rounds, damped)``: ``out`` is ``(x, lam, nu, f, g,
+    steps)`` at the last step taken, or ``None`` when none was,
+    ``rounds`` counts the rounds, steps and face changes alike, and
+    ``damped`` holds one event per damped step.
     """
     A, b = eq.A, eq.b
     (m, n), p = G.shape, 0 if A is None else A.shape[0]
@@ -638,7 +649,7 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     active = G @ x - h <= 1e-7 * scale
     # crossing by more than the rounding bound of G x - h
     crossing = -n * EPS * scale
-    out, steps, idle, face, last, rounds = None, 0, 0, None, np.inf, 0
+    out, steps, idle, face, last, rounds, damped = None, 0, 0, None, np.inf, 0, []
     while idle < FINISH_ROUNDS:
         rounds += 1
         if face is None:
@@ -660,9 +671,13 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
         w[face.keep] += face.multipliers(g + d * dx + C.T @ w)
         lam_t = np.zeros(m)
         lam_t[rows] = -w[p:]
-        x_t = x + dx
-        join = ~active & (G @ x_t - h < crossing)
         leave = int(np.argmin(lam_t))
+        t = 1.0
+        if lam_t[leave] >= 0.0 and not in_domain(x + dx):
+            # at most FINISH_ROUNDS damped steps: t = 0 ends the finish
+            t = _damp(in_domain, x, dx) if len(damped) < FINISH_ROUNDS else 0.0
+        x_t = x + t * dx
+        join = ~active & (G @ x_t - h < crossing)
         if join.any() or lam_t[leave] < 0.0:
             active |= join
             active[leave] &= lam_t[leave] >= 0.0
@@ -670,15 +685,33 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
             idle += 1
             continue
         size = math.sqrt(dx @ dx)
-        if not (math.isfinite(size) and size <= 0.5 * last) or not in_domain(x_t):
+        if not (math.isfinite(size) and t > 0.0 and (t < 1.0 or size <= 0.5 * last)):
             break
-        x, lam, nu, last, idle = x_t, lam_t, w[:p], size, 0
+        x, lam, nu = x_t, lam_t, w[:p]
+        if t < 1.0:
+            # no Newton convergence to measure: the next full step is
+            # compared with none, and the step counts as a face change
+            damped.append(f"face step damped into the domain at round {rounds}")
+            last, idle = np.inf, idle + 1
+        else:
+            last, idle = size, 0
         steps += 1
         fval, g, d = program.objective(x)
         out = (x, lam, nu, fval, g, steps)
         if (np.abs(dx) <= SQRT_EPS * (1.0 + np.abs(x))).all():
             break
-    return out, rounds
+    return out, rounds, damped
+
+
+def _damp(in_domain, x, dx):
+    """The largest ``t = BACKTRACK_BETA^k``, ``k = 1..80``, that keeps ``x
+    + t dx`` in the objective domain, or 0 when none does."""
+    t = 1.0
+    for _ in range(80):
+        t *= BACKTRACK_BETA
+        if in_domain(x + t * dx):
+            return t
+    return 0.0
 
 
 def _face_start(program, eq, G, h, in_domain, diag):
@@ -690,7 +723,8 @@ def _face_start(program, eq, G, h, in_domain, diag):
     stopping test: stationarity, relative to ``1 + |g|``, and feasibility
     at most ``10 TOL``, and complementarity at most the floor weight
     ``TOL / (10 m)``; a NaN residual fails it.  The outcome is recorded
-    in ``diag.face_start`` and logged as the first event.  A point without
+    in ``diag.face_start`` and logged as the first event, followed by one
+    event per damped step of the finish.  A point without
     ``n`` entries, or multipliers not one per row of ``G``, raise
     ``ValueError``.
     """
@@ -699,11 +733,12 @@ def _face_start(program, eq, G, h, in_domain, diag):
         raise ValueError(f"face start needs a point of {program.n} entries and "
                          f"{G.shape[0]} multipliers, got shapes {x.shape} and {lam.shape}")
     A, b = eq.A, eq.b
-    out, rounds = None, 0
+    out, rounds, damped = None, 0, []
     if in_domain(x):
         fval, g, d = program.objective(x)
-        out, rounds = _face_finish(program, x, g, d, G, h, eq, lam,
-                                   np.zeros(0 if A is None else A.shape[0]), in_domain)
+        out, rounds, damped = _face_finish(program, x, g, d, G, h, eq, lam,
+                                           np.zeros(0 if A is None else A.shape[0]),
+                                           in_domain)
         reason = "no step on the face"
     else:
         reason = "start outside the objective domain"
@@ -719,6 +754,7 @@ def _face_start(program, eq, G, h, in_domain, diag):
     diag.face_start = {"accepted": reason is None, "rounds": rounds, "reason": reason}
     diag.events.append(f"face start accepted after {rounds} rounds" if reason is None
                        else f"face start rejected after {rounds} rounds: {reason}")
+    diag.events.extend(damped)
     if reason is not None:
         return None
     diag.status = "optimal"

@@ -116,6 +116,22 @@ def test_solve_json_records_both_half_line_starts(market_file, tmp_path):
     assert diagnostics["dual"]["newton_iterations"] == []
 
 
+def test_solve_near_the_threshold_checks_the_marginal_utility(tmp_path):
+    # seed 11's first market without its endowment has threshold 0.  At
+    # x = 1e-5 the central difference steps by a share of x - x0, so x - h
+    # stays above the threshold (it exited 3 at x - h = -9e-5), both
+    # primals land from their face starts and u'(x) matches yhat
+    assert main(["gen", "--seed", "11", "--count", "1", "--out", str(tmp_path)]) == 0
+    (market,) = tmp_path.glob("*.json")
+    out = str(tmp_path / "solve.json")
+    assert main(["solve", "--market", str(market), "--utility", "log", "--x", "1e-5",
+                 "--no-endowment", "--json", out]) == 0
+    checks = read_json(out)["identity_checks"]
+    assert checks["yhat_vs_fd"] <= 1e-6 * checks["yhat"]
+    starts = checks["fd_starts"]
+    assert all(s["face"]["accepted"] for s in starts) and starts[1]["x"] > 0.0
+
+
 def test_solve_infeasible_wealth(market_file, capsys):
     code = main(["solve", "--market", market_file, "--utility", "log",
                  "--x", "-1000.0"])

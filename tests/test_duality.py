@@ -521,9 +521,31 @@ def test_half_line_report_near_the_threshold(drift_binomial, endowment, spec, ab
     # u'(wealth) reaches 1e6 here: the leaf identity relative to it
     wealth = x + rep.claim + market.endowment
     assert np.nanmax(rep.leaf_identity_residuals / eval_u_prime(spec, wealth)) <= 1e-6
-    # the central difference needs x - h above the threshold
-    if x - duality.FD_STEP * (1.0 + abs(x)) > x0:
-        verify_identities(rep)
+    # the central difference's step is a share of x's clearance of the
+    # threshold margin, so x - h clears it too
+    rec = verify_identities(rep)
+    assert rec["yhat_vs_fd"] <= 1e-5 * (1.0 + rep.yhat)
+    assert rec["fd_starts"][1]["x"] > x0 + duality.THRESHOLD_MARGIN
+
+
+@pytest.mark.parametrize("endowment", [(0.0, 0.0), (3.0, -2.0), (-1.0, 0.5), (-2.0, -2.0)],
+                         ids=lambda e: f"{e[0]:g},{e[1]:g}")
+def test_verify_identities_just_above_the_threshold_margin(drift_binomial, endowment):
+    # x = x0 + 1.00001e-9 clears solve_primal's margin, 1e-9, by 1e-14,
+    # and h = 1e-18 keeps x - h above it, so both primals solve.  Without
+    # an endowment x0 = 0, and x = 1e-9 resolves h; elsewhere h is below
+    # the rounding of x: x +- h round to x, and there is no quotient
+    market = drift_binomial.with_endowment(list(endowment))
+    x0 = compute_x0(market)
+    x = x0 + 1.00001e-9
+    rep = solve_report(market, UtilitySpec("power", alpha=0.5), x)
+    rec = verify_identities(rep)
+    assert all(s["x"] > x0 + duality.THRESHOLD_MARGIN for s in rec["fd_starts"])
+    if x0 == 0.0:
+        assert rec["yhat_vs_fd"] <= 1e-5 * rep.yhat
+    else:
+        assert [s["x"] for s in rec["fd_starts"]] == [x, x]
+        assert np.isnan(rec["u_prime_fd"]) and np.isnan(rec["yhat_vs_fd"])
 
 
 @pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
@@ -892,61 +914,73 @@ def _assert_barrier_bits(res, barrier):
     assert got == want
 
 
-def test_face_start_is_accepted_on_generated_markets():
+def test_face_start_is_accepted_on_generated_markets(monkeypatch):
     # the exponential report's primal and verify_identities' x +- h
-    # primals finish on the face of their start, with no barrier step, at
-    # the cold barrier solve's optimum.  A half-line report's primal is
-    # the cold solve, and its dual is face-started instead
+    # primals, x + h from the report's point and x - h from its
+    # reflection through the x + h optimum, finish on the face of their
+    # start, with no barrier step, at the cold barrier solve's optimum.  A
+    # half-line report's primal is the cold solve, and its dual is
+    # face-started instead
     # (test_dual_face_start_is_accepted_on_generated_markets)
+    seen, solve_primal_ = [], duality.solve_primal
+
+    def spied(market, spec, x, x0=None, program=None):
+        sol = solve_primal_(market, spec, x, x0=x0, program=program)
+        seen.append((x, sol))
+        return sol
+
+    monkeypatch.setattr(duality, "solve_primal", spied)
     gen = InstanceGenerator(seed=11)
-    rejected, short = [], []
+    rejected, short, damped = [], [], []
     for i in range(10):
         market = gen.draw_feasible(i)
         for spec in SHADOW_FAMILIES:
             x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
+            seen.clear()
             rep = solve_report(market, spec, x)
-            h = duality.FD_STEP * (1.0 + abs(x))
-            point = rep.primal.point(rep.strategy, rep.claim)
-            solves = []
-            if spec is EXP1:
-                solves.append((x, None, rep.value, rep.claim, rep.diagnostics["primal"]))
-            else:
+            if spec is not EXP1:
                 assert rep.diagnostics["primal"]["start"] == {"rejected": False,
                                                               "face": None}, (i, spec)
-            for xh in (x + h, x - h):
-                # paired with the dual's multipliers at xh, as verify_identities does
-                start = (point, rep.primal.multipliers(xh, rep.yhat, rep.dual_system))
-                warm = solve_primal(market, spec, xh, x0=start)
-                solves.append((xh, start, warm.value, warm.claim, warm.diagnostics))
-            for xs, start, value, claim, d in solves:
+                seen.clear()
+            starts = verify_identities(rep)["fd_starts"]
+            assert [s["x"] for s in starts] == [xs for xs, _ in seen[-2:]]
+            assert starts == [{"x": xs, **sol.diagnostics["start"]} for xs, sol in seen[-2:]]
+            for xs, sol in seen:
+                d = sol.diagnostics
                 face = d["start"]["face"]
                 assert not d["start"]["rejected"], (i, spec, xs)
                 if not face["accepted"]:
-                    rejected.append((i, spec.family))
-                    _assert_barrier_bits(*_face_and_barrier_solves(market, spec, xs, start))
+                    rejected.append((i, spec.family, xs))
                     continue
-                assert d["events"] == [f"face start accepted after {face['rounds']} rounds"]
+                first, *rest = d["events"]
+                assert first == f"face start accepted after {face['rounds']} rounds"
+                if rest:
+                    damped.append((i, spec.family, xs))
+                    assert all(e.startswith("face step damped into the domain at round ")
+                               for e in rest)
                 assert d["newton_iterations"] == [] and d["factorizations"] == 0
                 assert max(d["kkt_stationarity"], d["kkt_feasibility"],
                            d["kkt_complementarity"]) <= 10 * engine.TOL
-                cold = solve_primal(market, spec, xs)
+                cold = solve_primal_(market, spec, xs)
                 if cold.diagnostics["face_steps"] == 0:
                     # the cold solve kept its barrier point, short of the
                     # face: the face start's value is the higher one
                     short.append((i, spec.family))
-                    assert value > cold.value
+                    assert sol.value > cold.value
                     continue
-                assert value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
-                assert np.max(np.abs(claim - cold.claim)) <= 1e-9, (i, spec, xs)
+                assert sol.value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
+                assert np.max(np.abs(sol.claim - cold.claim)) <= 1e-9, (i, spec, xs)
             if spec is EXP1:
-                assert set(solves[0][4]["start"]) == {"rejected", "face"}
+                assert set(seen[0][1].diagnostics["start"]) == {"rejected", "face"}
                 # and it meets the dual value to rounding
                 assert rep.relative_gap <= 1e-13, (i, spec)
-    # the exponential report's own primal is always accepted; under power(1/2) the
-    # x +- h optima of markets 5 and 9 put a leaf's wealth near zero,
-    # where the face's quadratic model overshoots (and x - h takes
-    # market 5's start out of the domain), so the barrier solves those
-    assert rejected == [(5, "power"), (5, "power"), (9, "power")]
+    # every start lands.  Under power(1/2) the x + h optimum of market 5
+    # puts a leaf's wealth near zero, 5e-5, where the start's is 20 times
+    # that: the first Newton steps of sqrt on its face overshoot below 0
+    # and are damped into the domain.  Its report point would start x - h
+    # outside the domain; the reflection does not
+    assert rejected == []
+    assert [(i, family) for i, family, _ in damped] == [(5, "power")]
     assert short == [(5, "exponential")] * 3
 
 
@@ -1074,10 +1108,11 @@ def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, mo
 
 
 def test_rejected_face_start_builds_its_start_once(monkeypatch):
-    # seed 11's market 5 under power(1/2): verify_identities' x - h primal
-    # starts outside the objective domain, so the barrier runs from the
-    # pulled start, built once, with the record and bits of the barrier
-    # solve from that point
+    # seed 11's market 5 under power(1/2): the report's point starts the
+    # x - h primal outside the objective domain (verify_identities starts
+    # it at the reflection instead), so the barrier runs from the pulled
+    # start, built once, with the record and bits of the barrier solve
+    # from that point
     market = InstanceGenerator(seed=11).draw_feasible(5)
     spec = UtilitySpec("power", alpha=0.5)
     x = max(compute_x0(market), 0.0) + 5.0

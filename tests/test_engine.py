@@ -702,3 +702,70 @@ def test_kkt_residuals_at_nan_slacks_and_rows():
     # a finite slack with a NaN equality row, via a NaN right-hand side
     feas = engine._kkt_residuals(g, np.ones(2), G, h, A, np.array([np.nan]), lam, nu)[1]
     assert np.isnan(feas)
+
+
+@pytest.mark.parametrize("floor", [None, 1.0], ids=["free", "floor-row"])
+def test_face_step_out_of_the_domain_is_damped(floor):
+    # max E[sqrt w] over the budget q @ w = 1, w >= 0, face-started with
+    # leaf 0 at 20 times its optimal wealth: the first two full Newton
+    # steps of sqrt overshoot below w0 = 0.  Each is damped into the
+    # domain on the face, where it had ended the finish, and the start is
+    # accepted at the barrier's optimum.  With the row w0 >= 1, which the
+    # second damped step would cross, that step is a face change: the row
+    # joins the face, and the optimum there has w0 = 1
+    p, q = np.array([0.3, 0.4, 0.3]), np.array([0.5, 0.3, 0.2])
+
+    def objective(w):
+        r = np.sqrt(w)
+        return -float(p @ r), -p / (2.0 * r), p / (4.0 * w * r)
+
+    optimum = (p / q) ** 2 / float(p @ (p / q))
+    start = optimum.copy()
+    start[0] *= 20.0
+    G, h = np.eye(3), np.zeros(3)
+    if floor is not None:
+        G, h = np.vstack([G, [1.0, 0.0, 0.0]]), np.append(h, floor)
+    prog = ConvexProgram(n=3, objective=objective, A_eq=q[None, :], b_eq=np.ones(1),
+                         G=G, h=h, x0=lambda: np.array([1.2, 0.6, 0.6]),
+                         in_domain=lambda w: bool((w > 0.0).all()),
+                         face_start=(start, np.zeros(G.shape[0])))
+    res = solve(prog)
+    d = res.diagnostics
+    assert d.face_start == {"accepted": True, "rounds": d.face_start["rounds"], "reason": None}
+    damped = [1, 2] if floor is None else [1]
+    assert d.events == [f"face start accepted after {d.face_start['rounds']} rounds"] + [
+        f"face step damped into the domain at round {r}" for r in damped]
+    assert d.newton_iterations == [] and d.factorizations == 0
+    barrier = solve(replace(prog, face_start=None))
+    assert barrier.diagnostics.newton_iterations
+    assert abs(d.objective - barrier.diagnostics.objective) <= 1e-12 * abs(d.objective)
+    assert np.abs(res.x - barrier.x).max() <= 1e-12 * np.abs(barrier.x).max()
+    if floor is None:
+        assert np.abs(res.x - optimum).max() <= 1e-12 * optimum.max()
+    else:
+        assert res.x[0] == pytest.approx(floor, abs=1e-15) and res.ineq_multipliers[3] > 0.0
+
+
+def test_face_finish_ends_when_damped_and_full_steps_alternate():
+    # an objective whose Newton target swings between 2, outside the
+    # domain x < 1, and 0, inside it: every other step is damped, and each
+    # full step between them would start a fresh halving test.  At most
+    # FINISH_ROUNDS damped steps end the finish
+    evals = []
+
+    def objective(x):
+        assert len(evals) < 100, "the face finish does not end"
+        target = 2.0 if len(evals) % 2 == 0 else 0.0
+        evals.append(float(x[0]))
+        return 0.5 * float(x[0] - target) ** 2, x - target, np.ones(1)
+
+    G, h = np.array([[-1.0]]), np.array([-10.0])
+    prog = ConvexProgram(n=1, objective=objective, G=G, h=h, x0=lambda: np.zeros(1),
+                         in_domain=lambda x: bool(x[0] < 1.0))
+    x = np.zeros(1)
+    _, g, d = objective(x)
+    out, rounds, damped = engine._face_finish(prog, x, g, d, G, h,
+                                              engine._reduce_equalities(None, None),
+                                              np.zeros(1), np.zeros(0), prog.in_domain)
+    assert len(damped) == engine.FINISH_ROUNDS
+    assert out[-1] == 2 * engine.FINISH_ROUNDS and rounds == out[-1] + 1
