@@ -156,7 +156,12 @@ class PrimalProgram:
     The KKT map between this program and its dual is read both ways: a
     dual optimum gives the primal's face start (:meth:`primal_start`,
     with :meth:`multipliers`), and a primal optimum gives the scaled-cone
-    dual's (:meth:`dual_start`)."""
+    dual's (:meth:`dual_start`).
+
+    ``faces`` is the face-finish memo of ``G`` (:attr:`ConvexProgram.faces`)
+    that every program :meth:`at` builds shares, so a face split at one
+    wealth, such as a report's, is reused at every other; it lives as long
+    as this object."""
 
     market: MarketSpec
     spec: ut.UtilitySpec
@@ -168,6 +173,7 @@ class PrimalProgram:
     mean_endowment: float
     threshold: Optional[float]
     hedge: Optional[Strategy]
+    faces: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(cls, market: MarketSpec, spec: ut.UtilitySpec) -> PrimalProgram:
@@ -213,7 +219,8 @@ class PrimalProgram:
         """The engine's minimization at wealth ``x`` (:meth:`check` first),
         the exponential objective centered at :meth:`w_ref` to work at O(1)
         scale.  Its start, :meth:`start` at ``x``, is built only when the
-        barrier runs (:attr:`ConvexProgram.x0`)."""
+        barrier runs (:attr:`ConvexProgram.x0`), and its face-finish memo
+        is this object's :attr:`faces`."""
         self.check(x)
         spec, off = self.spec, self.n_trades
         tree, endow = self.market.tree, self.market.endowment
@@ -241,7 +248,7 @@ class PrimalProgram:
             return not positive_wealth or bool((x + v[off:] + endow > 0.0).all())
 
         return ConvexProgram(n=nv, objective=objective, G=self.G, h=h,
-                             in_domain=in_domain, x0=lambda: self.start(x))
+                             in_domain=in_domain, x0=lambda: self.start(x), faces=self.faces)
 
     def start(self, x: float) -> np.ndarray:
         """The barrier's closed-form start at a wealth ``x`` that passes
@@ -282,7 +289,8 @@ class PrimalProgram:
         ``l``'s legs split ``Y p_l Z0_l`` so that they price ``Y p_l
         Z1_l`` (at zero spread its one leg takes it all), node ``n``'s buy
         and sell rows carry the band slacks ``Y P(n) (ask_n Z0_n - Z1_n)``
-        and ``Y P(n) (Z1_n - bid_n Z0_n)``, and positivity rows 0."""
+        and ``Y P(n) (Z1_n - bid_n Z0_n)``, and positivity rows 0.  Only
+        the exponential's read ``x``."""
         market, tree = self.market, self.market.tree
         log_y = np.log(yhat)
         if self.spec.family == "exponential":
@@ -395,12 +403,16 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     rejected = False
     if x0 is not None:
         point = np.asarray(x0[0], float)
+        # read by the start, which the program below holds: a closure over
+        # that program would be a reference cycle, keeping it and the face
+        # memo of ``primal`` alive until the cycle collector runs
+        base = prog
 
         def pulled_start():
             nonlocal rejected
             closed = primal.start(x)
             pulled = (1.0 - WARM_PULL) * point + WARM_PULL * closed
-            rejected = not (prog.in_domain(pulled) and np.all(prog.G @ pulled - prog.h > 0.0))
+            rejected = not (base.in_domain(pulled) and np.all(base.G @ pulled - base.h > 0.0))
             return closed if rejected else pulled
 
         prog = replace(prog, x0=pulled_start, face_start=x0)
@@ -470,7 +482,9 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     scale = 1.0 if spec.family == "exponential" else y
     objective = _dual_objective(poly, spec, scale, market.endowment, market.tree.leaf_prob)
     face_start, start = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
-    res = _solve_on_polytope(poly, *objective, start, face_start)
+    if start is None:
+        start = poly.strict_point()
+    res = _solve_on_polytope(poly, *objective, lambda: start, face_start)
     dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res,
                           scale)
     if scale == y:
@@ -481,14 +495,13 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, start,
                        face_start=None) -> SolveResult:
     """Engine solve over the constraints of ``poly``, its barrier from
-    ``start``, by default :meth:`DualPolytope.strict_point`, and first
-    from the ``(point, multipliers)`` pair ``face_start`` if one is given
+    ``start()``, a function of no arguments called only when the barrier
+    runs (:attr:`ConvexProgram.x0`), and first from the ``(point,
+    multipliers)`` pair ``face_start`` if one is given
     (:attr:`ConvexProgram.face_start`); optimal or raises."""
-    if start is None:
-        start = poly.strict_point()
     prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
-                         x0=lambda: start, face_start=face_start)
+                         x0=start, face_start=face_start)
     try:
         res = solve(prog)
     except InfeasibleProgramError as exc:
@@ -570,26 +583,30 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     Over the cone of scaled price systems ``W = y Z`` this is one convex
     program, min E[V(W0) + W0 (x + e)] over the polytope with its
     normalization row dropped; then ``yhat = E[W0]`` and ``Z = W / yhat``.
-    The cone solve's barrier starts at ``W`` equal to the polytope's
-    :meth:`DualPolytope.strict_point`.  The engine's active-face finish
-    puts ``W`` on its optimal face, where the degenerate band rows hold
-    exactly.  The residual |v'(yhat) + x| must end below 1e-8 * (1 + |x|).
+    The polytope's existence verdict (:meth:`DualPolytope.check_strict`)
+    is raised first.  The cone solve's barrier starts at ``W`` equal to
+    the polytope's :meth:`DualPolytope.strict_point`, built only when the
+    barrier runs.  The engine's active-face finish puts ``W`` on its
+    optimal face, where the degenerate band rows hold exactly.  The
+    residual |v'(yhat) + x| must end below 1e-8 * (1 + |x|).
 
     ``face_start``, a ``(W, multipliers)`` pair such as a primal optimum's
     :meth:`PrimalProgram.dual_start`, is the engine's face start: finished
-    on its face, it takes no barrier step.  When the engine rejects it,
-    the barrier runs from the strict point as if it had not been given.
-    The diagnostics' ``start`` record then holds the engine's ``face``
-    record and the ``fallback``, ``"cold cone solve"`` or ``None``.
+    on its face, it takes no barrier step, and the strict point is not
+    built.  When the engine rejects it, the barrier runs from the strict
+    point as if it had not been given.  The diagnostics' ``start`` record
+    then holds the engine's ``face`` record and the ``fallback``, ``"cold
+    cone solve"`` or ``None``.
     """
     _check_wealth(x)
     if poly is None:
         poly = build_polytope(market)
+    poly.check_strict()
     prob = market.tree.leaf_prob
     cone = replace(poly, A_eq=poly.A_eq[1:], b_eq=poly.b_eq[1:])
     objective, in_domain = _dual_objective(poly, spec, 1.0, x + market.endowment, prob)
-    # the cone keeps no strict point of its own: start at the polytope's
-    res = _solve_on_polytope(cone, objective, in_domain, poly.strict_point(), face_start)
+    # the polytope's own point, which it computes once, not the cone's copy
+    res = _solve_on_polytope(cone, objective, in_domain, poly.strict_point, face_start)
     value = res.diagnostics.objective
     yhat = float(prob @ res.x[:market.tree.n_leaves])
     # the cone's variables are W = yhat Z: its objective is at scale 1
@@ -617,11 +634,14 @@ def compute_x0(market: MarketSpec) -> float:
 def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveReport:
     """Solve both problems, match them through yhat, and fill the report.
 
-    Every cold start is in closed form.  The dual polytope's strictly
-    consistent price system (:meth:`DualPolytope.strict_point`) is asked
-    for first, with no LP, so a market with none raises
+    Every cold start is in closed form.  The dual polytope's existence
+    verdict (:meth:`DualPolytope.check_strict`) is raised first, with no
+    LP, so a market with no strictly consistent price system raises
     :class:`NoCpsError` (at zero spread, :class:`PolytopeInfeasibleError`)
     before any solve, also where an exponential primal would diverge.
+    The strict point itself (:meth:`DualPolytope.strict_point`) is built
+    only where a barrier starts from it: the exponential's entropy dual,
+    and a half-line cone dual whose face start is rejected.
     The primal (:class:`PrimalProgram`) is built next, once, and kept in
     the report for :func:`verify_identities`; a half-line ``x`` within
     ``THRESHOLD_MARGIN`` of its threshold ``x0 = sup E[-Z0 e]`` raises
@@ -659,15 +679,18 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                   poly: DualPolytope) -> SolveReport:
     """:func:`solve_report` at a checked ``x``, on the dual polytope
     ``poly`` of ``market``; the polytope does not read the endowment, so
-    one, and its one strict point, serves a market and its zero-endowment
-    copy.  The barrier runs on the dual for exponential utility and on
+    one, with its one verdict and its one strict point, serves a market
+    and its zero-endowment copy.  The verdict
+    (:meth:`DualPolytope.check_strict`) is raised before the primal is
+    built.  The barrier runs on the dual for exponential utility and on
     the primal for log and power; the other side is face-started at the
     pair read off its optimum (:meth:`PrimalProgram.primal_start`,
     :meth:`PrimalProgram.dual_start`).  If the engine rejects that, the
-    primal's barrier runs from its pulled start and the cone dual's cold."""
+    primal's barrier runs from its pulled start and the cone dual's cold,
+    from the strict point, which is built then and only then."""
     tree = market.tree
     endow = market.endowment
-    poly.strict_point()      # first: an empty zero-spread polytope is the verdict
+    poly.check_strict()      # first: no strictly consistent price system, no solve
     program = PrimalProgram.build(market, spec)
     program.check(x)
 
@@ -732,8 +755,14 @@ def verify_identities(report: SolveReport) -> dict:
     point ``p``, and ``x - h`` at its reflection ``2 p - p(x + h)``
     through the ``x + h`` optimum, exact to first order and inside the
     objective's domain where ``p`` may not be (a leaf's wealth that is
-    small against ``h``).  ``fd_starts`` holds, per side, its ``x`` and
-    the solve's ``start`` record (``rejected``, ``face``).
+    small against ``h``).  Under a half-line utility the multipliers do
+    not read ``x`` (:meth:`PrimalProgram.multipliers`), so one array
+    serves both sides; exponential ones scale with ``exp(gamma
+    w_ref(x))`` and are read per side.  Both solves share the report's
+    face-split memo (:attr:`PrimalProgram.faces`), so the faces the
+    report's primal split are not split again.  ``fd_starts`` holds, per
+    side, its ``x`` and the solve's ``start`` record (``rejected``,
+    ``face``).
     """
     market, spec, x = report.market, report.utility, report.x
     prob = market.tree.leaf_prob
@@ -746,9 +775,14 @@ def verify_identities(report: SolveReport) -> dict:
     h = FD_STEP * scale
     point = primal.point(report.strategy, report.claim)
 
+    def multipliers(xh):
+        return primal.multipliers(xh, report.yhat, report.dual_system)
+
+    lam = None if spec.family == "exponential" else multipliers(x)
+
     def solve_at(xh, start):
-        lam = primal.multipliers(xh, report.yhat, report.dual_system)
-        return solve_primal(market, spec, xh, x0=(start, lam), program=primal)
+        return solve_primal(market, spec, xh, program=primal,
+                            x0=(start, multipliers(xh) if lam is None else lam))
 
     x_up, x_down = x + h, x - h
     up = solve_at(x_up, point)

@@ -19,8 +19,9 @@ LP oracles.
 
 The equality rows are split once per solve, by one pivoted QR, into a
 range and a null-space basis (:func:`_split_rows`, which also splits the
-faces of the active-face finish; a face with no active inequality row
-reuses the solve's own split): the start is projected onto them, and
+faces of the active-face finish, once per program and active-row set,
+kept in :attr:`ConvexProgram.faces`; a face with no active inequality
+row reuses the solve's own split): the start is projected onto them, and
 every Newton step lives in the null space, whose reduced matrix (size
 ``n - rank(A)``) is LU-factored once per iteration and reused by the
 predictor and the corrector.  The ratio test that keeps slacks and
@@ -93,6 +94,13 @@ class ConvexProgram:
     with one multiplier per row of ``G`` (a dual optimum's, or zeros):
     :func:`solve` first finishes it on its active face and runs the
     barrier only if that fails.
+
+    ``faces`` is the memo of the face finish (:func:`_face_finish`): the
+    pivoted QR of each face it has split, keyed by the face's active rows
+    of ``G``, and ``|G|``, for the active-row guess.  Both read ``G`` and
+    the equality rows alone, never ``h``, so programs that share them, as
+    a :class:`duality.PrimalProgram`'s programs at every wealth do, may
+    share one memo; each program has its own unless given one.
     """
 
     n: int
@@ -104,6 +112,7 @@ class ConvexProgram:
     b_eq: Optional[np.ndarray] = None
     in_domain: Optional[Callable[[np.ndarray], bool]] = None
     face_start: Optional[tuple] = None
+    faces: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -616,7 +625,11 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     active and held as equalities with the rows of ``eq``, the program's
     :class:`_Equalities`; one pivoted QR per active set drops the
     dependent rows and spans the face, except that a face with no active
-    row is the program's own split, ``eq``.  Each round takes the
+    row is the program's own split, ``eq``.  The QR and ``|G|`` read no
+    ``h``, so both are kept in the program's memo
+    (:attr:`ConvexProgram.faces`) and computed once per active set and
+    once per memo (:func:`_face_split`); the face's right-hand side, whose
+    positivity rows move with ``h``, is read at every split.  Each round takes the
     Newton step of the quadratic model on the face by the null-space
     method (least squares on the reduced Hessian ``Z^T diag(d) Z``, so
     flat directions stay put).  The multipliers in hand (``lam``, ``nu``:
@@ -645,7 +658,11 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     """
     A, b = eq.A, eq.b
     (m, n), p = G.shape, 0 if A is None else A.shape[0]
-    scale = 1.0 + np.abs(h) + np.abs(G) @ np.abs(x)
+    faces = program.faces
+    abs_G = faces.get("|G|")
+    if abs_G is None:
+        abs_G = faces["|G|"] = np.abs(G)
+    scale = 1.0 + np.abs(h) + abs_G @ np.abs(x)
     active = G @ x - h <= 1e-7 * scale
     # crossing by more than the rounding bound of G x - h
     crossing = -n * EPS * scale
@@ -658,8 +675,8 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
                 # the program's rows alone, all kept: no second split
                 C, face = (G[rows] if A is None else A), eq.as_face()
             else:
-                C = G[rows] if A is None else np.vstack([A, G[rows]])
-                face = _split_rows(C, h[rows] if A is None else np.concatenate([b, h[rows]]))
+                C, face = _face_split(faces, G, rows, A, h[rows] if A is None
+                                      else np.concatenate([b, h[rows]]))
             # Z spans the face directions, the identity on an empty face
             Z = np.eye(n) if face.Z is None else face.Z
         dx = face.step(x)
@@ -701,6 +718,23 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
         if (np.abs(dx) <= SQRT_EPS * (1.0 + np.abs(x))).all():
             break
     return out, rounds, damped
+
+
+def _face_split(faces, G, rows, A, rhs):
+    """``(C, face)``: the rows ``C = [A; G[rows]]`` of the face whose
+    active rows of ``G`` are ``rows``, and their :func:`_split_rows` with
+    right-hand side ``rhs``.  The split is looked up in the memo ``faces``
+    (:attr:`ConvexProgram.faces`) by ``rows`` and computed only on a miss;
+    a hit takes its right-hand side from ``rhs``, the same bits as a fresh
+    split, since the QR reads ``C`` alone."""
+    key = rows.tobytes()
+    hit = faces.get(key)
+    if hit is None:
+        C = G[rows] if A is None else np.vstack([A, G[rows]])
+        hit = faces[key] = C, _split_rows(C, rhs)
+        return hit
+    C, face = hit
+    return C, replace(face, b=rhs[face.keep])
 
 
 def _damp(in_domain, x, dx):

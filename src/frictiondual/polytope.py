@@ -9,9 +9,10 @@ tree the whole family is an explicit polytope over the terminal values
 A strictly positive member exists exactly when a price strictly inside
 the band has a strictly positive martingale density (Jouini & Kallal,
 1995), which the tree decides with no LP (:func:`strictly_consistent`).
-:func:`martingale_point` builds one in closed form, and
-:meth:`DualPolytope.strict_point` turns it into a start or a
-:class:`NoCpsError` by that rule; :func:`check_cps` applies it too and,
+:meth:`DualPolytope.check_strict` applies that rule once per polytope,
+raising :class:`NoCpsError` when the answer is no, and
+:func:`martingale_point` builds one in closed form, the polytope's
+:meth:`DualPolytope.strict_point`; :func:`check_cps` applies it too and,
 when the answer is no, returns an arbitrage strategy.
 """
 
@@ -30,6 +31,7 @@ from .tree import MarketSpec
 DENSITY_EPS = 1e-12       # a density at or below this counts as zero
 CPS_MARGIN = 1e-9         # a price system is strictly positive past this margin
 BAND_SHRINK = 0.1         # share of its width a band interval is shrunk by at each end
+_NO_DENSITY = "no strictly positive martingale density at zero spread"
 
 
 class PolytopeInfeasibleError(RuntimeError):
@@ -86,30 +88,52 @@ class DualPolytope:
         L = self.market.tree.n_leaves
         return PriceSystem(self.cond_exp @ z[:L], self.cond_exp @ z[L:])
 
+    def check_strict(self) -> None:
+        """Raise the existence verdict of a strictly consistent price system
+        (Jouini & Kallal, 1995) at this polytope's spread, or return:
+        :class:`NoCpsError` when the market fails the existence rule
+        (:func:`strictly_consistent`), and at zero spread, where the rule is
+        the existence of :func:`martingale_point` (``None`` is an
+        arbitrage), :class:`PolytopeInfeasibleError`.  No LP either way.
+        The verdict is computed once per polytope; a
+        :func:`dataclasses.replace` copy computes its own."""
+        verdict = self._verdict
+        if verdict is not None:
+            error, message = verdict
+            raise error(message)
+
     def strict_point(self) -> np.ndarray:
         """Leaf variables strictly inside this polytope, at its market's
-        spread: a strictly consistent price system (Jouini & Kallal, 1995),
-        the start of every dual solve not given one.
+        spread: a strictly consistent price system, the barrier's start of
+        a dual solve not given one.  It is built only when asked for: a
+        report's cone dual asks only when its face start is rejected.
 
-        It is :func:`martingale_point` when the market passes the
-        existence rule (:func:`strictly_consistent`), else
-        :class:`NoCpsError`; at zero spread, where ``None`` is an
-        arbitrage, :class:`PolytopeInfeasibleError`.  No LP either way.
-        The polytope is immutable, so the point is computed once and is
+        It is :func:`martingale_point`, once :meth:`check_strict` (the
+        cached verdict, so no second band pass) has raised any error.  The
+        polytope is immutable, so the point is computed once and is
         read-only; a :func:`dataclasses.replace` copy computes its own.
         """
-        return self._strict_point
+        self.check_strict()
+        if self._point is None:
+            raise PolytopeInfeasibleError(_NO_DENSITY)
+        return self._point
 
     @cached_property
-    def _strict_point(self) -> np.ndarray:
+    def _verdict(self) -> Optional[tuple]:
+        """``(error class, message)`` for :meth:`check_strict`, or ``None``."""
         market = self.market
-        if market.lam > 0.0 and not strictly_consistent(market):
-            raise NoCpsError(f"no strictly positive price system at lambda={market.lam}")
-        z = martingale_point(market)
-        if z is None:
-            raise PolytopeInfeasibleError("no strictly positive martingale density at "
-                                          "zero spread")
-        z.flags.writeable = False
+        if market.lam > 0.0:
+            if not strictly_consistent(market):
+                return NoCpsError, f"no strictly positive price system at lambda={market.lam}"
+        elif self._point is None:
+            return PolytopeInfeasibleError, _NO_DENSITY
+        return None
+
+    @cached_property
+    def _point(self) -> Optional[np.ndarray]:
+        z = martingale_point(self.market)
+        if z is not None:
+            z.flags.writeable = False
         return z
 
     def max_violation(self, z: np.ndarray) -> float:

@@ -1,11 +1,13 @@
+import gc
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frictiondual import duality, engine
+from frictiondual import duality, engine, polytope
 from frictiondual.duality import (
     PrimalInfeasibleError,
     PrimalProgram,
@@ -122,11 +124,12 @@ def test_no_cps_raises():
 ], ids=["solve_report", "solve_dual", "indifference_price"])
 def test_no_cps_is_decided_with_no_lp(call, monkeypatch):
     # the closed form finds no band price, and that alone proves there is
-    # no strictly consistent price system: no existence LP confirms it
-    calls = spy_lps(monkeypatch)
+    # no strictly consistent price system: no existence LP confirms it,
+    # and no engine solve runs first
+    calls, solves = spy_lps(monkeypatch), spy_solves(monkeypatch)
     with pytest.raises(NoCpsError):
         call(no_cps_market())
-    assert calls == []
+    assert calls == [] and solves == []
 
 
 def test_weak_duality(drift_binomial):
@@ -260,6 +263,79 @@ def test_verify_identities_record(two_period_market):
     assert rec["marginal_mean_residual"] <= 1e-5
     assert rec["marginal_weighted_residual"] <= 1e-5 * (1 + abs(rep.x))
     assert rec["yhat_vs_fd"] <= 1e-5 * (1 + rep.yhat)
+
+
+@pytest.mark.parametrize("spec", [LOG, UtilitySpec("power", alpha=0.5), EXP1],
+                         ids=["log", "power", "exp"])
+def test_fd_solves_on_the_report_memo_match_a_fresh_program(spec, monkeypatch):
+    # verify_identities' x +- h primals run on the report's program, whose
+    # face-split memo holds the report's faces: they give the bits of the
+    # same two solves on a freshly built program, whose memo is empty, and
+    # split no face that memo lacks.  Seed 11's market 5 damps its power
+    # x + h steps (test_face_start_is_accepted_on_generated_markets)
+    seen, solve_primal_ = [], duality.solve_primal
+
+    def spied(market, spec, x, x0=None, program=None):
+        sol = solve_primal_(market, spec, x, x0=x0, program=program)
+        seen.append(sol)
+        return sol
+
+    gen = InstanceGenerator(seed=11)
+    for i in (0, 5):
+        market = gen.draw_feasible(i)
+        x = 1.0 if spec is EXP1 else max(compute_x0(market), 0.0) + 5.0
+        rep = solve_report(market, spec, x)
+        # each report owns its memo, and every program at a wealth shares it
+        other = solve_report(market, spec, x)
+        assert rep.primal.faces and other.primal.faces is not rep.primal.faces
+        assert rep.primal.at(x + 1.0).faces is rep.primal.faces
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(duality, "solve_primal", spied)
+            rec = verify_identities(rep)
+
+        fresh = PrimalProgram.build(market, spec)
+        primal = rep.primal
+        scale = 1.0 + abs(x)
+        if primal.threshold is not None:
+            scale = min(scale, x - (primal.threshold + duality.THRESHOLD_MARGIN))
+        x_up, x_down = x + duality.FD_STEP * scale, x - duality.FD_STEP * scale
+        point = fresh.point(rep.strategy, rep.claim)
+
+        def at(xh, start):
+            lam = fresh.multipliers(xh, rep.yhat, rep.dual_system)
+            return solve_primal(market, spec, xh, x0=(start, lam), program=fresh)
+
+        up = at(x_up, point)
+        down = at(x_down, 2.0 * point - fresh.point(up.strategy, up.claim))
+        assert rec["u_prime_fd"].hex() == ((up.value - down.value) / (x_up - x_down)).hex()
+        assert rec["fd_starts"] == [{"x": xs, **sol.diagnostics["start"]}
+                                    for xs, sol in ((x_up, up), (x_down, down))]
+        for got, want in zip(seen, (up, down)):
+            assert got.value.hex() == want.value.hex(), (i, spec)
+            assert got.claim.tobytes() == want.claim.tobytes(), (i, spec)
+            assert got.multipliers.tobytes() == want.multipliers.tobytes(), (i, spec)
+            assert got.diagnostics == want.diagnostics, (i, spec)
+        assert fresh.faces and set(fresh.faces) <= set(primal.faces), (i, spec)
+
+
+@pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
+def test_report_program_is_freed_without_the_cycle_collector(two_period_market, spec):
+    # the face-started primals of a report and of verify_identities hold
+    # their pulled start; a start that closed over its own program would
+    # make a reference cycle, keeping the report's program, with its face
+    # memo, alive until the cycle collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        rep = solve_report(two_period_market, spec, compute_x0(two_period_market) + 4.0)
+        verify_identities(rep)
+        program = weakref.ref(rep.primal)
+        assert program().faces
+        del rep
+        assert program() is None
+    finally:
+        gc.enable()
 
 
 def test_report_serialization(martingale_binomial):
@@ -474,6 +550,13 @@ def spy_lps(monkeypatch):
     return calls
 
 
+def spy_solves(monkeypatch):
+    """The list that records each engine solve of :mod:`duality` from now on."""
+    calls, solve = [], duality.solve
+    monkeypatch.setattr(duality, "solve", lambda prog: calls.append(prog) or solve(prog))
+    return calls
+
+
 @pytest.mark.parametrize("endowment", [(3.0, -2.0), (1.0, -1.0), (-1.0, 0.5), (-2.0, -2.0)])
 @pytest.mark.parametrize("spec", [LOG, UtilitySpec("power", alpha=0.5)], ids=["log", "power"])
 def test_cold_primal_by_the_threshold_runs_no_lp(drift_binomial, spec, endowment, monkeypatch):
@@ -574,18 +657,20 @@ def test_zero_spread_report_runs_no_lp(drift_binomial, spec, monkeypatch):
     assert rep.relative_gap <= 1e-6
 
 
-def test_zero_spread_arbitrage_still_reports_an_empty_polytope():
+def test_zero_spread_arbitrage_still_reports_an_empty_polytope(monkeypatch):
     # no existence check runs at zero spread: the price has no martingale
     # density, so the dual has no start, before the primal finds it
-    # unbounded
+    # unbounded and before any engine solve
     tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
     market = MarketSpec(tree=tree, ask_price=[100.0, 120.0, 110.0], lam=0.0,
                         endowment=[1.0, -0.5])
     x = 3.0
     with pytest.raises(PrimalUnboundedError):
         PrimalProgram.build(market, LOG)
+    solves = spy_solves(monkeypatch)
     with pytest.raises(PolytopeInfeasibleError):
         solve_report(market, LOG, x)
+    assert solves == []
 
 
 def test_dual_from_a_supplied_start_on_an_empty_zero_spread_polytope():
@@ -1060,17 +1145,25 @@ def test_accepted_face_start_builds_no_start(spec, monkeypatch):
     assert built == cold + [x]
 
 
-def test_dual_face_start_is_accepted_on_generated_markets():
+def test_dual_face_start_is_accepted_on_generated_markets(monkeypatch):
     # on seed 11's ten markets the cone dual, started at the point and
     # multipliers read off the primal optimum, finishes on its face with
-    # no barrier step, at the value of the cold cone solve
+    # no barrier step, at the value of the cold cone solve.  Its barrier's
+    # start, the strict point, is then never built: neither the report
+    # nor verify_identities calls martingale_point
+    def no_point(market):
+        raise AssertionError("strict point built")
+
     gen = InstanceGenerator(seed=11)
     for i in range(10):
         market = gen.draw_feasible(i)
         poly = build_polytope(market)
         x = max(compute_x0(market), 0.0) + 5.0
         for spec in SHADOW_FAMILIES[:2]:
-            rep = solve_report(market, spec, x)
+            with monkeypatch.context() as patch:
+                patch.setattr(polytope, "martingale_point", no_point)
+                rep = solve_report(market, spec, x)
+                verify_identities(rep)
             d = rep.diagnostics["dual"]
             face = accepted_face(d)
             assert d["start"] == {"face": face, "fallback": None}, (i, spec)
@@ -1093,7 +1186,11 @@ def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, mo
         return -point, rows
 
     monkeypatch.setattr(PrimalProgram, "dual_start", negated)
+    built, point = [], polytope.martingale_point
+    monkeypatch.setattr(polytope, "martingale_point",
+                        lambda market: built.append(market) or point(market))
     rep = solve_report(two_period_market, LOG, x)
+    assert built == [two_period_market]
     d = rep.diagnostics["dual"]
     face = {"accepted": False, "rounds": 0, "reason": "start outside the objective domain"}
     assert d["start"] == {"face": face, "fallback": "cold cone solve"}

@@ -284,6 +284,39 @@ def test_face_finish_with_a_repeated_active_row():
     assert np.linalg.norm(g - G.T @ lam) <= 10 * TOL * (1.0 + np.linalg.norm(g))
 
 
+def test_face_split_memo_is_reused_with_each_programs_h(monkeypatch):
+    # the repeated-row program above at the bounds x1 + x2 <= 2 and <= 1.5:
+    # the second solve, sharing the first's memo, lands on the same active
+    # rows and splits no face, yet reads its own right-hand side, so it
+    # gives the bits of a solve with an empty memo
+    row = np.array([[-1.0, -1.0]])
+    G = np.vstack([row, row, np.eye(2), -np.eye(2)])
+
+    def program(bound, **memo):
+        h = np.array([-bound, -bound, -5.0, -5.0, -5.0, -5.0])
+        return ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
+                             G=G, h=h, x0=lambda: np.zeros(2), **memo)
+
+    splits, split_rows = [], engine._split_rows
+    monkeypatch.setattr(engine, "_split_rows",
+                        lambda A, b: splits.append(A.shape[0]) or split_rows(A, b))
+    memo = {}
+    solve(program(2.0, faces=memo))
+    assert splits == [2] and set(memo) == {"|G|", np.array([0, 1]).tobytes()}
+    assert np.array_equal(memo["|G|"], np.abs(G))
+    shared = solve(program(1.5, faces=memo))
+    assert splits == [2]
+    fresh = solve(program(1.5))
+    assert splits == [2, 2]
+    assert np.abs(shared.x - 0.75).max() <= 1e-14
+    for got, want in ((shared.x, fresh.x), (shared.ineq_multipliers, fresh.ineq_multipliers)):
+        assert got.tobytes() == want.tobytes()
+    assert shared.diagnostics.to_dict() == fresh.diagnostics.to_dict()
+    # a program's copy keeps its memo; a new program starts with its own
+    assert replace(program(1.5, faces=memo), face_start=None).faces is memo
+    assert program(1.5).faces == {} and program(1.5).faces is not program(1.5).faces
+
+
 def test_few_newton_steps(two_period_market):
     c, x0, G, h = boxed_lp()
     lp = solve(linear_program(c, x0, G=G, h=h))

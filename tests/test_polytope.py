@@ -312,6 +312,50 @@ def test_martingale_point_decides_existence(seed):
     assert 100 <= feasible < len(markets)
 
 
+@pytest.mark.parametrize("case", ["feasible", "thin-band", "zero-spread-arbitrage"])
+def test_existence_verdict_is_cached_apart_from_the_strict_point(case, monkeypatch):
+    # the verdict runs one band pass (at positive spread) or builds the
+    # martingale point (at zero spread) once per polytope, however often it
+    # is asked; the strict point reads it and adds only its own pass, and
+    # a replace copy computes both again
+    market, error = {
+        "feasible": (InstanceGenerator(seed=11).draw_feasible(0), None),
+        "thin-band": (thin_band_market(), NoCpsError),
+        "zero-spread-arbitrage": (crossing_binomial(0.0), PolytopeInfeasibleError),
+    }[case]
+    want = martingale_point(market)
+    calls = []
+    for name in ("_band_intervals", "martingale_point"):
+        fn = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name, lambda *a, fn=fn, name=name:
+                            calls.append(name) or fn(*a))
+    poly = build_polytope(market)
+    for _ in range(2):
+        if error is None:
+            poly.check_strict()
+        else:
+            with pytest.raises(error):
+                poly.check_strict()
+    verdict = ["martingale_point"] if market.lam == 0.0 else ["_band_intervals"]
+    assert calls == verdict
+    for _ in range(2):
+        if error is None:
+            assert np.array_equal(poly.strict_point(), want)
+        else:
+            with pytest.raises(error):
+                poly.strict_point()
+    point = ["martingale_point", "_band_intervals"] if error is None else []
+    assert calls == verdict + point
+    calls.clear()
+    copy = replace(poly, b_eq=poly.b_eq.copy())
+    if error is None:
+        copy.strict_point()
+    else:
+        with pytest.raises(error):
+            copy.check_strict()
+    assert calls == verdict + point
+
+
 def test_thin_band_falls_back_to_the_existence_check(monkeypatch):
     # the band prices reaching the root span 1e-9: the closed-form point
     # exists, but the band margin is 5e-12, below CPS_MARGIN, so the
