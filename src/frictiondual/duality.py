@@ -21,6 +21,16 @@ point and multipliers read off the dual optimum
 primal, whose closed-form start is at the problem's scale ``x - x0``,
 and the scaled-cone dual starts at the pair read off the primal optimum
 (:meth:`PrimalProgram.dual_start`).
+
+Every start handed from one side to the other follows one rule.  A
+solve takes an optional ``face_start=(point, multipliers)``, the
+engine's face start (:attr:`ConvexProgram.face_start`): finished on its
+face, it takes no barrier step.  When the engine rejects it, the barrier
+runs from the program's own closed-form start, :meth:`PrimalProgram.start`
+or :meth:`DualPolytope.strict_point`, with the bits of a solve given
+none.  The outcome is the engine's record, ``face_start`` in each
+solve's diagnostics (:meth:`SolveDiagnostics.to_dict`), ``None`` for a
+solve given no face start.
 """
 
 from __future__ import annotations
@@ -39,7 +49,6 @@ from .tree import MarketSpec
 
 POSITIVITY_MARGIN = 1e-10
 THRESHOLD_MARGIN = 10.0 * POSITIVITY_MARGIN   # x must clear the threshold by this
-WARM_PULL = 0.1           # share of the way a supplied primal start moves to the closed-form one
 YHAT_RTOL = 1e-8
 FD_STEP = 1e-4            # central-difference step of u'(x), relative to 1 + |x| or x - x0
 EXP_ARG_MAX = 700.0       # largest exponent the exponential objective evaluates
@@ -369,7 +378,7 @@ class PrimalProgram:
 
 
 def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
-                 x0: Optional[tuple] = None,
+                 face_start: Optional[tuple] = None,
                  program: Optional[PrimalProgram] = None) -> PrimalSolution:
     """Maximize expected utility of terminal wealth from cash ``x``.
 
@@ -379,43 +388,24 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     endowment threshold) and :class:`PrimalUnboundedError` when the
     prices admit an arbitrage or the iterates diverge.  ``program``, the
     :class:`PrimalProgram` of ``market`` and ``spec``, saves laying the
-    primal out (and finding a threshold) again.  With no ``x0`` the
-    barrier runs from the closed-form start (:meth:`PrimalProgram.start`).
+    primal out (and finding a threshold) again.
 
-    ``x0`` pairs a point, such as a nearby optimum's
+    ``face_start`` pairs a point, such as a nearby optimum's
     :meth:`PrimalProgram.point`, with row multipliers
     (:meth:`PrimalProgram.multipliers`, or zeros), or is the pair read
-    off a dual optimum (:meth:`PrimalProgram.primal_start`): the engine's
-    face start (:attr:`ConvexProgram.face_start`).  A nearby optimum sits on
-    the optimal face or next to it, so the engine first finishes it there
-    with barrier-free Newton steps.  When that fails, the barrier starts
-    at the point pulled ``WARM_PULL`` of the way toward the closed-form
-    start (Gondzio & Grothey, SIAM J. Optim. 13, 2003), or at the
-    closed-form start when the pulled point is not strictly feasible,
-    logged in the events.  Neither start is built when the face start is
-    accepted.  The diagnostics' ``start`` record says whether that
-    fallback ran (``rejected``) and what the face start did (``face``: the
-    engine's :attr:`SolveDiagnostics.face_start`, ``None`` without ``x0``).
+    off a dual optimum (:meth:`PrimalProgram.primal_start`).  A nearby
+    optimum sits on the optimal face or next to it, so the engine first
+    finishes it there with barrier-free Newton steps.  Without a face
+    start, or when the engine rejects it, the barrier runs from the
+    closed-form start (:meth:`PrimalProgram.start`), which is built only
+    then.  The diagnostics carry the engine's record of the face start
+    (``face_start``).
     """
     _check_wealth(x)
     primal = PrimalProgram.build(market, spec) if program is None else program
     prog = primal.at(x)
-    rejected = False
-    if x0 is not None:
-        point = np.asarray(x0[0], float)
-        # read by the start, which the program below holds: a closure over
-        # that program would be a reference cycle, keeping it and the face
-        # memo of ``primal`` alive until the cycle collector runs
-        base = prog
-
-        def pulled_start():
-            nonlocal rejected
-            closed = primal.start(x)
-            pulled = (1.0 - WARM_PULL) * point + WARM_PULL * closed
-            rejected = not (base.in_domain(pulled) and np.all(base.G @ pulled - base.h > 0.0))
-            return closed if rejected else pulled
-
-        prog = replace(prog, x0=pulled_start, face_start=x0)
+    if face_start is not None:
+        prog = replace(prog, face_start=face_start)
     res = solve(prog)
     if res.status == "unbounded":
         raise PrimalUnboundedError(f"primal unbounded: {res.diagnostics.message}")
@@ -424,13 +414,9 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
 
     strat, claim = primal.solution(res.x)
     value = float(market.tree.leaf_prob @ ut.eval_u(spec, x + claim + market.endowment))
-    diagnostics = res.diagnostics.to_dict()
-    if rejected:    # after the face start's event, which is the first
-        diagnostics["events"].insert(1, "pulled start not strictly feasible: "
-                                        "closed-form start")
-    diagnostics["start"] = {"rejected": rejected, "face": res.diagnostics.face_start}
     return PrimalSolution(value=value, strategy=strat, claim=claim,
-                          multipliers=res.ineq_multipliers, diagnostics=diagnostics)
+                          multipliers=res.ineq_multipliers,
+                          diagnostics=res.diagnostics.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -458,17 +444,18 @@ def _dual_objective(poly: DualPolytope, spec: ut.UtilitySpec, y: float,
 
 def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
                poly: Optional[DualPolytope] = None,
-               x0=None) -> DualSolution:
+               face_start: Optional[tuple] = None) -> DualSolution:
     """Minimize the conjugate functional at scale ``y`` over the polytope.
 
-    ``x0``, leaf variables of a strictly feasible point of the polytope,
-    starts the barrier; it defaults to :meth:`DualPolytope.strict_point`.
-    A ``(point, multipliers)`` pair, as :func:`solve_primal` takes it, is
-    the engine's face start instead: a known optimum, such as the lift of
-    a frictional optimizer onto its shadow market, is finished on its
-    face with no barrier step, and its point starts the barrier only
-    when that is rejected.  The diagnostics then carry the ``start``
-    record ``{"face": ...}`` (:attr:`SolveDiagnostics.face_start`).
+    ``face_start``, a ``(point, multipliers)`` pair as :func:`solve_primal`
+    takes it, is the engine's face start: a known optimum, such as the
+    lift of a frictional optimizer onto its shadow market, is finished on
+    its face with no barrier step.  Without one, or when the engine
+    rejects it, the barrier runs from :meth:`DualPolytope.strict_point`,
+    which is built only then; a solve given none raises the polytope's
+    existence verdict (:meth:`DualPolytope.check_strict`) before any
+    engine solve.  The diagnostics carry the engine's record of the face
+    start (``face_start``).
 
     The exponential dual is solved at unit scale, with its diagnostics,
     and read at ``y`` (:func:`_exponential_at`): its minimizer does not
@@ -481,10 +468,9 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
         poly = build_polytope(market)
     scale = 1.0 if spec.family == "exponential" else y
     objective = _dual_objective(poly, spec, scale, market.endowment, market.tree.leaf_prob)
-    face_start, start = (x0, x0[0]) if isinstance(x0, tuple) else (None, x0)
-    if start is None:
-        start = poly.strict_point()
-    res = _solve_on_polytope(poly, *objective, lambda: start, face_start)
+    if face_start is None:
+        poly.check_strict()     # a market with no price system raises before any solve
+    res = _solve_on_polytope(poly, *objective, poly.strict_point, face_start)
     dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res,
                           scale)
     if scale == y:
@@ -516,7 +502,7 @@ def _dual_solution(market: MarketSpec, poly: DualPolytope, spec: ut.UtilitySpec,
                    kappa: float) -> DualSolution:
     """The dual read-out at scale ``y`` and polytope point ``z`` of the
     engine's solve ``res``: the price system, ``v'(y) = E[Z0 (V'(y Z0) +
-    e)]`` and the diagnostics, with the ``start`` record of a face start.
+    e)]`` and the diagnostics.
 
     The trades are the band rows' multipliers over ``kappa P(n)``, with
     ``kappa`` the scale the engine's objective was built at.  At positive
@@ -535,11 +521,9 @@ def _dual_solution(market: MarketSpec, poly: DualPolytope, spec: ut.UtilitySpec,
         band = res.ineq_multipliers[:2 * tree.n_nodes]
         buy, sell = net_trades(band[1::2] / weight, band[0::2] / weight)
     buy[tree.leaves] = sell[tree.leaves] = 0.0
-    diagnostics = res.diagnostics.to_dict()
-    if res.diagnostics.face_start is not None:
-        diagnostics["start"] = {"face": res.diagnostics.face_start}
     return DualSolution(value=value, y=y, leaf_vars=z, system=poly.price_system(z),
-                        derivative=derivative, diagnostics=diagnostics, buy=buy, sell=sell)
+                        derivative=derivative, diagnostics=res.diagnostics.to_dict(),
+                        buy=buy, sell=sell)
 
 
 def _exponential_shift(market: MarketSpec, spec: ut.UtilitySpec, unit: DualSolution) -> float:
@@ -594,9 +578,8 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     :meth:`PrimalProgram.dual_start`, is the engine's face start: finished
     on its face, it takes no barrier step, and the strict point is not
     built.  When the engine rejects it, the barrier runs from the strict
-    point as if it had not been given.  The diagnostics' ``start`` record
-    then holds the engine's ``face`` record and the ``fallback``, ``"cold
-    cone solve"`` or ``None``.
+    point as if it had not been given.  The diagnostics carry the engine's
+    record of the face start (``face_start``).
     """
     _check_wealth(x)
     if poly is None:
@@ -611,9 +594,6 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     yhat = float(prob @ res.x[:market.tree.n_leaves])
     # the cone's variables are W = yhat Z: its objective is at scale 1
     sol = _dual_solution(market, poly, spec, yhat, res.x / yhat, value - x * yhat, res, 1.0)
-    if face_start is not None:
-        face = res.diagnostics.face_start
-        sol.diagnostics["start"]["fallback"] = None if face["accepted"] else "cold cone solve"
     resid = abs(sol.derivative + x)
     if resid > YHAT_RTOL * (1.0 + abs(x)):
         raise EngineError(f"dual scale off its optimum: |v'(y)+x| = {resid:.3e} at y={yhat}")
@@ -657,15 +637,14 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     with ``Z0 > DENSITY_EPS`` (where ``I`` is undefined) raises
     :class:`EngineError`.  Its primal is face-started at the trades and
     multipliers read off the dual optimum
-    (:meth:`PrimalProgram.primal_start`); its diagnostics' ``start``
-    record is :func:`solve_primal`'s.  Half-line utilities run it on the
+    (:meth:`PrimalProgram.primal_start`).  Half-line utilities run it on the
     primal, from its closed-form start (:meth:`PrimalProgram.start`),
     built from ``x - x0`` at the problem's scale, and get yhat from the
     scaled-cone dual (:func:`minimize_v_plus_xy`), started at the pair
     read off the primal optimum (:meth:`PrimalProgram.dual_start`); the
     cone's own start, the strict point, has ``E[W0] = 1`` whatever the
-    scale of yhat.  The primal's ``start`` record then has no ``face``,
-    and the dual's is :func:`minimize_v_plus_xy`'s.
+    scale of yhat.  Each side's diagnostics carry the engine's record of
+    its face start (``face_start``), ``None`` for the side that ran cold.
 
     Every solve reads the endowment from ``market``: a report without the
     endowment is the report of ``market.with_endowment(np.zeros(L))``.
@@ -686,8 +665,8 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     the primal for log and power; the other side is face-started at the
     pair read off its optimum (:meth:`PrimalProgram.primal_start`,
     :meth:`PrimalProgram.dual_start`).  If the engine rejects that, the
-    primal's barrier runs from its pulled start and the cone dual's cold,
-    from the strict point, which is built then and only then."""
+    barrier runs from that side's own start, the primal's closed form or
+    the cone dual's strict point, which is built then and only then."""
     tree = market.tree
     endow = market.endowment
     poly.check_strict()      # first: no strictly consistent price system, no solve
@@ -706,7 +685,7 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
                               f"at x={x}, k={k}")
         dual = _exponential_at(spec, unit, yhat, k)
         dual_total = dual.value + x * yhat
-        primal = solve_primal(market, spec, x, x0=program.primal_start(x, dual),
+        primal = solve_primal(market, spec, x, face_start=program.primal_start(x, dual),
                               program=program)
     else:
         primal = solve_primal(market, spec, x, program=program)
@@ -761,8 +740,8 @@ def verify_identities(report: SolveReport) -> dict:
     w_ref(x))`` and are read per side.  Both solves share the report's
     face-split memo (:attr:`PrimalProgram.faces`), so the faces the
     report's primal split are not split again.  ``fd_starts`` holds, per
-    side, its ``x`` and the solve's ``start`` record (``rejected``,
-    ``face``).
+    side, its ``x`` and the engine's record of its face start
+    (``accepted``, ``rounds``, ``reason``).
     """
     market, spec, x = report.market, report.utility, report.x
     prob = market.tree.leaf_prob
@@ -782,7 +761,7 @@ def verify_identities(report: SolveReport) -> dict:
 
     def solve_at(xh, start):
         return solve_primal(market, spec, xh, program=primal,
-                            x0=(start, multipliers(xh) if lam is None else lam))
+                            face_start=(start, multipliers(xh) if lam is None else lam))
 
     x_up, x_down = x + h, x - h
     up = solve_at(x_up, point)
@@ -791,7 +770,7 @@ def verify_identities(report: SolveReport) -> dict:
     # are 0, leaving no quotient, where h is below the rounding of x
     step = x_up - x_down
     u_prime_fd = (up.value - down.value) / step if step > 0.0 else np.nan
-    fd_starts = [{"x": xs, **sol.diagnostics["start"]}
+    fd_starts = [{"x": xs, **sol.diagnostics["face_start"]}
                  for xs, sol in ((x_up, up), (x_down, down))]
 
     finite = report.leaf_identity_residuals[

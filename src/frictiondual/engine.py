@@ -10,9 +10,10 @@ self-contained, and so is the active-face finish that moves its optimal
 exits onto their face.  A program that carries a face start, a point
 already on (or next to) its optimal face and multipliers for its rows,
 is first finished from there by the same barrier-free Newton steps; the
-barrier runs only when that fails.  A finish step that would leave the
-objective's domain is damped into it on the same face.  No library path
-solves a linear program: the existence of a price system is decided on the tree
+barrier runs, from the program's own start, only when that fails.  A
+finish step that would leave the objective's domain is damped into it
+on the same face.  No library path solves a linear program: the
+existence of a price system is decided on the tree
 (:func:`polytope.strictly_consistent`).  :func:`solve_lp`, one HiGHS call
 (``scipy.optimize.linprog``) outside this loop, is kept for the tests'
 LP oracles.
@@ -49,7 +50,7 @@ run the same routine with the same workspace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -93,7 +94,7 @@ class ConvexProgram:
     point on or near the program's optimal face, such as a nearby optimum,
     with one multiplier per row of ``G`` (a dual optimum's, or zeros):
     :func:`solve` first finishes it on its active face and runs the
-    barrier only if that fails.
+    barrier, from ``x0``, only if that fails.
 
     ``faces`` is the memo of the face finish (:func:`_face_finish`): the
     pivoted QR of each face it has split, keyed by the face's active rows
@@ -136,9 +137,9 @@ class SolveDiagnostics:
     none for a pinned point.  ``face_start`` is the outcome of a face
     start, ``None`` when the program had none: ``accepted``, the
     ``rounds`` of the face finish taken and, for a rejected one, the
-    ``reason``.  It is also the first of the ``events``; :meth:`to_dict`
-    leaves the record itself to the caller that supplied the start.  An
-    accepted face start takes no barrier step and no factorization.
+    ``reason``.  It is also the first of the ``events``.  An accepted
+    face start takes no barrier step and no factorization; a rejected
+    one is followed by the barrier from the program's own start.
     """
 
     status: str
@@ -161,12 +162,10 @@ class SolveDiagnostics:
                       self.kkt_complementarity)
 
     def to_dict(self) -> dict:
-        """Every field but ``face_start``, in field order, lists copied."""
-        out = {k: getattr(self, k) for k in _DICT_KEYS}
-        return {k: list(v) if isinstance(v, list) else v for k, v in out.items()}
-
-
-_DICT_KEYS = tuple(f.name for f in fields(SolveDiagnostics) if f.name != "face_start")
+        """Every field, in field order, its lists and the face-start record
+        copied."""
+        return {k: v.copy() if isinstance(v, (list, dict)) else v
+                for k, v in vars(self).items()}
 
 
 @dataclass

@@ -15,8 +15,9 @@ strictly consistent price system (:meth:`DualPolytope.strict_point`).
 Each shadow-market dual is handed the lift (:meth:`ShadowPrice.lift`)
 of its report's dual optimizer, which is optimal there, with zero
 multipliers as the engine's face start (:func:`solve_dual`): it is
-finished on its face with no barrier step, and the barrier runs from
-the lift only when that is rejected.  ``price_dual`` alone solves its
+finished on its face with no barrier step, and only when that is
+rejected does the barrier run, from the shadow polytope's own
+:meth:`DualPolytope.strict_point`.  ``price_dual`` alone solves its
 two entropy programs, on the market and on its zero-endowment copy,
 independently of the reports: both start at the market's polytope's
 :meth:`DualPolytope.strict_point`, which does not read the endowment.
@@ -89,7 +90,7 @@ def _shadow_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
         shadow = construct_shadow(rep.market, rep.dual_system)
         lift = shadow.lift(rep.dual_leaf_vars[:rep.market.tree.n_leaves])
         terms.append(solve_dual(shadow.as_market(), rep.utility, 1.0,
-                                x0=(lift, np.zeros(lift.size))).value)
+                                face_start=(lift, np.zeros(lift.size))).value)
     return terms[0] - terms[1]
 
 

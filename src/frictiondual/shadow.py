@@ -148,7 +148,9 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     dual's equality-row multipliers (:meth:`PrimalProgram.primal_start`),
     the primal optimum by the KKT map, and the engine accepts it only
     when it passes the barrier's own stopping test; otherwise the barrier
-    runs from the pulled start (:func:`solve_primal`).  A price with
+    runs from the primal's closed-form start (:func:`solve_primal`).
+    Each side's diagnostics carry the engine's record of its face start
+    (``face_start``): ``None`` for the dual.  A price with
     arbitrage, one that moves one way at some node, has an empty
     zero-spread polytope (:class:`PolytopeInfeasibleError`) or an
     unbounded primal, and raises :class:`ShadowConstructionError`.
@@ -158,8 +160,8 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     try:
         dual = solve_dual(shadow_market, spec, y)
         program = PrimalProgram.build(shadow_market, spec)
-        primal = solve_primal(shadow_market, spec, x, x0=program.primal_start(x, dual),
-                              program=program)
+        primal = solve_primal(shadow_market, spec, x,
+                              face_start=program.primal_start(x, dual), program=program)
     except (PolytopeInfeasibleError, PrimalUnboundedError) as exc:
         raise ShadowConstructionError(
             "frictionless problem unbounded: the price admits arbitrage"

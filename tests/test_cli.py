@@ -80,16 +80,16 @@ def test_solve_json_and_csv(market_file, tmp_path):
     assert rec["identity_checks"]["marginal_mean_residual"] <= 1e-5
     keys = {"status", "objective", "barrier_path", "newton_iterations",
             "kkt_stationarity", "kkt_feasibility", "kkt_complementarity",
-            "message", "face_steps", "factorizations", "events"}
-    for side, extra in (("primal", {"start"}), ("dual", set())):
-        assert set(rec["diagnostics"][side]) == keys | extra
+            "message", "face_steps", "factorizations", "events", "face_start"}
+    for side in ("primal", "dual"):
+        assert set(rec["diagnostics"][side]) == keys
+    assert rec["diagnostics"]["dual"]["face_start"] is None
     # the dual runs the barrier; the primal finishes the start read off
     # the dual optimum on its face, with no barrier step
     assert sum(rec["diagnostics"]["dual"]["newton_iterations"]) > 0
     primal = rec["diagnostics"]["primal"]
-    face = primal["start"].pop("face")
-    assert primal["start"] == {"rejected": False}
-    assert face["accepted"] and face["reason"] is None
+    face = primal["face_start"]
+    assert face == {"accepted": True, "rounds": face["rounds"], "reason": None}
     assert primal["events"] == [f"face start accepted after {face['rounds']} rounds"]
     assert primal["newton_iterations"] == [] and primal["face_steps"] >= 1
     with open(table, newline="") as fh:
@@ -102,17 +102,15 @@ def test_solve_json_and_csv(market_file, tmp_path):
 def test_solve_json_records_both_half_line_starts(market_file, tmp_path):
     # a log report runs its barrier on the primal, from the closed-form
     # start, and face-starts its dual at the primal optimum: --json
-    # carries both start records
+    # carries the engine's face-start record of each side
     out = str(tmp_path / "solve.json")
     assert main(["solve", "--market", market_file, "--utility", "log", "--x", "10",
                  "--json", out]) == 0
     diagnostics = read_json(out)["diagnostics"]
-    assert diagnostics["primal"]["start"] == {"rejected": False, "face": None}
+    assert diagnostics["primal"]["face_start"] is None
     assert sum(diagnostics["primal"]["newton_iterations"]) > 0
-    start = diagnostics["dual"]["start"]
-    assert start == {"fallback": None,
-                     "face": {"accepted": True, "rounds": start["face"]["rounds"],
-                              "reason": None}}
+    face = diagnostics["dual"]["face_start"]
+    assert face == {"accepted": True, "rounds": face["rounds"], "reason": None}
     assert diagnostics["dual"]["newton_iterations"] == []
 
 
@@ -129,7 +127,7 @@ def test_solve_near_the_threshold_checks_the_marginal_utility(tmp_path):
     checks = read_json(out)["identity_checks"]
     assert checks["yhat_vs_fd"] <= 1e-6 * checks["yhat"]
     starts = checks["fd_starts"]
-    assert all(s["face"]["accepted"] for s in starts) and starts[1]["x"] > 0.0
+    assert all(s["accepted"] for s in starts) and starts[1]["x"] > 0.0
 
 
 def test_solve_infeasible_wealth(market_file, capsys):

@@ -275,8 +275,8 @@ def test_fd_solves_on_the_report_memo_match_a_fresh_program(spec, monkeypatch):
     # x + h steps (test_face_start_is_accepted_on_generated_markets)
     seen, solve_primal_ = [], duality.solve_primal
 
-    def spied(market, spec, x, x0=None, program=None):
-        sol = solve_primal_(market, spec, x, x0=x0, program=program)
+    def spied(market, spec, x, face_start=None, program=None):
+        sol = solve_primal_(market, spec, x, face_start=face_start, program=program)
         seen.append(sol)
         return sol
 
@@ -304,12 +304,12 @@ def test_fd_solves_on_the_report_memo_match_a_fresh_program(spec, monkeypatch):
 
         def at(xh, start):
             lam = fresh.multipliers(xh, rep.yhat, rep.dual_system)
-            return solve_primal(market, spec, xh, x0=(start, lam), program=fresh)
+            return solve_primal(market, spec, xh, face_start=(start, lam), program=fresh)
 
         up = at(x_up, point)
         down = at(x_down, 2.0 * point - fresh.point(up.strategy, up.claim))
         assert rec["u_prime_fd"].hex() == ((up.value - down.value) / (x_up - x_down)).hex()
-        assert rec["fd_starts"] == [{"x": xs, **sol.diagnostics["start"]}
+        assert rec["fd_starts"] == [{"x": xs, **sol.diagnostics["face_start"]}
                                     for xs, sol in ((x_up, up), (x_down, down))]
         for got, want in zip(seen, (up, down)):
             assert got.value.hex() == want.value.hex(), (i, spec)
@@ -322,7 +322,7 @@ def test_fd_solves_on_the_report_memo_match_a_fresh_program(spec, monkeypatch):
 @pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
 def test_report_program_is_freed_without_the_cycle_collector(two_period_market, spec):
     # the face-started primals of a report and of verify_identities hold
-    # their pulled start; a start that closed over its own program would
+    # their closed-form start; a start that closed over its own program would
     # make a reference cycle, keeping the report's program, with its face
     # memo, alive until the cycle collector ran
     gc.collect()
@@ -403,9 +403,8 @@ def test_warm_primal_start_matches_cold(two_period_market, spec):
     start = PrimalProgram.build(two_period_market, spec).point(near.strategy, near.claim)
     cold = solve_primal(two_period_market, spec, x + h)
     warm = solve_primal(two_period_market, spec, x + h,
-                        x0=_with_zero_multipliers(two_period_market, spec, x + h, start))
-    assert not warm.diagnostics["start"]["rejected"]
-    face = warm.diagnostics["start"]["face"]
+                        face_start=_with_zero_multipliers(two_period_market, spec, x + h, start))
+    face = warm.diagnostics["face_start"]
     assert face["accepted"]
     assert warm.diagnostics["events"] == [f"face start accepted after {face['rounds']} rounds"]
     assert warm.value == pytest.approx(cold.value, rel=1e-12)
@@ -421,21 +420,6 @@ def test_primal_point_is_net_trades_at_zero_spread(drift_binomial):
     assert v.size == K + market.tree.n_leaves
     assert np.array_equal(v[:K], sol.strategy.buy[internal] - sol.strategy.sell[internal])
     assert np.array_equal(v[K:], sol.claim)
-
-
-def test_infeasible_primal_start_falls_back_to_the_closed_form_start(two_period_market):
-    # claims far below zero wealth break the positivity rows even after
-    # the pull: the barrier runs from the closed-form start, bit for bit
-    cold = solve_primal(two_period_market, LOG, 6.0)
-    start = PrimalProgram.build(two_period_market, LOG).point(cold.strategy, cold.claim - 1e6)
-    warm = solve_primal(two_period_market, LOG, 6.0,
-                        x0=_with_zero_multipliers(two_period_market, LOG, 6.0, start))
-    assert warm.diagnostics["start"]["rejected"]
-    assert warm.diagnostics["events"] == [
-        "face start rejected after 0 rounds: start outside the objective domain",
-        "pulled start not strictly feasible: closed-form start"] + cold.diagnostics["events"]
-    assert warm.value == cold.value
-    assert warm.claim.tobytes() == cold.claim.tobytes()
 
 
 def test_primal_program_raises_exactly_at_the_threshold():
@@ -510,9 +494,9 @@ def test_report_lays_out_the_primal_once(spec, monkeypatch):
         thresholds.append(1)
         return threshold(*args)
 
-    def solved(market, spec, x, x0=None, program=None):
-        sol = solve_primal_(market, spec, x, x0=x0, program=program)
-        solves.append((x, x0, program, sol))
+    def solved(market, spec, x, face_start=None, program=None):
+        sol = solve_primal_(market, spec, x, face_start=face_start, program=program)
+        solves.append((x, face_start, program, sol))
         return sol
 
     monkeypatch.setattr(PrimalProgram, "build", classmethod(built))
@@ -533,7 +517,7 @@ def test_report_lays_out_the_primal_once(spec, monkeypatch):
         fresh = build(PrimalProgram, market, spec)
         for xh, start, program, sol in solves:
             assert program is rep.primal
-            again = solve_primal_(market, spec, xh, x0=start, program=fresh)
+            again = solve_primal_(market, spec, xh, face_start=start, program=fresh)
             assert sol.value.hex() == again.value.hex(), (i, xh)
             assert sol.claim.tobytes() == again.claim.tobytes(), (i, xh)
 
@@ -567,7 +551,7 @@ def test_cold_primal_by_the_threshold_runs_no_lp(drift_binomial, spec, endowment
     calls = spy_lps(monkeypatch)
     sol = solve_primal(market, spec, x0 + 1e-3)
     assert sol.diagnostics["status"] == "optimal"
-    assert sol.diagnostics["start"] == {"rejected": False, "face": None}
+    assert sol.diagnostics["face_start"] is None
     with pytest.raises(PrimalInfeasibleError, match=re.escape(f"threshold {x0}")):
         solve_primal(market, spec, x0 - 1e-6)
     assert calls == []
@@ -600,7 +584,7 @@ def test_half_line_report_near_the_threshold(drift_binomial, endowment, spec, ab
     x = x0 + above
     rep = solve_report(market, spec, x)
     assert rep.relative_gap <= 1e-6
-    assert rep.diagnostics["dual"]["start"]["face"]["accepted"]
+    assert rep.diagnostics["dual"]["face_start"]["accepted"]
     # u'(wealth) reaches 1e6 here: the leaf identity relative to it
     wealth = x + rep.claim + market.endowment
     assert np.nanmax(rep.leaf_identity_residuals / eval_u_prime(spec, wealth)) <= 1e-6
@@ -675,14 +659,19 @@ def test_zero_spread_arbitrage_still_reports_an_empty_polytope(monkeypatch):
 
 def test_dual_from_a_supplied_start_on_an_empty_zero_spread_polytope():
     # 100 -> 110/110 at zero spread: the rows Z1 = S Z0 and E[Z0] = 1 are
-    # inconsistent, which a supplied start reaches past the strict point
+    # inconsistent, which an engine solve from a supplied start reaches
+    # past the strict point, and solve_dual's verdict raises first
     tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
     market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 110.0], lam=0.0,
                         endowment=[0.0, 0.0])
+    poly = build_polytope(market)
+    objective = duality._dual_objective(poly, LOG, 1.0, market.endowment, market.tree.leaf_prob)
     start = np.array([1.0, 1.0, 110.0, 110.0])
     with pytest.raises(PolytopeInfeasibleError,
                        match="^empty dual polytope: inconsistent equality constraints$"):
-        solve_dual(market, LOG, 1.0, x0=start)
+        duality._solve_on_polytope(poly, *objective, lambda: start)
+    with pytest.raises(PolytopeInfeasibleError, match="martingale density"):
+        solve_dual(market, LOG, 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.01, 0.0])
@@ -874,17 +863,17 @@ def test_report_primal_starts_at_the_shadow_replication(spec, lam):
     cold = solve_primal(market, spec, x)
     d = rep.diagnostics["primal"]
     if spec is EXP1:
-        assert d["start"] == {"rejected": False, "face": accepted_face(d)}
+        assert d["face_start"] == accepted_face(d)
         assert rep.value == pytest.approx(cold.value, rel=1e-12)
         assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9
         assert sum(d["newton_iterations"]) < sum(cold.diagnostics["newton_iterations"])
         return
-    assert d["start"] == {"rejected": False, "face": None}
+    assert d["face_start"] is None
     # the report's primal is the cold solve, bit for bit
-    assert {**d, "start": None} == {**cold.diagnostics, "start": None}
+    assert d == cold.diagnostics
     assert rep.claim.tobytes() == cold.claim.tobytes()
     d = rep.diagnostics["dual"]
-    assert d["start"] == {"face": accepted_face(d), "fallback": None}
+    assert d["face_start"] == accepted_face(d)
     yhat, value, sol = minimize_v_plus_xy(market, spec, x)
     assert rep.yhat == pytest.approx(yhat, rel=1e-12)
     assert rep.dual_value + x * rep.yhat == pytest.approx(value, rel=1e-12)
@@ -897,7 +886,7 @@ def test_report_primal_starts_at_the_shadow_replication(spec, lam):
 def accepted_face(d):
     """The engine's record of an accepted face start, with the rounds of
     the record in the diagnostics ``d``."""
-    return {"accepted": True, "rounds": d["start"]["face"]["rounds"], "reason": None}
+    return {"accepted": True, "rounds": d["face_start"]["rounds"], "reason": None}
 
 
 def _seed_11_cases():
@@ -965,8 +954,7 @@ def test_zero_density_report_primal_is_face_started():
         rep = solve_report(market, EXP1, 1.0)
         assert rep.zero_density_leaves == [2]
         d = rep.diagnostics["primal"]
-        assert set(d["start"]) == {"rejected", "face"} and not d["start"]["rejected"]
-        assert d["start"]["face"]["accepted"] is accepted, lam
+        assert d["face_start"]["accepted"] is accepted, lam
         cold = solve_primal(market, EXP1, 1.0)
         assert rep.value == pytest.approx(cold.value, rel=1e-12), lam
         assert np.max(np.abs(rep.claim - cold.claim)) <= 1e-9, lam
@@ -975,28 +963,20 @@ def test_zero_density_report_primal_is_face_started():
         assert sum(cold.diagnostics["newton_iterations"]) == (500 if accepted else 22)
 
 
-def _face_and_barrier_solves(market, spec, x, start):
-    """The engine's solves of the primal at ``x`` from the pulled point
-    of ``start``, with the pair ``start`` as the face start and without
-    one."""
+def _face_and_cold_solves(market, spec, x, start):
+    """The engine's solves of the primal at ``x`` with the pair ``start``
+    as the face start and without one."""
     prog = PrimalProgram.build(market, spec).at(x)
-    pulled = (1.0 - duality.WARM_PULL) * start[0] + duality.WARM_PULL * prog.x0()
-    return (engine.solve(replace(prog, x0=lambda: pulled, face_start=start)),
-            engine.solve(replace(prog, x0=lambda: pulled)))
+    return engine.solve(replace(prog, face_start=start)), engine.solve(prog)
 
 
 def _assert_barrier_bits(res, barrier):
-    """``res``, from a rejected face start, is ``barrier`` bit for bit,
-    with the rejection as its one more event."""
-    face = res.diagnostics.face_start
-    assert not face["accepted"]
+    """``res``, from a rejected face start, is ``barrier`` bit for bit
+    (:func:`_assert_cold_diagnostics`)."""
     for got, want in [(res.x, barrier.x), (res.ineq_multipliers, barrier.ineq_multipliers),
                       (res.eq_multipliers, barrier.eq_multipliers)]:
         assert got.tobytes() == want.tobytes()
-    got, want = res.diagnostics.to_dict(), barrier.diagnostics.to_dict()
-    assert got.pop("events") == [f"face start rejected after {face['rounds']} rounds: "
-                                 f"{face['reason']}"] + want.pop("events")
-    assert got == want
+    _assert_cold_diagnostics(res.diagnostics.to_dict(), barrier.diagnostics.to_dict())
 
 
 def test_face_start_is_accepted_on_generated_markets(monkeypatch):
@@ -1009,8 +989,8 @@ def test_face_start_is_accepted_on_generated_markets(monkeypatch):
     # (test_dual_face_start_is_accepted_on_generated_markets)
     seen, solve_primal_ = [], duality.solve_primal
 
-    def spied(market, spec, x, x0=None, program=None):
-        sol = solve_primal_(market, spec, x, x0=x0, program=program)
+    def spied(market, spec, x, face_start=None, program=None):
+        sol = solve_primal_(market, spec, x, face_start=face_start, program=program)
         seen.append((x, sol))
         return sol
 
@@ -1024,16 +1004,15 @@ def test_face_start_is_accepted_on_generated_markets(monkeypatch):
             seen.clear()
             rep = solve_report(market, spec, x)
             if spec is not EXP1:
-                assert rep.diagnostics["primal"]["start"] == {"rejected": False,
-                                                              "face": None}, (i, spec)
+                assert rep.diagnostics["primal"]["face_start"] is None, (i, spec)
                 seen.clear()
             starts = verify_identities(rep)["fd_starts"]
             assert [s["x"] for s in starts] == [xs for xs, _ in seen[-2:]]
-            assert starts == [{"x": xs, **sol.diagnostics["start"]} for xs, sol in seen[-2:]]
+            assert starts == [{"x": xs, **sol.diagnostics["face_start"]}
+                              for xs, sol in seen[-2:]]
             for xs, sol in seen:
                 d = sol.diagnostics
-                face = d["start"]["face"]
-                assert not d["start"]["rejected"], (i, spec, xs)
+                face = d["face_start"]
                 if not face["accepted"]:
                     rejected.append((i, spec.family, xs))
                     continue
@@ -1056,8 +1035,8 @@ def test_face_start_is_accepted_on_generated_markets(monkeypatch):
                 assert sol.value == pytest.approx(cold.value, rel=1e-12), (i, spec, xs)
                 assert np.max(np.abs(sol.claim - cold.claim)) <= 1e-9, (i, spec, xs)
             if spec is EXP1:
-                assert set(seen[0][1].diagnostics["start"]) == {"rejected", "face"}
-                # and it meets the dual value to rounding
+                # the report's primal is face-started, and it meets the
+                # dual value to rounding
                 assert rep.relative_gap <= 1e-13, (i, spec)
     # every start lands.  Under power(1/2) the x + h optimum of market 5
     # puts a leaf's wealth near zero, 5e-5, where the start's is 20 times
@@ -1072,46 +1051,19 @@ def test_face_start_is_accepted_on_generated_markets(monkeypatch):
 def test_rejected_face_start_returns_the_barrier_solve(two_period_market):
     # the log optimum at x = 60 lies off the optimal face at x = 6: the
     # face start is rejected and logged, and the solve is the barrier's
-    # from the pulled start, bit for bit.  Under exp(1) a row leaves the
+    # from the closed-form start, bit for bit.  Under exp(1) a row leaves the
     # face in each of the finish's rounds; under log five rows leave,
     # one step is taken and the next is not half of it
     far = solve_primal(two_period_market, LOG, 60.0)
     point = PrimalProgram.build(two_period_market, LOG).point(far.strategy, far.claim)
     for spec, reason in ((LOG, "KKT residuals"), (EXP1, "no step on the face")):
         start = _with_zero_multipliers(two_period_market, spec, 6.0, point)
-        res, barrier = _face_and_barrier_solves(two_period_market, spec, 6.0, start)
+        res, barrier = _face_and_cold_solves(two_period_market, spec, 6.0, start)
         face = res.diagnostics.face_start
         assert face["reason"].startswith(reason)
         _assert_barrier_bits(res, barrier)
-        warm = solve_primal(two_period_market, spec, 6.0, x0=start)
-        assert warm.diagnostics["start"] == {"rejected": False, "face": face}
-
-
-def test_rejected_shadow_start_is_recorded(two_period_market, monkeypatch):
-    # a start whose pull is not strictly feasible shows in the start
-    # record and in the events, and the report still reaches the optimum
-    # from the closed-form start.  The exponential report's primal is the
-    # one that starts at the trades read off the dual optimum
-    primal_start = PrimalProgram.primal_start
-
-    def far_below(self, x, dual):
-        point, lam = primal_start(self, x, dual)
-        # claims so far below the legs that the objective overflows
-        point[-self.market.tree.n_leaves:] -= 1e6
-        return point, lam
-
-    cold = solve_report(two_period_market, EXP1, 6.0)
-    monkeypatch.setattr(PrimalProgram, "primal_start", far_below)
-    rep = solve_report(two_period_market, EXP1, 6.0)
-    d = rep.diagnostics["primal"]
-    assert d["start"] == {"rejected": True,
-                          "face": {"accepted": False, "rounds": 0,
-                                   "reason": "start outside the objective domain"}}
-    assert d["events"][:2] == [
-        "face start rejected after 0 rounds: start outside the objective domain",
-        "pulled start not strictly feasible: closed-form start"]
-    assert "phase_one_slack" not in d
-    assert rep.value == pytest.approx(cold.value, rel=1e-10)
+        warm = solve_primal(two_period_market, spec, 6.0, face_start=start)
+        assert warm.diagnostics["face_start"] == face
 
 
 def _count_starts(monkeypatch):
@@ -1129,8 +1081,8 @@ def _count_starts(monkeypatch):
 @pytest.mark.parametrize("spec", [LOG, EXP1], ids=["log", "exp"])
 def test_accepted_face_start_builds_no_start(spec, monkeypatch):
     # verify_identities' two primals, and the exponential report's, are
-    # face-started and accepted on seed 11's market 0: neither the
-    # closed-form start nor the pulled one is built; a cold solve, the log
+    # face-started and accepted on seed 11's market 0: the closed-form
+    # start is not built; a cold solve, the log
     # report's own primal among them, builds the closed-form one once
     market = InstanceGenerator(seed=11).draw_feasible(0)
     x = 1.0 if spec.wealth_domain == "real" else max(compute_x0(market), 0.0) + 5.0
@@ -1139,7 +1091,7 @@ def test_accepted_face_start_builds_no_start(spec, monkeypatch):
     verify_identities(rep)
     cold = [] if spec is EXP1 else [x]
     side = "primal" if spec is EXP1 else "dual"
-    assert rep.diagnostics[side]["start"]["face"]["accepted"]
+    assert rep.diagnostics[side]["face_start"]["accepted"]
     assert built == cold
     solve_primal(market, spec, x, program=rep.primal)
     assert built == cold + [x]
@@ -1166,7 +1118,7 @@ def test_dual_face_start_is_accepted_on_generated_markets(monkeypatch):
                 verify_identities(rep)
             d = rep.diagnostics["dual"]
             face = accepted_face(d)
-            assert d["start"] == {"face": face, "fallback": None}, (i, spec)
+            assert d["face_start"] == face, (i, spec)
             assert d["events"] == [f"face start accepted after {face['rounds']} rounds"]
             assert d["newton_iterations"] == [] and d["factorizations"] == 0
             yhat, value, _ = minimize_v_plus_xy(market, spec, x, poly=poly)
@@ -1176,8 +1128,8 @@ def test_dual_face_start_is_accepted_on_generated_markets(monkeypatch):
 
 def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, monkeypatch):
     # a dual face start outside the objective domain (W0 < 0) is rejected
-    # and recorded with its fallback, and the cone dual is then the cold
-    # solve from the strict point, bit for bit
+    # and recorded, and the cone dual is then the cold solve from the
+    # strict point, bit for bit
     x = compute_x0(two_period_market) + 4.0
     dual_start = PrimalProgram.dual_start
 
@@ -1193,38 +1145,72 @@ def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, mo
     assert built == [two_period_market]
     d = rep.diagnostics["dual"]
     face = {"accepted": False, "rounds": 0, "reason": "start outside the objective domain"}
-    assert d["start"] == {"face": face, "fallback": "cold cone solve"}
+    assert d["face_start"] == face
     yhat, _, cold = minimize_v_plus_xy(two_period_market, LOG, x)
     assert rep.yhat.hex() == yhat.hex()
     assert rep.dual_leaf_vars.tobytes() == cold.leaf_vars.tobytes()
-    assert d["events"] == ["face start rejected after 0 rounds: start outside the "
-                           "objective domain"] + cold.diagnostics["events"]
-    assert {**d, "events": None, "start": None} == {**cold.diagnostics, "events": None,
-                                                    "start": None}
+    _assert_cold_diagnostics(d, cold.diagnostics)
     assert rep.relative_gap <= 1e-6
 
 
-def test_rejected_face_start_builds_its_start_once(monkeypatch):
-    # seed 11's market 5 under power(1/2): the report's point starts the
-    # x - h primal outside the objective domain (verify_identities starts
-    # it at the reflection instead), so the barrier runs from the pulled
-    # start, built once, with the record and bits of the barrier solve
-    # from that point
-    market = InstanceGenerator(seed=11).draw_feasible(5)
-    spec = UtilitySpec("power", alpha=0.5)
+def _assert_cold_diagnostics(warm, cold):
+    """The diagnostics ``warm`` of a solve whose face start was rejected
+    are ``cold``'s, of the same solve given none, but for the rejection's
+    record and its event ahead of ``cold``'s: the same status, Newton
+    steps, factorizations and barrier path."""
+    warm = dict(warm)
+    face = warm.pop("face_start")
+    assert not face["accepted"] and cold["face_start"] is None
+    assert warm.pop("events") == [f"face start rejected after {face['rounds']} rounds: "
+                                  f"{face['reason']}"] + cold["events"]
+    assert warm == {k: v for k, v in cold.items() if k not in ("face_start", "events")}
+
+
+POWER = UtilitySpec("power", alpha=0.5)
+
+
+@pytest.mark.parametrize("seed, i, side, reason", [
+    (11, 5, "x-h", "start outside the objective domain"),
+    (1, 26, "x+h", "KKT residuals"),
+    (2, 82, "dual", "KKT residuals"),
+], ids=["seed11-m5-x-h", "seed1-m26-x+h", "seed2-m82-dual"])
+def test_rejected_face_start_is_the_cold_solve(seed, i, side, reason, monkeypatch):
+    # the one face-start rule: when the engine rejects a face start, the
+    # barrier runs from the program's own closed-form start, built once,
+    # and the solve is the cold solve at the same x, bit for bit, Newton
+    # steps included.  Under power(1/2) at x0 + 5: seed 11's market 5
+    # started at the report's point puts x - h outside the objective
+    # domain (verify_identities starts it at the reflection instead);
+    # seed 1's market 26 started there for x + h is on its face, but the
+    # full Newton steps of sqrt do not halve; and seed 2's market 82's
+    # cone dual, read off the primal optimum, misses on complementarity
+    # alone, so its cold solve from the strict point runs to the Newton
+    # cap, promoted
+    market = InstanceGenerator(seed=seed).draw_feasible(i)
     x = max(compute_x0(market), 0.0) + 5.0
-    rep = solve_report(market, spec, x)
-    xh = x - duality.FD_STEP * (1.0 + abs(x))
-    start = (rep.primal.point(rep.strategy, rep.claim),
-             rep.primal.multipliers(xh, rep.yhat, rep.dual_system))
-    built = _count_starts(monkeypatch)
-    warm = solve_primal(market, spec, xh, x0=start, program=rep.primal)
-    assert built == [xh]
-    face = {"accepted": False, "rounds": 0, "reason": "start outside the objective domain"}
-    assert warm.diagnostics["start"] == {"rejected": False, "face": face}
-    res, barrier = _face_and_barrier_solves(market, spec, xh, start)
-    _assert_barrier_bits(res, barrier)
-    assert warm.claim.tobytes() == rep.primal.solution(res.x)[1].tobytes()
+    rep = solve_report(market, POWER, x)
+    if side == "dual":
+        warm = rep.diagnostics["dual"]
+        yhat, _, cold = minimize_v_plus_xy(market, POWER, x)
+        got, want = (rep.yhat, rep.dual_value, rep.dual_leaf_vars), (yhat, cold.value,
+                                                                     cold.leaf_vars)
+    else:
+        primal = rep.primal
+        h = duality.FD_STEP * min(1.0 + abs(x), x - primal.threshold - duality.THRESHOLD_MARGIN)
+        xh = x + h if side == "x+h" else x - h
+        start = (primal.point(rep.strategy, rep.claim),
+                 primal.multipliers(xh, rep.yhat, rep.dual_system))
+        built = _count_starts(monkeypatch)
+        sol = solve_primal(market, POWER, xh, face_start=start, program=primal)
+        assert built == [xh]
+        warm = sol.diagnostics
+        cold = solve_primal(market, POWER, xh)
+        got, want = (sol.value, sol.claim, sol.multipliers), (cold.value, cold.claim,
+                                                              cold.multipliers)
+    assert warm["face_start"]["reason"].startswith(reason)
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    _assert_cold_diagnostics(warm, cold.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -1276,3 +1262,40 @@ def test_generated_market_5_113_trades_on_the_attained_side():
     shadow = construct_shadow(market, rep.dual_system)
     fr = solve_frictionless(shadow.as_market(), EXP1, 1.0, y=rep.yhat)
     assert verify_shadow(rep, shadow, fr)["direction_violations"] == []
+
+
+@pytest.mark.parametrize("y", [
+    1e8,
+    pytest.param(1e10, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="power dual stops at its start: 0 Newton steps, Z0 8.37e-4 off")),
+    pytest.param(1e12, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="power dual stops at its start: 0 Newton steps, Z0 8.37e-4 off")),
+])
+def test_power_dual_at_large_scale_keeps_the_unit_scale_minimizer(y):
+    # without an endowment the power(1/2) dual objective is y^-1 times its
+    # value at y = 1, so its minimizer does not move with y.  The engine's
+    # tests are relative to 1 + |f|, and at y >= 1e10 the start passes them
+    market = InstanceGenerator(seed=7).draw_feasible(0)
+    market = market.with_endowment(np.zeros(market.tree.n_leaves))
+    L = market.tree.n_leaves
+    unit = solve_dual(market, POWER, 1.0)
+    sol = solve_dual(market, POWER, y)
+    assert np.abs(sol.leaf_vars[:L] - unit.leaf_vars[:L]).max() <= 1e-9
+    assert abs(sol.value * y / unit.value - 1.0) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=EngineError,
+                   reason="an endowment of 1000 on a zero-density leaf: the reduced "
+                          "Newton matrix breaks down at lambda = 0.01, the primal fails "
+                          "at lambda = 0")
+@pytest.mark.parametrize("lam", [0.01, 0.0])
+def test_unhedgeable_trinomial_endowment_of_1000_reports(lam):
+    # the breakdown follows overflows in the reduced Newton matrix, which
+    # numpy would report as warnings first
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=lam,
+                        endowment=[0.0, 1000.0, 0.0])
+    with np.errstate(all="ignore"):
+        assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6

@@ -1,7 +1,7 @@
 """Interior-point engine against closed forms; the HiGHS LP path against
 the interior-point engine on the same LPs."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -200,6 +200,9 @@ def test_diagnostics_payload():
     assert d["kkt_stationarity"] < 1e-6
     # one reduced-matrix LU per iteration, the stopping one included
     assert d["factorizations"] >= len(d["barrier_path"]) + 1
+    # every field, the face start's record included: None with no face start
+    assert list(d) == [f.name for f in fields(SolveDiagnostics)]
+    assert d["face_start"] is None
 
 
 def boxed_lp():
@@ -446,6 +449,9 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     assert d.face_start == {"accepted": True, "rounds": d.face_start["rounds"], "reason": None}
     assert d.events == [f"face start accepted after {d.face_start['rounds']} rounds"]
     assert d.newton_iterations == [] and d.factorizations == 0 and d.face_steps >= 1
+    # to_dict carries a copy of the record
+    record = d.to_dict()["face_start"]
+    assert record == d.face_start and record is not d.face_start
     assert np.abs(res.x - 1.0).max() <= 1e-14
     lam = res.ineq_multipliers
     assert np.all(lam >= 0.0) and lam[0] + lam[1] == pytest.approx(1.0, abs=10 * TOL)

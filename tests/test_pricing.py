@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from frictiondual import duality
 from frictiondual.duality import (PrimalProgram, PrimalUnboundedError, compute_x0,
                                  entropy_terms, solve_dual, solve_entropy_core,
                                  solve_report)
@@ -21,6 +22,14 @@ from frictiondual.trading import roll_forward, terminal_claim
 from frictiondual.tree import EventTree, MarketSpec
 from frictiondual.utility import UtilitySpec, utility_label
 from oracles import max_margin, sample_polytope
+
+
+def dual_from(market, spec, poly, start):
+    """The engine's solve of ``market``'s dual at ``y = 1`` over ``poly``,
+    its barrier from the polytope point ``start``."""
+    objective = duality._dual_objective(poly, spec, 1.0, market.endowment,
+                                        market.tree.leaf_prob)
+    return duality._solve_on_polytope(poly, *objective, lambda: start)
 
 
 def test_zero_endowment_prices_at_zero(drift_binomial):
@@ -111,8 +120,8 @@ def test_one_solve_per_pricing_program(two_period_market, monkeypatch):
 
 
 def test_price_dual_warm_start_by_the_boundary():
-    # the no-endowment entropy solve started by the optimum of the
-    # with-endowment one, which sits on the polytope's boundary: a
+    # the no-endowment entropy program's barrier started by the optimum
+    # of the with-endowment one, which sits on the polytope's boundary: a
     # millionth of the way to the strictly feasible witness; the engine
     # must not stop there on a decrement that only looks negligible
     market = InstanceGenerator(seed=2033, max_periods=3).draw_feasible(0)
@@ -122,10 +131,9 @@ def test_price_dual_warm_start_by_the_boundary():
     assert np.min(poly.G @ core_e.leaf_vars - poly.h) <= 0.0
     start = (1.0 - 1e-6) * core_e.leaf_vars + 1e-6 * poly.strict_point()
     assert 0.0 < np.min(poly.G @ start - poly.h) < 1e-5
-    core_0 = solve_dual(market_0, UtilitySpec("exponential", gamma=0.8), 1.0, poly=poly,
-                        x0=start)
+    core_0 = dual_from(market_0, UtilitySpec("exponential", gamma=0.8), poly, start)
     ent_e, mean_e = entropy_terms(market, core_e.leaf_vars)
-    ent_0, mean_0 = entropy_terms(market_0, core_0.leaf_vars)
+    ent_0, mean_0 = entropy_terms(market_0, core_0.x)
     p = (ent_e / 0.8 + mean_e) - (ent_0 / 0.8 + mean_0)
     cold = indifference_price(market, 0.8)
     assert p == pytest.approx(cold.p_dual, abs=1e-8)
@@ -134,7 +142,7 @@ def test_price_dual_warm_start_by_the_boundary():
 @pytest.mark.parametrize("seed", [11, 2033])
 def test_price_dual_runs_no_phase_one(seed, monkeypatch):
     # both entropy solves start at the closed-form point, with no LP, and
-    # land on the optimum the existence LP's witness starts reach
+    # land on the optimum that barriers from the existence LP's witness reach
     from frictiondual import engine
 
     gen = InstanceGenerator(seed=seed, max_periods=3)
@@ -153,8 +161,8 @@ def test_price_dual_runs_no_phase_one(seed, monkeypatch):
         _, witness = max_margin(poly)
         assert np.abs(witness - martingale_point(market)).max() > 1e-3
         spec = UtilitySpec("exponential", gamma=gamma)
-        cores = [solve_dual(m, spec, 1.0, poly=poly, x0=witness) for m in markets]
-        terms = [entropy_terms(m, c.leaf_vars) for m, c in zip(markets, cores)]
+        cores = [dual_from(m, spec, poly, witness) for m in markets]
+        terms = [entropy_terms(m, c.x) for m, c in zip(markets, cores)]
         want = sum(sign * (ent / gamma + mean)
                    for sign, (ent, mean) in zip((1.0, -1.0), terms))
         monkeypatch.setattr(engine, "solve_lp", counted)
@@ -186,13 +194,14 @@ def test_shadow_dual_same_optimum_from_any_start(dense_market):
     perturbed = 0.7 * lift + 0.3 * np.concatenate([
         vertex.z0[sm.tree.leaves], vertex.z1[sm.tree.leaves]])
     assert np.abs(perturbed - lift).max() > 1e-2
-    starts = (lift, perturbed, None, martingale_point(sm))
-    sols = [solve_dual(sm, rep.utility, 1.0, x0=x0) for x0 in starts]
-    # the default start is the shadow price's closed-form martingale density
-    assert sols[2].leaf_vars.tobytes() == sols[3].leaf_vars.tobytes()
-    v = sols[2].value
-    for sol in sols[:2] + sols[3:]:
-        assert sol.value == pytest.approx(v, abs=1e-8 * (1.0 + abs(v)))
+    poly = build_polytope(sm)
+    sols = [dual_from(sm, rep.utility, poly, z) for z in (lift, perturbed, martingale_point(sm))]
+    # solve_dual's start is the shadow price's closed-form martingale density
+    cold = solve_dual(sm, rep.utility, 1.0)
+    assert cold.leaf_vars.tobytes() == sols[2].x.tobytes()
+    for sol in sols:
+        v = sol.diagnostics.objective
+        assert v == pytest.approx(cold.value, abs=1e-8 * (1.0 + abs(cold.value)))
 
 
 def test_shadow_route_duals_are_face_started_at_the_lift(dense_market, monkeypatch):
@@ -214,7 +223,7 @@ def test_shadow_route_duals_are_face_started_at_the_lift(dense_market, monkeypat
     p = pricing._shadow_route(rep_e, rep_0)
     assert len(sols) == 2
     for sol in sols:
-        assert sol.diagnostics["start"]["face"]["accepted"], sol.diagnostics["start"]
+        assert sol.diagnostics["face_start"]["accepted"], sol.diagnostics["face_start"]
         assert sum(sol.diagnostics["newton_iterations"]) == 0
         assert sol.diagnostics["factorizations"] == 0
     cold = [solve_dual(construct_shadow(rep.market, rep.dual_system).as_market(),
@@ -239,7 +248,7 @@ def test_pricing_runs_no_phase_one(dense_market, monkeypatch):
     original = duality.solve_dual
 
     def spied(*args, **kwargs):
-        starts.append(kwargs.get("x0"))
+        starts.append(kwargs.get("face_start"))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(engine, "solve_lp", counted)
