@@ -256,7 +256,7 @@ class PrimalProgram:
                 return bool((-spec.gamma * (x + v[off:] + endow - w_ref) <= EXP_ARG_MAX).all())
             return not positive_wealth or bool((x + v[off:] + endow > 0.0).all())
 
-        return ConvexProgram(n=nv, objective=objective, G=self.G, h=h,
+        return ConvexProgram(objective=objective, G=self.G, h=h,
                              in_domain=in_domain, x0=lambda: self.start(x), faces=self.faces)
 
     def start(self, x: float) -> np.ndarray:
@@ -337,19 +337,25 @@ class PrimalProgram:
             claim[support] = np.minimum(claim[support], target)
         return self.point(strategy, claim), self.multipliers(x, dual.y, dual.system)
 
-    def dual_start(self, strategy: Strategy, lam: np.ndarray) -> tuple:
+    def dual_start(self, x: float, strategy: Strategy, lam: np.ndarray) -> tuple:
         """The face start of the scaled-cone dual (:func:`minimize_v_plus_xy`)
-        read off a primal optimum: its netted ``strategy`` and row
+        read off a primal optimum at ``x``: its netted ``strategy`` and row
         multipliers ``lam``, by the KKT correspondence of :meth:`multipliers`
-        read the other way.  The point: leaf ``l``'s legs, bid ``b_l`` and
-        ask ``a_l``, give ``W0_l = (b_l + a_l)/p_l`` and ``W1_l = (bid_l
-        b_l + ask_l a_l)/p_l`` (at zero spread its one leg, and ``W1 = S
-        W0``).  The multipliers: ``P(n) sell_n`` on node ``n``'s lower band
-        row and ``P(n) buy_n`` on its upper one, a leaf trading its
-        liquidation, and 0 on the positivity rows (all of them at zero
-        spread, where the band rows are equalities)."""
+        read the other way, so that ``dual_start(x, strategy,
+        multipliers(x, yhat, system))`` has the point ``yhat Z``.  The
+        centered exponential objective's multipliers carry the factor
+        ``exp(gamma w_ref(x))``, which is divided out; no other family's
+        reads ``x``.  The point: leaf ``l``'s legs, bid ``b_l`` and ask
+        ``a_l``, give ``W0_l = (b_l + a_l)/p_l`` and ``W1_l = (bid_l b_l +
+        ask_l a_l)/p_l`` (at zero spread its one leg, and ``W1 = S W0``).
+        The multipliers: ``P(n) sell_n`` on node ``n``'s lower band row and
+        ``P(n) buy_n`` on its upper one, a leaf trading its liquidation, and
+        0 on the positivity rows (all of them at zero spread, where the
+        band rows are equalities)."""
         market, tree = self.market, self.market.tree
         L, prob = tree.n_leaves, tree.leaf_prob
+        if self.spec.family == "exponential":
+            lam = lam / np.exp(self.spec.gamma * self.w_ref(x))
         if self.frictionless:
             w0 = lam[:L] / prob
             return np.concatenate([w0, market.ask_price[tree.leaves] * w0]), np.zeros(2 * L)
@@ -485,7 +491,7 @@ def _solve_on_polytope(poly: DualPolytope, objective, in_domain, start,
     runs (:attr:`ConvexProgram.x0`), and first from the ``(point,
     multipliers)`` pair ``face_start`` if one is given
     (:attr:`ConvexProgram.face_start`); optimal or raises."""
-    prog = ConvexProgram(n=poly.n_vars, objective=objective, A_eq=poly.A_eq,
+    prog = ConvexProgram(objective=objective, A_eq=poly.A_eq,
                          b_eq=poly.b_eq, G=poly.G, h=poly.h, in_domain=in_domain,
                          x0=start, face_start=face_start)
     try:
@@ -691,7 +697,7 @@ def _solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float,
         primal = solve_primal(market, spec, x, program=program)
         yhat, dual_total, dual = minimize_v_plus_xy(
             market, spec, x, poly=poly,
-            face_start=program.dual_start(primal.strategy, primal.multipliers))
+            face_start=program.dual_start(x, primal.strategy, primal.multipliers))
 
     gap = abs(primal.value - dual_total)
     wealth = x + primal.claim + endow
@@ -727,17 +733,20 @@ def verify_identities(report: SolveReport) -> dict:
     ``h`` is below the rounding of ``x``, ``x +- h`` round to ``x`` and
     ``u_prime_fd`` (and the checks built on it) is NaN.  Both primal solves run on the report's
     :class:`PrimalProgram`, each from a point whose face is usually
-    theirs, paired with the dual's multipliers at their own ``x``:
+    theirs, paired with the dual's multipliers (below):
     :func:`solve_primal` hands the pair to the engine as the face start,
     and the barrier runs only when it is rejected (a start outside the
     objective domain included).  ``x + h`` starts at the report's primal
     point ``p``, and ``x - h`` at its reflection ``2 p - p(x + h)``
     through the ``x + h`` optimum, exact to first order and inside the
     objective's domain where ``p`` may not be (a leaf's wealth that is
-    small against ``h``).  Under a half-line utility the multipliers do
-    not read ``x`` (:meth:`PrimalProgram.multipliers`), so one array
-    serves both sides; exponential ones scale with ``exp(gamma
-    w_ref(x))`` and are read per side.  Both solves share the report's
+    small against ``h``).  One multiplier array, the report's at ``x``
+    (:meth:`PrimalProgram.multipliers`), serves both sides under every
+    family: a half-line program's multipliers do not read ``x``, and
+    the centered exponential program does not read it at all (its
+    objective and domain see ``x + v + e - w_ref(x)``, and its start
+    ignores ``x``), so its optimal multipliers at ``x +- h`` are those at
+    ``x``.  Both solves share the report's
     face-split memo (:attr:`PrimalProgram.faces`), so the faces the
     report's primal split are not split again.  ``fd_starts`` holds, per
     side, its ``x`` and the engine's record of its face start
@@ -753,15 +762,10 @@ def verify_identities(report: SolveReport) -> dict:
         scale = min(scale, x - (primal.threshold + THRESHOLD_MARGIN))
     h = FD_STEP * scale
     point = primal.point(report.strategy, report.claim)
-
-    def multipliers(xh):
-        return primal.multipliers(xh, report.yhat, report.dual_system)
-
-    lam = None if spec.family == "exponential" else multipliers(x)
+    lam = primal.multipliers(x, report.yhat, report.dual_system)
 
     def solve_at(xh, start):
-        return solve_primal(market, spec, xh, program=primal,
-                            face_start=(start, multipliers(xh) if lam is None else lam))
+        return solve_primal(market, spec, xh, program=primal, face_start=(start, lam))
 
     x_up, x_down = x + h, x - h
     up = solve_at(x_up, point)

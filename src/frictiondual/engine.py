@@ -83,8 +83,9 @@ class InfeasibleProgramError(EngineError):
 class ConvexProgram:
     """Smooth separable convex minimization over affine constraints.
 
-    ``objective(x)`` returns ``(f, g, d)``: the value, the gradient and
-    the Hessian's diagonal ``d``, the Hessian being ``diag(d)``.
+    The variables are the columns of ``G``.  ``objective(x)`` returns
+    ``(f, g, d)``: the value, the gradient and the Hessian's diagonal
+    ``d``, the Hessian being ``diag(d)``.
     ``in_domain`` guards open objective domains during line search.
     Inequalities read ``G x - h >= 0``; ``G`` has at least one row.
     ``x0`` is a function of no arguments that returns the barrier's start,
@@ -104,7 +105,6 @@ class ConvexProgram:
     share one memo; each program has its own unless given one.
     """
 
-    n: int
     objective: Callable[[np.ndarray], tuple]
     G: np.ndarray
     h: np.ndarray
@@ -345,25 +345,43 @@ def solve(program: ConvexProgram) -> SolveResult:
     the first (a quiet floor exit, logged in the events).  The equality
     multipliers are the least-squares ones at the exit point.  Diverging
     iterates are reported with status ``unbounded``.  A program with
-    ``n = rank(A)`` is pinned at its one feasible point, which takes no
-    factorization; one without inequality rows, or with a face start of
-    the wrong shape, raises ``ValueError``, and one whose projected
-    ``x0`` is not strictly feasible, or outside the objective domain,
+    ``n = rank(A)`` (``n`` the columns of ``G``) is pinned at its one
+    feasible point, which takes no factorization; one without inequality
+    rows raises ``ValueError``, and one whose projected ``x0`` is not
+    strictly feasible, or outside the objective domain,
     :class:`EngineError`.
 
-    The optimal exit and the ``max_iter`` one, after ``DEFAULT_MAX_NEWTON``
-    Newton steps, end in :func:`_face_finish`,
-    barrier-free Newton steps on the guessed active face, whose point and
-    multipliers replace the barrier ones when their KKT residuals are no
-    larger.  The result is then certified: a ``max_iter`` exit within
+    Face starts and barrier exits are finished alike, by
+    :func:`_face_finish`: barrier-free Newton steps on the guessed active
+    face, which return the point they reach with its KKT residuals.
+    Every solve ends in one exit (:func:`_exit`), which records the kept
+    point in the diagnostics and certifies it: a ``max_iter`` exit within
     ``max(100 TOL, 1e-5) (1 + |f|)`` is promoted to ``optimal``, and an
     optimal exit outside it is demoted to ``numerical_failure``.
 
-    A program's ``face_start`` is tried first (:func:`_face_start`): the
-    face finish runs from its point and multipliers, and a point that
-    passes the loop's own stopping test, far tighter than that
-    certification, is returned with no barrier step.  Otherwise the
-    barrier runs as if there had been no face start, to the same bits.
+    A program's ``face_start`` is tried first.  A point without ``n``
+    entries, or multipliers not one per row of ``G``, raise
+    ``ValueError``.  The face finish runs from the pair's point and
+    multipliers, with zero equality ones, stepping only inside the
+    objective domain and with every multiplier nonnegative; a point
+    outside the domain takes no step.  The point it reaches is accepted
+    when its KKT residuals pass the loop's own stopping test:
+    stationarity, relative to ``1 + |g|``, and feasibility at most ``10
+    TOL``, and complementarity at most the floor weight ``TOL / (10 m)``;
+    a NaN residual fails it.  That test is far tighter than the
+    certification, so an accepted point is returned ``optimal`` with no
+    barrier step and no factorization.  The outcome is recorded in
+    ``face_start`` of the diagnostics (``accepted``, ``rounds``,
+    ``reason``) and logged as the first event, ahead of one event per
+    damped step of the finish.  Otherwise the barrier runs as if there
+    had been no face start, to the same bits.
+
+    The optimal exit of the barrier and its ``max_iter`` one, after
+    ``DEFAULT_MAX_NEWTON`` Newton steps, are finished from the barrier's
+    point and multipliers and its last objective evaluation, and the
+    finished point replaces the barrier one when its KKT residuals are no
+    larger (a NaN residual never is).  An ``unbounded`` exit is returned
+    as it stands.
     """
     G = np.atleast_2d(np.asarray(program.G, float))
     h = np.atleast_1d(np.asarray(program.h, float))
@@ -374,12 +392,33 @@ def solve(program: ConvexProgram) -> SolveResult:
     Z = eq.Z
     GZ = G if Z is None else G @ Z
     in_domain = program.in_domain or (lambda _x: True)
+    mu_floor = TOL / (10.0 * m)
 
     diag = SolveDiagnostics(status="max_iter")
     if program.face_start is not None:
-        face = _face_start(program, eq, G, h, in_domain, diag)
-        if face is not None:
-            return face
+        x, lam = (np.asarray(v, dtype=float) for v in program.face_start)
+        if x.shape != (G.shape[1],) or lam.shape != (m,):
+            raise ValueError(f"face start needs a point of {G.shape[1]} entries and "
+                             f"{m} multipliers, got shapes {x.shape} and {lam.shape}")
+        out, rounds, damped = None, 0, []
+        reason = "start outside the objective domain"
+        if in_domain(x):
+            _, g, d = program.objective(x)
+            out, rounds, damped = _face_finish(program, x, g, d, G, h, eq, lam,
+                                               np.zeros(eq.keep.size), in_domain)
+            reason = "no step on the face"
+        if out is not None:
+            stat, feas, comp = out[4]
+            reason = (None if stat <= 10.0 * TOL and feas <= 10.0 * TOL and comp <= mu_floor
+                      else f"KKT residuals {stat:.1e}, {feas:.1e}, {comp:.1e} above "
+                           "the barrier's stopping test")
+        diag.face_start = {"accepted": reason is None, "rounds": rounds, "reason": reason}
+        diag.events.append(f"face start accepted after {rounds} rounds" if reason is None
+                           else f"face start rejected after {rounds} rounds: {reason}")
+        diag.events.extend(damped)
+        if reason is None:
+            diag.status = "optimal"
+            return _exit(diag, eq, *out)
     x = eq.project(np.asarray(program.x0(), dtype=float))
     if not (in_domain(x) and (G @ x - h > 0.0).all()):
         raise EngineError("start not strictly feasible")
@@ -387,7 +426,6 @@ def solve(program: ConvexProgram) -> SolveResult:
     quiet_r = np.inf    # stationarity of the last step's lam + dl, if quiet
     s = G @ x - h       # slacks at x; each trial point forms its own once
     lam = 1.0 / s
-    mu_floor = TOL / (10.0 * m)
 
     x_norm0 = 1.0 + math.sqrt(x @ x)
     fval, g, d = program.objective(x)
@@ -487,9 +525,25 @@ def solve(program: ConvexProgram) -> SolveResult:
             diag.message = "iterates diverging"
             break
 
-    x, lam, nu = _finalize(diag, program, x, (fval, g, d), G, h, eq, lam,
-                           eq.multipliers(g - G.T @ lam),
-                           None if diag.status == "unbounded" else in_domain)
+    nu = eq.multipliers(g - G.T @ lam)
+    kept = x, lam, nu, fval, _kkt_residuals(g, x, G, h, eq.A, eq.b, lam, nu), 0
+    if diag.status != "unbounded":
+        out, _, damped = _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain)
+        diag.events.extend(damped)
+        if out is not None and _worst(*out[4]) <= _worst(*kept[4]):
+            kept = out
+    return _exit(diag, eq, *kept)
+
+
+def _exit(diag, eq, x, lam, nu, fval, kkt, face_steps):
+    """The :class:`SolveResult` of the kept point ``(x, lam, nu)``: its
+    objective ``fval``, KKT residuals ``kkt`` and ``face_steps`` recorded
+    in ``diag``, and its status certified as :func:`solve` says.  ``eq``
+    is the program's :class:`_Equalities`, which spreads ``nu`` over the
+    given rows."""
+    diag.objective = float(fval)
+    diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
+    diag.face_steps = face_steps
     # stationarity saturates near sqrt(eps)*cond(H) at degenerate corners
     # with objective-flat directions; the value itself is far tighter, so
     # the certification threshold stays above that floor
@@ -571,31 +625,6 @@ def _boundary_step(v, dv):
     return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
 
 
-def _finalize(diag, program, x, evaluation, G, h, eq, lam, nu, in_domain):
-    """Record the exit point ``x``, whose objective ``(f, g, d)`` is
-    ``evaluation``, in ``diag``; with ``in_domain`` (the optimal and
-    max_iter exits) first try :func:`_face_finish` and keep its point and
-    multipliers when their KKT residuals are no larger (a NaN residual
-    never is), and log the finish's damped steps.  ``eq`` is the
-    program's :class:`_Equalities`.  Returns the kept ``(x, lam, nu)``."""
-    fval, g, d = evaluation
-    A, b = eq.A, eq.b
-    kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
-    face = None
-    if in_domain is not None:
-        face, _, damped = _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain)
-        diag.events.extend(damped)
-    if face is not None:
-        x_f, lam_f, nu_f, f_f, g_f, steps = face
-        kkt_f = _kkt_residuals(g_f, x_f, G, h, A, b, lam_f, nu_f)
-        if _worst(*kkt_f) <= _worst(*kkt):
-            x, lam, nu, fval, kkt = x_f, lam_f, nu_f, f_f, kkt_f
-            diag.face_steps = steps
-    diag.objective = float(fval)
-    diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
-    return x, lam, nu
-
-
 def _kkt_residuals(g, x, G, h, A, b, lam, nu):
     """Stationarity, feasibility and complementarity residuals of
     ``(x, lam, nu)`` for objective gradient ``g``; NaN where a NaN enters."""
@@ -650,8 +679,9 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     last: its multipliers certify the point it reaches to second order.
     Crossover as in Mehrotra & Ye, Math. Prog. 62 (1993).
 
-    Returns ``(out, rounds, damped)``: ``out`` is ``(x, lam, nu, f, g,
-    steps)`` at the last step taken, or ``None`` when none was,
+    Returns ``(out, rounds, damped)``: ``out`` is ``(x, lam, nu, f, kkt,
+    steps)`` at the last step taken, ``kkt`` its
+    :func:`_kkt_residuals`, or ``None`` when no step was taken,
     ``rounds`` counts the rounds, steps and face changes alike, and
     ``damped`` holds one event per damped step.
     """
@@ -665,7 +695,7 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
     active = G @ x - h <= 1e-7 * scale
     # crossing by more than the rounding bound of G x - h
     crossing = -n * EPS * scale
-    out, steps, idle, face, last, rounds, damped = None, 0, 0, None, np.inf, 0, []
+    steps, idle, face, last, rounds, damped = 0, 0, None, np.inf, 0, []
     while idle < FINISH_ROUNDS:
         rounds += 1
         if face is None:
@@ -713,10 +743,12 @@ def _face_finish(program, x, g, d, G, h, eq, lam, nu, in_domain):
             last, idle = size, 0
         steps += 1
         fval, g, d = program.objective(x)
-        out = (x, lam, nu, fval, g, steps)
         if (np.abs(dx) <= SQRT_EPS * (1.0 + np.abs(x))).all():
             break
-    return out, rounds, damped
+    if not steps:
+        return None, rounds, damped
+    kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
+    return (x, lam, nu, fval, kkt, steps), rounds, damped
 
 
 def _face_split(faces, G, rows, A, rhs):
@@ -745,56 +777,6 @@ def _damp(in_domain, x, dx):
         if in_domain(x + t * dx):
             return t
     return 0.0
-
-
-def _face_start(program, eq, G, h, in_domain, diag):
-    """The solve from ``program.face_start`` by :func:`_face_finish`
-    alone, from the pair's multipliers and zero equality ones, or ``None``
-    when its point is not accepted.  The finish steps only inside the
-    objective domain and with every multiplier nonnegative, and its last
-    point is accepted when its KKT residuals pass the barrier's own
-    stopping test: stationarity, relative to ``1 + |g|``, and feasibility
-    at most ``10 TOL``, and complementarity at most the floor weight
-    ``TOL / (10 m)``; a NaN residual fails it.  The outcome is recorded
-    in ``diag.face_start`` and logged as the first event, followed by one
-    event per damped step of the finish.  A point without
-    ``n`` entries, or multipliers not one per row of ``G``, raise
-    ``ValueError``.
-    """
-    x, lam = (np.asarray(v, dtype=float) for v in program.face_start)
-    if x.shape != (program.n,) or lam.shape != (G.shape[0],):
-        raise ValueError(f"face start needs a point of {program.n} entries and "
-                         f"{G.shape[0]} multipliers, got shapes {x.shape} and {lam.shape}")
-    A, b = eq.A, eq.b
-    out, rounds, damped = None, 0, []
-    if in_domain(x):
-        fval, g, d = program.objective(x)
-        out, rounds, damped = _face_finish(program, x, g, d, G, h, eq, lam,
-                                           np.zeros(0 if A is None else A.shape[0]),
-                                           in_domain)
-        reason = "no step on the face"
-    else:
-        reason = "start outside the objective domain"
-    if out is not None:
-        x, lam, nu, fval, g, steps = out
-        stat, feas, comp = kkt = _kkt_residuals(g, x, G, h, A, b, lam, nu)
-        if not (stat <= 10.0 * TOL and feas <= 10.0 * TOL
-                and comp <= TOL / (10.0 * G.shape[0])):
-            reason = (f"KKT residuals {stat:.1e}, {feas:.1e}, {comp:.1e} above "
-                      "the barrier's stopping test")
-        else:
-            reason = None
-    diag.face_start = {"accepted": reason is None, "rounds": rounds, "reason": reason}
-    diag.events.append(f"face start accepted after {rounds} rounds" if reason is None
-                       else f"face start rejected after {rounds} rounds: {reason}")
-    diag.events.extend(damped)
-    if reason is not None:
-        return None
-    diag.status = "optimal"
-    diag.objective = float(fval)
-    diag.kkt_stationarity, diag.kkt_feasibility, diag.kkt_complementarity = kkt
-    diag.face_steps = steps
-    return SolveResult(x, eq.per_given_row(nu), lam, diag)
 
 
 def solve_lp(c, A_eq=None, b_eq=None, G=None, h=None) -> SolveResult:

@@ -367,7 +367,7 @@ def test_criterion_09a_derivative_audits(two_period_market):
         prog = PrimalProgram.build(two_period_market, spec).at(x)
         pts = [prog.x0()]
         for _ in range(2):
-            p = pts[0] + rng.uniform(-0.05, 0.05, size=prog.n)
+            p = pts[0] + rng.uniform(-0.05, 0.05, size=pts[0].size)
             if prog.in_domain is None or prog.in_domain(p):
                 pts.append(p)
         gerr, herr, ok = audit_derivatives(prog.objective, pts)

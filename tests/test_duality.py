@@ -301,9 +301,10 @@ def test_fd_solves_on_the_report_memo_match_a_fresh_program(spec, monkeypatch):
             scale = min(scale, x - (primal.threshold + duality.THRESHOLD_MARGIN))
         x_up, x_down = x + duality.FD_STEP * scale, x - duality.FD_STEP * scale
         point = fresh.point(rep.strategy, rep.claim)
+        # one multiplier array, the report's at x, for both sides
+        lam = fresh.multipliers(x, rep.yhat, rep.dual_system)
 
         def at(xh, start):
-            lam = fresh.multipliers(xh, rep.yhat, rep.dual_system)
             return solve_primal(market, spec, xh, face_start=(start, lam), program=fresh)
 
         up = at(x_up, point)
@@ -385,7 +386,7 @@ def test_scale_cone_matches_scalar_search(two_period_market, spec):
 def test_failed_engine_solves_raise_engine_error(two_period_market, monkeypatch):
     def failing_solve(program, *args, **kwargs):
         diag = SolveDiagnostics(status="numerical_failure", message="forced failure")
-        return SolveResult(np.zeros(program.n), np.zeros(0), np.zeros(0), diag)
+        return SolveResult(np.zeros(program.G.shape[1]), np.zeros(0), np.zeros(0), diag)
 
     monkeypatch.setattr(duality, "solve", failing_solve)
     with pytest.raises(EngineError, match="forced failure"):
@@ -939,6 +940,22 @@ def test_dual_band_multipliers_are_the_primal_trades():
     assert checked == 48
 
 
+def test_dual_start_reads_the_multipliers_back():
+    # the KKT map round trip: the cone-dual point that dual_start reads
+    # off the multipliers at (x, yhat, Z) is yhat Z at the leaves, under
+    # every family; the centered exponential multipliers' factor
+    # exp(gamma w_ref(x)) is divided out
+    checked = 0
+    for i, m, spec, x, rep in _seed_11_cases():
+        system, leaves = rep.dual_system, m.tree.leaves
+        lam = rep.primal.multipliers(x, rep.yhat, system)
+        point, _ = rep.primal.dual_start(x, rep.strategy, lam)
+        want = rep.yhat * np.concatenate([system.z0[leaves], system.z1[leaves]])
+        assert np.all(np.abs(point - want) <= 1e-12 * np.abs(want)), (i, m.lam, spec)
+        checked += 1
+    assert checked == 48
+
+
 def test_zero_density_report_primal_is_face_started():
     # an unhedgeable endowment of 200 at the middle leaf of a trinomial:
     # the exponential dual density there is ~4e-13, so I(yhat * Z0) is out
@@ -1133,8 +1150,8 @@ def test_rejected_dual_face_start_runs_the_cold_cone_solve(two_period_market, mo
     x = compute_x0(two_period_market) + 4.0
     dual_start = PrimalProgram.dual_start
 
-    def negated(self, strategy, lam):
-        point, rows = dual_start(self, strategy, lam)
+    def negated(self, x, strategy, lam):
+        point, rows = dual_start(self, x, strategy, lam)
         return -point, rows
 
     monkeypatch.setattr(PrimalProgram, "dual_start", negated)
@@ -1262,6 +1279,24 @@ def test_generated_market_5_113_trades_on_the_attained_side():
     shadow = construct_shadow(market, rep.dual_system)
     fr = solve_frictionless(shadow.as_market(), EXP1, 1.0, y=rep.yhat)
     assert verify_shadow(rep, shadow, fr)["direction_violations"] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="exp(5) primal face start rejected, the cold primal is "
+                          "promoted from the Newton cap: leaf identity 2.9e-3 off")
+def test_generated_market_11_5_exponential_5_meets_the_leaf_identity():
+    # seed 11's market 5 under exp(gamma = 5) at x = 1; its smallest leaf
+    # density is 5.4e-12.  The primal face start read off the entropy dual
+    # takes no step on the face in 6 rounds, and the cold primal runs to
+    # the 500-step cap, promoted from max_iter.  The gap passes (1.8e-10);
+    # the leaf identity misses by 1.1e-2, 2.9e-3 relative to 1 + |wealth|
+    market = InstanceGenerator(seed=11).draw_feasible(5)
+    rep = solve_report(market, UtilitySpec("exponential", gamma=5.0), 1.0)
+    assert rep.relative_gap <= 1e-6
+    wealth = 1.0 + rep.claim + market.endowment
+    resid = rep.leaf_identity_residuals
+    support = ~np.isnan(resid)
+    assert np.all(resid[support] <= 1e-6 * (1.0 + np.abs(wealth[support])))
 
 
 @pytest.mark.parametrize("y", [

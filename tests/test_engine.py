@@ -38,14 +38,14 @@ def quadratic(q, c):
 def linear_program(c, x0, **constraints):
     """``min c @ x`` as a smooth program for the barrier engine, started at ``x0``."""
     n = len(c)
-    return ConvexProgram(n=n, objective=quadratic(np.zeros(n), c),
+    return ConvexProgram(objective=quadratic(np.zeros(n), c),
                          x0=lambda: np.asarray(x0, float), **constraints)
 
 
 def test_equality_constrained_quadratic():
     # min 0.5||x||^2 s.t. x1 + x2 + x3 = 3  ->  x = (1,1,1); the box
     # x >= -10 is inactive
-    prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)),
+    prog = ConvexProgram(objective=quadratic(np.ones(3), np.zeros(3)),
                          A_eq=np.ones((1, 3)), b_eq=np.array([3.0]),
                          G=np.eye(3), h=np.full(3, -10.0), x0=lambda: np.array([3.0, 0.0, 0.0]))
     res = solve(prog)
@@ -70,7 +70,7 @@ def _evaluated_points(prog):
 
 def test_objective_evaluated_once_per_point(two_period_market):
     # the accepted line-search trial and the exit point are not evaluated again
-    programs = [ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
+    programs = [ConvexProgram(objective=quadratic([2.0], [-4.0]),
                               G=np.array([[-1.0]]), h=np.array([-1.0]), x0=lambda: np.zeros(1))]
     for spec in (UtilitySpec("log"), UtilitySpec("exponential", gamma=0.7)):
         programs.append(PrimalProgram.build(two_period_market, spec).at(6.0))
@@ -82,7 +82,7 @@ def test_objective_evaluated_once_per_point(two_period_market):
 
 def test_inequality_active_at_optimum():
     # min (x-2)^2 with x <= 1  ->  x = 1
-    prog = ConvexProgram(n=1, objective=quadratic([2.0], [-4.0]),
+    prog = ConvexProgram(objective=quadratic([2.0], [-4.0]),
                          G=np.array([[-1.0]]), h=np.array([-1.0]), x0=lambda: np.zeros(1))
     res = solve(prog)
     assert res.status == "optimal"
@@ -140,7 +140,7 @@ def test_infeasible_lp_detected():
 def test_infeasible_raises_for_smooth_program():
     # no start is strictly feasible; the engine does not search for one
     for x0 in ([-1.0], [0.0], [1.0]):
-        prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
+        prog = ConvexProgram(objective=quadratic([2.0], [0.0]),
                              G=np.array([[1.0], [-1.0]]), h=np.array([1.0, 1.0]),
                              x0=lambda: np.array(x0))
         with pytest.raises(EngineError, match="start not strictly feasible"):
@@ -154,7 +154,7 @@ def test_open_domain_guard():
         return float(-np.log(x[0]) + x[0]), np.array([-1.0 / x[0] + 1.0]), \
             np.array([1.0 / x[0] ** 2])
 
-    prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.array([-10.0]),
+    prog = ConvexProgram(objective=objective, G=np.eye(1), h=np.array([-10.0]),
                          in_domain=lambda x: x[0] > 0.0,
                          x0=lambda: np.array([5.0]))
     res = solve(prog)
@@ -191,7 +191,7 @@ def test_audit_derivatives_flags_wrong_hessian():
 
 
 def test_diagnostics_payload():
-    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
+    prog = ConvexProgram(objective=quadratic(np.ones(2), np.zeros(2)),
                          G=np.eye(2), h=-np.ones(2), x0=lambda: np.full(2, 0.5))
     res = solve(prog)
     d = res.diagnostics.to_dict()
@@ -230,7 +230,7 @@ def test_solver_is_deterministic():
 def test_variable_in_no_inequality_row():
     # x1 appears in no inequality, so the barrier is free along it;
     # min 0.5||x||^2 - x1 + 3 x2 s.t. x2 >= -1  ->  x = (1, -1)
-    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-1.0, 3.0]),
+    prog = ConvexProgram(objective=quadratic(np.ones(2), [-1.0, 3.0]),
                          G=np.array([[0.0, 1.0]]), h=np.array([-1.0]), x0=lambda: np.zeros(2))
     res = solve(prog)
     assert res.status == "optimal"
@@ -242,7 +242,7 @@ def test_rejected_start_is_reported():
     # inside; (-2, 3), (-1, 2) and, once projected, (-3, 1) are not, nor
     # is a start outside the objective domain
     def program(x0, **extra):
-        return ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
+        return ConvexProgram(objective=quadratic(np.ones(2), np.zeros(2)),
                              G=np.eye(2), h=-np.ones(2), A_eq=np.ones((1, 2)),
                              b_eq=np.ones(1), x0=lambda: np.array(x0), **extra)
 
@@ -274,7 +274,7 @@ def test_face_finish_with_a_repeated_active_row():
     row = np.array([[-1.0, -1.0]])
     G = np.vstack([row, row, np.eye(2), -np.eye(2)])
     h = np.array([-2.0, -2.0, -5.0, -5.0, -5.0, -5.0])
-    res = solve(ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
+    res = solve(ConvexProgram(objective=quadratic(np.ones(2), [-2.0, -2.0]),
                               G=G, h=h, x0=lambda: np.zeros(2)))
     assert res.status == "optimal"
     assert res.diagnostics.face_steps >= 1
@@ -297,7 +297,7 @@ def test_face_split_memo_is_reused_with_each_programs_h(monkeypatch):
 
     def program(bound, **memo):
         h = np.array([-bound, -bound, -5.0, -5.0, -5.0, -5.0])
-        return ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
+        return ConvexProgram(objective=quadratic(np.ones(2), [-2.0, -2.0]),
                              G=G, h=h, x0=lambda: np.zeros(2), **memo)
 
     splits, split_rows = [], engine._split_rows
@@ -338,7 +338,7 @@ def test_vanishing_gradient_is_unbounded():
         e = float(np.exp(-x[0]))
         return e, np.array([-e]), np.array([e])
 
-    prog = ConvexProgram(n=1, objective=objective, G=np.eye(1), h=np.zeros(1),
+    prog = ConvexProgram(objective=objective, G=np.eye(1), h=np.zeros(1),
                          x0=lambda: np.ones(1))
     res = solve(prog)
     assert res.status == "unbounded"
@@ -348,7 +348,7 @@ def test_vanishing_gradient_is_unbounded():
 def test_start_at_the_optimum_is_certified():
     # min 0.5 (x1 - 1)^2 over 0 <= x <= 3, started at its optimum (1, 1):
     # the floor exit must return the multipliers it certified, not 1/s
-    prog = ConvexProgram(n=2, objective=quadratic([1.0, 0.0], [-1.0, 0.0]),
+    prog = ConvexProgram(objective=quadratic([1.0, 0.0], [-1.0, 0.0]),
                          G=np.vstack([np.eye(2), -np.eye(2)]),
                          h=np.array([0.0, 0.0, -3.0, -3.0]), x0=lambda: np.array([1.0, 1.0]))
     res = solve(prog)
@@ -357,7 +357,7 @@ def test_start_at_the_optimum_is_certified():
 
 
 def test_program_without_inequality_rows_is_rejected():
-    prog = ConvexProgram(n=1, objective=quadratic([2.0], [0.0]),
+    prog = ConvexProgram(objective=quadratic([2.0], [0.0]),
                          G=np.zeros((0, 1)), h=np.zeros(0), x0=lambda: np.zeros(1))
     with pytest.raises(ValueError, match="inequality row"):
         solve(prog)
@@ -365,7 +365,7 @@ def test_program_without_inequality_rows_is_rejected():
 
 def test_inconsistent_equalities_raise():
     # x1 + x2 = 1 and 2 x1 + 2 x2 = 3 have no common point
-    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), np.zeros(2)),
+    prog = ConvexProgram(objective=quadratic(np.ones(2), np.zeros(2)),
                          A_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), b_eq=np.array([1.0, 3.0]),
                          G=np.eye(2), h=np.full(2, -10.0), x0=lambda: np.zeros(2))
     with pytest.raises(InfeasibleProgramError, match="inconsistent"):
@@ -399,7 +399,7 @@ def test_eq_multipliers_follow_the_given_rows():
     G = np.vstack([np.eye(3), -np.eye(3)])
     h = np.array([0.0, 0.0, 0.0, -5.0, -5.0, -5.0])
     q, c = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, -2.0])
-    res = solve(ConvexProgram(n=3, objective=quadratic(q, c), A_eq=A, b_eq=b, G=G, h=h,
+    res = solve(ConvexProgram(objective=quadratic(q, c), A_eq=A, b_eq=b, G=G, h=h,
                               x0=lambda: np.ones(3)))
     assert res.status == "optimal"
     nu = res.eq_multipliers
@@ -440,7 +440,7 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     # from (0.9, 0.9), off the face, the repeated row joins and the finish
     # ends at (1, 1) with no barrier step
     row = np.array([[-1.0, -1.0]])
-    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [-2.0, -2.0]),
+    prog = ConvexProgram(objective=quadratic(np.ones(2), [-2.0, -2.0]),
                          A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
                          G=np.vstack([row, row, np.eye(2)]), h=np.array([-2.0, -2.0, -5.0, -5.0]),
                          x0=lambda: np.zeros(2), face_start=(np.array([0.9, 0.9]), np.zeros(4)))
@@ -467,7 +467,7 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
 ], ids=["short-multipliers", "long-multipliers", "short-point", "long-point"])
 def test_face_start_of_the_wrong_shape_is_rejected(point, multipliers):
     # three variables and three rows x >= -1: the pair needs 3 and 3 entries
-    prog = ConvexProgram(n=3, objective=quadratic(np.ones(3), np.zeros(3)), G=np.eye(3),
+    prog = ConvexProgram(objective=quadratic(np.ones(3), np.zeros(3)), G=np.eye(3),
                          h=-np.ones(3), x0=lambda: np.zeros(3), face_start=(point, multipliers))
     with pytest.raises(ValueError, match="face start needs a point of 3 entries and 3 multipliers"):
         solve(prog)
@@ -476,7 +476,7 @@ def test_face_start_of_the_wrong_shape_is_rejected(point, multipliers):
 
 def test_pinned_program_takes_no_step():
     # x1 + x2 = 2 and x1 - x2 = 0 pin x = (1, 1) inside x >= 0
-    prog = ConvexProgram(n=2, objective=quadratic(np.ones(2), [1.0, -3.0]),
+    prog = ConvexProgram(objective=quadratic(np.ones(2), [1.0, -3.0]),
                          A_eq=np.array([[1.0, 1.0], [1.0, -1.0]]), b_eq=np.array([2.0, 0.0]),
                          G=np.eye(2), h=np.zeros(2), x0=lambda: np.array([3.0, 0.5]))
     res = solve(prog)
@@ -707,7 +707,7 @@ def test_face_start_with_a_nan_gradient_is_rejected():
         g = np.full(2, np.nan) if np.array_equal(x, np.ones(2)) else 2.0 * r
         return float(r @ r), g, np.full(2, 2.0)
 
-    prog = ConvexProgram(n=2, objective=objective, G=np.eye(2), h=np.zeros(2),
+    prog = ConvexProgram(objective=objective, G=np.eye(2), h=np.zeros(2),
                          x0=lambda: np.full(2, 2.0), face_start=(np.ones(2), np.zeros(2)))
     res = solve(prog)
     assert res.diagnostics.face_start == {"accepted": False, "rounds": 1,
@@ -764,7 +764,7 @@ def test_face_step_out_of_the_domain_is_damped(floor):
     G, h = np.eye(3), np.zeros(3)
     if floor is not None:
         G, h = np.vstack([G, [1.0, 0.0, 0.0]]), np.append(h, floor)
-    prog = ConvexProgram(n=3, objective=objective, A_eq=q[None, :], b_eq=np.ones(1),
+    prog = ConvexProgram(objective=objective, A_eq=q[None, :], b_eq=np.ones(1),
                          G=G, h=h, x0=lambda: np.array([1.2, 0.6, 0.6]),
                          in_domain=lambda w: bool((w > 0.0).all()),
                          face_start=(start, np.zeros(G.shape[0])))
@@ -799,7 +799,7 @@ def test_face_finish_ends_when_damped_and_full_steps_alternate():
         return 0.5 * float(x[0] - target) ** 2, x - target, np.ones(1)
 
     G, h = np.array([[-1.0]]), np.array([-10.0])
-    prog = ConvexProgram(n=1, objective=objective, G=G, h=h, x0=lambda: np.zeros(1),
+    prog = ConvexProgram(objective=objective, G=G, h=h, x0=lambda: np.zeros(1),
                          in_domain=lambda x: bool(x[0] < 1.0))
     x = np.zeros(1)
     _, g, d = objective(x)
