@@ -24,8 +24,10 @@ and the scaled-cone dual starts at the pair read off the primal optimum
 
 Every start handed from one side to the other follows one rule.  A
 solve takes an optional ``face_start=(point, multipliers)``, the
-engine's face start (:attr:`ConvexProgram.face_start`): finished on its
-face, it takes no barrier step.  When the engine rejects it, the barrier
+engine's face start (:attr:`ConvexProgram.face_start`): accepted as
+given when it already passes the engine's stopping test, as an exact
+read-off does, or else finished on its face, it takes no barrier step.
+When the engine rejects it, the barrier
 runs from the program's own closed-form start, :meth:`PrimalProgram.start`
 or :meth:`DualPolytope.strict_point`, with the bits of a solve given
 none.  The outcome is the engine's record, ``face_start`` in each
@@ -399,9 +401,11 @@ def solve_primal(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     ``face_start`` pairs a point, such as a nearby optimum's
     :meth:`PrimalProgram.point`, with row multipliers
     (:meth:`PrimalProgram.multipliers`, or zeros), or is the pair read
-    off a dual optimum (:meth:`PrimalProgram.primal_start`).  A nearby
-    optimum sits on the optimal face or next to it, so the engine first
-    finishes it there with barrier-free Newton steps.  Without a face
+    off a dual optimum (:meth:`PrimalProgram.primal_start`).  A read-off
+    that already passes the engine's stopping test is accepted as given,
+    with no finish round; a nearby optimum sits on the optimal face or
+    next to it, so the engine first finishes it there with barrier-free
+    Newton steps.  Without a face
     start, or when the engine rejects it, the barrier runs from the
     closed-form start (:meth:`PrimalProgram.start`), which is built only
     then.  The diagnostics carry the engine's record of the face start
@@ -455,8 +459,9 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
 
     ``face_start``, a ``(point, multipliers)`` pair as :func:`solve_primal`
     takes it, is the engine's face start: a known optimum, such as the
-    lift of a frictional optimizer onto its shadow market, is finished on
-    its face with no barrier step.  Without one, or when the engine
+    lift of a frictional optimizer onto its shadow market, passes the
+    engine's stopping test as given and is accepted with no finish round
+    and no barrier step.  Without one, or when the engine
     rejects it, the barrier runs from :meth:`DualPolytope.strict_point`,
     which is built only then; a solve given none raises the polytope's
     existence verdict (:meth:`DualPolytope.check_strict`) before any
@@ -581,9 +586,10 @@ def minimize_v_plus_xy(market: MarketSpec, spec: ut.UtilitySpec, x: float,
     residual |v'(yhat) + x| must end below 1e-8 * (1 + |x|).
 
     ``face_start``, a ``(W, multipliers)`` pair such as a primal optimum's
-    :meth:`PrimalProgram.dual_start`, is the engine's face start: finished
-    on its face, it takes no barrier step, and the strict point is not
-    built.  When the engine rejects it, the barrier runs from the strict
+    :meth:`PrimalProgram.dual_start`, is the engine's face start: accepted
+    as given when it already passes the engine's stopping test, or else
+    finished on its face, it takes no barrier step, and the strict point
+    is not built.  When the engine rejects it, the barrier runs from the strict
     point as if it had not been given.  The diagnostics carry the engine's
     record of the face start (``face_start``).
     """

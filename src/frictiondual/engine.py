@@ -9,14 +9,15 @@ the engine never searches for one.  The path-following loop is
 self-contained, and so is the active-face finish that moves its optimal
 exits onto their face.  A program that carries a face start, a point
 already on (or next to) its optimal face and multipliers for its rows,
-is first finished from there by the same barrier-free Newton steps; the
-barrier runs, from the program's own start, only when that fails.  A
-finish step that would leave the objective's domain is damped into it
-on the same face.  No library path solves a linear program: the
-existence of a price system is decided on the tree
-(:func:`polytope.strictly_consistent`).  :func:`solve_lp`, one HiGHS call
-(``scipy.optimize.linprog``) outside this loop, is kept for the tests'
-LP oracles.
+is accepted as given when the pair already passes the barrier's
+stopping test, and is otherwise first finished from there by the same
+barrier-free Newton steps; the barrier runs, from the program's own
+start, only when that fails.  A finish step that would leave the
+objective's domain is damped into it on the same face.  No library path
+solves a linear program: the existence of a price system is decided on
+the tree (:func:`polytope.strictly_consistent`).  :func:`solve_lp`, one
+HiGHS call (``scipy.optimize.linprog``) outside this loop, is kept for
+the tests' LP oracles.
 
 The equality rows are split once per solve, by one pivoted QR, into a
 range and a null-space basis (:func:`_split_rows`, which also splits the
@@ -94,8 +95,9 @@ class ConvexProgram:
     accepted never builds its start.  ``face_start`` pairs a
     point on or near the program's optimal face, such as a nearby optimum,
     with one multiplier per row of ``G`` (a dual optimum's, or zeros):
-    :func:`solve` first finishes it on its active face and runs the
-    barrier, from ``x0``, only if that fails.
+    :func:`solve` accepts it as given when it already passes the
+    barrier's stopping test, else first finishes it on its active face,
+    and runs the barrier, from ``x0``, only if that fails.
 
     ``faces`` is the memo of the face finish (:func:`_face_finish`): the
     pivoted QR of each face it has split, keyed by the face's active rows
@@ -125,18 +127,20 @@ class SolveDiagnostics:
     the steps taken.  ``face_steps`` counts the Newton steps the
     active-face finish took on the point returned: 0 when the barrier
     point was kept (no step taken, or the finished point's KKT residuals
-    were larger).  ``events`` lists, in order, the exits and fallbacks
-    that do not show in the status: a centering restart of the
-    multipliers, a ridge added to a singular reduced matrix, a quiet
-    floor exit (two centered floor steps in a row with a negligible
-    decrement, the second not halving the stationarity residual of the
-    first), a ``max_iter`` promoted to ``optimal``, a face finish step
-    damped into the objective's domain.  ``factorizations`` counts the LU factorizations of the
-    reduced Newton matrix: one per iteration, the one that stops the loop
-    included, one more per centering restart and per ridge retry, and
-    none for a pinned point.  ``face_start`` is the outcome of a face
+    were larger) and for a face start accepted as given.  ``events``
+    lists, in order, the exits and fallbacks that do not show in the
+    status: a centering restart of the multipliers, a ridge added to a
+    singular reduced matrix, a quiet floor exit (two centered floor steps
+    in a row with a negligible decrement, the second not halving the
+    stationarity residual of the first), a ``max_iter`` promoted to
+    ``optimal``, a face finish step damped into the objective's domain.
+    ``factorizations`` counts the LU factorizations of the reduced Newton
+    matrix: one per iteration, the one that stops the loop included, one
+    more per centering restart and per ridge retry, and none for a pinned
+    point.  ``face_start`` is the outcome of a face
     start, ``None`` when the program had none: ``accepted``, the
-    ``rounds`` of the face finish taken and, for a rejected one, the
+    ``rounds`` of the face finish taken (0 for a start accepted as
+    given, which takes no finish) and, for a rejected one, the
     ``reason``.  It is also the first of the ``events``.  An accepted
     face start takes no barrier step and no factorization; a rejected
     one is followed by the barrier from the program's own start.
@@ -361,14 +365,20 @@ def solve(program: ConvexProgram) -> SolveResult:
 
     A program's ``face_start`` is tried first.  A point without ``n``
     entries, or multipliers not one per row of ``G``, raise
-    ``ValueError``.  The face finish runs from the pair's point and
-    multipliers, with zero equality ones, stepping only inside the
-    objective domain and with every multiplier nonnegative; a point
-    outside the domain takes no step.  The point it reaches is accepted
-    when its KKT residuals pass the loop's own stopping test:
-    stationarity, relative to ``1 + |g|``, and feasibility at most ``10
-    TOL``, and complementarity at most the floor weight ``TOL / (10 m)``;
-    a NaN residual fails it.  That test is far tighter than the
+    ``ValueError``; a point outside the objective domain is rejected
+    with no step.  The loop's own stopping test reads a point's KKT
+    residuals: stationarity, relative to ``1 + |g|``, and feasibility at
+    most ``10 TOL``, and complementarity at most the floor weight ``TOL /
+    (10 m)``; a NaN residual fails it.  The pair is first tested as
+    given, on the one objective evaluation at its point, with the
+    least-squares equality multipliers, as the barrier's exit reads them:
+    when it passes and every multiplier is nonnegative, copies of its
+    point and multipliers are returned, with no finish round
+    (``rounds`` and ``face_steps`` 0) and no face split.  Otherwise the
+    face finish runs from the pair's point and multipliers, with zero
+    equality ones, stepping only inside the objective domain and with
+    every multiplier nonnegative, and the point it reaches is accepted
+    when it passes the same test.  That test is far tighter than the
     certification, so an accepted point is returned ``optimal`` with no
     barrier step and no factorization.  The outcome is recorded in
     ``face_start`` of the diagnostics (``accepted``, ``rounds``,
@@ -403,15 +413,20 @@ def solve(program: ConvexProgram) -> SolveResult:
         out, rounds, damped = None, 0, []
         reason = "start outside the objective domain"
         if in_domain(x):
-            _, g, d = program.objective(x)
-            out, rounds, damped = _face_finish(program, x, g, d, G, h, eq, lam,
-                                               np.zeros(eq.keep.size), in_domain)
-            reason = "no step on the face"
+            fval, g, d = program.objective(x)
+            nu = eq.multipliers(g - G.T @ lam)
+            kkt = _kkt_residuals(g, x, G, h, eq.A, eq.b, lam, nu)
+            if _stops(kkt, mu_floor) and (lam >= 0.0).all():
+                # already optimal as given: no face to split, no step to take
+                out = x.copy(), lam.copy(), nu, fval, kkt, 0
+            else:
+                out, rounds, damped = _face_finish(program, x, g, d, G, h, eq, lam,
+                                                   np.zeros(eq.keep.size), in_domain)
+                reason = "no step on the face"
         if out is not None:
-            stat, feas, comp = out[4]
-            reason = (None if stat <= 10.0 * TOL and feas <= 10.0 * TOL and comp <= mu_floor
-                      else f"KKT residuals {stat:.1e}, {feas:.1e}, {comp:.1e} above "
-                           "the barrier's stopping test")
+            reason = (None if _stops(out[4], mu_floor)
+                      else "KKT residuals {:.1e}, {:.1e}, {:.1e} above "
+                           "the barrier's stopping test".format(*out[4]))
         diag.face_start = {"accepted": reason is None, "rounds": rounds, "reason": reason}
         diag.events.append(f"face start accepted after {rounds} rounds" if reason is None
                            else f"face start rejected after {rounds} rounds: {reason}")
@@ -636,6 +651,15 @@ def _kkt_residuals(g, x, G, h, A, b, lam, nu):
         r += A.T @ nu
         feas = _worst(feas, float(np.abs(A @ x - b).max()))
     return math.sqrt(r @ r) / (1.0 + math.sqrt(g @ g)), feas, comp
+
+
+def _stops(kkt, mu_floor):
+    """Whether KKT residuals ``(stationarity, feasibility,
+    complementarity)`` pass the barrier's stopping test: the first two at
+    most ``10 TOL``, the last at most the floor weight ``mu_floor``; a NaN
+    fails it."""
+    stat, feas, comp = kkt
+    return stat <= 10.0 * TOL and feas <= 10.0 * TOL and comp <= mu_floor
 
 
 def _worst(*values):

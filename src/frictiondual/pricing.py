@@ -14,9 +14,10 @@ which does not read the endowment, and their dual solves start at its
 strictly consistent price system (:meth:`DualPolytope.strict_point`).
 Each shadow-market dual is handed the lift (:meth:`ShadowPrice.lift`)
 of its report's dual optimizer, which is optimal there, with zero
-multipliers as the engine's face start (:func:`solve_dual`): it is
-finished on its face with no barrier step, and only when that is
-rejected does the barrier run, from the shadow polytope's own
+multipliers as the engine's face start (:func:`solve_dual`): it passes
+the engine's stopping test as given and is accepted with no finish
+round and no barrier step, and only when it is rejected does the
+barrier run, from the shadow polytope's own
 :meth:`DualPolytope.strict_point`.  ``price_dual`` alone solves its
 two entropy programs, on the market and on its zero-endowment copy,
 independently of the reports: both start at the market's polytope's

@@ -11,7 +11,8 @@ martingale density of the shadow price (its polytope's
 :meth:`DualPolytope.strict_point`), and the zero-spread primal starts
 at the trades and multipliers read off the shadow market's own dual
 optimum (:meth:`PrimalProgram.primal_start`), not at its program's
-closed form.
+closed form: an exact read-off, it passes the engine's stopping test as
+given and is accepted with no finish round and no barrier step.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     The primal is then face-started at the net trades read off that
     dual's equality-row multipliers (:meth:`PrimalProgram.primal_start`),
     the primal optimum by the KKT map, and the engine accepts it only
-    when it passes the barrier's own stopping test; otherwise the barrier
-    runs from the primal's closed-form start (:func:`solve_primal`).
+    when it passes the barrier's own stopping test, as given or after
+    its face finish; otherwise the barrier runs from the primal's
+    closed-form start (:func:`solve_primal`).
     Each side's diagnostics carry the engine's record of its face start
     (``face_start``): ``None`` for the dual.  A price with
     arbitrage, one that moves one way at some node, has an empty

@@ -9,7 +9,7 @@ from frictiondual.duality import PrimalProgram
 from frictiondual.engine import EngineError, solve_lp
 from frictiondual.polytope import PolytopeInfeasibleError
 from frictiondual.trading import roll_forward
-from frictiondual.utility import UtilitySpec
+from frictiondual.utility import UtilitySpec, u_derivatives
 
 
 def path_to_root(tree, node: int) -> list:
@@ -215,3 +215,53 @@ def audit_derivatives(objective, points, rel_grad: float = 1e-6,
             max_h = max(max_h, float(np.linalg.norm(hv_num - hv))
                         / (1.0 + float(np.linalg.norm(hv))))
     return max_g, max_h, bool(max_g <= rel_grad and max_h <= rel_hess)
+
+
+def one_period_optimum(market, spec, x: float) -> tuple:
+    """``(value, yhat)`` of a one-period market at wealth ``x``, by
+    bisection on the root's net position, with no solver.
+
+    Holding ``t >= 0`` shares bought at the root's ask and sold at each
+    leaf's bid gives leaf wealth ``x + e + t (bid - ask_0)``; selling ``t``
+    at the root's bid and buying back at each leaf's ask gives ``x + e + t
+    (bid_0 - ask)``.  Expected utility is concave in ``t`` on each branch,
+    so the root of its derivative on the branch's wealth domain, found by
+    bisection to rounding, is the branch optimum, and the better branch is
+    the optimum.  ``yhat = E[u'(W)]``, the derivative of the value in
+    ``x`` (the envelope theorem)."""
+    tree = market.tree
+    if tree.horizon != 1:
+        raise ValueError("the oracle needs a one-period market")
+    p, leaves = tree.leaf_prob, tree.leaves
+    base = x + np.asarray(market.endowment, dtype=float)
+    real = spec.wealth_domain == "real"
+    best = (-np.inf, np.nan)
+    for c in (market.bid_price[leaves] - market.ask_price[0],
+              market.bid_price[0] - market.ask_price[leaves]):
+
+        def slope(t):
+            return float(p @ (u_derivatives(spec, base + t * c)[1] * c))
+
+        # the branch's wealth domain is the open interval (lo, hi) of t
+        lo, hi = 0.0, np.inf
+        if not real:
+            up, down = c > 0.0, c < 0.0
+            lo = max(0.0, float(np.max(-base[up] / c[up], initial=0.0)))
+            hi = float(np.min(base[down] / -c[down], initial=np.inf))
+            if not lo < hi:
+                continue
+        if np.any(base + lo * c <= 0.0) or slope(lo) > 0.0:
+            if hi == np.inf:
+                hi = 1.0
+                while slope(hi) > 0.0:
+                    lo, hi = hi, 2.0 * hi
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+        wealth = base + lo * c
+        value = float(p @ u_derivatives(spec, wealth)[0])
+        if value > best[0]:
+            best = value, float(p @ u_derivatives(spec, wealth)[1])
+    return best

@@ -459,6 +459,78 @@ def test_face_start_with_an_equality_row_and_a_repeated_active_row():
     assert np.abs(barrier.x - res.x).max() <= 1e-9
 
 
+def _optimum_start_program(lam):
+    """min 0.5 |x - (2, 2)|^2 s.t. x1 = x2, x1 + x2 <= 2 and x >= -5, face
+    started at its optimum (1, 1) with the multipliers ``lam``: the exact
+    ones are (1, 0, 0), and the box rows' slack is 6.  Returns the program
+    and the points its objective is evaluated at."""
+    evaluated, objective = [], quadratic(np.ones(2), [-2.0, -2.0])
+    prog = ConvexProgram(objective=lambda x: evaluated.append(x.copy()) or objective(x),
+                         A_eq=np.array([[1.0, -1.0]]), b_eq=np.zeros(1),
+                         G=np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
+                         h=np.array([-2.0, -5.0, -5.0]), x0=lambda: np.zeros(2),
+                         face_start=(np.ones(2), np.asarray(lam, float)))
+    return prog, evaluated
+
+
+def _count_splits(monkeypatch):
+    """The row counts of every :func:`engine._split_rows` call, and the
+    active rows of every :func:`engine._face_split` call, in order."""
+    splits, faces = [], []
+    split_rows, face_split = engine._split_rows, engine._face_split
+    monkeypatch.setattr(engine, "_split_rows",
+                        lambda A, b: splits.append(A.shape[0]) or split_rows(A, b))
+    monkeypatch.setattr(engine, "_face_split", lambda memo, G, rows, A, rhs: (
+        faces.append(rows.tolist()) or face_split(memo, G, rows, A, rhs)))
+    return splits, faces
+
+
+def test_face_start_at_the_optimum_is_accepted_as_given(monkeypatch):
+    # the exact optimum and its multipliers pass the barrier's stopping
+    # test as they stand: accepted with no finish round, on the one
+    # objective evaluation of the start, splitting no face beyond the
+    # equality row; the result holds copies of the start's arrays
+    prog, evaluated = _optimum_start_program([1.0, 0.0, 0.0])
+    x, lam = prog.face_start
+    splits, faces = _count_splits(monkeypatch)
+    res = solve(prog)
+    d = res.diagnostics
+    assert d.face_start == {"accepted": True, "rounds": 0, "reason": None}
+    assert d.events == ["face start accepted after 0 rounds"]
+    assert d.face_steps == 0 and d.newton_iterations == [] and d.factorizations == 0
+    assert splits == [1] and faces == [] and prog.faces == {}
+    assert len(evaluated) == 1 and evaluated[0].tobytes() == x.tobytes()
+    assert res.status == "optimal" and d.kkt_max == 0.0
+    assert res.x.tobytes() == x.tobytes() and not np.shares_memory(res.x, x)
+    assert res.ineq_multipliers.tobytes() == lam.tobytes()
+    assert not np.shares_memory(res.ineq_multipliers, lam)
+    assert res.eq_multipliers.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("box, accepted_as_given", [
+    (-1e-13, False),                                # a negative multiplier
+    (1.01 * TOL / 30.0 / 6.0, False),               # complementarity above TOL/(10m)
+    (0.99 * TOL / 30.0 / 6.0, True),                # and just below it
+], ids=["negative", "above-the-floor", "below-the-floor"])
+def test_face_start_as_given_meets_the_stopping_test_exactly(box, accepted_as_given,
+                                                              monkeypatch):
+    # a box multiplier off the optimum's 0: stationarity and feasibility
+    # still pass, and complementarity is box * 6 against the floor weight
+    # TOL / (10 m), m = 3.  Only a start that passes the stopping test,
+    # with every multiplier nonnegative, is accepted as given; any other
+    # takes the finish, which splits the face and corrects the multipliers
+    prog, _ = _optimum_start_program([1.0, box, 0.0])
+    splits, faces = _count_splits(monkeypatch)
+    d = solve(prog).diagnostics
+    assert d.face_start["accepted"]
+    if accepted_as_given:
+        assert d.face_start["rounds"] == 0 and d.face_steps == 0
+        assert splits == [1] and faces == []
+    else:
+        assert d.face_start["rounds"] >= 1 and d.face_steps >= 1
+        assert splits == [1, 2] and faces == [[0]]
+
+
 @pytest.mark.parametrize("point, multipliers", [
     (np.zeros(3), np.zeros(2)),     # a multiplier short
     (np.zeros(3), np.zeros(4)),     # a multiplier too many
