@@ -352,15 +352,15 @@ class PrimalProgram:
         ask_l a_l)/p_l`` (at zero spread its one leg, and ``W1 = S W0``).
         The multipliers: ``P(n) sell_n`` on node ``n``'s lower band row and
         ``P(n) buy_n`` on its upper one, a leaf trading its liquidation, and
-        0 on the positivity rows (all of them at zero spread, where the
-        band rows are equalities)."""
+        0 on the positivity rows (the only rows at zero spread, where the
+        band rows are equalities: one per leaf, on ``W0``)."""
         market, tree = self.market, self.market.tree
         L, prob = tree.n_leaves, tree.leaf_prob
         if self.spec.family == "exponential":
             lam = lam / np.exp(self.spec.gamma * self.w_ref(x))
         if self.frictionless:
             w0 = lam[:L] / prob
-            return np.concatenate([w0, market.ask_price[tree.leaves] * w0]), np.zeros(2 * L)
+            return np.concatenate([w0, market.ask_price[tree.leaves] * w0]), np.zeros(L)
         bid_leg, ask_leg = lam[0:2 * L:2], lam[1:2 * L:2]
         w0 = (bid_leg + ask_leg) / prob
         w1 = (market.bid_price[tree.leaves] * bid_leg

@@ -69,7 +69,8 @@ class DualPolytope:
     maps leaf values to per-node conditional expectations.  Inequalities
     read ``G z - h >= 0``; at positive spread node ``n``'s lower and upper
     cone rows are rows ``2n`` and ``2n + 1`` of ``G``.  At zero spread the
-    band collapses and the cone rows move into the equality block.
+    band collapses, the cone rows move into the equality block, and ``G``
+    is the z0 leaves' positivity rows alone.
     """
 
     market: MarketSpec
@@ -159,7 +160,11 @@ def build_polytope(market: MarketSpec) -> DualPolytope:
     """Constraint system of the price-system family at the market's spread.
 
     Constraint order is deterministic: cone rows (lower then upper) in
-    node order, then leaf nonnegativity for z0 and z1.
+    node order, then leaf nonnegativity for z0 and z1.  At zero spread
+    the band rows are equalities, and a leaf's row ``Z1 = S Z0`` makes
+    ``Z1 >= 0`` the constraint ``Z0 >= 0`` again, so ``G`` keeps only the
+    z0 rows, ``[I_L 0]``: each constraint stated once keeps the
+    multipliers unique.
     """
     lam, tree = market.lam, market.tree
     n, L = tree.n_nodes, tree.n_leaves
@@ -168,17 +173,16 @@ def build_polytope(market: MarketSpec) -> DualPolytope:
 
     norm = np.concatenate([tree.leaf_prob, np.zeros(L)])[None, :]
     upper = np.hstack([s * W, -W])
-    positivity = np.eye(2 * L)
     if lam == 0.0:
-        # degenerate band: Z1 = S * Z0 exactly
+        # degenerate band: Z1 = S * Z0 exactly, so Z1 >= 0 is Z0 >= 0
         A_eq = np.vstack([norm, upper])
-        G = positivity
+        G = np.eye(L, 2 * L)
     else:
         A_eq = norm
         cone = np.empty((2 * n, 2 * L))
         cone[0::2] = np.hstack([-(1.0 - lam) * s * W, W])
         cone[1::2] = upper
-        G = np.vstack([cone, positivity])
+        G = np.vstack([cone, np.eye(2 * L)])
 
     return DualPolytope(
         market=market,

@@ -85,13 +85,14 @@ def _dual_route(market: MarketSpec, market_0: MarketSpec, gamma: float,
 
 def _shadow_route(rep_e: SolveReport, rep_0: SolveReport) -> float:
     """Each zero-spread dual is face-started at the lift of its report's
-    optimizer, with zero multipliers: its positivity rows are slack."""
+    optimizer, with zero multipliers on its positivity rows, one per leaf
+    on ``Z0``: they are slack."""
     terms = []
     for rep in (rep_e, rep_0):
         shadow = construct_shadow(rep.market, rep.dual_system)
         lift = shadow.lift(rep.dual_leaf_vars[:rep.market.tree.n_leaves])
         terms.append(solve_dual(shadow.as_market(), rep.utility, 1.0,
-                                face_start=(lift, np.zeros(lift.size))).value)
+                                face_start=(lift, np.zeros(lift.size // 2))).value)
     return terms[0] - terms[1]
 
 

@@ -242,6 +242,12 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice,
     are read from it, to the same bits, instead of solving it again.  A
     solve of another price, endowment, utility or scale raises
     ``ValueError``.
+
+    ``matches_dual_value`` holds when the gap is within ``1e-6 (1 + |v|)``,
+    ``v`` the report's dual value, and within ``1e-6`` times the larger
+    of the two dual values' magnitudes: the first alone is an absolute
+    test where ``v`` is small, which a 1% miss at ``yhat`` near 1e-12
+    passes.
     """
     market = report.market
     if frictionless is not None and not _solves_roundtrip_dual(frictionless, report, shadow):
@@ -255,12 +261,13 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice,
     poly = build_polytope(market)
     violation = poly.max_violation(lifted)
     value_gap = abs(dual_value - report.dual_value)
+    scale = min(1.0 + abs(report.dual_value), max(abs(report.dual_value), abs(dual_value)))
     return {
         "polytope_violation": violation,
         "dual_value_gap": value_gap,
         "lifted_leaf_vars": lifted,
         "member": bool(violation <= 1e-8),
-        "matches_dual_value": bool(value_gap <= 1e-6 * (1.0 + abs(report.dual_value))),
+        "matches_dual_value": bool(value_gap <= 1e-6 * scale),
     }
 
 

@@ -610,6 +610,26 @@ def test_half_line_report_near_the_threshold(drift_binomial, endowment, spec, ab
     assert rec["fd_starts"][1]["x"] > x0 + duality.THRESHOLD_MARGIN
 
 
+@pytest.mark.parametrize("i", range(20))
+def test_one_period_draws_match_the_oracle(i):
+    # generated one-period markets, with and without their endowment:
+    # every report's value and yhat are the bisection oracle's, found
+    # with no solver, from just above the threshold to far above it
+    drawn = InstanceGenerator(seed=11, max_periods=1).draw_feasible(i)
+    power = UtilitySpec("power", alpha=0.5)
+    for market in (drawn, drawn.with_endowment(np.zeros(drawn.tree.n_leaves))):
+        x0 = compute_x0(market)
+        cells = [(spec, x) for spec in (LOG, power)
+                 for x in (x0 + 1e-3, max(x0, 0.0) + 5.0, x0 + 1e3)]
+        cells += [(EXP1, x) for x in (-3.0, 1.0, 20.0)]
+        for spec, x in cells:
+            rep = solve_report(market, spec, x)
+            value, yhat = oracles.one_period_optimum(market, spec, x)
+            # relative alone: exp(1)'s yhat at x = 20 is about 1e-9
+            assert abs(rep.value - value) <= 1e-9 * abs(value), (spec.family, x)
+            assert abs(rep.yhat - yhat) <= 1e-9 * yhat, (spec.family, x)
+
+
 @pytest.mark.parametrize("endowment", [(0.0, 0.0), (3.0, -2.0), (-1.0, 0.5), (-2.0, -2.0)],
                          ids=lambda e: f"{e[0]:g},{e[1]:g}")
 def test_verify_identities_just_above_the_threshold_margin(drift_binomial, endowment):

@@ -71,7 +71,8 @@ def loop_built_polytope(market, lam):
             eq_vals.append(0.0)
         else:
             g_rows.extend([lower, upper])
-    g_rows.extend(np.eye(2 * L))
+    # at zero spread a leaf's row Z1 = S Z0 makes Z1 >= 0 the row Z0 >= 0
+    g_rows.extend(np.eye(2 * L)[:L if lam == 0.0 else 2 * L])
     return {"cond_exp": W, "A_eq": np.array(eq_rows), "b_eq": np.array(eq_vals),
             "G": np.array(g_rows), "h": np.zeros(len(g_rows))}
 
@@ -114,6 +115,26 @@ def test_polytope_build_matches_loop_reference(seed):
                 got = getattr(poly, name)
                 assert got.dtype == want.dtype and got.shape == want.shape, name
                 assert got.tobytes() == want.tobytes(), name
+
+
+def test_zero_spread_positivity_is_stated_once():
+    # at zero spread a leaf's equality row Z1 = S Z0 already makes Z1 >= 0
+    # the row Z0 >= 0, so G is [I_L 0] over the unchanged [z0, z1]
+    # variables; at positive spread the leaf rows are band rows, and G
+    # keeps its 2n cone rows and 2L positivity rows
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        market = gen.draw(i)
+        n, L = market.tree.n_nodes, market.tree.n_leaves
+        flat = build_polytope(replace(market, lam=0.0))
+        assert flat.G.tobytes() == np.hstack([np.eye(L), np.zeros((L, L))]).tobytes()
+        assert flat.h.tobytes() == np.zeros(L).tobytes() and flat.n_vars == 2 * L
+        assert flat.A_eq.shape == (1 + n, 2 * L) and flat.b_eq.shape == (1 + n,)
+        band = build_polytope(market)
+        assert band.G.shape == (2 * n + 2 * L, 2 * L) and band.h.shape == (2 * n + 2 * L,)
+        assert band.G[2 * n:].tobytes() == np.eye(2 * L).tobytes()
+        # the zero-spread equality rows are the positive-spread upper band rows
+        assert flat.A_eq[1:].tobytes() == band.G[1:2 * n:2].tobytes()
 
 
 def test_polytope_contains_martingale_density(martingale_binomial):

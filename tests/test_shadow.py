@@ -128,6 +128,19 @@ def test_roundtrip_back_into_cone(two_period_market):
     assert rec["dual_value_gap"] <= 1e-6 * (1 + abs(rep.dual_value))
 
 
+def test_roundtrip_dual_value_match_is_relative():
+    # generated seed-7 market 0 under exp(1) at x = 30: yhat is 3e-12 and
+    # the dual value -9.2e-11, so a 1% miss is 9e-13, far inside the
+    # absolute 1e-6 (1 + |v|); the relative twin refuses it
+    market = InstanceGenerator(seed=7).draw_feasible(0)
+    rep, sh, fr = shadow_pipeline(market, EXP1, 30.0)
+    assert rep.yhat < 1e-11
+    assert shadow_from_dual_roundtrip(rep, sh, fr)["matches_dual_value"]
+    off = shadow_from_dual_roundtrip(rep, sh, replace(fr, dual_value=1.01 * fr.dual_value))
+    assert off["dual_value_gap"] <= 1e-6 * (1.0 + abs(rep.dual_value))
+    assert not off["matches_dual_value"]
+
+
 @pytest.mark.parametrize("spec", [EXP1, LOG], ids=["exp", "log"])
 def test_roundtrip_reads_the_frictionless_dual(spec, monkeypatch):
     # handed the frictionless solve of the same shadow market, the
@@ -317,21 +330,35 @@ def test_zero_density_shadow_primal_is_face_started():
     # an unhedgeable endowment of 500 at the middle leaf of a trinomial:
     # the shadow price is undefined there and the shadow market's own
     # dual density vanishes there too, but the net trades read off that
-    # dual are defined at every node.  The primal is face-started there;
-    # the start is rejected, and the solve is the cold one from the
-    # closed-form start, bit for bit, Newton steps included
+    # dual are defined at every node.  With one positivity row per leaf
+    # the dual's multipliers are unique, and the primal's face start read
+    # off them is accepted with no Newton step, at the report's value
     tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
     market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
                         endowment=[0.0, 500.0, 0.0])
     rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
     assert sh.undefined.tolist() == [False, False, True, False]
     d = fr.diagnostics["primal"]
-    face = d["face_start"]
-    assert not face["accepted"] and face["reason"].startswith("KKT residuals")
-    cold = solve_primal(sh.as_market(), EXP1, 1.0)
-    assert fr.position.tobytes() == cold.strategy.phi1.tobytes()
-    assert fr.value.hex() == cold.value.hex()
-    assert d["newton_iterations"] == cold.diagnostics["newton_iterations"]
+    assert d["face_start"]["accepted"], d["face_start"]
+    assert sum(d["newton_iterations"]) == 0
+    assert abs(fr.value - rep.value) <= 1e-9 * (1.0 + abs(rep.value))
+
+
+@pytest.mark.parametrize("e", [100.0, 300.0, 500.0])
+def test_trinomial_frictionless_primal_accepts_its_read_off(e):
+    # the trinomial 100 -> 110/100/90 with an unhedgeable middle-leaf
+    # endowment e at lambda = 0.01: the shadow market's zero-spread dual
+    # states Z0 >= 0 once per leaf, so the net trades read off its
+    # multipliers are the primal optimum, accepted with no Newton step
+    # and no promotion from the Newton cap
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
+                        endowment=[0.0, e, 0.0])
+    rep, _, fr = shadow_pipeline(market, EXP1, 1.0)
+    d = fr.diagnostics["primal"]
+    assert d["face_start"]["accepted"], d["face_start"]
+    assert sum(d["newton_iterations"]) == 0
+    assert "max_iter promoted to optimal" not in d["events"]
     assert abs(fr.value - rep.value) <= 1e-9 * (1.0 + abs(rep.value))
 
 
