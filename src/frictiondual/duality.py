@@ -9,7 +9,9 @@ the residuals of the optimizer identities linking them.  One object,
 :class:`PrimalProgram`, owns the primal of a market and utility.  A dual
 solve given no start begins at its polytope's strictly consistent price
 system (:meth:`DualPolytope.strict_point`), which raises
-:class:`NoCpsError` when the market has none.
+:class:`NoCpsError` when the market has none; a zero-spread exponential
+dual is first handed its optimum, the minimal-entropy martingale density
+(:func:`polytope.entropy_martingale_point`), as a face start.
 
 A report (:func:`solve_report`) runs one barrier and starts the other
 side at its optimum, through the KKT map between the two: the dual
@@ -45,7 +47,8 @@ import numpy as np
 from . import utility as ut
 from .engine import ConvexProgram, EngineError, InfeasibleProgramError, SolveResult, solve
 from .polytope import (DENSITY_EPS, DualPolytope, PolytopeInfeasibleError, PriceSystem,
-                       build_polytope, max_expectation, super_hedge)
+                       build_polytope, entropy_martingale_point, max_expectation,
+                       super_hedge)
 from .trading import Strategy, net_trades, roll_forward, terminal_claim
 from .tree import MarketSpec
 
@@ -461,12 +464,14 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     takes it, is the engine's face start: a known optimum, such as the
     lift of a frictional optimizer onto its shadow market, passes the
     engine's stopping test as given and is accepted with no finish round
-    and no barrier step.  Without one, or when the engine
-    rejects it, the barrier runs from :meth:`DualPolytope.strict_point`,
-    which is built only then; a solve given none raises the polytope's
+    and no barrier step.  A solve given none raises the polytope's
     existence verdict (:meth:`DualPolytope.check_strict`) before any
-    engine solve.  The diagnostics carry the engine's record of the face
-    start (``face_start``).
+    engine solve, and at zero spread under exponential utility is then
+    handed its own optimum (:func:`_entropy_face_start`), which the
+    engine accepts as given.  Without a face start, or when the engine
+    rejects it, the barrier runs from :meth:`DualPolytope.strict_point`,
+    which is built only then.  The diagnostics carry the engine's record
+    of the face start (``face_start``).
 
     The exponential dual is solved at unit scale, with its diagnostics,
     and read at ``y`` (:func:`_exponential_at`): its minimizer does not
@@ -481,12 +486,26 @@ def solve_dual(market: MarketSpec, spec: ut.UtilitySpec, y: float,
     objective = _dual_objective(poly, spec, scale, market.endowment, market.tree.leaf_prob)
     if face_start is None:
         poly.check_strict()     # a market with no price system raises before any solve
+        if market.lam == 0.0 and spec.family == "exponential":
+            face_start = _entropy_face_start(market, spec.gamma)
     res = _solve_on_polytope(poly, *objective, poly.strict_point, face_start)
     dual = _dual_solution(market, poly, spec, scale, res.x, res.diagnostics.objective, res,
                           scale)
     if scale == y:
         return dual
     return _exponential_at(spec, dual, y, _exponential_shift(market, spec, dual))
+
+
+def _entropy_face_start(market: MarketSpec, gamma: float) -> Optional[tuple]:
+    """The zero-spread exp(gamma) dual's optimum (:func:`entropy_martingale_point`)
+    with zero multipliers on its ``Z0 >= 0`` rows, as a face start; ``None``
+    where the point is not finite or a leaf density is at most
+    ``DENSITY_EPS``, where a positivity row is all but active."""
+    z = entropy_martingale_point(market, gamma)
+    L = market.tree.n_leaves
+    if not (np.isfinite(z).all() and z[:L].min() > DENSITY_EPS):
+        return None
+    return z, np.zeros(L)
 
 
 def _solve_on_polytope(poly: DualPolytope, objective, in_domain, start,
@@ -557,8 +576,9 @@ def _exponential_at(spec: ut.UtilitySpec, unit: DualSolution, y: float,
 def solve_entropy_core(market: MarketSpec, gamma: float,
                        poly: Optional[DualPolytope] = None) -> DualSolution:
     """The exp(gamma) dual at ``y = 1`` (:func:`solve_dual`), from the
-    polytope's :meth:`DualPolytope.strict_point` (for another start, call
-    :func:`solve_dual`).  On the polytope ``E[z] = 1``, so its objective
+    polytope's :meth:`DualPolytope.strict_point`, or at zero spread from
+    its optimum (for another start, call :func:`solve_dual`).  On the
+    polytope ``E[z] = 1``, so its objective
     is ``E[z log z]/gamma + E[z e]`` (:func:`entropy_terms`) less ``(1 +
     log gamma)/gamma``; its minimizer serves every scale."""
     return solve_dual(market, ut.UtilitySpec("exponential", gamma=gamma), 1.0, poly=poly)
@@ -642,7 +662,8 @@ def solve_report(market: MarketSpec, spec: ut.UtilitySpec, x: float) -> SolveRep
     One side runs the barrier and the other starts at its optimum, read
     off through the KKT map; each is still certified by its own KKT
     residuals.  Exponential utility runs it on the unit-scale dual
-    (:func:`solve_entropy_core`), from the strict point, and gets yhat in
+    (:func:`solve_entropy_core`), from the strict point (at zero spread
+    the dual starts at its optimum and runs none), and gets yhat in
     closed form: with ``k = E[z log z]/gamma + E[z e]`` the dual value
     curve is ``V(y) + y k``, so ``yhat = u'(x + k)``.  A ``yhat`` so
     small, at large ``x + k``, that ``yhat Z0`` underflows to 0 at a leaf

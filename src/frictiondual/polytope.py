@@ -13,18 +13,22 @@ the band has a strictly positive martingale density (Jouini & Kallal,
 raising :class:`NoCpsError` when the answer is no, and
 :func:`martingale_point` builds one in closed form, the polytope's
 :meth:`DualPolytope.strict_point`; :func:`check_cps` applies it too and,
-when the answer is no, returns an arbitrage strategy.
+when the answer is no, returns an arbitrage strategy.  At zero spread
+:func:`entropy_martingale_point` builds the exponential dual's optimum,
+the minimal-entropy martingale density, by backward induction.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .engine import DEFAULT_MAX_NEWTON, EPS
 from .trading import roll_forward, terminal_claim
 from .tree import MarketSpec
 
@@ -229,6 +233,108 @@ def martingale_point(market: MarketSpec) -> Optional[np.ndarray]:
     ratio[1:] = w / np.bincount(par, weights=p * w, minlength=tree.n_nodes)[par]
     z0 = np.prod(np.where(tree.on_path, ratio, 1.0), axis=1)
     return np.concatenate([z0, S[tree.leaves] * z0])
+
+
+def entropy_martingale_point(market: MarketSpec, gamma: float) -> np.ndarray:
+    """The leaf variables ``(Z0, S Z0)`` that minimize ``E[z log z]/gamma
+    + E[z e]`` over the zero-spread polytope of ``market``, whose spread
+    is not read: the minimal-entropy martingale density with the
+    endowment ``e`` (Frittelli, Math. Finance 10, 2000; Rouge & El
+    Karoui, Math. Finance 10, 2000), by one backward pass over the stages.
+
+    A leaf's value is ``J = e``.  At an internal node each child ``c``
+    moves by ``d_c = S_c - S_n`` and takes the one-step measure ``q_c``
+    proportional to ``p_c exp(-gamma J_c - theta d_c)``, with ``theta``
+    the root of ``sum q_c d_c = 0`` (:func:`_tilt`), and the node's value
+    is ``J = -log sum p_c exp(-gamma J_c - theta d_c) / gamma``, a
+    log-sum-exp shifted by its largest term.  The leaf density is the
+    product of ``q_c / p_c`` along its path.
+
+    The point is computed as it falls: where a node moves one way it is
+    not a martingale density, and where the density overflows or
+    underflows it is not finite or not positive.
+    """
+    tree = market.tree
+    parent, price = tree.parent.tolist(), market.ask_price.tolist()
+    log_p = np.log(tree.cond_prob).tolist()
+    children = [[] for _ in parent]
+    for c, n in enumerate(parent[1:], 1):
+        children[n].append(c)
+    value = [0.0] * len(parent)       # J
+    for leaf, e in zip(tree.leaves.tolist(), market.endowment.tolist()):
+        value[leaf] = e
+    log_ratio = [0.0] * len(parent)   # log(q_c / p_c) on the edge into each node
+    for at in reversed(tree.stages[:-1]):
+        for n in at.tolist():
+            kids = children[n]
+            move = [price[c] - price[n] for c in kids]
+            a = [log_p[c] - gamma * value[c] for c in kids]
+            theta = _tilt(a, move)
+            x = [w - theta * d for w, d in zip(a, move)]     # log(p_c) + log(q_c / p_c) + log_sum
+            log_sum = _log_sum_exp(x)
+            for c, v in zip(kids, x):
+                log_ratio[c] = v - log_sum - log_p[c]
+            value[n] = -log_sum / gamma
+    z0 = np.exp(tree.on_path @ np.array(log_ratio))
+    return np.concatenate([z0, market.ask_price[tree.leaves] * z0])
+
+
+def _tilt(a: list, d: list) -> float:
+    """The root ``theta`` of ``sum_c exp(a_c - theta d_c) d_c = 0``, the
+    tilt that makes the one-step measure of log weights ``a`` a
+    martingale measure of the moves ``d``; 0 where every move is 0 or
+    all have one sign.  Two children have a single martingale measure,
+    ``q_u / q_v = -d_v / d_u``, and take it in closed form.  Three or more
+    take Newton steps on the log of the ratio of the up and down flows,
+    ``log sum_{d > 0} exp(a - theta d) d - log sum_{d < 0} exp(a - theta d)
+    |d|``, which falls with ``theta`` at a slope between the least and the
+    largest up move plus down move, and is linear for two children.  A
+    step that leaves the bracket of the root that the log's signs have
+    found bisects it instead.  The steps stop once the log is a few ulps,
+    when the residual ``sum q_c d_c`` is a few ulps of the largest move,
+    or once a step leaves ``theta`` where it is; at most
+    ``DEFAULT_MAX_NEWTON`` of them."""
+    up = [(w + math.log(m), m) for w, m in zip(a, d) if m > 0.0]
+    down = [(w + math.log(-m), m) for w, m in zip(a, d) if m < 0.0]
+    if not (up and down):
+        return 0.0
+    # the largest up and down flows alone: all of them at two children
+    (b_u, d_u), (b_v, d_v) = max(up), max(down)
+    theta = (b_u - b_v) / (d_u - d_v)
+    if len(d) == 2:
+        return theta
+    lo, hi = -math.inf, math.inf
+    for _ in range(DEFAULT_MAX_NEWTON):
+        (flow_u, mean_u), (flow_v, mean_v) = _flow(up, theta), _flow(down, theta)
+        excess = flow_u - flow_v
+        if not abs(excess) > 4.0 * EPS:     # a NaN stops here too
+            break
+        if excess > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        step = theta + excess / (mean_u - mean_v)
+        if step == theta:
+            break
+        if not lo < step < hi:     # both ends are finite here
+            step = 0.5 * (lo + hi)
+        theta = step
+    return theta
+
+
+def _flow(side: list, theta: float) -> tuple:
+    """``(log sum exp(b - theta d), mean of d)`` over the pairs ``(b, d)``
+    of ``side``, the mean weighted by ``exp(b - theta d)``."""
+    x = [b - theta * d for b, d in side]
+    top = max(x)
+    w = [math.exp(v - top) for v in x]
+    total = sum(w)
+    return top + math.log(total), sum(wi * d for wi, (_, d) in zip(w, side)) / total
+
+
+def _log_sum_exp(x: list) -> float:
+    top = max(x)
+    return top + math.log(sum(math.exp(v - top) for v in x))
 
 
 def strictly_consistent(market: MarketSpec) -> bool:

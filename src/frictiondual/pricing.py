@@ -11,7 +11,8 @@ same market without its endowment, ``market.with_endowment(np.zeros(L))``,
 which is built once per price; every solver reads the endowment from the
 market it is given.  Both reports run on the market's one polytope,
 which does not read the endowment, and their dual solves start at its
-strictly consistent price system (:meth:`DualPolytope.strict_point`).
+strictly consistent price system (:meth:`DualPolytope.strict_point`),
+or, on a zero-spread market, at their own optima (:func:`solve_dual`).
 Each shadow-market dual is handed the lift (:meth:`ShadowPrice.lift`)
 of its report's dual optimizer, which is optimal there, with zero
 multipliers as the engine's face start (:func:`solve_dual`): it passes
@@ -21,7 +22,10 @@ barrier run, from the shadow polytope's own
 :meth:`DualPolytope.strict_point`.  ``price_dual`` alone solves its
 two entropy programs, on the market and on its zero-endowment copy,
 independently of the reports: both start at the market's polytope's
-:meth:`DualPolytope.strict_point`, which does not read the endowment.
+:meth:`DualPolytope.strict_point`, which does not read the endowment,
+or, on a zero-spread market, at their own optima, the minimal-entropy
+martingale densities with and without the endowment
+(:func:`polytope.entropy_martingale_point`), as the reports' do.
 A market with no band price raises :class:`NoCpsError` from that
 closed form, with no LP.  The consistent-price bounds run no LP either:
 each end is a backward induction on the tree (:func:`price_bounds`).
@@ -112,7 +116,7 @@ def price_dual(market: MarketSpec, gamma: float) -> tuple:
     Returns ``(price, entropy_with, entropy_without)``; the initial
     wealth cancels exactly and never enters.  Both solves start at the
     market's :meth:`DualPolytope.strict_point`, which does not read the
-    endowment.
+    endowment, or at zero spread at their optima (:func:`solve_dual`).
     """
     poly = build_polytope(market)
     market_0 = market.with_endowment(np.zeros(market.tree.n_leaves))

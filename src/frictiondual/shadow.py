@@ -6,13 +6,18 @@ frictional value, and the frictionless dual density lifts back to a
 frictional dual optimizer.  This module builds that price, solves the
 frictionless problems on it, and verifies both directions.  No solve
 here reads the frictional optimizer, so they are independent checks of
-that theorem: the zero-spread duals start cold, at the closed-form
-martingale density of the shadow price (its polytope's
-:meth:`DualPolytope.strict_point`), and the zero-spread primal starts
-at the trades and multipliers read off the shadow market's own dual
-optimum (:meth:`PrimalProgram.primal_start`), not at its program's
-closed form: an exact read-off, it passes the engine's stopping test as
-given and is accepted with no finish round and no barrier step.
+that theorem: under exponential utility the zero-spread duals start at
+their optimum, the minimal-entropy martingale density of the shadow
+price with the endowment (:func:`polytope.entropy_martingale_point`),
+which reads only the price and the endowment, and the zero-spread
+primal starts at the trades and multipliers read off the shadow
+market's own dual optimum (:meth:`PrimalProgram.primal_start`), not at
+its program's closed form.  Each is exact, so each passes the engine's
+stopping test as given and is accepted with no finish round and no
+barrier step.  Under log and power, and where that start has a leaf
+density at most ``DENSITY_EPS`` or the engine rejects it, the duals run
+the barrier from the closed-form martingale density of the shadow price
+(its polytope's :meth:`DualPolytope.strict_point`).
 """
 
 from __future__ import annotations
@@ -143,19 +148,24 @@ def solve_frictionless(shadow_market: MarketSpec, spec: ut.UtilitySpec, x: float
     dual at scale ``y`` (the frictional report's ``yhat``).
 
     ``shadow_market`` must carry zero spread.  Neither solve reads the
-    frictional solve the price came from.  The dual comes first, cold
-    from the price's martingale density (:meth:`DualPolytope.strict_point`).
-    The primal is then face-started at the net trades read off that
-    dual's equality-row multipliers (:meth:`PrimalProgram.primal_start`),
+    frictional solve the price came from.  The dual comes first: under
+    exponential utility :func:`solve_dual` starts it at its optimum, the
+    price's minimal-entropy martingale density with the endowment, and
+    otherwise, or when the engine rejects that start, the barrier runs
+    from the price's closed-form martingale density
+    (:meth:`DualPolytope.strict_point`).  The primal is then
+    face-started at the net trades read off that dual's equality-row
+    multipliers (:meth:`PrimalProgram.primal_start`),
     the primal optimum by the KKT map, and the engine accepts it only
     when it passes the barrier's own stopping test, as given or after
     its face finish; otherwise the barrier runs from the primal's
     closed-form start (:func:`solve_primal`).
     Each side's diagnostics carry the engine's record of its face start
-    (``face_start``): ``None`` for the dual.  A price with
+    (``face_start``): ``None`` for a dual that ran cold.  A price with
     arbitrage, one that moves one way at some node, has an empty
-    zero-spread polytope (:class:`PolytopeInfeasibleError`) or an
-    unbounded primal, and raises :class:`ShadowConstructionError`.
+    zero-spread polytope (:class:`PolytopeInfeasibleError`, raised before
+    either start is built) or an unbounded primal, and raises
+    :class:`ShadowConstructionError`.
     """
     if shadow_market.lam != 0.0:
         raise ShadowConstructionError("frictionless solve needs a zero-spread market")
@@ -229,10 +239,14 @@ def shadow_from_dual_roundtrip(report: SolveReport, shadow: ShadowPrice,
     Solving the zero-spread dual on the shadow price at yhat and pairing
     its density with density-times-price must land inside the original
     polytope and reproduce the frictional dual value.  The zero-spread
-    solve starts at the closed-form martingale density of the shadow
-    price (:meth:`DualPolytope.strict_point`), never at the lift of the
-    frictional optimizer, so it checks the shadow-price theorem
-    independently of that optimizer.  The shadow market carries the
+    solve starts where :func:`solve_dual` starts a dual given no start:
+    under exponential utility at the shadow market's minimal-entropy
+    martingale density, its optimum, and otherwise at the closed-form
+    martingale density of the shadow price
+    (:meth:`DualPolytope.strict_point`).  Both read only the price and
+    the endowment, never the lift of the frictional optimizer, so the
+    solve checks the shadow-price theorem independently of that
+    optimizer.  The shadow market carries the
     endowment of ``report.market`` (:meth:`ShadowPrice.as_market`), so the
     report of a zero-endowment market round-trips without one.
 

@@ -291,6 +291,8 @@ def test_criterion_06_shadow_prices(batch):
         round_ = shadow_from_dual_roundtrip(rep, shadow)
         assert round_["polytope_violation"] <= 1e-8
         assert round_["dual_value_gap"] <= 1e-6 * (1.0 + abs(rep.dual_value))
+        # and relative to the dual values themselves, never looser
+        assert round_["matches_dual_value"]
         checked += 1
     assert checked >= 100     # the batch must actually exercise the property
 

@@ -1321,11 +1321,20 @@ def test_unhedgeable_trinomial_endowment_reports():
     assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6
 
 
-@pytest.mark.xfail(strict=True, raises=EngineError,
-                   reason="entropy dual ends on a quiet floor exit, KKT residual 1.3e-4")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="entropy dual ends with stationarity 2.2e-6: leaf identity "
+                          "1.59e-6 relative, above the 1e-6 gate")
 def test_generated_market_2026_126_reports():
+    # under one BLAS thread, as the suite and the benchmark run, the report
+    # solves (with the default threading its entropy dual raised, KKT
+    # residual 1.3e-4), closes the gap and misses the leaf identity
     market = InstanceGenerator(seed=2026).draw_feasible(126)
-    assert solve_report(market, EXP1, 1.0).relative_gap <= 1e-6
+    rep = solve_report(market, EXP1, 1.0)
+    assert rep.relative_gap <= 1e-6
+    wealth = 1.0 + rep.claim + market.endowment
+    resid = rep.leaf_identity_residuals
+    support = ~np.isnan(resid)
+    assert np.all(resid[support] <= 1e-6 * (1.0 + np.abs(wealth[support])))
 
 
 @pytest.mark.xfail(strict=True, raises=EngineError,

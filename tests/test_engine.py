@@ -19,6 +19,7 @@ from frictiondual.engine import (
     solve_lp,
 )
 from frictiondual.generate import InstanceGenerator
+from frictiondual.polytope import build_polytope
 from frictiondual.shadow import construct_shadow
 from frictiondual.utility import UtilitySpec
 from oracles import audit_derivatives
@@ -741,26 +742,35 @@ def test_zero_spread_finish_reuses_the_solve_split(monkeypatch):
     # on the zero-spread shadow duals no positivity row is active at the
     # optimum, so the face finish steps on the solve's own split of the
     # equality rows; a fresh pivoted QR of those rows, as it took before,
-    # gives the same point to rounding
+    # gives the same point to rounding.  solve_dual starts these programs
+    # at their optimum, so each runs cold here, from its strict point
     exp1 = UtilitySpec("exponential", gamma=1.0)
     as_face = engine._Equalities.as_face
     for i in (4, 5, 9):
         market = InstanceGenerator(seed=11).draw_feasible(i)
         rep = solve_report(market, exp1, 1.0)
         shadow_market = construct_shadow(market, rep.dual_system).as_market()
+        poly = build_polytope(shadow_market)
+        objective = duality._dual_objective(poly, exp1, 1.0, shadow_market.endowment,
+                                            shadow_market.tree.leaf_prob)
+
+        def cold():
+            return duality._solve_on_polytope(poly, *objective, poly.strict_point)
+
         faces = []
         monkeypatch.setattr(engine._Equalities, "as_face",
                             lambda self: faces.append(self) or as_face(self))
-        reused = solve_dual(shadow_market, exp1, rep.yhat)
+        reused = cold()
         assert faces and faces[0].A is not None
         monkeypatch.setattr(engine._Equalities, "as_face",
                             lambda self: engine._split_rows(self.A, self.b))
-        fresh = solve_dual(shadow_market, exp1, rep.yhat)
-        assert reused.diagnostics["newton_iterations"] == fresh.diagnostics["newton_iterations"]
-        assert reused.diagnostics["face_steps"] == fresh.diagnostics["face_steps"] > 0
-        scale = np.abs(fresh.leaf_vars).max()
-        assert np.abs(reused.leaf_vars - fresh.leaf_vars).max() <= 5e-14 * scale, i
-        assert abs(reused.value - fresh.value) <= 1e-14 * (1.0 + abs(fresh.value)), i
+        fresh = cold()
+        assert reused.diagnostics.newton_iterations == fresh.diagnostics.newton_iterations
+        assert reused.diagnostics.face_steps == fresh.diagnostics.face_steps > 0
+        scale = np.abs(fresh.x).max()
+        assert np.abs(reused.x - fresh.x).max() <= 5e-14 * scale, i
+        value, fresh_value = reused.diagnostics.objective, fresh.diagnostics.objective
+        assert abs(value - fresh_value) <= 1e-14 * (1.0 + abs(fresh_value)), i
 
 
 def test_face_start_with_a_nan_gradient_is_rejected():

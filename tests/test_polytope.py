@@ -12,6 +12,7 @@ from frictiondual.polytope import (
     build_polytope,
     check_cps,
     conditional_expectation_matrix,
+    entropy_martingale_point,
     martingale_point,
 )
 from frictiondual.generate import InstanceGenerator
@@ -218,6 +219,75 @@ def test_martingale_point_none_on_a_one_way_market():
     wide = replace(market, lam=0.15)
     z = martingale_point(wide)
     assert z is not None and margin(build_polytope(wide), z) > 1e-9
+
+
+@pytest.mark.parametrize("seed", [11, 2026])
+def test_entropy_martingale_point_is_the_cold_solve(seed):
+    # the backward induction's point is the zero-spread exp(gamma) dual's
+    # optimum: a cold engine solve of the same program, from the strict
+    # point with no face start, agrees to 1e-9 relative in value, and in
+    # every leaf variable (relative to the largest) wherever each density
+    # exceeds DENSITY_EPS, where solve_dual hands the point over.  Below
+    # it the barrier's densities stop at 1e-11 or so, and the point's
+    # value is the lower
+    from frictiondual import duality
+    from frictiondual.duality import solve_report
+    from frictiondual.utility import UtilitySpec
+
+    gen = InstanceGenerator(seed=seed)
+    handed = 0
+    for i in range(10):
+        drawn = gen.draw_feasible(i)
+        rep = solve_report(drawn, UtilitySpec("exponential", gamma=1.0), 1.0)
+        market = construct_shadow(drawn, rep.dual_system).as_market()
+        poly = build_polytope(market)
+        for gamma in (0.1, 1.0, 5.0):
+            spec = UtilitySpec("exponential", gamma=gamma)
+            objective = duality._dual_objective(poly, spec, 1.0, market.endowment,
+                                                market.tree.leaf_prob)
+            cold = duality._solve_on_polytope(poly, *objective, poly.strict_point)
+            assert cold.diagnostics.face_start is None
+            z = entropy_martingale_point(market, gamma)
+            value, want = objective[0](z)[0], cold.diagnostics.objective
+            assert abs(value - want) <= 1e-9 * abs(want), (i, gamma)
+            assert value <= want + 1e-13 * abs(want), (i, gamma)
+            assert poly.max_violation(z) <= 1e-10, (i, gamma)
+            if z[:market.tree.n_leaves].min() > DENSITY_EPS:
+                handed += 1
+                assert np.abs(z - cold.x).max() <= 1e-9 * np.abs(cold.x).max(), (i, gamma)
+    assert handed >= 20
+
+
+def test_entropy_martingale_point_of_a_binomial_is_its_martingale_density(drift_binomial):
+    # 100 -> 130/90 has one martingale measure, q = (1/4, 3/4) against
+    # p = (1/2, 1/2): whatever the endowment and gamma, the point is its
+    # density (1/2, 3/2)
+    market = replace(drift_binomial, lam=0.0)
+    for endowment in ([0.0, 0.0], [3.0, -2.0], [-50.0, 40.0]):
+        for gamma in (0.1, 1.0, 5.0):
+            z = entropy_martingale_point(market.with_endowment(endowment), gamma)
+            assert np.abs(z[:2] - [0.5, 1.5]).max() <= 1e-14, (endowment, gamma)
+            assert z[2:].tobytes() == (market.ask_price[1:] * z[:2]).tobytes()
+
+
+def test_entropy_martingale_point_is_finite_at_gamma_5():
+    # gamma = 5 with endowments of +5 and -5 on alternate leaves tilts each
+    # one-step measure by up to e^50; the log-sum-exp keeps every density
+    # finite (the smallest underflow to 0 on the four-period trees), and
+    # the point a martingale density
+    from frictiondual.duality import solve_report
+    from frictiondual.utility import UtilitySpec
+
+    gen = InstanceGenerator(seed=11)
+    for i in range(10):
+        drawn = gen.draw_feasible(i)
+        rep = solve_report(drawn, UtilitySpec("exponential", gamma=1.0), 1.0)
+        market = construct_shadow(drawn, rep.dual_system).as_market()
+        L = market.tree.n_leaves
+        market = market.with_endowment(np.where(np.arange(L) % 2 == 0, 5.0, -5.0))
+        z = entropy_martingale_point(market, 5.0)
+        assert np.all(np.isfinite(z)) and np.all(z >= 0.0), i
+        assert build_polytope(market).max_violation(z) <= 1e-10 * np.abs(z).max(), i
 
 
 def zero_spread_martingale_point(market):

@@ -10,7 +10,8 @@ from frictiondual.duality import (PrimalProgram, PrimalUnboundedError, compute_x
                                  solve_report)
 from frictiondual.generate import InstanceGenerator
 from frictiondual.polytope import (PolytopeInfeasibleError, build_polytope,
-                                   martingale_point, max_expectation, super_hedge)
+                                   entropy_martingale_point, martingale_point, max_expectation,
+                                   super_hedge)
 from frictiondual.pricing import (
     indifference_price,
     price_bounds,
@@ -196,9 +197,11 @@ def test_shadow_dual_same_optimum_from_any_start(dense_market):
     assert np.abs(perturbed - lift).max() > 1e-2
     poly = build_polytope(sm)
     sols = [dual_from(sm, rep.utility, poly, z) for z in (lift, perturbed, martingale_point(sm))]
-    # solve_dual's start is the shadow price's closed-form martingale density
+    # solve_dual starts at the shadow market's minimal-entropy martingale
+    # density, its optimum, and accepts it as given
     cold = solve_dual(sm, rep.utility, 1.0)
-    assert cold.leaf_vars.tobytes() == sols[2].x.tobytes()
+    assert cold.leaf_vars.tobytes() == entropy_martingale_point(sm, 1.0).tobytes()
+    assert cold.diagnostics["face_start"] == {"accepted": True, "rounds": 0, "reason": None}
     for sol in sols:
         v = sol.diagnostics.objective
         assert v == pytest.approx(cold.value, abs=1e-8 * (1.0 + abs(cold.value)))

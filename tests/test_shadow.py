@@ -9,7 +9,8 @@ from frictiondual.cli import main
 from frictiondual.duality import (EXP_ARG_MAX, PrimalProgram, compute_x0, solve_primal,
                                  solve_report)
 from frictiondual.generate import InstanceGenerator
-from frictiondual.polytope import PriceSystem
+from frictiondual.polytope import (DENSITY_EPS, PolytopeInfeasibleError, PriceSystem,
+                                   entropy_martingale_point)
 from frictiondual.shadow import (
     ShadowConstructionError,
     ShadowPrice,
@@ -360,6 +361,57 @@ def test_trinomial_frictionless_primal_accepts_its_read_off(e):
     assert sum(d["newton_iterations"]) == 0
     assert "max_iter promoted to optimal" not in d["events"]
     assert abs(fr.value - rep.value) <= 1e-9 * (1.0 + abs(rep.value))
+
+
+def test_frictionless_dual_starts_at_its_optimum():
+    # the benchmark's ten markets (seed 11, exp(1), x = 1): each shadow
+    # market's zero-spread dual is handed its minimal-entropy martingale
+    # density, its optimum, which the engine accepts as given with no
+    # Newton step; the roundtrip's solve of the same dual does the same
+    for i in range(10):
+        market = InstanceGenerator(seed=11).draw_feasible(i)
+        rep, sh, fr = shadow_pipeline(market, EXP1, 1.0)
+        for d in (fr.diagnostics["dual"],
+                  shadow_mod.solve_dual(sh.as_market(), EXP1, rep.yhat).diagnostics):
+            assert d["face_start"] == {"accepted": True, "rounds": 0, "reason": None}, i
+            assert d["newton_iterations"] == [] and d["face_steps"] == 0, i
+        assert shadow_from_dual_roundtrip(rep, sh)["matches_dual_value"], i
+
+
+@pytest.mark.parametrize("e", [300.0, 500.0])
+def test_trinomial_frictionless_dual_is_not_handed_a_zero_density(e):
+    # test_trinomial_frictionless_primal_accepts_its_read_off's cells at
+    # e = 300 and 500: the shadow market's optimal density at the middle
+    # leaf is about e^-e, at or below DENSITY_EPS,
+    # where a positivity row is all but active.  No start is handed over,
+    # and the dual runs its barrier from the strict point, as its primal's
+    # read-off needs
+    tree = EventTree(parent=[-1, 0, 0, 0], time=[0, 1, 1, 1], cond_prob=[1.0, 0.3, 0.4, 0.3])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 110.0, 100.0, 90.0], lam=0.01,
+                        endowment=[0.0, e, 0.0])
+    _, sh, fr = shadow_pipeline(market, EXP1, 1.0)
+    assert entropy_martingale_point(sh.as_market(), 1.0)[1] <= DENSITY_EPS
+    d = fr.diagnostics["dual"]
+    assert d["face_start"] is None and sum(d["newton_iterations"]) > 0
+
+
+def test_one_way_shadow_price_raises_before_the_entropy_point(monkeypatch):
+    # a price that moves one way at some node has an empty zero-spread
+    # polytope: check_strict raises before the start is built
+    from frictiondual import duality
+
+    built = []
+    monkeypatch.setattr(duality, "entropy_martingale_point",
+                        lambda *args: built.append(args))
+    tree = EventTree(parent=[-1, 0, 0], time=[0, 1, 1], cond_prob=[1.0, 0.5, 0.5])
+    market = MarketSpec(tree=tree, ask_price=[100.0, 130.0, 110.0], lam=0.0,
+                        endowment=[1.0, -1.0])
+    with pytest.raises(PolytopeInfeasibleError):
+        duality.solve_dual(market, EXP1, 1.0)
+    with pytest.raises(ShadowConstructionError) as err:
+        solve_frictionless(market, EXP1, 0.0, y=1.0)
+    assert isinstance(err.value.__cause__, PolytopeInfeasibleError)
+    assert built == []
 
 
 def test_tiny_density_node_trades_on_its_band_edge():
